@@ -92,7 +92,7 @@ let union a b =
     out.(!k) <- v;
     incr k
   done;
-  Array.sub out 0 !k
+  if !k = na + nb then out else Array.sub out 0 !k
 
 let inter a b =
   let na = Array.length a and nb = Array.length b in
@@ -142,81 +142,82 @@ let complement ~n t =
     invalid_arg "Posting.complement: elements outside [0;n)";
   out
 
-(* Binary min-heap of (value, source index) used for k-way merge. *)
-module Heap = struct
-  type t = { mutable data : (int * int) array; mutable size : int }
+(* Multi-way union, chosen by density.  Inputs holding at least one
+   element per 64 positions of the universe they span scatter into a
+   bitmap of native-int words, which one scan turns back into sorted
+   positions (duplicates collapse in the bitmap); the words cost about
+   as much memory as the inputs.  Sparser inputs merge pairwise, in
+   rounds, so each element is copied once per round: O(total lg k). *)
+let word_bits = Sys.int_size
 
-  let create cap = { data = Array.make (max 1 cap) (0, 0); size = 0 }
+let union_bitmap ~universe lists =
+  let words = Array.make ((universe + word_bits - 1) / word_bits) 0 in
+  List.iter
+    (Array.iter (fun v ->
+         let w = v / word_bits in
+         Array.unsafe_set words w
+           (Array.unsafe_get words w lor (1 lsl (v - (w * word_bits))))))
+    lists;
+  let n = Array.fold_left (fun acc w -> acc + Bitio.Bitops.popcount w) 0 words in
+  let out = Array.make n 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun i w ->
+      let w = ref w in
+      while !w <> 0 do
+        Array.unsafe_set out !k ((i * word_bits) + Bitio.Bitops.ctz !w);
+        incr k;
+        w := !w land (!w - 1)
+      done)
+    words;
+  out
 
-  let swap h i j =
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(j);
-    h.data.(j) <- tmp
-
-  let rec up h i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if fst h.data.(i) < fst h.data.(parent) then begin
-        swap h i parent;
-        up h parent
-      end
-    end
-
-  let rec down h i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < h.size && fst h.data.(l) < fst h.data.(!smallest) then smallest := l;
-    if r < h.size && fst h.data.(r) < fst h.data.(!smallest) then smallest := r;
-    if !smallest <> i then begin
-      swap h i !smallest;
-      down h !smallest
-    end
-
-  let push h v =
-    if h.size = Array.length h.data then begin
-      let data = Array.make (2 * h.size) (0, 0) in
-      Array.blit h.data 0 data 0 h.size;
-      h.data <- data
-    end;
-    h.data.(h.size) <- v;
-    h.size <- h.size + 1;
-    up h (h.size - 1)
-
-  let pop h =
-    let top = h.data.(0) in
-    h.size <- h.size - 1;
-    h.data.(0) <- h.data.(h.size);
-    down h 0;
-    top
-
-  let is_empty h = h.size = 0
-end
+let rec union_pairwise = function
+  | [] -> empty
+  | [ a ] -> a
+  | lists ->
+      let rec round = function
+        | a :: b :: rest -> union a b :: round rest
+        | rest -> rest
+      in
+      union_pairwise (round lists)
 
 let union_many lists =
-  let lists = Array.of_list lists in
-  let k = Array.length lists in
-  if k = 0 then empty
-  else begin
-    let total = Array.fold_left (fun acc a -> acc + Array.length a) 0 lists in
-    let out = Array.make total 0 in
-    let heap = Heap.create k in
-    let idx = Array.make k 0 in
-    Array.iteri
-      (fun s a -> if Array.length a > 0 then Heap.push heap (a.(0), s))
-      lists;
-    let m = ref 0 in
-    while not (Heap.is_empty heap) do
-      let v, s = Heap.pop heap in
-      if !m = 0 || out.(!m - 1) <> v then begin
-        out.(!m) <- v;
-        incr m
-      end;
-      idx.(s) <- idx.(s) + 1;
-      if idx.(s) < Array.length lists.(s) then
-        Heap.push heap (lists.(s).(idx.(s)), s)
-    done;
-    Array.sub out 0 !m
-  end
+  match List.filter (fun a -> Array.length a > 0) lists with
+  | [] -> empty
+  | [ a ] -> a
+  | lists ->
+      let total = List.fold_left (fun acc a -> acc + Array.length a) 0 lists in
+      let universe =
+        List.fold_left (fun acc a -> max acc (a.(Array.length a - 1) + 1)) 0 lists
+      in
+      if total * 64 >= universe then union_bitmap ~universe lists
+      else union_pairwise lists
+
+let shift t k =
+  if Array.length t > 0 && t.(0) + k < 0 then
+    invalid_arg "Posting.shift: negative";
+  if k = 0 then t else Array.map (fun v -> v + k) t
+
+(* Every part is a posting already, so the whole is strictly
+   increasing iff each seam is: a part must start above the last
+   element of the nonempty part before it. *)
+let concat parts =
+  match List.filter (fun a -> Array.length a > 0) parts with
+  | [] -> empty
+  | [ a ] -> a
+  | parts ->
+      let total = List.fold_left (fun acc a -> acc + Array.length a) 0 parts in
+      let out = Array.make total 0 in
+      ignore
+        (List.fold_left
+           (fun off a ->
+             if off > 0 && out.(off - 1) >= a.(0) then
+               invalid_arg "Posting.concat: parts overlap or are out of order";
+             Array.blit a 0 out off (Array.length a);
+             off + Array.length a)
+           0 parts);
+      out
 
 let iter = Array.iter
 let fold = Array.fold_left

@@ -41,8 +41,23 @@ val diff : t -> t -> t
 (** [complement ~n t] is [{0..n-1} \ t]. *)
 val complement : n:int -> t -> t
 
-(** Multi-way union (heap-based k-way merge). *)
+(** Multi-way union.  When the inputs hold at least one element per 64
+    positions of [\[0, max\]] (total * 64 >= max + 1) they are
+    scattered into a bitmap that is scanned once; otherwise they are
+    merged pairwise with {!union}.  The result may share storage with
+    an input (postings are immutable). *)
 val union_many : t list -> t
+
+(** [shift t k] adds [k] to every element; raises [Invalid_argument]
+    if an element would become negative.  [shift t 0] is [t]. *)
+val shift : t -> int -> t
+
+(** [concat parts] joins postings whose elements lie in increasing,
+    disjoint order (each part above every earlier one).  Only the seams
+    between consecutive nonempty parts are checked; raises
+    [Invalid_argument] when parts overlap or are out of order.  The
+    result may share storage with a part. *)
+val concat : t list -> t
 
 val iter : (int -> unit) -> t -> unit
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a

@@ -143,15 +143,22 @@ let stream_of_entry t (off, count) =
         let d = Iosim.Device.decoder t.device ~pos in
         Cbitmap.Gap_codec.stream ~code:t.code d ~count
 
-(* Phase spans: directory entries are decoded eagerly (the "directory"
-   phase); the payload streams decode lazily inside the merge, so the
-   merge span carries the "payload" decode I/O. *)
+(* Phase spans: the directory entry is decoded first (the "directory"
+   phase), then the extent (the "payload" phase).  A gap extent decodes
+   in one bulk pass; it consumes the same codewords in the same order
+   as the pull stream, so every charge is identical. *)
 let read_one t i =
-  let entry =
+  let ((off, count) as entry) =
     Obs.Metrics.phase "directory" (fun () -> dir_entry t i)
   in
   Obs.Metrics.phase "payload" (fun () ->
-      Cbitmap.Merge.to_posting (stream_of_entry t entry))
+      match t.layout with
+      | Gap when not t.ctx.Context.reference_decode ->
+          let pos = t.payload.Iosim.Device.off + off in
+          Cbitmap.Gap_codec.decode ~code:t.code
+            (Iosim.Device.decoder t.device ~pos)
+            ~count
+      | _ -> Cbitmap.Merge.to_posting (stream_of_entry t entry))
 
 let streams t ~lo ~hi =
   if lo < 0 || hi >= t.nstreams || lo > hi then

@@ -13,7 +13,18 @@
 
    Both policies share the node/list machinery; nodes carry the
    per-block bookkeeping the prefetch counters and the scan-resistance
-   tests need ([prefetched], [reused]). *)
+   tests need ([prefetched], [reused]).
+
+   Re-hit memo: [last_hit] is the node whose hit was the pool's most
+   recent structural operation.  A hit leaves its node at the head of
+   its segment with [reused] set (under [`Segmented] a probationary hit
+   promotes, and the demotion it may trigger takes the protected
+   tail, never the node just pushed), so hitting the same node again
+   would relink it in place and change nothing but [hits].  Every
+   insert (hence every eviction), invalidate and clear resets the
+   memo; a hit on another node replaces it.  The device's per-codeword
+   charges re-touch the block just touched millions of times per run,
+   and the memo turns each of those into one comparison. *)
 
 (* Always-on metrics (PR 9): process-wide replacement-pressure view
    beside the per-pool lifetime counters. *)
@@ -58,7 +69,13 @@ type t = {
   mutable evictions : int;
   mutable promotions : int;
   mutable evicted_reused : int;
+  mutable last_hit : node; (* [no_node] when unset *)
 }
+
+(* Sentinel for an unset memo: never in [table], and no block id is
+   negative. *)
+let no_node =
+  { blk = -1; seg = Probation; prefetched = false; reused = false; prev = None; next = None }
 
 let create ?(policy = `Lru) ~capacity_blocks () =
   if capacity_blocks < 0 then invalid_arg "Buffer_pool.create";
@@ -74,6 +91,7 @@ let create ?(policy = `Lru) ~capacity_blocks () =
     evictions = 0;
     promotions = 0;
     evicted_reused = 0;
+    last_hit = no_node;
   }
 
 let capacity t = t.capacity
@@ -108,6 +126,7 @@ let push_front c n =
 let mem t blk = t.capacity > 0 && Hashtbl.mem t.table blk
 
 let invalidate t blk =
+  t.last_hit <- no_node;
   match Hashtbl.find_opt t.table blk with
   | None -> ()
   | Some n ->
@@ -169,6 +188,7 @@ let on_hit t n =
           else promote t n)
 
 let insert t blk ~prefetched =
+  t.last_hit <- no_node;
   if Hashtbl.length t.table >= t.capacity then evict_one t;
   let n =
     { blk; seg = Probation; prefetched; reused = false; prev = None; next = None }
@@ -176,12 +196,25 @@ let insert t blk ~prefetched =
   Hashtbl.replace t.table blk n;
   push_front t.main n
 
+(* A node whose prefetch flag is still set falls through to the full
+   path, so [rehit] is also exact for callers that hit a prefetched
+   block without consuming its flag (a write hit). *)
+let rehit t blk =
+  let n = t.last_hit in
+  if n.blk = blk && not n.prefetched then begin
+    t.hits <- t.hits + 1;
+    true
+  end
+  else false
+
 let access t blk =
   if t.capacity = 0 then false
+  else if rehit t blk then true
   else
     match Hashtbl.find_opt t.table blk with
     | Some n ->
         on_hit t n;
+        t.last_hit <- n;
         true
     | None ->
         t.misses <- t.misses + 1;
@@ -203,6 +236,7 @@ let consume_prefetch t blk =
   | _ -> false
 
 let clear t =
+  t.last_hit <- no_node;
   Hashtbl.reset t.table;
   t.main.head <- None;
   t.main.tail <- None;

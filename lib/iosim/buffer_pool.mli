@@ -32,6 +32,16 @@ val policy : t -> policy
     victim if full).  A hit never evicts. *)
 val access : t -> int -> bool
 
+(** [rehit t blk] is the fast path of {!access} for a block whose hit
+    was the pool's most recent structural operation and whose prefetch
+    flag is clear: it counts one hit and returns [true].  Anything else
+    returns [false] and changes nothing.  In that case a repeated hit
+    would leave recency, segments and flags as they are, so
+    [rehit t blk || access t blk] has exactly the effect of
+    [access t blk], and a caller that gets [true] knows
+    {!consume_prefetch} would return [false]. *)
+val rehit : t -> int -> bool
+
 (** [insert_prefetched t blk] makes [blk] resident as readahead would:
     probationary (or LRU front), flagged as prefetched.  Returns
     [true] iff a transfer happened — [false] when the block is already

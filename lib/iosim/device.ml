@@ -139,12 +139,15 @@ let check_transient t blk =
            (Printf.sprintf "Device: transient read failure on block %d" blk))
   | _ -> ()
 
+(* A re-hit of the block just hit only counts (see [Buffer_pool.rehit]);
+   its prefetch flag is already clear, so [consume_prefetch] is skipped. *)
 let touch_read t blk =
   check_transient t blk;
-  if Buffer_pool.access t.pool blk then begin
+  let rehit = Buffer_pool.rehit t.pool blk in
+  if rehit || Buffer_pool.access t.pool blk then begin
     t.stats.Stats.pool_hits <- t.stats.Stats.pool_hits + 1;
     Obs.Metrics.incr m_pool_hits;
-    if Buffer_pool.consume_prefetch t.pool blk then begin
+    if (not rehit) && Buffer_pool.consume_prefetch t.pool blk then begin
       t.stats.Stats.prefetch_hits <- t.stats.Stats.prefetch_hits + 1;
       Obs.Metrics.incr m_prefetch_hits
     end;

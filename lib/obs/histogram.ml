@@ -9,10 +9,11 @@
    with one increment and a constant memory footprint, and percentiles
    over the whole run cost one pass over the (small) bucket array.
 
-   Percentile answers are bucket upper edges — a conservative bound
-   with relative error 10^(1/per_decade) - 1 (≈ 9.6% at the default
-   25 buckets/decade), which is far below the run-to-run noise of any
-   wall-clock measurement this histogram is used for. *)
+   Percentile answers are bucket upper edges clamped to the recorded
+   [min, max] — a conservative bound with relative error
+   10^(1/per_decade) - 1 (≈ 9.6% at the default 25 buckets/decade),
+   which is far below the run-to-run noise of any wall-clock
+   measurement this histogram is used for. *)
 
 type t = {
   lo : float;
@@ -90,7 +91,9 @@ let percentile t q =
            end)
          t.buckets
      with Exit -> ());
-    upper_edge t !ans
+    (* A bucket edge can lie outside the recorded range (all samples
+       equal, say); the quantile of the samples never does. *)
+    Float.min t.vmax (Float.max t.vmin (upper_edge t !ans))
   end
 
 let compatible a b =

@@ -5,8 +5,9 @@
     Geometric buckets, [per_decade] per factor of ten between [lo] and
     [hi], plus underflow and overflow buckets.  Constant memory
     regardless of sample count; {!percentile} reports bucket upper
-    edges, so answers are conservative with relative error
-    [10^(1/per_decade) - 1] (under 10% at the default resolution). *)
+    edges clamped to the recorded range, so answers are conservative
+    with relative error [10^(1/per_decade) - 1] (under 10% at the
+    default resolution). *)
 
 type t
 
@@ -28,8 +29,9 @@ val min_value : t -> float
 (** Exact recorded extremes, not bucket edges. *)
 val max_value : t -> float
 
-(** [percentile t 0.99] is the p99 sample value (upper bucket edge);
-    [q] in [0;1].  NaN when empty. *)
+(** [percentile t 0.99] is the p99 sample value: the upper edge of the
+    bucket holding the nearest-rank quantile, clamped to
+    [\[min_value, max_value\]]; [q] in [0;1].  NaN when empty. *)
 val percentile : t -> float -> float
 
 (** Bucket-wise sum.  All inputs must share one configuration; raises

@@ -45,10 +45,17 @@ module Latch = struct
     Mutex.unlock l.m
 end
 
+(* A worker ships its shard's failure through the slot instead of
+   dying with it: the latch must count every worker, or the router
+   would wait forever. *)
+type shard_result =
+  | Rows of Cbitmap.Posting.t array
+  | Failed of exn * Printexc.raw_backtrace
+
 type task =
   | Batch of {
       ranges : (int * int) array;
-      slot : int array array option ref;
+      slot : shard_result option ref;
       latch : Latch.t;
     }
   | Stop
@@ -90,7 +97,10 @@ let rec worker_loop (shard, mailbox, m, c) =
   | Stop -> ()
   | Batch { ranges; slot; latch } ->
       Obs.Metrics.add_gauge g_queue_depth (-1.0);
-      slot := Some (Shard.run_batch shard ranges);
+      (slot :=
+         Some
+           (try Rows (Shard.run_batch shard ranges)
+            with e -> Failed (e, Printexc.get_raw_backtrace ())));
       Latch.arrive latch;
       worker_loop (shard, mailbox, m, c)
 
@@ -118,21 +128,6 @@ let create ?(mode = Sequential) shards =
 let domains_used t =
   match t.mode with Sequential -> 1 | Domains -> Array.length t.workers
 
-(* Rows from each shard, in shard order, one row list per batch slot;
-   concatenation of disjoint ordered slices needs no sort or dedup. *)
-let merge_slot parts =
-  let total = List.fold_left (fun a p -> a + Array.length p) 0 parts in
-  let out = Array.make total 0 in
-  let off = ref 0 in
-  List.iter
-    (fun p ->
-      Array.blit p 0 out !off (Array.length p);
-      off := !off + Array.length p)
-    parts;
-  (* [of_sorted_array] re-validates strict monotonicity — a cheap
-     full-result check that the slices really were disjoint. *)
-  Cbitmap.Posting.of_sorted_array out
-
 let query_batch t ranges =
   if not t.live then invalid_arg "Router.query_batch: after shutdown";
   let nq = Array.length ranges in
@@ -154,18 +149,21 @@ let query_batch t ranges =
               t.workers
           in
           Latch.wait latch;
+          (* Every worker has arrived; the first failure in shard order
+             is the one [Sequential] would have raised. *)
           Array.map
             (fun slot ->
               match !slot with
-              | Some rows -> rows
+              | Some (Rows rows) -> rows
+              | Some (Failed (e, bt)) -> Printexc.raise_with_backtrace e bt
               | None -> assert false (* latch counted every worker *))
             slots
     in
+    (* Slices are disjoint and in shard order: the global answer is
+       the concatenation of the shard rows, with no sort or dedup. *)
     Array.init nq (fun j ->
-        merge_slot
-          (List.filter_map
-             (fun rows -> if Array.length rows = 0 then None else Some rows.(j))
-             (Array.to_list per_shard)))
+        Cbitmap.Posting.concat
+          (Array.fold_right (fun rows acc -> rows.(j) :: acc) per_shard []))
   end
 
 let query t ~lo ~hi = (query_batch t [| (lo, hi) |]).(0)

@@ -31,7 +31,10 @@ val domains_used : t -> int
 val query : t -> lo:int -> hi:int -> Cbitmap.Posting.t
 
 (** Batched scatter/gather: slot [i] answers [ranges.(i)].  Each shard
-    runs the whole batch through its warm [Indexing.Batch] path. *)
+    runs the whole batch through its warm [Indexing.Batch] path.  If
+    shards raise, both modes re-raise the first failure in shard order
+    (in [Domains] mode after every worker has finished the batch), and
+    the router stays usable for later batches. *)
 val query_batch : t -> (int * int) array -> Cbitmap.Posting.t array
 
 (** Per-shard counter snapshots, in shard order.  Safe only at

@@ -62,25 +62,24 @@ let stats t =
   | Some d -> Iosim.Stats.snapshot (Iosim.Device.stats d)
 
 (* Answer a batch on this shard: local warm batch, then shift each
-   materialized answer to global positions.  The result rows are fresh
-   arrays, safe to publish across domains once a happens-before edge
-   exists (the router's countdown latch provides it). *)
+   materialized answer to global positions.  Postings are immutable,
+   so rows may share storage with the instance's answers (shard 0 has
+   base 0 and shifts nothing) and are safe to publish across domains
+   once a happens-before edge exists (the router's countdown latch
+   provides it). *)
 let run_batch t ranges =
   match t.instance with
-  | None -> Array.make (Array.length ranges) [||]
+  | None -> Array.make (Array.length ranges) Cbitmap.Posting.empty
   | Some inst ->
       let work () =
         Obs.Metrics.incr m_batches;
         Obs.Metrics.time m_service_seconds (fun () ->
-            let answers = Indexing.Instance.query_batch_warm inst ranges in
             Array.map
               (fun a ->
-                let local =
-                  Cbitmap.Posting.to_array
-                    (Indexing.Answer.to_posting ~n:t.len a)
-                in
-                Array.map (fun p -> p + t.base) local)
-              answers)
+                Cbitmap.Posting.shift
+                  (Indexing.Answer.to_posting ~n:t.len a)
+                  t.base)
+              (Indexing.Instance.query_batch_warm inst ranges))
       in
       (* The span is emitted from the calling domain — a router worker
          in [Domains] mode — so shard batches land on their own tid

@@ -45,6 +45,7 @@ val build :
   t array
 
 (** Warm local batch, answers shifted to global positions.  Row [i] is
-    the sorted global positions answering [ranges.(i)] within this
-    shard's slice; rows are fresh arrays. *)
-val run_batch : t -> (int * int) array -> int array array
+    the posting of global positions answering [ranges.(i)] within this
+    shard's slice.  Rows are immutable postings and may share storage
+    with the instance's answers or with each other. *)
+val run_batch : t -> (int * int) array -> Cbitmap.Posting.t array

@@ -72,6 +72,65 @@ let prop_union_many =
       in
       Cbitmap.Posting.equal got expected)
 
+(* [union_many] picks its algorithm from the inputs: a bitmap scan
+   when total * 64 >= max + 1, pairwise merges otherwise.  Each regime
+   is generated on purpose and checked against the sort-and-dedup
+   reference; the dense lists always carry the word-edge values 62, 63
+   and 126 (so every list repeats them). *)
+let union_many_regime ~name ~dense gen =
+  QCheck.Test.make ~count:200 ~name
+    (QCheck.make
+       ~print:QCheck.Print.(list (list int))
+       QCheck.Gen.(list_size (int_range 2 6) gen))
+    (fun lists ->
+      let ps = List.map posting lists in
+      let total = List.fold_left (fun a p -> a + Cbitmap.Posting.cardinal p) 0 ps in
+      let universe = 1 + List.fold_left (List.fold_left max) (-1) lists in
+      (total * 64 >= universe) = dense
+      && Cbitmap.Posting.equal
+           (Cbitmap.Posting.union_many ps)
+           (posting (List.concat lists)))
+
+let prop_union_many_dense =
+  union_many_regime ~name:"union_many dense (bitmap) = of_list concat" ~dense:true
+    QCheck.Gen.(map (fun l -> 62 :: 63 :: 126 :: l) (list_size (int_range 0 40) (int_range 0 300)))
+
+let prop_union_many_sparse =
+  union_many_regime ~name:"union_many sparse (pairwise) = of_list concat" ~dense:false
+    QCheck.Gen.(map (fun l -> 1_000_000 :: l) (list_size (int_range 0 20) (int_range 0 1_000_000)))
+
+let test_concat_seams () =
+  let raises name parts =
+    Alcotest.check_raises name
+      (Invalid_argument "Posting.concat: parts overlap or are out of order")
+      (fun () -> ignore (Cbitmap.Posting.concat (List.map posting parts)))
+  in
+  raises "overlap" [ [ 1; 5 ]; [ 4; 9 ] ];
+  raises "shared seam" [ [ 1; 5 ]; [ 5; 9 ] ];
+  raises "out of order" [ [ 10; 11 ]; [ 1; 2 ] ];
+  raises "seam across an empty part" [ [ 1; 7 ]; []; [ 3 ] ];
+  Alcotest.(check (list int)) "disjoint ordered parts" [ 0; 3; 4; 8; 9 ]
+    (Cbitmap.Posting.to_list
+       (Cbitmap.Posting.concat (List.map posting [ []; [ 0; 3 ]; [ 4 ]; []; [ 8; 9 ] ])));
+  Alcotest.(check (list int)) "no parts" []
+    (Cbitmap.Posting.to_list (Cbitmap.Posting.concat []))
+
+let prop_shift =
+  QCheck.Test.make ~count:200 ~name:"shift keeps order and cardinality"
+    QCheck.(pair sorted_gen (int_range 0 1000))
+    (fun (xs, k) ->
+      let p = posting xs in
+      let q = Cbitmap.Posting.shift p k in
+      Cbitmap.Posting.cardinal q = Cbitmap.Posting.cardinal p
+      && Cbitmap.Posting.to_list q
+         = List.map (fun v -> v + k) (Cbitmap.Posting.to_list p)
+      && Cbitmap.Posting.equal q
+           (Cbitmap.Posting.of_sorted_array (Cbitmap.Posting.to_array q)))
+
+let test_shift_negative () =
+  Alcotest.check_raises "below zero" (Invalid_argument "Posting.shift: negative")
+    (fun () -> ignore (Cbitmap.Posting.shift (posting [ 2; 5 ]) (-3)))
+
 let prop_gap_roundtrip =
   QCheck.Test.make ~count:300 ~name:"gap codec roundtrip (gamma)" sorted_gen
     (fun xs ->
@@ -318,6 +377,11 @@ let suite =
     qcheck prop_diff;
     qcheck prop_complement;
     qcheck prop_union_many;
+    qcheck prop_union_many_dense;
+    qcheck prop_union_many_sparse;
+    Alcotest.test_case "concat checks seams" `Quick test_concat_seams;
+    qcheck prop_shift;
+    Alcotest.test_case "shift below zero" `Quick test_shift_negative;
     qcheck prop_gap_roundtrip;
     qcheck prop_gap_roundtrip_codes;
     qcheck prop_gap_stream;

@@ -162,6 +162,20 @@ let test_prefetch_flags () =
   Alcotest.(check bool) "demand access hits" true
     (Iosim.Buffer_pool.access pool 9)
 
+(* A write hit does not consume a prefetch flag, so the read that
+   follows it (a re-hit of the same block) must still count the
+   prefetch hit; the read after that is a plain re-hit. *)
+let test_prefetch_hit_after_write_hit () =
+  let dev = device ~block_bits:64 ~mem_bits:(4 * 64) () in
+  ignore (Iosim.Device.alloc dev 256);
+  Iosim.Device.prefetch dev ~pos:0 ~len:64;
+  Iosim.Device.write_bits dev ~pos:0 ~width:8 0xff;
+  ignore (Iosim.Device.read_bits dev ~pos:0 ~width:8);
+  ignore (Iosim.Device.read_bits dev ~pos:8 ~width:8);
+  let s = Iosim.Device.stats dev in
+  Alcotest.(check int) "prefetch hits" 1 s.Iosim.Stats.prefetch_hits;
+  Alcotest.(check int) "pool hits" 3 s.Iosim.Stats.pool_hits
+
 let test_store_and_read () =
   let dev = device () in
   let buf = Bitio.Bitbuf.of_int ~width:40 0xdeadbeef0 in
@@ -352,6 +366,79 @@ let prop_lru_matches_reference =
           model := blk :: trimmed;
           hit = model_hit)
         accesses)
+
+(* The pool against [Ref_pool], a list-based model of the same rules
+   with no re-hit memo.  Sequences favour long runs of accesses to one
+   block (what per-codeword charging produces), each optionally
+   followed by [consume_prefetch] as the device does, interleaved with
+   readahead inserts, bare consumes, invalidations and clears.  Every
+   result, the counters, both occupancies and the residency of every
+   block must agree after every operation. *)
+type pool_op =
+  | Run of int * int * bool (* block, length, consume after each access *)
+  | Prefetch of int
+  | Consume of int
+  | Invalidate of int
+  | Clear
+
+let pool_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map3 (fun b n c -> Run (b, n, c)) (int_range 0 9) (int_range 1 12) bool);
+        (2, map (fun b -> Prefetch b) (int_range 0 9));
+        (1, map (fun b -> Consume b) (int_range 0 9));
+        (1, map (fun b -> Invalidate b) (int_range 0 9));
+        (1, return Clear);
+      ])
+
+let prop_pool_matches_list_reference =
+  QCheck.Test.make ~count:500 ~name:"buffer pool = list reference (lru, slru, re-hits)"
+    (QCheck.make
+       QCheck.Gen.(
+         triple (int_range 0 6) bool (list_size (int_range 1 60) pool_op_gen)))
+    (fun (capacity, segmented, ops) ->
+      let policy = if segmented then `Segmented else `Lru in
+      let pool = Iosim.Buffer_pool.create ~policy ~capacity_blocks:capacity () in
+      let model = Ref_pool.create ~policy ~capacity in
+      let same_state () =
+        Iosim.Buffer_pool.counters pool = Ref_pool.counters model
+        && Iosim.Buffer_pool.occupancy pool = Ref_pool.occupancy model
+        && Iosim.Buffer_pool.protected_occupancy pool
+           = Ref_pool.protected_occupancy model
+        && List.for_all
+             (fun b -> Iosim.Buffer_pool.mem pool b = Ref_pool.mem model b)
+             (List.init 10 Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          let results_agree =
+            match op with
+            | Run (b, n, consume) ->
+                List.for_all
+                  (fun _ ->
+                    Iosim.Buffer_pool.access pool b = Ref_pool.access model b
+                    && ((not consume)
+                       || Iosim.Buffer_pool.consume_prefetch pool b
+                          = Ref_pool.consume_prefetch model b))
+                  (List.init n Fun.id)
+            | Prefetch b ->
+                Iosim.Buffer_pool.insert_prefetched pool b
+                = Ref_pool.insert_prefetched model b
+            | Consume b ->
+                Iosim.Buffer_pool.consume_prefetch pool b
+                = Ref_pool.consume_prefetch model b
+            | Invalidate b ->
+                Iosim.Buffer_pool.invalidate pool b;
+                Ref_pool.invalidate model b;
+                true
+            | Clear ->
+                Iosim.Buffer_pool.clear pool;
+                Ref_pool.clear model;
+                true
+          in
+          results_agree && same_state ())
+        ops)
 
 (* --- differential tests across the word-at-a-time rewrite --- *)
 
@@ -689,8 +776,11 @@ let suite =
       test_theorem2_trace_codec_parity;
     Alcotest.test_case "blocks spanned" `Quick test_blocks_spanned;
     Alcotest.test_case "stats diff" `Quick test_stats_diff;
+    Alcotest.test_case "prefetch hit after a write hit" `Quick
+      test_prefetch_hit_after_write_hit;
     qcheck prop_device_roundtrip;
     qcheck prop_adjacent_regions_independent;
     qcheck prop_lru_never_exceeds_capacity;
     qcheck prop_lru_matches_reference;
+    qcheck prop_pool_matches_list_reference;
   ]

@@ -642,6 +642,38 @@ let test_trace_lint () =
   Alcotest.(check int) "one unmatched" 1 lb.Obs.Report.lint_unmatched;
   Sys.remove bad
 
+(* ---- histogram percentiles ---- *)
+
+(* Against the exact nearest-rank quantile of the recorded samples:
+   the reported percentile lies in [min, max] and at most one bucket
+   away.  Samples span the underflow and overflow buckets, and a
+   quarter of the cases repeat one value (min = max, where an
+   unclamped bucket edge lands outside the range). *)
+let qcheck_percentile_clamped =
+  let sample = QCheck.Gen.(map (fun e -> 10.0 ** e) (float_range (-9.0) 3.0)) in
+  QCheck.Test.make ~count:300 ~name:"percentile within [min, max] and one bucket of exact"
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list float) float)
+       QCheck.Gen.(
+         pair
+           (frequency
+              [
+                (3, list_size (int_range 1 200) sample);
+                (1, map2 (fun v k -> List.init k (fun _ -> v)) sample (int_range 1 50));
+              ])
+           (float_range 0.0 1.0)))
+    (fun (xs, q) ->
+      let h = Obs.Histogram.create () in
+      List.iter (Obs.Histogram.add h) xs;
+      let sorted = Array.of_list (List.sort compare xs) in
+      let n = Array.length sorted in
+      let rank = max 1 (int_of_float (Float.ceil (q *. float_of_int n))) in
+      let exact = sorted.(rank - 1) in
+      let got = Obs.Histogram.percentile h q in
+      got >= sorted.(0)
+      && got <= sorted.(n - 1)
+      && abs (Obs.Histogram.index h got - Obs.Histogram.index h exact) <= 1)
+
 let suite =
   [
     Alcotest.test_case "yi lower envelope" `Quick test_yi_lower_envelope;
@@ -679,4 +711,5 @@ let suite =
     Alcotest.test_case "report scan" `Quick test_report_scan;
     Alcotest.test_case "trace lint" `Quick test_trace_lint;
     qcheck qcheck_span_balance;
+    qcheck qcheck_percentile_clamped;
   ]

@@ -144,6 +144,56 @@ let test_domains_mode () =
         [ 2; 4 ])
     [ "static"; "dynamic" ]
 
+(* A shard whose batch raises: both modes raise the first failure in
+   shard order (shards 1 and 2 both fail; shard 1's error wins), the
+   [Domains] workers survive it and answer the next batch, and
+   [shutdown] joins cleanly. *)
+let test_shard_failure_same_in_both_modes () =
+  let data = mkdata ~seed:17 150 in
+  let queries = query_mix ~seed:26 in
+  let static = List.assoc "static" all_builders in
+  let inst = static (device ()) ~sigma data in
+  let n = inst.Indexing.Instance.n in
+  List.iter
+    (fun mode ->
+      let armed = Array.make 3 false and built = ref 0 in
+      let build dev ~sigma x =
+        let i = !built in
+        incr built;
+        let inst = static dev ~sigma x in
+        let batch = Option.get inst.Indexing.Instance.batch in
+        {
+          inst with
+          Indexing.Instance.batch =
+            Some
+              (fun ranges ->
+                if armed.(i) then Secidx_error.corrupt "shard %d: injected" i;
+                batch ranges);
+        }
+      in
+      let router = Serve.Router.create ~mode (shards_for build 3 data) in
+      Fun.protect
+        ~finally:(fun () -> Serve.Router.shutdown router)
+        (fun () ->
+          armed.(1) <- true;
+          armed.(2) <- true;
+          Alcotest.check_raises "first failing shard's error"
+            (Secidx_error.Corrupt "shard 1: injected") (fun () ->
+              ignore (Serve.Router.query_batch router queries));
+          armed.(1) <- false;
+          armed.(2) <- false;
+          let answers = Serve.Router.query_batch router queries in
+          Array.iteri
+            (fun i (lo, hi) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "answer after failure, slot %d" i)
+                true
+                (Cbitmap.Posting.equal answers.(i)
+                   (Indexing.Answer.to_posting ~n
+                      (inst.Indexing.Instance.query ~lo ~hi))))
+            queries))
+    [ Serve.Router.Sequential; Serve.Router.Domains ]
+
 let test_query_batch_matches_per_query () =
   let data = mkdata ~seed:31 200 in
   let build = List.assoc "static" all_builders in
@@ -381,6 +431,8 @@ let suite =
       test_differential_all_builders;
     Alcotest.test_case "empty shards (k > n)" `Quick test_empty_shards;
     Alcotest.test_case "domains mode differential" `Quick test_domains_mode;
+    Alcotest.test_case "shard failure: same error in both modes" `Quick
+      test_shard_failure_same_in_both_modes;
     Alcotest.test_case "router batch = per-query" `Quick
       test_query_batch_matches_per_query;
     Alcotest.test_case "router shard stats merge" `Quick
