@@ -18,7 +18,16 @@
    [Iosim.Device.decoder]) charges its callback on *consume*, not on
    refill — prefetching bits into the cache is free until they are
    actually delivered, which keeps [Iosim.Stats.bits_read] and the
-   touched block sequence identical to the seed per-bit semantics. *)
+   touched block sequence identical to the seed per-bit semantics.
+   The bulk gamma kernel ([gamma_prefix_into]) charges the same
+   sequence in block runs instead of one callback per codeword. *)
+
+type counter = {
+  block_bits : int; (* block size the run charges group by *)
+  charge : pos:int -> len:int -> unit;
+  charge_run : block:int -> touches:int -> bits:int -> unit;
+      (* the bulk kernel's block-run report *)
+}
 
 type t = {
   data : bytes; (* backing store snapshot (not copied) *)
@@ -26,7 +35,7 @@ type t = {
   mutable fetch : int; (* absolute index of the next unfetched bit *)
   mutable cache : int; (* right-aligned window of fetched, unread bits *)
   mutable avail : int; (* number of valid bits in [cache], <= 62 *)
-  charge : (pos:int -> len:int -> unit) option;
+  counter : counter option; (* [Some] on a [counted] decoder *)
   mutable on_refill : (pos:int -> len:int -> unit) option;
       (* observation hook (tracing): called after each cache top-up
          with the absolute position and width of the loaded bits.
@@ -36,22 +45,24 @@ type t = {
 
 let cache_bits = 62
 
-let make ~data ~pos ~limit ~charge =
+let make ~data ~pos ~limit ~counter =
   if limit < 0 || limit > 8 * Bytes.length data then
     invalid_arg "Decoder: limit out of range";
   if pos < 0 || pos > limit then invalid_arg "Decoder: pos out of range";
-  { data; limit; fetch = pos; cache = 0; avail = 0; charge; on_refill = None }
+  { data; limit; fetch = pos; cache = 0; avail = 0; counter; on_refill = None }
 
 let of_bytes ?(pos = 0) ?limit data =
   let limit =
     match limit with Some l -> l | None -> 8 * Bytes.length data
   in
-  make ~data ~pos ~limit ~charge:None
+  make ~data ~pos ~limit ~counter:None
 
 let of_bitbuf ?(pos = 0) buf =
-  make ~data:(Bitbuf.backing buf) ~pos ~limit:(Bitbuf.length buf) ~charge:None
+  make ~data:(Bitbuf.backing buf) ~pos ~limit:(Bitbuf.length buf) ~counter:None
 
-let counted ~data ~pos ~limit ~charge = make ~data ~pos ~limit ~charge:(Some charge)
+let counted ~data ~pos ~limit ~block_bits ~charge ~charge_run =
+  if block_bits <= 0 then invalid_arg "Decoder.counted: block_bits";
+  make ~data ~pos ~limit ~counter:(Some { block_bits; charge; charge_run })
 
 let set_on_refill t f = t.on_refill <- Some f
 
@@ -122,8 +133,8 @@ let rec ensure t w =
    the correct mask even at [a = 62], where the shift wraps to
    [min_int] and the subtraction yields [max_int] (62 ones). *)
 let consume_unchecked t w =
-  (match t.charge with
-  | Some f -> f ~pos:(t.fetch - t.avail) ~len:w
+  (match t.counter with
+  | Some c -> c.charge ~pos:(t.fetch - t.avail) ~len:w
   | None -> ());
   let a = t.avail - w in
   t.avail <- a;
@@ -249,8 +260,8 @@ let[@inline] msb_inline x =
    the bits below the leading zeros (which contribute nothing above
    the mantissa, so the shift down *is* the gamma value). *)
 let[@inline] retire t cache avail len =
-  (match t.charge with
-  | Some f -> f ~pos:(t.fetch - avail) ~len
+  (match t.counter with
+  | Some c -> c.charge ~pos:(t.fetch - avail) ~len
   | None -> ());
   let a = avail - len in
   t.avail <- a;
@@ -292,19 +303,104 @@ let[@inline] gamma t =
   end
   else gamma_general t cache avail
 
+(* Length of the gamma codeword at the top of a window, or 0 when it
+   does not fit the window (the case [gamma] sends to [gamma_slow]).
+   The same decision as [gamma]'s byte-table and CLZ branches, which
+   agree on every window, so the bulk kernel below retires exactly the
+   codewords [gamma] would retire in the window and takes the slow
+   path on exactly the others. *)
+let[@inline] window_gamma_len cache avail =
+  if cache = 0 then 0
+  else begin
+    let k =
+      if avail >= 8 then begin
+        let top = cache lsr (avail - 8) in
+        if top <> 0 then Char.code (String.unsafe_get lzc8 top)
+        else avail - 1 - msb_inline cache
+      end
+      else avail - 1 - msb_inline cache
+    in
+    let len = (k lsl 1) + 1 in
+    if len <= avail then len else 0
+  end
+
+(* The counted kernel.  A codeword that fits the window is retired
+   with no callback and counted against the block run it ends in:
+   [rb] is the run's block, [rt] its touches so far, [rmark] the
+   stream position where the bits it owns start, and [rend] the end of
+   [rb] (a codeword ending at or before [rend] touches only [rb], since
+   positions only grow).  A codeword that crosses into a later block
+   touches every block it covers, in order: the run on each block it
+   leaves is reported, and the codeword's bits go to the run of its
+   last block.  The device applies a run's touches before its bits, so
+   a fault on a run's first touch leaves exactly the bits of the
+   codewords that ended before it charged — what per-codeword charging
+   leaves.  A codeword that does not fit is charged per range through
+   [gamma_slow], after the pending run is reported, so runs and ranges
+   reach the device in stream order. *)
+let gamma_prefix_runs t c ~prev ~count out =
+  let bb = c.block_bits and report = c.charge_run in
+  let flush rb rt rmark pos =
+    if rt > 0 then report ~block:rb ~touches:rt ~bits:(pos - rmark)
+  in
+  let rec go i acc rb rt rmark rend =
+    if i = count then flush rb rt rmark (t.fetch - t.avail)
+    else begin
+      if t.avail < 32 then refill t;
+      let cache = t.cache and avail = t.avail in
+      let len = window_gamma_len cache avail in
+      if len = 0 then begin
+        flush rb rt rmark (t.fetch - avail);
+        let acc = acc + gamma_slow t in
+        Array.unsafe_set out i acc;
+        go (i + 1) acc (-1) 0 0 0
+      end
+      else begin
+        let pos = t.fetch - avail in
+        let stop = pos + len in
+        let a = avail - len in
+        t.avail <- a;
+        t.cache <- cache land ((1 lsl a) - 1);
+        let acc = acc + (cache lsr a) in
+        Array.unsafe_set out i acc;
+        if stop <= rend then go (i + 1) acc rb (rt + 1) rmark rend
+        else begin
+          (* touches on the blocks the codeword covers, in order *)
+          let last = (stop - 1) / bb in
+          let rb = ref rb and rt = ref rt and rmark = ref rmark in
+          for b = pos / bb to last do
+            if b = !rb then incr rt
+            else begin
+              flush !rb !rt !rmark pos;
+              rb := b;
+              rt := 1;
+              rmark := pos
+            end
+          done;
+          go (i + 1) acc last !rt !rmark ((last + 1) * bb)
+        end
+      end
+    end
+  in
+  go 0 prev (-1) 0 0 0
+
 (* Bulk gamma gap decode: read [count] codewords and write the running
    sums [prev + g1, prev + g1 + g2, ...] into [out.(0 .. count - 1)].
    With gaps defined as [p0 + 1, p1 - p0, ...] this turns a gamma
    stream back into absolute positions when [prev] is the predecessor
    (or [-1] for none) — the Theorem 2 posting-list hot loop.  Living
    here keeps the whole loop on local decoder state with no
-   per-codeword cross-module call.  Charges exactly like [count]
-   single [gamma] calls. *)
+   per-codeword cross-module call.  A counted decoder charges in block
+   runs (see [gamma_prefix_runs]); the sequence of block touches and
+   the bits charged are those of [count] single [gamma] calls. *)
 let gamma_prefix_into t ~prev ~count out =
   if count < 0 || count > Array.length out then
     invalid_arg "Decoder.gamma_prefix_into";
-  let acc = ref prev in
-  for i = 0 to count - 1 do
-    acc := !acc + gamma t;
-    Array.unsafe_set out i !acc
-  done
+  match t.counter with
+  | Some c -> gamma_prefix_runs t c ~prev ~count out
+  | None ->
+      let acc = ref prev in
+      for i = 0 to count - 1 do
+        acc := !acc + gamma t;
+        Array.unsafe_set out i !acc
+      done

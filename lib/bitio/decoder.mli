@@ -27,13 +27,33 @@ val of_bytes : ?pos:int -> ?limit:int -> bytes -> t
     Zero-copy; see the snapshot caveat above. *)
 val of_bitbuf : ?pos:int -> Bitbuf.t -> t
 
-(** [counted ~data ~pos ~limit ~charge] is a decoder that reports
-    every consumed bit range to [charge ~pos ~len] — ranges are
-    reported in stream order exactly once, on consumption (cache
-    refills are not charged).  This is how [Iosim.Device.decoder]
-    keeps simulator counters identical to per-bit semantics. *)
+(** [counted ~data ~pos ~limit ~block_bits ~charge ~charge_run] is a
+    decoder whose consumed bits are charged to the simulator in stream
+    order, exactly once, on consumption (cache refills are not
+    charged).  Every read reports its bit range to [charge ~pos ~len],
+    except in {!gamma_prefix_into}: there a codeword that fits the
+    cache window is counted against the [block_bits]-bit block it
+    lies in, and each maximal run of such touches on one block is
+    reported once as [charge_run ~block ~touches ~bits].  A run stands
+    for [touches] consecutive single-block accesses to [block] and
+    [bits] consumed bits; the bits of a codeword that crosses a block
+    boundary belong to the run of its last block.  Pending runs are
+    reported before any range charge, so runs and ranges arrive in
+    stream order.  A caller that applies a run as [touches] accesses
+    to [block] followed by [bits] bits, and a range as one access to
+    each covering block followed by [len] bits, sees the same access
+    sequence and bit count as per-codeword charging — also up to an
+    exception raised by a callback.  This is how
+    [Iosim.Device.decoder] keeps simulator counters identical to
+    per-bit semantics.  [block_bits] must be positive. *)
 val counted :
-  data:bytes -> pos:int -> limit:int -> charge:(pos:int -> len:int -> unit) -> t
+  data:bytes ->
+  pos:int ->
+  limit:int ->
+  block_bits:int ->
+  charge:(pos:int -> len:int -> unit) ->
+  charge_run:(block:int -> touches:int -> bits:int -> unit) ->
+  t
 
 (** [set_on_refill t f] installs an observation hook called after each
     cache top-up with the absolute bit position and width of the
@@ -108,6 +128,8 @@ val gamma : t -> int
     codewords and stores their running sums starting from [prev] into
     [out.(0 .. count - 1)] — the bulk gap-decode loop behind
     [Gap_codec.decode_into] with [prev] the predecessor position
-    ([-1] for none).  Charges exactly like [count] single {!gamma}
-    calls. *)
+    ([-1] for none).  Consumes, refills and fails like [count] single
+    {!gamma} calls.  On a {!counted} decoder it charges in block runs
+    (see there) instead of once per codeword; a codeword longer than
+    the cache window is charged per range, as {!gamma} charges it. *)
 val gamma_prefix_into : t -> prev:int -> count:int -> int array -> unit

@@ -68,10 +68,12 @@ let decode_into ?(code = Gamma) ?(last = -1) d ~count out =
         lastp := p
       done)
 
+(* [out] is fresh and nothing else holds it, so the posting adopts it
+   after the same check [of_sorted_array] makes, without a copy. *)
 let decode ?code d ~count =
   let out = Array.make count 0 in
   decode_into ?code d ~count out;
-  Posting.of_sorted_array out
+  Posting.adopt out
 
 let stream_from ?(code = Gamma) d ~count ~last =
   let remaining = ref count in

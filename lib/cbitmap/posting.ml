@@ -2,14 +2,22 @@ type t = int array
 
 let empty = [||]
 
+(* A plain loop: it runs over every decoded extent ([adopt]). *)
+let check_sorted name a =
+  for i = 0 to Array.length a - 1 do
+    let v = Array.unsafe_get a i in
+    if v < 0 then invalid_arg (name ^ ": negative");
+    if i > 0 && Array.unsafe_get a (i - 1) >= v then
+      invalid_arg (name ^ ": not strictly increasing")
+  done
+
 let of_sorted_array a =
-  Array.iteri
-    (fun i v ->
-      if v < 0 then invalid_arg "Posting.of_sorted_array: negative";
-      if i > 0 && a.(i - 1) >= v then
-        invalid_arg "Posting.of_sorted_array: not strictly increasing")
-    a;
+  check_sorted "Posting.of_sorted_array" a;
   Array.copy a
+
+let adopt a =
+  check_sorted "Posting.adopt" a;
+  a
 
 let of_list l =
   let a = Array.of_list l in
@@ -128,20 +136,6 @@ let diff a b =
   done;
   Array.sub out 0 !k
 
-let complement ~n t =
-  let out = Array.make (n - Array.length t) 0 in
-  let k = ref 0 and j = ref 0 in
-  for v = 0 to n - 1 do
-    if !j < Array.length t && t.(!j) = v then incr j
-    else begin
-      out.(!k) <- v;
-      incr k
-    end
-  done;
-  if !k <> Array.length out then
-    invalid_arg "Posting.complement: elements outside [0;n)";
-  out
-
 (* Multi-way union, chosen by density.  Inputs holding at least one
    element per 64 positions of the universe they span scatter into a
    bitmap of native-int words, which one scan turns back into sorted
@@ -194,30 +188,78 @@ let union_many lists =
       if total * 64 >= universe then union_bitmap ~universe lists
       else union_pairwise lists
 
-let shift t k =
-  if Array.length t > 0 && t.(0) + k < 0 then
-    invalid_arg "Posting.shift: negative";
-  if k = 0 then t else Array.map (fun v -> v + k) t
+module Writer = struct
+  (* [out] stays [empty] until the first element is written, so a part
+     that fills the whole answer unshifted can become [out] itself. *)
+  type t = { cap : int; mutable out : int array; mutable len : int }
 
-(* Every part is a posting already, so the whole is strictly
-   increasing iff each seam is: a part must start above the last
-   element of the nonempty part before it. *)
-let concat parts =
-  match List.filter (fun a -> Array.length a > 0) parts with
-  | [] -> empty
-  | [ a ] -> a
-  | parts ->
-      let total = List.fold_left (fun acc a -> acc + Array.length a) 0 parts in
-      let out = Array.make total 0 in
-      ignore
-        (List.fold_left
-           (fun off a ->
-             if off > 0 && out.(off - 1) >= a.(0) then
-               invalid_arg "Posting.concat: parts overlap or are out of order";
-             Array.blit a 0 out off (Array.length a);
-             off + Array.length a)
-           0 parts);
-      out
+  let create total =
+    if total < 0 then invalid_arg "Posting.Writer.create";
+    { cap = total; out = empty; len = 0 }
+
+  (* The checks shared by both writers, on the first element [first]
+     of a part of [m >= 1] elements: every part is a posting already,
+     so the whole is strictly increasing iff each seam is. *)
+  let check_part w ~first ~m =
+    if first < 0 then invalid_arg "Posting.Writer: negative";
+    if w.len > 0 && w.out.(w.len - 1) >= first then
+      invalid_arg "Posting.Writer: parts overlap or are out of order";
+    if w.len + m > w.cap then
+      invalid_arg "Posting.Writer: more elements than declared";
+    if w.len = 0 then w.out <- Array.make w.cap 0
+
+  let add w ~shift p =
+    let m = Array.length p in
+    if m > 0 then
+      if shift = 0 && m = w.cap && w.len = 0 then begin
+        if p.(0) < 0 then invalid_arg "Posting.Writer: negative";
+        w.out <- p;
+        w.len <- m
+      end
+      else begin
+        check_part w ~first:(p.(0) + shift) ~m;
+        let out = w.out and k = w.len in
+        for i = 0 to m - 1 do
+          Array.unsafe_set out (k + i) (Array.unsafe_get p i + shift)
+        done;
+        w.len <- k + m
+      end
+
+  let add_complement w ~shift ~n p =
+    let np = Array.length p in
+    if np > 0 && (p.(0) < 0 || p.(np - 1) >= n) then
+      invalid_arg "Posting.Writer: excluded positions outside [0;n)";
+    let m = n - np in
+    if m > 0 then begin
+      (* the first position not excluded: [p] is sorted and distinct *)
+      let first = ref 0 in
+      while !first < np && p.(!first) = !first do
+        incr first
+      done;
+      let first = !first in
+      check_part w ~first:(first + shift) ~m;
+      let out = w.out and k = ref w.len and prev = ref (-1) in
+      for j = 0 to np do
+        let x = if j < np then Array.unsafe_get p j else n in
+        for v = !prev + 1 to x - 1 do
+          Array.unsafe_set out !k (v + shift);
+          incr k
+        done;
+        prev := x
+      done;
+      w.len <- !k
+    end
+
+  let finish w =
+    if w.len <> w.cap then
+      invalid_arg "Posting.Writer: fewer elements than declared";
+    w.out
+end
+
+let complement ~n t =
+  let w = Writer.create (n - Array.length t) in
+  Writer.add_complement w ~shift:0 ~n t;
+  Writer.finish w
 
 let iter = Array.iter
 let fold = Array.fold_left

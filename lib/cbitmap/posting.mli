@@ -17,6 +17,11 @@ val of_list : int list -> t
     copied. *)
 val of_sorted_array : int array -> t
 
+(** [adopt a] is {!of_sorted_array} without the copy: same check, and
+    the posting is [a] itself, so the caller must not mutate [a]
+    afterwards.  For arrays a decoder has just filled. *)
+val adopt : int array -> t
+
 (** Positions of set bits of [s], where [s.[i] = '1']. *)
 val of_bitstring : string -> t
 
@@ -38,7 +43,9 @@ val union : t -> t -> t
 val inter : t -> t -> t
 val diff : t -> t -> t
 
-(** [complement ~n t] is [{0..n-1} \ t]. *)
+(** [complement ~n t] is [{0..n-1} \ t], written by
+    {!Writer.add_complement}; raises [Invalid_argument] unless [t]
+    lies in [\[0, n)]. *)
 val complement : n:int -> t -> t
 
 (** Multi-way union.  When the inputs hold at least one element per 64
@@ -48,16 +55,37 @@ val complement : n:int -> t -> t
     an input (postings are immutable). *)
 val union_many : t list -> t
 
-(** [shift t k] adds [k] to every element; raises [Invalid_argument]
-    if an element would become negative.  [shift t 0] is [t]. *)
-val shift : t -> int -> t
+(** Write-once assembly of a posting from parts that lie in
+    increasing, disjoint order, each shifted by its own offset — the
+    sharded router's answer writer.  [create total] declares the exact
+    number of elements; each part is checked only at its seam (its
+    first element must lie above the last element written) and copied
+    once into the one answer array; {!finish} returns it.  Every
+    violation raises [Invalid_argument]. *)
+module Writer : sig
+  type posting := t
+  type t
 
-(** [concat parts] joins postings whose elements lie in increasing,
-    disjoint order (each part above every earlier one).  Only the seams
-    between consecutive nonempty parts are checked; raises
-    [Invalid_argument] when parts overlap or are out of order.  The
-    result may share storage with a part. *)
-val concat : t list -> t
+  (** [create total]; raises [Invalid_argument] if [total < 0]. *)
+  val create : int -> t
+
+  (** [add w ~shift p] writes [p]'s elements plus [shift].  A part that
+      is the whole answer ([shift = 0], nothing written yet and
+      [cardinal p = total]) becomes the answer itself, uncopied.
+      Raises on an element that would be negative, on a seam that
+      overlaps or is out of order, and past [total] elements. *)
+  val add : t -> shift:int -> posting -> unit
+
+  (** [add_complement w ~shift ~n p] writes the positions of
+      [\[0, n)] not in [p], plus [shift] — the runs between [p]'s
+      elements — with the checks of {!add}; [p] must lie in
+      [\[0, n)]. *)
+  val add_complement : t -> shift:int -> n:int -> posting -> unit
+
+  (** The assembled posting; raises unless exactly [total] elements
+      were written.  The writer must not be used afterwards. *)
+  val finish : t -> posting
+end
 
 val iter : (int -> unit) -> t -> unit
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a

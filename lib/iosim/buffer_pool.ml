@@ -22,9 +22,10 @@
    tail, never the node just pushed), so hitting the same node again
    would relink it in place and change nothing but [hits].  Every
    insert (hence every eviction), invalidate and clear resets the
-   memo; a hit on another node replaces it.  The device's per-codeword
-   charges re-touch the block just touched millions of times per run,
-   and the memo turns each of those into one comparison. *)
+   memo; a hit on another node replaces it.  The device's decode charges
+   re-touch the block just touched millions of times per run, and the
+   memo turns each of those into one comparison, or a whole block run
+   of them into one addition ([rehits]). *)
 
 (* Always-on metrics (PR 9): process-wide replacement-pressure view
    beside the per-pool lifetime counters. *)
@@ -199,13 +200,15 @@ let insert t blk ~prefetched =
 (* A node whose prefetch flag is still set falls through to the full
    path, so [rehit] is also exact for callers that hit a prefetched
    block without consuming its flag (a write hit). *)
-let rehit t blk =
+let rehits t blk k =
   let n = t.last_hit in
   if n.blk = blk && not n.prefetched then begin
-    t.hits <- t.hits + 1;
+    t.hits <- t.hits + k;
     true
   end
   else false
+
+let rehit t blk = rehits t blk 1
 
 let access t blk =
   if t.capacity = 0 then false

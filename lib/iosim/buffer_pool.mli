@@ -42,6 +42,15 @@ val access : t -> int -> bool
     {!consume_prefetch} would return [false]. *)
 val rehit : t -> int -> bool
 
+(** [rehits t blk k] is [k] consecutive {!rehit}s of [blk] in one
+    step: when the memo holds [blk] with its prefetch flag clear it
+    counts [k] hits and returns [true]; otherwise it returns [false]
+    and changes nothing.  A rehit changes nothing but the hit count,
+    so once the first of [k] accesses would be a rehit all of them
+    are, and [rehits t blk k] has exactly the effect of [k] calls of
+    [access t blk]. *)
+val rehits : t -> int -> int -> bool
+
 (** [insert_prefetched t blk] makes [blk] resident as readahead would:
     probationary (or LRU front), flagged as prefetched.  Returns
     [true] iff a transfer happened — [false] when the block is already

@@ -160,6 +160,31 @@ let touch_read t blk =
     block_event "read" blk
   end
 
+(* [touches] consecutive [touch_read]s of [blk], the way the decoder's
+   block runs charge: real accesses until the re-hit memo holds [blk],
+   then the rest of the run in one count ([Buffer_pool.rehits]; a
+   rehit leaves the head, the prefetch flags and the fault plan
+   alone).  An armed fault plan takes the per-touch loop, so each
+   access meets its transient check.  A pool-less device never arms
+   the memo, so there every touch is a [touch_read]. *)
+let touch_read_run t blk touches =
+  let left = ref touches in
+  while !left > 0 do
+    if t.fault = None && Buffer_pool.rehits t.pool blk !left then begin
+      t.stats.Stats.pool_hits <- t.stats.Stats.pool_hits + !left;
+      Obs.Metrics.incr ~by:!left m_pool_hits;
+      if !Obs.Trace.on then
+        for _ = 1 to !left do
+          block_event "hit" blk
+        done;
+      left := 0
+    end
+    else begin
+      touch_read t blk;
+      decr left
+    end
+  done
+
 let touch_write t blk =
   if Buffer_pool.access t.pool blk then begin
     t.stats.Stats.pool_hits <- t.stats.Stats.pool_hits + 1;
@@ -372,12 +397,13 @@ let cursor t ~pos =
   { Bitio.Reader.read_bits; bit_pos = (fun () -> !p); seek = (fun q -> p := q) }
 
 (* Buffered word-at-a-time decoder over the device.  Counting happens
-   in the charge callback, which the decoder invokes once per
-   *consumed* bit range (cache refills are free), so [bits_read] and
-   the touched-block sequence match the per-bit cursor semantics: the
+   in the charge callbacks, which the decoder invokes on *consumed*
+   bits (cache refills are free): once per bit range, or, in the bulk
+   gamma kernel, once per block run.  Either way [bits_read] and the
+   touched-block sequence match the per-bit cursor semantics: the
    same bits are charged, in stream order, exactly once.  The decoder
    snapshots [t.data] at the device's current generation; the charge
-   callback refuses to deliver bits once a later alloc/write moves the
+   callbacks refuse to deliver bits once a later alloc/write moves the
    generation (the snapshot may be a detached byte store), raising
    [Secidx_error.Stale_decoder] instead of silently reading old
    bytes. *)
@@ -389,7 +415,15 @@ let decoder t ~pos =
     touch_range t ~pos ~len `Read;
     t.stats.Stats.bits_read <- t.stats.Stats.bits_read + len
   in
-  let d = Bitio.Decoder.counted ~data:t.data ~pos ~limit:t.used_bits ~charge in
+  let charge_run ~block ~touches ~bits =
+    stale gen t "Device.decoder";
+    touch_read_run t block touches;
+    t.stats.Stats.bits_read <- t.stats.Stats.bits_read + bits
+  in
+  let d =
+    Bitio.Decoder.counted ~data:t.data ~pos ~limit:t.used_bits
+      ~block_bits:t.block_bits ~charge ~charge_run
+  in
   (* Refill observation: installed only when tracing is already on, so
      an untraced decode pays exactly one [None] branch per refill. *)
   if !Obs.Trace.on then

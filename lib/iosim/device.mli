@@ -109,8 +109,17 @@ val cursor : t -> pos:int -> Bitio.Reader.t
     [pos] — the hot-path replacement for {!cursor}.  Charges on
     consumption (never on cache refill), so [bits_read] and the
     touched-block sequence are identical to per-bit reads of the same
-    stream.  Snapshots the backing store: invalidated by any
-    subsequent [alloc]/write that grows the device. *)
+    stream.  The bulk gamma kernel ({!Bitio.Decoder.gamma_prefix_into})
+    charges a run of [k] touches on one block as [k] consecutive
+    demand reads of it: real pool accesses until the pool's re-hit
+    memo holds the block, then the rest as one count
+    ({!Buffer_pool.rehits}).  Every {!Stats} field, the pool's state
+    and counters, the [iosim_*] metrics and, when tracing, the [dev]
+    events are those of per-codeword charging, also when a charge
+    raises; with a fault plan armed each touch is a full access.
+    Snapshots the backing store: any later [alloc] or write makes the
+    next charge raise [Secidx_error.Stale_decoder] before any counter
+    moves. *)
 val decoder : t -> pos:int -> Bitio.Decoder.t
 
 (** Blocks covered by a bit range: [blocks_spanned t ~pos ~len]. *)

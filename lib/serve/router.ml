@@ -11,6 +11,10 @@
      every worker, executed via the shard's warm [Indexing.Batch]
      path, and gathered behind a countdown latch.
 
+   Either way the router writes each global answer once, on the
+   calling domain, from the shards' local compressed answers
+   ([assemble]).
+
    Memory safety across domains relies on confinement plus two
    handshakes: a worker touches only its shard's device/instance/ctx;
    task and result values cross domains only through the mailbox mutex
@@ -49,7 +53,7 @@ end
    dying with it: the latch must count every worker, or the router
    would wait forever. *)
 type shard_result =
-  | Rows of Cbitmap.Posting.t array
+  | Rows of Indexing.Answer.t array
   | Failed of exn * Printexc.raw_backtrace
 
 type task =
@@ -128,14 +132,37 @@ let create ?(mode = Sequential) shards =
 let domains_used t =
   match t.mode with Sequential -> 1 | Domains -> Array.length t.workers
 
+(* Write answer [j] once: sized from the parts' cardinalities, each
+   part shifted by its shard's base and a complement written as the
+   runs between its excluded positions.  Slices are disjoint and in
+   shard order, so the parts concatenate with no sort or dedup; the
+   writer checks each seam.  A lone part that is the whole answer
+   (shard 0's [Direct]) is returned uncopied. *)
+let assemble parts j =
+  let total =
+    Array.fold_left
+      (fun acc (s, rows) -> acc + Indexing.Answer.cardinal ~n:(Shard.len s) rows.(j))
+      0 parts
+  in
+  let w = Cbitmap.Posting.Writer.create total in
+  Array.iter
+    (fun (s, rows) ->
+      let shift = Shard.base s in
+      match rows.(j) with
+      | Indexing.Answer.Direct p -> Cbitmap.Posting.Writer.add w ~shift p
+      | Indexing.Answer.Complement p ->
+          Cbitmap.Posting.Writer.add_complement w ~shift ~n:(Shard.len s) p)
+    parts;
+  Cbitmap.Posting.Writer.finish w
+
 let query_batch t ranges =
   if not t.live then invalid_arg "Router.query_batch: after shutdown";
   let nq = Array.length ranges in
   if nq = 0 then [||]
   else begin
-    let per_shard =
+    let parts =
       match t.mode with
-      | Sequential -> Array.map (fun s -> Shard.run_batch s ranges) t.shards
+      | Sequential -> Array.map (fun s -> (s, Shard.run_batch s ranges)) t.shards
       | Domains ->
           Obs.Metrics.incr m_scatters;
           let latch = Latch.create (Array.length t.workers) in
@@ -151,19 +178,15 @@ let query_batch t ranges =
           Latch.wait latch;
           (* Every worker has arrived; the first failure in shard order
              is the one [Sequential] would have raised. *)
-          Array.map
-            (fun slot ->
+          Array.map2
+            (fun w slot ->
               match !slot with
-              | Some (Rows rows) -> rows
+              | Some (Rows rows) -> (w.shard, rows)
               | Some (Failed (e, bt)) -> Printexc.raise_with_backtrace e bt
               | None -> assert false (* latch counted every worker *))
-            slots
+            t.workers slots
     in
-    (* Slices are disjoint and in shard order: the global answer is
-       the concatenation of the shard rows, with no sort or dedup. *)
-    Array.init nq (fun j ->
-        Cbitmap.Posting.concat
-          (Array.fold_right (fun rows acc -> rows.(j) :: acc) per_shard []))
+    Array.init nq (assemble parts)
   end
 
 let query t ~lo ~hi = (query_batch t [| (lo, hi) |]).(0)

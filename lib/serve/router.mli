@@ -1,9 +1,10 @@
 (** Scatter/gather router over position shards (PR 6).
 
     A range query scatters to every shard, executes through the
-    shard's warm batched path, and the shifted partial answers merge —
-    concatenation in shard order — into a posting bit-identical to the
-    unsharded instance's answer.
+    shard's warm batched path, and the router writes the shards' local
+    answers — concatenated in shard order, each shifted by its shard's
+    base, complements expanded as they are written — once into a
+    posting bit-identical to the unsharded instance's answer.
 
     [Sequential] runs shards in the caller's domain (the differential
     baseline); [Domains] gives each non-empty shard a worker domain
@@ -31,7 +32,12 @@ val domains_used : t -> int
 val query : t -> lo:int -> hi:int -> Cbitmap.Posting.t
 
 (** Batched scatter/gather: slot [i] answers [ranges.(i)].  Each shard
-    runs the whole batch through its warm [Indexing.Batch] path.  If
+    runs the whole batch through its warm [Indexing.Batch] path and
+    returns local compressed answers ({!Shard.run_batch}); the router
+    sizes answer [i] from their cardinalities, allocates it once and
+    writes every part into it with {!Cbitmap.Posting.Writer} (seams
+    checked), on the calling domain in both modes.  A lone part that
+    is the whole answer is returned uncopied.  If
     shards raise, both modes re-raise the first failure in shard order
     (in [Domains] mode after every worker has finished the batch), and
     the router stays usable for later batches. *)

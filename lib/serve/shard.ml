@@ -8,7 +8,8 @@
    shifted by [base] is exactly the global answer restricted to the
    shard's slice.  Slices are disjoint and ordered, so the global
    answer is the concatenation of the shifted local answers — no
-   dedup, no re-sort, and bit-identical to the unsharded query.
+   dedup, no re-sort, and bit-identical to the unsharded query.  The
+   router does that concatenation ([Router.query_batch]).
 
    Everything mutable a query touches — the device (pool, counters),
    the instance and its context — is private to the shard, which is
@@ -61,25 +62,22 @@ let stats t =
   | None -> Iosim.Stats.create ()
   | Some d -> Iosim.Stats.snapshot (Iosim.Device.stats d)
 
-(* Answer a batch on this shard: local warm batch, then shift each
-   materialized answer to global positions.  Postings are immutable,
-   so rows may share storage with the instance's answers (shard 0 has
-   base 0 and shifts nothing) and are safe to publish across domains
-   once a happens-before edge exists (the router's countdown latch
-   provides it). *)
+(* Answer a batch on this shard: the local warm batch's answers as
+   they are, complements unmaterialized and positions local — the
+   router writes each into the global answer once, shifted by [base].
+   Answers are immutable, so rows may share storage with the
+   instance's and are safe to publish across domains once a
+   happens-before edge exists (the router's countdown latch provides
+   it). *)
 let run_batch t ranges =
   match t.instance with
-  | None -> Array.make (Array.length ranges) Cbitmap.Posting.empty
+  | None ->
+      Array.make (Array.length ranges) (Indexing.Answer.Direct Cbitmap.Posting.empty)
   | Some inst ->
       let work () =
         Obs.Metrics.incr m_batches;
         Obs.Metrics.time m_service_seconds (fun () ->
-            Array.map
-              (fun a ->
-                Cbitmap.Posting.shift
-                  (Indexing.Answer.to_posting ~n:t.len a)
-                  t.base)
-              (Indexing.Instance.query_batch_warm inst ranges))
+            Indexing.Instance.query_batch_warm inst ranges)
       in
       (* The span is emitted from the calling domain — a router worker
          in [Domains] mode — so shard batches land on their own tid

@@ -4,9 +4,9 @@
     indexes its slice re-based to local position 0 on its own device,
     so all mutable query state (pool, counters, decode context) is
     shard-private and one domain can own the shard outright.  An
-    alphabet-range query scatters to every shard unchanged; shifted
-    local answers concatenate — in shard order, without dedup — into
-    the bit-identical global answer. *)
+    alphabet-range query scatters to every shard unchanged; local
+    answers shifted by {!base} concatenate — in shard order, without
+    dedup — into the bit-identical global answer. *)
 
 type t
 
@@ -44,8 +44,11 @@ val build :
   int array ->
   t array
 
-(** Warm local batch, answers shifted to global positions.  Row [i] is
-    the posting of global positions answering [ranges.(i)] within this
-    shard's slice.  Rows are immutable postings and may share storage
-    with the instance's answers or with each other. *)
-val run_batch : t -> (int * int) array -> Cbitmap.Posting.t array
+(** Warm local batch: row [i] answers [ranges.(i)] within this
+    shard's slice, in local positions [\[0, len)] and in the compressed
+    form the index produced ([Complement] rows stay complements).  The
+    caller shifts by {!base} and materializes ({!Router.query_batch}
+    writes each row once into the global answer).  Rows are immutable
+    and may share storage with the instance's answers.  An empty shard
+    answers [Direct empty]. *)
+val run_batch : t -> (int * int) array -> Indexing.Answer.t array

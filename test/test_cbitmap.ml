@@ -99,11 +99,23 @@ let prop_union_many_sparse =
   union_many_regime ~name:"union_many sparse (pairwise) = of_list concat" ~dense:false
     QCheck.Gen.(map (fun l -> 1_000_000 :: l) (list_size (int_range 0 20) (int_range 0 1_000_000)))
 
+(* [concat] and [shift] through the sharded router's answer writer,
+   which replaced [Posting.concat] and [Posting.shift]. *)
+let writer_concat ?(shift = 0) parts =
+  let w =
+    Cbitmap.Posting.Writer.create
+      (List.fold_left (fun acc p -> acc + Cbitmap.Posting.cardinal p) 0 parts)
+  in
+  List.iter (Cbitmap.Posting.Writer.add w ~shift) parts;
+  Cbitmap.Posting.Writer.finish w
+
+let writer_shift p k = writer_concat ~shift:k [ p ]
+
 let test_concat_seams () =
   let raises name parts =
     Alcotest.check_raises name
-      (Invalid_argument "Posting.concat: parts overlap or are out of order")
-      (fun () -> ignore (Cbitmap.Posting.concat (List.map posting parts)))
+      (Invalid_argument "Posting.Writer: parts overlap or are out of order")
+      (fun () -> ignore (writer_concat (List.map posting parts)))
   in
   raises "overlap" [ [ 1; 5 ]; [ 4; 9 ] ];
   raises "shared seam" [ [ 1; 5 ]; [ 5; 9 ] ];
@@ -111,16 +123,16 @@ let test_concat_seams () =
   raises "seam across an empty part" [ [ 1; 7 ]; []; [ 3 ] ];
   Alcotest.(check (list int)) "disjoint ordered parts" [ 0; 3; 4; 8; 9 ]
     (Cbitmap.Posting.to_list
-       (Cbitmap.Posting.concat (List.map posting [ []; [ 0; 3 ]; [ 4 ]; []; [ 8; 9 ] ])));
+       (writer_concat (List.map posting [ []; [ 0; 3 ]; [ 4 ]; []; [ 8; 9 ] ])));
   Alcotest.(check (list int)) "no parts" []
-    (Cbitmap.Posting.to_list (Cbitmap.Posting.concat []))
+    (Cbitmap.Posting.to_list (writer_concat []))
 
 let prop_shift =
   QCheck.Test.make ~count:200 ~name:"shift keeps order and cardinality"
     QCheck.(pair sorted_gen (int_range 0 1000))
     (fun (xs, k) ->
       let p = posting xs in
-      let q = Cbitmap.Posting.shift p k in
+      let q = writer_shift p k in
       Cbitmap.Posting.cardinal q = Cbitmap.Posting.cardinal p
       && Cbitmap.Posting.to_list q
          = List.map (fun v -> v + k) (Cbitmap.Posting.to_list p)
@@ -128,8 +140,61 @@ let prop_shift =
            (Cbitmap.Posting.of_sorted_array (Cbitmap.Posting.to_array q)))
 
 let test_shift_negative () =
-  Alcotest.check_raises "below zero" (Invalid_argument "Posting.shift: negative")
-    (fun () -> ignore (Cbitmap.Posting.shift (posting [ 2; 5 ]) (-3)))
+  Alcotest.check_raises "below zero" (Invalid_argument "Posting.Writer: negative")
+    (fun () -> ignore (writer_shift (posting [ 2; 5 ]) (-3)))
+
+(* The writer's complement parts, its declared total and its
+   uncopied whole part. *)
+let test_writer_parts () =
+  let module W = Cbitmap.Posting.Writer in
+  let build total f =
+    let w = W.create total in
+    f w;
+    Cbitmap.Posting.to_list (W.finish w)
+  in
+  let raises name msg total f =
+    Alcotest.check_raises name (Invalid_argument ("Posting.Writer: " ^ msg))
+      (fun () -> ignore (build total f))
+  in
+  Alcotest.(check (list int)) "direct, complement, direct" [ 0; 2; 10; 11; 13; 20 ]
+    (build 6 (fun w ->
+         W.add w ~shift:0 (posting [ 0; 2 ]);
+         W.add_complement w ~shift:10 ~n:4 (posting [ 2 ]);
+         W.add w ~shift:20 (posting [ 0 ])));
+  Alcotest.(check (list int)) "complement of nothing" [ 5; 6; 7 ]
+    (build 3 (fun w -> W.add_complement w ~shift:5 ~n:3 Cbitmap.Posting.empty));
+  Alcotest.(check (list int)) "seam at the first written element" [ 0; 4; 5; 6 ]
+    (build 4 (fun w ->
+         W.add w ~shift:0 (posting [ 0; 4 ]);
+         W.add_complement w ~shift:3 ~n:4 (posting [ 0; 1 ])));
+  Alcotest.(check (list int)) "complement excluding everything" [ 1 ]
+    (build 1 (fun w ->
+         W.add w ~shift:0 (posting [ 1 ]);
+         W.add_complement w ~shift:0 ~n:2 (posting [ 0; 1 ])));
+  raises "complement overlaps a direct part" "parts overlap or are out of order" 6
+    (fun w ->
+      W.add w ~shift:0 (posting [ 0; 5 ]);
+      W.add_complement w ~shift:3 ~n:4 Cbitmap.Posting.empty);
+  raises "direct part below a complement" "parts overlap or are out of order" 3
+    (fun w ->
+      W.add_complement w ~shift:10 ~n:2 Cbitmap.Posting.empty;
+      W.add w ~shift:0 (posting [ 3 ]));
+  raises "two complements out of order" "parts overlap or are out of order" 4
+    (fun w ->
+      W.add_complement w ~shift:10 ~n:2 Cbitmap.Posting.empty;
+      W.add_complement w ~shift:11 ~n:2 Cbitmap.Posting.empty);
+  raises "negative complement" "negative" 2 (fun w ->
+      W.add_complement w ~shift:(-1) ~n:2 Cbitmap.Posting.empty);
+  raises "excluded position outside [0;n)" "excluded positions outside [0;n)" 2
+    (fun w -> W.add_complement w ~shift:0 ~n:3 (posting [ 3 ]));
+  raises "past the declared total" "more elements than declared" 1 (fun w ->
+      W.add w ~shift:0 (posting [ 0; 1 ]));
+  raises "short of the declared total" "fewer elements than declared" 3 (fun w ->
+      W.add w ~shift:0 (posting [ 0 ]));
+  let whole = posting [ 0; 1; 2 ] in
+  let w = W.create 3 in
+  W.add w ~shift:0 whole;
+  Alcotest.(check bool) "a whole unshifted part is not copied" true (W.finish w == whole)
 
 let prop_gap_roundtrip =
   QCheck.Test.make ~count:300 ~name:"gap codec roundtrip (gamma)" sorted_gen
@@ -402,4 +467,5 @@ let suite =
     Alcotest.test_case "entropy constant" `Quick test_entropy_constant;
     Alcotest.test_case "entropy skewed" `Quick test_entropy_skewed;
     qcheck prop_gamma_size_near_optimal;
+    Alcotest.test_case "writer: complements, totals, seams" `Quick test_writer_parts;
   ]

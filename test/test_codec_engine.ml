@@ -315,6 +315,274 @@ let test_decode_into_continuation () =
     (Invalid_argument "Gap_codec.decode_into") (fun () ->
       Cbitmap.Gap_codec.decode_into (Bitio.Decoder.of_bitbuf buf) ~count:4 out)
 
+(* --- block-run charging ------------------------------------------ *)
+
+(* The bulk gamma kernel charges a counted decoder in block runs; the
+   pull stream ([Gap_codec.stream], one [Decoder.gamma] per codeword)
+   charges every codeword as it is consumed.  Twin devices A and B
+   store the same extent and take the same pool warm-up, prefetch,
+   fault plan and corruption; A decodes with [Gap_codec.decode], B
+   with the stream, and every observable of the simulator must agree:
+   the answer or the exception, every [Stats] field, the pool's
+   counters and occupancy, and the [iosim_*] metric deltas. *)
+
+type run_case = {
+  gaps : int list;  (** gamma values, so positions are prefix sums - 1 *)
+  lead : int;  (** bits allocated before the extent *)
+  block_bits : int;
+  capacity : int;  (** pool blocks *)
+  policy : Iosim.Buffer_pool.policy;
+  warm : int list;
+      (** bit offsets from the extent's start (mod the space), each read
+          twice before the decode: pool state and the re-hit memo *)
+  prefetch : bool;  (** prefetch the extent's span first *)
+  rewrite : int option;
+      (** after the prefetch, write back one extent bit (mod its
+          length) unchanged: a write hit leaves the prefetch flag set *)
+  fault : (int * int) option;  (** (block offset in the extent, failures) *)
+  retry : bool;  (** decode under [with_retries ~attempts:2] *)
+  zeros : (int * int) option;  (** (offset, length >= 64) overwritten *)
+}
+
+let print_run_case c =
+  Printf.sprintf
+    "gaps=[%s] lead=%d block_bits=%d capacity=%d policy=%s warm=[%s] \
+     prefetch=%b rewrite=%s fault=%s retry=%b zeros=%s"
+    (String.concat ";" (List.map string_of_int c.gaps))
+    c.lead c.block_bits c.capacity
+    (match c.policy with `Lru -> "lru" | `Segmented -> "segmented")
+    (String.concat ";" (List.map string_of_int c.warm))
+    c.prefetch
+    (match c.rewrite with None -> "none" | Some o -> string_of_int o)
+    (match c.fault with
+    | None -> "none"
+    | Some (b, k) -> Printf.sprintf "(%d,%d)" b k)
+    c.retry
+    (match c.zeros with
+    | None -> "none"
+    | Some (o, l) -> Printf.sprintf "(%d,%d)" o l)
+
+let gen_run_case =
+  let open QCheck.Gen in
+  let gap =
+    frequency
+      [
+        (12, int_range 1 24);
+        (4, int_range 1 5000);
+        (1, int_range (1 lsl 31) ((1 lsl 31) + (1 lsl 20)));
+        (1, int_range (1 lsl 40) ((1 lsl 40) + 1000));
+      ]
+  in
+  let* gaps = list_size (int_range 0 300) gap in
+  let* lead = int_range 0 200 in
+  let* block_bits = map (fun k -> 8 * k) (oneofl [ 1; 2; 3; 5; 8; 16; 33; 128 ]) in
+  let* capacity = oneofl [ 0; 1; 2; 64 ] in
+  let* policy = oneofl [ `Lru; `Segmented ] in
+  let* warm = list_size (int_range 0 3) (int_range 0 600) in
+  let* prefetch = bool in
+  let* rewrite = opt ~ratio:0.4 (int_range 0 64) in
+  let* fault = opt ~ratio:0.3 (pair (int_range 0 6) (int_range 1 3)) in
+  let* retry = bool in
+  let* zeros = opt ~ratio:0.15 (pair (int_range 0 2000) (int_range 64 130)) in
+  return
+    {
+      gaps;
+      lead;
+      block_bits;
+      capacity;
+      policy;
+      warm;
+      prefetch;
+      rewrite;
+      fault;
+      retry;
+      zeros;
+    }
+
+let iosim_counters () =
+  List.filter_map
+    (fun name ->
+      if String.length name > 6 && String.sub name 0 6 = "iosim_" then
+        Some (name, Obs.Metrics.counter_value (Obs.Metrics.counter name))
+      else None)
+    (List.sort compare (Obs.Metrics.names ()))
+
+(* The answer, or the exception with [Invalid_argument]'s message cut
+   to its kind: the two decoders validate under different names. *)
+let outcome f =
+  match f () with
+  | p -> Ok (Cbitmap.Posting.to_list p)
+  | exception Invalid_argument _ -> Error "Invalid_argument"
+  | exception Secidx_error.Corrupt m -> Error ("Corrupt " ^ m)
+  | exception e -> Error (Printexc.to_string e)
+
+type observed = {
+  result : (int list, string) result;
+  stats : Iosim.Stats.t;
+  pool : Iosim.Buffer_pool.counters;
+  occupancy : int;
+  protected : int;
+  metrics : (string * int) list;  (** iosim_* deltas *)
+}
+
+(* Build one twin, apply the case's set-up and run [decode] on the
+   extent; [decode dev ~pos ~count] makes its own decoder. *)
+let observe c decode =
+  let dev =
+    Iosim.Device.create ~pool_policy:c.policy ~block_bits:c.block_bits
+      ~mem_bits:(c.capacity * c.block_bits) ()
+  in
+  let positions =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (last, acc) g -> (last + g, (last + g) :: acc))
+            (-1, []) c.gaps))
+  in
+  let posting = Cbitmap.Posting.of_list positions in
+  ignore (Iosim.Device.alloc dev c.lead);
+  let buf = Cbitmap.Gap_codec.to_buf posting in
+  let region = Iosim.Device.store dev buf in
+  let pos = region.Iosim.Device.off and len = region.Iosim.Device.len in
+  (* the zeroed span, when it fits the extent *)
+  let zeros =
+    match c.zeros with Some (z, l) when z + l <= len -> Some (z, l) | _ -> None
+  in
+  (match zeros with
+  | Some (z, l) ->
+      let at = ref (pos + z) and left = ref l in
+      while !left > 0 do
+        let w = min 62 !left in
+        Iosim.Device.write_bits dev ~pos:!at ~width:w 0;
+        at := !at + w;
+        left := !left - w
+      done
+  | None -> ());
+  (* start cold, so the prefetch below transfers and flags blocks *)
+  Iosim.Device.clear_pool dev;
+  let used = Iosim.Device.used_bits dev in
+  if used > 0 then
+    List.iter
+      (fun w ->
+        for _ = 1 to 2 do
+          ignore (Iosim.Device.read_bits dev ~pos:((pos + w) mod used) ~width:1)
+        done)
+      c.warm;
+  if c.prefetch then Iosim.Device.prefetch dev ~pos ~len;
+  (match c.rewrite with
+  | Some o when len > 0 ->
+      let o = o mod len in
+      let bit =
+        match zeros with
+        | Some (z, l) when z <= o && o < z + l -> 0
+        | _ -> Bool.to_int (Bitio.Bitbuf.get_bit buf o)
+      in
+      Iosim.Device.write_bits dev ~pos:(pos + o) ~width:1 bit
+  | _ -> ());
+  (match c.fault with
+  | Some (b, failures) when len > 0 ->
+      let plan = Iosim.Fault.create () in
+      let first = pos / c.block_bits and last = (pos + len - 1) / c.block_bits in
+      Iosim.Fault.arm_transient_read plan
+        ~block:(first + (b mod (last - first + 1)))
+        ~failures;
+      Iosim.Device.set_fault dev plan
+  | _ -> ());
+  let count = List.length c.gaps in
+  let m0 = iosim_counters () in
+  let result =
+    outcome (fun () ->
+        if c.retry then
+          Iosim.Device.with_retries ~attempts:2 dev (fun () ->
+              decode dev ~pos ~count)
+        else decode dev ~pos ~count)
+  in
+  let m1 = iosim_counters () in
+  let pool = Iosim.Device.pool dev in
+  {
+    result;
+    stats = Iosim.Stats.snapshot (Iosim.Device.stats dev);
+    pool = Iosim.Buffer_pool.counters pool;
+    occupancy = Iosim.Buffer_pool.occupancy pool;
+    protected = Iosim.Buffer_pool.protected_occupancy pool;
+    metrics = List.map2 (fun (k, a) (_, b) -> (k, b - a)) m0 m1;
+  }
+
+let decode_runs dev ~pos ~count =
+  Cbitmap.Gap_codec.decode (Iosim.Device.decoder dev ~pos) ~count
+
+let decode_stream dev ~pos ~count =
+  Cbitmap.Merge.to_posting
+    (Cbitmap.Gap_codec.stream (Iosim.Device.decoder dev ~pos) ~count)
+
+let same_observation a b =
+  a.result = b.result
+  && Iosim.Stats.equal a.stats b.stats
+  && a.pool = b.pool && a.occupancy = b.occupancy && a.protected = b.protected
+  && a.metrics = b.metrics
+
+let prop_block_runs_exact =
+  QCheck.Test.make ~count:1000 ~long_factor:10
+    ~name:"block-run charging = per-codeword charging"
+    (QCheck.make ~print:print_run_case gen_run_case)
+    (fun c ->
+      let a = observe c decode_runs and b = observe c decode_stream in
+      if same_observation a b then true
+      else
+        QCheck.Test.fail_reportf "runs: %a@.stream: %a" Iosim.Stats.pp a.stats
+          Iosim.Stats.pp b.stats)
+
+(* A write between [Device.decoder] and the decode makes the first
+   charge raise [Stale_decoder] before any counter moves. *)
+let test_block_runs_stale () =
+  let dev = Iosim.Device.create ~block_bits:64 ~mem_bits:(64 * 8) () in
+  let p = Cbitmap.Posting.of_list (List.init 500 (fun i -> 3 * i)) in
+  let region = Iosim.Device.store dev (Cbitmap.Gap_codec.to_buf p) in
+  let d = Iosim.Device.decoder dev ~pos:region.Iosim.Device.off in
+  Iosim.Device.write_bits dev ~pos:0 ~width:1 0;
+  let before = Iosim.Stats.snapshot (Iosim.Device.stats dev) in
+  let pool_before = Iosim.Buffer_pool.counters (Iosim.Device.pool dev) in
+  let m0 = iosim_counters () in
+  (match Cbitmap.Gap_codec.decode d ~count:500 with
+  | _ -> Alcotest.fail "stale decode returned"
+  | exception Secidx_error.Stale_decoder _ -> ());
+  Alcotest.(check bool) "no stats moved" true
+    (Iosim.Stats.equal before (Iosim.Device.stats dev));
+  Alcotest.(check bool) "no pool counter moved" true
+    (pool_before = Iosim.Buffer_pool.counters (Iosim.Device.pool dev));
+  Alcotest.(check bool) "no metric moved" true (m0 = iosim_counters ())
+
+(* 64 zero bits in the middle of an extent exceed the gamma zero-run
+   budget: both decoders raise [Corrupt] and leave the same counters,
+   with and without a pool. *)
+let test_block_runs_zeroed () =
+  let gaps = List.init 2000 (fun i -> 1 + (i * 7 mod 13)) in
+  List.iter
+    (fun (block_bits, capacity) ->
+      let c =
+        {
+          gaps;
+          lead = 5;
+          block_bits;
+          capacity;
+          policy = `Segmented;
+          warm = [];
+          prefetch = false;
+          rewrite = None;
+          fault = None;
+          retry = false;
+          zeros = Some (3000, 64);
+        }
+      in
+      let a = observe c decode_runs and b = observe c decode_stream in
+      (match a.result with
+      | Error msg when String.length msg > 8 && String.sub msg 0 8 = "Corrupt " -> ()
+      | _ -> Alcotest.fail "zeroed extent did not raise Corrupt");
+      Alcotest.(check bool)
+        (Printf.sprintf "same observation (B=%d, M=%d)" block_bits capacity)
+        true (same_observation a b))
+    [ (8, 0); (64, 2); (1024, 64) ]
+
 let suite =
   [
     qcheck prop_msb_matches_naive;
@@ -335,4 +603,9 @@ let suite =
     qcheck prop_bulk_decode_agree;
     Alcotest.test_case "decode_into continuation + bounds" `Quick
       test_decode_into_continuation;
+    qcheck prop_block_runs_exact;
+    Alcotest.test_case "block runs: stale decoder moves no counter" `Quick
+      test_block_runs_stale;
+    Alcotest.test_case "block runs: zeroed extent, same counters" `Quick
+      test_block_runs_zeroed;
   ]

@@ -227,6 +227,63 @@ let test_router_shard_stats () =
     Iosim.Stats.fields;
   Alcotest.(check bool) "work happened" true (Iosim.Stats.ios merged > 0)
 
+(* The router writes each global answer once from the shards' local
+   compressed answers.  A string where character 14 lives only in the
+   first 10 positions and 15 only in the last 10 gives ranges that hit
+   one shard; wide ranges answer with complements (z > n/2) on the
+   unsharded index and on the shards.  Every shard count (k > n on a
+   6-position string, leaving empty shards), both modes, bit-identical
+   to [Answer.to_posting] of the unsharded instance. *)
+let test_router_assembly () =
+  let build = List.assoc "static" all_builders in
+  let queries =
+    [| (0, sigma - 1); (0, 13); (1, sigma - 1); (0, 12); (14, 14); (15, 15);
+       (14, 15); (0, 0); (3, 2); (2, 11) |]
+  in
+  let string_of n =
+    let zipf = (Workload.Gen.zipf ~seed:3 ~n ~sigma:14 ~theta:0.8 ()).Workload.Gen.data in
+    let edge = min 10 (n / 3) in
+    Array.mapi (fun i c -> if i < edge then 14 else if i >= n - edge then 15 else c) zipf
+  in
+  let complement_rows = ref 0 in
+  List.iter
+    (fun (n, k) ->
+      let data = string_of n in
+      let inst = build (device ()) ~sigma data in
+      Alcotest.(check bool) "complement-heavy ranges present" true
+        (Array.exists
+           (fun (lo, hi) ->
+             Indexing.Answer.is_complement (inst.Indexing.Instance.query ~lo ~hi))
+           queries);
+      Array.iter
+        (fun s ->
+          Array.iter
+            (fun a -> if Indexing.Answer.is_complement a then incr complement_rows)
+            (Serve.Shard.run_batch s queries))
+        (shards_for build k data);
+      List.iter
+        (fun mode ->
+          let router = Serve.Router.create ~mode (shards_for build k data) in
+          Fun.protect
+            ~finally:(fun () -> Serve.Router.shutdown router)
+            (fun () ->
+              let batched = Serve.Router.query_batch router queries in
+              Array.iteri
+                (fun i (lo, hi) ->
+                  let expect =
+                    Indexing.Answer.to_posting ~n (inst.Indexing.Instance.query ~lo ~hi)
+                  in
+                  Alcotest.(check (list int))
+                    (Printf.sprintf "n=%d k=%d %s [%d,%d]" n k
+                       (match mode with Serve.Router.Sequential -> "seq" | Domains -> "domains")
+                       lo hi)
+                    (Cbitmap.Posting.to_list expect)
+                    (Cbitmap.Posting.to_list batched.(i)))
+                queries))
+        [ Serve.Router.Sequential; Serve.Router.Domains ])
+    [ (240, 1); (240, 2); (240, 3); (240, 7); (6, 9) ];
+  Alcotest.(check bool) "shards answered with complements" true (!complement_rows > 0)
+
 let test_stats_merge_unit () =
   let mk seedv =
     let s = Iosim.Stats.create () in
@@ -445,4 +502,6 @@ let suite =
     Alcotest.test_case "traffic schedule" `Quick test_traffic_schedule;
     Alcotest.test_case "alias sampler" `Quick test_alias_sampler;
     Alcotest.test_case "open-loop sim" `Quick test_sim_open_loop;
+    Alcotest.test_case "router answer assembly: k in {1,2,3,7} and k > n"
+      `Quick test_router_assembly;
   ]
