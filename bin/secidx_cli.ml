@@ -26,36 +26,29 @@ let gen_column dist seed n sigma theta run stay file =
       { Workload.Gen.sigma; data }
   | None -> (
       match dist with
-      | "uniform" -> Workload.Gen.uniform ~seed ~n ~sigma
-      | "zipf" -> Workload.Gen.zipf ~seed ~n ~sigma ~theta ()
-      | "clustered" -> Workload.Gen.clustered ~seed ~n ~sigma ~run ()
-      | "markov" -> Workload.Gen.markov ~seed ~n ~sigma ~stay ()
-      | other -> invalid_arg ("unknown distribution: " ^ other))
+      | `Uniform -> Workload.Gen.uniform ~seed ~n ~sigma
+      | `Zipf -> Workload.Gen.zipf ~seed ~n ~sigma ~theta ()
+      | `Clustered -> Workload.Gen.clustered ~seed ~n ~sigma ~run ()
+      | `Markov -> Workload.Gen.markov ~seed ~n ~sigma ~stay ())
 
-let build_instance name device ~sigma data =
-  match name with
-  | "static" -> Secidx.Static_index.instance device ~sigma data
-  | "complete-tree" -> Secidx.Alphabet_tree.instance device ~sigma data
-  | "complete-tree-fn3" ->
-      Secidx.Alphabet_tree.instance ~schedule:`Doubling device ~sigma data
-  | "dynamic" -> Secidx.Dynamic_index.instance device ~sigma data
-  | "append" -> Secidx.Append_index.instance device ~sigma data
-  | "btree" -> Baselines.Btree.instance device ~sigma data
-  | "btree-dynamic" -> Baselines.Btree_dynamic.instance device ~sigma data
-  | "bitmap" -> Baselines.Bitmap_index.instance device ~sigma data
-  | "cbitmap" -> Baselines.Cbitmap_index.instance device ~sigma data
-  | "roaring" -> Baselines.Roaring_index.instance device ~sigma data
-  | "binned" -> Baselines.Binned_index.instance device ~sigma ~w:16 data
-  | "multires" -> Baselines.Multires_index.instance device ~sigma ~w:4 data
-  | "range-encoded" -> Baselines.Range_encoded.instance device ~sigma data
-  | "wavelet" -> Baselines.Wavelet.instance device ~sigma data
-  | other -> invalid_arg ("unknown index: " ^ other)
-
-let index_names =
+let indexes =
   [
-    "static"; "complete-tree"; "complete-tree-fn3"; "dynamic"; "append";
-    "btree"; "btree-dynamic"; "bitmap";
-    "cbitmap"; "roaring"; "binned"; "multires"; "range-encoded"; "wavelet";
+    ("static", fun d ~sigma x -> Secidx.Static_index.instance d ~sigma x);
+    ("complete-tree", fun d ~sigma x -> Secidx.Alphabet_tree.instance d ~sigma x);
+    ( "complete-tree-fn3",
+      fun d ~sigma x ->
+        Secidx.Alphabet_tree.instance ~schedule:`Doubling d ~sigma x );
+    ("dynamic", fun d ~sigma x -> Secidx.Dynamic_index.instance d ~sigma x);
+    ("append", fun d ~sigma x -> Secidx.Append_index.instance d ~sigma x);
+    ("btree", fun d ~sigma x -> Baselines.Btree.instance d ~sigma x);
+    ("btree-dynamic", fun d ~sigma x -> Baselines.Btree_dynamic.instance d ~sigma x);
+    ("bitmap", fun d ~sigma x -> Baselines.Bitmap_index.instance d ~sigma x);
+    ("cbitmap", fun d ~sigma x -> Baselines.Cbitmap_index.instance d ~sigma x);
+    ("roaring", fun d ~sigma x -> Baselines.Roaring_index.instance d ~sigma x);
+    ("binned", fun d ~sigma x -> Baselines.Binned_index.instance d ~sigma ~w:16 x);
+    ("multires", fun d ~sigma x -> Baselines.Multires_index.instance d ~sigma ~w:4 x);
+    ("range-encoded", fun d ~sigma x -> Baselines.Range_encoded.instance d ~sigma x);
+    ("wavelet", fun d ~sigma x -> Baselines.Wavelet.instance d ~sigma x);
   ]
 
 (* Common options *)
@@ -70,10 +63,15 @@ let sigma_t =
   Arg.(value & opt int 256 & info [ "sigma" ] ~doc:"Alphabet size.")
 
 let dist_t =
+  let dists =
+    [ ("uniform", `Uniform); ("zipf", `Zipf); ("clustered", `Clustered);
+      ("markov", `Markov) ]
+  in
   Arg.(
     value
-    & opt string "zipf"
-    & info [ "dist" ] ~doc:"Distribution: uniform, zipf, clustered, markov.")
+    & opt (enum dists) `Zipf
+    & info [ "dist" ]
+        ~doc:(Printf.sprintf "Distribution: %s." (Arg.doc_alts_enum dists)))
 
 let theta_t =
   Arg.(value & opt float 1.0 & info [ "theta" ] ~doc:"Zipf exponent.")
@@ -101,22 +99,34 @@ let mem_kib_t =
 
 let query_cmd =
   let index_t =
+    let names = List.map (fun (name, _) -> (name, name)) indexes in
     Arg.(
       value
-      & opt string "static"
+      & opt (enum names) "static"
       & info [ "index" ]
-          ~doc:(Printf.sprintf "Index to build: %s." (String.concat ", " index_names)))
+          ~doc:(Printf.sprintf "Index to build: %s." (Arg.doc_alts_enum names)))
   in
-  let lo_t = Arg.(value & opt int 0 & info [ "lo" ] ~doc:"Range lower bound.") in
-  let hi_t = Arg.(value & opt int 0 & info [ "hi" ] ~doc:"Range upper bound.") in
+  let lo_t =
+    Arg.(value & opt int 0 & info [ "lo" ] ~doc:"Range lower bound, 0 <= lo <= hi.")
+  in
+  let hi_t =
+    Arg.(value & opt int 0 & info [ "hi" ] ~doc:"Range upper bound, hi < sigma.")
+  in
   let show_t =
     Arg.(value & flag & info [ "show-positions" ] ~doc:"Print the RID list.")
   in
   let run index dist seed n sigma theta crun stay file block_bits mem_kib lo hi
       show =
     let g = gen_column dist seed n sigma theta crun stay file in
+    let sigma = g.Workload.Gen.sigma in
+    if not (0 <= lo && lo <= hi && hi < sigma) then
+      `Error
+        ( true,
+          Printf.sprintf "the range must satisfy 0 <= lo <= hi < sigma; got lo=%d hi=%d sigma=%d"
+            lo hi sigma )
+    else
     let device = make_device block_bits mem_kib in
-    let inst = build_instance index device ~sigma:g.Workload.Gen.sigma g.Workload.Gen.data in
+    let inst = List.assoc index indexes device ~sigma g.Workload.Gen.data in
     Printf.printf "index=%s n=%d sigma=%d H0=%.3f size=%d bits (%.1f KiB)\n"
       inst.Indexing.Instance.name (Workload.Gen.length g) g.Workload.Gen.sigma
       (Workload.Gen.h0 g) inst.Indexing.Instance.size_bits
@@ -131,12 +141,15 @@ let query_cmd =
       stats.Iosim.Stats.pool_hits stats.Iosim.Stats.bits_read;
     if show then
       Printf.printf "positions: %s\n"
-        (Format.asprintf "%a" Cbitmap.Posting.pp posting)
+        (Format.asprintf "%a" Cbitmap.Posting.pp posting);
+    `Ok ()
   in
   let term =
     Term.(
-      const run $ index_t $ dist_t $ seed_t $ n_t $ sigma_t $ theta_t $ run_t
-      $ stay_t $ file_t $ block_bits_t $ mem_kib_t $ lo_t $ hi_t $ show_t)
+      ret
+        (const run $ index_t $ dist_t $ seed_t $ n_t $ sigma_t $ theta_t
+        $ run_t $ stay_t $ file_t $ block_bits_t $ mem_kib_t $ lo_t $ hi_t
+        $ show_t))
   in
   Cmd.v (Cmd.info "query" ~doc:"Build one index and run a range query.") term
 
@@ -152,9 +165,9 @@ let compare_cmd =
     Printf.printf "%-20s %12s %12s %12s\n" "index" "space(KiB)" "narrow I/Os"
       "wide I/Os";
     List.iter
-      (fun name ->
+      (fun (_, build) ->
         let device = make_device block_bits mem_kib in
-        let inst = build_instance name device ~sigma data in
+        let inst = build device ~sigma data in
         let narrow_hi = min (sigma - 1) 1 in
         let _, s1 = Indexing.Instance.query_cold inst ~lo:0 ~hi:narrow_hi in
         let wide_lo = sigma / 8 and wide_hi = sigma - 1 - (sigma / 8) in
@@ -163,7 +176,7 @@ let compare_cmd =
           inst.Indexing.Instance.name
           (float_of_int inst.Indexing.Instance.size_bits /. 8192.0)
           (Iosim.Stats.ios s1) (Iosim.Stats.ios s2))
-      index_names
+      indexes
   in
   let term =
     Term.(

@@ -16,10 +16,9 @@ let build ?code device ~sigma ~w x =
         Cbitmap.Posting.union_many
           (List.init (hi - lo + 1) (fun k -> postings.(lo + k))))
   in
-  let ctx = Indexing.Context.create device in
   {
-    chars = Indexing.Stream_table.build ~ctx ?code device postings;
-    bins = Indexing.Stream_table.build ~ctx ?code device bins;
+    chars = Indexing.Stream_table.build ?code device postings;
+    bins = Indexing.Stream_table.build ?code device bins;
     w;
     n = Array.length x;
     sigma;
@@ -65,12 +64,10 @@ let instance ?code device ~sigma ~w x =
   {
     Indexing.Instance.name = Printf.sprintf "binned-w%d" w;
     device;
-    ctx = Indexing.Stream_table.ctx t.chars;
     n = t.n;
     sigma;
     size_bits = size_bits t;
     query = (fun ~lo ~hi -> query t ~lo ~hi);
-    count = None;
     batch = None;
     integrity =
       Some

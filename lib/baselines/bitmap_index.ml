@@ -84,12 +84,10 @@ let instance device ~sigma x =
   {
     Indexing.Instance.name = "bitmap-uncompressed";
     device;
-    ctx = Indexing.Context.create device;
     n = t.n;
     sigma;
     size_bits = size_bits t;
     query = (fun ~lo ~hi -> query t ~lo ~hi);
-    count = None;
     batch = None;
     integrity =
       Some

@@ -271,12 +271,10 @@ let instance device ~sigma x =
   {
     Indexing.Instance.name = "btree";
     device;
-    ctx = Indexing.Context.create device;
     n = t.n;
     sigma;
     size_bits = size_bits t;
     query = (fun ~lo ~hi -> query t ~lo ~hi);
-    count = None;
     batch = Some (query_batch t);
     integrity = Some (Indexing.Integrity.of_frames (fun () -> t.frames));
   }

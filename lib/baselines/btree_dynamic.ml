@@ -311,12 +311,10 @@ let instance device ~sigma x =
   {
     Indexing.Instance.name = "btree-dynamic";
     device;
-    ctx = Indexing.Context.create device;
     n = Array.length x;
     sigma;
     size_bits = size_bits t;
     query = (fun ~lo ~hi -> query t ~lo ~hi);
-    count = None;
     batch = None;
     integrity = Some (Indexing.Integrity.of_frames (fun () -> frame_list t));
   }

@@ -53,12 +53,10 @@ let instance ?code device ~sigma x =
   {
     Indexing.Instance.name = "bitmap-compressed";
     device;
-    ctx = Indexing.Stream_table.ctx t.table;
     n = t.n;
     sigma;
     size_bits = size_bits t;
     query = (fun ~lo ~hi -> query t ~lo ~hi);
-    count = None;
     batch = Some (query_batch t);
     integrity = Some (Indexing.Stream_table.integrity t.table);
   }

@@ -8,11 +8,10 @@ type t = {
 
 let build_with_widths ?code device ~sigma ~widths x =
   let postings = Indexing.Common.positions_by_char ~sigma x in
-  let ctx = Indexing.Context.create device in
   let tables =
     Array.map
       (fun width ->
-        if width = 1 then Indexing.Stream_table.build ~ctx ?code device postings
+        if width = 1 then Indexing.Stream_table.build ?code device postings
         else begin
           let nbins = (sigma + width - 1) / width in
           let bins =
@@ -21,7 +20,7 @@ let build_with_widths ?code device ~sigma ~widths x =
                 Cbitmap.Posting.union_many
                   (List.init (hi - lo + 1) (fun k -> postings.(lo + k))))
           in
-          Indexing.Stream_table.build ~ctx ?code device bins
+          Indexing.Stream_table.build ?code device bins
         end)
       widths
   in
@@ -90,12 +89,10 @@ let instance ?code device ~sigma ~w x =
   {
     Indexing.Instance.name = Printf.sprintf "multires-w%d" w;
     device;
-    ctx = Indexing.Stream_table.ctx t.tables.(0);
     n = t.n;
     sigma;
     size_bits = size_bits t;
     query = (fun ~lo ~hi -> query t ~lo ~hi);
-    count = None;
     batch = None;
     integrity =
       Some

@@ -64,12 +64,10 @@ let instance ?chunk device ~sigma x =
   {
     Indexing.Instance.name = "bitmap-roaring";
     device;
-    ctx = Indexing.Stream_table.ctx t.table;
     n = t.n;
     sigma;
     size_bits = size_bits t;
     query = (fun ~lo ~hi -> query t ~lo ~hi);
-    count = None;
     batch = Some (query_batch t);
     integrity = Some (Indexing.Stream_table.integrity t.table);
   }

@@ -236,12 +236,10 @@ let instance device ~sigma x =
   {
     Indexing.Instance.name = "wavelet-tree";
     device;
-    ctx = Indexing.Context.create device;
     n = t.n;
     sigma;
     size_bits = size_bits t;
     query = (fun ~lo ~hi -> query t ~lo ~hi);
-    count = None;
     (* Answers are computed from the in-memory rank/select mirrors
        (device touches only account the I/O cost), so device faults
        cannot corrupt them: nothing to scrub. *)

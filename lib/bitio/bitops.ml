@@ -161,47 +161,3 @@ let blit src ~src_pos dst ~dst_pos ~len =
             (get_bits src ~pos:!sp ~width:!remaining)
       end
   end
-
-(* --- retained per-bit reference ------------------------------------ *)
-
-(* The seed implementations, kept verbatim in spirit: one bit per
-   iteration through checked accessors.  Differential property tests
-   and the --wallclock benchmark gate compare the word paths above
-   against these. *)
-module Naive = struct
-  let get_bit data i =
-    Char.code (Bytes.get data (i lsr 3)) land (0x80 lsr (i land 7)) <> 0
-
-  let set_bit data i b =
-    let byte = i lsr 3 and off = i land 7 in
-    let c = Char.code (Bytes.get data byte) in
-    let c =
-      if b then c lor (0x80 lsr off) else c land (lnot (0x80 lsr off) land 0xff)
-    in
-    Bytes.set data byte (Char.chr c)
-
-  let get_bits data ~pos ~width =
-    let v = ref 0 in
-    for i = pos to pos + width - 1 do
-      v := (!v lsl 1) lor (if get_bit data i then 1 else 0)
-    done;
-    !v
-
-  let set_bits data ~pos ~width v =
-    for i = 0 to width - 1 do
-      set_bit data (pos + i) ((v lsr (width - 1 - i)) land 1 = 1)
-    done
-
-  let blit src ~src_pos dst ~dst_pos ~len =
-    for i = 0 to len - 1 do
-      set_bit dst (dst_pos + i) (get_bit src (src_pos + i))
-    done
-
-  let popcount x =
-    let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
-    go x 0
-
-  let msb x =
-    let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + 1) in
-    go x (-1)
-end

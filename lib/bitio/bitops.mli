@@ -38,16 +38,3 @@ val set_bits : bytes -> pos:int -> width:int -> int -> unit
     (self-append), which is safe because the copy runs front to
     back. *)
 val blit : bytes -> src_pos:int -> bytes -> dst_pos:int -> len:int -> unit
-
-(** Retained per-bit reference implementations (the seed semantics).
-    Used by differential tests and the [--wallclock] benchmark gate;
-    do not use on hot paths. *)
-module Naive : sig
-  val get_bit : bytes -> int -> bool
-  val set_bit : bytes -> int -> bool -> unit
-  val get_bits : bytes -> pos:int -> width:int -> int
-  val set_bits : bytes -> pos:int -> width:int -> int -> unit
-  val blit : bytes -> src_pos:int -> bytes -> dst_pos:int -> len:int -> unit
-  val popcount : int -> int
-  val msb : int -> int
-end

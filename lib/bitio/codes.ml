@@ -184,87 +184,3 @@ let decode_fibonacci d =
 let fibonacci_size v =
   let _, top = zeckendorf v in
   top + 2
-
-(* --- retained per-bit reference ------------------------------------ *)
-
-(* The seed codec implementations, verbatim in spirit: one bit per
-   closure call through [Reader], per-bit encode loops.  Differential
-   property tests and the BENCH_PR2 wall-clock gate compare the word
-   paths above against these (same pattern as [Bitops.Naive]). *)
-module Naive = struct
-  let encode_unary buf v =
-    if v < 0 then invalid_arg "Codes.encode_unary";
-    for _ = 1 to v do
-      Bitbuf.write_bit buf true
-    done;
-    Bitbuf.write_bit buf false
-
-  let decode_unary (r : Reader.t) =
-    let rec go acc = if Reader.read_bit r then go (acc + 1) else acc in
-    go 0
-
-  let encode_gamma buf v =
-    if v < 1 then invalid_arg "Codes.encode_gamma";
-    let k = floor_log2 v in
-    for _ = 1 to k do
-      Bitbuf.write_bit buf false
-    done;
-    Bitbuf.write_bits buf ~width:(k + 1) v
-
-  let decode_gamma (r : Reader.t) =
-    let rec zeros acc =
-      if acc > 61 then
-        Secidx_error.corrupt "Codes.Naive.decode_gamma: run exceeds word";
-      if Reader.read_bit r then acc else zeros (acc + 1)
-    in
-    let k = zeros 0 in
-    if k = 0 then 1 else (1 lsl k) lor r.Reader.read_bits k
-
-  let encode_delta buf v =
-    if v < 1 then invalid_arg "Codes.encode_delta";
-    let k = floor_log2 v in
-    encode_gamma buf (k + 1);
-    if k > 0 then Bitbuf.write_bits buf ~width:k (v land ((1 lsl k) - 1))
-
-  let decode_delta (r : Reader.t) =
-    let k = decode_gamma r - 1 in
-    if k > 61 then
-      Secidx_error.corrupt
-        "Codes.Naive.decode_delta: length prefix %d exceeds word" k;
-    if k = 0 then 1 else (1 lsl k) lor r.Reader.read_bits k
-
-  let encode_rice buf ~k v =
-    if v < 0 || k < 0 then invalid_arg "Codes.encode_rice";
-    encode_unary buf (v lsr k);
-    if k > 0 then Bitbuf.write_bits buf ~width:k (v land ((1 lsl k) - 1))
-
-  let decode_rice (r : Reader.t) ~k =
-    let q = decode_unary r in
-    if k > 0 && q > max_int lsr k then
-      Secidx_error.corrupt
-        "Codes.Naive.decode_rice: quotient %d overflows word" q;
-    let rem = if k = 0 then 0 else r.Reader.read_bits k in
-    (q lsl k) lor rem
-
-  let decode_fixed (r : Reader.t) ~width = r.Reader.read_bits width
-
-  let encode_fibonacci buf v =
-    let terms = fibonacci_decomposition v in
-    let top = List.fold_left max 0 terms in
-    for i = 0 to top do
-      Bitbuf.write_bit buf (List.mem i terms)
-    done;
-    Bitbuf.write_bit buf true
-
-  let decode_fibonacci (r : Reader.t) =
-    let nfibs = Array.length fibs in
-    let rec go i prev acc =
-      if i >= nfibs then
-        Secidx_error.corrupt
-          "Codes.Naive.decode_fibonacci: term F(%d) exceeds word bound" i;
-      let bit = Reader.read_bit r in
-      if bit && prev then acc
-      else go (i + 1) bit (if bit then acc + fibs.(i) else acc)
-    in
-    go 0 false 0
-end

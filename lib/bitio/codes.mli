@@ -11,8 +11,8 @@
     Since PR 2 the decoders run on the buffered {!Decoder} (zero/one
     runs resolved by a CLZ scan of the cached word, mantissas by one
     shift) and the encoders emit runs with [write_bits] chunks instead
-    of per-bit loops.  The seed per-bit implementations are retained
-    in {!Naive} as the differential reference. *)
+    of per-bit loops.  The seed per-bit implementations are the test
+    suite's oracle; they are not part of this library. *)
 
 (** {1 Unary} — [v >= 0] encoded as [v] one-bits then a zero. *)
 
@@ -64,22 +64,3 @@ val fibonacci_size : int -> int
 
 (** Ascending Zeckendorf term indices of [v >= 1]. *)
 val fibonacci_decomposition : int -> int list
-
-(** {1 Retained per-bit reference}
-
-    The seed codec implementations — decoders pulling one bit per
-    closure call through {!Reader}, per-bit encode loops.  Used by the
-    differential test suites and the BENCH_PR2 wall-clock gate. *)
-module Naive : sig
-  val encode_unary : Bitbuf.t -> int -> unit
-  val decode_unary : Reader.t -> int
-  val encode_gamma : Bitbuf.t -> int -> unit
-  val decode_gamma : Reader.t -> int
-  val encode_delta : Bitbuf.t -> int -> unit
-  val decode_delta : Reader.t -> int
-  val encode_rice : Bitbuf.t -> k:int -> int -> unit
-  val decode_rice : Reader.t -> k:int -> int
-  val decode_fixed : Reader.t -> width:int -> int
-  val encode_fibonacci : Bitbuf.t -> int -> unit
-  val decode_fibonacci : Reader.t -> int
-end

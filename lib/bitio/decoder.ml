@@ -1,7 +1,7 @@
 (* Buffered word-at-a-time bit decoder (the PR 2 codec engine core).
 
-   Replaces the closure-per-bit [Reader] on every decode hot path: the
-   decoder keeps up to 62 bits of the stream in a native-int cache,
+   The one decode path in [lib] (the per-bit closure reader it
+   replaced is a test oracle now): the decoder keeps up to 62 bits of the stream in a native-int cache,
    refilled a word at a time from the backing bytes via
    [Bitops.get_bits], so fixed-width reads are one shift+mask and
    unary/gamma zero-runs resolve in O(1) per refill window with a
@@ -237,8 +237,8 @@ let gamma_slow t =
 (* Local copy of [Bitops.msb]'s smear + SWAR popcount (see there for
    the derivation), so the per-codeword CLZ costs no cross-module
    call — the build has no flambda, so [Bitops.msb]/[popcount] stay
-   out-of-line otherwise.  Differentially pinned against
-   [Bitops.Naive.msb] by the codec-engine test suite. *)
+   out-of-line otherwise.  Differentially pinned against the per-bit
+   oracle's [msb] by the codec-engine test suite. *)
 let swar_m1 = (0x55555555 lsl 32) lor 0x55555555
 let swar_m2 = (0x33333333 lsl 32) lor 0x33333333
 let swar_m4 = (0x0f0f0f0f lsl 32) lor 0x0f0f0f0f

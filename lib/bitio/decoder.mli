@@ -5,9 +5,9 @@
     word at a time from the backing bytes ({!Bitops.get_bits}), so
     fixed-width reads cost one shift and zero/one runs — the spine of
     every Elias code in {!Codes} — resolve with a count-leading-zeros
-    scan instead of one closure call per bit.  This is the engine
-    behind all decode hot paths; the closure-based {!Reader} remains
-    only as a compatibility shim.
+    scan instead of one closure call per bit.  This is the only
+    decoder in the library; the seed's closure-per-bit reader survives
+    as a test oracle.
 
     Bit convention matches {!Bitbuf}: bit [i] lives in byte [i / 8]
     under mask [0x80 lsr (i mod 8)], most significant bit first.
@@ -73,7 +73,7 @@ val remaining : t -> int
 val seek : t -> int -> unit
 
 (** [skip t n] advances [n >= 0] bits without reading (and without
-    charging, matching [Reader.skip]). *)
+    charging). *)
 val skip : t -> int -> unit
 
 (** [peek t w] returns the next [w] bits ([0 <= w <= 62]),

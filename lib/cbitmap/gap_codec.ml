@@ -90,44 +90,6 @@ let stream_from ?(code = Gamma) d ~count ~last =
 
 let stream ?code d ~count = stream_from ?code d ~count ~last:(-1)
 
-(* --- retained per-bit reference ------------------------------------ *)
-
-(* Seed decode paths over the closure [Reader] and [Codes.Naive],
-   kept for differential tests, the Stats-parity regression and the
-   BENCH_PR2 before/after comparison. *)
-let decode_value_ref code r =
-  match code with
-  | Gamma -> Bitio.Codes.Naive.decode_gamma r
-  | Delta -> Bitio.Codes.Naive.decode_delta r
-  | Rice k -> Bitio.Codes.Naive.decode_rice r ~k
-  | Fibonacci -> Bitio.Codes.Naive.decode_fibonacci r
-
-let decode_ref ?(code = Gamma) r ~count =
-  let out = Array.make count 0 in
-  let last = ref (-1) in
-  for i = 0 to count - 1 do
-    let gap = decode_value_ref code r in
-    let p = if !last < 0 then gap - 1 else !last + gap in
-    out.(i) <- p;
-    last := p
-  done;
-  Posting.of_sorted_array out
-
-let stream_from_ref ?(code = Gamma) r ~count ~last =
-  let remaining = ref count in
-  let last = ref last in
-  fun () ->
-    if !remaining <= 0 then None
-    else begin
-      decr remaining;
-      let gap = decode_value_ref code r in
-      let p = if !last < 0 then gap - 1 else !last + gap in
-      last := p;
-      Some p
-    end
-
-let stream_ref ?code r ~count = stream_from_ref ?code r ~count ~last:(-1)
-
 let append_size ?(code = Gamma) ~last p =
   let gap = if last < 0 then p + 1 else p - last in
   value_size code gap

@@ -43,18 +43,6 @@ val stream : ?code:code -> Bitio.Decoder.t -> count:int -> unit -> int option
 val stream_from :
   ?code:code -> Bitio.Decoder.t -> count:int -> last:int -> unit -> int option
 
-(** {2 Retained per-bit reference}
-
-    Seed decode paths over the closure {!Bitio.Reader} and
-    [Codes.Naive]; used by differential tests, the Stats-parity
-    regression and the BENCH_PR2 before/after gate. *)
-
-val decode_ref : ?code:code -> Bitio.Reader.t -> count:int -> Posting.t
-val stream_ref : ?code:code -> Bitio.Reader.t -> count:int -> unit -> int option
-
-val stream_from_ref :
-  ?code:code -> Bitio.Reader.t -> count:int -> last:int -> unit -> int option
-
 (** Encode the positions with a fixed offset added (used when a node
     stores positions relative to a base). *)
 val encode_shifted : ?code:code -> shift:int -> Bitio.Bitbuf.t -> Posting.t -> unit

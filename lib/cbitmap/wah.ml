@@ -129,14 +129,3 @@ let of_decoder d ~words ~bit_length =
     Array.init words (fun _ -> Bitio.Decoder.read_bits d 32)
   in
   { words = arr; bit_length }
-
-let of_reader (r : Bitio.Reader.t) ~words ~bit_length =
-  (* Compat shim over the closure reader; two 16-bit halves because
-     the abstract interface predates 62-bit-wide reads being cheap. *)
-  let arr =
-    Array.init words (fun _ ->
-        let hi = r.Bitio.Reader.read_bits 16 in
-        let lo = r.Bitio.Reader.read_bits 16 in
-        (hi lsl 16) lor lo)
-  in
-  { words = arr; bit_length }

@@ -36,6 +36,3 @@ val inter : t -> t -> t
 val to_buf : t -> Bitio.Bitbuf.t
 
 val of_decoder : Bitio.Decoder.t -> words:int -> bit_length:int -> t
-
-(** Compatibility shim over the closure {!Bitio.Reader}. *)
-val of_reader : Bitio.Reader.t -> words:int -> bit_length:int -> t

@@ -1,6 +1,5 @@
 type t = {
   device : Iosim.Device.t;
-  ctx : Indexing.Context.t; (* shared by all level tables *)
   n : int;
   sigma : int;
   sigma2 : int; (* alphabet size rounded up to a power of two *)
@@ -34,7 +33,6 @@ let build ?(complement = true) ?(schedule = `All) ?(payload = `Gap) device
   let postings = Indexing.Common.positions_by_char ~sigma x in
   let posting_of_char c = if c < sigma then postings.(c) else Cbitmap.Posting.empty in
   let mat = materialized_depths schedule nlevels in
-  let ctx = Indexing.Context.create device in
   let layout =
     match payload with
     | `Gap -> Indexing.Stream_table.Gap
@@ -47,7 +45,7 @@ let build ?(complement = true) ?(schedule = `All) ?(payload = `Gap) device
   let current = ref (Array.init sigma2 posting_of_char) in
   for j = nlevels - 1 downto 0 do
     if List.mem j mat then
-      tables.(j) <- Some (Indexing.Stream_table.build ~ctx ~layout device !current);
+      tables.(j) <- Some (Indexing.Stream_table.build ~layout device !current);
     if j > 0 then
       current :=
         Array.init (1 lsl (j - 1)) (fun b ->
@@ -66,7 +64,7 @@ let build ?(complement = true) ?(schedule = `All) ?(payload = `Gap) device
           a_buf)
   in
   let a_region = Iosim.Frame.payload a_frame in
-  { device; ctx; n; sigma; sigma2; levels; a_region; a_frame; pos_bits;
+  { device; n; sigma; sigma2; levels; a_region; a_frame; pos_bits;
     complement }
 
 let levels t = Array.length t.levels
@@ -257,12 +255,10 @@ let instance ?complement ?schedule ?payload device ~sigma x =
     Indexing.Instance.name =
       (match payload with Some `Hybrid -> base ^ "-hybrid" | _ -> base);
     device;
-    ctx = t.ctx;
     n = t.n;
     sigma;
     size_bits = size_bits t;
     query = (fun ~lo ~hi -> query t ~lo ~hi);
-    count = Some (fun ~lo ~hi -> count t ~lo ~hi);
     batch = Some (query_batch t);
     integrity = Some (integrity t);
   }

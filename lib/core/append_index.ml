@@ -20,7 +20,6 @@ type storage = {
 
 type t = {
   device : Iosim.Device.t;
-  ctx : Indexing.Context.t; (* shared by every storage, across rebuilds *)
   c : int;
   complement : bool;
   buffered : bool;
@@ -58,9 +57,9 @@ let last_of_posting p =
   let k = Cbitmap.Posting.cardinal p in
   if k = 0 then -1 else Cbitmap.Posting.get p (k - 1)
 
-let make_storage ~ctx ~code ~layout device postings =
+let make_storage ~code ~layout device postings =
   {
-    table = Indexing.Stream_table.build ~ctx ~code ~layout device postings;
+    table = Indexing.Stream_table.build ~code ~layout device postings;
     chains =
       Array.map
         (fun p ->
@@ -110,7 +109,7 @@ let write_meta t =
    hybrid payload applies to the frozen tables only: chain blocks stay
    gap-coded, since appends extend them codeword by codeword and a
    container cannot be extended in place. *)
-let build_parts ~ctx ~c ~code ~payload ~sigma device data =
+let build_parts ~c ~code ~payload ~sigma device data =
   let tree = Wbb.build ~c ~sigma data in
   let frozen = Frozen.make tree ~sigma_total:sigma in
   let height = tree.Wbb.height in
@@ -130,12 +129,12 @@ let build_parts ~ctx ~c ~code ~payload ~sigma device data =
           && Array.length tree.Wbb.internal_by_level.(l - 1) > 0
         then
           Some
-            (make_storage ~ctx ~code ~layout device
+            (make_storage ~code ~layout device
                (Array.map (Wbb.positions tree) tree.Wbb.internal_by_level.(l - 1)))
         else None)
   in
   let leaves =
-    make_storage ~ctx ~code ~layout device
+    make_storage ~code ~layout device
       (Array.map (Wbb.positions tree) tree.Wbb.leaves)
   in
   (frozen, mat, levels, leaves)
@@ -143,7 +142,7 @@ let build_parts ~ctx ~c ~code ~payload ~sigma device data =
 let rebuild t =
   let data = Array.sub t.x 0 t.n in
   let frozen, mat, levels, leaves =
-    build_parts ~ctx:t.ctx ~c:t.c ~code:t.code ~payload:t.payload
+    build_parts ~c:t.c ~code:t.code ~payload:t.payload
       ~sigma:t.sigma t.device data
   in
   t.frozen <- frozen;
@@ -159,14 +158,12 @@ let build ?(c = 8) ?(complement = true) ?(buffered = false)
   if Array.length x = 0 then invalid_arg "Append_index.build: empty string";
   let n = Array.length x in
   let cap = max 1 (Iosim.Device.block_bits device / (Indexing.Common.bits_for (max 2 sigma) + 40)) in
-  let ctx = Indexing.Context.create device in
   let frozen, mat, levels, leaves =
-    build_parts ~ctx ~c ~code ~payload ~sigma device x
+    build_parts ~c ~code ~payload ~sigma device x
   in
   let t =
     {
       device;
-      ctx;
       c;
       complement;
       buffered;
@@ -621,12 +618,10 @@ let instance ?c ?complement ?buffered ?payload device ~sigma x =
     Indexing.Instance.name =
       (match payload with Some `Hybrid -> base ^ "-hybrid" | _ -> base);
     device;
-    ctx = t.ctx;
     n = t.n;
     sigma;
     size_bits = size_bits t;
     query = (fun ~lo ~hi -> query t ~lo ~hi);
-    count = None;
     batch = Some (query_batch t);
     integrity = Some (integrity t);
   }

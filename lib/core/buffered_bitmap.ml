@@ -585,7 +585,6 @@ let instance ?c device ~sigma x =
   {
     Indexing.Instance.name = "secidx-buffered-bitmap";
     device;
-    ctx = Indexing.Context.create device;
     n = Array.length x;
     sigma;
     size_bits = size_bits t;
@@ -594,7 +593,6 @@ let instance ?c device ~sigma x =
         match Indexing.Common.clamp_range ~sigma ~lo ~hi with
         | None -> Indexing.Answer.Direct Cbitmap.Posting.empty
         | Some (lo, hi) -> Indexing.Answer.Direct (range_query t ~lo ~hi));
-    count = None;
     batch = None;
     integrity = Some (integrity t);
   }

@@ -365,12 +365,10 @@ let instance ?c ?complement device ~sigma x =
   {
     Indexing.Instance.name = "secidx-dynamic";
     device;
-    ctx = Indexing.Context.create device;
     n = t.n;
     sigma;
     size_bits = size_bits t;
     query = (fun ~lo ~hi -> query t ~lo ~hi);
-    count = None;
     batch = Some (query_batch t);
     integrity = Some (integrity t);
   }

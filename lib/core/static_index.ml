@@ -113,21 +113,18 @@ let build ?(c = 8) ?(complement = true) ?(schedule = `Doubling)
         let u = max 1 tree.Wbb.n in
         Indexing.Stream_table.Hybrid { universe = u; chunk = u }
   in
-  (* One execution context shared by every table of this instance (so
-     per-query knobs cover level and leaf decodes alike). *)
-  let ctx = Indexing.Context.create device in
   let level_tables =
     Array.init (height + 1) (fun l ->
         if l >= 1 && mat.(l) && Array.length tree.Wbb.internal_by_level.(l - 1) > 0
         then
           Some
-            (Indexing.Stream_table.build ~ctx ~code ~layout device
+            (Indexing.Stream_table.build ~code ~layout device
                (Array.map (Wbb.positions tree)
                   tree.Wbb.internal_by_level.(l - 1)))
         else None)
   in
   let leaf_table =
-    Indexing.Stream_table.build ~ctx ~code ~layout device
+    Indexing.Stream_table.build ~code ~layout device
       (Array.map (Wbb.positions tree) tree.Wbb.leaves)
   in
   let n = tree.Wbb.n in
@@ -410,12 +407,10 @@ let instance ?c ?complement ?schedule ?code ?payload device ~sigma x =
       | Some `Hybrid -> "secidx-static-hybrid"
       | _ -> "secidx-static");
     device;
-    ctx = Indexing.Stream_table.ctx t.leaf_table;
     n = t.tree.Wbb.n;
     sigma;
     size_bits = size_bits t;
     query = (fun ~lo ~hi -> query t ~lo ~hi);
-    count = Some (fun ~lo ~hi -> count t ~lo ~hi);
     batch = Some (query_batch t);
     integrity = Some (integrity t);
   }

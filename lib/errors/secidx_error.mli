@@ -9,7 +9,7 @@
       checksum mismatch, a decode budget exceeded (a run or codeword
       that cannot encode a value fitting the 62-bit word bound), or a
       directory entry pointing outside its extent.
-    - [Stale_decoder] — a buffered decoder (or cursor) outlived a
+    - [Stale_decoder] — a buffered decoder outlived a
       device mutation; its snapshot of the backing store may be
       detached from reality, so reading through it is refused.
     - [IO_error] — a transient device fault: the access may succeed if

@@ -5,24 +5,18 @@
 let m_queries = Obs.Metrics.counter "indexing_queries_total"
 let m_batches = Obs.Metrics.counter "indexing_batches_total"
 let m_batch_queries = Obs.Metrics.counter "indexing_batch_queries_total"
-let m_counts = Obs.Metrics.counter "indexing_count_queries_total"
-let m_count_fast = Obs.Metrics.counter "indexing_count_fastpath_total"
 let m_query_seconds = Obs.Metrics.histogram "indexing_query_seconds"
 
 type t = {
   name : string;
   device : Iosim.Device.t;
-  ctx : Context.t;
   n : int;
   sigma : int;
   size_bits : int;
   query : lo:int -> hi:int -> Answer.t;
-  count : (lo:int -> hi:int -> int) option;
   batch : ((int * int) array -> Answer.t array) option;
   integrity : Integrity.t option;
 }
-
-let set_reference_decode t v = t.ctx.Context.reference_decode <- v
 
 let traced_query t ~lo ~hi =
   Obs.Metrics.incr m_queries;
@@ -44,30 +38,6 @@ let query_cold t ~lo ~hi =
   Iosim.Device.reset_stats t.device;
   let answer = traced_query t ~lo ~hi in
   (answer, Iosim.Stats.snapshot (Iosim.Device.stats t.device))
-
-let query_posting_with_stats t ~lo ~hi =
-  let answer, stats = query_cold t ~lo ~hi in
-  (Answer.to_posting ~n:t.n answer, stats)
-
-let query_posting t ~lo ~hi = fst (query_posting_with_stats t ~lo ~hi)
-
-(* COUNT-only query (PR 10): structures with a [count] hook answer
-   from their directories alone (the static index reads two A-array
-   entries, decoding zero payload bits); everything else falls back to
-   a full query plus [Answer.cardinal].  Cold like [query_cold] so the
-   returned stats price exactly one count. *)
-let query_count t ~lo ~hi =
-  Iosim.Device.clear_pool t.device;
-  Iosim.Device.reset_stats t.device;
-  Obs.Metrics.incr m_counts;
-  let z =
-    match t.count with
-    | Some f ->
-        Obs.Metrics.incr m_count_fast;
-        f ~lo ~hi
-    | None -> Answer.cardinal ~n:t.n (traced_query t ~lo ~hi)
-  in
-  (z, Iosim.Stats.snapshot (Iosim.Device.stats t.device))
 
 let run_batch t ranges =
   Obs.Metrics.incr m_batches;

@@ -1,28 +1,21 @@
 (** A built secondary index, packaged uniformly so that the test
     harness and the benchmarks can drive every structure (the paper's
     and all baselines) through one interface and read I/O costs off
-    the shared device counters. *)
+    the shared device counters.
+
+    Four entry points: {!query_cold} (one range from a cold pool, with
+    its stats), {!query_batch} (a cold batch), {!query_batch_warm}
+    (the serving path) and {!verified_query} (detect-or-repair).  For
+    materialized positions apply [Answer.to_posting ~n] to
+    {!query_cold}'s answer. *)
 
 type t = {
   name : string;
   device : Iosim.Device.t;
-  ctx : Context.t;
-      (** The instance's execution context (PR 6): per-query mutable
-          knobs, shared with the instance's stream tables.  One
-          context per instance means one per shard — two shards of a
-          logical index share no mutable execution state, so they can
-          run on different domains (see [lib/serve]). *)
   n : int;  (** string length *)
   sigma : int;
   size_bits : int;  (** space used by the structure, in bits *)
   query : lo:int -> hi:int -> Answer.t;
-  count : (lo:int -> hi:int -> int) option;
-      (** COUNT-only fast path (PR 10): the exact number of matching
-          positions computed from the structure's directories alone —
-          the static index reads two A-array entries and decodes zero
-          payload bits.  Must agree with [Answer.cardinal] of [query]
-          on every range.  [None] means {!query_count} falls back to a
-          full query. *)
   batch : ((int * int) array -> Answer.t array) option;
       (** Structure-specific batched execution: answers [ranges]
           slot-for-slot, decoding each touched extent once for the
@@ -39,15 +32,6 @@ type t = {
     answer together with the I/O statistics of just that query. *)
 val query_cold : t -> lo:int -> hi:int -> Answer.t * Iosim.Stats.t
 
-(** Convenience: materialized positions of a cold query. *)
-val query_posting : t -> lo:int -> hi:int -> Cbitmap.Posting.t
-
-(** Like {!query_posting}, but also returns the stats snapshot
-    {!query_cold} took — callers needing both no longer re-run the
-    query just to read the counters. *)
-val query_posting_with_stats :
-  t -> lo:int -> hi:int -> Cbitmap.Posting.t * Iosim.Stats.t
-
 (** Answer a batch of ranges in one pass: the pool is cleared and the
     counters reset once, then the structure's [batch] hook (or the
     generic {!Batch.run} planner) answers every slot.  Answers are
@@ -56,23 +40,12 @@ val query_posting_with_stats :
     amortization claims of PR 5 price. *)
 val query_batch : t -> (int * int) array -> Answer.t array * Iosim.Stats.t
 
-(** COUNT-only query, cold (pool cleared, counters reset): the number
-    of positions in [lo, hi], through the structure's [count] hook
-    when it has one (directory probes only — zero payload bits for
-    the static index) and a full query otherwise.  The stats are just
-    this count's. *)
-val query_count : t -> lo:int -> hi:int -> int * Iosim.Stats.t
-
 (** Warm batch for the serving path (PR 6): same planning and answers
     as {!query_batch}, but the pool is not cleared and the counters
     are not reset — a shard worker serves batch after batch with a
     warm pool, and its device counters accumulate over the whole run
     (read them via [Iosim.Device.stats] at quiescence). *)
 val query_batch_warm : t -> (int * int) array -> Answer.t array
-
-(** Flip the instance's decode path (see {!Context.t}
-    [reference_decode]); affects only this instance's context. *)
-val set_reference_decode : t -> bool -> unit
 
 (** Outcome of a {!verified_query}: the answer over verified extents;
     the answer after a successful counted repair (with the repair cost

@@ -2,7 +2,6 @@ type layout = Gap | Hybrid of { universe : int; chunk : int }
 
 type t = {
   device : Iosim.Device.t;
-  ctx : Context.t;
   code : Cbitmap.Gap_codec.code;
   layout : layout;
   nstreams : int;
@@ -18,16 +17,7 @@ type t = {
 let dir_magic = 0x5D01
 let payload_magic = 0x5D02
 
-let build ?ctx ?(code = Cbitmap.Gap_codec.Gamma) ?(layout = Gap) device
-    postings =
-  let ctx =
-    match ctx with
-    | None -> Context.create device
-    | Some c ->
-        if c.Context.device != device then
-          invalid_arg "Stream_table.build: ctx wraps a different device";
-        c
-  in
+let build ?(code = Cbitmap.Gap_codec.Gamma) ?(layout = Gap) device postings =
   (match layout with
   | Gap -> ()
   | Hybrid { universe; chunk } ->
@@ -83,7 +73,6 @@ let build ?ctx ?(code = Cbitmap.Gap_codec.Gamma) ?(layout = Gap) device
   in
   {
     device;
-    ctx;
     code;
     layout;
     nstreams = Array.length postings;
@@ -97,7 +86,6 @@ let build ?ctx ?(code = Cbitmap.Gap_codec.Gamma) ?(layout = Gap) device
 
 let length t = t.nstreams
 let device t = t.device
-let ctx t = t.ctx
 
 let dir_entry t i =
   if i < 0 || i >= t.nstreams then invalid_arg "Stream_table: index";
@@ -119,29 +107,14 @@ let dir_entry t i =
 
 let count t i = snd (dir_entry t i)
 
-(* Decode-path selection lives on the table's execution context (per
-   instance, hence per shard) — see [Context].  When set, payload
-   streams are decoded through the retained per-bit path (closure
-   cursor + [Codes.Naive]) instead of the buffered word decoder — the
-   before/after switch for the BENCH_PR2 end-to-end comparison and the
-   Stats-parity regression test.  Counters other than [pool_hits] are
-   identical either way. *)
 let stream_of_entry t (off, count) =
-  let pos = t.payload.Iosim.Device.off + off in
+  let d = Iosim.Device.decoder t.device ~pos:(t.payload.Iosim.Device.off + off) in
   match t.layout with
   | Hybrid { universe; chunk } ->
-      (* Container payloads are self-describing (the directory count is
-         not needed to find the end) and always decode through the
-         word decoder — there is no retained per-bit container path. *)
-      let d = Iosim.Device.decoder t.device ~pos in
+      (* Container payloads are self-describing: the directory count
+         is not needed to find the end. *)
       Cbitmap.Container.stream_chunked ~universe ~chunk d
-  | Gap ->
-      if t.ctx.Context.reference_decode then
-        let r = Iosim.Device.cursor t.device ~pos in
-        Cbitmap.Gap_codec.stream_ref ~code:t.code r ~count
-      else
-        let d = Iosim.Device.decoder t.device ~pos in
-        Cbitmap.Gap_codec.stream ~code:t.code d ~count
+  | Gap -> Cbitmap.Gap_codec.stream ~code:t.code d ~count
 
 (* Phase spans: the directory entry is decoded first (the "directory"
    phase), then the extent (the "payload" phase).  A gap extent decodes
@@ -153,12 +126,12 @@ let read_one t i =
   in
   Obs.Metrics.phase "payload" (fun () ->
       match t.layout with
-      | Gap when not t.ctx.Context.reference_decode ->
+      | Gap ->
           let pos = t.payload.Iosim.Device.off + off in
           Cbitmap.Gap_codec.decode ~code:t.code
             (Iosim.Device.decoder t.device ~pos)
             ~count
-      | _ -> Cbitmap.Merge.to_posting (stream_of_entry t entry))
+      | Hybrid _ -> Cbitmap.Merge.to_posting (stream_of_entry t entry))
 
 let streams t ~lo ~hi =
   if lo < 0 || hi >= t.nstreams || lo > hi then

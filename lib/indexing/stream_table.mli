@@ -19,17 +19,12 @@ type t
     and prefetch work unchanged. *)
 type layout = Gap | Hybrid of { universe : int; chunk : int }
 
-(** [build ?ctx ?code ?layout device postings] lays the table out on
-    [device].  [ctx] is the execution context consulted by every
-    decode (see {!Context}); tables belonging to one instance should
-    share the instance's context so per-query knobs apply to all of
-    them.  Defaults to a fresh [Context.create device].  [layout]
-    defaults to [Gap]; [code] only applies to the [Gap] layout, and
-    [Context.reference_decode] likewise (hybrid payloads always decode
-    through the word decoder).  Raises [Invalid_argument] if [ctx]
-    wraps a different device. *)
+(** [build ?code ?layout device postings] lays the table out on
+    [device].  [layout] defaults to [Gap]; [code] only applies to the
+    [Gap] layout.  Every payload decode runs on the buffered word
+    decoder ({!Iosim.Device.decoder}); its counters match a per-bit
+    reader of the same stream (the test suite's oracle checks this). *)
 val build :
-  ?ctx:Context.t ->
   ?code:Cbitmap.Gap_codec.code ->
   ?layout:layout ->
   Iosim.Device.t ->
@@ -83,12 +78,3 @@ val size_bits : t -> int
 
 (** Payload only (sum of compressed stream sizes). *)
 val payload_bits : t -> int
-
-(** The execution context the table decodes under.  Flip
-    [(ctx t).reference_decode] to route payload decodes through the
-    retained per-bit reference (closure cursor + seed codecs) instead
-    of the buffered word decoder — the BENCH_PR2 before/after switch;
-    [block_reads]/[bits_read] are identical in both modes.  Was a
-    module-level [ref] before PR 6; per-context now, so shards on
-    different domains never share it. *)
-val ctx : t -> Context.t

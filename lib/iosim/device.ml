@@ -21,8 +21,8 @@ type t = {
   stats : Stats.t;
   read_before_write : bool;
   mutable generation : int;
-      (* bumped on every alloc/write; snapshotting readers (decoder,
-         cursor) refuse to read once it moves (Stale_decoder) *)
+      (* bumped on every alloc/write; a decoder refuses to read once
+         it moves (Stale_decoder) *)
   mutable fault : Fault.t option;
   mutable last_block : int;
       (* last block transferred (pool miss) since the last stats
@@ -248,9 +248,6 @@ let touch_range t ~pos ~len kind =
           done
   end
 
-(* Raw (uncounted) bit access on the backing store: word-at-a-time
-   via the shared Bitops primitives. *)
-
 (* Crash-kill check (PR 8): consulted by every counted write after the
    transfer has been charged (the I/O was issued; dying mid-write does
    not refund it).  When the armed crash fires, [persist keep] stores
@@ -276,8 +273,8 @@ let check_crash t ~pos ~len ~persist =
             nblocks pos keep)
   | _ -> ()
 
-let raw_get_bit t i =
-  Char.code (Bytes.unsafe_get t.data (i lsr 3)) land (0x80 lsr (i land 7)) <> 0
+(* Raw (uncounted) bit access on the backing store: word-at-a-time
+   via the shared Bitops primitives. *)
 
 let raw_read_bits t ~pos ~width = Bitio.Bitops.get_bits t.data ~pos ~width
 let raw_write_bits t ~pos ~width v = Bitio.Bitops.set_bits t.data ~pos ~width v
@@ -361,19 +358,6 @@ let read_region t region =
   Bitio.Bitbuf.append_bytes buf t.data ~src_bit:region.off ~len:region.len;
   buf
 
-(* Retained per-bit reference for differential tests and the
-   --wallclock benchmark gate: identical counting, seed copy loop. *)
-let read_region_naive t region =
-  if region.off < 0 || region.off + region.len > t.used_bits then
-    invalid_arg "Device.read_region_naive: range";
-  touch_range t ~pos:region.off ~len:region.len `Read;
-  t.stats.Stats.bits_read <- t.stats.Stats.bits_read + region.len;
-  let buf = Bitio.Bitbuf.create ~capacity:region.len () in
-  for i = region.off to region.off + region.len - 1 do
-    Bitio.Bitbuf.write_bit buf (raw_get_bit t i)
-  done;
-  buf
-
 let stale gen t name =
   if t.generation <> gen then
     raise
@@ -382,25 +366,11 @@ let stale gen t name =
             "%s: device mutated since snapshot (generation %d, now %d)" name
             gen t.generation))
 
-let cursor t ~pos =
-  let p = ref pos in
-  let gen = t.generation in
-  let read_bits w =
-    stale gen t "Device.cursor";
-    check_range t ~pos:!p ~width:w "Device.cursor";
-    touch_range t ~pos:!p ~len:w `Read;
-    t.stats.Stats.bits_read <- t.stats.Stats.bits_read + w;
-    let v = raw_read_bits t ~pos:!p ~width:w in
-    p := !p + w;
-    v
-  in
-  { Bitio.Reader.read_bits; bit_pos = (fun () -> !p); seek = (fun q -> p := q) }
-
 (* Buffered word-at-a-time decoder over the device.  Counting happens
    in the charge callbacks, which the decoder invokes on *consumed*
    bits (cache refills are free): once per bit range, or, in the bulk
    gamma kernel, once per block run.  Either way [bits_read] and the
-   touched-block sequence match the per-bit cursor semantics: the
+   touched-block sequence match per-bit read semantics: the
    same bits are charged, in stream order, exactly once.  The decoder
    snapshots [t.data] at the device's current generation; the charge
    callbacks refuse to deliver bits once a later alloc/write moves the

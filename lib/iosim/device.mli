@@ -37,9 +37,9 @@ val stats : t -> Stats.t
 val pool : t -> Buffer_pool.t
 
 (** Mutation counter: bumped by every [alloc] and every write.
-    Snapshotting readers ({!decoder}, {!cursor}) record it at creation
-    and raise [Secidx_error.Stale_decoder] if it has moved by the time
-    they deliver bits. *)
+    A {!decoder} records it at creation and raises
+    [Secidx_error.Stale_decoder] if it has moved by the time it
+    delivers bits. *)
 val generation : t -> int
 
 (** Attach / detach a fault plan (see {!Fault}).  While a plan is
@@ -96,20 +96,12 @@ val store : ?align_block:bool -> t -> Bitio.Bitbuf.t -> region
 (** Counted sequential read of a whole region into a fresh buffer. *)
 val read_region : t -> region -> Bitio.Bitbuf.t
 
-(** Per-bit reference implementation of {!read_region} (the seed
-    semantics), retained for differential tests and the [--wallclock]
-    benchmark gate.  Counts I/Os exactly like {!read_region}. *)
-val read_region_naive : t -> region -> Bitio.Bitbuf.t
-
-(** Sequential counted reader starting at absolute bit [pos]; seeks
-    are allowed (each block entered is a counted access). *)
-val cursor : t -> pos:int -> Bitio.Reader.t
-
 (** Buffered word-at-a-time counted decoder starting at absolute bit
-    [pos] — the hot-path replacement for {!cursor}.  Charges on
-    consumption (never on cache refill), so [bits_read] and the
-    touched-block sequence are identical to per-bit reads of the same
-    stream.  The bulk gamma kernel ({!Bitio.Decoder.gamma_prefix_into})
+    [pos] — the device's one decode path.  Charges on consumption
+    (never on cache refill), so every {!Stats} field but [pool_hits]
+    is identical to per-bit reads of the same stream (a per-bit reader
+    re-touches a resident block once per read, so it counts more
+    hits).  The bulk gamma kernel ({!Bitio.Decoder.gamma_prefix_into})
     charges a run of [k] touches on one block as [k] consecutive
     demand reads of it: real pool accesses until the pool's re-hit
     memo holds the block, then the rest as one count

@@ -1,6 +1,6 @@
-(** Fixed-size log-linear latency histogram (PR 6; shared home since
-    PR 9 — [Workload.Histogram] and the {!Metrics} registry both alias
-    this implementation, so there is exactly one quantile routine).
+(** Fixed-size log-linear latency histogram.  The serving simulator
+    and the {!Metrics} registry both use this implementation, so there
+    is exactly one quantile routine.
 
     Geometric buckets, [per_decade] per factor of ten between [lo] and
     [hi], plus underflow and overflow buckets.  Constant memory

@@ -97,12 +97,10 @@ let updatable =
                 {
                   Indexing.Instance.name = "dynamic";
                   device = dev;
-                  ctx = Indexing.Context.create dev;
                   n = Secidx.Dynamic_index.length t;
                   sigma;
                   size_bits = Secidx.Dynamic_index.size_bits t;
                   query = (fun ~lo ~hi -> Secidx.Dynamic_index.query t ~lo ~hi);
-                  count = None;
                   batch = Some (Secidx.Dynamic_index.query_batch t);
                   integrity = None;
                 });
@@ -123,12 +121,10 @@ let updatable =
                 {
                   Indexing.Instance.name = "append";
                   device = dev;
-                  ctx = Indexing.Context.create dev;
                   n = Secidx.Append_index.length t;
                   sigma;
                   size_bits = Secidx.Append_index.size_bits t;
                   query = (fun ~lo ~hi -> Secidx.Append_index.query t ~lo ~hi);
-                  count = None;
                   batch = Some (Secidx.Append_index.query_batch t);
                   integrity = None;
                 });

@@ -16,7 +16,7 @@
    ([assemble]).
 
    Memory safety across domains relies on confinement plus two
-   handshakes: a worker touches only its shard's device/instance/ctx;
+   handshakes: a worker touches only its shard's device and instance;
    task and result values cross domains only through the mailbox mutex
    (publish task) and the latch mutex (publish result rows), each of
    which establishes the happens-before edge for everything written

@@ -11,8 +11,8 @@
    dedup, no re-sort, and bit-identical to the unsharded query.  The
    router does that concatenation ([Router.query_batch]).
 
-   Everything mutable a query touches — the device (pool, counters),
-   the instance and its context — is private to the shard, which is
+   Everything mutable a query touches — the device (pool, counters)
+   and the instance — is private to the shard, which is
    what lets each shard be owned by one domain with no locking on the
    query path. *)
 

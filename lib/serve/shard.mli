@@ -2,7 +2,7 @@
 
     The logical string is split into contiguous slices; shard [i]
     indexes its slice re-based to local position 0 on its own device,
-    so all mutable query state (pool, counters, decode context) is
+    so all mutable query state (pool, counters) is
     shard-private and one domain can own the shard outright.  An
     alphabet-range query scatters to every shard unchanged; local
     answers shifted by {!base} concatenate — in shard order, without

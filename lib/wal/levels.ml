@@ -9,7 +9,6 @@ let g_runs = Obs.Metrics.gauge "wal_level_runs"
 
 type t = {
   device : Iosim.Device.t;
-  ctx : Indexing.Context.t;
   sigma : int;
   fanout : int;
   retry_attempts : int;
@@ -19,15 +18,11 @@ type t = {
   mutable pending : bool;
 }
 
-let create ?ctx device ~sigma ~fanout ~retry_attempts =
+let create device ~sigma ~fanout ~retry_attempts =
   if fanout < 2 then invalid_arg "Levels.create: fanout";
   if retry_attempts < 1 then invalid_arg "Levels.create: retry_attempts";
-  let ctx =
-    match ctx with Some c -> c | None -> Indexing.Context.create device
-  in
   {
     device;
-    ctx;
     sigma;
     fanout;
     retry_attempts;
@@ -60,7 +55,7 @@ let maintain ?layout ?(on_compact = fun () -> ()) t =
         match
           Iosim.Device.with_retries ~attempts:t.retry_attempts ~backoff
             t.device (fun () ->
-              Run.merge ~ctx:t.ctx ?layout t.device t.levels.(i))
+              Run.merge ?layout t.device t.levels.(i))
         with
         | merged ->
             t.compactions <- t.compactions + 1;

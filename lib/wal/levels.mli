@@ -20,11 +20,10 @@
 
 type t
 
-(** [create ?ctx device ~sigma ~fanout ~retry_attempts] — an empty
+(** [create device ~sigma ~fanout ~retry_attempts] — an empty
     leveled store on [device].  [fanout >= 2]; [retry_attempts >= 1]
     bounds each merge's attempts. *)
 val create :
-  ?ctx:Indexing.Context.t ->
   Iosim.Device.t ->
   sigma:int ->
   fanout:int ->

@@ -5,13 +5,13 @@ type t = { table : St.t; sigma : int }
 
 let sigma t = t.sigma
 
-let build ?ctx ?layout device ~sigma ~chars ~tombstones ~written =
+let build ?layout device ~sigma ~chars ~tombstones ~written =
   if Array.length chars <> sigma then invalid_arg "Run.build: chars length";
   let streams = Array.make (sigma + 2) Posting.empty in
   Array.blit chars 0 streams 0 sigma;
   streams.(sigma) <- tombstones;
   streams.(sigma + 1) <- written;
-  { table = St.build ?ctx ?layout device streams; sigma }
+  { table = St.build ?layout device streams; sigma }
 
 let matches t ~lo ~hi = St.read_union t.table ~lo ~hi
 let written t = St.read_one t.table (t.sigma + 1)
@@ -25,7 +25,7 @@ let run_written = written
    only at positions no newer run wrote.  The merged written set is
    the plain union, so the output shadows exactly what its inputs
    shadowed. *)
-let merge ?ctx ?layout device runs =
+let merge ?layout device runs =
   match runs with
   | [] -> invalid_arg "Run.merge: empty"
   | first :: _ ->
@@ -47,7 +47,7 @@ let merge ?ctx ?layout device runs =
           shadow := Posting.union !shadow w;
           seen := Posting.union !seen w)
         runs;
-      build ?ctx ?layout device ~sigma ~chars ~tombstones:!dead ~written:!seen
+      build ?layout device ~sigma ~chars ~tombstones:!dead ~written:!seen
 
 let frames t = St.frames t.table
 let size_bits t = St.size_bits t.table

@@ -23,11 +23,10 @@ type t
 
 val sigma : t -> int
 
-(** [build ?ctx ?layout device ~sigma ~chars ~tombstones ~written]
+(** [build ?layout device ~sigma ~chars ~tombstones ~written]
     seals a run.  [chars] has length [sigma]; see above for the
     stream meaning.  [layout] as in {!Indexing.Stream_table.build}. *)
 val build :
-  ?ctx:Indexing.Context.t ->
   ?layout:Indexing.Stream_table.layout ->
   Iosim.Device.t ->
   sigma:int ->
@@ -50,13 +49,12 @@ val tombstones : t -> Cbitmap.Posting.t
 (** Per-character positions (stream [ch]); counted I/O. *)
 val posting : t -> int -> Cbitmap.Posting.t
 
-(** [merge ?ctx ?layout device runs] seals the newest-first [runs]
+(** [merge ?layout device runs] seals the newest-first [runs]
     into one run with identical query semantics: for every position
     the newest opinion wins.  Reads every input stream once (counted),
     then builds the output on [device].  Raises [Invalid_argument] on
     an empty list or mismatched alphabets. *)
 val merge :
-  ?ctx:Indexing.Context.t ->
   ?layout:Indexing.Stream_table.layout ->
   Iosim.Device.t ->
   t list ->

@@ -34,7 +34,6 @@ type t = {
   sigma : int;
   log : Log.t;
   device : Iosim.Device.t;
-  ctx : Indexing.Context.t;
   levels : Levels.t;
   base : Run.t;
   overlay : (int, entry) Hashtbl.t;
@@ -74,10 +73,9 @@ let create ?wal_device ?index_device config ~sigma ~data =
         let bb = Iosim.Device.block_bits index_device in
         Iosim.Device.create ~block_bits:bb ~mem_bits:(4 * bb) ()
   in
-  let ctx = Indexing.Context.create index_device in
   let n = Array.length data in
   let base =
-    Run.build ~ctx
+    Run.build
       ~layout:(layout_of ~payload:config.payload ~n)
       index_device ~sigma
       ~chars:(Indexing.Common.positions_by_char ~sigma data)
@@ -88,9 +86,8 @@ let create ?wal_device ?index_device config ~sigma ~data =
     sigma;
     log = Log.create wal_device;
     device = index_device;
-    ctx;
     levels =
-      Levels.create ~ctx index_device ~sigma ~fanout:config.fanout
+      Levels.create index_device ~sigma ~fanout:config.fanout
         ~retry_attempts:config.retry_attempts;
     base;
     overlay = Hashtbl.create 64;
@@ -106,7 +103,6 @@ let n t = t.n
 let acked t = Log.length t.log
 let wal_device t = Log.device t.log
 let index_device t = t.device
-let ctx t = t.ctx
 let phase t = t.phase
 let flushes t = t.flushes
 let compactions t = Levels.compactions t.levels
@@ -133,7 +129,7 @@ let flush t =
         | Dead -> dead := pos :: !dead)
       t.overlay;
     let run =
-      Run.build ~ctx:t.ctx ~layout:(layout t) t.device ~sigma:t.sigma
+      Run.build ~layout:(layout t) t.device ~sigma:t.sigma
         ~chars:(Array.map Posting.of_list chars)
         ~tombstones:(Posting.of_list !dead)
         ~written:(Posting.of_list !written)
@@ -257,12 +253,10 @@ let instance t =
   {
     Indexing.Instance.name = "wal";
     device = t.device;
-    ctx = t.ctx;
     n = t.n;
     sigma = t.sigma;
     size_bits = size_bits t;
     query = (fun ~lo ~hi -> query t ~lo ~hi);
-    count = None;
     batch = None;
     integrity = Some (Indexing.Integrity.of_frames (fun () -> frames t));
   }

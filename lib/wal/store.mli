@@ -61,7 +61,6 @@ val acked : t -> int
 
 val wal_device : t -> Iosim.Device.t
 val index_device : t -> Iosim.Device.t
-val ctx : t -> Indexing.Context.t
 
 (** Apply one operation durably (log, then apply, then maybe flush).
     Raises [Invalid_argument] — before logging anything — if the

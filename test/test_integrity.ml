@@ -143,9 +143,9 @@ let test_decode_budgets () =
   let b = Bitio.Bitbuf.create () in
   Bitio.Bitbuf.write_bits b ~width:62 0;
   Bitio.Bitbuf.write_bits b ~width:62 max_int;
-  let reader = Bitio.Reader.of_bitbuf b in
+  let reader = Oracle.Reader.of_bitbuf b in
   Alcotest.(check bool) "naive gamma run budget" true
-    (raises_corrupt (fun () -> Bitio.Codes.Naive.decode_gamma reader))
+    (raises_corrupt (fun () -> Oracle.Codes.decode_gamma reader))
 
 (* --- fault plan: torn writes --- *)
 
@@ -237,22 +237,20 @@ let prop_flips_never_silently_wrong =
     ~name:"bit flips: verified_query detects, repairs or answers right"
     QCheck.(
       make
-        ~print:(fun (sigma, data, seed, refmode) ->
-          Printf.sprintf "sigma=%d n=%d seed=%d ref=%b" sigma
-            (Array.length data) seed refmode)
+        ~print:(fun (sigma, data, seed) ->
+          Printf.sprintf "sigma=%d n=%d seed=%d" sigma (Array.length data)
+            seed)
         Gen.(
           int_range 2 8 >>= fun sigma ->
           int_range 4 80 >>= fun n ->
           array_size (return n) (int_range 0 (sigma - 1)) >>= fun data ->
-          int_range 1 1_000_000 >>= fun seed ->
-          bool >>= fun refmode -> return (sigma, data, seed, refmode)))
-    (fun (sigma, data, seed, refmode) ->
+          int_range 1 1_000_000 >>= fun seed -> return (sigma, data, seed)))
+    (fun (sigma, data, seed) ->
       let n = Array.length data in
       List.for_all
         (fun build ->
           let dev = device () in
           let inst : Indexing.Instance.t = build dev ~sigma data in
-          Indexing.Instance.set_reference_decode inst refmode;
           ignore (Iosim.Device.inject_bit_flips dev ~seed ~count:3);
           List.for_all
             (fun (lo, hi) ->

@@ -252,8 +252,8 @@ let test_cursor_sequential () =
   List.iter (Bitio.Codes.encode_gamma buf) [ 5; 1; 9; 100; 3 ];
   let region = Iosim.Device.store dev buf in
   Iosim.Device.reset_stats dev;
-  let r = Iosim.Device.cursor dev ~pos:region.Iosim.Device.off in
-  let decoded = List.init 5 (fun _ -> Bitio.Codes.Naive.decode_gamma r) in
+  let r = Oracle.Device.cursor dev ~pos:region.Iosim.Device.off in
+  let decoded = List.init 5 (fun _ -> Oracle.Codes.decode_gamma r) in
   Alcotest.(check (list int)) "decoded" [ 5; 1; 9; 100; 3 ] decoded;
   (* Sequential decode of a short stream should touch each block once:
      with no pool every bit-read re-touches, so enable a pool. *)
@@ -261,9 +261,9 @@ let test_cursor_sequential () =
   let region2 = Iosim.Device.store dev2 buf in
   Iosim.Device.reset_stats dev2;
   Iosim.Device.clear_pool dev2;
-  let r2 = Iosim.Device.cursor dev2 ~pos:region2.Iosim.Device.off in
+  let r2 = Oracle.Device.cursor dev2 ~pos:region2.Iosim.Device.off in
   for _ = 1 to 5 do
-    ignore (Bitio.Codes.Naive.decode_gamma r2)
+    ignore (Oracle.Codes.decode_gamma r2)
   done;
   let blocks = Iosim.Device.blocks_spanned dev2 ~pos:0 ~len:(Bitio.Bitbuf.length buf) in
   Alcotest.(check int) "touch each block once"
@@ -616,11 +616,22 @@ let prop_read_region_matches_naive =
       in
       let d1 = mk () and d2 = mk () in
       let region = { Iosim.Device.off; len } in
+      let snap d = Iosim.Stats.snapshot (Iosim.Device.stats d) in
+      let s0 = snap d1 in
       let b1 = Iosim.Device.read_region d1 region in
-      let b2 = Iosim.Device.read_region_naive d2 region in
+      let b2 = Oracle.Device.read_region_naive d2 region in
+      let s1 = snap d1 and s2 = snap d2 in
+      let spanned = Iosim.Device.blocks_spanned d1 ~pos:off ~len in
+      (* The oracle touches each spanned block once with a one-bit
+         read, so every field but [bits_read] must match; [bits_read]
+         is checked against the region length on its own. *)
       Bitio.Bitbuf.equal b1 b2
-      && Iosim.Stats.snapshot (Iosim.Device.stats d1)
-         = Iosim.Stats.snapshot (Iosim.Device.stats d2))
+      && { s1 with Iosim.Stats.bits_read = 0 } = { s2 with bits_read = 0 }
+      && s1.Iosim.Stats.bits_read - s0.Iosim.Stats.bits_read = len
+      && s2.Iosim.Stats.bits_read - s0.Iosim.Stats.bits_read = spanned
+      && s1.Iosim.Stats.block_reads - s0.Iosim.Stats.block_reads
+         + (s1.Iosim.Stats.pool_hits - s0.Iosim.Stats.pool_hits)
+         = spanned)
 
 (* --- codec-rewrite regressions (PR 2) ------------------------------ *)
 
@@ -641,10 +652,10 @@ let test_decoder_matches_cursor_fixed_width () =
   in
   let dev1, r1 = mk () and dev2, r2 = mk () in
   let d = Iosim.Device.decoder dev1 ~pos:r1.Iosim.Device.off in
-  let c = Iosim.Device.cursor dev2 ~pos:r2.Iosim.Device.off in
+  let c = Oracle.Device.cursor dev2 ~pos:r2.Iosim.Device.off in
   for _ = 0 to 199 do
     Alcotest.(check int)
-      "value" (c.Bitio.Reader.read_bits 13)
+      "value" (c.Oracle.Reader.read_bits 13)
       (Bitio.Decoder.read_bits d 13)
   done;
   check_stats "identical counters (incl. pool hits)"
@@ -667,11 +678,11 @@ let test_decoder_gamma_charges_like_cursor () =
   in
   let dev1, r1 = mk () and dev2, r2 = mk () in
   let d = Iosim.Device.decoder dev1 ~pos:r1.Iosim.Device.off in
-  let c = Iosim.Device.cursor dev2 ~pos:r2.Iosim.Device.off in
+  let c = Oracle.Device.cursor dev2 ~pos:r2.Iosim.Device.off in
   List.iter
     (fun v ->
       Alcotest.(check int) "new" v (Bitio.Codes.decode_gamma d);
-      Alcotest.(check int) "ref" v (Bitio.Codes.Naive.decode_gamma c))
+      Alcotest.(check int) "ref" v (Oracle.Codes.decode_gamma c))
     values;
   let s1 = Iosim.Device.stats dev1 and s2 = Iosim.Device.stats dev2 in
   Alcotest.(check int) "block_reads" s2.Iosim.Stats.block_reads
@@ -679,34 +690,30 @@ let test_decoder_gamma_charges_like_cursor () =
   Alcotest.(check int) "bits_read" s2.Iosim.Stats.bits_read
     s1.Iosim.Stats.bits_read
 
-(* Scripted Theorem 2 query trace: answers, [block_reads] and
-   [bits_read] are byte-identical whether the payload streams decode
-   through the buffered word engine or the retained per-bit
-   reference.  Decode speed must not change what the simulator
-   charges. *)
+(* Theorem 2 payload parity: every extent of a gap-coded stream table
+   decodes to the same positions through [Stream_table.read_one] (the
+   word decoder) and through the per-bit oracle cursor on a twin
+   device, for all four codes, and the two devices end with the same
+   stats in every field ([pool_hits] aside: see
+   [Oracle.Stream_table.stats_mismatches]).  Decode speed must not change
+   what the simulator charges. *)
 let test_theorem2_trace_codec_parity () =
   let n = 3000 and sigma = 24 in
   let data = Array.init n (fun i -> ((i * i) + (i / 7)) mod sigma) in
-  let queries = [ (0, sigma - 1); (3, 9); (7, 7); (0, 0); (20, 23) ] in
-  let run reference =
-    let dev = device ~block_bits:512 ~mem_bits:(16 * 512) () in
-    let inst = Secidx.Static_index.instance dev ~sigma data in
-    Indexing.Instance.set_reference_decode inst reference;
-    List.map
-      (fun (lo, hi) ->
-        let answer, st = Indexing.Instance.query_cold inst ~lo ~hi in
-        ( Cbitmap.Posting.cardinal (Indexing.Answer.to_posting ~n answer),
-          st.Iosim.Stats.block_reads,
-          st.Iosim.Stats.bits_read ))
-      queries
-  in
-  let before = run true and after = run false in
-  List.iter2
-    (fun (c1, br1, bits1) (c2, br2, bits2) ->
-      Alcotest.(check int) "answer cardinality" c1 c2;
-      Alcotest.(check int) "block_reads" br1 br2;
-      Alcotest.(check int) "bits_read" bits1 bits2)
-    before after
+  let postings = Indexing.Common.positions_by_char ~sigma data in
+  List.iter
+    (fun code ->
+      let agree, word, oracle =
+        Oracle.Stream_table.twin_decode ~code
+          ~make_device:(fun () -> device ~block_bits:512 ~mem_bits:(16 * 512) ())
+          postings
+      in
+      Alcotest.(check bool) "answers" true agree;
+      Alcotest.(check bool) "reads something" true (word.Iosim.Stats.bits_read > 0);
+      Alcotest.(check (list string))
+        "stats fields that differ" []
+        (Oracle.Stream_table.stats_mismatches ~word ~oracle))
+    Cbitmap.Gap_codec.[ Gamma; Delta; Rice 3; Fibonacci ]
 
 let test_model_sanity () =
   (* The model itself reproduces a seed-era hand-check

@@ -60,7 +60,8 @@ let prop_all_indexes_agree =
         (fun build ->
           let inst : Indexing.Instance.t = build (device ()) ~sigma data in
           Cbitmap.Posting.equal
-            (Indexing.Instance.query_posting inst ~lo ~hi)
+            (Indexing.Answer.to_posting ~n:(Array.length data)
+               (fst (Indexing.Instance.query_cold inst ~lo ~hi)))
             reference)
         all_builders)
 
@@ -84,7 +85,9 @@ let test_query_bounds_clamped () =
       List.iter
         (fun (lo, hi) ->
           let got =
-            try Indexing.Instance.query_posting inst ~lo ~hi
+            try
+              Indexing.Answer.to_posting ~n:(Array.length data)
+                (fst (Indexing.Instance.query_cold inst ~lo ~hi))
             with Invalid_argument m ->
               Alcotest.failf "%s: query (%d,%d) raised %s" name lo hi m
           in
@@ -214,6 +217,33 @@ let prop_dynamic_mixed_ops =
       done;
       !ok)
 
+(* The CLI rejects bad outside input as a usage error (cmdliner's exit
+   124) instead of dying on an uncaught exception or answering a range
+   it silently clamped.  The binary is a declared dependency of this
+   test, built in the sibling bin/ directory. *)
+let test_cli_rejects_bad_input () =
+  let cli =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ Filename.parent_dir_name; "bin"; "secidx_cli.exe" ]
+  in
+  let exit_code args =
+    Sys.command
+      (Printf.sprintf "%s query --length 256 %s >%s 2>&1"
+         (Filename.quote cli) args Filename.null)
+  in
+  List.iter
+    (fun (args, want) ->
+      Alcotest.(check int) args want (exit_code args))
+    [
+      ("--index bogus", 124);
+      ("--lo 9 --hi 3", 124);
+      ("--sigma 16 --hi 99", 124);
+      ("--lo=-1 --hi 3", 124);
+      ("--dist bogus", 124);
+      ("--sigma 16 --lo 3 --hi 15", 0);
+    ]
+
 let suite =
   [
     qcheck prop_all_indexes_agree;
@@ -231,4 +261,6 @@ let suite =
     Alcotest.test_case "delete map validation" `Quick
       test_delete_map_validation;
     qcheck prop_dynamic_mixed_ops;
+    Alcotest.test_case "cli rejects bad input" `Quick
+      test_cli_rejects_bad_input;
   ]

@@ -26,7 +26,10 @@ let against_naive name builder =
   QCheck.Test.make ~count:150 ~name input_gen (fun (sigma, data, lo, hi) ->
       let dev = device () in
       let inst : Indexing.Instance.t = builder dev ~sigma data in
-      let answer = Indexing.Instance.query_posting inst ~lo ~hi in
+      let answer =
+        Indexing.Answer.to_posting ~n:inst.Indexing.Instance.n
+          (fst (Indexing.Instance.query_cold inst ~lo ~hi))
+      in
       let naive =
         Workload.Queries.naive_answer (gen_of_array ~sigma data)
           { Workload.Queries.lo; hi }
@@ -320,7 +323,10 @@ let test_singleton_alphabet () =
   let dev = device () in
   let data = Array.make 50 0 in
   let inst = Secidx.Static_index.instance dev ~sigma:1 data in
-  let p = Indexing.Instance.query_posting inst ~lo:0 ~hi:0 in
+  let p =
+    Indexing.Answer.to_posting ~n:50
+      (fst (Indexing.Instance.query_cold inst ~lo:0 ~hi:0))
+  in
   Alcotest.(check int) "all positions" 50 (Cbitmap.Posting.cardinal p)
 
 let test_missing_char () =
@@ -328,7 +334,10 @@ let test_missing_char () =
   let dev = device () in
   let data = Array.make 20 3 in
   let inst = Secidx.Static_index.instance dev ~sigma:8 data in
-  let p = Indexing.Instance.query_posting inst ~lo:5 ~hi:7 in
+  let p =
+    Indexing.Answer.to_posting ~n:20
+      (fst (Indexing.Instance.query_cold inst ~lo:5 ~hi:7))
+  in
   Alcotest.(check int) "empty" 0 (Cbitmap.Posting.cardinal p)
 
 let suite =

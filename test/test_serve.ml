@@ -359,24 +359,24 @@ let test_stats_merge_extremes () =
     (Iosim.Stats.imbalance [ with_ios quarter quarter; with_ios 0 0 ])
 
 let test_histogram () =
-  let h = Workload.Histogram.create () in
+  let h = Obs.Histogram.create () in
   Alcotest.(check bool) "empty percentile NaN" true
-    (Float.is_nan (Workload.Histogram.percentile h 0.5));
+    (Float.is_nan (Obs.Histogram.percentile h 0.5));
   for i = 1 to 1000 do
-    Workload.Histogram.add h (float_of_int i *. 1e-3)
+    Obs.Histogram.add h (float_of_int i *. 1e-3)
   done;
-  Alcotest.(check int) "count" 1000 (Workload.Histogram.count h);
+  Alcotest.(check int) "count" 1000 (Obs.Histogram.count h);
   Alcotest.(check (float 1e-9)) "max exact" 1.0
-    (Workload.Histogram.max_value h);
+    (Obs.Histogram.max_value h);
   Alcotest.(check (float 1e-9)) "min exact" 1e-3
-    (Workload.Histogram.min_value h);
+    (Obs.Histogram.min_value h);
   (* Bucket edges are conservative: the reported quantile bounds the
      true one from above, within one bucket's relative width. *)
   let rel = 10.0 ** (1.0 /. 25.0) in
   List.iter
     (fun q ->
       let true_q = q in
-      let got = Workload.Histogram.percentile h q in
+      let got = Obs.Histogram.percentile h q in
       Alcotest.(check bool)
         (Printf.sprintf "p%g above" (q *. 100.))
         true (got >= true_q *. 0.999);
@@ -386,21 +386,21 @@ let test_histogram () =
         (got <= true_q *. rel *. 1.001))
     [ 0.5; 0.95; 0.99 ];
   (* Merge equals recording everything into one histogram. *)
-  let a = Workload.Histogram.create () and b = Workload.Histogram.create () in
-  let all = Workload.Histogram.create () in
+  let a = Obs.Histogram.create () and b = Obs.Histogram.create () in
+  let all = Obs.Histogram.create () in
   for i = 1 to 500 do
     let v = float_of_int i *. 2e-4 in
-    Workload.Histogram.add (if i mod 2 = 0 then a else b) v;
-    Workload.Histogram.add all v
+    Obs.Histogram.add (if i mod 2 = 0 then a else b) v;
+    Obs.Histogram.add all v
   done;
-  let m = Workload.Histogram.merge [ a; b ] in
-  Alcotest.(check int) "merge count" (Workload.Histogram.count all)
-    (Workload.Histogram.count m);
+  let m = Obs.Histogram.merge [ a; b ] in
+  Alcotest.(check int) "merge count" (Obs.Histogram.count all)
+    (Obs.Histogram.count m);
   List.iter
     (fun q ->
       Alcotest.(check (float 1e-12)) "merge percentile"
-        (Workload.Histogram.percentile all q)
-        (Workload.Histogram.percentile m q))
+        (Obs.Histogram.percentile all q)
+        (Obs.Histogram.percentile m q))
     [ 0.1; 0.5; 0.9; 0.99 ]
 
 let test_traffic_schedule () =
@@ -475,7 +475,7 @@ let test_sim_open_loop () =
   let seq = run Serve.Router.Sequential 1 in
   Alcotest.(check int) "completed" 400 seq.Serve.Sim.completed;
   Alcotest.(check int) "latency samples" 400
-    (Workload.Histogram.count seq.Serve.Sim.latency);
+    (Obs.Histogram.count seq.Serve.Sim.latency);
   Alcotest.(check bool) "throughput positive" true
     (seq.Serve.Sim.throughput > 0.0);
   let dom = run Serve.Router.Domains 2 in

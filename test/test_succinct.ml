@@ -251,7 +251,10 @@ let prop_static_fibonacci =
         Secidx.Static_index.instance ~code:Cbitmap.Gap_codec.Fibonacci dev
           ~sigma data
       in
-      let got = Indexing.Instance.query_posting inst ~lo:0 ~hi:(sigma - 1) in
+      let got =
+        Indexing.Answer.to_posting ~n:(Array.length data)
+          (fst (Indexing.Instance.query_cold inst ~lo:0 ~hi:(sigma - 1)))
+      in
       Cbitmap.Posting.cardinal got = Array.length data)
 
 let suite =
