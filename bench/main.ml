@@ -1,3774 +1,89 @@
-(* Benchmark harness: regenerates every "result" of the paper.
-   Pagh & Rao (PODS 2009) is a theory paper, so each experiment
-   validates the space/I-O shape of one theorem or §1 claim on the
-   simulated I/O model; EXPERIMENTS.md records the measured numbers.
-
-     dune exec bench/main.exe            # all experiments
-     dune exec bench/main.exe e3 e5      # a subset
-     dune exec bench/main.exe -- --bechamel   # add wall-clock microbenches *)
-
-let fmt = Printf.printf
-
-let device ?(block_bits = 1024) ?(mem_blocks = 1024) ?pool_policy () =
-  Iosim.Device.create ?pool_policy ~block_bits
-    ~mem_bits:(mem_blocks * block_bits) ()
-
-let header title = fmt "\n==== %s ====\n" title
-
-let table headers rows =
-  let widths =
-    List.mapi
-      (fun i h ->
-        List.fold_left
-          (fun acc row -> max acc (String.length (List.nth row i)))
-          (String.length h) rows)
-      headers
-  in
-  let print_row cells =
-    List.iteri (fun i c -> fmt "%*s  " (List.nth widths i) c) cells;
-    fmt "\n"
-  in
-  print_row headers;
-  print_row (List.map (fun w -> String.make w '-') widths);
-  List.iter print_row rows
-
-let cold_query inst ~lo ~hi =
-  let answer, stats = Indexing.Instance.query_cold inst ~lo ~hi in
-  (answer, stats)
-
-let avg l = List.fold_left ( +. ) 0.0 l /. float_of_int (max 1 (List.length l))
-
-(* ------------------------------------------------------------------ *)
-(* Shared builder table: one registration point for every index
-   structure, shared with the batch differential suite.  Lived here
-   from PR 5 until PR 7 moved it to [Registry] so tests can iterate
-   the same list. *)
-
-type builder = Registry.builder = {
-  b_name : string;
-  b_campaign : bool;
-  b_build : Iosim.Device.t -> sigma:int -> int array -> Indexing.Instance.t;
-}
-
-let all_builders = Registry.all
-let campaign_builders = Registry.campaign
-let builders_named = Registry.named
-
-(* ------------------------------------------------------------------ *)
-(* E1 — Theorem 1: complete-tree index, query O(T/B + lg sigma).      *)
-
-let e1 () =
-  header "E1 (Thm 1): complete alphabet tree — I/Os vs T/B + lg sigma";
-  let n = 65536 in
-  List.iter
-    (fun sigma ->
-      let g = Workload.Gen.uniform ~seed:1 ~n ~sigma in
-      let dev = device () in
-      let inst = Secidx.Alphabet_tree.instance dev ~sigma g.Workload.Gen.data in
-      fmt "n=%d sigma=%d space=%d KiB (n lg^2 sigma = %d KiB)\n" n sigma
-        (inst.Indexing.Instance.size_bits / 8192)
-        (let lg = Bitio.Codes.ceil_log2 sigma in
-         n * lg * lg / 8192);
-      let rows =
-        List.map
-          (fun ell ->
-            let ranges =
-              Workload.Queries.fixed_width_ranges ~seed:2 ~sigma ~ell ~count:8
-            in
-            let samples =
-              List.map
-                (fun { Workload.Queries.lo; hi } ->
-                  let answer, stats = cold_query inst ~lo ~hi in
-                  let t_bits = Indexing.Answer.compressed_bits answer in
-                  let opt = float_of_int t_bits /. 1024.0 in
-                  (float_of_int (Iosim.Stats.ios stats), opt))
-                ranges
-            in
-            let ios = avg (List.map fst samples) in
-            let opt = avg (List.map snd samples) in
-            [
-              string_of_int ell;
-              Printf.sprintf "%.1f" opt;
-              Printf.sprintf "%.1f" ios;
-              Printf.sprintf "%.2f"
-                (ios /. (opt +. float_of_int (Bitio.Codes.ceil_log2 sigma)));
-            ])
-          [ 1; 4; 16; 64; sigma / 2 ]
-      in
-      table [ "ell"; "T/B"; "I/Os"; "I/Os/(T/B+lg s)" ] rows)
-    [ 256; 1024 ]
-
-(* ------------------------------------------------------------------ *)
-(* E2 — Theorem 2: optimal index; space vs nH0, query vs z lg(n/z)/B. *)
-
-let e2 () =
-  header "E2 (Thm 2): optimal static index — space vs nH0, I/Os vs z lg(n/z)/B";
-  let n = 65536 and sigma = 256 in
-  fmt "space (n=%d, sigma=%d):\n" n sigma;
-  let space_rows =
-    List.map
-      (fun theta ->
-        let g = Workload.Gen.zipf ~seed:3 ~n ~sigma ~theta () in
-        let dev = device () in
-        let t = Secidx.Static_index.build dev ~sigma g.Workload.Gen.data in
-        let nh0 = Cbitmap.Entropy.nh0_bits ~sigma g.Workload.Gen.data in
-        let size = float_of_int (Secidx.Static_index.size_bits t) in
-        let meta = float_of_int (Secidx.Static_index.metadata_bits t) in
-        [
-          Printf.sprintf "%.1f" theta;
-          Printf.sprintf "%.0f" (nh0 /. 8192.0);
-          Printf.sprintf "%.0f" ((size -. meta) /. 8192.0);
-          Printf.sprintf "%.0f" (meta /. 8192.0);
-          Printf.sprintf "%.2f" ((size -. meta) /. nh0);
-        ])
-      [ 0.0; 0.5; 1.0; 1.5 ]
-  in
-  table
-    [ "zipf"; "nH0 KiB"; "bitmaps KiB"; "meta KiB"; "bitmaps/nH0" ]
-    space_rows;
-  fmt "\nquery (zipf 1.0):\n";
-  let g = Workload.Gen.zipf ~seed:3 ~n ~sigma ~theta:1.0 () in
-  let dev = device () in
-  let inst = Secidx.Static_index.instance dev ~sigma g.Workload.Gen.data in
-  let query_rows =
-    List.filter_map
-      (fun target ->
-        let samples =
-          Workload.Queries.selectivity_ranges ~seed:4 g ~target ~count:8
-        in
-        let data =
-          List.map
-            (fun ({ Workload.Queries.lo; hi }, z) ->
-              let answer, stats = cold_query inst ~lo ~hi in
-              let t_bits = Indexing.Answer.compressed_bits answer in
-              ( float_of_int z,
-                float_of_int t_bits /. 1024.0,
-                float_of_int (Iosim.Stats.ios stats) ))
-            samples
-        in
-        let z = avg (List.map (fun (z, _, _) -> z) data) in
-        let opt = avg (List.map (fun (_, o, _) -> o) data) in
-        let ios = avg (List.map (fun (_, _, i) -> i) data) in
-        if z < 1.0 then None
-        else
-          Some
-            [
-              Printf.sprintf "%.3f" target;
-              Printf.sprintf "%.0f" z;
-              Printf.sprintf "%.1f" opt;
-              Printf.sprintf "%.1f" ios;
-              Printf.sprintf "%.2f" (ios /. (opt +. 8.0));
-            ])
-      [ 0.001; 0.01; 0.05; 0.2; 0.5 ]
-  in
-  table [ "selectivity"; "z"; "T/B"; "I/Os"; "I/Os/(T/B+c)" ] query_rows
-
-(* ------------------------------------------------------------------ *)
-(* E3 — §1 comparison: every index, bits read vs output size.         *)
-
-let e3 () =
-  header
-    "E3 (intro): who transfers how much — (block reads x B) / compressed answer";
-  let n = 65536 and sigma = 256 in
-  let g = Workload.Gen.uniform ~seed:5 ~n ~sigma in
-  let data = g.Workload.Gen.data in
-  (* At sigma = 256 the shared table's scaled widths reproduce the
-     historical parameters binned w:16 and multires w:4. *)
-  let builders =
-    builders_named
-      [
-        "btree"; "bitmap"; "range-encoded"; "cbitmap"; "binned"; "multires";
-        "wavelet"; "alphabet-tree"; "alphabet-doubling"; "static";
-      ]
-  in
-  let ells = [ 2; 16; 64; 192 ] in
-  let rows =
-    List.map
-      (fun { b_build; _ } ->
-        (* Pool of 256 blocks: the paper's M = B(sigma lg n)^Omega(1)
-           without being so large that whole structures stay cached. *)
-        let dev = device ~mem_blocks:256 () in
-        let inst = b_build dev ~sigma data in
-        let cells =
-          List.map
-            (fun ell ->
-              let ranges =
-                Workload.Queries.fixed_width_ranges ~seed:6 ~sigma ~ell ~count:5
-              in
-              let ratios =
-                List.map
-                  (fun { Workload.Queries.lo; hi } ->
-                    let answer, stats = cold_query inst ~lo ~hi in
-                    let t_bits =
-                      max 1 (Indexing.Answer.compressed_bits answer)
-                    in
-                    float_of_int (stats.Iosim.Stats.block_reads * 1024)
-                    /. float_of_int t_bits)
-                  ranges
-              in
-              Printf.sprintf "%.1f" (avg ratios))
-            ells
-        in
-        inst.Indexing.Instance.name
-        :: Printf.sprintf "%.0f"
-             (float_of_int inst.Indexing.Instance.size_bits /. 8192.0)
-        :: cells)
-      builders
-  in
-  table
-    ([ "index"; "KiB" ] @ List.map (fun e -> Printf.sprintf "l=%d" e) ells)
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* E4 — §1.2: the binning trade-off, and its absence in Thm 2.        *)
-
-let e4 () =
-  header "E4 (§1.2): multi-resolution space/time trade-off vs no-trade-off";
-  let n = 65536 and sigma = 256 in
-  let g = Workload.Gen.uniform ~seed:7 ~n ~sigma in
-  let data = g.Workload.Gen.data in
-  let wide = (16, 207) in
-  let run name build =
-    let dev = device () in
-    let inst : Indexing.Instance.t = build dev in
-    let lo, hi = wide in
-    let _, stats = cold_query inst ~lo ~hi in
-    [
-      name;
-      Printf.sprintf "%.0f"
-        (float_of_int inst.Indexing.Instance.size_bits /. 8192.0);
-      string_of_int (Iosim.Stats.ios stats);
-    ]
-  in
-  let rows =
-    [
-      run "multires w=2" (fun dev ->
-          Baselines.Multires_index.instance dev ~sigma ~w:2 data);
-      run "multires w=4" (fun dev ->
-          Baselines.Multires_index.instance dev ~sigma ~w:4 data);
-      run "multires w=16" (fun dev ->
-          Baselines.Multires_index.instance dev ~sigma ~w:16 data);
-      run "multires w=64" (fun dev ->
-          Baselines.Multires_index.instance dev ~sigma ~w:64 data);
-      run "per-char (w=sigma)" (fun dev ->
-          Baselines.Cbitmap_index.instance dev ~sigma data);
-      run "thm2 (doubling)" (fun dev ->
-          Secidx.Static_index.instance dev ~sigma data);
-      run "thm2 (all levels)" (fun dev ->
-          Secidx.Static_index.instance ~schedule:`All dev ~sigma data);
-      run "thm2 (leaves only)" (fun dev ->
-          Secidx.Static_index.instance ~schedule:`Leaves_only dev ~sigma data);
-    ]
-  in
-  table [ "index"; "KiB"; "wide-range I/Os" ] rows
-
-(* ------------------------------------------------------------------ *)
-(* E5 — Theorem 3: approximate queries.                               *)
-
-let e5 () =
-  header "E5 (Thm 3): approximate queries — bits read vs lg(1/eps), FP rate";
-  let n = 65536 and sigma = 4096 in
-  let g = Workload.Gen.uniform ~seed:8 ~n ~sigma in
-  let dev = device () in
-  let t = Secidx.Approx_index.build ~seed:9 dev ~sigma g.Workload.Gen.data in
-  let lo = 70 and hi = 71 in
-  let naive = Workload.Queries.naive_answer g { Workload.Queries.lo; hi } in
-  let z = Cbitmap.Posting.cardinal naive in
-  Iosim.Device.clear_pool dev;
-  Iosim.Device.reset_stats dev;
-  ignore (Secidx.Static_index.query (Secidx.Approx_index.base t) ~lo ~hi);
-  let exact_bits = (Iosim.Device.stats dev).Iosim.Stats.bits_read in
-  fmt "z=%d, exact query reads %d bits\n" z exact_bits;
-  let rows =
-    List.map
-      (fun inv_eps ->
-        let epsilon = 1.0 /. float_of_int inv_eps in
-        Iosim.Device.clear_pool dev;
-        Iosim.Device.reset_stats dev;
-        let answer = Secidx.Approx_index.query t ~epsilon ~lo ~hi in
-        let bits = (Iosim.Device.stats dev).Iosim.Stats.bits_read in
-        let j =
-          match answer with
-          | Secidx.Approx_index.Hashed { j; _ } -> string_of_int j
-          | Secidx.Approx_index.Exact _ -> "exact"
-        in
-        let cands = Secidx.Approx_index.candidates answer ~n in
-        let fp =
-          float_of_int (Cbitmap.Posting.cardinal cands - z)
-          /. float_of_int (n - z)
-        in
-        [
-          Printf.sprintf "1/%d" inv_eps;
-          j;
-          string_of_int bits;
-          Printf.sprintf "%.4f" fp;
-          Printf.sprintf "%.4f" epsilon;
-        ])
-      [ 2; 4; 16; 64; 1024; 100000 ]
-  in
-  table [ "eps"; "j"; "bits read"; "FP rate"; "bound" ] rows
-
-(* ------------------------------------------------------------------ *)
-(* E6/E7 — Theorems 4 & 5: appends.                                   *)
-
-let append_cost ~buffered ~block_bits ~mem_blocks ~sigma ~n ~appends =
-  let g = Workload.Gen.uniform ~seed:10 ~n ~sigma in
-  let dev = device ~block_bits ~mem_blocks () in
-  let t = Secidx.Append_index.build ~buffered dev ~sigma g.Workload.Gen.data in
-  Iosim.Device.reset_stats dev;
-  let rng = Hashing.Universal.Rng.create ~seed:11 in
-  for _ = 1 to appends do
-    Secidx.Append_index.append t (Hashing.Universal.Rng.below rng sigma)
-  done;
-  ( float_of_int (Iosim.Stats.ios (Iosim.Device.stats dev))
-    /. float_of_int appends,
-    Secidx.Append_index.rebuilds t )
-
-let e6 () =
-  header "E6 (Thm 4): unbuffered appends — amortized I/Os per append";
-  let rows =
-    List.map
-      (fun n ->
-        (* appends = n crosses exactly one global rebuild. *)
-        let per_op, rebuilds =
-          append_cost ~buffered:false ~block_bits:1024 ~mem_blocks:64 ~sigma:64
-            ~n ~appends:n
-        in
-        [
-          string_of_int n;
-          Printf.sprintf "%.2f" per_op;
-          string_of_int rebuilds;
-          string_of_int
-            (Bitio.Codes.floor_log2 (max 2 (Bitio.Codes.floor_log2 (max 2 n))));
-        ])
-      [ 4096; 16384; 65536 ]
-  in
-  table [ "n"; "I/Os per append"; "rebuilds"; "lg lg n" ] rows
-
-let e7 () =
-  header "E7 (Thm 5): buffered appends — amortized I/Os per append vs B";
-  let rows =
-    List.concat_map
-      (fun block_bits ->
-        List.map
-          (fun buffered ->
-            let per_op, _ =
-              append_cost ~buffered ~block_bits ~mem_blocks:8 ~sigma:16
-                ~n:16384 ~appends:8000
-            in
-            [
-              string_of_int block_bits;
-              (if buffered then "thm5-buffered" else "thm4-direct");
-              Printf.sprintf "%.3f" per_op;
-            ])
-          [ false; true ])
-      [ 1024; 4096; 16384 ]
-  in
-  table [ "B(bits)"; "variant"; "I/Os per append" ] rows
-
-(* ------------------------------------------------------------------ *)
-(* E8 — Theorem 6: buffered compressed bitmap index.                  *)
-
-let e8 () =
-  header "E8 (Thm 6): buffered bitmap index — update and point-query cost";
-  let sigma = 256 and n = 65536 in
-  let g = Workload.Gen.zipf ~seed:12 ~n ~sigma ~theta:1.0 () in
-  let postings = Indexing.Common.positions_by_char ~sigma g.Workload.Gen.data in
-  let dev = device ~mem_blocks:32 () in
-  let t = Secidx.Buffered_bitmap.build dev postings in
-  let rng = Hashing.Universal.Rng.create ~seed:13 in
-  Iosim.Device.reset_stats dev;
-  let updates = 20000 in
-  for _ = 1 to updates do
-    let op =
-      if Hashing.Universal.Rng.below rng 4 = 0 then Secidx.Buffered_bitmap.Remove
-      else Secidx.Buffered_bitmap.Add
-    in
-    Secidx.Buffered_bitmap.update t op
-      ~stream:(Hashing.Universal.Rng.below rng sigma)
-      ~pos:(Hashing.Universal.Rng.below rng (4 * n))
-  done;
-  let upd = Iosim.Stats.snapshot (Iosim.Device.stats dev) in
-  fmt "updates: %.3f I/Os per op (%d updates, height %d, %d leaf blocks)\n"
-    (float_of_int (Iosim.Stats.ios upd) /. float_of_int updates)
-    updates
-    (Secidx.Buffered_bitmap.height t)
-    (Secidx.Buffered_bitmap.leaf_count t);
-  let rows =
-    List.map
-      (fun stream ->
-        Iosim.Device.clear_pool dev;
-        Iosim.Device.reset_stats dev;
-        let p = Secidx.Buffered_bitmap.point_query t stream in
-        let ios = Iosim.Stats.ios (Iosim.Device.stats dev) in
-        [
-          string_of_int stream;
-          string_of_int (Cbitmap.Posting.cardinal p);
-          string_of_int ios;
-        ])
-      [ 0; 1; 4; 16; 64; 255 ]
-  in
-  table [ "stream"; "T (positions)"; "point-query I/Os" ] rows
-
-(* ------------------------------------------------------------------ *)
-(* E9 — Theorem 7: fully dynamic index.                               *)
-
-let e9 () =
-  header "E9 (Thm 7): fully dynamic index — change() cost and query cost";
-  let n = 16384 and sigma = 64 in
-  let g = Workload.Gen.uniform ~seed:14 ~n ~sigma in
-  let dev = device ~mem_blocks:64 () in
-  let t = Secidx.Dynamic_index.build dev ~sigma g.Workload.Gen.data in
-  let rng = Hashing.Universal.Rng.create ~seed:15 in
-  Iosim.Device.reset_stats dev;
-  let updates = 4000 in
-  for _ = 1 to updates do
-    Secidx.Dynamic_index.change t
-      ~pos:(Hashing.Universal.Rng.below rng n)
-      (Hashing.Universal.Rng.below rng sigma)
-  done;
-  let upd = Iosim.Stats.snapshot (Iosim.Device.stats dev) in
-  fmt "changes: %.2f I/Os per op (%d ops, %d rebuilds)\n"
-    (float_of_int (Iosim.Stats.ios upd) /. float_of_int updates)
-    updates
-    (Secidx.Dynamic_index.rebuilds t);
-  (* Comparison: the same update volume on a dynamic B+tree (a change
-     is a delete+insert there; we charge two inserts as a proxy). *)
-  let dev_bt = device ~mem_blocks:64 () in
-  let bt = Baselines.Btree_dynamic.build dev_bt ~sigma g.Workload.Gen.data in
-  Iosim.Device.reset_stats dev_bt;
-  let rng_bt = Hashing.Universal.Rng.create ~seed:15 in
-  for i = 0 to (updates / 2) - 1 do
-    Baselines.Btree_dynamic.insert bt
-      ~char_:(Hashing.Universal.Rng.below rng_bt sigma)
-      ~pos:(n + i)
-  done;
-  fmt "dynamic btree baseline: %.2f I/Os per insert\n"
-    (float_of_int (Iosim.Stats.ios (Iosim.Device.stats dev_bt))
-    /. float_of_int (updates / 2));
-  let rows =
-    List.map
-      (fun (lo, hi) ->
-        Iosim.Device.clear_pool dev;
-        Iosim.Device.reset_stats dev;
-        let answer = Secidx.Dynamic_index.query t ~lo ~hi in
-        let ios = Iosim.Stats.ios (Iosim.Device.stats dev) in
-        [
-          Printf.sprintf "[%d..%d]" lo hi;
-          string_of_int (Indexing.Answer.cardinal ~n answer);
-          string_of_int ios;
-        ])
-      [ (5, 5); (10, 17); (0, 31); (8, 55) ]
-  in
-  table [ "range"; "z"; "query I/Os" ] rows;
-  for pos = 0 to 999 do
-    Secidx.Dynamic_index.delete t ~pos
-  done;
-  let answer = Secidx.Dynamic_index.query t ~lo:0 ~hi:(sigma - 1) in
-  fmt "after deleting 1000 positions: full-range answer has %d of %d rows\n"
-    (Indexing.Answer.cardinal ~n answer)
-    n
-
-(* ------------------------------------------------------------------ *)
-(* E10 — RID intersection end to end.                                 *)
-
-let e10 () =
-  header "E10 (§1/§3): RID intersection — exact vs approximate";
-  let rows_n = 65536 in
-  let rng = Hashing.Universal.Rng.create ~seed:16 in
-  let cols =
-    [
-      {
-        Ridint.Table.name = "a";
-        sigma = 4096;
-        values = Array.init rows_n (fun _ -> Hashing.Universal.Rng.below rng 4096);
-      };
-      {
-        Ridint.Table.name = "b";
-        sigma = 4096;
-        values = Array.init rows_n (fun _ -> Hashing.Universal.Rng.below rng 4096);
-      };
-      {
-        Ridint.Table.name = "c";
-        sigma = 4096;
-        values = Array.init rows_n (fun _ -> Hashing.Universal.Rng.below rng 4096);
-      };
-    ]
-  in
-  let dev = device () in
-  let t = Ridint.Table.create_approx ~seed:17 dev cols in
-  let conds (wa, wb) =
-    [
-      { Ridint.Table.column = "a"; lo = 100; hi = 100 + wa };
-      { Ridint.Table.column = "b"; lo = 500; hi = 500 + wb };
-      { Ridint.Table.column = "c"; lo = 9; hi = 9 };
-    ]
-  in
-  let rows =
-    List.map
-      (fun (wa, wb) ->
-        let cs = conds (wa, wb) in
-        Iosim.Device.clear_pool dev;
-        Iosim.Device.reset_stats dev;
-        let exact = Ridint.Table.query t cs in
-        let eb = (Iosim.Device.stats dev).Iosim.Stats.bits_read in
-        Iosim.Device.clear_pool dev;
-        Iosim.Device.reset_stats dev;
-        let approx, checked = Ridint.Table.query_approx t ~epsilon:0.1 cs in
-        let ab = (Iosim.Device.stats dev).Iosim.Stats.bits_read in
-        assert (Cbitmap.Posting.equal exact approx);
-        [
-          Printf.sprintf "%dx%d" (wa + 1) (wb + 1);
-          string_of_int (Cbitmap.Posting.cardinal exact);
-          string_of_int checked;
-          string_of_int eb;
-          string_of_int ab;
-          Printf.sprintf "%.2f" (float_of_int eb /. float_of_int (max 1 ab));
-        ])
-      [ (0, 0); (3, 3); (15, 15) ]
-  in
-  table
-    [ "cond widths"; "answer"; "candidates"; "exact bits"; "approx bits";
-      "exact/approx" ]
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* E11 — compression substrate.                                       *)
-
-let e11 () =
-  header "E11 (§1.2): gamma gap coding vs WAH vs raw, size vs density";
-  let n = 65536 in
-  let rng = Hashing.Universal.Rng.create ~seed:18 in
-  let rows =
-    List.map
-      (fun denom ->
-        let m0 = n / denom in
-        let p =
-          Cbitmap.Posting.of_list
-            (List.init m0 (fun _ -> Hashing.Universal.Rng.below rng n))
-        in
-        let m = Cbitmap.Posting.cardinal p in
-        let gamma = Cbitmap.Gap_codec.encoded_size p in
-        let delta =
-          Cbitmap.Gap_codec.encoded_size ~code:Cbitmap.Gap_codec.Delta p
-        in
-        let fib =
-          Cbitmap.Gap_codec.encoded_size ~code:Cbitmap.Gap_codec.Fibonacci p
-        in
-        let wah = Cbitmap.Wah.size_bits (Cbitmap.Wah.encode ~n p) in
-        let ef = Cbitmap.Elias_fano.size_bits (Cbitmap.Elias_fano.encode ~u:n p) in
-        let bound = Cbitmap.Gap_codec.binomial_entropy_bits ~n ~m in
-        [
-          Printf.sprintf "1/%d" denom;
-          string_of_int m;
-          Printf.sprintf "%.0f" bound;
-          string_of_int gamma;
-          string_of_int delta;
-          string_of_int fib;
-          string_of_int ef;
-          string_of_int wah;
-          string_of_int n;
-        ])
-      [ 2; 8; 32; 128; 1024 ]
-  in
-  table
-    [ "density"; "m"; "lg C(n,m)"; "gamma"; "delta"; "fib"; "elias-fano";
-      "WAH"; "raw" ]
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* E12 — deletions and position translation.                          *)
-
-let e12 () =
-  header "E12 (§4): deletion position translation";
-  let capacity = 65536 in
-  let dev = device ~mem_blocks:16 () in
-  let dm = Secidx.Delete_map.create dev ~capacity in
-  let rng = Hashing.Universal.Rng.create ~seed:19 in
-  Iosim.Device.reset_stats dev;
-  let deletions = 10000 in
-  for _ = 1 to deletions do
-    Secidx.Delete_map.delete dm (Hashing.Universal.Rng.below rng capacity)
-  done;
-  let del = Iosim.Stats.snapshot (Iosim.Device.stats dev) in
-  fmt "deletes: %.2f I/Os per op (%d requested, %d distinct)\n"
-    (float_of_int (Iosim.Stats.ios del) /. float_of_int deletions)
-    deletions
-    (Secidx.Delete_map.deleted_count dm);
-  Iosim.Device.clear_pool dev;
-  Iosim.Device.reset_stats dev;
-  let translations = 1000 in
-  for k = 0 to translations - 1 do
-    let i = Secidx.Delete_map.to_internal dm (k * 50) in
-    assert (Secidx.Delete_map.to_external dm i = Some (k * 50))
-  done;
-  let tr = Iosim.Stats.snapshot (Iosim.Device.stats dev) in
-  fmt "translations: %.2f I/Os per round-trip (lg n = %d)\n"
-    (float_of_int (Iosim.Stats.ios tr) /. float_of_int translations)
-    (Bitio.Codes.ceil_log2 capacity);
-  fmt "needs_rebuild after %d/%d deletions: %b\n"
-    (Secidx.Delete_map.deleted_count dm)
-    capacity
-    (Secidx.Delete_map.needs_rebuild dm)
-
-(* ------------------------------------------------------------------ *)
-(* E13 — design-choice ablations called out in DESIGN.md §4.          *)
-
-let e13 () =
-  header "E13 (DESIGN §4): ablations — codec, branching c, complement, B";
-  let n = 65536 and sigma = 256 in
-  let g = Workload.Gen.zipf ~seed:22 ~n ~sigma ~theta:1.0 () in
-  let data = g.Workload.Gen.data in
-  fmt "codec ablation (thm2, wide range [16..207]):\n";
-  let codec_rows =
-    List.map
-      (fun (name, code) ->
-        let dev = device () in
-        let inst = Secidx.Static_index.instance ~code dev ~sigma data in
-        let _, stats = cold_query inst ~lo:16 ~hi:207 in
-        [
-          name;
-          Printf.sprintf "%.0f"
-            (float_of_int inst.Indexing.Instance.size_bits /. 8192.0);
-          string_of_int (Iosim.Stats.ios stats);
-        ])
-      [
-        ("gamma", Cbitmap.Gap_codec.Gamma);
-        ("delta", Cbitmap.Gap_codec.Delta);
-        ("rice k=2", Cbitmap.Gap_codec.Rice 2);
-        ("fibonacci", Cbitmap.Gap_codec.Fibonacci);
-      ]
-  in
-  table [ "codec"; "KiB"; "I/Os" ] codec_rows;
-  fmt "\nbranching parameter c:\n";
-  let c_rows =
-    List.map
-      (fun c ->
-        let dev = device () in
-        let inst = Secidx.Static_index.instance ~c dev ~sigma data in
-        let _, s_narrow = cold_query inst ~lo:40 ~hi:41 in
-        let _, s_wide = cold_query inst ~lo:16 ~hi:207 in
-        [
-          string_of_int c;
-          Printf.sprintf "%.0f"
-            (float_of_int inst.Indexing.Instance.size_bits /. 8192.0);
-          string_of_int (Iosim.Stats.ios s_narrow);
-          string_of_int (Iosim.Stats.ios s_wide);
-        ])
-      [ 2; 4; 8; 16 ]
-  in
-  table [ "c"; "KiB"; "narrow I/Os"; "wide I/Os" ] c_rows;
-  fmt "\ncomplement trick (query [1..254], z/n = %.2f):\n"
-    (float_of_int (Workload.Queries.naive_count g { Workload.Queries.lo = 1; hi = 254 })
-    /. float_of_int n);
-  let comp_rows =
-    List.map
-      (fun complement ->
-        let dev = device () in
-        let inst = Secidx.Static_index.instance ~complement dev ~sigma data in
-        let _, stats = cold_query inst ~lo:1 ~hi:254 in
-        [
-          (if complement then "on" else "off");
-          string_of_int (Iosim.Stats.ios stats);
-          string_of_int stats.Iosim.Stats.bits_read;
-        ])
-      [ true; false ]
-  in
-  table [ "complement"; "I/Os"; "bits read" ] comp_rows;
-  fmt "\nblock size sensitivity (thm2, range [16..79]):\n";
-  let b_rows =
-    List.map
-      (fun block_bits ->
-        let dev = device ~block_bits ~mem_blocks:(1024 * 1024 / block_bits) () in
-        let inst = Secidx.Static_index.instance dev ~sigma data in
-        let _, stats = cold_query inst ~lo:16 ~hi:79 in
-        [
-          string_of_int block_bits;
-          string_of_int (Iosim.Stats.ios stats);
-          string_of_int stats.Iosim.Stats.bits_read;
-        ])
-      [ 512; 1024; 4096; 16384 ]
-  in
-  table [ "B(bits)"; "I/Os"; "bits read" ] b_rows
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock microbenchmarks: one Test.make per experiment. *)
-
-let bechamel () =
-  header "wall-clock microbenchmarks (bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let n = 16384 and sigma = 256 in
-  let g = Workload.Gen.zipf ~seed:20 ~n ~sigma ~theta:1.0 () in
-  let data = g.Workload.Gen.data in
-  let static = Secidx.Static_index.build (device ()) ~sigma data in
-  let thm1 = Secidx.Alphabet_tree.build (device ()) ~sigma data in
-  let cb = Baselines.Cbitmap_index.build (device ()) ~sigma data in
-  let bt = Baselines.Btree.build (device ()) ~sigma data in
-  let approx = Secidx.Approx_index.build (device ()) ~sigma data in
-  let dyn = Secidx.Dynamic_index.build (device ()) ~sigma data in
-  let app = Secidx.Append_index.build (device ()) ~sigma data in
-  let rng = Hashing.Universal.Rng.create ~seed:21 in
-  let posting =
-    Cbitmap.Posting.of_list
-      (List.init 2000 (fun _ -> Hashing.Universal.Rng.below rng n))
-  in
-  let tests =
-    [
-      Test.make ~name:"e1-thm1-query"
-        (Staged.stage (fun () ->
-             ignore (Secidx.Alphabet_tree.query thm1 ~lo:16 ~hi:47)));
-      Test.make ~name:"e2-thm2-query"
-        (Staged.stage (fun () ->
-             ignore (Secidx.Static_index.query static ~lo:16 ~hi:47)));
-      Test.make ~name:"e3-cbitmap-query"
-        (Staged.stage (fun () ->
-             ignore (Baselines.Cbitmap_index.query cb ~lo:16 ~hi:47)));
-      Test.make ~name:"e3-btree-query"
-        (Staged.stage (fun () ->
-             ignore (Baselines.Btree.query bt ~lo:16 ~hi:47)));
-      Test.make ~name:"e5-approx-query"
-        (Staged.stage (fun () ->
-             ignore
-               (Secidx.Approx_index.query approx ~epsilon:0.1 ~lo:16 ~hi:16)));
-      Test.make ~name:"e6-append"
-        (Staged.stage (fun () ->
-             Secidx.Append_index.append app
-               (Hashing.Universal.Rng.below rng sigma)));
-      Test.make ~name:"e9-change"
-        (Staged.stage (fun () ->
-             Secidx.Dynamic_index.change dyn
-               ~pos:(Hashing.Universal.Rng.below rng n)
-               (Hashing.Universal.Rng.below rng sigma)));
-      Test.make ~name:"e11-gamma-encode"
-        (Staged.stage (fun () -> ignore (Cbitmap.Gap_codec.to_buf posting)));
-      Test.make ~name:"e11-wah-encode"
-        (Staged.stage (fun () -> ignore (Cbitmap.Wah.encode ~n posting)));
-    ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) () in
-  let raw =
-    Benchmark.all cfg instances (Test.make_grouped ~name:"secidx" tests)
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let names = Hashtbl.fold (fun name _ acc -> name :: acc) results [] in
-  List.iter
-    (fun name ->
-      let result = Hashtbl.find results name in
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> fmt "%-36s %12.0f ns/op\n" name est
-      | _ -> fmt "%-36s (no estimate)\n" name)
-    (List.sort compare names)
-
-(* ------------------------------------------------------------------ *)
-(* --wallclock: microbenchmarks of the bit-engine hot paths, with the
-   per-bit oracle implementations as the baseline.  Emits
-   machine-readable BENCH_PR1.json so later PRs can regress against
-   this perf trajectory.  --smoke shrinks the workload for CI. *)
-
-type wc_result = { wc_name : string; ns_per_item : float; items : int }
-
-(* All machine-readable artifacts go through the one Obs.Json writer
-   (PR 4); the hand-rolled fprintf emitters are gone. *)
-module J = Obs.Json
-
-let wc_json results =
-  (* [results] is newest-first; emit oldest-first like the console. *)
-  J.List
-    (List.rev_map
-       (fun r ->
-         J.Obj
-           [
-             ("name", J.String r.wc_name);
-             ("ns_per_item", J.Float r.ns_per_item);
-             ("items_per_run", J.Int r.items);
-           ])
-       results)
-
-let speedups_json speedups =
-  J.Obj (List.map (fun (name, s) -> (name, J.Float s)) speedups)
-
-let time_per_item ~iters ~items f =
-  f ();
-  (* warmup *)
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    f ()
-  done;
-  let t1 = Unix.gettimeofday () in
-  (t1 -. t0) *. 1e9 /. float_of_int (iters * items)
-
-let wallclock ~smoke () =
-  header "wall-clock microbenchmarks (--wallclock)";
-  let iters = if smoke then 3 else 40 in
-  let results = ref [] in
-  let sink = ref 0 in
-  let record wc_name ~items f =
-    let ns_per_item = time_per_item ~iters ~items f in
-    results := { wc_name; ns_per_item; items } :: !results;
-    fmt "%-34s %10.2f ns/item\n%!" wc_name ns_per_item;
-    ns_per_item
-  in
-  let rng = Hashing.Universal.Rng.create ~seed:42 in
-  let nbits = 1 lsl 17 in
-  let buf = Bitio.Bitbuf.create ~capacity:nbits () in
-  while Bitio.Bitbuf.length buf < nbits do
-    Bitio.Bitbuf.write_bits buf ~width:30 (Hashing.Universal.Rng.below rng (1 lsl 30))
-  done;
-  let reads = 4096 in
-  let naive_read_bits b ~pos ~width =
-    let v = ref 0 in
-    for i = pos to pos + width - 1 do
-      v := (!v lsl 1) lor (if Bitio.Bitbuf.get_bit b i then 1 else 0)
-    done;
-    !v
-  in
-  (* Bitbuf reads, aligned (byte-aligned start) and unaligned, at the
-     width range the codes actually use, including the 61/62 extreme. *)
-  let read_bench ~aligned ~naive width =
-    let pos i =
-      if aligned then i * 64 mod (nbits - 64)
-      else ((i * 61) + 3) mod (nbits - 64)
-    in
-    fun () ->
-      for i = 0 to reads - 1 do
-        sink := !sink
-          lxor
-          (if naive then naive_read_bits buf ~pos:(pos i) ~width
-           else Bitio.Bitbuf.read_bits buf ~pos:(pos i) ~width)
-      done
-  in
-  List.iter
-    (fun w ->
-      ignore
-        (record (Printf.sprintf "bitbuf_read_aligned_w%d" w) ~items:reads
-           (read_bench ~aligned:true ~naive:false w));
-      ignore
-        (record (Printf.sprintf "bitbuf_read_unaligned_w%d" w) ~items:reads
-           (read_bench ~aligned:false ~naive:false w)))
-    [ 1; 8; 13; 31; 62 ];
-  let find name = (List.find (fun r -> r.wc_name = name) !results).ns_per_item in
-  let read_new = find "bitbuf_read_unaligned_w31" in
-  let read_naive =
-    record "bitbuf_read_unaligned_w31_naive" ~items:reads
-      (read_bench ~aligned:false ~naive:true 31)
-  in
-  (* Bitbuf writes: width 8 stays byte-aligned, width 13 never does. *)
-  let writes = 4096 in
-  let write_bench ~width ~naive () =
-    let b = Bitio.Bitbuf.create ~capacity:(writes * width) () in
-    for i = 0 to writes - 1 do
-      let v = i land ((1 lsl width) - 1) in
-      if naive then
-        for j = width - 1 downto 0 do
-          Bitio.Bitbuf.write_bit b ((v lsr j) land 1 = 1)
-        done
-      else Bitio.Bitbuf.write_bits b ~width v
-    done;
-    sink := !sink lxor Bitio.Bitbuf.length b
-  in
-  ignore (record "bitbuf_write_aligned_w8" ~items:writes (write_bench ~width:8 ~naive:false));
-  ignore (record "bitbuf_write_unaligned_w13" ~items:writes (write_bench ~width:13 ~naive:false));
-  ignore (record "bitbuf_write_unaligned_w13_naive" ~items:writes (write_bench ~width:13 ~naive:true));
-  (* Unaligned append: 3-bit prefix forces the non-byte-aligned path
-     that used to fall back to a write_bit/get_bit round-trip per bit. *)
-  let chunk = Bitio.Bitbuf.create ~capacity:4101 () in
-  while Bitio.Bitbuf.length chunk < 4101 do
-    Bitio.Bitbuf.write_bits chunk ~width:27 (Hashing.Universal.Rng.below rng (1 lsl 27))
-  done;
-  let append_bench ~naive () =
-    let dst = Bitio.Bitbuf.create ~capacity:(16 * 4104) () in
-    Bitio.Bitbuf.write_bits dst ~width:3 0b101;
-    for _ = 1 to 16 do
-      if naive then
-        for i = 0 to Bitio.Bitbuf.length chunk - 1 do
-          Bitio.Bitbuf.write_bit dst (Bitio.Bitbuf.get_bit chunk i)
-        done
-      else Bitio.Bitbuf.append dst chunk
-    done;
-    sink := !sink lxor Bitio.Bitbuf.length dst
-  in
-  let append_items = 16 * Bitio.Bitbuf.length chunk in
-  let append_new = record "bitbuf_append_unaligned" ~items:append_items (append_bench ~naive:false) in
-  let append_naive =
-    record "bitbuf_append_unaligned_naive" ~items:append_items (append_bench ~naive:true)
-  in
-  (* Device region read at an unaligned offset: bulk blit vs the
-     per-bit oracle (one one-bit charge per spanned block, then one bit
-     at a time through an uncharged decoder snapshot). *)
-  let dev = device ~block_bits:1024 ~mem_blocks:0 () in
-  ignore (Iosim.Device.alloc dev 11);
-  let region = Iosim.Device.store dev buf in
-  let region_bench ~naive () =
-    let b =
-      if naive then Oracle.Device.read_region_naive dev region
-      else Iosim.Device.read_region dev region
-    in
-    sink := !sink lxor Bitio.Bitbuf.length b
-  in
-  let region_new = record "device_read_region" ~items:nbits (region_bench ~naive:false) in
-  let region_naive =
-    record "device_read_region_naive" ~items:nbits (region_bench ~naive:true)
-  in
-  (* Rank/select throughput on a random bitvector. *)
-  let rs = Cbitmap.Rank_select.of_bitbuf buf in
-  let rank_ops = 4096 in
-  ignore
-    (record "rank_select_rank1" ~items:rank_ops (fun () ->
-         for i = 0 to rank_ops - 1 do
-           sink := !sink lxor Cbitmap.Rank_select.rank1 rs (i * 31 mod nbits)
-         done));
-  let total_ones = Cbitmap.Rank_select.ones rs in
-  ignore
-    (record "rank_select_select1" ~items:rank_ops (fun () ->
-         for i = 0 to rank_ops - 1 do
-           sink := !sink lxor Cbitmap.Rank_select.select1 rs (i * 17 mod total_ones)
-         done));
-  (* One end-to-end E2 query so the trajectory has a macro number. *)
-  let n = 16384 and sigma = 256 in
-  let g = Workload.Gen.zipf ~seed:20 ~n ~sigma ~theta:1.0 () in
-  let inst = Secidx.Static_index.instance (device ()) ~sigma g.Workload.Gen.data in
-  ignore
-    (record "e2_static_query_cold" ~items:1 (fun () ->
-         let answer, _ = cold_query inst ~lo:16 ~hi:47 in
-         sink := !sink lxor Indexing.Answer.compressed_bits answer));
-  (* Speedups the acceptance gate cares about. *)
-  let speedups =
-    [
-      ("bitbuf_read_unaligned", read_naive /. read_new);
-      ("bitbuf_append_unaligned", append_naive /. append_new);
-      ("device_read_region", region_naive /. region_new);
-    ]
-  in
-  fmt "\nspeedup vs per-bit oracle:\n";
-  List.iter (fun (name, s) -> fmt "  %-28s %6.1fx\n" name s) speedups;
-  (* Machine-readable trajectory file. *)
-  J.to_file "BENCH_PR1.json"
-    (J.Obj
-       [
-         ("pr", J.Int 1);
-         ("label", J.String "word-at-a-time bit engine");
-         ("smoke", J.Bool smoke);
-         ("benchmarks", wc_json !results);
-         ("speedup_vs_naive", speedups_json speedups);
-       ]);
-  fmt "wrote BENCH_PR1.json (sink=%d)\n" (!sink land 1)
-
-(* ------------------------------------------------------------------ *)
-(* PR 2: the buffered codec engine.  Sequential gap decode/encode
-   throughput of the cached Decoder + CLZ codes against the per-bit
-   oracle, an end-to-end Theorem 2 cold query, and an I/O-counter
-   parity check: the E2 string's gap-coded extents decoded by the
-   engine and by the oracle on twin devices.  Emits BENCH_PR2.json and
-   exits non-zero when the gamma decode-speedup gate or the parity
-   check fails. *)
-
-(* Best-of-N timing: each iteration is timed separately and the
-   minimum kept, so scheduler noise inflates neither side of a
-   speedup ratio (the mean does, and the 4x gate is strict). *)
-let time_per_item_best ~iters ~items f =
-  f ();
-  (* warmup *)
-  let best = ref infinity in
-  for _ = 1 to iters do
-    let t0 = Unix.gettimeofday () in
-    f ();
-    let t1 = Unix.gettimeofday () in
-    if t1 -. t0 < !best then best := t1 -. t0
-  done;
-  !best *. 1e9 /. float_of_int items
-
-let wallclock_pr2 ~smoke () =
-  header "codec-engine wall-clock microbenchmarks (PR 2)";
-  let iters = if smoke then 3 else 25 in
-  let results = ref [] in
-  let sink = ref 0 in
-  let record wc_name ~items f =
-    let ns_per_item = time_per_item_best ~iters ~items f in
-    results := { wc_name; ns_per_item; items } :: !results;
-    fmt "%-34s %10.2f ns/item\n%!" wc_name ns_per_item;
-    ns_per_item
-  in
-  (* Sorted positions with random gaps up to 200 — the shape posting
-     lists take under the zipfian workloads used in E2. *)
-  let count = if smoke then 20_000 else 200_000 in
-  let rng = Hashing.Universal.Rng.create ~seed:7 in
-  let values = Array.make count 0 in
-  let v = ref (-1) in
-  for i = 0 to count - 1 do
-    v := !v + 1 + Hashing.Universal.Rng.below rng 200;
-    values.(i) <- !v
-  done;
-  let posting = Cbitmap.Posting.of_sorted_array values in
-  let out = Array.make count 0 in
-  let decode_speedup name code =
-    let buf = Cbitmap.Gap_codec.to_buf ~code posting in
-    let engine =
-      record (name ^ "_decode_engine") ~items:count (fun () ->
-          let d = Bitio.Decoder.of_bitbuf buf in
-          Cbitmap.Gap_codec.decode_into ~code d ~count out;
-          sink := !sink lxor out.(count - 1))
-    in
-    let perbit =
-      record (name ^ "_decode_perbit") ~items:count (fun () ->
-          let r = Oracle.Reader.of_bitbuf buf in
-          let last = ref (-1) in
-          for i = 0 to count - 1 do
-            let gap = Oracle.Gap_codec.decode_value code r in
-            let p = if !last < 0 then gap - 1 else !last + gap in
-            Array.unsafe_set out i p;
-            last := p
-          done;
-          sink := !sink lxor out.(count - 1))
-    in
-    perbit /. engine
-  in
-  let gamma_speedup = decode_speedup "gamma" Cbitmap.Gap_codec.Gamma in
-  let delta_speedup = decode_speedup "delta" Cbitmap.Gap_codec.Delta in
-  let rice_speedup = decode_speedup "rice_k4" (Cbitmap.Gap_codec.Rice 4) in
-  (* Word-level gamma encoder vs the per-bit reference encoder. *)
-  let gaps = Array.make count 0 in
-  let last = ref (-1) in
-  for i = 0 to count - 1 do
-    gaps.(i) <- (if !last < 0 then values.(i) + 1 else values.(i) - !last);
-    last := values.(i)
-  done;
-  let enc_engine =
-    record "gamma_encode_engine" ~items:count (fun () ->
-        let b = Bitio.Bitbuf.create ~capacity:(count * 16) () in
-        for i = 0 to count - 1 do
-          Bitio.Codes.encode_gamma b (Array.unsafe_get gaps i)
-        done;
-        sink := !sink lxor Bitio.Bitbuf.length b)
-  in
-  let enc_naive =
-    record "gamma_encode_perbit" ~items:count (fun () ->
-        let b = Bitio.Bitbuf.create ~capacity:(count * 16) () in
-        for i = 0 to count - 1 do
-          Oracle.Codes.encode_gamma b (Array.unsafe_get gaps i)
-        done;
-        sink := !sink lxor Bitio.Bitbuf.length b)
-  in
-  let encode_speedup = enc_naive /. enc_engine in
-  (* Counter parity: every per-character extent of the E2 string,
-     decoded by the engine and by the per-bit oracle on twin devices,
-     gives the same answers and the same stats (see
-     [Oracle.Stream_table.stats_mismatches]) — the engine buys
-     wall-clock time, not different I/O. *)
-  let n = if smoke then 8192 else 65536 and sigma = 256 in
-  let g = Workload.Gen.zipf ~seed:20 ~n ~sigma ~theta:1.0 () in
-  let stats_parity =
-    let agree, word, oracle =
-      Oracle.Stream_table.twin_decode ~code:Cbitmap.Gap_codec.Gamma
-        ~make_device:device
-        (Indexing.Common.positions_by_char ~sigma g.Workload.Gen.data)
-    in
-    agree && Oracle.Stream_table.stats_mismatches ~word ~oracle = []
-  in
-  fmt "e2 extent decode I/O-counter parity (engine vs oracle): %s\n"
-    (if stats_parity then "ok" else "MISMATCH");
-  let inst = Secidx.Static_index.instance (device ()) ~sigma g.Workload.Gen.data in
-  ignore
-    (record "e2_cold_query_engine" ~items:1 (fun () ->
-         let answer, _ = cold_query inst ~lo:16 ~hi:47 in
-         sink := !sink lxor Indexing.Answer.compressed_bits answer));
-  let speedups =
-    [
-      ("gamma_decode", gamma_speedup);
-      ("delta_decode", delta_speedup);
-      ("rice_k4_decode", rice_speedup);
-      ("gamma_encode", encode_speedup);
-    ]
-  in
-  fmt "\nspeedup vs per-bit oracle:\n";
-  List.iter (fun (name, s) -> fmt "  %-28s %6.1fx\n" name s) speedups;
-  let gate_min = if smoke then 1.0 else 4.0 in
-  let gate_pass = gamma_speedup >= gate_min && stats_parity in
-  J.to_file "BENCH_PR2.json"
-    (J.Obj
-       [
-         ("pr", J.Int 2);
-         ("label", J.String "word-at-a-time codec engine");
-         ("smoke", J.Bool smoke);
-         ("benchmarks", wc_json !results);
-         ("speedup_vs_reference", speedups_json speedups);
-         ( "gate",
-           J.Obj
-             [
-               ("metric", J.String "gamma_decode_speedup");
-               ("min", J.Float gate_min);
-               ("value", J.Float gamma_speedup);
-               ("stats_parity", J.Bool stats_parity);
-               ("pass", J.Bool gate_pass);
-             ] );
-       ]);
-  fmt "wrote BENCH_PR2.json (sink=%d)\n" (!sink land 1);
-  if not gate_pass then begin
-    fmt "BENCH_PR2 gate FAILED: gamma decode %.2fx (min %.2fx), parity=%b\n"
-      gamma_speedup gate_min stats_parity;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* --faults: seeded fault-injection campaign (PR 3).  Every trial
-   builds one index on a fresh device, injects one fault class (latent
-   bit flips, a torn multi-block write during build, or transient read
-   failures), runs detect-or-repair queries and classifies each answer
-   against the naive reference.  Emits BENCH_PR3.json.  The gate: zero
-   silent wrong answers across the whole campaign, and every
-   transient-read trial answers correctly under the bounded retry. *)
-
-type fault_kind = Flips | Torn | Transient
-
-let kind_name = function
-  | Flips -> "flips"
-  | Torn -> "torn"
-  | Transient -> "transient"
-
-(* Campaign builders are the [b_campaign] subset of the shared table
-   defined at the top of this file. *)
-
-type tally = {
-  mutable ok : int;
-  mutable repaired : int;
-  mutable corrupt : int;
-  mutable silent_wrong : int;
-  mutable io_failed : int;
-  mutable repair_ios : int;
-}
-
-let new_tally () =
-  { ok = 0; repaired = 0; corrupt = 0; silent_wrong = 0; io_failed = 0;
-    repair_ios = 0 }
-
-(* One trial: returns the worst classification over the query set plus
-   the summed repair cost in block I/Os. *)
-let fault_trial ~builder ~kind ~seed =
-  let n = 2048 and sigma = 16 in
-  let g = Workload.Gen.uniform ~seed ~n ~sigma in
-  let data = g.Workload.Gen.data in
-  let dev = device () in
-  let rng = Iosim.Fault.Rng.create ((seed * 7919) + 13) in
-  let built =
-    match kind with
-    | Torn -> (
-        (* Tear one of the first multi-block writes of the build: the
-           prefix lands, the tail stays zero.  A build that trips over
-           its own torn write with a typed error is a detection, never
-           a wrong answer. *)
-        let plan = Iosim.Fault.create () in
-        Iosim.Device.set_fault dev plan;
-        Iosim.Fault.arm_torn_write plan
-          ~nth:(1 + Iosim.Fault.Rng.int rng 6)
-          ~keep_blocks:(Iosim.Fault.Rng.int rng 2);
-        match builder dev ~sigma data with
-        | inst ->
-            Iosim.Device.clear_fault dev;
-            Some inst
-        | exception (Secidx_error.Corrupt _ | Invalid_argument _ | Assert_failure _) ->
-            Iosim.Device.clear_fault dev;
-            None)
-    | Flips | Transient -> Some (builder dev ~sigma data)
-  in
-  match built with
-  | None -> (`Corrupt, 0)
-  | Some inst ->
-      (match kind with
-      | Flips ->
-          ignore
-            (Iosim.Device.inject_bit_flips dev ~seed:((seed * 31) + 7) ~count:4);
-          (* Flips are latent medium corruption: drop the pool so reads
-             see the damaged backing store, not clean cached copies. *)
-          Iosim.Device.clear_pool dev
-      | Transient ->
-          Iosim.Device.clear_pool dev;
-          let plan = Iosim.Fault.create () in
-          Iosim.Device.set_fault dev plan;
-          let blocks =
-            max 1 (Iosim.Device.used_bits dev / Iosim.Device.block_bits dev)
-          in
-          Iosim.Fault.arm_transient_read plan
-            ~block:(Iosim.Fault.Rng.int rng blocks)
-            ~failures:(1 + Iosim.Fault.Rng.int rng 2)
-      | Torn -> ());
-      let worst = ref `Ok and cost = ref 0 in
-      let severity = function
-        | `Ok -> 0 | `Repaired -> 1 | `Corrupt -> 2 | `Io_failed -> 3
-        | `Silent_wrong -> 4
-      in
-      let note c = if severity c > severity !worst then worst := c in
-      List.iter
-        (fun (lo, hi) ->
-          let reference = Workload.Queries.naive_answer g { Workload.Queries.lo; hi } in
-          let agrees a =
-            Cbitmap.Posting.equal (Indexing.Answer.to_posting ~n a) reference
-          in
-          match Indexing.Instance.verified_query inst ~lo ~hi with
-          | exception Secidx_error.IO_error _ -> note `Io_failed
-          | Indexing.Instance.Corrupt _ -> note `Corrupt
-          | Indexing.Instance.Ok a ->
-              note (if agrees a then `Ok else `Silent_wrong)
-          | Indexing.Instance.Repaired (a, c) ->
-              cost := !cost + c;
-              note (if agrees a then `Repaired else `Silent_wrong))
-        [ (0, sigma - 1); (4, 11); (9, 9) ];
-      (!worst, !cost)
-
-(* Update-path fault trials (PR 8): the PR 3 campaign faults *built*
-   structures; these fault the write path itself.  A seeded op
-   sequence runs against each updatable structure (Registry.updatable:
-   dynamic, append, wal) while transient read failures are armed —
-   every operation goes through [Device.with_retries], so the bounded
-   retry must absorb them — and, for structures whose extents carry
-   rebuild frames (wal), with latent bit flips injected mid-sequence
-   and repaired by the verified query.  Answers are classified against
-   a mutated oracle: the op sequence applied to a plain array. *)
-
-let mutated_oracle ~sigma data =
-  let chars = ref (Array.copy data) in
-  let len = ref (Array.length data) in
-  let apply op =
-    (match op with
-    | Wal.Op.Append _ when !len = Array.length !chars ->
-        let grown = Array.make (max 16 (2 * !len)) 0 in
-        Array.blit !chars 0 grown 0 !len;
-        chars := grown
-    | _ -> ());
-    match op with
-    | Wal.Op.Set { pos; ch } -> !chars.(pos) <- ch
-    | Wal.Op.Delete { pos } -> !chars.(pos) <- sigma
-    | Wal.Op.Append { ch } ->
-        !chars.(!len) <- ch;
-        incr len
-  in
-  let answer ~lo ~hi =
-    let acc = ref [] in
-    for pos = !len - 1 downto 0 do
-      if !chars.(pos) >= lo && !chars.(pos) <= hi then acc := pos :: !acc
-    done;
-    Cbitmap.Posting.of_list !acc
-  in
-  (apply, answer, fun () -> !len)
-
-let random_ops ~rng ~sigma ~kinds ~len ~count =
-  let len = ref len in
-  List.init count (fun _ ->
-      let rec pick () =
-        let op =
-          match Iosim.Fault.Rng.int rng 4 with
-          | (0 | 1) when !len > 0 ->
-              Wal.Op.Set
-                { pos = Iosim.Fault.Rng.int rng !len;
-                  ch = Iosim.Fault.Rng.int rng sigma }
-          | 3 when !len > 0 ->
-              Wal.Op.Delete { pos = Iosim.Fault.Rng.int rng !len }
-          | _ -> Wal.Op.Append { ch = Iosim.Fault.Rng.int rng sigma }
-        in
-        if List.mem (Wal.Op.kind op) kinds then op else pick ()
-      in
-      let op = pick () in
-      (match op with Wal.Op.Append _ -> incr len | _ -> ());
-      op)
-
-let update_fault_trial ~(u : Registry.updatable) ~kind ~seed =
-  let n = 512 and sigma = 16 in
-  let g = Workload.Gen.uniform ~seed ~n ~sigma in
-  let data = g.Workload.Gen.data in
-  let dev = device () in
-  let rng = Iosim.Fault.Rng.create ((seed * 6113) + 29) in
-  let started = u.Registry.u_start dev ~sigma data in
-  let apply_m, answer_m, live_len = mutated_oracle ~sigma data in
-  let ops = random_ops ~rng ~sigma ~kinds:u.Registry.u_kinds ~len:n ~count:80 in
-  let worst = ref `Ok in
-  let severity = function
-    | `Ok -> 0 | `Repaired -> 1 | `Corrupt -> 2 | `Io_failed -> 3
-    | `Silent_wrong -> 4
-  in
-  let note c = if severity c > severity !worst then worst := c in
-  (* The wal store retries its own compactions (and degrades rather
-     than fails), so it takes the transients while the ops run.  The
-     other update paths mutate in place with no internal retry —
-     re-running a half-applied rebuild is not idempotent — so they
-     mutate cleanly and face the transients on the query path, like
-     the PR 3 trials, but over a structure the ops just reshaped. *)
-  let during_updates = kind = Transient && u.Registry.u_name = "wal" in
-  let plan = Iosim.Fault.create () in
-  if during_updates then Iosim.Device.set_fault dev plan;
-  (try
-     List.iteri
-       (fun i op ->
-         if during_updates && i mod 8 = 0 then begin
-           Iosim.Device.clear_pool dev;
-           let blocks =
-             max 1 (Iosim.Device.used_bits dev / Iosim.Device.block_bits dev)
-           in
-           Iosim.Fault.arm_transient_read plan
-             ~block:(Iosim.Fault.Rng.int rng blocks)
-             ~failures:(1 + Iosim.Fault.Rng.int rng 2)
-         end;
-         started.Registry.u_apply op;
-         apply_m op)
-       ops
-   with Secidx_error.IO_error _ -> note `Io_failed);
-  if during_updates then Iosim.Device.clear_fault dev;
-  if !worst = `Ok then begin
-    (match kind with
-    | Flips ->
-        ignore
-          (Iosim.Device.inject_bit_flips dev ~seed:((seed * 43) + 3) ~count:4);
-        Iosim.Device.clear_pool dev
-    | Transient when not during_updates ->
-        Iosim.Device.clear_pool dev;
-        Iosim.Device.set_fault dev plan;
-        let blocks =
-          max 1 (Iosim.Device.used_bits dev / Iosim.Device.block_bits dev)
-        in
-        Iosim.Fault.arm_transient_read plan
-          ~block:(Iosim.Fault.Rng.int rng blocks)
-          ~failures:(1 + Iosim.Fault.Rng.int rng 2)
-    | _ -> ());
-    let inst = started.Registry.u_instance () in
-    List.iter
-      (fun (lo, hi) ->
-        let reference = answer_m ~lo ~hi in
-        let agrees a =
-          Cbitmap.Posting.equal
-            (Indexing.Answer.to_posting ~n:(live_len ()) a)
-            reference
-        in
-        match Indexing.Instance.verified_query inst ~lo ~hi with
-        | exception Secidx_error.IO_error _ -> note `Io_failed
-        | Indexing.Instance.Corrupt _ -> note `Corrupt
-        | Indexing.Instance.Ok a -> note (if agrees a then `Ok else `Silent_wrong)
-        | Indexing.Instance.Repaired (a, _) ->
-            note (if agrees a then `Repaired else `Silent_wrong))
-      [ (0, sigma - 1); (4, 11); (9, 9) ]
-  end;
-  !worst
-
-let fault_campaign ~smoke () =
-  header "fault-injection campaign (--faults)";
-  let seeds = if smoke then [ 101; 102 ] else [ 101; 102; 103; 104; 105; 106 ] in
-  let kinds = [ Flips; Torn; Transient ] in
-  let results =
-    List.map
-      (fun (name, builder) ->
-        let per_kind =
-          List.map
-            (fun kind ->
-              let t = new_tally () in
-              List.iter
-                (fun seed ->
-                  let outcome, cost = fault_trial ~builder ~kind ~seed in
-                  t.repair_ios <- t.repair_ios + cost;
-                  match outcome with
-                  | `Ok -> t.ok <- t.ok + 1
-                  | `Repaired -> t.repaired <- t.repaired + 1
-                  | `Corrupt -> t.corrupt <- t.corrupt + 1
-                  | `Io_failed -> t.io_failed <- t.io_failed + 1
-                  | `Silent_wrong -> t.silent_wrong <- t.silent_wrong + 1)
-                seeds;
-              (kind, t))
-            kinds
-        in
-        (name, per_kind))
-      campaign_builders
-  in
-  let total f =
-    List.fold_left
-      (fun acc (_, per_kind) ->
-        List.fold_left (fun acc (_, t) -> acc + f t) acc per_kind)
-      0 results
-  in
-  let trials =
-    List.length campaign_builders * List.length kinds * List.length seeds
-  in
-  let silent_wrong = total (fun t -> t.silent_wrong) in
-  let transient_failures =
-    List.fold_left
-      (fun acc (_, per_kind) ->
-        List.fold_left
-          (fun acc (kind, t) ->
-            if kind = Transient then acc + t.corrupt + t.io_failed + t.silent_wrong
-            else acc)
-          acc per_kind)
-      0 results
-  in
-  table
-    ([ "index"; "kind"; "ok"; "repaired"; "corrupt"; "silent"; "io-fail";
-       "repair-IOs" ]
-    |> List.map String.lowercase_ascii)
-    (List.concat_map
-       (fun (name, per_kind) ->
-         List.map
-           (fun (kind, t) ->
-             [ name; kind_name kind; string_of_int t.ok;
-               string_of_int t.repaired; string_of_int t.corrupt;
-               string_of_int t.silent_wrong; string_of_int t.io_failed;
-               string_of_int t.repair_ios ])
-           per_kind)
-       results);
-  (* PR 8: the write paths, under the same classification.  Transient
-     reads apply to every updatable structure (each op runs under the
-     bounded retry); latent flips only to those whose extents carry
-     rebuild frames (wal) — the others have no repair source, so a
-     flip trial would only measure the absence of an integrity layer,
-     not a write-path defect. *)
-  let update_kinds u =
-    if u.Registry.u_name = "wal" then [ Transient; Flips ] else [ Transient ]
-  in
-  let update_results =
-    List.map
-      (fun u ->
-        ( u.Registry.u_name,
-          List.map
-            (fun kind ->
-              let t = new_tally () in
-              List.iter
-                (fun seed ->
-                  match update_fault_trial ~u ~kind ~seed with
-                  | `Ok -> t.ok <- t.ok + 1
-                  | `Repaired -> t.repaired <- t.repaired + 1
-                  | `Corrupt -> t.corrupt <- t.corrupt + 1
-                  | `Io_failed -> t.io_failed <- t.io_failed + 1
-                  | `Silent_wrong -> t.silent_wrong <- t.silent_wrong + 1)
-                seeds;
-              (kind, t))
-            (update_kinds u) ))
-      Registry.updatable
-  in
-  fmt "\nupdate paths:\n";
-  table
-    [ "index"; "kind"; "ok"; "repaired"; "corrupt"; "silent"; "io-fail" ]
-    (List.concat_map
-       (fun (name, per_kind) ->
-         List.map
-           (fun (kind, t) ->
-             [ name; kind_name kind; string_of_int t.ok;
-               string_of_int t.repaired; string_of_int t.corrupt;
-               string_of_int t.silent_wrong; string_of_int t.io_failed ])
-           per_kind)
-       update_results);
-  let update_total f =
-    List.fold_left
-      (fun acc (_, per_kind) ->
-        List.fold_left (fun acc (_, t) -> acc + f t) acc per_kind)
-      0 update_results
-  in
-  let update_trials =
-    List.fold_left
-      (fun acc (_, per_kind) -> acc + (List.length per_kind * List.length seeds))
-      0 update_results
-  in
-  let update_silent_wrong = update_total (fun t -> t.silent_wrong) in
-  let update_failures =
-    update_total (fun t -> t.io_failed + t.corrupt)
-  in
-  let pass =
-    silent_wrong = 0 && transient_failures = 0 && update_silent_wrong = 0
-    && update_failures = 0
-  in
-  fmt "trials=%d silent_wrong=%d transient_failures=%d detected=%d repaired=%d\n"
-    trials silent_wrong transient_failures
-    (total (fun t -> t.corrupt))
-    (total (fun t -> t.repaired));
-  fmt "update trials=%d silent_wrong=%d failures=%d\n" update_trials
-    update_silent_wrong update_failures;
-  J.to_file "BENCH_PR3.json"
-    (J.Obj
-       [
-         ("pr", J.Int 3);
-         ("label", J.String "fault-injected device, detect-or-repair queries");
-         ("smoke", J.Bool smoke);
-         ("trials", J.Int trials);
-         ( "builders",
-           J.List
-             (List.map
-                (fun (name, per_kind) ->
-                  J.Obj
-                    (("name", J.String name)
-                    :: List.map
-                         (fun (kind, t) ->
-                           ( kind_name kind,
-                             J.Obj
-                               [
-                                 ("ok", J.Int t.ok);
-                                 ("repaired", J.Int t.repaired);
-                                 ("corrupt", J.Int t.corrupt);
-                                 ("silent_wrong", J.Int t.silent_wrong);
-                                 ("io_failed", J.Int t.io_failed);
-                                 ("repair_ios", J.Int t.repair_ios);
-                               ] ))
-                         per_kind))
-                results) );
-         ( "update_paths",
-           J.List
-             (List.map
-                (fun (name, per_kind) ->
-                  J.Obj
-                    (("name", J.String name)
-                    :: List.map
-                         (fun (kind, t) ->
-                           ( kind_name kind,
-                             J.Obj
-                               [
-                                 ("ok", J.Int t.ok);
-                                 ("repaired", J.Int t.repaired);
-                                 ("corrupt", J.Int t.corrupt);
-                                 ("silent_wrong", J.Int t.silent_wrong);
-                                 ("io_failed", J.Int t.io_failed);
-                               ] ))
-                         per_kind))
-                update_results) );
-         ( "gate",
-           J.Obj
-             [
-               ("silent_wrong", J.Int silent_wrong);
-               ("transient_failures", J.Int transient_failures);
-               ("update_silent_wrong", J.Int update_silent_wrong);
-               ("update_failures", J.Int update_failures);
-               ("pass", J.Bool pass);
-             ] );
-       ]);
-  fmt "wrote BENCH_PR3.json\n";
-  if not pass then begin
-    fmt
-      "BENCH_PR3 gate FAILED: silent_wrong=%d transient_failures=%d \
-       update_silent_wrong=%d update_failures=%d\n"
-      silent_wrong transient_failures update_silent_wrong update_failures;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* --trace (PR 4): query tracing, space ledgers and the theorem-
-   envelope checker.  Every campaign builder is built on a fresh
-   device with a ledger attached (the ledger must sum to the device's
-   allocated bits exactly), then queried twice per range — once
-   untraced, once traced — and the two runs must agree bit for bit:
-   same answer, same value in every I/O counter.  The traced run
-   yields per-phase I/O histograms from reconstructed spans, plus
-   per-block device events cross-checked against the counters.
-   Paper-side builders are then checked against the Theorem 1/2 query
-   envelopes with a constant fitted on even-indexed queries and
-   verified on odd-indexed ones; the append paths are checked against
-   Theorems 4/5 the same way across sizes.  Emits BENCH_PR4.json and
-   a sample Chrome trace (TRACE_PR4.trace.json); exits non-zero when
-   any gate fails. *)
-
-type phase_agg = {
-  mutable p_spans : int;
-  mutable p_io : int;
-  mutable p_max : int;
-  p_hist : int array; (* span count per io-cost bucket *)
-}
-
-let hist_buckets = [| "0"; "1"; "2-3"; "4-7"; "8-15"; "16-31"; "32-63"; "64+" |]
-
-let hist_bucket io =
-  if io <= 0 then 0
-  else if io >= 64 then 7
-  else 1 + Bitio.Codes.floor_log2 io
-
-(* Which query envelope applies, and whether its violations gate the
-   run.  Baselines are traced and ledgered but not envelope-checked:
-   the paper's bounds are claims about the paper's structures. *)
-let envelope_for = function
-  | "alphabet-tree" | "alphabet-doubling" -> Some ("thm1", true)
-  | "static" -> Some ("thm2", true)
-  | "append" | "dynamic" | "buffered-bitmap" -> Some ("thm2", false)
-  | _ -> None
-
-let envelope_slack = 1.5
-
-type trace_row = {
-  tr_name : string;
-  tr_json : J.t;
-  tr_kib : float;
-  tr_ledger_exact : bool;
-  tr_mismatches : int;
-  tr_unmatched : int;
-  tr_events_match : bool;
-  tr_violations : int; (* gated builders only; 0 otherwise *)
-  tr_fit : float option;
-}
-
-let trace_one ~block_bits ~n ~sigma ~queries data (name, builder) =
-  let dev = device ~block_bits ~mem_blocks:64 () in
-  let ledger = Obs.Ledger.create () in
-  Iosim.Device.set_ledger dev ledger;
-  let inst = builder dev ~sigma data in
-  let used = Iosim.Device.used_bits dev in
-  let ledger_total = Obs.Ledger.total ledger in
-  let ledger_exact = ledger_total = used in
-  (* Reference pass, tracing off. *)
-  let untraced =
-    List.map
-      (fun { Workload.Queries.lo; hi } ->
-        let answer, stats = Indexing.Instance.query_cold inst ~lo ~hi in
-        (lo, hi, answer, stats))
-      queries
-  in
-  (* Traced pass: deterministic logical clock, I/O probe wired to this
-     device's counters so span io_cost is the block-I/O delta. *)
-  Obs.Trace.enable ~capacity:(1 lsl 18) ();
-  Obs.Trace.set_io_probe (fun () -> Iosim.Stats.ios (Iosim.Device.stats dev));
-  let phases : (string, phase_agg) Hashtbl.t = Hashtbl.create 8 in
-  let ev_read = ref 0
-  and ev_write = ref 0
-  and ev_hit = ref 0
-  and ev_evict = ref 0
-  and ev_refill = ref 0 in
-  let unmatched = ref 0
-  and dropped = ref 0
-  and mismatches = ref 0 in
-  List.iter
-    (fun (lo, hi, ref_answer, ref_stats) ->
-      Obs.Trace.clear ();
-      let answer, stats = Indexing.Instance.query_cold inst ~lo ~hi in
-      (* Differential: tracing must not change the answer or any
-         counter (seeks included). *)
-      let same_answer =
-        Cbitmap.Posting.equal
-          (Indexing.Answer.to_posting ~n answer)
-          (Indexing.Answer.to_posting ~n ref_answer)
-      in
-      if not (same_answer && Iosim.Stats.equal stats ref_stats) then
-        incr mismatches;
-      unmatched := !unmatched + Obs.Trace.unmatched ();
-      dropped := !dropped + Obs.Trace.dropped ();
-      List.iter
-        (fun (e : Obs.Trace.event) ->
-          if e.Obs.Trace.kind = Obs.Trace.Instant then
-            match (e.Obs.Trace.cat, e.Obs.Trace.name) with
-            | "dev", "read" -> incr ev_read
-            | "dev", "write" -> incr ev_write
-            | "dev", "hit" -> incr ev_hit
-            | "dev", "evict" -> incr ev_evict
-            | "dec", "refill" -> incr ev_refill
-            | _ -> ())
-        (Obs.Trace.events ());
-      List.iter
-        (fun (s : Obs.Trace.span) ->
-          if s.Obs.Trace.span_cat = "phase" then begin
-            let agg =
-              match Hashtbl.find_opt phases s.Obs.Trace.span_name with
-              | Some a -> a
-              | None ->
-                  let a =
-                    { p_spans = 0; p_io = 0; p_max = 0; p_hist = Array.make 8 0 }
-                  in
-                  Hashtbl.add phases s.Obs.Trace.span_name a;
-                  a
-            in
-            agg.p_spans <- agg.p_spans + 1;
-            agg.p_io <- agg.p_io + s.Obs.Trace.io_cost;
-            agg.p_max <- max agg.p_max s.Obs.Trace.io_cost;
-            let b = hist_bucket s.Obs.Trace.io_cost in
-            agg.p_hist.(b) <- agg.p_hist.(b) + 1
-          end)
-        (Obs.Trace.spans ()))
-    untraced;
-  (* Sample trace artifact: the ring still holds the last query of the
-     paper's main structure. *)
-  if name = "static" then begin
-    Obs.Trace.write_chrome "TRACE_PR4.trace.json";
-    Obs.Trace.write_jsonl "TRACE_PR4.jsonl"
-  end;
-  Obs.Trace.disable ();
-  Obs.Trace.reset_io_probe ();
-  Iosim.Device.clear_ledger dev;
-  (* Per-block device events must replay the counters exactly (queries
-     are read-only, so write events are only checked for count). *)
-  let sum f =
-    List.fold_left (fun acc (_, _, _, s) -> acc + f s) 0 untraced
-  in
-  let events_match =
-    !ev_read = sum (fun s -> s.Iosim.Stats.block_reads)
-    && !ev_hit = sum (fun s -> s.Iosim.Stats.pool_hits)
-    && !ev_write = sum (fun s -> s.Iosim.Stats.block_writes)
-  in
-  (* Envelope check on the untraced measurements. *)
-  let envelope_json, violations, fit =
-    match envelope_for name with
-    | None -> (J.Null, 0, None)
-    | Some (thm, gated) ->
-        let sample =
-          List.map
-            (fun (_, _, answer, stats) ->
-              let measured = Iosim.Stats.ios stats in
-              let bound =
-                match thm with
-                | "thm1" ->
-                    Obs.Envelope.thm1_ios ~block_bits ~sigma
-                      ~t_bits:(Indexing.Answer.compressed_bits answer)
-                | _ ->
-                    Obs.Envelope.thm2_ios ~block_bits ~n
-                      ~z:(Indexing.Answer.cardinal ~n answer)
-              in
-              (measured, bound))
-            untraced
-        in
-        let calib = List.filteri (fun i _ -> i mod 2 = 0) sample in
-        let check = List.filteri (fun i _ -> i mod 2 = 1) sample in
-        let c = Obs.Envelope.fit calib in
-        let viol =
-          List.length (Obs.Envelope.violations ~c ~slack:envelope_slack check)
-        in
-        ( J.Obj
-            [
-              ("theorem", J.String thm);
-              ("gated", J.Bool gated);
-              ("c_fit", J.Float c);
-              ("slack", J.Float envelope_slack);
-              ("calibration_queries", J.Int (List.length calib));
-              ("checked_queries", J.Int (List.length check));
-              ("violations", J.Int viol);
-            ],
-          (if gated then viol else 0),
-          Some c )
-  in
-  let space_json =
-    match envelope_for name with
-    | None -> J.Null
-    | Some _ ->
-        let h0_bits = Cbitmap.Entropy.nh0_bits ~sigma data in
-        let bound = Obs.Envelope.space_bound_bits ~n ~sigma ~h0_bits in
-        J.Obj
-          [
-            ("bound_bits", J.Float bound);
-            ("measured_bits", J.Int inst.Indexing.Instance.size_bits);
-            ( "ratio",
-              J.Float (float_of_int inst.Indexing.Instance.size_bits /. bound)
-            );
-          ]
-  in
-  let phase_rows =
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) phases [])
-  in
-  let json =
-    J.Obj
-      [
-        ("name", J.String name);
-        ("instance", J.String inst.Indexing.Instance.name);
-        ("size_bits", J.Int inst.Indexing.Instance.size_bits);
-        ( "ledger",
-          J.Obj
-            [
-              ("components", Obs.Ledger.to_json ledger);
-              ("total_bits", J.Int ledger_total);
-              ("device_used_bits", J.Int used);
-              ("exact", J.Bool ledger_exact);
-            ] );
-        ( "phases",
-          J.List
-            (List.map
-               (fun (pname, a) ->
-                 J.Obj
-                   [
-                     ("name", J.String pname);
-                     ("spans", J.Int a.p_spans);
-                     ("total_io", J.Int a.p_io);
-                     ("max_io", J.Int a.p_max);
-                     ( "io_histogram",
-                       J.Obj
-                         (Array.to_list
-                            (Array.mapi
-                               (fun i b -> (b, J.Int a.p_hist.(i)))
-                               hist_buckets)) );
-                   ])
-               phase_rows) );
-        ( "device_events",
-          J.Obj
-            [
-              ("read", J.Int !ev_read);
-              ("write", J.Int !ev_write);
-              ("hit", J.Int !ev_hit);
-              ("evict", J.Int !ev_evict);
-              ("decoder_refill", J.Int !ev_refill);
-              ("counters_match", J.Bool events_match);
-            ] );
-        ( "differential",
-          J.Obj
-            [
-              ("queries", J.Int (List.length untraced));
-              ("mismatches", J.Int !mismatches);
-            ] );
-        ( "trace_health",
-          J.Obj
-            [
-              ("unmatched_spans", J.Int !unmatched);
-              ("dropped_events", J.Int !dropped);
-            ] );
-        ("envelope", envelope_json);
-        ("space", space_json);
-      ]
-  in
-  {
-    tr_name = name;
-    tr_json = json;
-    tr_kib = float_of_int inst.Indexing.Instance.size_bits /. 8192.0;
-    tr_ledger_exact = ledger_exact;
-    tr_mismatches = !mismatches;
-    tr_unmatched = !unmatched;
-    tr_events_match = events_match;
-    tr_violations = violations;
-    tr_fit = fit;
-  }
-
-(* Theorems 4/5: amortized append cost vs the lg lg n and lg^2 n / B
-   envelopes, constant fitted on the first configuration and verified
-   on the rest. *)
-let append_envelopes ~smoke =
-  let slack = envelope_slack in
-  let fit_and_check rows =
-    match rows with
-    | [] -> (0.0, 0)
-    | (_, m0, b0) :: rest ->
-        let c = m0 /. b0 in
-        let viol =
-          List.length
-            (List.filter (fun (_, m, b) -> m > (c *. slack *. b) +. 1e-9) rest)
-        in
-        (c, viol)
-  in
-  let thm4_rows =
-    List.map
-      (fun n ->
-        let per_op, _ =
-          append_cost ~buffered:false ~block_bits:1024 ~mem_blocks:64 ~sigma:64
-            ~n ~appends:n
-        in
-        (n, per_op, Obs.Envelope.thm4_append_ios ~n))
-      (if smoke then [ 1024; 4096 ] else [ 4096; 16384; 65536 ])
-  in
-  let c4, viol4 = fit_and_check thm4_rows in
-  let thm5_n = if smoke then 4096 else 16384 in
-  let thm5_rows =
-    List.map
-      (fun block_bits ->
-        let per_op, _ =
-          append_cost ~buffered:true ~block_bits ~mem_blocks:8 ~sigma:16
-            ~n:thm5_n ~appends:(thm5_n / 2)
-        in
-        (block_bits, per_op, Obs.Envelope.thm5_append_ios ~block_bits ~n:thm5_n))
-      (if smoke then [ 1024; 4096 ] else [ 1024; 4096; 16384 ])
-  in
-  let c5, viol5 = fit_and_check thm5_rows in
-  let rows_json label rows =
-    J.List
-      (List.map
-         (fun (k, m, b) ->
-           J.Obj
-             [
-               (label, J.Int k);
-               ("ios_per_append", J.Float m);
-               ("bound", J.Float b);
-             ])
-         rows)
-  in
-  let json =
-    J.Obj
-      [
-        ( "thm4",
-          J.Obj
-            [
-              ("bound", J.String "lg lg n + 1");
-              ("rows", rows_json "n" thm4_rows);
-              ("c_fit", J.Float c4);
-              ("slack", J.Float slack);
-              ("violations", J.Int viol4);
-            ] );
-        ( "thm5",
-          J.Obj
-            [
-              ("bound", J.String "lg^2 n / B + 1");
-              ("n", J.Int thm5_n);
-              ("rows", rows_json "block_bits" thm5_rows);
-              ("c_fit", J.Float c5);
-              ("slack", J.Float slack);
-              ("violations", J.Int viol5);
-            ] );
-      ]
-  in
-  (json, viol4 + viol5)
-
-(* Overhead gate.  There is no uninstrumented build to race against at
-   runtime, so disabled-mode cost is bounded transitively: with
-   tracing off, the PR 2 gamma-decode hot path must still clear its
-   original speedup threshold against the per-bit oracle
-   (a >5% guard cost on the decode path would show up here first).
-   The enabled-vs-disabled delta on a warm Theorem 2 query is reported
-   as the informational price of turning tracing on. *)
-let trace_overhead ~smoke =
-  assert (not (Obs.Trace.enabled ()));
-  let sink = ref 0 in
-  let iters = if smoke then 3 else 15 in
-  let count = if smoke then 20_000 else 100_000 in
-  let rng = Hashing.Universal.Rng.create ~seed:7 in
-  let values = Array.make count 0 in
-  let v = ref (-1) in
-  for i = 0 to count - 1 do
-    v := !v + 1 + Hashing.Universal.Rng.below rng 200;
-    values.(i) <- !v
-  done;
-  let posting = Cbitmap.Posting.of_sorted_array values in
-  let buf = Cbitmap.Gap_codec.to_buf posting in
-  let out = Array.make count 0 in
-  let engine =
-    time_per_item_best ~iters ~items:count (fun () ->
-        let d = Bitio.Decoder.of_bitbuf buf in
-        Cbitmap.Gap_codec.decode_into d ~count out;
-        sink := !sink lxor out.(count - 1))
-  in
-  let perbit =
-    time_per_item_best ~iters ~items:count (fun () ->
-        let r = Oracle.Reader.of_bitbuf buf in
-        let last = ref (-1) in
-        for i = 0 to count - 1 do
-          let gap = Oracle.Codes.decode_gamma r in
-          let p = if !last < 0 then gap - 1 else !last + gap in
-          Array.unsafe_set out i p;
-          last := p
-        done;
-        sink := !sink lxor out.(count - 1))
-  in
-  let speedup_off = perbit /. engine in
-  let gate_min = if smoke then 1.0 else 4.0 in
-  (* Warm-query wall clock, tracing off vs on. *)
-  let qn = if smoke then 4096 else 16384 in
-  let qg = Workload.Gen.zipf ~seed:20 ~n:qn ~sigma:256 ~theta:1.0 () in
-  let inst =
-    Secidx.Static_index.instance (device ()) ~sigma:256 qg.Workload.Gen.data
-  in
-  let qiters = if smoke then 5 else 30 in
-  let run_query () =
-    sink :=
-      !sink
-      lxor Indexing.Answer.compressed_bits
-             (inst.Indexing.Instance.query ~lo:16 ~hi:47)
-  in
-  let t_off = time_per_item_best ~iters:qiters ~items:1 run_query in
-  Obs.Trace.enable ~capacity:(1 lsl 16) ();
-  let t_on = time_per_item_best ~iters:qiters ~items:1 run_query in
-  Obs.Trace.disable ();
-  Obs.Trace.clear ();
-  let enabled_overhead_pct = (t_on -. t_off) /. t_off *. 100.0 in
-  let pass = speedup_off >= gate_min in
-  fmt
-    "overhead: gamma decode %.1fx vs per-bit reference (min %.1fx, tracing \
-     off); warm query %.0f ns off / %.0f ns on (%+.1f%%) (sink=%d)\n"
-    speedup_off gate_min t_off t_on enabled_overhead_pct (!sink land 1);
-  let json =
-    J.Obj
-      [
-        ("gamma_decode_speedup_tracing_off", J.Float speedup_off);
-        ("gate_min", J.Float gate_min);
-        ("warm_query_ns_tracing_off", J.Float t_off);
-        ("warm_query_ns_tracing_on", J.Float t_on);
-        ("enabled_overhead_pct", J.Float enabled_overhead_pct);
-        ("pass", J.Bool pass);
-      ]
-  in
-  (json, pass)
-
-let trace_run ~smoke () =
-  header "query tracing, space ledgers, theorem envelopes (--trace)";
-  let block_bits = 1024 in
-  let n = if smoke then 4096 else 16384 in
-  let sigma = 64 in
-  let g = Workload.Gen.zipf ~seed:33 ~n ~sigma ~theta:1.0 () in
-  let data = g.Workload.Gen.data in
-  (* Smoke sizes sit near the envelope's asymptotic floor, where the
-     per-query cost of a fixed-width range varies with the wbb
-     decomposition shape (frontier size), not just z.  Two queries per
-     width calibrate a max-ratio constant on 6 points of that noisy
-     distribution — the PR 8-era smoke failure on `static` was a
-     calibration artifact, not a cost regression.  Six queries per
-     width let even/odd interleaving expose both halves to the same
-     decomposition-shape spread. *)
-  let per_ell = if smoke then 6 else 2 in
-  let queries =
-    List.concat_map
-      (fun ell ->
-        Workload.Queries.fixed_width_ranges ~seed:(40 + ell) ~sigma ~ell
-          ~count:per_ell)
-      [ 1; 2; 4; 8; 16; 32 ]
-  in
-  let rows =
-    List.map (trace_one ~block_bits ~n ~sigma ~queries data) campaign_builders
-  in
-  table
-    [ "index"; "KiB"; "ledger"; "diff"; "events"; "spans"; "envelope" ]
-    (List.map
-       (fun r ->
-         [
-           r.tr_name;
-           Printf.sprintf "%.0f" r.tr_kib;
-           (if r.tr_ledger_exact then "exact" else "INEXACT");
-           (if r.tr_mismatches = 0 then "ok"
-            else Printf.sprintf "%d MISMATCH" r.tr_mismatches);
-           (if r.tr_events_match then "ok" else "MISMATCH");
-           (if r.tr_unmatched = 0 then "balanced"
-            else Printf.sprintf "%d unmatched" r.tr_unmatched);
-           (match r.tr_fit with
-           | None -> "-"
-           | Some c ->
-               Printf.sprintf "c=%.2f%s" c
-                 (if r.tr_violations > 0 then
-                    Printf.sprintf " %d VIOL" r.tr_violations
-                  else ""));
-         ])
-       rows);
-  let appends_json, append_violations = append_envelopes ~smoke in
-  let overhead_json, overhead_pass = trace_overhead ~smoke in
-  let count_rows f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-  let ledger_failures =
-    count_rows (fun r -> if r.tr_ledger_exact then 0 else 1)
-  in
-  let mismatches = count_rows (fun r -> r.tr_mismatches) in
-  let unmatched = count_rows (fun r -> r.tr_unmatched) in
-  let event_mismatches =
-    count_rows (fun r -> if r.tr_events_match then 0 else 1)
-  in
-  let envelope_violations =
-    count_rows (fun r -> r.tr_violations) + append_violations
-  in
-  let pass =
-    ledger_failures = 0 && mismatches = 0 && unmatched = 0
-    && event_mismatches = 0
-    && envelope_violations = 0
-    && overhead_pass
-  in
-  J.to_file "BENCH_PR4.json"
-    (J.Obj
-       [
-         ("pr", J.Int 4);
-         ("label", J.String "query tracing, space ledgers, theorem envelopes");
-         ("smoke", J.Bool smoke);
-         ("n", J.Int n);
-         ("sigma", J.Int sigma);
-         ("block_bits", J.Int block_bits);
-         ("queries_per_builder", J.Int (List.length queries));
-         ("builders", J.List (List.map (fun r -> r.tr_json) rows));
-         ("append_envelopes", appends_json);
-         ("overhead", overhead_json);
-         ( "gate",
-           J.Obj
-             [
-               ("ledger_failures", J.Int ledger_failures);
-               ("differential_mismatches", J.Int mismatches);
-               ("unmatched_spans", J.Int unmatched);
-               ("event_counter_mismatches", J.Int event_mismatches);
-               ("envelope_violations", J.Int envelope_violations);
-               ("overhead_pass", J.Bool overhead_pass);
-               ("pass", J.Bool pass);
-             ] );
-       ]);
-  fmt "wrote BENCH_PR4.json + TRACE_PR4.trace.json\n";
-  if not pass then begin
-    fmt
-      "BENCH_PR4 gate FAILED: ledger=%d diff=%d unmatched=%d events=%d \
-       envelope=%d overhead=%b\n"
-      ledger_failures mismatches unmatched event_mismatches
-      envelope_violations overhead_pass;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* --batch (PR 5): batched query execution.  For every index in the
-   shared builder table and every batch size k, the same k alphabet
-   ranges are issued twice: as k independent cold queries (pool
-   cleared and stats reset before each — the pre-batching situation)
-   and as one [Instance.query_batch] call (a single cold start for the
-   whole batch: clamp/dedupe/merge planning, one decode per touched
-   extent, scan-resistant pool, device readahead).  The gate: every
-   batched answer is bit-identical — same constructor, same posting —
-   to its cold counterpart for every index and every k, and the static
-   index's total-I/O reduction at k = 64 on the E2 workload is at
-   least 3x.  Emits BENCH_PR5.json. *)
-
-let answers_identical a b =
-  match (a, b) with
-  | Indexing.Answer.Direct p, Indexing.Answer.Direct q
-  | Indexing.Answer.Complement p, Indexing.Answer.Complement q ->
-      Cbitmap.Posting.equal p q
-  | _ -> false
-
-(* Mixed-width ranges anchored at values observed in the string: the
-   query distribution follows the data distribution (here E2's zipf),
-   so large batches repeat hot points and overlap around hot values —
-   exactly the redundancy the planner exists to collapse.  The cold
-   baseline runs the identical ranges.  Deterministic. *)
-let batch_ranges ~seed ~sigma ~k data =
-  let widths = [| 1; 2; 4; 8; 16; 48 |] in
-  let n = Array.length data in
-  let state = ref (((seed * 2654435761) lxor 0x9E3779B9) land 0x3FFFFFFF) in
-  let next () =
-    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-    !state
-  in
-  Array.init k (fun i ->
-      let w = widths.(i mod Array.length widths) in
-      let lo = min (sigma - 1) data.(next () mod n) in
-      (lo, min (sigma - 1) (lo + w - 1)))
-
-type batch_row = {
-  br_k : int;
-  br_cold_ios : int;
-  br_batch_ios : int;
-  br_cold_seeks : int;
-  br_batch_seeks : int;
-  br_pool_hit_rate : float;
-  br_prefetches : int;
-  br_prefetch_hits : int;
-  br_equal : bool;
-}
-
-let batch_one ~sigma ~ks ~data inst =
-  List.map
-    (fun k ->
-      let ranges = batch_ranges ~seed:41 ~sigma ~k data in
-      let cold =
-        Array.map (fun (lo, hi) -> cold_query inst ~lo ~hi) ranges
-      in
-      let cold_ios =
-        Array.fold_left (fun acc (_, s) -> acc + Iosim.Stats.ios s) 0 cold
-      in
-      let cold_seeks =
-        Array.fold_left (fun acc (_, s) -> acc + s.Iosim.Stats.seeks) 0 cold
-      in
-      let answers, bs = Indexing.Instance.query_batch inst ranges in
-      let equal = ref (Array.length answers = Array.length ranges) in
-      Array.iteri
-        (fun i (a, _) ->
-          if not (answers_identical a answers.(i)) then equal := false)
-        cold;
-      {
-        br_k = k;
-        br_cold_ios = cold_ios;
-        br_batch_ios = Iosim.Stats.ios bs;
-        br_cold_seeks = cold_seeks;
-        br_batch_seeks = bs.Iosim.Stats.seeks;
-        br_pool_hit_rate = Iosim.Stats.pool_hit_rate bs;
-        br_prefetches = bs.Iosim.Stats.prefetches;
-        br_prefetch_hits = bs.Iosim.Stats.prefetch_hits;
-        br_equal = !equal;
-      })
-    ks
-
-let speedup r =
-  float_of_int r.br_cold_ios /. float_of_int (max 1 r.br_batch_ios)
-
-let batch_run ~smoke () =
-  header "batched query execution (--batch)";
-  let n = if smoke then 8192 else 65536 and sigma = 256 in
-  let g = Workload.Gen.zipf ~seed:3 ~n ~sigma ~theta:1.0 () in
-  let data = g.Workload.Gen.data in
-  let ks = [ 1; 8; 64; 256 ] in
-  let rows =
-    List.map
-      (fun b ->
-        let dev = device ~pool_policy:`Segmented () in
-        let inst = b.b_build dev ~sigma data in
-        (b.b_name, batch_one ~sigma ~ks ~data inst))
-      all_builders
-  in
-  table
-    [ "index"; "k"; "cold IOs"; "batch IOs"; "speedup"; "hit-rate";
-      "prefetch"; "pf-hits"; "equal" ]
-    (List.concat_map
-       (fun (name, rs) ->
-         List.map
-           (fun r ->
-             [ name; string_of_int r.br_k; string_of_int r.br_cold_ios;
-               string_of_int r.br_batch_ios;
-               Printf.sprintf "%.2f" (speedup r);
-               Printf.sprintf "%.2f" r.br_pool_hit_rate;
-               string_of_int r.br_prefetches;
-               string_of_int r.br_prefetch_hits;
-               (if r.br_equal then "yes" else "NO") ])
-           rs)
-       rows);
-  (* Same batch on the same structure under both pool policies: the
-     segmented pool must not lose I/Os to scan pollution. *)
-  let policies =
-    List.map
-      (fun (pname, policy) ->
-        let dev = device ~pool_policy:policy () in
-        let inst = Secidx.Static_index.instance dev ~sigma data in
-        let _, s =
-          Indexing.Instance.query_batch inst
-            (batch_ranges ~seed:41 ~sigma ~k:64 data)
-        in
-        (pname, Iosim.Stats.ios s, Iosim.Stats.pool_hit_rate s))
-      [ ("lru", `Lru); ("segmented", `Segmented) ]
-  in
-  List.iter
-    (fun (pname, ios, hr) ->
-      fmt "static k=64 pool=%s: IOs=%d hit-rate=%.2f\n" pname ios hr)
-    policies;
-  let mismatches =
-    List.fold_left
-      (fun acc (_, rs) ->
-        List.fold_left (fun acc r -> if r.br_equal then acc else acc + 1) acc rs)
-      0 rows
-  in
-  let static64 =
-    List.find (fun r -> r.br_k = 64) (List.assoc "static" rows)
-  in
-  let static_speedup = speedup static64 in
-  let pass = mismatches = 0 && static_speedup >= 3.0 in
-  fmt "answer mismatches=%d static k=64 speedup=%.2fx (gate >= 3.0)\n"
-    mismatches static_speedup;
-  J.to_file "BENCH_PR5.json"
-    (J.Obj
-       [
-         ("pr", J.Int 5);
-         ("label", J.String "batched query execution vs independent cold queries");
-         ("smoke", J.Bool smoke);
-         ("n", J.Int n);
-         ("sigma", J.Int sigma);
-         ( "builders",
-           J.List
-             (List.map
-                (fun (name, rs) ->
-                  J.Obj
-                    [
-                      ("name", J.String name);
-                      ( "batches",
-                        J.List
-                          (List.map
-                             (fun r ->
-                               J.Obj
-                                 [
-                                   ("k", J.Int r.br_k);
-                                   ("cold_ios", J.Int r.br_cold_ios);
-                                   ("batch_ios", J.Int r.br_batch_ios);
-                                   ("speedup", J.Float (speedup r));
-                                   ("cold_seeks", J.Int r.br_cold_seeks);
-                                   ("batch_seeks", J.Int r.br_batch_seeks);
-                                   ("pool_hit_rate", J.Float r.br_pool_hit_rate);
-                                   ("prefetches", J.Int r.br_prefetches);
-                                   ("prefetch_hits", J.Int r.br_prefetch_hits);
-                                   ("answers_equal", J.Bool r.br_equal);
-                                 ])
-                             rs) );
-                    ])
-                rows) );
-         ( "pool_policies",
-           J.List
-             (List.map
-                (fun (pname, ios, hr) ->
-                  J.Obj
-                    [
-                      ("policy", J.String pname);
-                      ("ios", J.Int ios);
-                      ("pool_hit_rate", J.Float hr);
-                    ])
-                policies) );
-         ( "gate",
-           J.Obj
-             [
-               ("answer_mismatches", J.Int mismatches);
-               ("static_speedup_k64", J.Float static_speedup);
-               ("pass", J.Bool pass);
-             ] );
-       ]);
-  fmt "wrote BENCH_PR5.json\n";
-  if not pass then begin
-    fmt "BENCH_PR5 gate FAILED: mismatches=%d static_speedup_k64=%.2f\n"
-      mismatches static_speedup;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* --serve (PR 6): sharded, domain-parallel serving.  The logical
-   index is position-sharded over per-shard devices; an open-loop
-   traffic schedule (Zipf-popular templates, bursty arrivals) is
-   replayed against routers with 1, 2 and 4 domains.
-
-   Protocol per domain count: an *overload* run (offered rate 10x the
-   probed 1-domain capacity, so wall-clock is pure drain time and the
-   throughput ratio is the parallel speedup) and a *steady* run
-   (0.4x capacity, so latency percentiles mean service + burst
-   queueing, not unbounded backlog).  All runs at one domain count
-   share schedules with every other, so the answer digests must agree
-   across domain counts — the at-scale bit-identity check on top of
-   the exact per-query comparison against the unsharded instance.
-
-   Gates: zero answer mismatches and digest agreement always; the
-   parallel speedup (smoke: 2 domains > 1.0x; full: 4 domains >= 2.0x)
-   only when the machine has at least that many cores — a 1-core
-   container cannot demonstrate parallelism, and pretending it failed
-   would gate on the hardware, not the code.  CI runs on multi-core
-   runners, where the speedup gate is live. *)
-
-let serve_run ~smoke () =
-  header "sharded parallel serving (--serve)";
-  let n = if smoke then 4096 else 16384 and sigma = 256 in
-  let g = Workload.Gen.zipf ~seed:6 ~n ~sigma ~theta:1.0 () in
-  let data = g.Workload.Gen.data in
-  let builder = List.find (fun b -> b.b_name = "static") all_builders in
-  let make_device _ = device ~pool_policy:`Segmented () in
-  let make_shards k =
-    Serve.Shard.build ~shards:k ~make_device ~build:builder.b_build ~sigma data
-  in
-  let now () = Unix.gettimeofday () in
-
-  (* Satellite: the Zipf sampler must be table-driven, not per-sample
-     linear work — at serving rates the generator must not be the
-     bottleneck.  Race the alias table against a linear CDF scan over
-     the same weights; the gate is simply "not slower". *)
-  let zipf_alias_speedup =
-    let k = 4096 and draws = if smoke then 200_000 else 1_000_000 in
-    let weights = Workload.Gen.zipf_weights ~sigma:k ~theta:1.0 in
-    let total = Array.fold_left ( +. ) 0.0 weights in
-    let module Rng = Hashing.Universal.Rng in
-    let sink = ref 0 in
-    let time f =
-      let rng = Rng.create ~seed:99 in
-      let t0 = now () in
-      for _ = 1 to draws do
-        sink := !sink lxor f rng
-      done;
-      now () -. t0
-    in
-    let table = Workload.Gen.Alias.create weights in
-    let t_alias = time (fun rng -> Workload.Gen.Alias.draw table rng) in
-    let t_linear =
-      time (fun rng ->
-          let u = Rng.float rng *. total in
-          let acc = ref 0.0 and i = ref 0 in
-          while !i < k - 1 && !acc +. weights.(!i) < u do
-            acc := !acc +. weights.(!i);
-            incr i
-          done;
-          !i)
-    in
-    ignore !sink;
-    fmt "zipf sampler: alias %.0f Kdraw/s, linear scan %.0f Kdraw/s (%.0fx)\n"
-      (float_of_int draws /. t_alias /. 1e3)
-      (float_of_int draws /. t_linear /. 1e3)
-      (t_linear /. t_alias);
-    t_linear /. t_alias
-  in
-
-  (* Exact bit-identity: sharded routers (sequential at every shard
-     count, and a 2-domain router) against the unsharded instance over
-     a seeded query mix plus the adversarial shapes — boundary
-     spanning, full range, clamped, empty. *)
-  let unsharded = builder.b_build (make_device (-1)) ~sigma data in
-  let check_queries =
-    let module Rng = Hashing.Universal.Rng in
-    let rng = Rng.create ~seed:7 in
-    Array.init 64 (fun _ ->
-        let lo = Rng.below rng sigma in
-        (lo, min (sigma - 1) (lo + Rng.below rng sigma)))
-    |> Array.append
-         [| (0, sigma - 1); (0, 0); (sigma - 1, sigma - 1); (5, 4);
-            (sigma / 2, sigma / 2 + 1) |]
-  in
-  let mismatches_against router =
-    Array.fold_left
-      (fun acc (lo, hi) ->
-        let expect =
-          Indexing.Answer.to_posting ~n (unsharded.Indexing.Instance.query ~lo ~hi)
-        in
-        if Cbitmap.Posting.equal expect (Serve.Router.query router ~lo ~hi)
-        then acc
-        else acc + 1)
-      0 check_queries
-  in
-  let mismatches =
-    List.fold_left
-      (fun acc k ->
-        let seq = Serve.Router.create (make_shards k) in
-        let acc = acc + mismatches_against seq in
-        let dom = Serve.Router.create ~mode:Serve.Router.Domains (make_shards k) in
-        let acc = acc + mismatches_against dom in
-        Serve.Router.shutdown dom;
-        acc)
-      0 [ 1; 2; 4; 7 ]
-  in
-  fmt "bit-identity vs unsharded instance: %d mismatches\n" mismatches;
-
-  (* Capacity probe: drain the schedule-shaped load on one domain. *)
-  let count = if smoke then 20_000 else 100_000 in
-  let probe =
-    let router = Serve.Router.create (make_shards 1) in
-    let t =
-      Workload.Traffic.make ~seed:11 ~sigma ~count:(count / 10) ~rate:1e7 ()
-    in
-    let r = Serve.Sim.run router t in
-    r.Serve.Sim.throughput
-  in
-  fmt "1-domain capacity probe: %.0f q/s\n" probe;
-  let overload_traffic =
-    Workload.Traffic.make ~seed:12 ~sigma ~count ~rate:(10.0 *. probe) ()
-  in
-  let steady_traffic =
-    Workload.Traffic.make ~seed:13 ~sigma ~count:(count / 4)
-      ~rate:(0.4 *. probe) ()
-  in
-  let domain_counts = if smoke then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let runs =
-    List.map
-      (fun d ->
-        let mode =
-          if d = 1 then Serve.Router.Sequential else Serve.Router.Domains
-        in
-        let run_one traffic =
-          let router = Serve.Router.create ~mode (make_shards d) in
-          let r = Serve.Sim.run router traffic in
-          let stats = Serve.Router.shard_stats router in
-          Serve.Router.shutdown router;
-          (r, stats)
-        in
-        let over, _ = run_one overload_traffic in
-        let steady, stats = run_one steady_traffic in
-        (d, over, steady, stats))
-      domain_counts
-  in
-  let throughput_of (_, over, _, _) = over.Serve.Sim.throughput in
-  let base = throughput_of (List.hd runs) in
-  let speedup_at d =
-    List.find_opt (fun (d', _, _, _) -> d' = d) runs
-    |> Option.map (fun r -> throughput_of r /. base)
-  in
-  table
-    [ "domains"; "drain q/s"; "speedup"; "p50 ms"; "p95 ms"; "p99 ms";
-      "imbalance" ]
-    (List.map
-       (fun (d, over, steady, stats) ->
-         let h = steady.Serve.Sim.latency in
-         let ms q = Obs.Histogram.percentile h q *. 1e3 in
-         [ string_of_int d;
-           Printf.sprintf "%.0f" over.Serve.Sim.throughput;
-           Printf.sprintf "%.2fx" (over.Serve.Sim.throughput /. base);
-           Printf.sprintf "%.3f" (ms 0.50);
-           Printf.sprintf "%.3f" (ms 0.95);
-           Printf.sprintf "%.3f" (ms 0.99);
-           Printf.sprintf "%.2f" (Iosim.Stats.imbalance stats) ])
-       runs);
-  let digests_agree l =
-    match l with [] -> true | x :: tl -> List.for_all (( = ) x) tl
-  in
-  let over_digests =
-    List.map (fun (_, over, _, _) -> over.Serve.Sim.checksum) runs
-  in
-  let steady_digests =
-    List.map (fun (_, _, steady, _) -> steady.Serve.Sim.checksum) runs
-  in
-  let digest_ok = digests_agree over_digests && digests_agree steady_digests in
-  fmt "answer digests agree across domain counts: %s\n"
-    (if digest_ok then "yes" else "NO");
-
-  (* Adaptive speedup gate: enforced only when the machine has at
-     least as many cores as the gated domain count. *)
-  let cores = Domain.recommended_domain_count () in
-  let gate_domains = if smoke then 2 else 4 in
-  let gate_min = if smoke then 1.0 else 2.0 in
-  let speedup = Option.value ~default:0.0 (speedup_at gate_domains) in
-  let speedup_enforced = cores >= gate_domains in
-  let speedup_ok = (not speedup_enforced) || speedup > gate_min -. 1e-9 in
-  if speedup_enforced then
-    fmt "speedup gate: %d domains %.2fx (need > %.1fx) on %d cores\n"
-      gate_domains speedup gate_min cores
-  else
-    fmt "speedup gate: skipped (%d cores < %d domains; measured %.2fx)\n"
-      cores gate_domains speedup;
-  let pass =
-    mismatches = 0 && digest_ok && speedup_ok && zipf_alias_speedup >= 1.0
-  in
-  J.to_file "BENCH_PR6.json"
-    (J.Obj
-       [
-         ("pr", J.Int 6);
-         ("label", J.String "sharded domain-parallel serving, open-loop");
-         ("smoke", J.Bool smoke);
-         ("n", J.Int n);
-         ("sigma", J.Int sigma);
-         ("builder", J.String builder.b_name);
-         ("queries", J.Int count);
-         ("cores", J.Int cores);
-         ("capacity_probe_qps", J.Float probe);
-         ( "runs",
-           J.List
-             (List.map
-                (fun (d, over, steady, stats) ->
-                  J.Obj
-                    [
-                      ("domains", J.Int d);
-                      ( "mode",
-                        J.String (if d = 1 then "sequential" else "domains") );
-                      ( "overload",
-                        J.Obj
-                          [
-                            ("throughput_qps", J.Float over.Serve.Sim.throughput);
-                            ("wall_s", J.Float over.Serve.Sim.wall);
-                            ("speedup", J.Float (over.Serve.Sim.throughput /. base));
-                            ("batches", J.Int over.Serve.Sim.batches);
-                            ("max_batch", J.Int over.Serve.Sim.max_batch);
-                            ("digest", J.Int over.Serve.Sim.checksum);
-                          ] );
-                      ( "steady",
-                        J.Obj
-                          [
-                            ("throughput_qps", J.Float steady.Serve.Sim.throughput);
-                            ( "latency",
-                              Obs.Histogram.to_json
-                                steady.Serve.Sim.latency );
-                            ("digest", J.Int steady.Serve.Sim.checksum);
-                          ] );
-                      ( "shards",
-                        J.List
-                          (List.map
-                             (fun s -> J.Int (Iosim.Stats.ios s))
-                             stats) );
-                      ("shard_stats_merged",
-                        Iosim.Stats.to_json (Iosim.Stats.merge stats));
-                      ("imbalance", J.Float (Iosim.Stats.imbalance stats));
-                    ])
-                runs) );
-         ( "gate",
-           J.Obj
-             [
-               ("answer_mismatches", J.Int mismatches);
-               ("digests_agree", J.Bool digest_ok);
-               ("zipf_alias_speedup", J.Float zipf_alias_speedup);
-               ("speedup_domains", J.Int gate_domains);
-               ("speedup_min", J.Float gate_min);
-               ("speedup_measured", J.Float speedup);
-               ("speedup_enforced", J.Bool speedup_enforced);
-               ("pass", J.Bool pass);
-             ] );
-       ]);
-  fmt "wrote BENCH_PR6.json\n";
-  if not pass then begin
-    fmt
-      "BENCH_PR6 gate FAILED: mismatches=%d digests_agree=%b speedup=%.2f \
-       alias=%.2f\n"
-      mismatches digest_ok speedup zipf_alias_speedup;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
-(* --containers (PR 7): adaptive hybrid container payloads.
-
-   Space: per-character postings of four workload shapes (uniform /
-   Zipf / clustered / Markov) and their concatenation ("mixed") are
-   encoded with each single codec — gamma gaps, WAH words, Elias–Fano
-   — and with the chunked hybrid containers; the hybrid's density
-   selector must track the best single codec on the mixed workload
-   (gate: within 5%), because it picks array/bitmap/run per chunk
-   where a single codec commits globally.
-
-   Answers: the roaring baseline must be bit-identical to the naive
-   reference on every workload, query by query and batched.
-
-   I/O: on the clustered workload the run containers must read fewer
-   payload bits than the gamma-gap index over the same query mix
-   (gate: measured reduction), since a run encodes in two fields what
-   gamma spells out position by position. *)
-
-let containers_run ~smoke () =
-  header "hybrid container payloads (--containers)";
-  let n = if smoke then 8192 else 65536 and sigma = 256 in
-  let base_workloads =
-    [
-      ("uniform", Workload.Gen.uniform ~seed:71 ~n ~sigma);
-      ("zipf", Workload.Gen.zipf ~seed:72 ~n ~sigma ~theta:1.2 ());
-      ("clustered", Workload.Gen.clustered ~seed:73 ~n ~sigma ~run:64 ());
-      ("markov", Workload.Gen.markov ~seed:74 ~n ~sigma ~stay:0.98 ());
-    ]
-  in
-  (* Mixed: concatenated quarters of the four shapes — locally coherent
-     regions of very different density, the case per-extent selection
-     is built for. *)
-  let workloads =
-    base_workloads
-    @ [
-        ( "mixed",
-          let q = n / 4 in
-          {
-            Workload.Gen.sigma;
-            data =
-              Array.concat
-                (List.map
-                   (fun (_, g) -> Array.sub g.Workload.Gen.data 0 q)
-                   base_workloads);
-          } );
-      ]
-  in
-  let chunk = min 1024 n in
-  let codec_sizes data =
-    let postings = Indexing.Common.positions_by_char ~sigma data in
-    let sum f = Array.fold_left (fun acc p -> acc + f p) 0 postings in
-    let gamma = sum (fun p -> Cbitmap.Gap_codec.encoded_size p) in
-    let wah = sum (fun p -> Cbitmap.Wah.size_bits (Cbitmap.Wah.encode ~n p)) in
-    let ef =
-      sum (fun p -> Cbitmap.Elias_fano.size_bits (Cbitmap.Elias_fano.encode ~u:n p))
-    in
-    let hybrid =
-      sum (fun p -> Cbitmap.Container.chunked_size ~universe:n ~chunk p)
-    in
-    (gamma, wah, ef, hybrid)
-  in
-  let mk_queries seed =
-    let ranges =
-      List.map
-        (fun { Workload.Queries.lo; hi } -> (lo, hi))
-        (Workload.Queries.random_ranges ~seed ~sigma ~count:(if smoke then 24 else 48))
-    in
-    Array.of_list
-      ([ (0, sigma - 1); (0, 0); (sigma - 1, sigma - 1); (7, 70) ] @ ranges)
-  in
-  let queries = mk_queries 75 in
-  let run_one (wname, (g : Workload.Gen.t)) =
-    let data = g.Workload.Gen.data in
-    let gamma_bits, wah_bits, ef_bits, hybrid_bits = codec_sizes data in
-    (* Differential: roaring vs the naive reference, query by query
-       and batched; the ledger must stay exact under the padding
-       split. *)
-    let dev = device () in
-    let ledger = Obs.Ledger.create () in
-    Iosim.Device.set_ledger dev ledger;
-    let roaring = Baselines.Roaring_index.instance dev ~sigma data in
-    Iosim.Device.clear_ledger dev;
-    let ledger_exact = Obs.Ledger.total ledger = Iosim.Device.used_bits dev in
-    let mismatches = ref 0 in
-    Array.iter
-      (fun (lo, hi) ->
-        let got =
-          Indexing.Answer.to_posting ~n
-            (fst (Indexing.Instance.query_cold roaring ~lo ~hi))
-        in
-        let naive =
-          Workload.Queries.naive_answer g { Workload.Queries.lo; hi }
-        in
-        if not (Cbitmap.Posting.equal got naive) then incr mismatches)
-      queries;
-    let batch_answers, _ = Indexing.Instance.query_batch roaring queries in
-    Array.iteri
-      (fun i a ->
-        let lo, hi = queries.(i) in
-        let naive =
-          Workload.Queries.naive_answer g { Workload.Queries.lo; hi }
-        in
-        if not (Cbitmap.Posting.equal (Indexing.Answer.to_posting ~n a) naive)
-        then incr mismatches)
-      batch_answers;
-    (* I/O over the same query mix, cold each time, hybrid containers
-       vs the gamma-gap stream table. *)
-    let io_of inst =
-      Array.fold_left
-        (fun acc (lo, hi) ->
-          let _, s = Indexing.Instance.query_cold inst ~lo ~hi in
-          acc + s.Iosim.Stats.bits_read)
-        0 queries
-    in
-    let io_hybrid = io_of roaring in
-    let io_gamma =
-      io_of (Baselines.Cbitmap_index.instance (device ()) ~sigma data)
-    in
-    (wname, gamma_bits, wah_bits, ef_bits, hybrid_bits, !mismatches,
-     io_hybrid, io_gamma, ledger_exact, Obs.Ledger.to_json ledger)
-  in
-  let rows = List.map run_one workloads in
-  table
-    [ "workload"; "gamma"; "wah"; "elias-fano"; "hybrid"; "hyb/best";
-      "IO hyb"; "IO gamma"; "equal" ]
-    (List.map
-       (fun (w, ga, wa, ef, hy, mis, ioh, iog, _, _) ->
-         let best = min ga (min wa ef) in
-         [ w; string_of_int ga; string_of_int wa; string_of_int ef;
-           string_of_int hy;
-           Printf.sprintf "%.3f" (float_of_int hy /. float_of_int best);
-           string_of_int ioh; string_of_int iog;
-           (if mis = 0 then "yes" else "NO") ])
-       rows);
-  let find w =
-    List.find (fun (w', _, _, _, _, _, _, _, _, _) -> w' = w) rows
-  in
-  let _, mga, mwa, mef, mhy, _, _, _, _, _ = find "mixed" in
-  let mixed_best = min mga (min mwa mef) in
-  let mixed_ratio = float_of_int mhy /. float_of_int mixed_best in
-  let _, _, _, _, _, _, cl_ioh, cl_iog, _, _ = find "clustered" in
-  let io_reduction = float_of_int cl_iog /. float_of_int cl_ioh in
-  let total_mismatches =
-    List.fold_left (fun acc (_, _, _, _, _, m, _, _, _, _) -> acc + m) 0 rows
-  in
-  let ledgers_exact =
-    List.for_all (fun (_, _, _, _, _, _, _, _, ok, _) -> ok) rows
-  in
-  let pass =
-    total_mismatches = 0 && mixed_ratio <= 1.05 && io_reduction > 1.0
-    && ledgers_exact
-  in
-  fmt
-    "mixed: hybrid/best=%.3f (gate <= 1.05)  clustered: gamma/hybrid \
-     bits-read=%.2fx (gate > 1.0)  mismatches=%d  ledgers exact=%b\n"
-    mixed_ratio io_reduction total_mismatches ledgers_exact;
-  J.to_file "BENCH_PR7.json"
-    (J.Obj
-       [
-         ("pr", J.Int 7);
-         ("label", J.String "adaptive hybrid container payloads");
-         ("smoke", J.Bool smoke);
-         ("n", J.Int n);
-         ("sigma", J.Int sigma);
-         ("chunk", J.Int chunk);
-         ( "workloads",
-           J.List
-             (List.map
-                (fun (w, ga, wa, ef, hy, mis, ioh, iog, lex, lj) ->
-                  J.Obj
-                    [
-                      ("name", J.String w);
-                      ("gamma_bits", J.Int ga);
-                      ("wah_bits", J.Int wa);
-                      ("elias_fano_bits", J.Int ef);
-                      ("hybrid_bits", J.Int hy);
-                      ("mismatches", J.Int mis);
-                      ("io_hybrid_bits_read", J.Int ioh);
-                      ("io_gamma_bits_read", J.Int iog);
-                      ("ledger_exact", J.Bool lex);
-                      ("ledger", lj);
-                    ])
-                rows) );
-         ( "gate",
-           J.Obj
-             [
-               ("mixed_hybrid_over_best", J.Float mixed_ratio);
-               ("mixed_max", J.Float 1.05);
-               ("clustered_io_reduction", J.Float io_reduction);
-               ("mismatches", J.Int total_mismatches);
-               ("ledgers_exact", J.Bool ledgers_exact);
-               ("pass", J.Bool pass);
-             ] );
-       ]);
-  fmt "wrote BENCH_PR7.json\n";
-  if not pass then begin
-    fmt
-      "BENCH_PR7 gate FAILED: mismatches=%d mixed_ratio=%.3f \
-       io_reduction=%.2f ledgers_exact=%b\n"
-      total_mismatches mixed_ratio io_reduction ledgers_exact;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* --wal (PR 8): the crash-safe write path.  Three parts:
-
-   1. Frontier: one fixed op sequence replayed through a grid of
-      (flush threshold, fanout, commit group) configs; each row
-      reports amortized update I/O, updates absorbed per write I/O,
-      and average cold query I/O — the (update, query) tradeoff the
-      logarithmic method trades along.  Every config's answers are
-      checked bit-for-bit against a static index rebuilt from scratch
-      over the mutated string.
-   2. Yi envelope: the frontier points are checked from *below*
-      against the dynamic-indexability tradeoff shape
-      lg B / lg(updates-per-I/O) — a constant is fitted on the
-      calibration half, and no point may dip under the fitted curve.
-   3. Crash campaign: a seeded sweep that kills the store at *every*
-      counted block write (torn and clean, on the WAL device and the
-      index device), recovers from the surviving WAL, and gates on
-      zero lost acknowledged updates and zero wrong answers, with
-      double-crash-during-recovery subcases.  Emits BENCH_PR8.json. *)
-
-let wal_queries ~sigma ~count ~seed =
-  let rng = Iosim.Fault.Rng.create seed in
-  List.init count (fun _ ->
-      let lo = Iosim.Fault.Rng.int rng sigma in
-      (lo, lo + Iosim.Fault.Rng.int rng (sigma - lo)))
-
-let wal_frontier ~smoke =
-  let n = if smoke then 512 else 2048 and sigma = 16 in
-  let g = Workload.Gen.uniform ~seed:42 ~n ~sigma in
-  let data = g.Workload.Gen.data in
-  let n_ops = if smoke then 384 else 2048 in
-  let rng = Iosim.Fault.Rng.create 77 in
-  let ops =
-    random_ops ~rng ~sigma ~kinds:[ `Set; `Append; `Delete ] ~len:n
-      ~count:n_ops
-  in
-  let queries = wal_queries ~sigma ~count:30 ~seed:1234 in
-  (* ground truth: the mutated string, and a static index rebuilt from
-     scratch over it (deleted positions carry the sentinel character
-     sigma, outside every query range) *)
-  let mut =
-    let chars = ref (Array.copy data) in
-    let len = ref (Array.length data) in
-    List.iter
-      (fun op ->
-        (match op with
-        | Wal.Op.Append _ when !len = Array.length !chars ->
-            let grown = Array.make (max 16 (2 * !len)) 0 in
-            Array.blit !chars 0 grown 0 !len;
-            chars := grown
-        | _ -> ());
-        match op with
-        | Wal.Op.Set { pos; ch } -> !chars.(pos) <- ch
-        | Wal.Op.Delete { pos } -> !chars.(pos) <- sigma
-        | Wal.Op.Append { ch } ->
-            !chars.(!len) <- ch;
-            incr len)
-      ops;
-    Array.sub !chars 0 !len
-  in
-  let rebuilt =
-    Secidx.Static_index.instance (device ()) ~sigma:(sigma + 1) mut
-  in
-  let references =
-    List.map
-      (fun (lo, hi) ->
-        Indexing.Answer.to_posting ~n:rebuilt.Indexing.Instance.n
-          (fst (Indexing.Instance.query_cold rebuilt ~lo ~hi)))
-      queries
-  in
-  let thresholds = if smoke then [ 16; 64 ] else [ 16; 64; 256 ] in
-  let fanouts = [ 2; 4 ] in
-  let groups = if smoke then [ 1; 16 ] else [ 1; 8; 32 ] in
-  let block_bits = 1024 in
-  let rows =
-    List.concat_map
-      (fun flush_threshold ->
-        List.concat_map
-          (fun fanout ->
-            List.map
-              (fun group ->
-                (* The WAL device carries no pool: a pooled write is a
-                   cache hit, and a log append that only reaches cache
-                   is not durable.  The index device keeps the usual
-                   pool — runs are rebuildable from base + WAL, so its
-                   buffering is the logarithmic method's memory. *)
-                let index_device = device () in
-                let wal_device = device ~mem_blocks:0 () in
-                let config =
-                  { Wal.Store.flush_threshold; fanout;
-                    payload = Wal.Store.Gap; retry_attempts = 3 }
-                in
-                let store =
-                  Wal.Store.create ~wal_device ~index_device config ~sigma
-                    ~data
-                in
-                let snap dev =
-                  let s = Iosim.Device.stats dev in
-                  (s.Iosim.Stats.block_reads, s.Iosim.Stats.block_writes)
-                in
-                let r0w, w0w = snap wal_device and r0i, w0i = snap index_device in
-                let rec chunks = function
-                  | [] -> ()
-                  | ops ->
-                      let rec take k acc = function
-                        | op :: rest when k > 0 -> take (k - 1) (op :: acc) rest
-                        | rest -> (List.rev acc, rest)
-                      in
-                      let batch, rest = take group [] ops in
-                      Wal.Store.update_batch store batch;
-                      chunks rest
-                in
-                chunks ops;
-                let r1w, w1w = snap wal_device and r1i, w1i = snap index_device in
-                let update_ios = r1w - r0w + (w1w - w0w) + (r1i - r0i) + (w1i - w0i) in
-                let write_ios = w1w - w0w + (w1i - w0i) in
-                let updates_per_io =
-                  float_of_int n_ops /. float_of_int (max 1 write_ios)
-                in
-                let inst = Wal.Store.instance store in
-                let mismatches = ref 0 in
-                let q_ios =
-                  List.map2
-                    (fun (lo, hi) reference ->
-                      let answer, stats =
-                        Indexing.Instance.query_cold inst ~lo ~hi
-                      in
-                      let got =
-                        Indexing.Answer.to_posting ~n:inst.Indexing.Instance.n
-                          answer
-                      in
-                      if not (Cbitmap.Posting.equal got reference) then
-                        incr mismatches;
-                      float_of_int stats.Iosim.Stats.block_reads)
-                    queries references
-                in
-                let avg_query = avg q_ios in
-                ( flush_threshold, fanout, group,
-                  float_of_int update_ios /. float_of_int n_ops,
-                  updates_per_io, avg_query, !mismatches,
-                  Wal.Store.size_bits store, Wal.Store.wal_bits store,
-                  Wal.Store.flushes store, Wal.Store.compactions store,
-                  Wal.Store.level_counts store ))
-              groups)
-          fanouts)
-      thresholds
-  in
-  (rows, block_bits)
-
-let wal_crash_trial ~config ~sigma ~data ~batches ~victim ~k ~torn ~double =
-  let blk = 512 in
-  let mk () = Iosim.Device.create ~block_bits:blk ~mem_bits:0 () in
-  let index_device = mk () and wal_device = mk () in
-  let store = Wal.Store.create ~wal_device ~index_device config ~sigma ~data in
-  let plan = Iosim.Fault.create () in
-  let dev = match victim with `Wal -> wal_device | `Index -> index_device in
-  Iosim.Device.set_fault dev plan;
-  Iosim.Fault.arm_crash plan ~after_writes:k ~torn;
-  let issued = ref [] in
-  let acked = ref 0 in
-  let crash_phase = ref None in
-  (try
-     List.iter
-       (fun batch ->
-         issued := !issued @ batch;
-         Wal.Store.update_batch store batch;
-         acked := List.length !issued)
-       batches
-   with Secidx_error.Crashed _ -> crash_phase := Some (Wal.Store.phase store));
-  match !crash_phase with
-  | None -> `No_fire
-  | Some phase ->
-      Iosim.Device.clear_fault dev;
-      let verdict ~wal2 =
-        let recovered, replayed =
-          Wal.Recovery.recover ?wal_device:wal2 config ~sigma ~data wal_device
-        in
-        if replayed < !acked then `Lost_acks
-        else if replayed > List.length !issued then `Lost_acks
-        else begin
-          let issued_a = Array.of_list !issued in
-          let prefix_ok = ref true in
-          let prefix, _ = Wal.Recovery.scan wal_device in
-          List.iteri
-            (fun i op ->
-              if not (Wal.Op.equal issued_a.(i) op) then prefix_ok := false)
-            prefix;
-          if not !prefix_ok then `Wrong
-          else begin
-            let apply_m, answer_m, live_len = mutated_oracle ~sigma data in
-            Array.iteri
-              (fun i op -> if i < replayed then apply_m op)
-              issued_a;
-            let wrong = ref false in
-            for lo = 0 to sigma - 1 do
-              for hi = lo to sigma - 1 do
-                let got =
-                  Indexing.Answer.to_posting ~n:(live_len ())
-                    (Wal.Store.query recovered ~lo ~hi)
-                in
-                if not (Cbitmap.Posting.equal got (answer_m ~lo ~hi)) then
-                  wrong := true
-              done
-            done;
-            if !wrong then `Wrong else `Recovered
-          end
-        end
-      in
-      if double then begin
-        (* kill the recovery itself, then prove the original WAL is
-           still sufficient: its scan is unchanged and a clean second
-           recovery passes the full check *)
-        let before, _ = Wal.Recovery.scan wal_device in
-        let plan2 = Iosim.Fault.create () in
-        let wal2 = mk () in
-        Iosim.Device.set_fault wal2 plan2;
-        Iosim.Fault.arm_crash plan2 ~after_writes:1 ~torn:true;
-        (try
-           ignore
-             (Wal.Recovery.recover ~wal_device:wal2 config ~sigma ~data
-                wal_device)
-         with Secidx_error.Crashed _ -> ());
-        let after, _ = Wal.Recovery.scan wal_device in
-        if List.length before <> List.length after then `Wrong
-        else
-          match verdict ~wal2:None with
-          | `Recovered -> `Double_ok phase
-          | `Lost_acks -> `Lost_acks
-          | `Wrong -> `Wrong
-      end
-      else
-        match verdict ~wal2:None with
-        | `Recovered -> `Fired phase
-        | `Lost_acks -> `Lost_acks
-        | `Wrong -> `Wrong
-
-let wal_crash_campaign ~smoke =
-  let sigma = 8 in
-  let config =
-    { Wal.Store.flush_threshold = 8; fanout = 2; payload = Wal.Store.Gap;
-      retry_attempts = 3 }
-  in
-  let seeds = if smoke then [ 1; 2 ] else [ 1; 2; 3; 4 ] in
-  let trials = ref 0 and fired = ref 0 and no_fire = ref 0 in
-  let lost_acks = ref 0 and wrong = ref 0 in
-  let double_trials = ref 0 and double_failures = ref 0 in
-  let by_phase = Hashtbl.create 4 in
-  let note_phase p =
-    Hashtbl.replace by_phase p (1 + Option.value ~default:0 (Hashtbl.find_opt by_phase p))
-  in
-  List.iter
-    (fun seed ->
-      let rng = Iosim.Fault.Rng.create (seed * 1_000_003) in
-      let data = Array.init 64 (fun _ -> Iosim.Fault.Rng.int rng sigma) in
-      let len = ref (Array.length data) in
-      let batches =
-        List.init 24 (fun _ ->
-            let ops =
-              random_ops ~rng ~sigma ~kinds:[ `Set; `Append; `Delete ]
-                ~len:!len
-                ~count:(1 + Iosim.Fault.Rng.int rng 5)
-            in
-            List.iter
-              (function Wal.Op.Append _ -> incr len | _ -> ())
-              ops;
-            ops)
-      in
-      List.iter
-        (fun victim ->
-          (* dry run with an idle plan sizes the sweep *)
-          let total =
-            let mk () = Iosim.Device.create ~block_bits:512 ~mem_bits:0 () in
-            let index_device = mk () and wal_device = mk () in
-            let store =
-              Wal.Store.create ~wal_device ~index_device config ~sigma ~data
-            in
-            let plan = Iosim.Fault.create () in
-            Iosim.Device.set_fault
-              (match victim with `Wal -> wal_device | `Index -> index_device)
-              plan;
-            List.iter (Wal.Store.update_batch store) batches;
-            Iosim.Fault.blocks_written_seen plan
-          in
-          for k = 1 to total do
-            List.iter
-              (fun torn ->
-                let double =
-                  victim = `Wal && (not torn) && k mod 8 = 0
-                in
-                incr trials;
-                if double then incr double_trials;
-                match
-                  wal_crash_trial ~config ~sigma ~data ~batches ~victim ~k
-                    ~torn ~double
-                with
-                | `No_fire -> incr no_fire
-                | `Fired phase ->
-                    incr fired;
-                    note_phase phase
-                | `Double_ok phase ->
-                    incr fired;
-                    note_phase phase
-                | `Lost_acks ->
-                    incr fired;
-                    incr lost_acks;
-                    if double then incr double_failures
-                | `Wrong ->
-                    incr fired;
-                    incr wrong;
-                    if double then incr double_failures)
-              [ false; true ]
-          done)
-        [ `Wal; `Index ])
-    seeds;
-  let phase_count p = Option.value ~default:0 (Hashtbl.find_opt by_phase p) in
-  ( !trials, !fired, !no_fire, !lost_acks, !wrong, !double_trials,
-    !double_failures,
-    [ ("log", phase_count "log"); ("flush", phase_count "flush");
-      ("compact", phase_count "compact") ] )
-
-let wal_run ~smoke () =
-  header "crash-safe write path (--wal)";
-  let rows, block_bits = wal_frontier ~smoke in
-  table
-    [ "thr"; "fanout"; "group"; "upd-IO/op"; "upd/wIO"; "query-IO"; "miss";
-      "size-bits"; "wal-bits"; "flush"; "compact"; "levels" ]
-    (List.map
-       (fun (thr, f, grp, upd, upio, q, miss, size, walb, fl, co, lc) ->
-         [ string_of_int thr; string_of_int f; string_of_int grp;
-           Printf.sprintf "%.3f" upd; Printf.sprintf "%.1f" upio;
-           Printf.sprintf "%.1f" q; string_of_int miss; string_of_int size;
-           string_of_int walb; string_of_int fl; string_of_int co;
-           String.concat "/" (List.map string_of_int lc) ])
-       rows);
-  let mismatches =
-    List.fold_left (fun acc (_, _, _, _, _, _, m, _, _, _, _, _) -> acc + m) 0
-      rows
-  in
-  (* Yi tradeoff, fitted from below on the calibration half *)
-  let samples =
-    List.map
-      (fun (_, _, _, _, upio, q, _, _, _, _, _, _) ->
-        (q, Obs.Envelope.yi_query_ios ~block_bits ~updates_per_io:upio))
-      rows
-  in
-  let calibration = List.filteri (fun i _ -> i mod 2 = 0) samples in
-  let c = Obs.Envelope.fit_min calibration in
-  let slack = 2.0 in
-  let yi_violations = Obs.Envelope.violations_below ~c ~slack samples in
-  fmt "yi envelope: c=%.3f slack=%.1f violations=%d/%d\n" c slack
-    (List.length yi_violations) (List.length samples);
-  let ( trials, fired, no_fire, lost_acks, wrong, double_trials,
-        double_failures, phases ) =
-    wal_crash_campaign ~smoke
-  in
-  fmt
-    "crash campaign: trials=%d fired=%d no_fire=%d lost_acks=%d wrong=%d\n"
-    trials fired no_fire lost_acks wrong;
-  fmt "  by phase: %s  double-crash: %d (failures %d)\n"
-    (String.concat " "
-       (List.map (fun (p, c) -> Printf.sprintf "%s=%d" p c) phases))
-    double_trials double_failures;
-  let phase_covered =
-    List.for_all (fun (_, c) -> c > 0) phases
-  in
-  let pass =
-    mismatches = 0 && yi_violations = [] && lost_acks = 0 && wrong = 0
-    && double_failures = 0 && trials >= 200 && fired > 0 && phase_covered
-  in
-  J.to_file "BENCH_PR8.json"
-    (J.Obj
-       [
-         ("pr", J.Int 8);
-         ("label", J.String "WAL + leveled merging: frontier and crash sweep");
-         ("smoke", J.Bool smoke);
-         ( "frontier",
-           J.List
-             (List.map
-                (fun (thr, f, grp, upd, upio, q, miss, size, walb, fl, co, lc) ->
-                  J.Obj
-                    [
-                      ("flush_threshold", J.Int thr);
-                      ("fanout", J.Int f);
-                      ("group", J.Int grp);
-                      ("update_ios_per_op", J.Float upd);
-                      ("updates_per_write_io", J.Float upio);
-                      ("avg_query_ios", J.Float q);
-                      ("mismatches", J.Int miss);
-                      ("size_bits", J.Int size);
-                      ("wal_bits", J.Int walb);
-                      ("flushes", J.Int fl);
-                      ("compactions", J.Int co);
-                      ("levels", J.List (List.map (fun c -> J.Int c) lc));
-                    ])
-                rows) );
-         ( "yi_envelope",
-           J.Obj
-             [
-               ("block_bits", J.Int block_bits);
-               ("c", J.Float c);
-               ("slack", J.Float slack);
-               ("violations", J.Int (List.length yi_violations));
-             ] );
-         ( "crash",
-           J.Obj
-             [
-               ("trials", J.Int trials);
-               ("fired", J.Int fired);
-               ("no_fire", J.Int no_fire);
-               ("lost_acks", J.Int lost_acks);
-               ("wrong_answers", J.Int wrong);
-               ("double_crash_trials", J.Int double_trials);
-               ("double_crash_failures", J.Int double_failures);
-               ( "by_phase",
-                 J.Obj (List.map (fun (p, c) -> (p, J.Int c)) phases) );
-             ] );
-         ( "gate",
-           J.Obj
-             [
-               ("mismatches", J.Int mismatches);
-               ("yi_violations", J.Int (List.length yi_violations));
-               ("lost_acks", J.Int lost_acks);
-               ("wrong_answers", J.Int wrong);
-               ("double_crash_failures", J.Int double_failures);
-               ("min_trials", J.Int 200);
-               ("pass", J.Bool pass);
-             ] );
-       ]);
-  fmt "wrote BENCH_PR8.json\n";
-  if not pass then begin
-    fmt
-      "BENCH_PR8 gate FAILED: mismatches=%d yi_violations=%d lost_acks=%d \
-       wrong=%d double_failures=%d trials=%d phase_covered=%b\n"
-      mismatches (List.length yi_violations) lost_acks wrong double_failures
-      trials phase_covered;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* --metrics (PR 9 tentpole): the production metrics plane end to end.
-   One scenario file (BENCH_PR9.json) with four gates:
-
-   1. The PR 2 wallclock decode race re-run with the always-on
-      registry live and tracing off — the engine must keep its
-      speedup with every per-layer counter compiled in and firing.
-   2. Counter overhead measured directly: the exact per-query metrics
-      wrapping (one counter incr + one timed histogram observe around
-      the warm query closure) against the bare closure, best-of
-      timing over a query loop.
-   3. A Domains-mode serving scenario under a wallclock metrics
-      clock: the open-loop sim's tail attribution must decompose the
-      tail into components summing to the measured tail seconds.
-   4. A multi-domain Chrome trace (TRACE_PR9.trace.json) linted
-      in-process: balanced Begin/End on every domain track, with
-      shard-worker domains present alongside the main domain.
-
-   The registry scrape lands in BENCH_PR9.json (JSON) and
-   METRICS_PR9.prom (Prometheus text exposition). *)
-
-let metrics_run ~smoke () =
-  header "production metrics plane (--metrics)";
-  Obs.Metrics.reset ();
-  Obs.Metrics.set_clock Unix.gettimeofday;
-  let sink = ref 0 in
-
-  (* 1. PR 2 decode race, metrics live.  Same shape as the PR 4
-     overhead probe: block-engine gamma decode vs per-bit reference. *)
-  assert (not (Obs.Trace.enabled ()));
-  let iters = if smoke then 3 else 15 in
-  let count = if smoke then 20_000 else 100_000 in
-  let rng = Hashing.Universal.Rng.create ~seed:7 in
-  let values = Array.make count 0 in
-  let v = ref (-1) in
-  for i = 0 to count - 1 do
-    v := !v + 1 + Hashing.Universal.Rng.below rng 200;
-    values.(i) <- !v
-  done;
-  let posting = Cbitmap.Posting.of_sorted_array values in
-  let buf = Cbitmap.Gap_codec.to_buf posting in
-  let out = Array.make count 0 in
-  let engine =
-    time_per_item_best ~iters ~items:count (fun () ->
-        let d = Bitio.Decoder.of_bitbuf buf in
-        Cbitmap.Gap_codec.decode_into d ~count out;
-        sink := !sink lxor out.(count - 1))
-  in
-  let perbit =
-    time_per_item_best ~iters ~items:count (fun () ->
-        let r = Oracle.Reader.of_bitbuf buf in
-        let last = ref (-1) in
-        for i = 0 to count - 1 do
-          let gap = Oracle.Codes.decode_gamma r in
-          let p = if !last < 0 then gap - 1 else !last + gap in
-          Array.unsafe_set out i p;
-          last := p
-        done;
-        sink := !sink lxor out.(count - 1))
-  in
-  let decode_speedup = perbit /. engine in
-  let decode_gate_min = if smoke then 1.0 else 4.0 in
-  let decode_pass = decode_speedup >= decode_gate_min in
-  fmt "decode race (metrics live): %.1fx vs per-bit reference (min %.1fx)\n"
-    decode_speedup decode_gate_min;
-
-  (* 2. Counter overhead on the warm query path. *)
-  let qn = if smoke then 4096 else 16384 in
-  let qg = Workload.Gen.zipf ~seed:20 ~n:qn ~sigma:256 ~theta:1.0 () in
-  let inst =
-    Secidx.Static_index.instance (device ()) ~sigma:256 qg.Workload.Gen.data
-  in
-  let raw_query () =
-    sink :=
-      !sink
-      lxor Indexing.Answer.compressed_bits
-             (inst.Indexing.Instance.query ~lo:16 ~hi:47)
-  in
-  let probe_c = Obs.Metrics.counter "bench_overhead_probe_total" in
-  let probe_h = Obs.Metrics.histogram "bench_overhead_probe_seconds" in
-  let metered_query () =
-    Obs.Metrics.incr probe_c;
-    Obs.Metrics.time probe_h raw_query
-  in
-  let reps = if smoke then 64 else 256 in
-  let qiters = if smoke then 7 else 30 in
-  let loop f () =
-    for _ = 1 to reps do
-      f ()
-    done
-  in
-  let t_raw = time_per_item_best ~iters:qiters ~items:reps (loop raw_query) in
-  let t_metered =
-    time_per_item_best ~iters:qiters ~items:reps (loop metered_query)
-  in
-  let counter_overhead_pct = (t_metered -. t_raw) /. t_raw *. 100.0 in
-  let overhead_max = if smoke then 10.0 else 3.0 in
-  let overhead_pass = counter_overhead_pct <= overhead_max in
-  fmt
-    "counter overhead: warm query %.0f ns bare / %.0f ns metered (%+.2f%%, \
-     max %.1f%%)\n"
-    t_raw t_metered counter_overhead_pct overhead_max;
-
-  (* 3. WAL workout so the write-path counters have traffic. *)
-  let wal_batches = if smoke then 12 else 48 in
-  (let config =
-     { Wal.Store.flush_threshold = 24; fanout = 2; payload = Wal.Store.Gap;
-       retry_attempts = 3 }
-   in
-   let wsigma = 16 in
-   let wg = Workload.Gen.uniform ~seed:21 ~n:512 ~sigma:wsigma in
-   let store = Wal.Store.create config ~sigma:wsigma ~data:wg.Workload.Gen.data in
-   let rng = Hashing.Universal.Rng.create ~seed:22 in
-   for _ = 1 to wal_batches do
-     let ops =
-       List.init 16 (fun _ ->
-           match Hashing.Universal.Rng.below rng 3 with
-           | 0 ->
-               Wal.Op.Set
-                 {
-                   pos = Hashing.Universal.Rng.below rng (Wal.Store.n store);
-                   ch = Hashing.Universal.Rng.below rng wsigma;
-                 }
-           | 1 -> Wal.Op.Append { ch = Hashing.Universal.Rng.below rng wsigma }
-           | _ ->
-               Wal.Op.Delete
-                 { pos = Hashing.Universal.Rng.below rng (Wal.Store.n store) })
-     in
-     Wal.Store.update_batch store ops
-   done;
-   Wal.Store.flush store;
-   sink :=
-     !sink
-     lxor Indexing.Answer.compressed_bits
-            (Wal.Store.query store ~lo:0 ~hi:(wsigma - 1)));
-
-  (* 4. Domains-mode serving with tail attribution. *)
-  let n = if smoke then 4096 else 16384 and sigma = 256 in
-  let g = Workload.Gen.zipf ~seed:6 ~n ~sigma ~theta:1.0 () in
-  let builder = List.find (fun b -> b.b_name = "static") all_builders in
-  let shards =
-    Serve.Shard.build ~shards:2
-      ~make_device:(fun _ -> device ~pool_policy:`Segmented ())
-      ~build:builder.b_build ~sigma g.Workload.Gen.data
-  in
-  let router = Serve.Router.create ~mode:Serve.Router.Domains shards in
-  let count = if smoke then 4_000 else 20_000 in
-  let probe =
-    let t =
-      Workload.Traffic.make ~seed:11 ~sigma ~count:(count / 10) ~rate:1e7 ()
-    in
-    (Serve.Sim.run router t).Serve.Sim.throughput
-  in
-  (* Mild overload: real queue_wait in the tail without unbounded
-     backlog — the wall stays ~count/capacity. *)
-  let traffic =
-    Workload.Traffic.make ~seed:17 ~sigma ~count ~rate:(2.0 *. probe) ()
-  in
-  let r = Serve.Sim.run ~tail_quantile:0.99 router traffic in
-  let a = r.Serve.Sim.attribution in
-  let comp_sum =
-    List.fold_left (fun acc (_, v) -> acc +. v) 0.0 a.Serve.Sim.components
-  in
-  let attribution_sum_pass =
-    a.Serve.Sim.tail_queries > 0
-    && Float.abs (comp_sum -. a.Serve.Sim.tail_seconds)
-       <= 1e-6 *. Float.max 1.0 a.Serve.Sim.tail_seconds
-  in
-  fmt "serve: %.0f q/s over %d queries; tail p%.0f >= %.3f ms: %d queries\n"
-    r.Serve.Sim.throughput r.Serve.Sim.completed
-    (a.Serve.Sim.quantile *. 100.0)
-    (a.Serve.Sim.threshold *. 1e3)
-    a.Serve.Sim.tail_queries;
-  table
-    [ "tail component"; "seconds"; "share" ]
-    (List.map
-       (fun (nm, s) ->
-         [
-           nm;
-           Printf.sprintf "%.6f" s;
-           Printf.sprintf "%.1f%%" (s /. a.Serve.Sim.tail_seconds *. 100.0);
-         ])
-       a.Serve.Sim.components);
-  fmt "attribution components sum %.6fs vs tail %.6fs: %s\n" comp_sum
-    a.Serve.Sim.tail_seconds
-    (if attribution_sum_pass then "exact" else "MISMATCH");
-
-  (* 5. Multi-domain trace demo + in-process lint. *)
-  Obs.Trace.enable ~capacity:(1 lsl 14) ();
-  let demo_ranges =
-    Array.init 32 (fun i ->
-        let lo = i * 7 mod sigma in
-        (lo, min (sigma - 1) (lo + 7)))
-  in
-  Obs.Trace.with_span ~cat:"serve" "demo_batch" (fun () ->
-      ignore (Serve.Router.query_batch router demo_ranges));
-  Obs.Trace.disable ();
-  Obs.Trace.write_chrome "TRACE_PR9.trace.json";
-  Obs.Trace.clear ();
-  Serve.Router.shutdown router;
-  let lint = Obs.Report.lint_trace "TRACE_PR9.trace.json" in
-  let trace_pass = Obs.Report.lint_pass lint && lint.Obs.Report.domains >= 2 in
-  fmt "trace lint: %d events on %d domains, %d unmatched\n"
-    lint.Obs.Report.events lint.Obs.Report.domains
-    lint.Obs.Report.lint_unmatched;
-
-  (* Scrape. *)
-  (let oc = open_out "METRICS_PR9.prom" in
-   output_string oc (Obs.Metrics.to_prometheus ());
-   close_out oc);
-  Obs.Metrics.reset_clock ();
-  let pass =
-    decode_pass && overhead_pass && attribution_sum_pass && trace_pass
-  in
-  J.to_file "BENCH_PR9.json"
-    (J.Obj
-       [
-         ("pr", J.Int 9);
-         ("label", J.String "production metrics plane, tail attribution");
-         ("smoke", J.Bool smoke);
-         ("n", J.Int n);
-         ("sigma", J.Int sigma);
-         ("builder", J.String builder.b_name);
-         ( "serve",
-           J.Obj
-             [
-               ("queries", J.Int r.Serve.Sim.completed);
-               ("throughput_qps", J.Float r.Serve.Sim.throughput);
-               ("batches", J.Int r.Serve.Sim.batches);
-               ("max_batch", J.Int r.Serve.Sim.max_batch);
-               ("latency", Obs.Histogram.to_json r.Serve.Sim.latency);
-             ] );
-         ( "attribution",
-           J.Obj
-             [
-               ("quantile", J.Float a.Serve.Sim.quantile);
-               ("threshold_s", J.Float a.Serve.Sim.threshold);
-               ("tail_queries", J.Int a.Serve.Sim.tail_queries);
-               ("tail_seconds", J.Float a.Serve.Sim.tail_seconds);
-               ("components_sum_s", J.Float comp_sum);
-               ( "components",
-                 J.List
-                   (List.map
-                      (fun (nm, s) ->
-                        J.Obj
-                          [ ("name", J.String nm); ("seconds", J.Float s) ])
-                      a.Serve.Sim.components) );
-             ] );
-         ("metrics", Obs.Metrics.to_json ());
-         ( "gate",
-           J.Obj
-             [
-               ( "decode_race",
-                 J.Obj
-                   [
-                     ("value", J.Float decode_speedup);
-                     ("min", J.Float decode_gate_min);
-                     ("pass", J.Bool decode_pass);
-                   ] );
-               ("counter_overhead_pct", J.Float counter_overhead_pct);
-               ("counter_overhead_max_pct", J.Float overhead_max);
-               ("overhead_pass", J.Bool overhead_pass);
-               ("attribution_sum_pass", J.Bool attribution_sum_pass);
-               ("trace_lint", Obs.Report.lint_to_json lint);
-               ("unmatched_spans", J.Int lint.Obs.Report.lint_unmatched);
-               ("trace_pass", J.Bool trace_pass);
-               ("pass", J.Bool pass);
-             ] );
-       ]);
-  fmt "wrote BENCH_PR9.json + TRACE_PR9.trace.json + METRICS_PR9.prom \
-       (sink=%d)\n"
-    (!sink land 1);
-  if not pass then begin
-    fmt
-      "BENCH_PR9 gate FAILED: decode=%.2fx overhead=%.2f%% attr_sum=%b \
-       trace=%b\n"
-      decode_speedup counter_overhead_pct attribution_sum_pass trace_pass;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* --planner: PR 10 gate — the cost-based multi-attribute planner.
-
-   Workload: three correlated Zipf-skewed clustered columns
-   (Workload.Gen.correlated_columns), indexed with approximate
-   (Theorem 3) secondary indexes and device-stored rows, so candidate
-   verification is a counted heap read.  The conjunctions pair one
-   highly selective predicate on rare characters with two wide
-   mid-selectivity ranges — the shape where Ridint's fixed rule
-   (decode every predicate exactly, intersect smallest-first) decodes
-   two huge postings it barely uses, and the planner can drive from
-   the selective column and discharge the wide ones with prefilters
-   or residual verification.
-
-   Gates:
-   1. differential — planner rows equal both the naive scan and the
-      fixed-rule baseline on every trial (mismatches = 0);
-   2. io — total baseline I/O >= 2x total planner I/O over the trials;
-   3. count — single-column COUNT queries agree with the exact
-      cardinality, all take the directory fast path, and decode zero
-      payload bits: phase_payload_total must not move across the
-      whole COUNT campaign. *)
-let planner_run ~smoke () =
-  header "cost-based planner (--planner)";
-  Obs.Metrics.reset ();
-  let n = if smoke then 20_000 else 100_000 in
-  let sigma = 256 in
-  let block_bits = 1024 in
-  let d = device ~block_bits ~mem_blocks:1024 () in
-  let names = [ "c0"; "c1"; "c2" ] in
-  let cols =
-    List.map2
-      (fun name (g : Workload.Gen.t) ->
-        { Ridint.Table.name; sigma = g.sigma; values = g.data })
-      names
-      (Workload.Gen.correlated_columns ~seed:42 ~n ~sigma ~cols:3 ~rho:0.8
-         ~run:16 ~theta:1.1 ())
-  in
-  let t = Ridint.Table.create_approx ~seed:7 ~store_rows:true d cols in
-  let cost = Planner.Cost.calibrate t in
-  fmt
-    "n=%d sigma=%d rho=0.8 theta=1.1 c_exact=%.2f c_approx=%.2f \
-     row_blocks=%d\n"
-    n sigma cost.Planner.Cost.c_exact cost.Planner.Cost.c_approx
-    cost.Planner.Cost.row_blocks;
-
-  (* 1 + 2: skewed conjunctions, planner vs fixed smallest-first. *)
-  let trials = if smoke then 16 else 40 in
-  let mismatches = ref 0 in
-  let b_total = ref 0 and p_total = ref 0 in
-  let sample_rows = ref [] in
-  for i = 0 to trials - 1 do
-    (* Mostly rare-character drivers (the skewed shape), with every
-       fourth trial on a hot character so non-empty intersections are
-       exercised too. *)
-    let c0 = if i mod 4 = 3 then i mod 16 else sigma - 1 - (i mod 32) in
-    let w1 = sigma / 4 and w2 = sigma / 3 in
-    let lo1 = i * 5 mod (sigma - w1) and lo2 = i * 11 mod (sigma - w2) in
-    let conds =
-      [
-        { Ridint.Table.column = "c0"; lo = max 0 (c0 - 1); hi = c0 };
-        { Ridint.Table.column = "c1"; lo = lo1; hi = lo1 + w1 - 1 };
-        { Ridint.Table.column = "c2"; lo = lo2; hi = lo2 + w2 - 1 };
-      ]
-    in
-    let base, bs = Ridint.Table.query_with_stats t conds in
-    let out = Planner.Exec.run ~cost t (Planner.Ast.of_conditions conds) in
-    let rows = Option.get out.Planner.Exec.rows in
-    if
-      (not (Cbitmap.Posting.equal rows base))
-      || not (Cbitmap.Posting.equal rows (Ridint.Table.naive t conds))
-    then incr mismatches;
-    let b = Iosim.Stats.ios bs and p = Iosim.Stats.ios out.Planner.Exec.stats in
-    b_total := !b_total + b;
-    p_total := !p_total + p;
-    if i < 8 then
-      sample_rows :=
-        [
-          Printf.sprintf "%d" i;
-          Printf.sprintf "%d" (Cbitmap.Posting.cardinal rows);
-          Printf.sprintf "%d" b;
-          Printf.sprintf "%d" p;
-          Printf.sprintf "%.1fx" (float_of_int b /. float_of_int (max 1 p));
-          Planner.Plan.describe out.Planner.Exec.plan;
-        ]
-        :: !sample_rows
-  done;
-  table
-    [ "trial"; "rows"; "baseline io"; "planner io"; "speedup"; "plan" ]
-    (List.rev !sample_rows);
-  let reduction = float_of_int !b_total /. float_of_int (max 1 !p_total) in
-  let io_gate_min = 2.0 in
-  let io_pass = reduction >= io_gate_min in
-  let diff_pass = !mismatches = 0 in
-  fmt
-    "baseline %d IOs vs planner %d IOs over %d trials: %.2fx (need >= \
-     %.1fx)\n"
-    !b_total !p_total trials reduction io_gate_min;
-  fmt "differential: %d mismatches over %d trials\n" !mismatches trials;
-
-  (* 3: COUNT-only campaign — answered from the rank/select directory
-     alone. *)
-  let payload = Obs.Metrics.counter "phase_payload_total" in
-  let fastpath = Obs.Metrics.counter "planner_count_fastpath_total" in
-  let count_trials = if smoke then 8 else 20 in
-  let count_mismatches = ref 0 in
-  let count_bits = ref 0 in
-  let payload_before = Obs.Metrics.counter_value payload in
-  let fast_before = Obs.Metrics.counter_value fastpath in
-  for i = 0 to count_trials - 1 do
-    let width = 1 + (i * 7 mod 64) in
-    let lo = i * 13 mod (sigma - width) in
-    let cond = { Ridint.Table.column = "c1"; lo; hi = lo + width - 1 } in
-    let out =
-      Planner.Exec.run ~cost t
-        (Planner.Ast.of_conditions ~kind:Planner.Ast.Count [ cond ])
-    in
-    let expect = Cbitmap.Posting.cardinal (Ridint.Table.naive t [ cond ]) in
-    if out.Planner.Exec.count <> expect || out.Planner.Exec.rows <> None then
-      incr count_mismatches;
-    count_bits := !count_bits + out.Planner.Exec.stats.Iosim.Stats.bits_read
-  done;
-  let payload_delta = Obs.Metrics.counter_value payload - payload_before in
-  let fast_delta = Obs.Metrics.counter_value fastpath - fast_before in
-  let count_pass =
-    !count_mismatches = 0 && payload_delta = 0 && fast_delta = count_trials
-  in
-  fmt
-    "COUNT: %d queries, %d mismatches, %d payload phases, %d fastpath hits, \
-     %d bits read\n"
-    count_trials !count_mismatches payload_delta fast_delta !count_bits;
-
-  let pass = diff_pass && io_pass && count_pass in
-  J.to_file "BENCH_PR10.json"
-    (J.Obj
-       [
-         ("pr", J.Int 10);
-         ("label", J.String "cost-based planner, prefilters, COUNT fast path");
-         ("smoke", J.Bool smoke);
-         ("n", J.Int n);
-         ("sigma", J.Int sigma);
-         ("c_exact", J.Float cost.Planner.Cost.c_exact);
-         ("c_approx", J.Float cost.Planner.Cost.c_approx);
-         ("c_verify", J.Float cost.Planner.Cost.c_verify);
-         ("planner_io_reduction", J.Float reduction);
-         ("metrics", Obs.Metrics.to_json ());
-         ( "gate",
-           J.Obj
-             [
-               ( "differential",
-                 J.Obj
-                   [
-                     ("trials", J.Int trials);
-                     ("mismatches", J.Int !mismatches);
-                     ("pass", J.Bool diff_pass);
-                   ] );
-               ( "io",
-                 J.Obj
-                   [
-                     ("baseline_ios", J.Int !b_total);
-                     ("planner_ios", J.Int !p_total);
-                     ("value", J.Float reduction);
-                     ("min", J.Float io_gate_min);
-                     ("pass", J.Bool io_pass);
-                   ] );
-               ( "count",
-                 J.Obj
-                   [
-                     ("trials", J.Int count_trials);
-                     ("mismatches", J.Int !count_mismatches);
-                     ("payload_phases", J.Int payload_delta);
-                     ("fastpath_hits", J.Int fast_delta);
-                     ("bits_read", J.Int !count_bits);
-                     ("pass", J.Bool count_pass);
-                   ] );
-               ("pass", J.Bool pass);
-             ] );
-       ]);
-  fmt "wrote BENCH_PR10.json\n";
-  if not pass then begin
-    fmt "BENCH_PR10 gate FAILED: diff=%b io=%.2fx count=%b\n" diff_pass
-      reduction count_pass;
-    exit 1
-  end
-
-(* --report: re-validate every committed BENCH_PR*.json structurally
-   and print the cross-PR headline trajectory (Obs.Report). *)
-let report_run () =
-  header "cross-PR regression report (--report)";
-  let files =
-    List.filter Sys.file_exists
-      (List.init 10 (fun i -> Printf.sprintf "BENCH_PR%d.json" (i + 1)))
-  in
-  let r = Obs.Report.run files in
-  print_string (Obs.Report.render_table r);
-  if not (Obs.Report.pass r) then begin
-    fmt "report gate FAILED\n";
-    exit 1
-  end
-
-(* --trace-lint <files>: balanced Begin/End per domain track in
-   exported Chrome traces. *)
-let trace_lint_run files =
-  header "chrome trace lint (--trace-lint)";
-  let failed =
-    List.fold_left
-      (fun acc f ->
-        let l = Obs.Report.lint_trace f in
-        let ok = Obs.Report.lint_pass l in
-        fmt "%s: %d events, %d begins, %d ends, %d domains, %d unmatched: %s\n"
-          l.Obs.Report.lint_path l.Obs.Report.events l.Obs.Report.begins
-          l.Obs.Report.ends l.Obs.Report.domains l.Obs.Report.lint_unmatched
-          (if ok then "ok" else "FAIL");
-        List.iter (fun m -> fmt "  %s\n" m) l.Obs.Report.lint_failures;
-        if ok then acc else acc + 1)
-      0 files
-  in
-  if files = [] then fmt "no trace files given\n";
-  if failed > 0 then exit 1
-
-(* ------------------------------------------------------------------ *)
+(* Benchmark harness: the paper experiments E1–E13 and the gated
+   sections that write BENCH_PR<k>.json.  Each section lives in its own
+   module of bench/sections; this file is the table of their names.
+
+     dune exec bench/main.exe                       # every experiment
+     dune exec bench/main.exe -- e3 e5              # a subset
+     dune exec bench/main.exe -- <flag> [--smoke]   # a section, CI-sized
+
+   Named experiments run first, in the order given, then the chosen
+   sections in table order.  An unknown argument is a usage error
+   (exit 2). *)
+
+open Sections
 
 let experiments =
+  Experiments.
+    [
+      ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
+      ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
+      ("e12", e12); ("e13", e13);
+    ]
+
+(* A section runs at full or smoke size, or over the files named on
+   the command line. *)
+type run = Sized of (smoke:bool -> unit) | Files of (string list -> unit)
+
+(* (flag, title of the section's console header, section) *)
+let sections =
   [
-    ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-    ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
-    ("e12", e12); ("e13", e13);
+    ("--wallclock", "wall-clock microbenchmarks", Sized Wallclock.run);
+    ("--faults", "fault-injection campaign", Sized Faults.run);
+    ( "--trace",
+      "query tracing, space ledgers, theorem envelopes",
+      Sized Tracing.run );
+    ("--batch", "batched query execution", Sized Batching.run);
+    ("--serve", "sharded parallel serving", Sized Serving.run);
+    ("--containers", "hybrid container payloads", Sized Containers.run);
+    ("--wal", "crash-safe write path", Sized Write_path.run);
+    ("--metrics", "production metrics plane", Sized Metrics_plane.run);
+    ("--planner", "cost-based planner", Sized Planning.run);
+    ( "--report",
+      "cross-PR regression report",
+      Sized (fun ~smoke:_ -> Report.run ()) );
+    ("--trace-lint", "chrome trace lint", Files Trace_lint.run);
   ]
+
+let usage_error arg =
+  Printf.eprintf "bench: unknown argument %s\nexperiments: %s\nflags: %s\n"
+    arg
+    (String.concat " " (List.map fst experiments))
+    (String.concat " " ("--smoke" :: List.map (fun (f, _, _) -> f) sections));
+  exit 2
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let args = List.filter (fun a -> a <> "--") args in
-  let want_bechamel = List.mem "--bechamel" args in
-  let want_wallclock = List.mem "--wallclock" args in
-  let want_faults = List.mem "--faults" args in
-  let want_trace = List.mem "--trace" args in
-  let want_batch = List.mem "--batch" args in
-  let want_serve = List.mem "--serve" args in
-  let want_containers = List.mem "--containers" args in
-  let want_wal = List.mem "--wal" args in
-  let want_metrics = List.mem "--metrics" args in
-  let want_planner = List.mem "--planner" args in
-  let want_report = List.mem "--report" args in
-  let want_trace_lint = List.mem "--trace-lint" args in
   let smoke = List.mem "--smoke" args in
-  let selected =
-    List.filter
-      (fun a ->
-        not
-          (List.mem a
-             [ "--bechamel"; "--wallclock"; "--faults"; "--trace"; "--batch";
-               "--serve"; "--containers"; "--wal"; "--metrics"; "--planner";
-               "--report"; "--trace-lint"; "--smoke" ]))
-      args
+  let flags, names =
+    List.partition
+      (String.starts_with ~prefix:"--")
+      (List.filter (fun a -> a <> "--" && a <> "--smoke") args)
+  in
+  List.iter
+    (fun f ->
+      if not (List.exists (fun (f', _, _) -> f' = f) sections) then
+        usage_error f)
+    flags;
+  let chosen = List.filter (fun (f, _, _) -> List.mem f flags) sections in
+  (* A section that takes files claims the positional arguments. *)
+  let takes_files =
+    List.exists (function _, _, Files _ -> true | _ -> false) chosen
   in
   let to_run =
-    (* --trace-lint claims the positional args as trace files. *)
-    if want_trace_lint then []
-    else if selected = [] then
-      if want_wallclock || want_bechamel || want_faults || want_trace
-         || want_batch || want_serve || want_containers || want_wal
-         || want_metrics || want_planner || want_report
-      then []
-      else experiments
+    if takes_files then []
+    else if names = [] && flags = [] then List.map snd experiments
     else
-      List.filter_map
+      List.map
         (fun name ->
           match List.assoc_opt name experiments with
-          | Some f -> Some (name, f)
-          | None ->
-              fmt "unknown experiment %s (known: %s)\n" name
-                (String.concat " " (List.map fst experiments));
-              None)
-        selected
+          | Some e -> e
+          | None -> usage_error name)
+        names
   in
-  List.iter (fun (_, f) -> f ()) to_run;
-  if want_bechamel then bechamel ();
-  if want_wallclock then begin
-    wallclock ~smoke ();
-    wallclock_pr2 ~smoke ()
-  end;
-  if want_faults then fault_campaign ~smoke ();
-  if want_trace then trace_run ~smoke ();
-  if want_batch then batch_run ~smoke ();
-  if want_serve then serve_run ~smoke ();
-  if want_containers then containers_run ~smoke ();
-  if want_wal then wal_run ~smoke ();
-  if want_metrics then metrics_run ~smoke ();
-  if want_planner then planner_run ~smoke ();
-  if want_report then report_run ();
-  if want_trace_lint then trace_lint_run selected;
-  fmt "\nbench: done\n"
+  List.iter (fun e -> e ()) to_run;
+  List.iter
+    (fun (flag, title, run) ->
+      Common.header (Printf.sprintf "%s (%s)" title flag);
+      match run with Sized run -> run ~smoke | Files run -> run names)
+    chosen;
+  print_string "\nbench: done\n"

@@ -143,14 +143,6 @@ let query t ~lo ~hi =
   | None -> Indexing.Answer.Direct Cbitmap.Posting.empty
   | Some (lo, hi) -> query_checked t ~lo ~hi
 
-(* COUNT-only fast path (PR 10): two A-array probes, zero payload. *)
-let count t ~lo ~hi =
-  match Indexing.Common.clamp_range ~sigma:t.sigma ~lo ~hi with
-  | None -> 0
-  | Some (lo, hi) ->
-      Obs.Metrics.phase "rank_select" (fun () ->
-          read_a t (hi + 1) - read_a t lo)
-
 (* ---- batched execution (PR 5): as [query_checked] per unique query,
    with node bitmaps decoded at most once per batch.  Cover pieces
    resolve to (level, stream range) exactly as [piece_streams] does;

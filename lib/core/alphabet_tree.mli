@@ -28,10 +28,6 @@ val build :
 
 val query : t -> lo:int -> hi:int -> Indexing.Answer.t
 
-(** COUNT-only fast path (PR 10): exact answer cardinality from two
-    A-array probes, zero payload bits decoded. *)
-val count : t -> lo:int -> hi:int -> int
-
 (** Batched execution (PR 5): same cover and complement decisions as
     [query] per unique range, with each node bitmap decoded at most
     once per batch and uncached payload runs prefetched. *)

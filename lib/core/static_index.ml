@@ -285,19 +285,6 @@ let query t ~lo ~hi =
   | None -> Indexing.Answer.Direct Cbitmap.Posting.empty
   | Some (lo, hi) -> query_checked t ~lo ~hi
 
-(* COUNT-only fast path (PR 10): the exact answer cardinality is the
-   difference of two A-array entries — two directory probes, no
-   descent, zero payload bits decoded. *)
-let count t ~lo ~hi =
-  match Indexing.Common.clamp_range ~sigma:t.tree.Wbb.sigma ~lo ~hi with
-  | None -> 0
-  | Some (lo, hi) ->
-      let s, e =
-        Obs.Metrics.phase "rank_select" (fun () ->
-            (read_a t lo, read_a t (hi + 1)))
-      in
-      e - s
-
 (* ---- batched execution (PR 5) ----
 
    Same plan as [query_checked] query by query — identical descent,

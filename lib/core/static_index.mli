@@ -41,11 +41,6 @@ val build :
 
 val query : t -> lo:int -> hi:int -> Indexing.Answer.t
 
-(** COUNT-only fast path (PR 10): exact number of positions in
-    [lo, hi] from two A-array probes — no tree descent, zero payload
-    bits decoded.  Agrees with [Answer.cardinal] of {!query}. *)
-val count : t -> lo:int -> hi:int -> int
-
 (** Batched execution (PR 5): answers [ranges] slot for slot with the
     same plans and complement decisions as [query], but decodes each
     stored stream at most once for the whole batch and prefetches

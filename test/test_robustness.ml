@@ -217,24 +217,27 @@ let prop_dynamic_mixed_ops =
       done;
       !ok)
 
-(* The CLI rejects bad outside input as a usage error (cmdliner's exit
-   124) instead of dying on an uncaught exception or answering a range
-   it silently clamped.  The binary is a declared dependency of this
-   test, built in the sibling bin/ directory. *)
-let test_cli_rejects_bad_input () =
-  let cli =
+(* Exit status of [exe], built in the sibling directory [dir], on
+   [args], with its output discarded.  Each binary run here is a
+   declared dependency of this test. *)
+let exit_code ~dir ~exe args =
+  let path =
     List.fold_left Filename.concat
       (Filename.dirname Sys.executable_name)
-      [ Filename.parent_dir_name; "bin"; "secidx_cli.exe" ]
+      [ Filename.parent_dir_name; dir; exe ]
   in
-  let exit_code args =
-    Sys.command
-      (Printf.sprintf "%s query --length 256 %s >%s 2>&1"
-         (Filename.quote cli) args Filename.null)
-  in
+  Sys.command
+    (Printf.sprintf "%s %s >%s 2>&1" (Filename.quote path) args Filename.null)
+
+(* The CLI rejects bad outside input as a usage error (cmdliner's exit
+   124) instead of dying on an uncaught exception or answering a range
+   it silently clamped. *)
+let test_cli_rejects_bad_input () =
   List.iter
     (fun (args, want) ->
-      Alcotest.(check int) args want (exit_code args))
+      Alcotest.(check int) args want
+        (exit_code ~dir:"bin" ~exe:"secidx_cli.exe"
+           ("query --length 256 " ^ args)))
     [
       ("--index bogus", 124);
       ("--lo 9 --hi 3", 124);
@@ -243,6 +246,16 @@ let test_cli_rejects_bad_input () =
       ("--dist bogus", 124);
       ("--sigma 16 --lo 3 --hi 15", 0);
     ]
+
+(* The bench harness rejects an unknown flag or experiment name as a
+   usage error (exit 2) before running anything, instead of running
+   nothing and exiting 0. *)
+let test_bench_rejects_unknown_args () =
+  List.iter
+    (fun (args, want) ->
+      Alcotest.(check int) args want
+        (exit_code ~dir:"bench" ~exe:"main.exe" args))
+    [ ("--planer --smoke", 2); ("e99", 2); ("e11 e99", 2); ("e11", 0) ]
 
 let suite =
   [
@@ -263,4 +276,6 @@ let suite =
     qcheck prop_dynamic_mixed_ops;
     Alcotest.test_case "cli rejects bad input" `Quick
       test_cli_rejects_bad_input;
+    Alcotest.test_case "bench rejects unknown arguments" `Quick
+      test_bench_rejects_unknown_args;
   ]
