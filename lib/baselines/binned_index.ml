@@ -29,28 +29,29 @@ let query_clamped t ~lo ~hi =
   (* Bins fully contained in [lo..hi]. *)
   let first_full = (lo + w - 1) / w in
   let last_full = ((hi + 1) / w) - 1 in
-  let streams =
-    if first_full > last_full then
-      (* No full bin: the whole range comes from per-char bitmaps. *)
-      Indexing.Stream_table.streams t.chars ~lo ~hi
-    else begin
-      let left =
-        if lo < first_full * w then
-          Indexing.Stream_table.streams t.chars ~lo ~hi:((first_full * w) - 1)
-        else []
-      in
-      let middle = Indexing.Stream_table.streams t.bins ~lo:first_full ~hi:last_full in
-      let right =
-        if hi >= (last_full + 1) * w then
-          Indexing.Stream_table.streams t.chars ~lo:((last_full + 1) * w) ~hi
-        else []
-      in
-      left @ middle @ right
-    end
+  let run tab ~lo ~hi = Indexing.Stream_table.extents tab ~lo ~hi in
+  let extents =
+    Obs.Metrics.phase "directory" (fun () ->
+        if first_full > last_full then
+          (* No full bin: the whole range comes from per-char bitmaps. *)
+          run t.chars ~lo ~hi
+        else begin
+          let left =
+            if lo < first_full * w then
+              run t.chars ~lo ~hi:((first_full * w) - 1)
+            else []
+          in
+          let middle = run t.bins ~lo:first_full ~hi:last_full in
+          let right =
+            if hi >= (last_full + 1) * w then
+              run t.chars ~lo:((last_full + 1) * w) ~hi
+            else []
+          in
+          left @ middle @ right
+        end)
   in
   Indexing.Answer.Direct
-    (Obs.Metrics.phase "payload" (fun () ->
-         Cbitmap.Merge.union_to_posting streams))
+    (Obs.Metrics.phase "payload" (fun () -> Indexing.Stream_table.union extents))
 
 let query t ~lo ~hi =
   match Indexing.Common.clamp_range ~sigma:t.sigma ~lo ~hi with

@@ -68,13 +68,14 @@ let cover t ~lo ~hi =
 
 let query_clamped t ~lo ~hi =
   let pieces = cover t ~lo ~hi in
-  let streams =
-    List.map (fun (k, b) -> Indexing.Stream_table.streams t.tables.(k) ~lo:b ~hi:b)
-      pieces
+  let extents =
+    Obs.Metrics.phase "directory" (fun () ->
+        List.concat_map
+          (fun (k, b) -> Indexing.Stream_table.extents t.tables.(k) ~lo:b ~hi:b)
+          pieces)
   in
   Indexing.Answer.Direct
-    (Obs.Metrics.phase "payload" (fun () ->
-         Cbitmap.Merge.union_to_posting (List.concat streams)))
+    (Obs.Metrics.phase "payload" (fun () -> Indexing.Stream_table.union extents))
 
 let query t ~lo ~hi =
   match Indexing.Common.clamp_range ~sigma:t.sigma ~lo ~hi with

@@ -412,31 +412,11 @@ let chunked_size ~universe ~chunk posting =
       i := !j);
   !total
 
-let stream_chunked ~universe ~chunk d =
-  check_chunked ~universe ~chunk;
-  let cur = ref [||] in
-  let idx = ref 0 in
-  let base = ref 0 in
-  let rec next () =
-    if !idx < Array.length !cur then begin
-      let v = !cur.(!idx) in
-      incr idx;
-      Some v
-    end
-    else if !base >= universe then None
-    else begin
-      let n = min chunk (universe - !base) in
-      cur := decode_add ~n ~base:!base d;
-      idx := 0;
-      base := !base + n;
-      next ()
-    end
-  in
-  next
-
+(* Each slice decodes into a fresh array; one concat assembles the
+   posting, which adopts it after the sortedness check. *)
 let decode_chunked ~universe ~chunk d =
   check_chunked ~universe ~chunk;
-  let out = vec_create () in
+  let parts = ref [] in
   iter_chunks ~universe ~chunk (fun base n ->
-      Array.iter (vec_push out) (decode_add ~n ~base d));
-  Posting.of_sorted_array (vec_contents out)
+      parts := decode_add ~n ~base d :: !parts);
+  Posting.adopt (Array.concat (List.rev !parts))

@@ -115,10 +115,5 @@ val encode_chunked :
 (** Exact encoded size of {!encode_chunked}'s output, in bits. *)
 val chunked_size : universe:int -> chunk:int -> Posting.t -> int
 
-(** Pull-based position stream (the {!Merge.stream} shape), decoding
-    one slice at a time. *)
-val stream_chunked :
-  universe:int -> chunk:int -> Bitio.Decoder.t -> unit -> int option
-
 (** Decode all slices, consuming the payload exactly. *)
 val decode_chunked : universe:int -> chunk:int -> Bitio.Decoder.t -> Posting.t

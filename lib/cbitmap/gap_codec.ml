@@ -75,21 +75,6 @@ let decode ?code d ~count =
   decode_into ?code d ~count out;
   Posting.adopt out
 
-let stream_from ?(code = Gamma) d ~count ~last =
-  let remaining = ref count in
-  let last = ref last in
-  fun () ->
-    if !remaining <= 0 then None
-    else begin
-      decr remaining;
-      let gap = decode_value code d in
-      let p = if !last < 0 then gap - 1 else !last + gap in
-      last := p;
-      Some p
-    end
-
-let stream ?code d ~count = stream_from ?code d ~count ~last:(-1)
-
 let append_size ?(code = Gamma) ~last p =
   let gap = if last < 0 then p + 1 else p - last in
   value_size code gap

@@ -27,21 +27,10 @@ val decode : ?code:code -> Bitio.Decoder.t -> count:int -> Posting.t
 
 (** [decode_into decoder ~count out] fills [out.(0 .. count-1)] with
     absolute positions in one pass, with no [Posting] intermediate —
-    the bulk decode hot path.  [last] (default [-1]) continues an
-    existing sequence, as in {!stream_from}. *)
+    the bulk decode hot path.  [last] (default [-1], none) is the last
+    value of an existing sequence the decode continues. *)
 val decode_into :
   ?code:code -> ?last:int -> Bitio.Decoder.t -> count:int -> int array -> unit
-
-(** [stream decoder ~count] is a pull-based decoder: each call returns
-    the next position, or [None] after [count] of them.  Used for
-    I/O-efficient k-way merging without materializing inputs. *)
-val stream : ?code:code -> Bitio.Decoder.t -> count:int -> unit -> int option
-
-(** Like {!stream} but decoding continues an existing sequence whose
-    last emitted value was [last] ([-1] for "none") — used for append
-    chains that extend a base encoding. *)
-val stream_from :
-  ?code:code -> Bitio.Decoder.t -> count:int -> last:int -> unit -> int option
 
 (** Encode the positions with a fixed offset added (used when a node
     stores positions relative to a base). *)

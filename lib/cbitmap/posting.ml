@@ -276,6 +276,33 @@ let subset a b =
   in
   go 0 0
 
+(* [p] runs once per element, in order; a byte mask remembers its
+   verdicts so the output is allocated at its final size and each kept
+   element is written once. *)
+let filter p t =
+  let n = Array.length t in
+  let keep = Bytes.create n in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if p (Array.unsafe_get t i) then begin
+      Bytes.unsafe_set keep i '\001';
+      incr k
+    end
+    else Bytes.unsafe_set keep i '\000'
+  done;
+  if !k = n then t
+  else begin
+    let out = Array.make !k 0 in
+    let j = ref 0 in
+    for i = 0 to n - 1 do
+      if Bytes.unsafe_get keep i = '\001' then begin
+        Array.unsafe_set out !j (Array.unsafe_get t i);
+        incr j
+      end
+    done;
+    out
+  end
+
 let filter_range ~lo ~hi t =
   let i = lower_bound t lo and j = lower_bound t (hi + 1) in
   Array.sub t i (j - i)

@@ -92,6 +92,10 @@ val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 val equal : t -> t -> bool
 val subset : t -> t -> bool
 
+(** [filter p t] keeps the elements satisfying [p], in order.  [p] is
+    applied exactly once to each element, in increasing order. *)
+val filter : (int -> bool) -> t -> t
+
 (** Elements in [\[lo;hi\]] (inclusive). *)
 val filter_range : lo:int -> hi:int -> t -> t
 

@@ -95,12 +95,12 @@ let cover t ~lo ~hi =
   in
   go lo []
 
-(* Streams for one cover piece: either the node's own bitmap, or the
+(* Extents for one cover piece: either the node's own bitmap, or the
    contiguous run of its descendants at the next materialized level
    below (footnote 3). *)
-let piece_streams t (j, b) =
+let piece_extents t (j, b) =
   match t.levels.(j) with
-  | Some tab -> Indexing.Stream_table.streams tab ~lo:b ~hi:b
+  | Some tab -> Indexing.Stream_table.extents tab ~lo:b ~hi:b
   | None ->
       let rec down m =
         if m >= Array.length t.levels then
@@ -109,7 +109,7 @@ let piece_streams t (j, b) =
           match t.levels.(m) with
           | Some tab ->
               let span = 1 lsl (m - j) in
-              Indexing.Stream_table.streams tab ~lo:(b * span)
+              Indexing.Stream_table.extents tab ~lo:(b * span)
                 ~hi:(((b + 1) * span) - 1)
           | None -> down (m + 1)
       in
@@ -119,8 +119,11 @@ let query_range t ~lo ~hi =
   if lo > hi then Cbitmap.Posting.empty
   else begin
     let pieces = cover t ~lo ~hi in
-    let streams = List.concat_map (piece_streams t) pieces in
-    Cbitmap.Merge.union_to_posting streams
+    let extents =
+      Obs.Metrics.phase "directory" (fun () ->
+          List.concat_map (piece_extents t) pieces)
+    in
+    Indexing.Stream_table.union extents
   end
 
 let query_checked t ~lo ~hi =
@@ -145,7 +148,7 @@ let query t ~lo ~hi =
 
 (* ---- batched execution (PR 5): as [query_checked] per unique query,
    with node bitmaps decoded at most once per batch.  Cover pieces
-   resolve to (level, stream range) exactly as [piece_streams] does;
+   resolve to (level, stream range) exactly as [piece_extents] does;
    each stream's posting is cached by (level, index). *)
 
 (* The materialized (level, lo..hi) run answering one cover piece. *)

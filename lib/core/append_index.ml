@@ -356,18 +356,25 @@ let read_count t ch =
     ~pos:(t.counts_region.Iosim.Device.off + (ch * count_bits))
     ~width:count_bits
 
-(* Streams of one stored node: base stream then chain blocks. *)
-let node_streams t (st : storage) stream =
-  let ch = st.chains.(stream) in
-  let base = Indexing.Stream_table.streams st.table ~lo:stream ~hi:stream in
-  let chain_streams =
-    List.rev_map
+(* One stored node's base extent (a counted directory read). *)
+let node_extent (st : storage) stream =
+  Obs.Metrics.phase "directory" (fun () ->
+      Indexing.Stream_table.extents st.table ~lo:stream ~hi:stream)
+
+(* Postings of one stored node: the base extent, then each chain
+   block, each decoded whole. *)
+let node_postings t (st : storage) stream base =
+  List.map Indexing.Stream_table.decode base
+  @ List.rev_map
       (fun blk ->
         let d = Iosim.Device.decoder t.device ~pos:blk.cregion.Iosim.Device.off in
-        Cbitmap.Gap_codec.stream ~code:t.code d ~count:blk.ccount)
-      ch.cblocks
-  in
-  base @ chain_streams
+        Cbitmap.Gap_codec.decode ~code:t.code d ~count:blk.ccount)
+      st.chains.(stream).cblocks
+
+let node_union t st stream =
+  Cbitmap.Posting.union_many (node_postings t st stream (node_extent st stream))
+
+let in_range t ~lo ~hi pos = t.x.(pos) >= lo && t.x.(pos) <= hi
 
 let answer_range t ~lo ~hi =
   if lo > hi then Cbitmap.Posting.empty
@@ -387,17 +394,20 @@ let answer_range t ~lo ~hi =
         (fun v -> Wbb.frontier (Frozen.tree t.frozen) v ~stored)
         canon
     in
-    let streams =
-      List.concat_map
+    let nodes =
+      List.filter_map
         (fun v ->
-          match storage_of_node t v with
-          | Some (st, stream) -> node_streams t st stream
-          | None -> [])
+          Option.map
+            (fun (st, stream) -> (st, stream, node_extent st stream))
+            (storage_of_node t v))
         needs
     in
     let main =
       Obs.Metrics.phase "payload" (fun () ->
-          Cbitmap.Merge.union_to_posting streams)
+          Cbitmap.Posting.union_many
+            (List.concat_map
+               (fun (st, stream, base) -> node_postings t st stream base)
+               nodes))
     in
     (* Boundary leaves: read and filter by the current character. *)
     let filtered =
@@ -405,13 +415,7 @@ let answer_range t ~lo ~hi =
         (fun v ->
           match storage_of_node t v with
           | Some (st, stream) ->
-              let p = Cbitmap.Merge.union_to_posting (node_streams t st stream) in
-              Cbitmap.Posting.of_list
-                (Cbitmap.Posting.fold
-                   (fun acc pos ->
-                     if t.x.(pos) >= lo && t.x.(pos) <= hi then pos :: acc
-                     else acc)
-                   [] p)
+              Cbitmap.Posting.filter (in_range t ~lo ~hi) (node_union t st stream)
           | None -> Cbitmap.Posting.empty)
         partial
     in
@@ -475,7 +479,7 @@ let node_posting t (tag, stream) =
       Iosim.Device.prefetch t.device ~pos:blk.cregion.Iosim.Device.off
         ~len:blk.cregion.Iosim.Device.len)
     st.chains.(stream).cblocks;
-  Cbitmap.Merge.union_to_posting (node_streams t st stream)
+  node_union t st stream
 
 let batched_range t cache ~lo ~hi =
   if lo > hi then Cbitmap.Posting.empty
@@ -510,13 +514,8 @@ let batched_range t cache ~lo ~hi =
         (fun v ->
           match storage_key_of_node t v with
           | Some key ->
-              let p = Indexing.Batch.Cache.get cache key in
-              Cbitmap.Posting.of_list
-                (Cbitmap.Posting.fold
-                   (fun acc pos ->
-                     if t.x.(pos) >= lo && t.x.(pos) <= hi then pos :: acc
-                     else acc)
-                   [] p)
+              Cbitmap.Posting.filter (in_range t ~lo ~hi)
+                (Indexing.Batch.Cache.get cache key)
           | None -> Cbitmap.Posting.empty)
         partial
     in

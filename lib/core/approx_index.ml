@@ -84,21 +84,19 @@ let query t ~epsilon ~lo ~hi =
   if z = 0 then Exact (Indexing.Answer.Direct Cbitmap.Posting.empty)
   else if j > t.k then Exact (Static_index.query t.base ~lo ~hi)
   else begin
-    let runs = Static_index.plan_charged t.base ~s ~e in
-    let streams =
-      List.concat_map
-        (fun { Static_index.storage; first; last } ->
-          match storage with
-          | `Leaf ->
-              Indexing.Stream_table.streams t.hashed_leaves.(j - 1) ~lo:first
-                ~hi:last
-          | `Level l ->
-              Indexing.Stream_table.streams
-                (Option.get t.hashed_levels.(l).(j - 1))
-                ~lo:first ~hi:last)
-        runs
+    let extents =
+      Obs.Metrics.phase "directory" (fun () ->
+          List.concat_map
+            (fun { Static_index.storage; first; last } ->
+              let tab =
+                match storage with
+                | `Leaf -> t.hashed_leaves.(j - 1)
+                | `Level l -> Option.get t.hashed_levels.(l).(j - 1)
+              in
+              Indexing.Stream_table.extents tab ~lo:first ~hi:last)
+            (Static_index.plan_charged t.base ~s ~e))
     in
-    let hashed = Cbitmap.Merge.union_to_posting streams in
+    let hashed = Indexing.Stream_table.union extents in
     Hashed { j; fam = t.fams.(j - 1); hashed; z }
   end
 

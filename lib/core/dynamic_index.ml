@@ -213,13 +213,9 @@ let answer_range t ~lo ~hi =
         (fun v ->
           match storage_of_node t v with
           | Some (bb, stream) ->
-              let p = Buffered_bitmap.point_query bb stream in
-              Cbitmap.Posting.of_list
-                (Cbitmap.Posting.fold
-                   (fun acc pos ->
-                     if t.x.(pos) >= lo && t.x.(pos) <= hi then pos :: acc
-                     else acc)
-                   [] p)
+              Cbitmap.Posting.filter
+                (fun pos -> t.x.(pos) >= lo && t.x.(pos) <= hi)
+                (Buffered_bitmap.point_query bb stream)
           | None -> Cbitmap.Posting.empty)
         partial
     in
@@ -292,13 +288,9 @@ let batched_range t cache ~lo ~hi =
         (fun v ->
           match storage_key_of_node t v with
           | Some key ->
-              let p = Indexing.Batch.Cache.get cache key in
-              Cbitmap.Posting.of_list
-                (Cbitmap.Posting.fold
-                   (fun acc pos ->
-                     if t.x.(pos) >= lo && t.x.(pos) <= hi then pos :: acc
-                     else acc)
-                   [] p)
+              Cbitmap.Posting.filter
+                (fun pos -> t.x.(pos) >= lo && t.x.(pos) <= hi)
+                (Indexing.Batch.Cache.get cache key)
           | None -> Cbitmap.Posting.empty)
         partial
     in

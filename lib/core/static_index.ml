@@ -239,30 +239,32 @@ let entry_bounds t ~lo ~hi =
 
 let plan_charged t ~s ~e =
   if s >= e then []
-  else
-    Obs.Metrics.phase "directory" (fun () ->
-        let needs, spine, canon = plan_nodes t ~s ~e in
-        List.iter (touch_node t) spine;
-        List.iter (touch_node t) canon;
-        runs_of_needs needs)
+  else begin
+    let needs, spine, canon = plan_nodes t ~s ~e in
+    List.iter (touch_node t) spine;
+    List.iter (touch_node t) canon;
+    runs_of_needs needs
+  end
 
+let table_of t = function
+  | `Leaf -> t.leaf_table
+  | `Level l -> Option.get t.level_tables.(l)
+
+(* The descent and every run's directory entries are read in one
+   "directory" span before any payload; then each canonical-node
+   extent decodes whole and one [union_many] merges them. *)
 let query_entries t ~s ~e =
   if s >= e then Cbitmap.Posting.empty
   else begin
-    let runs = plan_charged t ~s ~e in
-    let streams =
-      List.concat_map
-        (fun { storage; first; last } ->
-          match storage with
-          | `Leaf -> Indexing.Stream_table.streams t.leaf_table ~lo:first ~hi:last
-          | `Level l ->
-              Indexing.Stream_table.streams
-                (Option.get t.level_tables.(l))
-                ~lo:first ~hi:last)
-        runs
+    let extents =
+      Obs.Metrics.phase "directory" (fun () ->
+          List.concat_map
+            (fun { storage; first; last } ->
+              Indexing.Stream_table.extents (table_of t storage) ~lo:first
+                ~hi:last)
+            (plan_charged t ~s ~e))
     in
-    Obs.Metrics.phase "payload" (fun () ->
-        Cbitmap.Merge.union_to_posting streams)
+    Obs.Metrics.phase "payload" (fun () -> Indexing.Stream_table.union extents)
   end
 
 let query_checked t ~lo ~hi =
@@ -295,10 +297,6 @@ let query t ~lo ~hi =
    Uncached runs announce themselves to the device with [prefetch], so
    their payload blocks arrive in one sequential pass. *)
 
-let table_of t = function
-  | `Leaf -> t.leaf_table
-  | `Level l -> Option.get t.level_tables.(l)
-
 (* Readahead for the cache misses of one run: each maximal uncached
    subrange prefetches its payload span; cached streams in the middle
    of a run split the span so no already-decoded extent is re-read. *)
@@ -323,7 +321,9 @@ let prefetch_uncached t cache storage ~first ~last =
 let batched_entries t cache ~s ~e =
   if s >= e then Cbitmap.Posting.empty
   else begin
-    let runs = plan_charged t ~s ~e in
+    let runs =
+      Obs.Metrics.phase "directory" (fun () -> plan_charged t ~s ~e)
+    in
     let postings =
       List.concat_map
         (fun { storage; first; last } ->

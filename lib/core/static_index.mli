@@ -72,7 +72,9 @@ val entry_bounds : t -> lo:int -> hi:int -> int * int
 
 (** Like {!plan} but also charges the descent I/Os (metadata of the
     boundary spines and canonical nodes) to the device — what a real
-    query pays before reading any bitmap. *)
+    query pays before reading any bitmap.  Opens no phase span: the
+    caller charges it, with the runs' directory entries, to one
+    "directory" span. *)
 val plan_charged : t -> s:int -> e:int -> run list
 
 val size_bits : t -> int

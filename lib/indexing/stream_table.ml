@@ -107,40 +107,33 @@ let dir_entry t i =
 
 let count t i = snd (dir_entry t i)
 
-let stream_of_entry t (off, count) =
-  let d = Iosim.Device.decoder t.device ~pos:(t.payload.Iosim.Device.off + off) in
+type extent = { table : t; pos : int; count : int }
+
+let extent t i =
+  let off, count = dir_entry t i in
+  { table = t; pos = t.payload.Iosim.Device.off + off; count }
+
+let extents t ~lo ~hi =
+  if lo < 0 || hi >= t.nstreams || lo > hi then
+    invalid_arg "Stream_table.extents";
+  List.init (hi - lo + 1) (fun k -> extent t (lo + k))
+
+(* One pass over the extent's codewords, in order.  Container payloads
+   are self-describing: the directory count is not needed to find the
+   end. *)
+let decode { table = t; pos; count } =
+  let d = Iosim.Device.decoder t.device ~pos in
   match t.layout with
-  | Hybrid { universe; chunk } ->
-      (* Container payloads are self-describing: the directory count
-         is not needed to find the end. *)
-      Cbitmap.Container.stream_chunked ~universe ~chunk d
-  | Gap -> Cbitmap.Gap_codec.stream ~code:t.code d ~count
+  | Gap -> Cbitmap.Gap_codec.decode ~code:t.code d ~count
+  | Hybrid { universe; chunk } -> Cbitmap.Container.decode_chunked ~universe ~chunk d
+
+let union extents = Cbitmap.Posting.union_many (List.map decode extents)
 
 (* Phase spans: the directory entry is decoded first (the "directory"
-   phase), then the extent (the "payload" phase).  A gap extent decodes
-   in one bulk pass; it consumes the same codewords in the same order
-   as the pull stream, so every charge is identical. *)
+   phase), then the extent (the "payload" phase). *)
 let read_one t i =
-  let ((off, count) as entry) =
-    Obs.Metrics.phase "directory" (fun () -> dir_entry t i)
-  in
-  Obs.Metrics.phase "payload" (fun () ->
-      match t.layout with
-      | Gap ->
-          let pos = t.payload.Iosim.Device.off + off in
-          Cbitmap.Gap_codec.decode ~code:t.code
-            (Iosim.Device.decoder t.device ~pos)
-            ~count
-      | Hybrid _ -> Cbitmap.Merge.to_posting (stream_of_entry t entry))
-
-let streams t ~lo ~hi =
-  if lo < 0 || hi >= t.nstreams || lo > hi then
-    invalid_arg "Stream_table.streams";
-  let entries =
-    Obs.Metrics.phase "directory" (fun () ->
-        List.init (hi - lo + 1) (fun k -> dir_entry t (lo + k)))
-  in
-  List.map (stream_of_entry t) entries
+  let e = Obs.Metrics.phase "directory" (fun () -> extent t i) in
+  Obs.Metrics.phase "payload" (fun () -> decode e)
 
 (* Absolute payload bit range covered by streams [lo..hi] — what a
    batched reader hands to [Device.prefetch] before decoding a run.
@@ -156,10 +149,11 @@ let payload_span t ~lo ~hi =
   in
   (t.payload.Iosim.Device.off + off_lo, stop - off_lo)
 
+(* Every directory entry of the range is read before any payload, so
+   the directory blocks and the payload run each see one pass. *)
 let read_union t ~lo ~hi =
-  let ss = streams t ~lo ~hi in
-  Obs.Metrics.phase "payload" (fun () ->
-      Cbitmap.Merge.union_to_posting ss)
+  let es = Obs.Metrics.phase "directory" (fun () -> extents t ~lo ~hi) in
+  Obs.Metrics.phase "payload" (fun () -> union es)
 
 let frames t = [ t.dir_frame; t.payload_frame ]
 let scrub t = List.length (Iosim.Frame.scrub (frames t))

@@ -5,7 +5,7 @@
     This is the storage layout shared by the per-character compressed
     bitmap index, the binned index and the multi-resolution index: a
     contiguous run of streams can be read with one sequential pass,
-    and the directory tells the merger where each stream starts. *)
+    and the directory tells the reader where each stream starts. *)
 
 type t
 
@@ -44,13 +44,33 @@ val count : t -> int -> int
 (** Decode stream [i] (counted I/O: directory + stream bits). *)
 val read_one : t -> int -> Cbitmap.Posting.t
 
-(** Union of streams [lo..hi] via k-way merge over cursors; the
-    directory entries for the range are read in one sequential pass
-    and the streams are consumed in one interleaved pass. *)
+(** Union of streams [lo..hi]: the directory entries for the range are
+    read in one sequential pass, then each stream's extent is decoded
+    whole, in order, and the decoded postings are unioned with
+    {!Cbitmap.Posting.union_many}. *)
 val read_union : t -> lo:int -> hi:int -> Cbitmap.Posting.t
 
-(** Pull streams for external merging (e.g. across tables). *)
-val streams : t -> lo:int -> hi:int -> Cbitmap.Merge.stream list
+(** {2 Two-step reads}
+
+    A union across several tables or runs reads every directory entry
+    it needs first ({!extents}), then decodes the extents ({!union}),
+    as {!read_union} does for one run. *)
+
+(** One stream's payload as its directory entry locates it: the
+    absolute bit position of its first codeword and its cardinality. *)
+type extent = private { table : t; pos : int; count : int }
+
+(** The extents of streams [lo..hi], in order (counted directory
+    reads; no phase span). *)
+val extents : t -> lo:int -> hi:int -> extent list
+
+(** Decode one extent in a single pass over its codewords: the gap
+    codec for [Gap], {!Cbitmap.Container.decode_chunked} for [Hybrid]
+    (counted payload reads; no phase span). *)
+val decode : extent -> Cbitmap.Posting.t
+
+(** [union es] = [Posting.union_many (List.map decode es)]. *)
+val union : extent list -> Cbitmap.Posting.t
 
 (** [(pos, len)]: the absolute payload bit range covered by streams
     [lo..hi], for handing to [Device.prefetch] ahead of a sequential

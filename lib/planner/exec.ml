@@ -51,37 +51,25 @@ let prefilter_posting table ~epsilon (info : Plan.col_info) cand =
         Secidx.Approx_index.query a ~epsilon ~lo:p.lo ~hi:p.hi)
       info.probes
   in
-  let keep =
-    Posting.fold
-      (fun acc row ->
-        if List.exists (fun ans -> Secidx.Approx_index.mem ans row) answers
-        then row :: acc
-        else acc)
-      [] cand
-  in
-  Posting.of_list keep
+  Posting.filter
+    (fun row -> List.exists (fun ans -> Secidx.Approx_index.mem ans row) answers)
+    cand
 
 (* Verification: read each surviving candidate's cells (charged when
    the rows are stored) and keep rows passing every listed column's
    ranges.  Short-circuits across columns per row. *)
 let verify table checks cand =
-  let checked = ref 0 and rejected = ref 0 in
   let keep =
-    Posting.fold
-      (fun acc row ->
-        incr checked;
-        if
-          List.for_all
-            (fun (column, ranges) ->
-              Table.check_cell_ranges table ~column ~row ranges)
-            checks
-        then row :: acc
-        else (
-          incr rejected;
-          acc))
-      [] cand
+    Posting.filter
+      (fun row ->
+        List.for_all
+          (fun (column, ranges) ->
+            Table.check_cell_ranges table ~column ~row ranges)
+          checks)
+      cand
   in
-  (Posting.of_list keep, !checked, !rejected)
+  let checked = Posting.cardinal cand in
+  (keep, checked, checked - Posting.cardinal keep)
 
 let ranges_of (info : Plan.col_info) =
   List.map (fun (p : Plan.probe) -> (p.lo, p.hi)) info.probes

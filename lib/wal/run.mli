@@ -36,8 +36,9 @@ val build :
   t
 
 (** Positions this run sets to a character in [\[lo;hi\]] (bounds
-    already clamped by the caller).  Counted I/O: one k-way merged
-    pass over streams [lo..hi]. *)
+    already clamped by the caller).  Counted I/O: the directory
+    entries of streams [lo..hi], then one pass over each extent
+    ({!Indexing.Stream_table.read_union}). *)
 val matches : t -> lo:int -> hi:int -> Cbitmap.Posting.t
 
 (** The written set (stream [sigma + 1]); counted I/O. *)

@@ -4,8 +4,10 @@
     ({!Bitio.Decoder}, {!Iosim.Device.decoder}).  The seed's per-bit
     readers live here, built only on public calls, so tests and the
     benchmark can check the word path against them: same values, same
-    bits charged, same blocks read.  Nothing in [lib] links this
-    library. *)
+    bits charged, same blocks read.  The interleaved pull-stream merge
+    that range unions used before whole-extent decode lives here too
+    ({!Merge}, {!Stream_table.merge_union}).  Nothing in [lib] links
+    this library. *)
 
 (** Abstract sequential bit reader: one closure call per read. *)
 module Reader = struct
@@ -232,7 +234,114 @@ module Device = struct
     out
 end
 
-(** The seed gap decoders over {!Reader} and {!Codes}. *)
+(** K-way merging of pull-based position streams with a binary heap:
+    every element is pulled, compared and emitted one at a time. *)
+module Merge = struct
+  type stream = unit -> int option
+
+  let of_array a =
+    let i = ref 0 in
+    fun () ->
+      if !i >= Array.length a then None
+      else begin
+        let v = a.(!i) in
+        incr i;
+        Some v
+      end
+
+  let of_posting p = of_array (Cbitmap.Posting.to_array p)
+
+  (* Min-heap of (value, stream index). *)
+  type heap = { mutable data : (int * int) array; mutable size : int }
+
+  let heap_create cap = { data = Array.make (max 1 cap) (0, 0); size = 0 }
+
+  let heap_swap h i j =
+    let tmp = h.data.(i) in
+    h.data.(i) <- h.data.(j);
+    h.data.(j) <- tmp
+
+  let rec heap_up h i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if fst h.data.(i) < fst h.data.(parent) then begin
+        heap_swap h i parent;
+        heap_up h parent
+      end
+    end
+
+  let rec heap_down h i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < h.size && fst h.data.(l) < fst h.data.(!smallest) then smallest := l;
+    if r < h.size && fst h.data.(r) < fst h.data.(!smallest) then smallest := r;
+    if !smallest <> i then begin
+      heap_swap h i !smallest;
+      heap_down h !smallest
+    end
+
+  let heap_push h v =
+    if h.size = Array.length h.data then begin
+      let data = Array.make (2 * h.size) (0, 0) in
+      Array.blit h.data 0 data 0 h.size;
+      h.data <- data
+    end;
+    h.data.(h.size) <- v;
+    h.size <- h.size + 1;
+    heap_up h (h.size - 1)
+
+  let heap_pop h =
+    let top = h.data.(0) in
+    h.size <- h.size - 1;
+    h.data.(0) <- h.data.(h.size);
+    heap_down h 0;
+    top
+
+  (* Duplicates across streams are emitted once. *)
+  let union streams =
+    let streams = Array.of_list streams in
+    let heap = heap_create (Array.length streams) in
+    Array.iteri
+      (fun i s -> match s () with Some v -> heap_push heap (v, i) | None -> ())
+      streams;
+    let last = ref (-1) in
+    let rec next () =
+      if heap.size = 0 then None
+      else begin
+        let v, i = heap_pop heap in
+        (match streams.(i) () with
+        | Some v' -> heap_push heap (v', i)
+        | None -> ());
+        if v = !last then next ()
+        else begin
+          last := v;
+          Some v
+        end
+      end
+    in
+    next
+
+  let to_posting s =
+    let acc = ref [] in
+    let rec go () =
+      match s () with
+      | Some v ->
+          acc := v :: !acc;
+          go ()
+      | None -> ()
+    in
+    go ();
+    Cbitmap.Posting.of_sorted_array (Array.of_list (List.rev !acc))
+
+  let union_to_posting ss = to_posting (union ss)
+
+  let length s =
+    let rec go acc = match s () with Some _ -> go (acc + 1) | None -> acc in
+    go 0
+end
+
+(** The seed gap decoders over {!Reader} and {!Codes}, and the pull
+    streams over the word decoder. *)
 module Gap_codec = struct
   let decode_value code r =
     match (code : Cbitmap.Gap_codec.code) with
@@ -251,10 +360,74 @@ module Gap_codec = struct
       last := p
     done;
     Cbitmap.Posting.of_sorted_array out
+
+  (* One codeword per pull; [last] continues an existing sequence
+     ([-1] for none). *)
+  let stream_from ?(code = Cbitmap.Gap_codec.Gamma) d ~count ~last =
+    let remaining = ref count in
+    let last = ref last in
+    fun () ->
+      if !remaining <= 0 then None
+      else begin
+        decr remaining;
+        let gap =
+          match code with
+          | Gamma -> Bitio.Codes.decode_gamma d
+          | Delta -> Bitio.Codes.decode_delta d
+          | Rice k -> Bitio.Codes.decode_rice d ~k
+          | Fibonacci -> Bitio.Codes.decode_fibonacci d
+        in
+        let p = if !last < 0 then gap - 1 else !last + gap in
+        last := p;
+        Some p
+      end
+
+  let stream ?code d ~count = stream_from ?code d ~count ~last:(-1)
 end
 
-(** Twin-device parity of a gap-coded {!Indexing.Stream_table}. *)
+(** Chunked container payloads as a pull stream, one slice decoded at
+    a time. *)
+module Container = struct
+  let stream_chunked ~universe ~chunk d =
+    if universe < 1 || chunk < 1 then invalid_arg "Oracle.Container";
+    let cur = ref [||] and idx = ref 0 and base = ref 0 in
+    let rec next () =
+      if !idx < Array.length !cur then begin
+        let v = !cur.(!idx) in
+        incr idx;
+        Some v
+      end
+      else if !base >= universe then None
+      else begin
+        let n = min chunk (universe - !base) in
+        cur := Cbitmap.Container.decode_add ~n ~base:!base d;
+        idx := 0;
+        base := !base + n;
+        next ()
+      end
+    in
+    next
+end
+
+(** Twin-device parity of a gap-coded {!Indexing.Stream_table}, and
+    its range union by interleaved merge. *)
 module Stream_table = struct
+  module St = Indexing.Stream_table
+
+  let stream_of_extent ~code ~(layout : St.layout) (e : St.extent) =
+    let d = Iosim.Device.decoder (St.device e.table) ~pos:e.pos in
+    match layout with
+    | Hybrid { universe; chunk } -> Container.stream_chunked ~universe ~chunk d
+    | Gap -> Gap_codec.stream ~code d ~count:e.count
+
+  (* [St.read_union] as it was before whole-extent decode, for a table
+     built with [code] and [layout]: the same directory pass, then every
+     extent pulled one element at a time through {!Merge}, interleaved
+     across the range. *)
+  let merge_union ~code ~layout t ~lo ~hi =
+    Merge.union_to_posting
+      (List.map (stream_of_extent ~code ~layout) (St.extents t ~lo ~hi))
+
   (* Lay [postings] out as a [Gap] table on two fresh devices from
      [make_device], and decode every stream from a cold pool: on one
      with [Stream_table.read_one], on the other with its per-bit twin —

