@@ -21,6 +21,9 @@
 
 open Common
 
+(* GC work per drained query (see [run_one] below). *)
+type gc_per_query = { minor : float; major : float; direct_major_words : float }
+
 let run ~smoke =
   let n = if smoke then 4096 else 16384 and sigma = 256 in
   let g = Workload.Gen.zipf ~seed:6 ~n ~sigma ~theta:1.0 () in
@@ -135,47 +138,71 @@ let run ~smoke =
         let mode =
           if d = 1 then Serve.Router.Sequential else Serve.Router.Domains
         in
+        (* GC work per query of the drain run: the router's whole
+           life, worker domains included (their counters join the
+           totals when [shutdown] joins them); the shards are built
+           before the first reading. *)
         let run_one traffic =
-          let router = Serve.Router.create ~mode (make_shards d) in
+          let shards = make_shards d in
+          let g0 = Gc.quick_stat () in
+          let router = Serve.Router.create ~mode shards in
           let r = Serve.Sim.run router traffic in
           let stats = Serve.Router.shard_stats router in
           Serve.Router.shutdown router;
-          (r, stats)
+          let g1 = Gc.quick_stat () in
+          let per_query x = x /. float_of_int (max 1 r.Serve.Sim.completed) in
+          let gc =
+            {
+              minor =
+                per_query (float_of_int (g1.Gc.minor_collections - g0.Gc.minor_collections));
+              major =
+                per_query (float_of_int (g1.Gc.major_collections - g0.Gc.major_collections));
+              direct_major_words =
+                per_query
+                  (g1.Gc.major_words -. g1.Gc.promoted_words
+                  -. (g0.Gc.major_words -. g0.Gc.promoted_words));
+            }
+          in
+          (r, stats, gc)
         in
-        let over, _ = run_one overload_traffic in
-        let steady, stats = run_one steady_traffic in
-        (d, over, steady, stats))
+        let over, _, gc = run_one overload_traffic in
+        let steady, stats, _ = run_one steady_traffic in
+        (d, over, gc, steady, stats))
       domain_counts
   in
-  let throughput_of (_, over, _, _) = over.Serve.Sim.throughput in
+  let throughput_of (_, over, _, _, _) = over.Serve.Sim.throughput in
   let base = throughput_of (List.hd runs) in
   let speedup_at d =
-    List.find_opt (fun (d', _, _, _) -> d' = d) runs
+    List.find_opt (fun (d', _, _, _, _) -> d' = d) runs
     |> Option.map (fun r -> throughput_of r /. base)
   in
   table
-    [ "domains"; "drain q/s"; "speedup"; "p50 ms"; "p95 ms"; "p99 ms";
-      "imbalance" ]
+    [ "domains"; "drain q/s"; "speedup"; "minor GC/q"; "major GC/q";
+      "major words/q"; "p50 ms"; "p95 ms"; "p99 ms"; "imbalance" ]
     (List.map
-       (fun (d, over, steady, stats) ->
+       (fun (d, over, gc, steady, stats) ->
          let h = steady.Serve.Sim.latency in
          let ms q = Obs.Histogram.percentile h q *. 1e3 in
          [ string_of_int d;
            Printf.sprintf "%.0f" over.Serve.Sim.throughput;
            Printf.sprintf "%.2fx" (over.Serve.Sim.throughput /. base);
+           Printf.sprintf "%.4f" gc.minor;
+           Printf.sprintf "%.5f" gc.major;
+           Printf.sprintf "%.1f" gc.direct_major_words;
            Printf.sprintf "%.3f" (ms 0.50);
            Printf.sprintf "%.3f" (ms 0.95);
            Printf.sprintf "%.3f" (ms 0.99);
            Printf.sprintf "%.2f" (Iosim.Stats.imbalance stats) ])
        runs);
+  fmt "GC/q: collections and direct major-heap words (major - promoted) per drained query\n";
   let digests_agree l =
     match l with [] -> true | x :: tl -> List.for_all (( = ) x) tl
   in
   let over_digests =
-    List.map (fun (_, over, _, _) -> over.Serve.Sim.checksum) runs
+    List.map (fun (_, over, _, _, _) -> over.Serve.Sim.checksum) runs
   in
   let steady_digests =
-    List.map (fun (_, _, steady, _) -> steady.Serve.Sim.checksum) runs
+    List.map (fun (_, _, _, steady, _) -> steady.Serve.Sim.checksum) runs
   in
   let digest_ok = digests_agree over_digests && digests_agree steady_digests in
   fmt "answer digests agree across domain counts: %s\n"
@@ -214,7 +241,7 @@ let run ~smoke =
       ( "runs",
         J.List
           (List.map
-             (fun (d, over, steady, stats) ->
+             (fun (d, over, gc, steady, stats) ->
                J.Obj
                  [
                    ("domains", J.Int d);
@@ -229,6 +256,13 @@ let run ~smoke =
                          ("batches", J.Int over.Serve.Sim.batches);
                          ("max_batch", J.Int over.Serve.Sim.max_batch);
                          ("digest", J.Int over.Serve.Sim.checksum);
+                         ( "gc_per_query",
+                           J.Obj
+                             [
+                               ("minor_collections", J.Float gc.minor);
+                               ("major_collections", J.Float gc.major);
+                               ("direct_major_words", J.Float gc.direct_major_words);
+                             ] );
                        ] );
                    ( "steady",
                      J.Obj

@@ -338,8 +338,9 @@ let[@inline] window_gamma_len cache avail =
    leaves.  A codeword that does not fit is charged per range through
    [gamma_slow], after the pending run is reported, so runs and ranges
    reach the device in stream order. *)
-let gamma_prefix_runs t c ~prev ~count out =
+let gamma_prefix_runs t c ~prev ~at ~count out =
   let bb = c.block_bits and report = c.charge_run in
+  let count = at + count in
   let flush rb rt rmark pos =
     if rt > 0 then report ~block:rb ~touches:rt ~bits:(pos - rmark)
   in
@@ -382,10 +383,10 @@ let gamma_prefix_runs t c ~prev ~count out =
       end
     end
   in
-  go 0 prev (-1) 0 0 0
+  go at prev (-1) 0 0 0
 
 (* Bulk gamma gap decode: read [count] codewords and write the running
-   sums [prev + g1, prev + g1 + g2, ...] into [out.(0 .. count - 1)].
+   sums [prev + g1, prev + g1 + g2, ...] into [out.(at .. at + count - 1)].
    With gaps defined as [p0 + 1, p1 - p0, ...] this turns a gamma
    stream back into absolute positions when [prev] is the predecessor
    (or [-1] for none) — the Theorem 2 posting-list hot loop.  Living
@@ -393,14 +394,14 @@ let gamma_prefix_runs t c ~prev ~count out =
    per-codeword cross-module call.  A counted decoder charges in block
    runs (see [gamma_prefix_runs]); the sequence of block touches and
    the bits charged are those of [count] single [gamma] calls. *)
-let gamma_prefix_into t ~prev ~count out =
-  if count < 0 || count > Array.length out then
+let gamma_prefix_into ?(at = 0) t ~prev ~count out =
+  if at < 0 || count < 0 || count > Array.length out - at then
     invalid_arg "Decoder.gamma_prefix_into";
   match t.counter with
-  | Some c -> gamma_prefix_runs t c ~prev ~count out
+  | Some c -> gamma_prefix_runs t c ~prev ~at ~count out
   | None ->
       let acc = ref prev in
-      for i = 0 to count - 1 do
+      for i = at to at + count - 1 do
         acc := !acc + gamma t;
         Array.unsafe_set out i !acc
       done

@@ -124,12 +124,13 @@ val advance : t -> int -> unit
     the cache state never leaves registers on the hot path. *)
 val gamma : t -> int
 
-(** [gamma_prefix_into t ~prev ~count out] decodes [count] gamma
+(** [gamma_prefix_into ?at t ~prev ~count out] decodes [count] gamma
     codewords and stores their running sums starting from [prev] into
-    [out.(0 .. count - 1)] — the bulk gap-decode loop behind
+    [out.(at .. at + count - 1)] ([at] defaults to 0) — the bulk gap-decode loop behind
     [Gap_codec.decode_into] with [prev] the predecessor position
     ([-1] for none).  Consumes, refills and fails like [count] single
     {!gamma} calls.  On a {!counted} decoder it charges in block runs
     (see there) instead of once per codeword; a codeword longer than
     the cache window is charged per range, as {!gamma} charges it. *)
-val gamma_prefix_into : t -> prev:int -> count:int -> int array -> unit
+val gamma_prefix_into :
+  ?at:int -> t -> prev:int -> count:int -> int array -> unit

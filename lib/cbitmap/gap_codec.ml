@@ -51,17 +51,17 @@ let encoded_size ?(code = Gamma) posting =
    the one-pass hot path under Theorem 2 queries.  Gamma (the paper's
    canonical code) gets a monomorphic loop so the per-gap cost is the
    decoder's CLZ scan and nothing else. *)
-let decode_into ?(code = Gamma) ?(last = -1) d ~count out =
-  if count < 0 || count > Array.length out then
+let decode_into ?(code = Gamma) ?(last = -1) ?(at = 0) d ~count out =
+  if at < 0 || count < 0 || count > Array.length out - at then
     invalid_arg "Gap_codec.decode_into";
   (match code with
   | Gamma ->
       (* [gap - 1] for the first value is just [-1 + gap], so the
          prefix-sum loop handles the no-predecessor case uniformly. *)
-      Bitio.Decoder.gamma_prefix_into d ~prev:last ~count out
+      Bitio.Decoder.gamma_prefix_into ~at d ~prev:last ~count out
   | _ ->
       let lastp = ref last in
-      for i = 0 to count - 1 do
+      for i = at to at + count - 1 do
         let gap = decode_value code d in
         let p = if !lastp < 0 then gap - 1 else !lastp + gap in
         Array.unsafe_set out i p;

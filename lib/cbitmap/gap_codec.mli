@@ -25,12 +25,20 @@ val encoded_size : ?code:code -> Posting.t -> int
 (** [decode decoder ~count] reads back [count] positions. *)
 val decode : ?code:code -> Bitio.Decoder.t -> count:int -> Posting.t
 
-(** [decode_into decoder ~count out] fills [out.(0 .. count-1)] with
-    absolute positions in one pass, with no [Posting] intermediate —
-    the bulk decode hot path.  [last] (default [-1], none) is the last
-    value of an existing sequence the decode continues. *)
+(** [decode_into decoder ~count out] fills [out.(at .. at+count-1)]
+    with absolute positions in one pass, with no [Posting]
+    intermediate — the bulk decode hot path.  [last] (default [-1],
+    none) is the last value of an existing sequence the decode
+    continues; [at] (default 0) is where in [out] the positions go, so
+    a batch can decode many extents into one reusable array. *)
 val decode_into :
-  ?code:code -> ?last:int -> Bitio.Decoder.t -> count:int -> int array -> unit
+  ?code:code ->
+  ?last:int ->
+  ?at:int ->
+  Bitio.Decoder.t ->
+  count:int ->
+  int array ->
+  unit
 
 (** Encode the positions with a fixed offset added (used when a node
     stores positions relative to a base). *)

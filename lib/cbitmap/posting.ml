@@ -2,22 +2,28 @@ type t = int array
 
 let empty = [||]
 
-(* A plain loop: it runs over every decoded extent ([adopt]). *)
-let check_sorted name a =
-  for i = 0 to Array.length a - 1 do
+(* A plain loop: it runs over every decoded extent ([adopt],
+   [check_slice]). *)
+let check_sorted name a ~off ~len =
+  for i = off to off + len - 1 do
     let v = Array.unsafe_get a i in
     if v < 0 then invalid_arg (name ^ ": negative");
-    if i > 0 && Array.unsafe_get a (i - 1) >= v then
+    if i > off && Array.unsafe_get a (i - 1) >= v then
       invalid_arg (name ^ ": not strictly increasing")
   done
 
 let of_sorted_array a =
-  check_sorted "Posting.of_sorted_array" a;
+  check_sorted "Posting.of_sorted_array" a ~off:0 ~len:(Array.length a);
   Array.copy a
 
 let adopt a =
-  check_sorted "Posting.adopt" a;
+  check_sorted "Posting.adopt" a ~off:0 ~len:(Array.length a);
   a
+
+let check_slice a ~off ~len =
+  if off < 0 || len < 0 || off + len > Array.length a then
+    invalid_arg "Posting.check_slice";
+  check_sorted "Posting.check_slice" a ~off ~len
 
 let of_list l =
   let a = Array.of_list l in
@@ -64,43 +70,36 @@ let mem t x =
 
 let rank t x = lower_bound t x
 
-let union a b =
-  let na = Array.length a and nb = Array.length b in
-  let out = Array.make (na + nb) 0 in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
-  while !i < na || !j < nb do
-    let v =
-      if !i >= na then begin
-        let v = b.(!j) in
-        incr j;
-        v
-      end
-      else if !j >= nb then begin
-        let v = a.(!i) in
-        incr i;
-        v
-      end
-      else if a.(!i) < b.(!j) then begin
-        let v = a.(!i) in
-        incr i;
-        v
-      end
-      else if a.(!i) > b.(!j) then begin
-        let v = b.(!j) in
-        incr j;
-        v
-      end
-      else begin
-        let v = a.(!i) in
-        incr i;
-        incr j;
-        v
-      end
-    in
-    out.(!k) <- v;
+(* Merge two sorted slices into a fresh array, dropping duplicates:
+   [(out, 0, count)]. *)
+let merge2 (a, ao, an) (b, bo, bn) =
+  let out = Array.make (an + bn) 0 in
+  let i = ref ao and j = ref bo and k = ref 0 in
+  let ae = ao + an and be = bo + bn in
+  while !i < ae && !j < be do
+    let x = Array.unsafe_get a !i and y = Array.unsafe_get b !j in
+    if x < y then begin
+      Array.unsafe_set out !k x;
+      incr i
+    end
+    else begin
+      Array.unsafe_set out !k y;
+      incr j;
+      if x = y then incr i
+    end;
     incr k
   done;
-  if !k = na + nb then out else Array.sub out 0 !k
+  let rest src from stop =
+    Array.blit src from out !k (stop - from);
+    k := !k + (stop - from)
+  in
+  rest a !i ae;
+  rest b !j be;
+  ((if !k = an + bn then out else Array.sub out 0 !k), 0, !k)
+
+let union a b =
+  let out, _, _ = merge2 (a, 0, Array.length a) (b, 0, Array.length b) in
+  out
 
 let inter a b =
   let na = Array.length a and nb = Array.length b in
@@ -136,57 +135,98 @@ let diff a b =
   done;
   Array.sub out 0 !k
 
-(* Multi-way union, chosen by density.  Inputs holding at least one
-   element per 64 positions of the universe they span scatter into a
-   bitmap of native-int words, which one scan turns back into sorted
-   positions (duplicates collapse in the bitmap); the words cost about
-   as much memory as the inputs.  Sparser inputs merge pairwise, in
-   rounds, so each element is copied once per round: O(total lg k). *)
+(* Multi-way union over slices [(a, off, len)] — the elements
+   [a.(off) .. a.(off + len - 1)] — chosen by density.  Inputs holding
+   at least one element per 64 positions of the universe they span
+   scatter into a bitmap of native-int words, which one scan turns back
+   into sorted positions (duplicates collapse in the bitmap); the words
+   cost about as much memory as the inputs.  Sparser inputs merge
+   pairwise, in rounds, so each element is copied once per round:
+   O(total lg k).  The result is always fresh: slices may point into a
+   buffer the caller reuses. *)
 let word_bits = Sys.int_size
 
-let union_bitmap ~universe lists =
-  let words = Array.make ((universe + word_bits - 1) / word_bits) 0 in
+(* Bitmap words, all zero between unions: the emission loop clears
+   each word as it reads it, so only the words a union touched are
+   written, and a scratch held by a structure costs no allocation once
+   it has grown to that structure's universe. *)
+type scratch = { mutable words : int array }
+
+let scratch () = { words = [||] }
+
+(* At least two slices; every round merges pairs into fresh arrays,
+   so the one array left at the end is never an input. *)
+let union_pairwise slices =
+  let rec round = function
+    | x :: y :: rest -> merge2 x y :: round rest
+    | rest -> rest
+  in
+  let rec go slices =
+    match round slices with [ (out, _, _) ] -> out | slices -> go slices
+  in
+  go slices
+
+let union_bitmap sc ~first ~universe slices =
+  let nwords = (universe + word_bits - 1) / word_bits in
+  if Array.length sc.words < nwords then
+    sc.words <- Array.make (max nwords (2 * Array.length sc.words)) 0;
+  let words = sc.words in
   List.iter
-    (Array.iter (fun v ->
-         let w = v / word_bits in
-         Array.unsafe_set words w
-           (Array.unsafe_get words w lor (1 lsl (v - (w * word_bits))))))
-    lists;
-  let n = Array.fold_left (fun acc w -> acc + Bitio.Bitops.popcount w) 0 words in
-  let out = Array.make n 0 in
-  let k = ref 0 in
-  Array.iteri
-    (fun i w ->
-      let w = ref w in
-      while !w <> 0 do
-        Array.unsafe_set out !k ((i * word_bits) + Bitio.Bitops.ctz !w);
-        incr k;
-        w := !w land (!w - 1)
+    (fun (a, off, len) ->
+      for i = off to off + len - 1 do
+        let v = Array.unsafe_get a i in
+        let w = v / word_bits in
+        Array.unsafe_set words w
+          (Array.unsafe_get words w lor (1 lsl (v - (w * word_bits))))
       done)
-    words;
+    slices;
+  let w0 = first / word_bits and w1 = nwords - 1 in
+  let n = ref 0 in
+  for i = w0 to w1 do
+    n := !n + Bitio.Bitops.popcount (Array.unsafe_get words i)
+  done;
+  let out = Array.make !n 0 in
+  let k = ref 0 in
+  for i = w0 to w1 do
+    let w = ref (Array.unsafe_get words i) in
+    Array.unsafe_set words i 0;
+    while !w <> 0 do
+      Array.unsafe_set out !k ((i * word_bits) + Bitio.Bitops.ctz !w);
+      incr k;
+      w := !w land (!w - 1)
+    done
+  done;
   out
 
-let rec union_pairwise = function
+(* Each slice must be a posting's worth of elements: strictly
+   increasing and non-negative, which bounds every element by its
+   slice's last one — the bitmap writes stay inside [universe]. *)
+let union_slices ?scratch:sc slices =
+  let slices = List.filter (fun (_, _, len) -> len > 0) slices in
+  match slices with
   | [] -> empty
-  | [ a ] -> a
-  | lists ->
-      let rec round = function
-        | a :: b :: rest -> union a b :: round rest
-        | rest -> rest
+  | [ (a, off, len) ] -> Array.sub a off len
+  | _ ->
+      let total, first, universe =
+        List.fold_left
+          (fun (total, first, universe) (a, off, len) ->
+            if off < 0 || off + len > Array.length a then
+              invalid_arg "Posting.union_slices";
+            ( total + len,
+              min first a.(off),
+              max universe (a.(off + len - 1) + 1) ))
+          (0, max_int, 0) slices
       in
-      union_pairwise (round lists)
+      if total * 64 >= universe then
+        let sc = match sc with Some sc -> sc | None -> scratch () in
+        union_bitmap sc ~first ~universe slices
+      else union_pairwise slices
 
 let union_many lists =
   match List.filter (fun a -> Array.length a > 0) lists with
   | [] -> empty
   | [ a ] -> a
-  | lists ->
-      let total = List.fold_left (fun acc a -> acc + Array.length a) 0 lists in
-      let universe =
-        List.fold_left (fun acc a -> max acc (a.(Array.length a - 1) + 1)) 0 lists
-      in
-      if total * 64 >= universe then union_bitmap ~universe lists
-      else union_pairwise lists
+  | lists -> union_slices (List.map (fun a -> (a, 0, Array.length a)) lists)
 
 module Writer = struct
   (* [out] stays [empty] until the first element is written, so a part

@@ -48,11 +48,37 @@ val diff : t -> t -> t
     lies in [\[0, n)]. *)
 val complement : n:int -> t -> t
 
-(** Multi-way union.  When the inputs hold at least one element per 64
-    positions of [\[0, max\]] (total * 64 >= max + 1) they are
-    scattered into a bitmap that is scanned once; otherwise they are
-    merged pairwise with {!union}.  The result may share storage with
-    an input (postings are immutable). *)
+(** [check_slice a ~off ~len] raises [Invalid_argument] unless
+    [a.(off) .. a.(off + len - 1)] lies inside [a] and is strictly
+    increasing and non-negative — the check {!adopt} makes, for a
+    decode that filled part of a reused buffer. *)
+val check_slice : int array -> off:int -> len:int -> unit
+
+(** Zeroed bitmap words for {!union_slices}'s dense path, grown on
+    demand and left all zero after every union, so a structure that
+    keeps one allocates no words once it has grown to its universe.
+    Not safe to share between domains. *)
+type scratch
+
+val scratch : unit -> scratch
+
+(** [union_slices ?scratch slices] is the union of the slices
+    [(a, off, len)], each the elements [a.(off) .. a.(off + len - 1)],
+    which must be strictly increasing and non-negative (a posting's
+    worth, as {!check_slice} checks).  When the slices hold at least
+    one element per 64 positions of [\[0, max\]]
+    (total * 64 >= max + 1) they are scattered into the bitmap words of
+    [scratch] (a fresh one if absent) and scanned once from the
+    smallest element's word, each word cleared as it is read;
+    otherwise they are merged pairwise, in rounds.  The result never
+    shares storage with an input, so slices may point into a buffer
+    the caller reuses. *)
+val union_slices : ?scratch:scratch -> (int array * int * int) list -> t
+
+(** Multi-way union: {!union_slices} over the whole postings, except
+    that no input or a single non-empty one is returned as it is (the
+    result may then share storage with an input; postings are
+    immutable). *)
 val union_many : t list -> t
 
 (** Write-once assembly of a posting from parts that lie in

@@ -16,6 +16,9 @@ type t = {
   meta_slot : int array; (* node id -> absolute bit offset of its slot *)
   meta_total_bits : int;
   meta_frames : Iosim.Frame.t list;
+  mutable arena : int array; (* [query_batch]'s decoded extents *)
+  mutable fill : int; (* arena words in use by the current batch *)
+  scratch : Cbitmap.Posting.scratch; (* [query_batch]'s union bitmap *)
 }
 
 let a_magic = 0x5DA2
@@ -161,6 +164,9 @@ let build ?(c = 8) ?(complement = true) ?(schedule = `Doubling)
     meta_slot;
     meta_total_bits;
     meta_frames;
+    arena = [||];
+    fill = 0;
+    scratch = Cbitmap.Posting.scratch ();
   }
 
 let tree t = t.tree
@@ -292,10 +298,14 @@ let query t ~lo ~hi =
    Same plan as [query_checked] query by query — identical descent,
    identical complement decision, so answers match constructor for
    constructor — but every stored stream decodes at most once for the
-   whole batch: the per-(storage, stream) cache holds its posting, and
-   later queries whose plans subscribe to the same stream reuse it.
-   Uncached runs announce themselves to the device with [prefetch], so
-   their payload blocks arrive in one sequential pass. *)
+   whole batch: the per-(storage, stream) cache holds the slice of the
+   index's arena its positions were decoded into, and later queries
+   whose plans subscribe to the same stream reuse it.  Uncached runs
+   announce themselves to the device with [prefetch], so their payload
+   blocks arrive in one sequential pass.  Each answer is one
+   [union_slices] over the arena, written fresh, so the arena and the
+   union scratch are reused from batch to batch: a warm index
+   allocates little beyond its answers. *)
 
 (* Readahead for the cache misses of one run: each maximal uncached
    subrange prefetches its payload span; cached streams in the middle
@@ -318,24 +328,49 @@ let prefetch_uncached t cache storage ~first ~last =
   done;
   if !start >= 0 then flush !start last
 
-let batched_entries t cache ~s ~e =
-  if s >= e then Cbitmap.Posting.empty
+(* A cache miss: the directory entry, then the extent decoded into the
+   arena after the batch's earlier extents.  Growing copies the words
+   in use, so a slice stays valid as (offset, count). *)
+let decode_to_arena t storage i =
+  let e =
+    Obs.Metrics.phase "directory" (fun () ->
+        Indexing.Stream_table.extent (table_of t storage) i)
+  in
+  Obs.Metrics.phase "payload" (fun () ->
+      let at = t.fill and count = e.Indexing.Stream_table.count in
+      if count > Array.length t.arena - at then begin
+        let a = Array.make (max (at + count) (2 * Array.length t.arena)) 0 in
+        Array.blit t.arena 0 a 0 at;
+        t.arena <- a
+      end;
+      Indexing.Stream_table.decode_into e t.arena ~at;
+      t.fill <- at + count;
+      (at, count))
+
+(* The arena slices of entry range [s, e), in plan order. *)
+let batched_slices t cache ~s ~e =
+  if s >= e then []
   else begin
     let runs =
       Obs.Metrics.phase "directory" (fun () -> plan_charged t ~s ~e)
     in
-    let postings =
-      List.concat_map
-        (fun { storage; first; last } ->
-          prefetch_uncached t cache storage ~first ~last;
-          List.init (last - first + 1) (fun k ->
-              Indexing.Batch.Cache.get cache (storage, first + k)))
-        runs
-    in
-    Obs.Metrics.phase "payload" (fun () ->
-        Cbitmap.Posting.union_many postings)
+    List.concat_map
+      (fun { storage; first; last } ->
+        prefetch_uncached t cache storage ~first ~last;
+        List.init (last - first + 1) (fun k ->
+            Indexing.Batch.Cache.get cache (storage, first + k)))
+      runs
   end
 
+let union_arena t slices =
+  if slices = [] then Cbitmap.Posting.empty
+  else
+    Obs.Metrics.phase "payload" (fun () ->
+        Cbitmap.Posting.union_slices ~scratch:t.scratch
+          (List.map (fun (off, len) -> (t.arena, off, len)) slices))
+
+(* A complement is one union over the left and the right entries: the
+   two sets of positions are disjoint. *)
 let batched_checked t cache ~lo ~hi =
   let s, e =
     Obs.Metrics.phase "rank_select" (fun () ->
@@ -345,18 +380,18 @@ let batched_checked t cache ~lo ~hi =
   let n = t.tree.Wbb.n in
   if z = 0 then Indexing.Answer.Direct Cbitmap.Posting.empty
   else if t.complement && 2 * z > n then begin
-    let left = batched_entries t cache ~s:0 ~e:s in
-    let right = batched_entries t cache ~s:e ~e:n in
-    Indexing.Answer.Complement (Cbitmap.Posting.union left right)
+    let left = batched_slices t cache ~s:0 ~e:s in
+    let right = batched_slices t cache ~s:e ~e:n in
+    Indexing.Answer.Complement (union_arena t (left @ right))
   end
-  else Indexing.Answer.Direct (batched_entries t cache ~s ~e)
+  else Indexing.Answer.Direct (union_arena t (batched_slices t cache ~s ~e))
 
 let query_batch t ranges =
   let plan = Indexing.Batch.normalize ~sigma:t.tree.Wbb.sigma ranges in
+  t.fill <- 0;
   let cache =
     Indexing.Batch.Cache.create
-      ~decode:(fun (storage, i) ->
-        Indexing.Stream_table.read_one (table_of t storage) i)
+      ~decode:(fun (storage, i) -> decode_to_arena t storage i)
       ()
   in
   Indexing.Batch.fan_out plan

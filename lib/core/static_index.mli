@@ -44,7 +44,16 @@ val query : t -> lo:int -> hi:int -> Indexing.Answer.t
 (** Batched execution (PR 5): answers [ranges] slot for slot with the
     same plans and complement decisions as [query], but decodes each
     stored stream at most once for the whole batch and prefetches
-    uncached payload runs.  What [Instance.batch] wires up. *)
+    uncached payload runs.  What [Instance.batch] wires up.
+
+    The decoded streams go into an arena the index owns and reuses
+    from batch to batch (it keeps the size of the largest batch's
+    decoded streams), and each answer is one
+    {!Cbitmap.Posting.union_slices} over it with the index's scratch
+    words, so the answers own their storage and a warm index allocates
+    little beyond them.  The arena and scratch are confined to the
+    domain running the batch, as the device is: [query_batch] is not
+    reentrant, and two domains must not run it on one index at once. *)
 val query_batch : t -> (int * int) array -> Indexing.Answer.t array
 
 (** Answer for an entry range [\[s;e)] (entries are character

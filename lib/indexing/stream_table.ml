@@ -127,6 +127,29 @@ let decode { table = t; pos; count } =
   | Gap -> Cbitmap.Gap_codec.decode ~code:t.code d ~count
   | Hybrid { universe; chunk } -> Cbitmap.Container.decode_chunked ~universe ~chunk d
 
+(* The same pass, into [out] from [at]: a gap extent decodes in place;
+   a container extent decodes whole and is copied. *)
+let decode_into { table = t; pos; count } out ~at =
+  if at < 0 || count > Array.length out - at then
+    invalid_arg "Stream_table.decode_into";
+  let d = Iosim.Device.decoder t.device ~pos in
+  match t.layout with
+  | Gap ->
+      Cbitmap.Gap_codec.decode_into ~code:t.code ~at d ~count out;
+      Cbitmap.Posting.check_slice out ~off:at ~len:count
+  | Hybrid { universe; chunk } ->
+      let p = Cbitmap.Container.decode_chunked ~universe ~chunk d in
+      if Cbitmap.Posting.cardinal p <> count then
+        Secidx_error.corrupt
+          "Stream_table: container extent holds %d positions, directory says %d"
+          (Cbitmap.Posting.cardinal p) count;
+      Cbitmap.Posting.iter
+        (let k = ref at in
+         fun v ->
+           Array.unsafe_set out !k v;
+           incr k)
+        p
+
 let union extents = Cbitmap.Posting.union_many (List.map decode extents)
 
 (* Phase spans: the directory entry is decoded first (the "directory"

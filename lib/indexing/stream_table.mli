@@ -60,6 +60,10 @@ val read_union : t -> lo:int -> hi:int -> Cbitmap.Posting.t
     absolute bit position of its first codeword and its cardinality. *)
 type extent = private { table : t; pos : int; count : int }
 
+(** The extent of stream [i] (one counted directory read; no phase
+    span). *)
+val extent : t -> int -> extent
+
 (** The extents of streams [lo..hi], in order (counted directory
     reads; no phase span). *)
 val extents : t -> lo:int -> hi:int -> extent list
@@ -68,6 +72,13 @@ val extents : t -> lo:int -> hi:int -> extent list
     codec for [Gap], {!Cbitmap.Container.decode_chunked} for [Hybrid]
     (counted payload reads; no phase span). *)
 val decode : extent -> Cbitmap.Posting.t
+
+(** [decode_into e out ~at] writes [decode e]'s positions to
+    [out.(at .. at + e.count - 1)], with the same counted reads and
+    the check {!Cbitmap.Posting.adopt} makes: a [Gap] extent decodes
+    in place, a [Hybrid] one decodes whole and is copied.  Raises
+    [Invalid_argument] if the slice does not fit [out]. *)
+val decode_into : extent -> int array -> at:int -> unit
 
 (** [union es] = [Posting.union_many (List.map decode es)]. *)
 val union : extent list -> Cbitmap.Posting.t

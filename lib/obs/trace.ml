@@ -64,25 +64,26 @@ type span = {
 
 let on = ref false
 
-let dummy =
-  {
-    seq = -1;
-    ts = 0.;
-    kind = Instant;
-    name = "";
-    cat = "";
-    io = 0;
-    dom = 0;
-    attrs = [];
-  }
-
-(* One ring per emitting domain.  [emitted]/[depth] are written only
-   by the owning domain; the registry list cell is published under
-   [reg_mutex] and read by exporters. *)
+(* One ring per emitting domain, kept as one array per event field so
+   that recording an event allocates nothing: the stores go into
+   arrays allocated with the ring, and the timestamp lands unboxed in a
+   float array.  An event record is built only when the ring is read
+   back.  The clock reading and the caller's [attrs] are the emission
+   path's only allocation, which keeps a collection from starting
+   inside the span being timed as far as the tracer can.
+   [emitted]/[depth] are written only by the owning domain; the
+   registry list cell is published under [reg_mutex] and read by
+   exporters. *)
 type dring = {
   r_dom : int;
   r_epoch : int;
-  ring : event array;
+  seqs : int array;
+  tss : Float.Array.t;
+  kinds : kind array;
+  names : string array;
+  cats : string array;
+  ios : int array;
+  attrss : (string * attr) list array;
   mutable emitted : int;  (* this domain's emission count *)
   mutable depth : int;  (* this domain's open-span depth *)
 }
@@ -108,20 +109,34 @@ let reset_io_probe () = probe := fun () -> 0
 let slot : dring option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
+(* A domain keeps its arrays across [clear]: the next epoch's ring
+   reuses them (the abandoned ring is never read again), so only the
+   first emission after [enable] or a capacity change allocates. *)
 let my_ring () =
   let s = Domain.DLS.get slot in
   let ep = Atomic.get epoch in
   match !s with
   | Some r when r.r_epoch = ep -> r
-  | _ ->
+  | prev ->
+      let c = !cap in
       let r =
-        {
-          r_dom = (Domain.self () :> int);
-          r_epoch = ep;
-          ring = Array.make !cap dummy;
-          emitted = 0;
-          depth = 0;
-        }
+        match prev with
+        | Some old when Array.length old.seqs = c ->
+            { old with r_epoch = ep; emitted = 0; depth = 0 }
+        | _ ->
+            {
+              r_dom = (Domain.self () :> int);
+              r_epoch = ep;
+              seqs = Array.make c 0;
+              tss = Float.Array.make c 0.;
+              kinds = Array.make c Instant;
+              names = Array.make c "";
+              cats = Array.make c "";
+              ios = Array.make c 0;
+              attrss = Array.make c [];
+              emitted = 0;
+              depth = 0;
+            }
       in
       Mutex.protect reg_mutex (fun () -> registry := r :: !registry);
       s := Some r;
@@ -153,23 +168,21 @@ let rings () = Mutex.protect reg_mutex (fun () -> !registry)
 let dropped () =
   List.fold_left (fun acc r -> acc + max 0 (r.emitted - !cap)) 0 (rings ())
 
+(* A Begin reads the clock before its stores and an End after them,
+   so the tracer's own work falls inside the span it delimits rather
+   than between the span and the caller's code. *)
 let emit kind name cat attrs =
   if !on && !cap > 0 then begin
     let r = my_ring () in
-    let seq = Atomic.fetch_and_add seq_ctr 1 in
-    let e =
-      {
-        seq;
-        ts = !clock ();
-        kind;
-        name;
-        cat;
-        io = !probe ();
-        dom = r.r_dom;
-        attrs;
-      }
-    in
-    r.ring.(r.emitted mod !cap) <- e;
+    let i = r.emitted mod Array.length r.seqs in
+    if kind <> End then Float.Array.unsafe_set r.tss i (!clock ());
+    Array.unsafe_set r.seqs i (Atomic.fetch_and_add seq_ctr 1);
+    Array.unsafe_set r.kinds i kind;
+    Array.unsafe_set r.names i name;
+    Array.unsafe_set r.cats i cat;
+    Array.unsafe_set r.attrss i attrs;
+    Array.unsafe_set r.ios i (!probe ());
+    if kind = End then Float.Array.unsafe_set r.tss i (!clock ());
     r.emitted <- r.emitted + 1
   end
 
@@ -202,7 +215,18 @@ let ring_events r =
   else begin
     let count = min n c in
     let first = n - count in
-    List.init count (fun i -> r.ring.((first + i) mod c))
+    List.init count (fun k ->
+        let i = (first + k) mod c in
+        {
+          seq = r.seqs.(i);
+          ts = Float.Array.get r.tss i;
+          kind = r.kinds.(i);
+          name = r.names.(i);
+          cat = r.cats.(i);
+          io = r.ios.(i);
+          dom = r.r_dom;
+          attrs = r.attrss.(i);
+        })
   end
 
 let events () =

@@ -42,9 +42,11 @@ val on : bool ref
 
 val enable : ?capacity:int -> unit -> unit
 (** Start recording.  Default capacity 65536 events {e per domain};
-    each domain's ring is allocated on its first emission, and when a
-    ring is full that domain's oldest events are overwritten (counted
-    by {!dropped}). *)
+    each domain's ring is allocated on its first emission (and reused
+    after {!clear} while the capacity stays the same), and when a ring
+    is full that domain's oldest events are overwritten (counted by
+    {!dropped}).  Recording an event allocates nothing beyond the
+    clock reading and the caller's attributes. *)
 
 val disable : unit -> unit
 val enabled : unit -> bool

@@ -11,9 +11,14 @@
      every worker, executed via the shard's warm [Indexing.Batch]
      path, and gathered behind a countdown latch.
 
-   Either way the router writes each global answer once, on the
-   calling domain, from the shards' local compressed answers
-   ([assemble]).
+   Either way the router normalizes the batch first
+   ([Indexing.Batch.normalize]) and scatters only its distinct clamped
+   ranges, so each shard executes each distinct range once; it then
+   writes each distinct global answer once, on the calling domain,
+   from the shards' local compressed answers ([assemble]), and every
+   slot of that range shares the one immutable posting.  A shard's own
+   planner sees a batch that is already normalized, so its execution
+   order, and every I/O counter, is what the raw batch would give.
 
    Memory safety across domains relies on confinement plus two
    handshakes: a worker touches only its shard's device and instance;
@@ -76,6 +81,7 @@ type mode = Sequential | Domains
 
 type t = {
   shards : Shard.t array;
+  sigma : int option; (* the instances' alphabet; [None]: every shard empty *)
   mode : mode;
   workers : worker array; (* empty in Sequential mode *)
   mutable live : bool;
@@ -127,7 +133,15 @@ let create ?(mode = Sequential) shards =
                end)
              (Array.to_list shards))
   in
-  { shards; mode; workers; live = true }
+  let sigma =
+    Array.fold_left
+      (fun acc s ->
+        match (acc, Shard.instance s) with
+        | None, Some i -> Some i.Indexing.Instance.sigma
+        | acc, _ -> acc)
+      None shards
+  in
+  { shards; sigma; mode; workers; live = true }
 
 let domains_used t =
   match t.mode with Sequential -> 1 | Domains -> Array.length t.workers
@@ -155,39 +169,49 @@ let assemble parts j =
     parts;
   Cbitmap.Posting.Writer.finish w
 
+(* The shards' local answers to [ranges], paired with their shards. *)
+let scatter t ranges =
+  match t.mode with
+  | Sequential -> Array.map (fun s -> (s, Shard.run_batch s ranges)) t.shards
+  | Domains ->
+      Obs.Metrics.incr m_scatters;
+      let latch = Latch.create (Array.length t.workers) in
+      let slots =
+        Array.map
+          (fun w ->
+            let slot = ref None in
+            Obs.Metrics.add_gauge g_queue_depth 1.0;
+            post w (Batch { ranges; slot; latch });
+            slot)
+          t.workers
+      in
+      Latch.wait latch;
+      (* Every worker has arrived; the first failure in shard order
+         is the one [Sequential] would have raised. *)
+      Array.map2
+        (fun w slot ->
+          match !slot with
+          | Some (Rows rows) -> (w.shard, rows)
+          | Some (Failed (e, bt)) -> Printexc.raise_with_backtrace e bt
+          | None -> assert false (* latch counted every worker *))
+        t.workers slots
+
 let query_batch t ranges =
   if not t.live then invalid_arg "Router.query_batch: after shutdown";
-  let nq = Array.length ranges in
-  if nq = 0 then [||]
-  else begin
-    let parts =
-      match t.mode with
-      | Sequential -> Array.map (fun s -> (s, Shard.run_batch s ranges)) t.shards
-      | Domains ->
-          Obs.Metrics.incr m_scatters;
-          let latch = Latch.create (Array.length t.workers) in
-          let slots =
-            Array.map
-              (fun w ->
-                let slot = ref None in
-                Obs.Metrics.add_gauge g_queue_depth 1.0;
-                post w (Batch { ranges; slot; latch });
-                slot)
-              t.workers
-          in
-          Latch.wait latch;
-          (* Every worker has arrived; the first failure in shard order
-             is the one [Sequential] would have raised. *)
-          Array.map2
-            (fun w slot ->
-              match !slot with
-              | Some (Rows rows) -> (w.shard, rows)
-              | Some (Failed (e, bt)) -> Printexc.raise_with_backtrace e bt
-              | None -> assert false (* latch counted every worker *))
-            t.workers slots
-    in
-    Array.init nq (assemble parts)
-  end
+  match t.sigma with
+  | None -> Array.map (fun _ -> Cbitmap.Posting.empty) ranges
+  | Some sigma ->
+      let plan = Indexing.Batch.normalize ~sigma ranges in
+      let uniq = plan.Indexing.Batch.uniq in
+      let answers =
+        if Array.length uniq = 0 then [||]
+        else Array.init (Array.length uniq) (assemble (scatter t uniq))
+      in
+      Array.map
+        (fun c ->
+          if c = Indexing.Batch.empty_class then Cbitmap.Posting.empty
+          else answers.(c))
+        plan.Indexing.Batch.class_of
 
 let query t ~lo ~hi = (query_batch t [| (lo, hi) |]).(0)
 

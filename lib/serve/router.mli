@@ -4,7 +4,9 @@
     shard's warm batched path, and the router writes the shards' local
     answers — concatenated in shard order, each shifted by its shard's
     base, complements expanded as they are written — once into a
-    posting bit-identical to the unsharded instance's answer.
+    posting bit-identical to the unsharded instance's answer.  A batch
+    is normalized before it scatters, so each distinct range is
+    executed and assembled once, however many slots ask for it.
 
     [Sequential] runs shards in the caller's domain (the differential
     baseline); [Domains] gives each non-empty shard a worker domain
@@ -31,13 +33,19 @@ val domains_used : t -> int
     [Answer.to_posting (Instance.query)] on the unsharded index. *)
 val query : t -> lo:int -> hi:int -> Cbitmap.Posting.t
 
-(** Batched scatter/gather: slot [i] answers [ranges.(i)].  Each shard
-    runs the whole batch through its warm [Indexing.Batch] path and
-    returns local compressed answers ({!Shard.run_batch}); the router
-    sizes answer [i] from their cardinalities, allocates it once and
-    writes every part into it with {!Cbitmap.Posting.Writer} (seams
-    checked), on the calling domain in both modes.  A lone part that
-    is the whole answer is returned uncopied.  If
+(** Batched scatter/gather: slot [i] answers [ranges.(i)].  The
+    router normalizes the batch first ({!Indexing.Batch.normalize},
+    with the shards' alphabet): each distinct clamped range is executed
+    once, and slots that clamp to nothing answer {!Cbitmap.Posting.empty}
+    without reaching a shard (if every shard is empty, every answer is
+    empty).  Each shard runs the distinct ranges through its warm
+    [Indexing.Batch] path and returns local compressed answers
+    ({!Shard.run_batch}); the router sizes each distinct answer from
+    their cardinalities, allocates it once and writes every part into
+    it with {!Cbitmap.Posting.Writer} (seams checked), on the calling
+    domain in both modes.  Duplicate slots — equal ranges, or ranges
+    that clamp to the same one — share that one immutable posting.  A
+    lone part that is the whole answer is returned uncopied.  If
     shards raise, both modes re-raise the first failure in shard order
     (in [Domains] mode after every worker has finished the batch), and
     the router stays usable for later batches. *)

@@ -441,6 +441,48 @@ let prop_filter =
         (posting (List.filter p (Cbitmap.Posting.to_list s)))
       && List.rev !seen = Cbitmap.Posting.to_list s)
 
+(* [union_slices] over slices of padded arrays — junk before and
+   after each slice, which the kernel must not read — equals the
+   sort-and-dedup reference, in both regimes, and shares no storage
+   with its inputs.  One scratch serves every
+   case, so a bitmap word left set by one union would corrupt a later
+   one. *)
+let shared_scratch = Cbitmap.Posting.scratch ()
+
+let prop_union_slices ~dense =
+  let gen =
+    if dense then
+      QCheck.Gen.(map (fun l -> 62 :: 63 :: 126 :: l) (list_size (int_range 0 40) (int_range 0 300)))
+    else QCheck.Gen.(map (fun l -> 1_000_000 :: l) (list_size (int_range 0 20) (int_range 0 1_000_000)))
+  in
+  QCheck.Test.make ~count:300 ~long_factor:10
+    ~name:
+      (Printf.sprintf "union_slices %s = of_list concat (shared scratch)"
+         (if dense then "dense" else "sparse"))
+    (QCheck.make
+       ~print:QCheck.Print.(list (triple int (list int) int))
+       QCheck.Gen.(list_size (int_range 1 6) (triple (int_range 0 3) gen (int_range 0 3))))
+    (fun cases ->
+      let slices =
+        List.map
+          (fun (before, l, after) ->
+            let p = Cbitmap.Posting.to_array (posting l) in
+            let len = Array.length p in
+            let a = Array.make (before + len + after) (-1) in
+            Array.blit p 0 a before len;
+            if after > 0 then a.(before + len) <- max_int;
+            (a, before, len))
+          cases
+      in
+      let lists = List.map (fun (_, l, _) -> l) cases in
+      let total = List.fold_left (fun acc (_, _, len) -> acc + len) 0 slices in
+      let universe = 1 + List.fold_left (List.fold_left max) (-1) lists in
+      let got = Cbitmap.Posting.union_slices ~scratch:shared_scratch slices in
+      (* the result owns its storage: clobbering the inputs leaves it *)
+      List.iter (fun (a, _, _) -> Array.fill a 0 (Array.length a) (-5)) slices;
+      (List.length lists < 2 || (total * 64 >= universe) = dense)
+      && Cbitmap.Posting.equal got (posting (List.concat lists)))
+
 let suite =
   [
     Alcotest.test_case "of_list sorts and dedups" `Quick
@@ -482,4 +524,6 @@ let suite =
     qcheck prop_gamma_size_near_optimal;
     Alcotest.test_case "writer: complements, totals, seams" `Quick test_writer_parts;
     qcheck prop_filter;
+    qcheck (prop_union_slices ~dense:true);
+    qcheck (prop_union_slices ~dense:false);
   ]

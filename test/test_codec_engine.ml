@@ -682,6 +682,43 @@ let test_read_union_allocation () =
     Alcotest.failf "read_union allocated %.0f minor words, merge %.0f"
       whole_words merge_words
 
+(* [decode_into ~at] on a counted device decoder: the same positions
+   as [decode], written at [at] with the cells around the slice left
+   alone, and the same bits read, for each gap code. *)
+let prop_decode_into_at =
+  QCheck.Test.make ~count:200 ~long_factor:10
+    ~name:"decode_into ~at = decode (positions, bits_read)"
+    QCheck.(triple (int_range 0 3) (list (int_range 0 100_000)) (int_range 0 50))
+    (fun (codei, xs, at) ->
+      let code =
+        match codei with
+        | 0 -> Cbitmap.Gap_codec.Gamma
+        | 1 -> Cbitmap.Gap_codec.Delta
+        | 2 -> Cbitmap.Gap_codec.Rice 3
+        | _ -> Cbitmap.Gap_codec.Fibonacci
+      in
+      let p = Cbitmap.Posting.of_list xs in
+      let count = Cbitmap.Posting.cardinal p in
+      let layout = Indexing.Stream_table.Gap in
+      let decoder t =
+        let e = Indexing.Stream_table.extent t 0 in
+        Iosim.Device.decoder (Indexing.Stream_table.device t)
+          ~pos:e.Indexing.Stream_table.pos
+      in
+      let t1, d1 = fresh_table ~code ~layout ~pool:4 [ p ]
+      and t2, d2 = fresh_table ~code ~layout ~pool:4 [ p ] in
+      let dec1 = decoder t1 and dec2 = decoder t2 in
+      Iosim.Device.reset_stats d1;
+      Iosim.Device.reset_stats d2;
+      let whole = Cbitmap.Gap_codec.decode ~code dec1 ~count in
+      let out = Array.make (at + count + 2) (-7) in
+      Cbitmap.Gap_codec.decode_into ~code ~at dec2 ~count out;
+      let bits d = (Iosim.Device.stats d).Iosim.Stats.bits_read in
+      Array.sub out at count = Cbitmap.Posting.to_array whole
+      && Array.for_all (( = ) (-7)) (Array.sub out 0 at)
+      && out.(at + count) = -7
+      && bits d1 = bits d2)
+
 let suite =
   [
     qcheck prop_msb_matches_naive;
@@ -710,4 +747,5 @@ let suite =
     qcheck prop_read_union_vs_merge;
     Alcotest.test_case "read_union allocates at most half the merge" `Quick
       test_read_union_allocation;
+    qcheck prop_decode_into_at;
   ]

@@ -407,3 +407,119 @@ let prop_plan_covers_exactly =
       && Cbitmap.Posting.equal (Secidx.Static_index.query_entries t ~s ~e) naive)
 
 let suite = suite @ [ qcheck prop_plan_covers_exactly ]
+
+(* [query_batch] decodes into an arena the index reuses from batch to
+   batch.  Its answers must own their storage: a later batch that
+   overwrites the arena leaves them as they were.  The first batch on
+   a fresh index is a single one-extent query, whose slice is then the
+   whole arena.  Characters 60-63 occur once each, so each is one
+   leaf. *)
+let test_batch_arena_reuse () =
+  let sigma = 64 in
+  let data =
+    (Workload.Gen.zipf ~seed:41 ~n:3000 ~sigma:60 ~theta:1.0 ()).Workload.Gen.data
+  in
+  List.iteri (fun i c -> data.(100 * (i + 1)) <- c) [ 60; 61; 62; 63 ];
+  let t = Secidx.Static_index.build (device ()) ~sigma data in
+  let one_extent c =
+    let s, e = Secidx.Static_index.entry_bounds t ~lo:c ~hi:c in
+    e > s
+    && 2 * (e - s) <= Array.length data
+    &&
+    match Secidx.Static_index.plan t ~s ~e with
+    | [ { Secidx.Static_index.first; last; _ } ] -> first = last
+    | _ -> false
+  in
+  let singles =
+    List.filter one_extent (List.init sigma Fun.id)
+    |> List.map (fun c -> (c, c))
+    |> Array.of_list
+  in
+  Alcotest.(check bool) "one-extent queries exist" true (Array.length singles >= 2);
+  let snapshot answers =
+    Array.map
+      (function
+        | Indexing.Answer.Direct p -> (false, Cbitmap.Posting.to_list p)
+        | Indexing.Answer.Complement p -> (true, Cbitmap.Posting.to_list p))
+      answers
+  in
+  let batches =
+    [
+      [| singles.(0) |];
+      Array.append singles [| (0, sigma - 1); (2, 40); (0, 5); (30, 63) |];
+    ]
+  in
+  let kept =
+    List.map
+      (fun b ->
+        let a = Secidx.Static_index.query_batch t b in
+        (b, a, snapshot a))
+      batches
+  in
+  ignore
+    (Secidx.Static_index.query_batch t
+       (Array.init (sigma - 3) (fun c -> (c, c + 3))));
+  List.iteri
+    (fun k (b, a, before) ->
+      Alcotest.(check (array (pair bool (list int))))
+        (Printf.sprintf "batch %d unchanged by a later batch" (k + 1))
+        before (snapshot a);
+      Array.iteri
+        (fun j (lo, hi) ->
+          Alcotest.(check (pair bool (list int)))
+            (Printf.sprintf "batch %d slot %d = query" (k + 1) j)
+            (snapshot [| Secidx.Static_index.query t ~lo ~hi |]).(0)
+            (snapshot [| a.(j) |]).(0))
+        b)
+    kept
+
+(* Direct major-heap words (major minus promoted) a warm index
+   allocates for a repeated batch of distinct ranges, against the
+   words of its answers.  Arrays above 256 words go straight to the
+   major heap, so these are the answers and whatever else the batch
+   allocates that large.  [Gc.counters] counts them as they are
+   allocated ([Gc.quick_stat]'s major words lag until the next major
+   slice), so the reading does not depend on when collections run.  The arena and the union scratch are warm by the
+   second batch, so it allocates little beyond its answers. *)
+let test_batch_major_allocation () =
+  let sigma = 256 and n = 1 lsl 15 in
+  let data =
+    (Workload.Gen.zipf ~seed:43 ~n ~sigma ~theta:1.0 ()).Workload.Gen.data
+  in
+  let t = Secidx.Static_index.build (device ~mem_blocks:1024 ()) ~sigma data in
+  (* 64 distinct ranges: points, narrow, medium and complement-wide *)
+  let ranges =
+    Array.init 64 (fun i ->
+        let w = [| 0; 2; 9; 150 |].(i mod 4) in
+        let lo = i * 37 mod (sigma - w) in
+        (lo, lo + w))
+  in
+  ignore (Secidx.Static_index.query_batch t ranges);
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let w0 = direct () in
+  let answers = Secidx.Static_index.query_batch t ranges in
+  let words = direct () -. w0 in
+  let answer_words =
+    Array.fold_left
+      (fun acc a ->
+        match a with
+        | Indexing.Answer.Direct p | Indexing.Answer.Complement p ->
+            acc + Cbitmap.Posting.cardinal p)
+      0 answers
+  in
+  Printf.printf "direct major words %.0f, answer words %d\n" words answer_words;
+  if words > 1.25 *. float_of_int answer_words then
+    Alcotest.failf "second batch allocated %.0f direct major words for %d answer words"
+      words answer_words
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "batch answers survive arena reuse" `Quick
+        test_batch_arena_reuse;
+      Alcotest.test_case "warm batch major words <= 1.25x answer" `Quick
+        test_batch_major_allocation;
+    ]

@@ -482,6 +482,74 @@ let test_sim_open_loop () =
   Alcotest.(check int) "digest agrees across modes" seq.Serve.Sim.checksum
     dom.Serve.Sim.checksum
 
+(* The router normalizes a batch before it scatters: each distinct
+   clamped range reaches each shard once, in ascending order, and
+   every slot of that range (a duplicate, or a slot that clamps to it)
+   is the one posting the router assembled.  Slots that clamp to
+   nothing get the empty posting and reach no shard.  Both modes. *)
+let test_router_scatters_distinct_ranges () =
+  let data = mkdata ~seed:33 140 in
+  let static = List.assoc "static" all_builders in
+  let inst = static (device ()) ~sigma data in
+  let n = inst.Indexing.Instance.n in
+  let batch =
+    [| (3, 7); (0, sigma - 1); (3, 7); (-4, 2); (0, 2); (14, 99); (5, 4);
+       (sigma, sigma + 3); (14, sigma - 1); (-1, sigma + 5); (9, 9); (3, 7) |]
+  in
+  let distinct =
+    Array.to_list batch
+    |> List.filter_map (fun (lo, hi) -> Indexing.Common.clamp_range ~sigma ~lo ~hi)
+    |> List.sort_uniq compare
+  in
+  List.iter
+    (fun mode ->
+      let k = 3 in
+      let received = Array.make k [] and built = ref 0 in
+      let build dev ~sigma x =
+        let i = !built in
+        incr built;
+        let inst = static dev ~sigma x in
+        let batch = Option.get inst.Indexing.Instance.batch in
+        {
+          inst with
+          Indexing.Instance.batch =
+            Some
+              (fun ranges ->
+                received.(i) <- received.(i) @ Array.to_list ranges;
+                batch ranges);
+        }
+      in
+      let router = Serve.Router.create ~mode (shards_for build k data) in
+      Fun.protect
+        ~finally:(fun () -> Serve.Router.shutdown router)
+        (fun () ->
+          let answers = Serve.Router.query_batch router batch in
+          Array.iteri
+            (fun i r ->
+              Alcotest.(check (list (pair int int)))
+                (Printf.sprintf "shard %d gets each distinct range once" i)
+                distinct r)
+            received;
+          Array.iteri
+            (fun j (lo, hi) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "slot %d = per-query answer" j)
+                true
+                (Cbitmap.Posting.equal answers.(j)
+                   (Indexing.Answer.to_posting ~n
+                      (inst.Indexing.Instance.query ~lo ~hi)));
+              Array.iteri
+                (fun j' (lo', hi') ->
+                  let c = Indexing.Common.clamp_range ~sigma in
+                  if c ~lo ~hi = c ~lo:lo' ~hi:hi' then
+                    Alcotest.(check bool)
+                      (Printf.sprintf "slots %d and %d share one posting" j j')
+                      true
+                      (answers.(j) == answers.(j')))
+                batch)
+            batch))
+    [ Serve.Router.Sequential; Serve.Router.Domains ]
+
 let suite =
   [
     Alcotest.test_case "differential: 15 builders x shards {1,2,4,7}" `Quick
@@ -504,4 +572,6 @@ let suite =
     Alcotest.test_case "open-loop sim" `Quick test_sim_open_loop;
     Alcotest.test_case "router answer assembly: k in {1,2,3,7} and k > n"
       `Quick test_router_assembly;
+    Alcotest.test_case "router scatters each distinct range once" `Quick
+      test_router_scatters_distinct_ranges;
   ]
