@@ -449,16 +449,12 @@ let e10 () =
   let rows =
     List.map
       (fun (wa, wb) ->
-        let cs = conds (wa, wb) in
-        Iosim.Device.clear_pool dev;
-        Iosim.Device.reset_stats dev;
-        let exact = Ridint.Table.query t cs in
-        let eb = (Iosim.Device.stats dev).Iosim.Stats.bits_read in
-        Iosim.Device.clear_pool dev;
-        Iosim.Device.reset_stats dev;
-        let approx, checked = Ridint.Table.query_approx t ~epsilon:0.1 cs in
-        let ab = (Iosim.Device.stats dev).Iosim.Stats.bits_read in
-        assert (Cbitmap.Posting.equal exact approx);
+        let q = Planner.Ast.of_conditions (conds (wa, wb)) in
+        let e = Planner.Exec.run_fixed t q in
+        let a = Planner.Exec.run_fixed ~epsilon:0.1 t q in
+        let exact = Option.get e.rows and checked = a.checked in
+        let eb = e.stats.bits_read and ab = a.stats.bits_read in
+        assert (Cbitmap.Posting.equal exact (Option.get a.rows));
         [
           Printf.sprintf "%dx%d" (wa + 1) (wb + 1);
           string_of_int (Cbitmap.Posting.cardinal exact);

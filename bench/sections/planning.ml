@@ -11,6 +11,9 @@
    the selective column and discharge the wide ones with prefilters
    or residual verification.
 
+   The baseline is that fixed rule run as a plan
+   (Planner.Exec.run_fixed), through the same executor.
+
    Gates:
    1. differential — planner rows equal both the naive scan and the
       fixed-rule baseline on every trial (mismatches = 0);
@@ -64,14 +67,16 @@ let run ~smoke =
         { Ridint.Table.column = "c2"; lo = lo2; hi = lo2 + w2 - 1 };
       ]
     in
-    let base, bs = Ridint.Table.query_with_stats t conds in
-    let out = Planner.Exec.run ~cost t (Planner.Ast.of_conditions conds) in
+    let q = Planner.Ast.of_conditions conds in
+    let base = Planner.Exec.run_fixed t q in
+    let out = Planner.Exec.run ~cost t q in
     let rows = Option.get out.Planner.Exec.rows in
     if
-      (not (Cbitmap.Posting.equal rows base))
+      (not (Cbitmap.Posting.equal rows (Option.get base.Planner.Exec.rows)))
       || not (Cbitmap.Posting.equal rows (Ridint.Table.naive t conds))
     then incr mismatches;
-    let b = Iosim.Stats.ios bs and p = Iosim.Stats.ios out.Planner.Exec.stats in
+    let b = Iosim.Stats.ios base.Planner.Exec.stats
+    and p = Iosim.Stats.ios out.Planner.Exec.stats in
     b_total := !b_total + b;
     p_total := !p_total + p;
     if i < 8 then

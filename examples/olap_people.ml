@@ -1,7 +1,8 @@
 (* The paper's motivating example (§1): "in a database of people we
    may want to find all married men of age 33", answered by RID
    intersection of three one-dimensional secondary indexes — exactly,
-   and approximately with Bloom-filter-style answers (§3).
+   and approximately with Bloom-filter-style answers (§3), both run as
+   fixed plans by the conjunctive executor.
 
      dune exec examples/olap_people.exe *)
 
@@ -41,28 +42,19 @@ let () =
     ]
   in
 
-  (* Exact RID intersection. *)
-  Iosim.Device.clear_pool device;
-  Iosim.Device.reset_stats device;
-  let exact = Ridint.Table.query table married_men_33 in
-  let exact_stats = Iosim.Stats.snapshot (Iosim.Device.stats device) in
+  (* Exact RID intersection, then the approximate intersection with
+     verification (§3); each runs cold with its own device counters. *)
+  let q = Planner.Ast.of_conditions married_men_33 in
+  let exact = Planner.Exec.run_fixed table q in
   Format.printf "exact:  %d married men of age 33  (%d block reads, %d bits)@."
-    (Cbitmap.Posting.cardinal exact)
-    exact_stats.Iosim.Stats.block_reads exact_stats.Iosim.Stats.bits_read;
-
-  (* Approximate intersection with verification (§3). *)
-  Iosim.Device.clear_pool device;
-  Iosim.Device.reset_stats device;
-  let approx, checked =
-    Ridint.Table.query_approx table ~epsilon:0.05 married_men_33
-  in
-  let approx_stats = Iosim.Stats.snapshot (Iosim.Device.stats device) in
+    exact.count exact.stats.block_reads exact.stats.bits_read;
+  let approx = Planner.Exec.run_fixed ~epsilon:0.05 table q in
   Format.printf
     "approx: %d rows after verifying %d candidates (%d block reads, %d bits)@."
-    (Cbitmap.Posting.cardinal approx)
-    checked approx_stats.Iosim.Stats.block_reads
-    approx_stats.Iosim.Stats.bits_read;
-  assert (Cbitmap.Posting.equal exact approx);
+    approx.count approx.checked approx.stats.block_reads
+    approx.stats.bits_read;
+  assert (
+    Cbitmap.Posting.equal (Option.get exact.rows) (Option.get approx.rows));
 
   (* A wider conjunctive query plus a partial-match query. *)
   let prosperous_middle_age =
@@ -72,7 +64,12 @@ let () =
       { Ridint.Table.column = "status"; lo = 1; hi = 1 };
     ]
   in
-  let all = Ridint.Table.query table prosperous_middle_age in
+  let all =
+    Option.get
+      (Planner.Exec.run_fixed table
+         (Planner.Ast.of_conditions prosperous_middle_age))
+        .rows
+  in
   let two_of_three =
     Ridint.Table.query_at_least table ~k:2 prosperous_middle_age
   in

@@ -1,4 +1,4 @@
-(* Plan execution (PR 10). *)
+(* Plan execution: one body for cost-based and fixed plans. *)
 
 module Posting = Cbitmap.Posting
 module Table = Ridint.Table
@@ -30,84 +30,91 @@ type outcome = {
    shared streams decode once and payload runs prefetch. *)
 let exact_posting table n (info : Plan.col_info) =
   let idx = Table.col_index table info.column in
-  match info.probes with
-  | [ p ] ->
-      Indexing.Answer.to_posting ~n (Secidx.Static_index.query idx ~lo:p.lo ~hi:p.hi)
-  | ps ->
-      let ranges = Array.of_list (List.map (fun (p : Plan.probe) -> (p.lo, p.hi)) ps) in
-      Secidx.Static_index.query_batch idx ranges
+  match info.ranges with
+  | [ (lo, hi) ] ->
+      Indexing.Answer.to_posting ~n (Secidx.Static_index.query idx ~lo ~hi)
+  | ranges ->
+      Secidx.Static_index.query_batch idx (Array.of_list ranges)
       |> Array.to_list
       |> List.map (Indexing.Answer.to_posting ~n)
       |> Posting.union_many
 
+(* The column's §3 approximate answers at [epsilon], one per range.
+   Reading the hashed sets is the only device I/O; membership tests
+   and candidate preimages are in memory. *)
+let approx_answers table ~epsilon (info : Plan.col_info) =
+  match Table.col_approx table info.column with
+  | None ->
+      invalid_arg ("Exec: no approximate index on column " ^ info.column)
+  | Some a ->
+      List.map
+        (fun (lo, hi) -> Secidx.Approx_index.query a ~epsilon ~lo ~hi)
+        info.ranges
+
 (* Keep candidates that are hashed-members of any of the column's
-   per-range approximate answers.  No device I/O beyond reading the
-   hashed sets themselves; false positives survive to verification. *)
-let prefilter_posting table ~epsilon (info : Plan.col_info) cand =
-  let a = Option.get (Table.col_approx table info.column) in
-  let answers =
-    List.map
-      (fun (p : Plan.probe) ->
-        Secidx.Approx_index.query a ~epsilon ~lo:p.lo ~hi:p.hi)
-      info.probes
-  in
+   per-range approximate answers; false positives survive to
+   verification. *)
+let prefilter_posting table ~epsilon info cand =
+  let answers = approx_answers table ~epsilon info in
   Posting.filter
     (fun row -> List.exists (fun ans -> Secidx.Approx_index.mem ans row) answers)
     cand
 
 (* Verification: read each surviving candidate's cells (charged when
    the rows are stored) and keep rows passing every listed column's
-   ranges.  Short-circuits across columns per row. *)
+   ranges, in list order.  Short-circuits across columns per row. *)
 let verify table checks cand =
   let keep =
     Posting.filter
       (fun row ->
         List.for_all
-          (fun (column, ranges) ->
-            Table.check_cell_ranges table ~column ~row ranges)
+          (fun (info : Plan.col_info) ->
+            Table.check_cell_ranges table ~column:info.column ~row info.ranges)
           checks)
       cand
   in
   let checked = Posting.cardinal cand in
   (keep, checked, checked - Posting.cardinal keep)
 
-let ranges_of (info : Plan.col_info) =
-  List.map (fun (p : Plan.probe) -> (p.lo, p.hi)) info.probes
+let run_scan table n driver decode steps =
+  let seed =
+    match decode with
+    | Plan.Exact -> (exact_posting table n driver, [])
+    | Plan.Approx { epsilon } ->
+        let cand =
+          approx_answers table ~epsilon driver
+          |> List.map (fun a -> Secidx.Approx_index.candidates a ~n)
+          |> Posting.union_many
+        in
+        (cand, [ driver ])
+  in
+  let cand, to_verify =
+    List.fold_left
+      (fun (cand, to_verify) (s : Plan.step) ->
+        match s.action with
+        | Plan.Exact_inter ->
+            (Posting.inter cand (exact_posting table n s.info), to_verify)
+        | Plan.Prefilter { epsilon } ->
+            (prefilter_posting table ~epsilon s.info cand, s.info :: to_verify)
+        | Plan.Residual -> (cand, s.info :: to_verify))
+      seed steps
+  in
+  match List.rev to_verify with
+  | [] -> (cand, 0, 0)
+  | checks -> verify table checks cand
 
-let run_scan table n driver steps =
-  let cand = ref (exact_posting table n driver) in
-  let to_verify = ref [] in
-  List.iter
-    (fun (s : Plan.step) ->
-      match s.action with
-      | Plan.Exact_inter ->
-          Metrics.incr m_exact_steps;
-          cand := Posting.inter !cand (exact_posting table n s.info)
-      | Plan.Prefilter { epsilon; _ } ->
-          Metrics.incr m_prefilter_steps;
-          cand := prefilter_posting table ~epsilon s.info !cand;
-          (* hashed membership has false positives: re-check at the end *)
-          to_verify := (s.info.column, ranges_of s.info) :: !to_verify
-      | Plan.Residual ->
-          Metrics.incr m_residual_steps;
-          to_verify := (s.info.column, ranges_of s.info) :: !to_verify)
-    steps;
-  match List.rev !to_verify with
-  | [] -> (!cand, 0, 0)
-  | checks -> verify table checks !cand
-
-let run ?cost table (query : Ast.query) =
-  let cost = match cost with Some c -> c | None -> Cost.of_table table in
+(* Plan [query] with [make_plan] and run it cold: pool cleared and
+   counters reset before planning, so its probes are charged too. *)
+let run_with table (query : Ast.query) make_plan =
   let n = Table.rows table in
   let device = Table.device table in
   Iosim.Device.clear_pool device;
   Iosim.Device.reset_stats device;
-  Metrics.incr m_queries;
-  let nq = Ast.normalize ~sigma_of:(Table.col_sigma table) query in
-  let plan = Plan.choose cost table nq in
-  Metrics.incr ~by:plan.considered m_considered;
-  let rows_result, count, checked, fp_rejected =
-    match plan.shape with
+  let plan =
+    make_plan (Ast.normalize ~sigma_of:(Table.col_sigma table) query)
+  in
+  let rows, count, checked, fp_rejected =
+    match plan.Plan.shape with
     | Plan.Const_empty -> (Posting.empty, 0, 0, 0)
     | Plan.All_rows ->
         (* No effective predicate: for Rows the full identity posting
@@ -118,31 +125,51 @@ let run ?cost table (query : Ast.query) =
           | Ast.Rows -> Posting.of_sorted_array (Array.init n Fun.id)
         in
         (p, n, 0, 0)
-    | Plan.Count_directory info ->
+    | Plan.Count_directory { count; _ } ->
         (* The planning-time A-array probes already answered this:
            disjoint non-adjacent ranges make per-range cardinalities
            additive.  Zero payload bits decoded. *)
-        Metrics.incr m_count_fast;
-        (Posting.empty, info.z, 0, 0)
-    | Plan.Scan { driver; steps } ->
-        let p, checked, fp = run_scan table n driver steps in
+        (Posting.empty, count, 0, 0)
+    | Plan.Scan { driver; decode; steps } ->
+        let p, checked, fp = run_scan table n driver decode steps in
         (p, Posting.cardinal p, checked, fp)
   in
-  Metrics.incr ~by:checked m_verified;
-  Metrics.incr ~by:fp_rejected m_fp_rejected;
-  let stats = Iosim.Stats.snapshot (Iosim.Device.stats device) in
-  Metrics.observe_ratio h_io_err ~est:plan.est_ios
-    ~actual:(float_of_int (Iosim.Stats.ios stats));
-  Metrics.observe_ratio h_result_err ~est:plan.est_result
-    ~actual:(float_of_int count);
-  if plan.est_verify > 0.0 || checked > 0 then
-    Metrics.observe_ratio h_verify_err ~est:plan.est_verify
-      ~actual:(float_of_int checked);
   {
-    rows = (match query.kind with Ast.Rows -> Some rows_result | Ast.Count -> None);
+    rows = (match query.kind with Ast.Rows -> Some rows | Ast.Count -> None);
     count;
     plan;
     checked;
     fp_rejected;
-    stats;
+    stats = Iosim.Stats.snapshot (Iosim.Device.stats device);
   }
+
+let run ?cost table query =
+  let cost = match cost with Some c -> c | None -> Cost.of_table table in
+  Metrics.incr m_queries;
+  let out = run_with table query (Plan.choose cost table) in
+  let plan = out.plan in
+  Metrics.incr ~by:plan.considered m_considered;
+  (match plan.shape with
+  | Plan.Count_directory _ -> Metrics.incr m_count_fast
+  | Plan.Scan { steps; _ } ->
+      List.iter
+        (fun (s : Plan.step) ->
+          Metrics.incr
+            (match s.action with
+            | Plan.Exact_inter -> m_exact_steps
+            | Plan.Prefilter _ -> m_prefilter_steps
+            | Plan.Residual -> m_residual_steps))
+        steps
+  | Plan.Const_empty | Plan.All_rows -> ());
+  Metrics.incr ~by:out.checked m_verified;
+  Metrics.incr ~by:out.fp_rejected m_fp_rejected;
+  Metrics.observe_ratio h_io_err ~est:plan.est_ios
+    ~actual:(float_of_int (Iosim.Stats.ios out.stats));
+  Metrics.observe_ratio h_result_err ~est:plan.est_result
+    ~actual:(float_of_int out.count);
+  if plan.est_verify > 0.0 || out.checked > 0 then
+    Metrics.observe_ratio h_verify_err ~est:plan.est_verify
+      ~actual:(float_of_int out.checked);
+  out
+
+let run_fixed ?epsilon table query = run_with table query (Plan.fixed ?epsilon)

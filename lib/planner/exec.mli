@@ -1,15 +1,18 @@
-(** Plan execution: lowers a chosen {!Plan.t} onto the PR 5 batch
-    substrate and the §3 approximate indexes, verifies prefilter /
-    residual survivors against the stored rows, and reports per-query
-    device counters plus estimate-vs-actual error samples.
+(** Plan execution — the one executor for conjunctive queries.  Runs a
+    cost-based {!Plan.choose} plan or a {!Plan.fixed} one through the
+    same body: lowers the driver and steps onto the batched range
+    queries and the §3 approximate indexes, verifies prefilter /
+    residual / approximate-driver survivors against the stored rows,
+    and reports per-query device counters.
 
-    Results are always {e exact} — prefilters only route candidates;
-    every row they let through is re-checked against the real cell
-    values before it reaches the answer (§3: "false positives can be
-    filtered away when accessing the associated data").  [Count]
-    queries return [rows = None]: single-column COUNTs come straight
-    from the planning-time directory probes (zero payload bits
-    decoded), multi-column COUNTs count the executed intersection. *)
+    Results are always {e exact} — approximate answers only route
+    candidates; every row they let through is re-checked against the
+    real cell values before it reaches the answer (§3: "false
+    positives can be filtered away when accessing the associated
+    data").  [Count] queries return [rows = None]: single-column
+    COUNTs under {!run} come straight from the planning-time directory
+    probes (zero payload bits decoded), every other COUNT counts the
+    executed intersection. *)
 
 type outcome = {
   rows : Cbitmap.Posting.t option;  (** [Some] iff the query kind is [Rows] *)
@@ -20,10 +23,19 @@ type outcome = {
   stats : Iosim.Stats.t;  (** this query's cold device counters *)
 }
 
-(** Run [query] cold (buffer pool cleared, counters reset — same
-    measurement discipline as {!Ridint.Table.query_with_stats}).
-    [cost] defaults to the uncalibrated {!Cost.of_table}; pass a
-    {!Cost.calibrate}d model for sharper plan choices.  Every run
-    bumps the [planner_*] metrics and feeds the
+(** Plan and run [query] cold: buffer pool cleared and counters reset
+    first, so [stats] holds just this query's cost, planning probes
+    included.  [cost] defaults to the uncalibrated {!Cost.of_table};
+    pass a {!Cost.calibrate}d model for sharper plan choices.  Every
+    run bumps the [planner_*] metrics and feeds the
     [planner_{io,result,verify}_estimate_error] histograms. *)
 val run : ?cost:Cost.t -> Ridint.Table.t -> Ast.query -> outcome
+
+(** Run [query] cold under {!Plan.fixed}: every column decoded exactly
+    in condition order and intersected, or, given [epsilon], the §3
+    approximate intersection at that [ε] with every candidate verified.
+    The baseline the planner is measured against; it touches no
+    [planner_*] metric.  Raises [Invalid_argument] on an unknown
+    column, or with [epsilon] on a column without an approximate
+    index (see {!Ridint.Table.create_approx}). *)
+val run_fixed : ?epsilon:float -> Ridint.Table.t -> Ast.query -> outcome

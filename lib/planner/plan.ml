@@ -1,4 +1,4 @@
-(* Cost-based plan choice (PR 10) — see the .mli for the model.
+(* Plan construction — see the .mli for the model.
 
    Estimation discipline: per-column cardinalities are exact (probed
    from the A arrays during planning, a charged but tiny cost the
@@ -6,21 +6,16 @@
    The chosen plan carries its estimates so execution can feed the
    estimate-vs-actual error histograms. *)
 
-type probe = { lo : int; hi : int; z : int }
-type col_info = { column : string; probes : probe list; z : int }
-
-type action =
-  | Exact_inter
-  | Prefilter of { epsilon : float; level : int }
-  | Residual
-
+type col_info = { column : string; ranges : (int * int) list; z : int option }
+type decode = Exact | Approx of { epsilon : float }
+type action = Exact_inter | Prefilter of { epsilon : float } | Residual
 type step = { info : col_info; action : action }
 
 type shape =
   | Const_empty
   | All_rows
-  | Count_directory of col_info
-  | Scan of { driver : col_info; steps : step list }
+  | Count_directory of { column : string; count : int }
+  | Scan of { driver : col_info; decode : decode; steps : step list }
 
 type t = {
   shape : shape;
@@ -31,22 +26,26 @@ type t = {
   considered : int;
 }
 
+(* A column as planning sees it: its plan entry plus the per-range
+   cardinalities the directory probes returned ([zs] aligned with
+   [info.ranges], [z] their sum). *)
+type probed = { info : col_info; zs : int list; z : int }
+
+(* Charged directory probes for every effective column (two A-array
+   reads per range), in normalized column order. *)
 let probe_columns table (nq : Ast.normal) =
   List.map
     (fun (column, ranges) ->
       let idx = Ridint.Table.col_index table column in
-      let probes =
+      let zs =
         List.map
           (fun (lo, hi) ->
             let s, e = Secidx.Static_index.entry_bounds idx ~lo ~hi in
-            { lo; hi; z = e - s })
+            e - s)
           ranges
       in
-      {
-        column;
-        probes;
-        z = List.fold_left (fun a (p : probe) -> a + p.z) 0 probes;
-      })
+      let z = List.fold_left ( + ) 0 zs in
+      { info = { column; ranges; z = Some z }; zs; z })
     nq.columns
 
 (* ε grid for the prefilter decision: coarse enough to keep the
@@ -56,10 +55,8 @@ let eps_grid = [ 0.5; 0.1; 0.01 ]
 
 (* Exact decode of a whole column: one plan per range (batched at
    execution time, but the payload volume estimate is additive). *)
-let exact_col_io cost info =
-  List.fold_left
-    (fun acc (p : probe) -> acc +. Cost.exact_ios cost ~z:p.z)
-    0.0 info.probes
+let exact_col_io cost p =
+  List.fold_left (fun acc z -> acc +. Cost.exact_ios cost ~z) 0.0 p.zs
 
 type opt = { action : action; io : float }
 
@@ -69,32 +66,32 @@ type opt = { action : action; io : float }
    not reduce candidates before verification at all. *)
 let survival ~sel = function
   | Exact_inter -> sel
-  | Prefilter { epsilon; _ } -> sel +. (epsilon *. (1.0 -. sel))
+  | Prefilter { epsilon } -> sel +. (epsilon *. (1.0 -. sel))
   | Residual -> 1.0
 
-let col_options cost table info =
+let col_options cost table p =
   let base =
     [
-      { action = Exact_inter; io = exact_col_io cost info };
+      { action = Exact_inter; io = exact_col_io cost p };
       { action = Residual; io = 0.0 };
     ]
   in
-  match Ridint.Table.col_approx table info.column with
+  match Ridint.Table.col_approx table p.info.column with
   | None -> base
   | Some a ->
       let k = Secidx.Approx_index.k a in
       let prefilters =
         List.map
           (fun epsilon ->
-            let io, level =
+            let io =
               List.fold_left
-                (fun (acc, lv) (p : probe) ->
-                  let l = Secidx.Approx_index.level a ~epsilon ~z:p.z in
-                  if l > k then (acc +. Cost.exact_ios cost ~z:p.z, lv)
-                  else (acc +. Cost.prefilter_ios cost ~level:l ~z:p.z, max lv l))
-                (0.0, 0) info.probes
+                (fun acc z ->
+                  let l = Secidx.Approx_index.level a ~epsilon ~z in
+                  if l > k then acc +. Cost.exact_ios cost ~z
+                  else acc +. Cost.prefilter_ios cost ~level:l ~z)
+                0.0 p.zs
             in
-            { action = Prefilter { epsilon; level }; io })
+            { action = Prefilter { epsilon }; io })
           eps_grid
       in
       prefilters @ base
@@ -107,8 +104,8 @@ let eval cost ~probe_io driver combo =
   let result = ref (float_of_int driver.z) in
   let needs_verify = ref false in
   List.iter
-    (fun (info, o) ->
-      let sel = float_of_int info.z /. n in
+    (fun (p, o) ->
+      let sel = float_of_int p.z /. n in
       io := !io +. o.io;
       result := !result *. sel;
       cand := !cand *. survival ~sel o.action;
@@ -131,39 +128,41 @@ let greedy cost ~probe_io driver others opts =
   let considered = ref 0 in
   let combo =
     List.map2
-      (fun info opts ->
+      (fun p opts ->
         let rest =
           List.filter_map
-            (fun i ->
-              if i.column = info.column then None
-              else Some (i, { action = Exact_inter; io = exact_col_io cost i }))
+            (fun q ->
+              if q.info.column = p.info.column then None
+              else Some (q, { action = Exact_inter; io = exact_col_io cost q }))
             others
         in
         let best =
           List.fold_left
             (fun acc o ->
               incr considered;
-              let io, _, _ = eval cost ~probe_io driver ((info, o) :: rest) in
+              let io, _, _ = eval cost ~probe_io driver ((p, o) :: rest) in
               match acc with
               | Some (_, best_io) when best_io <= io -> acc
               | _ -> Some (o, io))
             None opts
         in
-        (info, fst (Option.get best)))
+        (p, fst (Option.get best)))
       others opts
   in
   (combo, !considered)
 
-let enumerate cost table infos kind =
+let enumerate cost table probed kind =
   let probe_io =
     Cost.probe_ios cost
-      ~ranges:(List.fold_left (fun a i -> a + List.length i.probes) 0 infos)
+      ~ranges:(List.fold_left (fun a p -> a + List.length p.zs) 0 probed)
   in
   let considered = ref 0 in
   let best = ref None in
   List.iter
     (fun driver ->
-      let others = List.filter (fun i -> i.column <> driver.column) infos in
+      let others =
+        List.filter (fun p -> p.info.column <> driver.info.column) probed
+      in
       let opts = List.map (col_options cost table) others in
       let combos =
         let size = List.fold_left (fun a o -> a * List.length o) 1 opts in
@@ -183,7 +182,7 @@ let enumerate cost table infos kind =
           | Some (_, _, _, _, best_io) when best_io <= io -> ()
           | _ -> best := Some (driver, combo, result, verify, io))
         combos)
-    infos;
+    probed;
   let driver, combo, est_result, est_verify, est_ios = Option.get !best in
   (* Execution order: candidate-reducing steps first (most selective
      leading), residual checks at verification time. *)
@@ -192,10 +191,12 @@ let enumerate cost table infos kind =
   in
   let filters = List.sort (fun (a, _) (b, _) -> compare a.z b.z) filters in
   let steps =
-    List.map (fun (info, o) -> { info; action = o.action }) (filters @ residuals)
+    List.map
+      (fun (p, o) -> { info = p.info; action = o.action })
+      (filters @ residuals)
   in
   {
-    shape = Scan { driver; steps };
+    shape = Scan { driver = driver.info; decode = Exact; steps };
     kind;
     est_result;
     est_verify;
@@ -203,53 +204,74 @@ let enumerate cost table infos kind =
     considered = !considered;
   }
 
+(* A plan with nothing left to cost: every estimate [est]. *)
+let bare ?(est = 0.0) ~considered kind shape =
+  { shape; kind; est_result = est; est_verify = est; est_ios = est; considered }
+
 let choose cost table (nq : Ast.normal) =
   let kind = nq.kind in
-  if nq.empty then
-    {
-      shape = Const_empty;
-      kind;
-      est_result = 0.0;
-      est_verify = 0.0;
-      est_ios = 0.0;
-      considered = 1;
-    }
+  if nq.empty then bare ~considered:1 kind Const_empty
   else
-    let infos = probe_columns table nq in
-    match (infos, kind) with
+    match (probe_columns table nq, kind) with
     | [], _ ->
         {
-          shape = All_rows;
-          kind;
+          (bare ~considered:1 kind All_rows) with
           est_result = float_of_int (Ridint.Table.rows table);
-          est_verify = 0.0;
-          est_ios = 0.0;
-          considered = 1;
         }
-    | [ info ], Ast.Count ->
+    | [ p ], Ast.Count ->
         {
-          shape = Count_directory info;
-          kind;
-          est_result = float_of_int info.z;
-          est_verify = 0.0;
-          est_ios = Cost.probe_ios cost ~ranges:(List.length info.probes);
-          considered = 1;
+          (bare ~considered:1 kind
+             (Count_directory { column = p.info.column; count = p.z }))
+          with
+          est_result = float_of_int p.z;
+          est_ios = Cost.probe_ios cost ~ranges:(List.length p.zs);
         }
-    | infos, _ -> enumerate cost table infos kind
+    | probed, _ -> enumerate cost table probed kind
+
+let fixed ?epsilon (nq : Ast.normal) =
+  let plan = bare ~est:Float.nan ~considered:0 nq.kind in
+  let col (column, ranges) = { column; ranges; z = None } in
+  let decode, action =
+    match epsilon with
+    | None -> (Exact, Exact_inter)
+    | Some epsilon -> (Approx { epsilon }, Prefilter { epsilon })
+  in
+  match nq.columns with
+  | _ when nq.empty -> plan Const_empty
+  | [] -> plan All_rows
+  | first :: rest ->
+      plan
+        (Scan
+           {
+             driver = col first;
+             decode;
+             steps = List.map (fun c -> { info = col c; action }) rest;
+           })
 
 let describe t =
-  let col info = Printf.sprintf "%s(z=%d)" info.column info.z in
+  let col (info : col_info) =
+    match info.z with
+    | Some z -> Printf.sprintf "%s(z=%d)" info.column z
+    | None -> info.column
+  in
   match t.shape with
   | Const_empty -> "const-empty"
   | All_rows -> "all-rows"
-  | Count_directory info -> Printf.sprintf "count-directory %s" (col info)
-  | Scan { driver; steps } ->
+  | Count_directory { column; count } ->
+      Printf.sprintf "count-directory %s(z=%d)" column count
+  | Scan { driver; decode; steps } ->
+      let driver =
+        match decode with
+        | Exact -> col driver
+        | Approx { epsilon } ->
+            Printf.sprintf "%s:approx(%.2f)" (col driver) epsilon
+      in
       let step (s : step) =
         match s.action with
         | Exact_inter -> Printf.sprintf "%s:exact" (col s.info)
-        | Prefilter { epsilon; _ } ->
+        | Prefilter { epsilon } ->
             Printf.sprintf "%s:prefilter(%.2f)" (col s.info) epsilon
         | Residual -> Printf.sprintf "%s:residual" (col s.info)
       in
-      Printf.sprintf "scan driver=%s steps=[%s]" (col driver)
+      Printf.sprintf "scan driver=%s steps=[%s]" driver
         (String.concat " " (List.map step steps))

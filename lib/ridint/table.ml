@@ -40,80 +40,57 @@ let validate cols =
         rest;
       n
 
+let build_cols ?seed ?c ?payload ~approx device cols =
+  let off = ref 0 in
+  Array.of_list
+    (List.map
+       (fun col ->
+         let index, approx =
+           if approx then
+             let a =
+               Secidx.Approx_index.build ?seed ?c ?payload device
+                 ~sigma:col.sigma col.values
+             in
+             (* The approximate index embeds its own exact base index;
+                reuse it instead of building a second copy. *)
+             (Secidx.Approx_index.base a, Some a)
+           else
+             ( Secidx.Static_index.build ?c ?payload device ~sigma:col.sigma
+                 col.values,
+               None )
+         in
+         let field_width = Indexing.Common.bits_for (max 2 col.sigma) in
+         let field_off = !off in
+         off := field_off + field_width;
+         { col; index; approx; field_off; field_width })
+       cols)
+
 (* Pack the rows on the device, row-major: row [r]'s field for column
    [i] sits at [off + r*row_bits + field_off.(i)].  Block-aligned so a
    verification read of row [r] touches exactly the covering block. *)
-let store_rows_region device cols nrows =
-  let widths =
-    List.map (fun c -> Indexing.Common.bits_for (max 2 c.sigma)) cols
-  in
-  let row_bits = List.fold_left ( + ) 0 widths in
+let store_rows_region device cols nrows row_bits =
   let buf = Bitio.Bitbuf.create ~capacity:(nrows * row_bits) () in
   for r = 0 to nrows - 1 do
-    List.iter2
-      (fun c w -> Bitio.Bitbuf.write_bits buf ~width:w c.values.(r))
-      cols widths
+    Array.iter
+      (fun ic ->
+        Bitio.Bitbuf.write_bits buf ~width:ic.field_width ic.col.values.(r))
+      cols
   done;
-  let region =
-    Iosim.Device.with_component device "rows" (fun () ->
-        Iosim.Device.store ~align_block:true device buf)
-  in
-  (row_bits, region)
-
-let build_cols ?seed ?c ?payload ~approx device cols =
-  let widths =
-    List.map (fun c -> Indexing.Common.bits_for (max 2 c.sigma)) cols
-  in
-  let offs = ref 0 in
-  let offsets =
-    List.map
-      (fun w ->
-        let o = !offs in
-        offs := o + w;
-        o)
-      widths
-  in
-  Array.of_list
-    (List.map2
-       (fun col (field_off, field_width) ->
-         if approx then begin
-           let a =
-             Secidx.Approx_index.build ?seed ?c ?payload device
-               ~sigma:col.sigma col.values
-           in
-           (* The approximate index embeds its own exact base index;
-              reuse it instead of building a second copy. *)
-           {
-             col;
-             index = Secidx.Approx_index.base a;
-             approx = Some a;
-             field_off;
-             field_width;
-           }
-         end
-         else
-           {
-             col;
-             index =
-               Secidx.Static_index.build ?c ?payload device ~sigma:col.sigma
-                 col.values;
-             approx = None;
-             field_off;
-             field_width;
-           })
-       cols
-       (List.combine offsets widths))
+  Iosim.Device.with_component device "rows" (fun () ->
+      Iosim.Device.store ~align_block:true device buf)
 
 let create_gen ?seed ?c ?payload ?(store_rows = false) ~approx device cols =
   let nrows = validate cols in
-  let built = build_cols ?seed ?c ?payload ~approx device cols in
-  let row_bits, rows_region =
-    if store_rows && nrows > 0 then
-      let rb, rg = store_rows_region device cols nrows in
-      (rb, Some rg)
-    else (0, None)
+  let cols = build_cols ?seed ?c ?payload ~approx device cols in
+  let row_bits =
+    Array.fold_left (fun acc ic -> acc + ic.field_width) 0 cols
   in
-  { device; nrows; cols = built; row_bits; rows_region }
+  let rows_region =
+    if store_rows && nrows > 0 then
+      Some (store_rows_region device cols nrows row_bits)
+    else None
+  in
+  { device; nrows; cols; row_bits; rows_region }
 
 let create ?c ?payload ?store_rows device cols =
   create_gen ?c ?payload ?store_rows ~approx:false device cols
@@ -143,6 +120,7 @@ let read_cell t ic row =
 
 let cell t ~column ~row = read_cell t (find_col t column) row
 
+(* Uncharged: [naive] is the reference scan, not a query path. *)
 let check_condition t cond row =
   let ic = find_col t cond.column in
   let v = ic.col.values.(row) in
@@ -163,95 +141,27 @@ let naive t conds =
   done;
   Cbitmap.Posting.of_sorted_array (Array.of_list !acc)
 
-let answer_condition t cond =
-  let ic = find_col t cond.column in
-  Secidx.Static_index.query ic.index ~lo:cond.lo ~hi:cond.hi
-
-let query t conds =
-  match conds with
-  | [] -> Cbitmap.Posting.of_sorted_array (Array.init t.nrows Fun.id)
-  | _ ->
-      let answers = List.map (answer_condition t) conds in
-      (* Intersect smallest-first to keep intermediate results small. *)
-      let postings =
-        List.sort
-          (fun a b -> compare (Cbitmap.Posting.cardinal a) (Cbitmap.Posting.cardinal b))
-          (List.map (Indexing.Answer.to_posting ~n:t.nrows) answers)
-      in
-      (match postings with
-      | [] -> Cbitmap.Posting.empty
-      | first :: rest -> List.fold_left Cbitmap.Posting.inter first rest)
-
-let query_approx t ~epsilon conds =
-  match conds with
-  | [] -> (Cbitmap.Posting.of_sorted_array (Array.init t.nrows Fun.id), 0)
-  | _ ->
-      let answers =
-        List.map
-          (fun cond ->
-            let ic = find_col t cond.column in
-            match ic.approx with
-            | Some a -> Secidx.Approx_index.query a ~epsilon ~lo:cond.lo ~hi:cond.hi
-            | None -> invalid_arg "Table.query_approx: built without approx")
-          conds
-      in
-      (* Candidates from the first answer's preimage, filtered by
-         hashed membership in the others; a row surviving all d
-         approximate answers is a false positive with probability at
-         most epsilon^d. *)
-      (match answers with
-      | [] -> (Cbitmap.Posting.empty, 0)
-      | first :: rest ->
-          let candidates =
-            Cbitmap.Posting.fold
-              (fun acc row ->
-                if List.for_all (fun a -> Secidx.Approx_index.mem a row) rest
-                then row :: acc
-                else acc)
-              []
-              (Secidx.Approx_index.candidates first ~n:t.nrows)
-          in
-          let checked = List.length candidates in
-          let verified =
-            List.filter
-              (fun row ->
-                List.for_all (fun cond -> check_condition t cond row) conds)
-              candidates
-          in
-          (Cbitmap.Posting.of_list verified, checked))
-
-(* Per-query device counters (PR 10 satellite): run [f] cold — pool
-   cleared, counters reset — and return its result with the stats of
-   just that run, so per-plan cost comparisons are measurable.  The
-   seed [query]/[query_approx] ran against whatever counter state the
-   caller left behind and discarded the device counters entirely. *)
-let with_stats t f =
-  Iosim.Device.clear_pool t.device;
-  Iosim.Device.reset_stats t.device;
-  let r = f () in
-  (r, Iosim.Stats.snapshot (Iosim.Device.stats t.device))
-
-let query_with_stats t conds = with_stats t (fun () -> query t conds)
-
-let query_approx_with_stats t ~epsilon conds =
-  with_stats t (fun () -> query_approx t ~epsilon conds)
-
-let query_at_least t ~k conds =
-  if k <= 0 then invalid_arg "Table.query_at_least";
-  let answers =
-    List.map
-      (fun cond -> Indexing.Answer.to_posting ~n:t.nrows (answer_condition t cond))
-      conds
-  in
+(* Rows that appear in at least [k] of [postings]. *)
+let at_least t ~k postings =
   let hits = Array.make t.nrows 0 in
   List.iter
-    (fun p -> Cbitmap.Posting.iter (fun row -> hits.(row) <- hits.(row) + 1) p)
-    answers;
+    (Cbitmap.Posting.iter (fun row -> hits.(row) <- hits.(row) + 1))
+    postings;
   let acc = ref [] in
   for row = t.nrows - 1 downto 0 do
     if hits.(row) >= k then acc := row :: !acc
   done;
   Cbitmap.Posting.of_sorted_array (Array.of_list !acc)
+
+let query_at_least t ~k conds =
+  if k <= 0 then invalid_arg "Table.query_at_least";
+  at_least t ~k
+    (List.map
+       (fun cond ->
+         Indexing.Answer.to_posting ~n:t.nrows
+           (Secidx.Static_index.query (find_col t cond.column).index
+              ~lo:cond.lo ~hi:cond.hi))
+       conds)
 
 let size_bits t =
   Array.fold_left
@@ -268,10 +178,8 @@ let query_at_least_approx t ~epsilon ~k conds =
   let answers =
     List.map
       (fun cond ->
-        let ic = find_col t cond.column in
-        match ic.approx with
-        | Some a ->
-            (cond, Secidx.Approx_index.query a ~epsilon ~lo:cond.lo ~hi:cond.hi)
+        match (find_col t cond.column).approx with
+        | Some a -> Secidx.Approx_index.query a ~epsilon ~lo:cond.lo ~hi:cond.hi
         | None -> invalid_arg "Table.query_at_least_approx: built without approx")
       conds
   in
@@ -279,26 +187,24 @@ let query_at_least_approx t ~epsilon ~k conds =
      conditions also approximately satisfies them (no false
      negatives), so thresholding the approximate counts keeps every
      true answer. *)
-  let hits = Array.make t.nrows 0 in
-  List.iter
-    (fun (_, a) ->
-      Cbitmap.Posting.iter
-        (fun row -> hits.(row) <- hits.(row) + 1)
-        (Secidx.Approx_index.candidates a ~n:t.nrows))
-    answers;
-  let candidates = ref [] in
-  for row = t.nrows - 1 downto 0 do
-    if hits.(row) >= k then candidates := row :: !candidates
-  done;
-  let checked = List.length !candidates in
+  let candidates =
+    at_least t ~k
+      (List.map (fun a -> Secidx.Approx_index.candidates a ~n:t.nrows) answers)
+  in
+  (* Charged verification: on a table that stores its rows these are
+     the counted reads of §3's "accessing the associated data". *)
   let verified =
-    List.filter
+    Cbitmap.Posting.filter
       (fun row ->
         let sat =
           List.length
-            (List.filter (fun (cond, _) -> check_condition t cond row) answers)
+            (List.filter
+               (fun cond ->
+                 check_cell_ranges t ~column:cond.column ~row
+                   [ (cond.lo, cond.hi) ])
+               conds)
         in
         sat >= k)
-      !candidates
+      candidates
   in
-  (Cbitmap.Posting.of_list verified, checked)
+  (verified, Cbitmap.Posting.cardinal candidates)

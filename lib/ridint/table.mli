@@ -1,9 +1,15 @@
-(** A column table with one secondary index per attribute — the RID
-    intersection application that motivates the paper (§1):
-    conjunctive multi-attribute range queries are answered by
-    intersecting the RID sets returned by the per-attribute
-    one-dimensional indexes, exactly the OLAP pattern ("married men of
-    age 33") the introduction describes. *)
+(** A column table with one secondary index per attribute — the
+    storage side of the RID intersection application that motivates
+    the paper (§1): per-column one-dimensional indexes (exact, and
+    optionally the §3 approximate ones), the rows themselves when
+    stored, and by-name column access.
+
+    Conjunctive multi-attribute range queries ("married men of age
+    33") are answered by [Planner.Exec]: cost-based plans via
+    [Exec.run], the fixed RID intersection and §3's approximate
+    intersection via [Exec.run_fixed].  The partial-match queries
+    ({!query_at_least}, {!query_at_least_approx}) stay here as the one
+    non-conjunctive operation: no planner decision applies to them. *)
 
 type column = { name : string; sigma : int; values : int array }
 
@@ -21,7 +27,8 @@ val columns : t -> column array
     the "associated data" of §3 — so candidate verification is a
     counted device read instead of a free in-memory lookup; the
     cost-based planner (PR 10) prices its prefilter decisions against
-    those reads. *)
+    those reads, and every verification (the planner's and
+    {!query_at_least_approx}'s) pays them. *)
 val create :
   ?c:int ->
   ?payload:[ `Gap | `Hybrid ] ->
@@ -50,22 +57,9 @@ val row_bits : t -> int
 (** A conjunctive condition: per-column inclusive value range. *)
 type condition = { column : string; lo : int; hi : int }
 
-(** Scan-based reference answer. *)
+(** Scan-based reference answer.  Reads the in-memory columns, so it
+    charges nothing even on a table that stores its rows. *)
 val naive : t -> condition list -> Cbitmap.Posting.t
-
-(** Exact conjunctive query by RID intersection: each condition is
-    answered by its column's index, then the RID sets are intersected
-    smallest-first. *)
-val query : t -> condition list -> Cbitmap.Posting.t
-
-(** Approximate conjunctive query (§3): each condition is answered
-    approximately with false-positive parameter [epsilon]; candidates
-    are intersected via hashed membership, then verified against the
-    stored columns ("false positives can be filtered away when
-    accessing the associated data").  Returns the verified rows and
-    the number of candidate rows that had to be checked. *)
-val query_approx :
-  t -> epsilon:float -> condition list -> Cbitmap.Posting.t * int
 
 (** Partial-match flavour (§1): rows matching at least [k] of the
     conditions. *)
@@ -97,25 +91,10 @@ val cell : t -> column:string -> row:int -> int
 val check_cell_ranges :
   t -> column:string -> row:int -> (int * int) list -> bool
 
-(** {2 Per-query device counters (PR 10 satellite)}
-
-    Cold variants of {!query} / {!query_approx}: pool cleared and
-    counters reset first, the snapshot of just this query's stats
-    returned — the measurable per-plan costs the seed versions
-    discarded. *)
-
-val query_with_stats :
-  t -> condition list -> Cbitmap.Posting.t * Iosim.Stats.t
-
-val query_approx_with_stats :
-  t ->
-  epsilon:float ->
-  condition list ->
-  (Cbitmap.Posting.t * int) * Iosim.Stats.t
-
 (** Approximate partial match (§1 + §3): rows matching at least [k]
     of the conditions, computed from approximate per-condition answers
-    and verified against the stored columns.  Returns the verified
-    rows and the number of candidates checked. *)
+    and verified through {!cell} (counted reads when the table
+    {!stores_rows}).  Returns the verified rows and the number of
+    candidates checked. *)
 val query_at_least_approx :
   t -> epsilon:float -> k:int -> condition list -> Cbitmap.Posting.t * int

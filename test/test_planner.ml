@@ -1,8 +1,9 @@
-(* Differential tests for the cost-based planner (PR 10): every plan
-   the optimizer can pick must produce exactly [Ridint.Table.naive]'s
-   answer, COUNT queries must agree with the exact cardinality while
-   decoding zero payload bits on the directory fast path, and the
-   per-query stats satellite must not change query results. *)
+(* Differential tests for the conjunctive executor: every plan
+   the optimizer can pick, and the fixed exact and §3 approximate
+   plans, must produce exactly [Ridint.Table.naive]'s answer; the fixed
+   plans must charge exactly what per-condition queries charge; COUNT
+   queries must agree with the exact cardinality while decoding zero
+   payload bits on the directory fast path. *)
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -118,13 +119,35 @@ let mk_table ~variant ~seed ~rows =
       Ridint.Table.create_approx ~seed:(seed + 7) ~store_rows:true (device ())
         cols
 
+(* Every plan the executor runs on one generated input: the planner's
+   choice, the fixed exact plan, and on tables with approximate
+   indexes the fixed §3 approximate plan — each fixed plan in both
+   predicate orders, so a multi-range column drives too. *)
 let prop_planner_matches_naive variant name =
   QCheck.Test.make ~count:40 ~name query_gen
     (fun (seed, rows, lo, hi, v, vs) ->
       let t = mk_table ~variant ~seed ~rows in
       let q = ast_query lo hi v vs in
-      let out = Planner.Exec.run t q in
-      Cbitmap.Posting.equal (Option.get out.rows) (naive_rows t q))
+      let expect = naive_rows t q in
+      (* A plan that verifies checks at least every row it returns. *)
+      let agrees ?(verifies = false) (out : Planner.Exec.outcome) =
+        Cbitmap.Posting.equal (Option.get out.rows) expect
+        && ((not verifies) || out.checked >= Cbitmap.Posting.cardinal expect)
+      in
+      let orders = [ q; { q with preds = List.rev q.preds } ] in
+      let approx =
+        match variant with
+        | `Approx | `Approx_stored -> true
+        | `Exact | `Exact_stored_hybrid -> false
+      in
+      agrees (Planner.Exec.run t q)
+      && List.for_all
+           (fun q ->
+             agrees (Planner.Exec.run_fixed t q)
+             && ((not approx)
+                 || agrees ~verifies:true
+                      (Planner.Exec.run_fixed ~epsilon:0.1 t q)))
+           orders)
 
 (* Degenerate shapes: empty range, single condition, unconstrained. *)
 let test_shapes () =
@@ -227,38 +250,151 @@ let test_planner_not_worse_than_baseline () =
       { Ridint.Table.column = "status"; lo = 2; hi = 6 };
     ]
   in
-  let baseline, bstats = Ridint.Table.query_with_stats t conds in
-  let out = Planner.Exec.run ~cost t (Planner.Ast.of_conditions conds) in
+  let q = Planner.Ast.of_conditions conds in
+  (* The baseline is measured, not planned: it moves no planner metric. *)
+  let planned = Obs.Metrics.counter "planner_queries_total" in
+  let before = Obs.Metrics.counter_value planned in
+  let baseline = Planner.Exec.run_fixed t q in
+  Alcotest.(check int)
+    "fixed plan leaves planner metrics alone" before
+    (Obs.Metrics.counter_value planned);
+  let out = Planner.Exec.run ~cost t q in
   Alcotest.(check bool)
     "same rows" true
-    (Cbitmap.Posting.equal baseline (Option.get out.rows));
-  let b = Iosim.Stats.ios bstats and p = Iosim.Stats.ios out.stats in
+    (Cbitmap.Posting.equal (Option.get baseline.rows) (Option.get out.rows));
+  let b = Iosim.Stats.ios baseline.stats and p = Iosim.Stats.ios out.stats in
   if p > b then
     Alcotest.failf "planner used more I/O than baseline: %d > %d (%s)" p b
       (Planner.Plan.describe out.plan)
 
-(* --- per-query stats satellite --- *)
+(* --- counter parity: the fixed plans charge exactly what the
+   per-condition RID intersection they replaced charged --- *)
 
-let test_query_with_stats () =
-  let t = mk_table ~variant:`Approx ~seed:9 ~rows:800 in
+(* The reference runs: every condition answered in condition order,
+   cold, then intersected — exactly ([Static_index.query]) or
+   approximately ([Approx_index.query], the first answer's candidates
+   filtered by hashed membership in the others, then verified against
+   the in-memory columns). *)
+let cold t f =
+  let d = Ridint.Table.device t in
+  Iosim.Device.clear_pool d;
+  Iosim.Device.reset_stats d;
+  let r = f () in
+  (r, Iosim.Stats.snapshot (Iosim.Device.stats d))
+
+let reference_exact t (conds : Ridint.Table.condition list) =
+  let n = Ridint.Table.rows t in
+  match
+    List.map
+      (fun (c : Ridint.Table.condition) ->
+        Indexing.Answer.to_posting ~n
+          (Secidx.Static_index.query
+             (Ridint.Table.col_index t c.column)
+             ~lo:c.lo ~hi:c.hi))
+      conds
+  with
+  | [] -> assert false
+  | p :: ps -> List.fold_left Cbitmap.Posting.inter p ps
+
+let reference_approx t ~epsilon (conds : Ridint.Table.condition list) =
+  let n = Ridint.Table.rows t in
+  let value (c : Ridint.Table.condition) row =
+    (Array.find_opt
+       (fun (col : Ridint.Table.column) -> col.name = c.column)
+       (Ridint.Table.columns t)
+    |> Option.get)
+      .values.(row)
+  in
+  match
+    List.map
+      (fun (c : Ridint.Table.condition) ->
+        Secidx.Approx_index.query
+          (Option.get (Ridint.Table.col_approx t c.column))
+          ~epsilon ~lo:c.lo ~hi:c.hi)
+      conds
+  with
+  | [] -> assert false
+  | first :: rest ->
+      let cand =
+        Cbitmap.Posting.filter
+          (fun row -> List.for_all (fun a -> Secidx.Approx_index.mem a row) rest)
+          (Secidx.Approx_index.candidates first ~n)
+      in
+      let verified =
+        Cbitmap.Posting.filter
+          (fun row ->
+            List.for_all
+              (fun (c : Ridint.Table.condition) ->
+                let v = value c row in
+                v >= c.lo && v <= c.hi)
+              conds)
+          cand
+      in
+      (verified, Cbitmap.Posting.cardinal cand)
+
+(* Conditions on distinct columns with non-trivial ranges (the age
+   range stops short of the whole alphabet), rotated so each column
+   drives: normalization keeps exactly these ranges, in this order. *)
+let parity_gen =
+  QCheck.make
+    ~print:(fun (seed, rows, lo, hi, v, (s_lo, s_hi), rot) ->
+      Printf.sprintf "seed=%d rows=%d age=[%d..%d] sex=%d status=[%d..%d] rot=%d"
+        seed rows lo hi v s_lo s_hi rot)
+    QCheck.Gen.(
+      int_range 0 1000 >>= fun seed ->
+      int_range 10 300 >>= fun rows ->
+      int_range 0 62 >>= fun a ->
+      int_range 0 62 >>= fun b ->
+      int_range 0 1 >>= fun v ->
+      int_range 0 6 >>= fun s ->
+      int_range 0 6 >>= fun e ->
+      int_range 0 2 >>= fun rot ->
+      return (seed, rows, min a b, max a b, v, (min s e, max s e), rot))
+
+let parity_conds (_, _, lo, hi, v, (s_lo, s_hi), rot) =
   let conds =
     [
-      { Ridint.Table.column = "age"; lo = 10; hi = 30 };
-      { Ridint.Table.column = "sex"; lo = 0; hi = 0 };
+      { Ridint.Table.column = "age"; lo; hi };
+      { Ridint.Table.column = "sex"; lo = v; hi = v };
+      { Ridint.Table.column = "status"; lo = s_lo; hi = s_hi };
     ]
   in
-  let p1 = Ridint.Table.query t conds in
-  let p2, stats = Ridint.Table.query_with_stats t conds in
-  Alcotest.(check bool) "stats variant same rows" true (Cbitmap.Posting.equal p1 p2);
-  Alcotest.(check bool) "some I/O counted" true (Iosim.Stats.ios stats > 0);
-  let (pa, checked), astats =
-    Ridint.Table.query_approx_with_stats t ~epsilon:0.1 conds
-  in
-  Alcotest.(check bool)
-    "approx stats variant verifies to exact" true
-    (Cbitmap.Posting.equal p1 pa);
-  Alcotest.(check bool) "candidates counted" true (checked >= Cbitmap.Posting.cardinal pa);
-  Alcotest.(check bool) "approx I/O counted" true (Iosim.Stats.ios astats > 0)
+  List.filteri (fun i _ -> i >= rot) conds
+  @ List.filteri (fun i _ -> i < rot) conds
+
+(* Exact parity on an exact, a stored hybrid and an approximate
+   table; approximate parity on the approximate one, whose
+   verification reads the in-memory columns like the reference. *)
+let prop_fixed_counter_parity =
+  QCheck.Test.make ~count:30 ~name:"fixed plans = per-condition counters"
+    parity_gen
+    (fun ((seed, rows, _, _, _, _, _) as input) ->
+      let conds = parity_conds input in
+      let q = Planner.Ast.of_conditions conds in
+      let same_stats a b =
+        Iosim.Stats.equal a b
+        || QCheck.Test.fail_reportf "stats differ:@ %a@ vs reference@ %a"
+             Iosim.Stats.pp a Iosim.Stats.pp b
+      in
+      List.for_all
+        (fun variant ->
+          let t = mk_table ~variant ~seed ~rows in
+          let exact = Planner.Exec.run_fixed t q in
+          let ref_rows, ref_stats = cold t (fun () -> reference_exact t conds) in
+          Cbitmap.Posting.equal (Option.get exact.rows) ref_rows
+          && same_stats exact.stats ref_stats
+          &&
+          match variant with
+          | `Approx ->
+              let approx = Planner.Exec.run_fixed ~epsilon:0.1 t q in
+              let (ref_rows, ref_checked), ref_stats =
+                cold t (fun () -> reference_approx t ~epsilon:0.1 conds)
+              in
+              Cbitmap.Posting.equal (Option.get approx.rows) ref_rows
+              && approx.checked = ref_checked
+              && same_stats approx.stats ref_stats
+          | _ -> true)
+        [ `Exact; `Exact_stored_hybrid; `Approx ])
 
 let suite =
   [
@@ -269,8 +405,6 @@ let suite =
     Alcotest.test_case "epsilon sweep stays exact" `Quick test_epsilon_sweep;
     Alcotest.test_case "planner not worse than baseline" `Quick
       test_planner_not_worse_than_baseline;
-    Alcotest.test_case "query_with_stats satellites" `Quick
-      test_query_with_stats;
     qcheck (prop_planner_matches_naive `Exact "planner = naive (exact table)");
     qcheck
       (prop_planner_matches_naive `Exact_stored_hybrid
@@ -279,6 +413,7 @@ let suite =
     qcheck
       (prop_planner_matches_naive `Approx_stored
          "planner = naive (approx, stored rows)");
+    qcheck prop_fixed_counter_parity;
     qcheck
       (prop_count_matches_cardinality `Exact
          "count = cardinality (exact table)");
