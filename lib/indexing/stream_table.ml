@@ -152,6 +152,36 @@ let decode_into { table = t; pos; count } out ~at =
 
 let union extents = Cbitmap.Posting.union_many (List.map decode extents)
 
+(* One counted decoder for a sequence of one table's extents, made at
+   the first extent.  Each read seeks it to the extent's start, which
+   empties its cache: every extent decodes from the state a fresh
+   decoder starts in, so the charges are [decode_into]'s to the touch,
+   whatever the code (a codeword's charge can depend on where the cache
+   window falls). *)
+type reader = { rtable : t; mutable dec : Bitio.Decoder.t option }
+
+let reader t = { rtable = t; dec = None }
+
+let read_into r ({ table = t; pos; count } as e) out ~at =
+  if t != r.rtable then invalid_arg "Stream_table.read_into: foreign extent";
+  match t.layout with
+  | Hybrid _ -> decode_into e out ~at
+  | Gap ->
+      if at < 0 || count > Array.length out - at then
+        invalid_arg "Stream_table.read_into";
+      let d =
+        match r.dec with
+        | Some d ->
+            Bitio.Decoder.seek d pos;
+            d
+        | None ->
+            let d = Iosim.Device.decoder t.device ~pos in
+            r.dec <- Some d;
+            d
+      in
+      Cbitmap.Gap_codec.decode_into ~code:t.code ~at d ~count out;
+      Cbitmap.Posting.check_slice out ~off:at ~len:count
+
 (* Phase spans: the directory entry is decoded first (the "directory"
    phase), then the extent (the "payload" phase). *)
 let read_one t i =

@@ -83,6 +83,30 @@ val decode_into : extent -> int array -> at:int -> unit
 (** [union es] = [Posting.union_many (List.map decode es)]. *)
 val union : extent list -> Cbitmap.Posting.t
 
+(** {2 Sequential reader}
+
+    A reader decodes a sequence of one table's extents through one
+    counted {!Iosim.Device.decoder}, made at the first extent, instead
+    of one decoder per extent.  Charging contract: each {!read_into}
+    repositions the decoder at the extent's start with an empty cache,
+    the state a fresh decoder starts in, so it consumes and charges
+    exactly what {!decode_into} of the same extent charges: the bits
+    read, the blocks touched and their order, and so every
+    {!Iosim.Stats} field, pool hits and seeks included, equal those of
+    one [decode_into] per extent in the same order.  A [Hybrid] table
+    reads each extent with [decode_into].  Like any device decoder, a
+    reader is stale once the device is written
+    ([Secidx_error.Stale_decoder]). *)
+type reader
+
+val reader : t -> reader
+
+(** [read_into r e out ~at] is [decode_into e out ~at] through [r]:
+    the same positions, counted reads and
+    {!Cbitmap.Posting.check_slice} check.  Raises [Invalid_argument]
+    if [e] belongs to another table or the slice does not fit [out]. *)
+val read_into : reader -> extent -> int array -> at:int -> unit
+
 (** [(pos, len)]: the absolute payload bit range covered by streams
     [lo..hi], for handing to [Device.prefetch] ahead of a sequential
     decode of the run.  Costs two counted directory reads. *)

@@ -46,7 +46,7 @@ let backoff ~attempt = 1 lsl attempt
    sweep — the next insert retries it, so the structure heals as soon
    as the fault clears.  Sweeping from 0 also re-finds levels left
    overfull by earlier degraded cascades. *)
-let maintain ?layout ?(on_compact = fun () -> ()) t =
+let maintain ?layout ?(on_compact = fun () -> ()) t ~n =
   let rec go i =
     if i < Array.length t.levels then
       if List.length t.levels.(i) >= t.fanout then begin
@@ -55,7 +55,7 @@ let maintain ?layout ?(on_compact = fun () -> ()) t =
         match
           Iosim.Device.with_retries ~attempts:t.retry_attempts ~backoff
             t.device (fun () ->
-              Run.merge ?layout t.device t.levels.(i))
+              Run.merge ?layout t.device ~n t.levels.(i))
         with
         | merged ->
             t.compactions <- t.compactions + 1;
@@ -77,10 +77,10 @@ let maintain ?layout ?(on_compact = fun () -> ()) t =
     (float_of_int
        (Array.fold_left (fun acc l -> acc + List.length l) 0 t.levels))
 
-let insert_run ?layout ?on_compact t run =
+let insert_run ?layout ?on_compact t ~n run =
   if Run.sigma run <> t.sigma then invalid_arg "Levels.insert_run: sigma";
   t.levels.(0) <- run :: t.levels.(0);
-  maintain ?layout ?on_compact t
+  maintain ?layout ?on_compact t ~n
 
 let runs_newest_first t = List.concat (Array.to_list t.levels)
 

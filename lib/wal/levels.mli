@@ -32,13 +32,15 @@ val create :
 
 (** Insert a freshly flushed run at level 0 and restore the level
     invariant by cascading merges.  [layout] is used for runs built
-    by this cascade (the store passes the current universe).
-    [on_compact] fires just before each merge attempt (phase
-    tracking). *)
+    by this cascade (the store passes the current universe), and [n],
+    the string's current length, bounds the positions a merge may
+    decode ({!Run.merge}).  [on_compact] fires just before each merge
+    attempt (phase tracking). *)
 val insert_run :
   ?layout:Indexing.Stream_table.layout ->
   ?on_compact:(unit -> unit) ->
   t ->
+  n:int ->
   Run.t ->
   unit
 

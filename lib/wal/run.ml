@@ -4,6 +4,7 @@ module Posting = Cbitmap.Posting
 type t = { table : St.t; sigma : int }
 
 let sigma t = t.sigma
+let table t = t.table
 
 let build ?layout device ~sigma ~chars ~tombstones ~written =
   if Array.length chars <> sigma then invalid_arg "Run.build: chars length";
@@ -13,41 +14,55 @@ let build ?layout device ~sigma ~chars ~tombstones ~written =
   streams.(sigma + 1) <- written;
   { table = St.build ?layout device streams; sigma }
 
-let matches t ~lo ~hi = St.read_union t.table ~lo ~hi
 let written t = St.read_one t.table (t.sigma + 1)
 let tombstones t = St.read_one t.table t.sigma
 let posting t ch = St.read_one t.table ch
 
-let run_tombstones = tombstones
-let run_written = written
+(* Stream [i] of [r] through its reader [rd], as [St.read_one] reads
+   it: the directory entry, then the payload, into a fresh posting. *)
+let read_stream r rd i ~n =
+  let e = Obs.Metrics.phase "directory" (fun () -> St.extent r.table i) in
+  Obs.Metrics.phase "payload" (fun () ->
+      let count = e.St.count in
+      let a = Array.make count 0 in
+      St.read_into rd e a ~at:0;
+      if count > 0 && a.(count - 1) >= n then
+        Secidx_error.corrupt "Run.merge: position %d past length %d"
+          a.(count - 1) n;
+      Posting.adopt a)
 
 (* Newest-first shadowed union: a run's opinions survive the merge
-   only at positions no newer run wrote.  The merged written set is
-   the plain union, so the output shadows exactly what its inputs
+   only at positions no newer run wrote, which the shadow bitmap holds.
+   Each run's streams are read in stream order through one reader.  The
+   surviving parts of one stream are disjoint; the merged written set
+   is the plain union, so the output shadows exactly what its inputs
    shadowed. *)
-let merge ?layout device runs =
+let merge ?layout device ~n runs =
   match runs with
   | [] -> invalid_arg "Run.merge: empty"
   | first :: _ ->
       let sigma = first.sigma in
       if List.exists (fun r -> r.sigma <> sigma) runs then
         invalid_arg "Run.merge: mismatched sigma";
-      let chars = Array.make sigma Posting.empty in
-      let dead = ref Posting.empty in
-      let shadow = ref Posting.empty in
-      let seen = ref Posting.empty in
+      let parts = Array.make (sigma + 2) [] in
+      let shadow = Bitset.create () in
+      Bitset.clear shadow ~n;
       List.iter
         (fun r ->
-          for ch = 0 to sigma - 1 do
-            chars.(ch) <-
-              Posting.union chars.(ch) (Posting.diff (posting r ch) !shadow)
+          let rd = St.reader r.table in
+          for i = 0 to sigma do
+            let p =
+              Posting.filter
+                (fun x -> not (Bitset.mem shadow x))
+                (read_stream r rd i ~n)
+            in
+            parts.(i) <- p :: parts.(i)
           done;
-          dead := Posting.union !dead (Posting.diff (run_tombstones r) !shadow);
-          let w = run_written r in
-          shadow := Posting.union !shadow w;
-          seen := Posting.union !seen w)
+          let w = read_stream r rd (sigma + 1) ~n in
+          Posting.iter (Bitset.add shadow) w;
+          parts.(sigma + 1) <- w :: parts.(sigma + 1))
         runs;
-      build ?layout device ~sigma ~chars ~tombstones:!dead ~written:!seen
+      { table = St.build ?layout device (Array.map Posting.union_many parts); sigma }
 
 let frames t = St.frames t.table
 let size_bits t = St.size_bits t.table

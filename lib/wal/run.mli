@@ -35,11 +35,9 @@ val build :
   written:Cbitmap.Posting.t ->
   t
 
-(** Positions this run sets to a character in [\[lo;hi\]] (bounds
-    already clamped by the caller).  Counted I/O: the directory
-    entries of streams [lo..hi], then one pass over each extent
-    ({!Indexing.Stream_table.read_union}). *)
-val matches : t -> lo:int -> hi:int -> Cbitmap.Posting.t
+(** The run's table: [sigma + 2] streams laid out as above.  The
+    store's query reads its extents directly. *)
+val table : t -> Indexing.Stream_table.t
 
 (** The written set (stream [sigma + 1]); counted I/O. *)
 val written : t -> Cbitmap.Posting.t
@@ -50,14 +48,25 @@ val tombstones : t -> Cbitmap.Posting.t
 (** Per-character positions (stream [ch]); counted I/O. *)
 val posting : t -> int -> Cbitmap.Posting.t
 
-(** [merge ?layout device runs] seals the newest-first [runs]
+(** [merge ?layout device ~n runs] seals the newest-first [runs]
     into one run with identical query semantics: for every position
-    the newest opinion wins.  Reads every input stream once (counted),
-    then builds the output on [device].  Raises [Invalid_argument] on
-    an empty list or mismatched alphabets. *)
+    the newest opinion wins.  Each input run is read through one
+    {!Indexing.Stream_table.reader}, stream by stream as
+    {!Indexing.Stream_table.read_one} reads them: streams
+    [0 .. sigma-1], then the tombstones, then the written set, each
+    directory entry read right before its payload.  A stream's part
+    survives where a position bitmap of the newer runs' written sets
+    is clear, and the disjoint parts are joined with
+    {!Cbitmap.Posting.union_many}; the output is then built on
+    [device].  The bitmap and the decoded streams are the merge's own,
+    allocated per call.  [n] bounds every position (the string's
+    length): a decoded position at or past it raises
+    [Secidx_error.Corrupt].  Raises [Invalid_argument] on an empty list
+    or mismatched alphabets. *)
 val merge :
   ?layout:Indexing.Stream_table.layout ->
   Iosim.Device.t ->
+  n:int ->
   t list ->
   t
 

@@ -41,6 +41,9 @@ type t = {
   mutable delta_ops : int;
   mutable phase : string;
   mutable flushes : int;
+  answer : Bitset.t;  (* [query] scratch: positions in the answer *)
+  shadow : Bitset.t;  (* [query] scratch: positions a newer run wrote *)
+  mutable arena : int array;  (* [query] scratch: one run's decoded extents *)
 }
 
 let layout_of ~payload ~n =
@@ -95,6 +98,9 @@ let create ?wal_device ?index_device config ~sigma ~data =
     delta_ops = 0;
     phase = "idle";
     flushes = 0;
+    answer = Bitset.create ();
+    shadow = Bitset.create ();
+    arena = [||];
   }
 
 let config t = t.config
@@ -140,7 +146,7 @@ let flush t =
     Obs.Metrics.incr m_flushes;
     Levels.insert_run ~layout:(layout t)
       ~on_compact:(fun () -> t.phase <- "compact")
-      t.levels run;
+      t.levels ~n:t.n run;
     t.phase <- "idle"
   end
 
@@ -186,37 +192,73 @@ let update_batch t ops =
 
 let update t op = update_batch t [op]
 
-let overlay_matches t ~lo ~hi =
-  let acc = ref [] in
-  Hashtbl.iter
-    (fun pos entry ->
-      match entry with
-      | Live ch when ch >= lo && ch <= hi -> acc := pos :: !acc
-      | _ -> ())
-    t.overlay;
-  Posting.of_list !acc
+(* Decode [es], extents of one run, through its reader [rd] into the
+   arena from 0, in order; returns how many positions they hold.  A
+   position past the string's length can only come from corruption. *)
+let decode_run t rd es =
+  let total = List.fold_left (fun acc (e : St.extent) -> acc + e.count) 0 es in
+  if total > Array.length t.arena then
+    t.arena <- Array.make (max total (2 * Array.length t.arena)) 0;
+  List.fold_left
+    (fun at (e : St.extent) ->
+      St.read_into rd e t.arena ~at;
+      let stop = at + e.count in
+      if e.count > 0 && t.arena.(stop - 1) >= t.n then
+        Secidx_error.corrupt "Wal.Store: run position %d past length %d"
+          t.arena.(stop - 1) t.n;
+      stop)
+    0 es
 
-let overlay_written t =
-  Posting.of_list (Hashtbl.fold (fun pos _ acc -> pos :: acc) t.overlay [])
+(* The run's matches for [lo..hi] that no newer run shadows join the
+   answer: every directory entry first, then every extent, as
+   [Stream_table.read_union] reads them. *)
+let add_visible t run rd ~lo ~hi =
+  let table = Run.table run in
+  let es = Obs.Metrics.phase "directory" (fun () -> St.extents table ~lo ~hi) in
+  Obs.Metrics.phase "payload" (fun () ->
+      let k = decode_run t rd es in
+      for i = 0 to k - 1 do
+        let p = Array.unsafe_get t.arena i in
+        if not (Bitset.mem t.shadow p) then Bitset.add t.answer p
+      done)
 
-(* Newest-first shadowed union: delta, then runs, then base.  The
-   base never shadows anything below it, so its (empty) written
-   stream is never read. *)
+(* The run's written set joins the shadow, read as [Run.written] reads
+   it. *)
+let add_shadow t run rd =
+  let e =
+    Obs.Metrics.phase "directory" (fun () ->
+        St.extent (Run.table run) (t.sigma + 1))
+  in
+  Obs.Metrics.phase "payload" (fun () ->
+      for i = 0 to decode_run t rd [ e ] - 1 do
+        Bitset.add t.shadow (Array.unsafe_get t.arena i)
+      done)
+
+(* Newest-first shadowed union: delta, then runs, then base, each run
+   through one reader.  The bitmaps are zeroed first, so a query that a
+   read fault aborted leaves nothing behind.  The base never shadows
+   anything below it, so its (empty) written stream is never read. *)
 let query t ~lo ~hi =
   match Indexing.Common.clamp_range ~sigma:t.sigma ~lo ~hi with
   | None -> Indexing.Answer.Direct Posting.empty
   | Some (lo, hi) ->
-      let result = ref (overlay_matches t ~lo ~hi) in
-      let shadow = ref (overlay_written t) in
+      Bitset.clear t.answer ~n:t.n;
+      Bitset.clear t.shadow ~n:t.n;
+      Hashtbl.iter
+        (fun pos entry ->
+          Bitset.add t.shadow pos;
+          match entry with
+          | Live ch when ch >= lo && ch <= hi -> Bitset.add t.answer pos
+          | _ -> ())
+        t.overlay;
       List.iter
         (fun run ->
-          result :=
-            Posting.union !result
-              (Posting.diff (Run.matches run ~lo ~hi) !shadow);
-          shadow := Posting.union !shadow (Run.written run))
+          let rd = St.reader (Run.table run) in
+          add_visible t run rd ~lo ~hi;
+          add_shadow t run rd)
         (Levels.runs_newest_first t.levels);
-      let base = Posting.diff (Run.matches t.base ~lo ~hi) !shadow in
-      Indexing.Answer.Direct (Posting.union !result base)
+      add_visible t t.base (St.reader (Run.table t.base)) ~lo ~hi;
+      Indexing.Answer.Direct (Bitset.to_posting t.answer)
 
 let char_at t pos =
   if pos < 0 || pos >= t.n then invalid_arg "Store.char_at";

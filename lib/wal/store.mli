@@ -80,8 +80,19 @@ val update_batch : t -> Op.t list -> unit
 val flush : t -> unit
 
 (** Range query over the live state (delta + runs + base), clamped by
-    the shared invalid-range rule.  Counted I/O on the index
-    device. *)
+    the shared invalid-range rule.  Counted I/O on the index device,
+    in the order of a per-run posting union: for each run newest
+    first, its [lo..hi] directory entries, their extents, then its
+    written stream's entry and extent; the base's entries and extents
+    last.
+
+    The store owns the query's scratch and reuses it from query to
+    query: an answer and a shadow bitmap of one bit per position, and
+    an arena the runs' extents decode into (one
+    {!Indexing.Stream_table.reader} per run).  Both bitmaps are zeroed
+    at the start of every query, so one that a read fault aborts leaves
+    nothing behind.  The answer owns its storage.  [query] is not
+    reentrant: two domains must not query one store at once. *)
 val query : t -> lo:int -> hi:int -> Indexing.Answer.t
 
 (** The character at [pos] right now ([sigma] for deleted positions);

@@ -6,8 +6,9 @@
     benchmark can check the word path against them: same values, same
     bits charged, same blocks read.  The interleaved pull-stream merge
     that range unions used before whole-extent decode lives here too
-    ({!Merge}, {!Stream_table.merge_union}).  Nothing in [lib] links
-    this library. *)
+    ({!Merge}, {!Stream_table.merge_union}), and so do the WAL store's
+    query and merge by posting set algebra ({!Wal_store}).  Nothing in
+    [lib] links this library. *)
 
 (** Abstract sequential bit reader: one closure call per read. *)
 module Reader = struct
@@ -479,4 +480,158 @@ module Stream_table = struct
         in
         if ok then None else Some name)
       Iosim.Stats.fields
+end
+
+(* The WAL store as it answered and compacted before shadowing moved
+   to a position bitmap: the same overlay, flushes and level cascade as
+   [Wal.Store] (no log, no retries), with [query] and [merge] doing
+   posting set algebra run by run and reading every stream through a
+   fresh decoder.  A twin of a [Wal.Store] on an equal device must see
+   the same answers, counters and bytes. *)
+module Wal_store = struct
+  module Posting = Cbitmap.Posting
+  module St = Indexing.Stream_table
+
+  (* Newest-first shadowed union, one [Posting.diff]/[union] per stream
+     and run. *)
+  let merge ?layout device runs =
+    match runs with
+    | [] -> invalid_arg "Oracle.Wal_store.merge: empty"
+    | first :: _ ->
+        let sigma = Wal.Run.sigma first in
+        let chars = Array.make sigma Posting.empty in
+        let dead = ref Posting.empty in
+        let shadow = ref Posting.empty in
+        let seen = ref Posting.empty in
+        List.iter
+          (fun r ->
+            for ch = 0 to sigma - 1 do
+              chars.(ch) <-
+                Posting.union chars.(ch)
+                  (Posting.diff (Wal.Run.posting r ch) !shadow)
+            done;
+            dead :=
+              Posting.union !dead (Posting.diff (Wal.Run.tombstones r) !shadow);
+            let w = Wal.Run.written r in
+            shadow := Posting.union !shadow w;
+            seen := Posting.union !seen w)
+          runs;
+        Wal.Run.build ?layout device ~sigma ~chars ~tombstones:!dead
+          ~written:!seen
+
+  type t = {
+    config : Wal.Store.config;
+    sigma : int;
+    device : Iosim.Device.t;
+    base : Wal.Run.t;
+    mutable levels : Wal.Run.t list array;  (* newest first within a level *)
+    overlay : (int, int) Hashtbl.t;  (* position -> char; [sigma] deletes *)
+    mutable n : int;
+    mutable delta_ops : int;
+  }
+
+  let layout_of (config : Wal.Store.config) ~n =
+    match config.payload with
+    | Wal.Store.Gap -> St.Gap
+    | Wal.Store.Hybrid { chunk } -> St.Hybrid { universe = max n 1; chunk }
+
+  let create ~index_device config ~sigma ~data =
+    let n = Array.length data in
+    let base =
+      Wal.Run.build
+        ~layout:(layout_of config ~n)
+        index_device ~sigma
+        ~chars:(Indexing.Common.positions_by_char ~sigma data)
+        ~tombstones:Posting.empty ~written:Posting.empty
+    in
+    {
+      config;
+      sigma;
+      device = index_device;
+      base;
+      levels = [||];
+      overlay = Hashtbl.create 64;
+      n;
+      delta_ops = 0;
+    }
+
+  let runs_newest_first t = List.concat (Array.to_list t.levels)
+
+  (* Every overfull level merges into the next, sweeping up from 0. *)
+  let cascade t =
+    let layout = layout_of t.config ~n:t.n in
+    let i = ref 0 in
+    while !i < Array.length t.levels do
+      if List.length t.levels.(!i) >= t.config.fanout then begin
+        if !i + 1 = Array.length t.levels then
+          t.levels <- Array.append t.levels [| [] |];
+        let merged = merge ~layout t.device t.levels.(!i) in
+        t.levels.(!i) <- [];
+        t.levels.(!i + 1) <- merged :: t.levels.(!i + 1)
+      end;
+      incr i
+    done
+
+  let flush t =
+    if t.delta_ops > 0 then begin
+      let chars = Array.make t.sigma [] and dead = ref [] and written = ref [] in
+      Hashtbl.iter
+        (fun pos ch ->
+          written := pos :: !written;
+          if ch = t.sigma then dead := pos :: !dead
+          else chars.(ch) <- pos :: chars.(ch))
+        t.overlay;
+      let run =
+        Wal.Run.build
+          ~layout:(layout_of t.config ~n:t.n)
+          t.device ~sigma:t.sigma
+          ~chars:(Array.map Posting.of_list chars)
+          ~tombstones:(Posting.of_list !dead)
+          ~written:(Posting.of_list !written)
+      in
+      Hashtbl.reset t.overlay;
+      t.delta_ops <- 0;
+      if Array.length t.levels = 0 then t.levels <- [| [] |];
+      t.levels.(0) <- run :: t.levels.(0);
+      cascade t
+    end
+
+  let update_batch t ops =
+    List.iter
+      (fun op ->
+        (match op with
+        | Wal.Op.Set { pos; ch } -> Hashtbl.replace t.overlay pos ch
+        | Wal.Op.Append { ch } ->
+            Hashtbl.replace t.overlay t.n ch;
+            t.n <- t.n + 1
+        | Wal.Op.Delete { pos } -> Hashtbl.replace t.overlay pos t.sigma);
+        t.delta_ops <- t.delta_ops + 1;
+        if t.delta_ops >= t.config.flush_threshold then flush t)
+      ops
+
+  (* Delta, then runs, then base: each run's matches ([St.read_union])
+     diffed against the union of the newer written sets. *)
+  let query t ~lo ~hi =
+    match Indexing.Common.clamp_range ~sigma:t.sigma ~lo ~hi with
+    | None -> Posting.empty
+    | Some (lo, hi) ->
+        let result =
+          ref
+            (Posting.of_list
+               (Hashtbl.fold
+                  (fun pos ch acc -> if ch >= lo && ch <= hi then pos :: acc else acc)
+                  t.overlay []))
+        in
+        let shadow =
+          ref (Posting.of_list (Hashtbl.fold (fun pos _ acc -> pos :: acc) t.overlay []))
+        in
+        List.iter
+          (fun run ->
+            result :=
+              Posting.union !result
+                (Posting.diff (St.read_union (Wal.Run.table run) ~lo ~hi) !shadow);
+            shadow := Posting.union !shadow (Wal.Run.written run))
+          (runs_newest_first t);
+        Posting.union !result
+          (Posting.diff (St.read_union (Wal.Run.table t.base) ~lo ~hi) !shadow)
 end

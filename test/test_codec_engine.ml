@@ -719,6 +719,92 @@ let prop_decode_into_at =
       && out.(at + count) = -7
       && bits d1 = bits d2)
 
+
+(* --- sequential reader against per-extent decode_into --------------- *)
+
+(* The streams [idx] (increasing) of [ps], laid out twice on fresh cold
+   devices, read once through one reader and once with one
+   [decode_into] per extent.  With [interleave] each directory entry is
+   read right before its payload, as a merge reads; otherwise every
+   entry first, as a query reads.  Returns the two decodes and the two
+   devices' stats. *)
+let reader_twin ~code ~layout ~pool ~interleave ps idx =
+  let module St = Indexing.Stream_table in
+  let read f =
+    let t, dev = fresh_table ~code ~layout ~pool ps in
+    let total = List.fold_left (fun a i -> a + Cbitmap.Posting.cardinal (List.nth ps i)) 0 idx in
+    let out = Array.make total (-1) in
+    let decode = f t in
+    let go at e =
+      decode e out ~at;
+      at + e.St.count
+    in
+    (if interleave then
+       ignore (List.fold_left (fun at i -> go at (St.extent t i)) 0 idx)
+     else ignore (List.fold_left go 0 (List.map (St.extent t) idx)));
+    (out, Iosim.Stats.snapshot (Iosim.Device.stats dev))
+  in
+  let a, sa = read (fun t -> St.read_into (St.reader t)) in
+  let b, sb = read (fun _ -> St.decode_into) in
+  (a, sa, b, sb)
+
+let gen_reader_case =
+  let open QCheck.Gen in
+  gen_union_case >>= fun (layout, ps, _, _, pool) ->
+  list_repeat (List.length ps) bool >>= fun mask ->
+  bool >>= fun interleave ->
+  let idx = List.filteri (fun i _ -> List.nth mask i) (List.init (List.length ps) Fun.id) in
+  return (layout, ps, idx, pool, interleave)
+
+let print_reader_case (layout, ps, idx, pool, interleave) =
+  Printf.sprintf "%s idx=[%s] interleave=%b"
+    (print_union_case (layout, ps, 0, 0, pool))
+    (String.concat ";" (List.map string_of_int idx))
+    interleave
+
+let prop_reader_parity =
+  QCheck.Test.make ~count:200 ~long_factor:5
+    ~name:"reader = decode_into per extent (positions, stats)"
+    (QCheck.make ~print:print_reader_case gen_reader_case)
+    (fun (layout, ps, idx, pool, interleave) ->
+      let _, code, layout = List.nth layouts layout in
+      let a, sa, b, sb = reader_twin ~code ~layout ~pool ~interleave ps idx in
+      a = b && Iosim.Stats.equal sa sb)
+
+(* The three shapes a reader meets, each against [decode_into]:
+   consecutive extents (no repositioning), every third stream of large
+   ones (the decoder seeks past two streams, and the device seeks), and
+   a [Hybrid] table (the per-extent fallback). *)
+let test_reader_cases () =
+  let ps =
+    List.init 24 (fun s ->
+        Cbitmap.Posting.of_list (List.init (50 + (40 * (s mod 5))) (fun i -> (i * 37) + s)))
+  in
+  let case name ~layout idx =
+    let a, sa, b, sb =
+      reader_twin ~code:Cbitmap.Gap_codec.Gamma ~layout ~pool:4 ~interleave:false
+        ps idx
+    in
+    Alcotest.(check bool) (name ^ ": positions") true (a = b);
+    List.iter
+      (fun (field, get, _) ->
+        Alcotest.(check int) (name ^ ": " ^ field) (get sb) (get sa))
+      Iosim.Stats.fields;
+    sa
+  in
+  let all = List.init 24 Fun.id in
+  ignore (case "consecutive" ~layout:Indexing.Stream_table.Gap all);
+  let skipped =
+    case "skipped" ~layout:Indexing.Stream_table.Gap
+      (List.filter (fun i -> i mod 3 = 0) all)
+  in
+  Alcotest.(check bool) "skipped: the device seeks" true
+    (skipped.Iosim.Stats.seeks > 1);
+  ignore
+    (case "hybrid"
+       ~layout:(Indexing.Stream_table.Hybrid { universe = 8192; chunk = 512 })
+       all)
+
 let suite =
   [
     qcheck prop_msb_matches_naive;
@@ -748,4 +834,7 @@ let suite =
     Alcotest.test_case "read_union allocates at most half the merge" `Quick
       test_read_union_allocation;
     qcheck prop_decode_into_at;
+    qcheck prop_reader_parity;
+    Alcotest.test_case "reader: consecutive, skipped, hybrid extents" `Quick
+      test_reader_cases;
   ]

@@ -15,13 +15,19 @@
    - idempotent replay: recovering twice yields identical stores;
    - degraded compaction: an exhausted retry budget leaves an
      overfull level that still answers correctly and heals once the
-     fault clears. *)
+     fault clears;
+   - set-algebra reference: a store and its {!Oracle.Wal_store} twin
+     answer, count and write alike after every batch;
+   - fault hygiene: a query or a compaction that a transient read
+     fault interrupts leaves no state behind;
+   - allocation: a warm query allocates little beyond its answer. *)
 
 module Device = Iosim.Device
 module Fault = Iosim.Fault
 module Posting = Cbitmap.Posting
 
 let block_bits = 512
+let qcheck = QCheck_alcotest.to_alcotest
 
 let fresh_device ?(mem_blocks = 0) () =
   Device.create ~block_bits ~mem_bits:(mem_blocks * block_bits) ()
@@ -402,6 +408,254 @@ let test_degraded_compaction () =
   Alcotest.(check bool) "not pending" false (Wal.Store.pending_compaction store);
   check_answers ~msg:"healed" store m
 
+(* --- set-algebra reference ------------------------------------------ *)
+
+(* A random script: the configuration and the string from the case,
+   the operations drawn from [seed] against the length each one sees. *)
+type twin_case = {
+  seed : int;
+  sigma : int;
+  n0 : int;
+  fanout : int;
+  threshold : int;
+  chunk : int option;  (* [Hybrid { chunk }], or [Gap] *)
+  batches : int;
+}
+
+let gen_twin_case =
+  let open QCheck.Gen in
+  int_bound 1_000_000 >>= fun seed ->
+  int_range 2 12 >>= fun sigma ->
+  int_range 0 80 >>= fun n0 ->
+  int_range 2 4 >>= fun fanout ->
+  int_range 3 16 >>= fun threshold ->
+  opt (int_range 4 64) >>= fun chunk ->
+  int_range 1 30 >>= fun batches ->
+  return { seed; sigma; n0; fanout; threshold; chunk; batches }
+
+let print_twin_case c =
+  Printf.sprintf "seed=%d sigma=%d n0=%d fanout=%d threshold=%d %s batches=%d"
+    c.seed c.sigma c.n0 c.fanout c.threshold
+    (match c.chunk with Some k -> Printf.sprintf "hybrid/%d" k | None -> "gap")
+    c.batches
+
+let device_bytes_equal a b =
+  Device.used_bits a = Device.used_bits b
+  && Device.raw_crc32 a ~pos:0 ~len:(Device.used_bits a)
+     = Device.raw_crc32 b ~pos:0 ~len:(Device.used_bits b)
+
+(* After every batch and its query, the two index devices hold the
+   same bytes (so every flushed and merged run is bit-identical) and
+   every [Stats] field agrees. *)
+let prop_twin_reference =
+  QCheck.Test.make ~count:100 ~long_factor:10
+    ~name:"store = set-algebra reference (answers, stats, bytes)"
+    (QCheck.make ~print:print_twin_case gen_twin_case)
+    (fun c ->
+      let rng = Fault.Rng.create c.seed in
+      let data = Array.init c.n0 (fun _ -> Fault.Rng.int rng c.sigma) in
+      let config =
+        {
+          Wal.Store.default_config with
+          flush_threshold = c.threshold;
+          fanout = c.fanout;
+          payload =
+            (match c.chunk with
+            | Some chunk -> Wal.Store.Hybrid { chunk }
+            | None -> Wal.Store.Gap);
+        }
+      in
+      let dev_s = fresh_device ~mem_blocks:4 ()
+      and dev_r = fresh_device ~mem_blocks:4 () in
+      let store = Wal.Store.create ~index_device:dev_s config ~sigma:c.sigma ~data in
+      let twin =
+        Oracle.Wal_store.create ~index_device:dev_r config ~sigma:c.sigma ~data
+      in
+      let m = model_create ~sigma:c.sigma data in
+      let ok = ref true in
+      for _ = 1 to c.batches do
+        let ops =
+          List.init
+            (1 + Fault.Rng.int rng 10)
+            (fun _ ->
+              let op = random_op rng m in
+              model_apply m op;
+              op)
+        in
+        Wal.Store.update_batch store ops;
+        Oracle.Wal_store.update_batch twin ops;
+        let lo = Fault.Rng.int rng (c.sigma + 2) - 1 in
+        let hi = lo + Fault.Rng.int rng c.sigma in
+        let got =
+          Indexing.Answer.to_posting ~n:m.len (Wal.Store.query store ~lo ~hi)
+        in
+        let want = Oracle.Wal_store.query twin ~lo ~hi in
+        let model =
+          match Indexing.Common.clamp_range ~sigma:c.sigma ~lo ~hi with
+          | Some (lo, hi) -> model_query m ~lo ~hi
+          | None -> Posting.empty
+        in
+        if
+          not
+            (Posting.equal got want
+            && Posting.equal got model
+            && Iosim.Stats.equal (Device.stats dev_s) (Device.stats dev_r)
+            && device_bytes_equal dev_s dev_r)
+        then ok := false
+      done;
+      !ok)
+
+(* --- fault hygiene -------------------------------------------------- *)
+
+(* A store with runs on two levels and a non-empty overlay. *)
+let hygiene_store () =
+  let config =
+    { Wal.Store.default_config with flush_threshold = 5; fanout = 3 }
+  in
+  let sigma = 8 in
+  let rng = Fault.Rng.create 404 in
+  let data = Array.init 60 (fun _ -> Fault.Rng.int rng sigma) in
+  let index_device = fresh_device ~mem_blocks:4 () in
+  let store = Wal.Store.create ~index_device config ~sigma ~data in
+  let m = model_create ~sigma data in
+  for _ = 1 to 52 do
+    let op = random_op rng m in
+    model_apply m op;
+    Wal.Store.update store op
+  done;
+  (store, index_device, m)
+
+(* Arm one transient failure on each block in turn and query the whole
+   alphabet: a query that meets the failure raises [IO_error], and the
+   next query, over a narrower range, is still exact. *)
+let test_query_fault_hygiene () =
+  let store, dev, m = hygiene_store () in
+  Alcotest.(check bool) "two levels" true
+    (List.length (List.filter (( < ) 0) (Wal.Store.level_counts store)) >= 2);
+  let sigma = m.sigma in
+  let raised = ref 0 in
+  for block = 0 to (Device.used_bits dev / block_bits) do
+    Device.clear_pool dev;
+    let plan = Fault.create () in
+    Device.set_fault dev plan;
+    Fault.arm_transient_read plan ~block ~failures:1;
+    let failed =
+      match Wal.Store.query store ~lo:0 ~hi:(sigma - 1) with
+      | _ -> false
+      | exception Secidx_error.IO_error _ -> true
+    in
+    Device.clear_fault dev;
+    if failed then incr raised;
+    Alcotest.(check bool)
+      (Printf.sprintf "block %d: a consumed fault raises" block)
+      (Fault.pending_transients plan = 0) failed;
+    let got =
+      Indexing.Answer.to_posting ~n:m.len (Wal.Store.query store ~lo:2 ~hi:4)
+    in
+    if not (Posting.equal got (model_query m ~lo:2 ~hi:4)) then
+      Alcotest.failf "block %d: query after the fault is wrong" block
+  done;
+  Alcotest.(check bool) "faults landed" true (!raised > 0)
+
+(* A compaction whose merge meets one transient failure is retried by
+   [with_retries] and must leave the store what a fault-free twin
+   holds: the same bytes and exact answers. *)
+let test_compaction_fault_hygiene () =
+  let config =
+    { Wal.Store.default_config with flush_threshold = 4; retry_attempts = 3 }
+  in
+  let sigma = 8 in
+  let data = Array.init 40 (fun i -> (i * 5) mod sigma) in
+  let m = model_create ~sigma data in
+  let rng = Fault.Rng.create 17 in
+  let ops =
+    List.init 8 (fun _ ->
+        let op = random_op rng m in
+        model_apply m op;
+        op)
+  in
+  let first = List.filteri (fun i _ -> i < 4) ops
+  and second = List.filteri (fun i _ -> i >= 4) ops in
+  let start () =
+    let dev = fresh_device ~mem_blocks:4 () in
+    let store = Wal.Store.create ~index_device:dev config ~sigma ~data in
+    Wal.Store.update_batch store first;
+    (store, dev)
+  in
+  let clean, clean_dev = start () in
+  Wal.Store.update_batch clean second;
+  Alcotest.(check int) "one compaction" 1 (Wal.Store.compactions clean);
+  let retried = ref 0 in
+  for block = 0 to Device.used_bits clean_dev / block_bits do
+    let store, dev = start () in
+    Device.clear_pool dev;
+    let plan = Fault.create () in
+    Device.set_fault dev plan;
+    Fault.arm_transient_read plan ~block ~failures:1;
+    Wal.Store.update_batch store second;
+    Device.clear_fault dev;
+    if Fault.pending_transients plan = 0 then begin
+      incr retried;
+      Alcotest.(check int) "retried" 1 (Device.stats dev).Iosim.Stats.retries
+    end;
+    Alcotest.(check int) "compacted" 1 (Wal.Store.compactions store);
+    Alcotest.(check int) "not degraded" 0 (Wal.Store.degraded store);
+    Alcotest.(check bool) "bytes = fault-free twin" true
+      (device_bytes_equal dev clean_dev);
+    check_answers ~msg:(Printf.sprintf "block %d" block) store m
+  done;
+  Alcotest.(check bool) "faults landed" true (!retried > 0)
+
+(* A decoded position at or past the string's length can only come
+   from a damaged run: the merge refuses it with a typed error. *)
+let test_merge_rejects_past_length () =
+  let dev = fresh_device () in
+  let run written =
+    Wal.Run.build dev ~sigma:2
+      ~chars:[| Posting.of_list written; Posting.empty |]
+      ~tombstones:Posting.empty ~written:(Posting.of_list written)
+  in
+  let runs = [ run [ 1; 5 ]; run [ 2; 9 ] ] in
+  ignore (Wal.Run.merge dev ~n:10 runs);
+  match Wal.Run.merge dev ~n:9 runs with
+  | _ -> Alcotest.fail "merged a position past the length"
+  | exception Secidx_error.Corrupt _ -> ()
+
+(* --- allocation ----------------------------------------------------- *)
+
+(* Minor words plus words allocated straight into the major heap. *)
+let allocated f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  (minor1 -. minor0 +. (major1 -. promoted1) -. (major0 -. promoted0), r)
+
+(* Runs on three levels: a warm query's words are its answer's plus
+   the per-run readers and directory lists, a small fraction. *)
+let test_query_allocation () =
+  let sigma = 8 and n = 1 lsl 14 in
+  let rng = Fault.Rng.create 5 in
+  let data = Array.init n (fun _ -> Fault.Rng.int rng sigma) in
+  let config = { Wal.Store.default_config with flush_threshold = 64; fanout = 4 } in
+  let index_device =
+    Device.create ~block_bits:1024 ~mem_bits:(1024 * 1024) ()
+  in
+  let store = Wal.Store.create ~index_device config ~sigma ~data in
+  for _ = 1 to 1500 / 15 do
+    Wal.Store.update_batch store
+      (List.init 15 (fun _ ->
+           Wal.Op.Set { pos = Fault.Rng.int rng n; ch = Fault.Rng.int rng sigma }))
+  done;
+  Alcotest.(check (list int)) "levels" [ 3; 1; 1 ] (Wal.Store.level_counts store);
+  let query () = Wal.Store.query store ~lo:2 ~hi:3 in
+  ignore (query ());
+  let words, a = allocated query in
+  let answer = Indexing.Answer.to_posting ~n a in
+  let answer_words = float_of_int (Posting.cardinal answer + 1) in
+  if words > 1.25 *. answer_words then
+    Alcotest.failf "query allocated %.0f words for a %d-position answer" words
+      (Posting.cardinal answer)
+
 (* --- crash hook unit behaviour -------------------------------------- *)
 
 let test_crash_hook_semantics () =
@@ -436,4 +690,13 @@ let suite =
       test_degraded_compaction;
     Alcotest.test_case "crash hook: clean vs torn kill" `Quick
       test_crash_hook_semantics;
+    qcheck prop_twin_reference;
+    Alcotest.test_case "faulted query leaves no state" `Quick
+      test_query_fault_hygiene;
+    Alcotest.test_case "retried compaction = fault-free twin" `Quick
+      test_compaction_fault_hygiene;
+    Alcotest.test_case "warm query allocates ~ its answer" `Quick
+      test_query_allocation;
+    Alcotest.test_case "merge rejects positions past the length" `Quick
+      test_merge_rejects_past_length;
   ]
