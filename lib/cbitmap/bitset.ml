@@ -38,4 +38,4 @@ let to_posting t =
       w := !w land (!w - 1)
     done
   done;
-  Cbitmap.Posting.adopt out
+  Posting.adopt out

@@ -1,6 +1,7 @@
 (** Position sets as one bit per position, 32 to a native-int word,
-    reused from query to query: the store's shadow and answer sets,
-    and a merge's shadow.  Not safe to share between domains. *)
+    reused from query to query: the WAL store's shadow and answer
+    sets, a merge's shadow, and the hashed values an approximate-index
+    probe reads.  Not safe to share between domains. *)
 
 type t
 
@@ -18,4 +19,4 @@ val add : t -> int -> unit
 val mem : t -> int -> bool
 
 (** The set's positions, in increasing order, as a fresh posting. *)
-val to_posting : t -> Cbitmap.Posting.t
+val to_posting : t -> Posting.t

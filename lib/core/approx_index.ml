@@ -1,4 +1,7 @@
 module Split = Hashing.Universal.Split
+module Posting = Cbitmap.Posting
+module Bitset = Cbitmap.Bitset
+module St = Indexing.Stream_table
 
 type t = {
   base : Static_index.t;
@@ -7,6 +10,8 @@ type t = {
   (* hashed_levels.(l).(j-1): hashed bitmaps of internal level l *)
   hashed_levels : Indexing.Stream_table.t option array array;
   hashed_leaves : Indexing.Stream_table.t array; (* per j *)
+  seen : Bitset.t; (* [probe] scratch: the hashed values read *)
+  mutable arena : int array; (* [probe] scratch: one decoded extent *)
 }
 
 type answer =
@@ -56,7 +61,15 @@ let build ?(seed = 0x5ec1d) ?c ?code ?payload device ~sigma x =
              tree.Wbb.leaves))
       fams
   in
-  { base; k; fams; hashed_levels; hashed_leaves }
+  {
+    base;
+    k;
+    fams;
+    hashed_levels;
+    hashed_leaves;
+    seen = Bitset.create ();
+    arena = [||];
+  }
 
 let k t = t.k
 let base t = t.base
@@ -77,28 +90,75 @@ let choose_j t ~epsilon ~z =
 
 let level t ~epsilon ~z = choose_j t ~epsilon ~z
 
-let query t ~epsilon ~lo ~hi =
+(* What a query at [epsilon] reads: the A array; then, on the hashed
+   path, the descent and every run's directory entries in one
+   "directory" span, each run with its level-[j] table.  Nothing is
+   decoded yet. *)
+type read =
+  | Empty
+  | Fallback  (* j > k: the exact query answers *)
+  | Runs of { j : int; z : int; runs : (St.t * St.extent list) list }
+
+let read_directory t ~epsilon ~lo ~hi =
   let s, e = Static_index.entry_bounds t.base ~lo ~hi in
   let z = e - s in
   let j = choose_j t ~epsilon ~z in
-  if z = 0 then Exact (Indexing.Answer.Direct Cbitmap.Posting.empty)
-  else if j > t.k then Exact (Static_index.query t.base ~lo ~hi)
-  else begin
-    let extents =
+  if z = 0 then Empty
+  else if j > t.k then Fallback
+  else
+    let runs =
       Obs.Metrics.phase "directory" (fun () ->
-          List.concat_map
+          List.map
             (fun { Static_index.storage; first; last } ->
               let tab =
                 match storage with
                 | `Leaf -> t.hashed_leaves.(j - 1)
                 | `Level l -> Option.get t.hashed_levels.(l).(j - 1)
               in
-              Indexing.Stream_table.extents tab ~lo:first ~hi:last)
+              (tab, St.extents tab ~lo:first ~hi:last))
             (Static_index.plan_charged t.base ~s ~e))
     in
-    let hashed = Indexing.Stream_table.union extents in
-    Hashed { j; fam = t.fams.(j - 1); hashed; z }
-  end
+    Runs { j; z; runs }
+
+let query t ~epsilon ~lo ~hi =
+  match read_directory t ~epsilon ~lo ~hi with
+  | Empty -> Exact (Indexing.Answer.Direct Posting.empty)
+  | Fallback -> Exact (Static_index.query t.base ~lo ~hi)
+  | Runs { j; z; runs } ->
+      let hashed = St.union (List.concat_map snd runs) in
+      Hashed { j; fam = t.fams.(j - 1); hashed; z }
+
+(* The same reads as [query], in the same order: each run's extents
+   decode through one reader into the arena, and every decoded hash
+   lands in [seen], cleared first so a probe that a fault cut short
+   leaves nothing behind.  A decoded value past the universe can only
+   come from damage and can match no candidate. *)
+let probe t ~epsilon ~lo ~hi cand =
+  match read_directory t ~epsilon ~lo ~hi with
+  | Empty -> Posting.empty
+  | Fallback ->
+      let a = Static_index.query t.base ~lo ~hi in
+      Posting.filter (Indexing.Answer.mem a) cand
+  | Runs { j; runs; _ } ->
+      let fam = t.fams.(j - 1) in
+      let universe = 1 lsl Split.out_bits fam in
+      Bitset.clear t.seen ~n:universe;
+      List.iter
+        (fun (tab, extents) ->
+          let r = St.reader tab in
+          List.iter
+            (fun (e : St.extent) ->
+              if Array.length t.arena < e.count then
+                t.arena <-
+                  Array.make (max e.count (2 * Array.length t.arena)) 0;
+              St.read_into r e t.arena ~at:0;
+              for i = 0 to e.count - 1 do
+                let v = Array.unsafe_get t.arena i in
+                if v < universe then Bitset.add t.seen v
+              done)
+            extents)
+        runs;
+      Posting.filter (fun row -> Bitset.mem t.seen (Split.hash fam row)) cand
 
 let mem answer i =
   match answer with

@@ -60,7 +60,8 @@ let upper_edge t i =
 
 let add t v =
   if v < 0.0 || Float.is_nan v then invalid_arg "Histogram.add: negative";
-  t.buckets.(index t v) <- t.buckets.(index t v) + 1;
+  let i = index t v in
+  t.buckets.(i) <- t.buckets.(i) + 1;
   t.n <- t.n + 1;
   t.sum <- t.sum +. v;
   if v < t.vmin then t.vmin <- v;

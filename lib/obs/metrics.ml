@@ -120,9 +120,19 @@ let histogram ?(lo = 1e-7) ?(hi = 100.0) ?(per_decade = 25) name =
       (h, H h))
     (function H h -> Some h | _ -> None)
 
+(* [observe], [time] and the untraced [phase] sit on per-query paths,
+   so they lock, unlock and re-raise by hand instead of allocating a
+   [Mutex.protect]/[Fun.protect] closure per call. *)
 let observe h v =
   let i = stripe () in
-  Mutex.protect h.locks.(i) (fun () -> Histogram.add h.hcells.(i) v)
+  let m = h.locks.(i) in
+  Mutex.lock m;
+  match Histogram.add h.hcells.(i) v with
+  | () -> Mutex.unlock m
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Mutex.unlock m;
+      Printexc.raise_with_backtrace e bt
 
 (* Estimate-vs-actual error histograms (PR 10).  The sample is the
    ratio (1 + actual) / (1 + estimate): 1.0 means a perfect estimate,
@@ -158,7 +168,14 @@ let now () = !clock ()
 
 let time h f =
   let t0 = now () in
-  Fun.protect ~finally:(fun () -> observe h (max 0.0 (now () -. t0))) f
+  match f () with
+  | v ->
+      observe h (max 0.0 (now () -. t0));
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      observe h (max 0.0 (now () -. t0));
+      Printexc.raise_with_backtrace e bt
 
 (* --- phase spans --- *)
 

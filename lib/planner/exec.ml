@@ -39,26 +39,30 @@ let exact_posting table n (info : Plan.col_info) =
       |> List.map (Indexing.Answer.to_posting ~n)
       |> Posting.union_many
 
-(* The column's §3 approximate answers at [epsilon], one per range.
-   Reading the hashed sets is the only device I/O; membership tests
-   and candidate preimages are in memory. *)
-let approx_answers table ~epsilon (info : Plan.col_info) =
+let approx_index table (info : Plan.col_info) =
   match Table.col_approx table info.column with
   | None ->
       invalid_arg ("Exec: no approximate index on column " ^ info.column)
-  | Some a ->
-      List.map
-        (fun (lo, hi) -> Secidx.Approx_index.query a ~epsilon ~lo ~hi)
-        info.ranges
+  | Some a -> a
+
+(* The column's §3 approximate answers at [epsilon], one per range.
+   Reading the hashed sets is the only device I/O; candidate preimages
+   are in memory. *)
+let approx_answers table ~epsilon (info : Plan.col_info) =
+  let a = approx_index table info in
+  List.map
+    (fun (lo, hi) -> Secidx.Approx_index.query a ~epsilon ~lo ~hi)
+    info.ranges
 
 (* Keep candidates that are hashed-members of any of the column's
-   per-range approximate answers; false positives survive to
-   verification. *)
+   per-range approximate answers, probed range by range in order;
+   false positives survive to verification. *)
 let prefilter_posting table ~epsilon info cand =
-  let answers = approx_answers table ~epsilon info in
-  Posting.filter
-    (fun row -> List.exists (fun ans -> Secidx.Approx_index.mem ans row) answers)
-    cand
+  let a = approx_index table info in
+  List.map
+    (fun (lo, hi) -> Secidx.Approx_index.probe a ~epsilon ~lo ~hi cand)
+    info.ranges
+  |> Posting.union_many
 
 (* Verification: read each surviving candidate's cells (charged when
    the rows are stored) and keep rows passing every listed column's

@@ -60,6 +60,11 @@ let exact_col_io cost p =
 
 type opt = { action : action; io : float }
 
+(* A probed column with its costs, computed once per query: [exact] is
+   its exact-decode I/O (as a driver or an [Exact_inter] step), [opts]
+   its step options.  Every driver reuses them. *)
+type costed = { p : probed; exact : float; opts : opt list }
+
 (* Candidate-set survival ratio of a non-driver step, under
    independence: exact intersection keeps sel; a prefilter keeps sel
    plus an ε false-positive share of the rest; a residual column does
@@ -69,12 +74,9 @@ let survival ~sel = function
   | Prefilter { epsilon } -> sel +. (epsilon *. (1.0 -. sel))
   | Residual -> 1.0
 
-let col_options cost table p =
+let col_options cost table p ~exact =
   let base =
-    [
-      { action = Exact_inter; io = exact_col_io cost p };
-      { action = Residual; io = 0.0 };
-    ]
+    [ { action = Exact_inter; io = exact }; { action = Residual; io = 0.0 } ]
   in
   match Ridint.Table.col_approx table p.info.column with
   | None -> base
@@ -96,10 +98,15 @@ let col_options cost table p =
       in
       prefilters @ base
 
-(* Full cost of one (driver, per-column action) assignment. *)
-let eval cost ~probe_io driver combo =
+let cost_column cost table p =
+  let exact = exact_col_io cost p in
+  { p; exact; opts = col_options cost table p ~exact }
+
+(* Full cost of one (driver, per-column action) assignment; [driver_io]
+   is the driver's exact-decode I/O. *)
+let eval cost ~probe_io ~driver_io driver combo =
   let n = float_of_int cost.Cost.n in
-  let io = ref (probe_io +. exact_col_io cost driver) in
+  let io = ref (probe_io +. driver_io) in
   let cand = ref (float_of_int driver.z) in
   let result = ref (float_of_int driver.z) in
   let needs_verify = ref false in
@@ -124,30 +131,32 @@ let rec product = function
 (* Beyond the exhaustive cap, one pass of coordinate descent: score
    each column's options with every other column held at exact
    intersection, keep the per-column winners as the single combo. *)
-let greedy cost ~probe_io driver others opts =
+let greedy cost ~probe_io ~driver_io driver others =
   let considered = ref 0 in
   let combo =
-    List.map2
-      (fun p opts ->
+    List.map
+      (fun c ->
         let rest =
           List.filter_map
             (fun q ->
-              if q.info.column = p.info.column then None
-              else Some (q, { action = Exact_inter; io = exact_col_io cost q }))
+              if q.p.info.column = c.p.info.column then None
+              else Some (q.p, { action = Exact_inter; io = q.exact }))
             others
         in
         let best =
           List.fold_left
             (fun acc o ->
               incr considered;
-              let io, _, _ = eval cost ~probe_io driver ((p, o) :: rest) in
+              let io, _, _ =
+                eval cost ~probe_io ~driver_io driver ((c.p, o) :: rest)
+              in
               match acc with
               | Some (_, best_io) when best_io <= io -> acc
               | _ -> Some (o, io))
-            None opts
+            None c.opts
         in
-        (p, fst (Option.get best)))
-      others opts
+        (c.p, fst (Option.get best)))
+      others
   in
   (combo, !considered)
 
@@ -156,33 +165,38 @@ let enumerate cost table probed kind =
     Cost.probe_ios cost
       ~ranges:(List.fold_left (fun a p -> a + List.length p.zs) 0 probed)
   in
+  let costed = List.map (cost_column cost table) probed in
   let considered = ref 0 in
   let best = ref None in
   List.iter
-    (fun driver ->
+    (fun d ->
+      let driver = d.p and driver_io = d.exact in
       let others =
-        List.filter (fun p -> p.info.column <> driver.info.column) probed
+        List.filter (fun c -> c.p.info.column <> driver.info.column) costed
       in
-      let opts = List.map (col_options cost table) others in
       let combos =
-        let size = List.fold_left (fun a o -> a * List.length o) 1 opts in
+        let size =
+          List.fold_left (fun a c -> a * List.length c.opts) 1 others
+        in
         if size <= 512 then (
-          let cs = product opts in
+          let cs = product (List.map (fun c -> c.opts) others) in
           considered := !considered + List.length cs;
-          List.map (fun c -> List.combine others c) cs)
+          List.map (List.map2 (fun c o -> (c.p, o)) others) cs)
         else
-          let combo, c = greedy cost ~probe_io driver others opts in
+          let combo, c = greedy cost ~probe_io ~driver_io driver others in
           considered := !considered + c + 1;
           [ combo ]
       in
       List.iter
         (fun combo ->
-          let io, result, verify = eval cost ~probe_io driver combo in
+          let io, result, verify =
+            eval cost ~probe_io ~driver_io driver combo
+          in
           match !best with
           | Some (_, _, _, _, best_io) when best_io <= io -> ()
           | _ -> best := Some (driver, combo, result, verify, io))
         combos)
-    probed;
+    costed;
   let driver, combo, est_result, est_verify, est_ios = Option.get !best in
   (* Execution order: candidate-reducing steps first (most selective
      leading), residual checks at verification time. *)

@@ -1,5 +1,6 @@
 module St = Indexing.Stream_table
 module Posting = Cbitmap.Posting
+module Bitset = Cbitmap.Bitset
 
 type t = { table : St.t; sigma : int }
 

@@ -1,4 +1,5 @@
 module Posting = Cbitmap.Posting
+module Bitset = Cbitmap.Bitset
 module St = Indexing.Stream_table
 
 (* Always-on metrics (PR 9): write-path health the scrape exports —

@@ -7,8 +7,9 @@
     bits charged, same blocks read.  The interleaved pull-stream merge
     that range unions used before whole-extent decode lives here too
     ({!Merge}, {!Stream_table.merge_union}), and so do the WAL store's
-    query and merge by posting set algebra ({!Wal_store}).  Nothing in
-    [lib] links this library. *)
+    query and merge by posting set algebra ({!Wal_store}) and the
+    planner's per-driver plan costing ({!Plan}).  Nothing in [lib]
+    links this library. *)
 
 (** Abstract sequential bit reader: one closure call per read. *)
 module Reader = struct
@@ -634,4 +635,216 @@ module Wal_store = struct
           (runs_newest_first t);
         Posting.union !result
           (Posting.diff (St.read_union (Wal.Run.table t.base) ~lo ~hi) !shadow)
+end
+
+(* The planner's plan choice as it costed before each probed column's
+   costs were computed once per query: [enumerate] re-derives every
+   other column's options for each driver, and [eval] re-costs the
+   driver's exact decode for every combination.
+   [Planner.Plan.choose] must return a bit-identical plan: the same
+   shape, [considered] and estimates. *)
+module Plan = struct
+  open Planner.Plan
+
+  (* A column as planning sees it: its plan entry plus the per-range
+     cardinalities the directory probes returned ([zs] aligned with
+     [info.ranges], [z] their sum). *)
+  type probed = { info : col_info; zs : int list; z : int }
+
+  (* Charged directory probes for every effective column (two A-array
+     reads per range), in normalized column order. *)
+  let probe_columns table (nq : Planner.Ast.normal) =
+    List.map
+      (fun (column, ranges) ->
+        let idx = Ridint.Table.col_index table column in
+        let zs =
+          List.map
+            (fun (lo, hi) ->
+              let s, e = Secidx.Static_index.entry_bounds idx ~lo ~hi in
+              e - s)
+            ranges
+        in
+        let z = List.fold_left ( + ) 0 zs in
+        { info = { column; ranges; z = Some z }; zs; z })
+      nq.columns
+
+  (* ε grid for the prefilter decision: coarse enough to keep the
+     enumeration tiny, wide enough that the verification-vs-hashed-bits
+     tradeoff has somewhere to move. *)
+  let eps_grid = [ 0.5; 0.1; 0.01 ]
+
+  (* Exact decode of a whole column: one plan per range (batched at
+     execution time, but the payload volume estimate is additive). *)
+  let exact_col_io cost p =
+    List.fold_left (fun acc z -> acc +. Planner.Cost.exact_ios cost ~z) 0.0 p.zs
+
+  type opt = { action : action; io : float }
+
+  (* Candidate-set survival ratio of a non-driver step, under
+     independence: exact intersection keeps sel; a prefilter keeps sel
+     plus an ε false-positive share of the rest; a residual column does
+     not reduce candidates before verification at all. *)
+  let survival ~sel = function
+    | Exact_inter -> sel
+    | Prefilter { epsilon } -> sel +. (epsilon *. (1.0 -. sel))
+    | Residual -> 1.0
+
+  let col_options cost table p =
+    let base =
+      [
+        { action = Exact_inter; io = exact_col_io cost p };
+        { action = Residual; io = 0.0 };
+      ]
+    in
+    match Ridint.Table.col_approx table p.info.column with
+    | None -> base
+    | Some a ->
+        let k = Secidx.Approx_index.k a in
+        let prefilters =
+          List.map
+            (fun epsilon ->
+              let io =
+                List.fold_left
+                  (fun acc z ->
+                    let l = Secidx.Approx_index.level a ~epsilon ~z in
+                    if l > k then acc +. Planner.Cost.exact_ios cost ~z
+                    else acc +. Planner.Cost.prefilter_ios cost ~level:l ~z)
+                  0.0 p.zs
+              in
+              { action = Prefilter { epsilon }; io })
+            eps_grid
+        in
+        prefilters @ base
+
+  (* Full cost of one (driver, per-column action) assignment. *)
+  let eval cost ~probe_io driver combo =
+    let n = float_of_int cost.Planner.Cost.n in
+    let io = ref (probe_io +. exact_col_io cost driver) in
+    let cand = ref (float_of_int driver.z) in
+    let result = ref (float_of_int driver.z) in
+    let needs_verify = ref false in
+    List.iter
+      (fun (p, o) ->
+        let sel = float_of_int p.z /. n in
+        io := !io +. o.io;
+        result := !result *. sel;
+        cand := !cand *. survival ~sel o.action;
+        match o.action with Exact_inter -> () | _ -> needs_verify := true)
+      combo;
+    let est_verify = if !needs_verify then !cand else 0.0 in
+    io := !io +. Planner.Cost.verify_ios cost ~rows:est_verify;
+    (!io, !result, est_verify)
+
+  let rec product = function
+    | [] -> [ [] ]
+    | opts :: rest ->
+        let tails = product rest in
+        List.concat_map (fun o -> List.map (fun t -> o :: t) tails) opts
+
+  (* Beyond the exhaustive cap, one pass of coordinate descent: score
+     each column's options with every other column held at exact
+     intersection, keep the per-column winners as the single combo. *)
+  let greedy cost ~probe_io driver others opts =
+    let considered = ref 0 in
+    let combo =
+      List.map2
+        (fun p opts ->
+          let rest =
+            List.filter_map
+              (fun q ->
+                if q.info.column = p.info.column then None
+                else Some (q, { action = Exact_inter; io = exact_col_io cost q }))
+              others
+          in
+          let best =
+            List.fold_left
+              (fun acc o ->
+                incr considered;
+                let io, _, _ = eval cost ~probe_io driver ((p, o) :: rest) in
+                match acc with
+                | Some (_, best_io) when best_io <= io -> acc
+                | _ -> Some (o, io))
+              None opts
+          in
+          (p, fst (Option.get best)))
+        others opts
+    in
+    (combo, !considered)
+
+  let enumerate cost table probed kind =
+    let probe_io =
+      Planner.Cost.probe_ios cost
+        ~ranges:(List.fold_left (fun a p -> a + List.length p.zs) 0 probed)
+    in
+    let considered = ref 0 in
+    let best = ref None in
+    List.iter
+      (fun driver ->
+        let others =
+          List.filter (fun p -> p.info.column <> driver.info.column) probed
+        in
+        let opts = List.map (col_options cost table) others in
+        let combos =
+          let size = List.fold_left (fun a o -> a * List.length o) 1 opts in
+          if size <= 512 then (
+            let cs = product opts in
+            considered := !considered + List.length cs;
+            List.map (fun c -> List.combine others c) cs)
+          else
+            let combo, c = greedy cost ~probe_io driver others opts in
+            considered := !considered + c + 1;
+            [ combo ]
+        in
+        List.iter
+          (fun combo ->
+            let io, result, verify = eval cost ~probe_io driver combo in
+            match !best with
+            | Some (_, _, _, _, best_io) when best_io <= io -> ()
+            | _ -> best := Some (driver, combo, result, verify, io))
+          combos)
+      probed;
+    let driver, combo, est_result, est_verify, est_ios = Option.get !best in
+    (* Execution order: candidate-reducing steps first (most selective
+       leading), residual checks at verification time. *)
+    let filters, residuals =
+      List.partition (fun (_, o) -> o.action <> Residual) combo
+    in
+    let filters = List.sort (fun (a, _) (b, _) -> compare a.z b.z) filters in
+    let steps =
+      List.map
+        (fun (p, o) -> { info = p.info; action = o.action })
+        (filters @ residuals)
+    in
+    {
+      shape = Scan { driver = driver.info; decode = Exact; steps };
+      kind;
+      est_result;
+      est_verify;
+      est_ios;
+      considered = !considered;
+    }
+
+  (* A plan with nothing left to cost: every estimate [est]. *)
+  let bare ?(est = 0.0) ~considered kind shape =
+    { shape; kind; est_result = est; est_verify = est; est_ios = est; considered }
+
+  let choose cost table (nq : Planner.Ast.normal) =
+    let kind = nq.kind in
+    if nq.empty then bare ~considered:1 kind Const_empty
+    else
+      match (probe_columns table nq, kind) with
+      | [], _ ->
+          {
+            (bare ~considered:1 kind All_rows) with
+            est_result = float_of_int (Ridint.Table.rows table);
+          }
+      | [ p ], Planner.Ast.Count ->
+          {
+            (bare ~considered:1 kind
+               (Count_directory { column = p.info.column; count = p.z }))
+            with
+            est_result = float_of_int p.z;
+            est_ios = Planner.Cost.probe_ios cost ~ranges:(List.length p.zs);
+          }
+      | probed, _ -> enumerate cost table probed kind
 end

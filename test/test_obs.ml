@@ -477,6 +477,31 @@ let test_metrics_phase () =
       Alcotest.(check string) "span cat" "phase"
         (List.hd spans).Obs.Trace.span_cat)
 
+exception Phase_boom of int
+
+(* A phase whose body raises still counts and times it once, re-raises
+   the very exception, and leaves its stripe's mutex free: the next
+   observe and a scrape lock it again without blocking or failing. *)
+let test_metrics_phase_raises () =
+  Obs.Metrics.reset ();
+  let boom = Phase_boom 7 in
+  (match Obs.Metrics.phase "testraise" (fun () -> raise boom) with
+  | () -> Alcotest.fail "phase swallowed the exception"
+  | exception e ->
+      Alcotest.(check bool) "same exception" true (e == boom));
+  let h = Obs.Metrics.histogram "phase_testraise_seconds" in
+  Alcotest.(check int) "counted once" 1
+    (Obs.Metrics.counter_value (Obs.Metrics.counter "phase_testraise_total"));
+  Alcotest.(check int) "observed once" 1
+    (Obs.Histogram.count (Obs.Metrics.snapshot h));
+  (* a rejected sample raises from inside the locked section *)
+  (match Obs.Metrics.observe h (-1.0) with
+  | () -> Alcotest.fail "negative sample accepted"
+  | exception Invalid_argument _ -> ());
+  Obs.Metrics.observe h 0.5;
+  Alcotest.(check int) "mutex free after both raises" 2
+    (Obs.Histogram.count (Obs.Metrics.snapshot h))
+
 let test_prometheus_export () =
   Obs.Metrics.reset ();
   Obs.Metrics.incr ~by:3 (Obs.Metrics.counter "test_prom_total");
@@ -705,6 +730,7 @@ let suite =
     Alcotest.test_case "metrics multi-domain hammer" `Quick
       test_metrics_hammer;
     Alcotest.test_case "metrics phase" `Quick test_metrics_phase;
+    Alcotest.test_case "metrics phase raises" `Quick test_metrics_phase_raises;
     Alcotest.test_case "prometheus export" `Quick test_prometheus_export;
     Alcotest.test_case "multi-domain trace" `Quick test_multidomain_trace;
     Alcotest.test_case "json parser" `Quick test_json_parser;

@@ -396,6 +396,133 @@ let prop_fixed_counter_parity =
           | _ -> true)
         [ `Exact; `Exact_stored_hybrid; `Approx ])
 
+(* --- plan identity: each column costed once per query --- *)
+
+type plan_pred = Span of int * int | Values of int list
+
+type plan_case = {
+  seed : int;
+  rows : int;
+  cols : (int * plan_pred option) list;  (* sigma, this column's predicate *)
+  approx : bool;
+  stored : bool;
+  count : bool;
+  consts : float * float * float;  (* c_exact, c_approx, c_verify *)
+}
+
+let plan_case_gen =
+  let open QCheck.Gen in
+  let pred =
+    oneof
+      [
+        map2 (fun a b -> Span (a, b)) nat nat;
+        map (fun vs -> Values vs) (list_size (int_range 1 4) nat);
+      ]
+  in
+  let col =
+    pair
+      (oneofl [ 2; 3; 8; 16; 64 ])
+      (frequency [ (1, return None); (6, map Option.some pred) ])
+  in
+  int_bound 100_000 >>= fun seed ->
+  int_range 20 400 >>= fun rows ->
+  frequencyl [ (1, 2); (1, 3); (1, 4); (2, 5) ] >>= fun ncols ->
+  list_repeat ncols col >>= fun cols ->
+  bool >>= fun approx ->
+  frequencyl [ (3, true); (1, false) ] >>= fun stored ->
+  bool >>= fun count ->
+  triple (float_range 0.25 4.0) (float_range 0.25 4.0) (float_range 0.05 20.0)
+  >>= fun consts -> return { seed; rows; cols; approx; stored; count; consts }
+
+let print_plan_case c =
+  let pred = function
+    | None -> "-"
+    | Some (Span (a, b)) -> Printf.sprintf "span %d %d" a b
+    | Some (Values vs) ->
+        "values " ^ String.concat "," (List.map string_of_int vs)
+  in
+  let ce, ca, cv = c.consts in
+  Printf.sprintf
+    "seed=%d rows=%d approx=%b stored=%b count=%b c=(%h,%h,%h) [%s]" c.seed
+    c.rows c.approx c.stored c.count ce ca cv
+    (String.concat "; "
+       (List.map
+          (fun (sigma, p) -> Printf.sprintf "s=%d %s" sigma (pred p))
+          c.cols))
+
+(* [Plan.choose] against the reference that re-costs every column for
+   each driver: the same plan, [considered] and estimates to the bit,
+   over 2-5 columns (5 effective columns with approximate indexes take
+   the greedy path: 5^4 combinations per driver), single- and
+   multi-range columns, Rows and Count. *)
+let prop_plan_identity =
+  QCheck.Test.make ~count:150 ~long_factor:10
+    ~name:"choose = per-driver reference costing (bit-equal)"
+    (QCheck.make ~print:print_plan_case plan_case_gen)
+    (fun c ->
+      let rng = Hashing.Universal.Rng.create ~seed:c.seed in
+      let name i = Printf.sprintf "c%d" i in
+      let columns =
+        List.mapi
+          (fun i (sigma, _) ->
+            {
+              Ridint.Table.name = name i;
+              sigma;
+              values =
+                Array.init c.rows (fun _ ->
+                    Hashing.Universal.Rng.below rng sigma);
+            })
+          c.cols
+      in
+      let t =
+        if c.approx then
+          Ridint.Table.create_approx ~seed:c.seed ~store_rows:c.stored
+            (device ()) columns
+        else Ridint.Table.create ~store_rows:c.stored (device ()) columns
+      in
+      let preds =
+        List.concat
+          (List.mapi
+             (fun i (sigma, p) ->
+               match p with
+               | None -> []
+               | Some (Span (a, b)) ->
+                   let a = a mod sigma and b = b mod sigma in
+                   [ Planner.Ast.range (name i) ~lo:(min a b) ~hi:(max a b) ]
+               | Some (Values vs) ->
+                   [
+                     Planner.Ast.member (name i)
+                       (List.map (fun v -> v mod sigma) vs);
+                   ])
+             c.cols)
+      in
+      let kind = if c.count then Planner.Ast.Count else Planner.Ast.Rows in
+      let nq =
+        Planner.Ast.normalize ~sigma_of:(Ridint.Table.col_sigma t)
+          (Planner.Ast.conj ~kind preds)
+      in
+      let c_exact, c_approx, c_verify = c.consts in
+      let cost =
+        { (Planner.Cost.of_table t) with c_exact; c_approx; c_verify }
+      in
+      let got = Planner.Plan.choose cost t nq in
+      let want = Oracle.Plan.choose cost t nq in
+      let bits f = Int64.bits_of_float f in
+      let same name a b =
+        bits a = bits b
+        || QCheck.Test.fail_reportf "%s: %h, reference %h" name a b
+      in
+      (Planner.Plan.describe got = Planner.Plan.describe want
+      || QCheck.Test.fail_reportf "plan %s, reference %s"
+           (Planner.Plan.describe got) (Planner.Plan.describe want))
+      && got.shape = want.shape && got.kind = want.kind
+      && (got.considered = want.considered
+         || QCheck.Test.fail_reportf "considered %d, reference %d"
+              got.considered want.considered)
+      && same "est_ios" got.est_ios want.est_ios
+      && same "est_result" got.est_result want.est_result
+      && same "est_verify" got.est_verify want.est_verify)
+
 let suite =
   [
     Alcotest.test_case "normalization" `Quick test_normalize;
@@ -414,6 +541,7 @@ let suite =
       (prop_planner_matches_naive `Approx_stored
          "planner = naive (approx, stored rows)");
     qcheck prop_fixed_counter_parity;
+    qcheck prop_plan_identity;
     qcheck
       (prop_count_matches_cardinality `Exact
          "count = cardinality (exact table)");

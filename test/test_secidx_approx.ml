@@ -185,10 +185,171 @@ let test_hashed_space_overhead () =
   if hashed > 3 * base then
     Alcotest.failf "hashed sets too large: %d vs base %d" hashed base
 
+(* --- the candidate probe --- *)
+
+(* Run [f] cold and return its result with the counters it charged. *)
+let cold dev f =
+  Iosim.Device.clear_pool dev;
+  Iosim.Device.reset_stats dev;
+  let r = f () in
+  (r, Iosim.Stats.snapshot (Iosim.Device.stats dev))
+
+(* What the planner's prefilter kept before the probe: every range's
+   approximate answer read in order, then hashed membership. *)
+let reference_keep t ~epsilon ranges cand =
+  let answers =
+    List.map
+      (fun (lo, hi) -> Secidx.Approx_index.query t ~epsilon ~lo ~hi)
+      ranges
+  in
+  Cbitmap.Posting.filter
+    (fun row -> List.exists (fun a -> Secidx.Approx_index.mem a row) answers)
+    cand
+
+let probe_keep t ~epsilon ranges cand =
+  Cbitmap.Posting.union_many
+    (List.map
+       (fun (lo, hi) -> Secidx.Approx_index.probe t ~epsilon ~lo ~hi cand)
+       ranges)
+
+(* The probe keeps exactly the reference's rows and charges exactly
+   its counters, every [Stats] field. *)
+let probe_parity dev t ~epsilon ranges cand =
+  let want, want_stats =
+    cold dev (fun () -> reference_keep t ~epsilon ranges cand)
+  in
+  let got, got_stats =
+    cold dev (fun () -> probe_keep t ~epsilon ranges cand)
+  in
+  (Cbitmap.Posting.equal got want
+  || QCheck.Test.fail_reportf "kept %d rows, reference %d"
+       (Cbitmap.Posting.cardinal got) (Cbitmap.Posting.cardinal want))
+  && (Iosim.Stats.equal got_stats want_stats
+     || QCheck.Test.fail_reportf "stats differ:@ %a@ vs reference@ %a"
+          Iosim.Stats.pp got_stats Iosim.Stats.pp want_stats)
+
+(* Skewed columns (low values common, high ones often absent, so
+   empty ranges occur), 1-3 ranges, ε from the planner's grid. *)
+let probe_gen =
+  QCheck.make
+    ~print:(fun (sigma, data, ranges, epsilon, cand) ->
+      Printf.sprintf "sigma=%d n=%d eps=%g ranges=[%s] cand=%d" sigma
+        (Array.length data) epsilon
+        (String.concat " "
+           (List.map (fun (lo, hi) -> Printf.sprintf "%d-%d" lo hi) ranges))
+        (List.length cand))
+    QCheck.Gen.(
+      int_range 1 40 >>= fun sigma ->
+      int_range 1 600 >>= fun n ->
+      array_size (return n)
+        (map (fun u -> u * u / sigma) (int_range 0 (sigma - 1)))
+      >>= fun data ->
+      list_size (int_range 1 3)
+        (map2
+           (fun a b -> (min a b, max a b))
+           (int_bound (sigma - 1))
+           (int_bound (sigma - 1)))
+      >>= fun ranges ->
+      oneofl [ 0.5; 0.1; 0.01 ] >>= fun epsilon ->
+      oneof
+        [
+          list_size (int_bound n) (int_bound (n - 1));
+          return (List.init n Fun.id);
+        ]
+      >>= fun cand -> return (sigma, data, ranges, epsilon, cand))
+
+let prop_probe_parity =
+  QCheck.Test.make ~count:200 ~long_factor:10
+    ~name:"probe = query + mem: rows and every counter" probe_gen
+    (fun (sigma, data, ranges, epsilon, cand) ->
+      let dev = device ~mem_blocks:8 () in
+      let t = Secidx.Approx_index.build dev ~sigma data in
+      probe_parity dev t ~epsilon ranges (Cbitmap.Posting.of_list cand))
+
+(* Each read path on purpose: a range with no rows, the exact
+   fallback (j > k), the hashed path, and two ranges mixing them. *)
+let test_probe_paths () =
+  let n = 2000 and sigma = 64 in
+  let data =
+    Array.init n (fun i -> if i mod 97 = 0 then 63 else i * 7 mod 60)
+  in
+  let dev = device ~mem_blocks:8 () in
+  let t = Secidx.Approx_index.build dev ~sigma data in
+  let cand = Cbitmap.Posting.of_sorted_array (Array.init n Fun.id) in
+  let path ~epsilon ~lo ~hi =
+    match Secidx.Approx_index.query t ~epsilon ~lo ~hi with
+    | Secidx.Approx_index.Exact a when Indexing.Answer.cardinal ~n a = 0 ->
+        "empty"
+    | Secidx.Approx_index.Exact _ -> "exact"
+    | Secidx.Approx_index.Hashed _ -> "hashed"
+  in
+  List.iter
+    (fun (name, epsilon, ranges, expect) ->
+      List.iter2
+        (fun (lo, hi) e ->
+          Alcotest.(check string) (name ^ " path") e (path ~epsilon ~lo ~hi))
+        ranges expect;
+      Alcotest.(check bool) name true (probe_parity dev t ~epsilon ranges cand))
+    [
+      ("z = 0", 0.1, [ (61, 62) ], [ "empty" ]);
+      ("j > k", 0.01, [ (0, 40) ], [ "exact" ]);
+      ("hashed", 0.5, [ (5, 5) ], [ "hashed" ]);
+      ( "multi-range",
+        0.5,
+        [ (5, 5); (61, 62); (20, 21); (63, 63) ],
+        [ "hashed"; "empty"; "hashed"; "hashed" ] );
+      ("with fallback", 0.01, [ (0, 40); (61, 62) ], [ "exact"; "empty" ]);
+    ]
+
+(* A transient read fault on any block a probe reads raises [IO_error]
+   out of it, and the next probe, over another range at the same hash
+   level, keeps exactly the reference's rows: nothing the faulted probe
+   decoded survives into it.  The faulted range spans several extents,
+   so a fault can land after some of its hashes were decoded. *)
+let test_probe_fault_hygiene () =
+  let n = 2000 and sigma = 512 and epsilon = 0.5 in
+  let data = Array.init n (fun i -> (i * 37) mod sigma) in
+  let dev = device ~mem_blocks:8 () in
+  let t = Secidx.Approx_index.build dev ~sigma data in
+  let cand = Cbitmap.Posting.of_sorted_array (Array.init n Fun.id) in
+  let level lo hi =
+    match Secidx.Approx_index.query t ~epsilon ~lo ~hi with
+    | Secidx.Approx_index.Hashed { j; _ } -> j
+    | Secidx.Approx_index.Exact _ -> Alcotest.fail "expected a hashed answer"
+  in
+  Alcotest.(check int) "same hash level" (level 13 26) (level 300 313);
+  let want = reference_keep t ~epsilon [ (300, 313) ] cand in
+  let raised = ref 0 in
+  for block = 0 to Iosim.Device.used_bits dev / Iosim.Device.block_bits dev do
+    Iosim.Device.clear_pool dev;
+    let plan = Iosim.Fault.create () in
+    Iosim.Device.set_fault dev plan;
+    Iosim.Fault.arm_transient_read plan ~block ~failures:1;
+    let failed =
+      match Secidx.Approx_index.probe t ~epsilon ~lo:13 ~hi:26 cand with
+      | _ -> false
+      | exception Secidx_error.IO_error _ -> true
+    in
+    Iosim.Device.clear_fault dev;
+    if failed then incr raised;
+    Alcotest.(check bool)
+      (Printf.sprintf "block %d: a consumed fault raises" block)
+      (Iosim.Fault.pending_transients plan = 0)
+      failed;
+    let got = Secidx.Approx_index.probe t ~epsilon ~lo:300 ~hi:313 cand in
+    if not (Cbitmap.Posting.equal got want) then
+      Alcotest.failf "block %d: the probe after the fault is wrong" block
+  done;
+  Alcotest.(check bool) "faults landed" true (!raised > 0)
+
 let suite =
   [
     qcheck prop_superset;
     qcheck prop_mem_matches_candidates;
+    qcheck prop_probe_parity;
+    Alcotest.test_case "probe read paths" `Quick test_probe_paths;
+    Alcotest.test_case "probe after a read fault" `Quick
+      test_probe_fault_hygiene;
     Alcotest.test_case "false positive rate" `Quick test_false_positive_rate;
     Alcotest.test_case "bits read scale with epsilon" `Quick
       test_bits_read_scale_with_epsilon;
