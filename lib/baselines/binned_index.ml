@@ -4,6 +4,7 @@ type t = {
   w : int;
   n : int;
   sigma : int;
+  arena : Indexing.Stream_table.Arena.t;
 }
 
 let build ?code device ~sigma ~w x =
@@ -22,9 +23,11 @@ let build ?code device ~sigma ~w x =
     w;
     n = Array.length x;
     sigma;
+    arena = Indexing.Stream_table.Arena.create ();
   }
 
 let query_clamped t ~lo ~hi =
+  Indexing.Stream_table.Arena.clear t.arena;
   let w = t.w in
   (* Bins fully contained in [lo..hi]. *)
   let first_full = (lo + w - 1) / w in
@@ -51,7 +54,9 @@ let query_clamped t ~lo ~hi =
         end)
   in
   Indexing.Answer.Direct
-    (Obs.Metrics.phase "payload" (fun () -> Indexing.Stream_table.union extents))
+    (Obs.Metrics.phase "payload" (fun () ->
+         Indexing.Stream_table.Arena.union t.arena
+           (List.map (Indexing.Stream_table.Arena.read t.arena) extents)))
 
 let query t ~lo ~hi =
   match Indexing.Common.clamp_range ~sigma:t.sigma ~lo ~hi with

@@ -1,62 +1,59 @@
-type t = { table : Indexing.Stream_table.t; n : int; sigma : int }
+module St = Indexing.Stream_table
+
+type t = { name : string; table : St.t; arena : St.Arena.t; n : int; sigma : int }
+
+let of_table ~name table ~n ~sigma =
+  { name; table; arena = St.Arena.create (); n; sigma }
 
 let build ?code device ~sigma x =
   let postings = Indexing.Common.positions_by_char ~sigma x in
-  { table = Indexing.Stream_table.build ?code device postings; n = Array.length x; sigma }
+  of_table ~name:"bitmap-compressed" (St.build ?code device postings)
+    ~n:(Array.length x) ~sigma
 
+let table t = t.table
+
+(* Every directory entry of the range is read before any payload, so
+   the directory blocks and the payload run each see one pass. *)
 let query t ~lo ~hi =
   match Indexing.Common.clamp_range ~sigma:t.sigma ~lo ~hi with
   | None -> Indexing.Answer.Direct Cbitmap.Posting.empty
   | Some (lo, hi) ->
-      Indexing.Answer.Direct (Indexing.Stream_table.read_union t.table ~lo ~hi)
+      St.Arena.clear t.arena;
+      let es = Obs.Metrics.phase "directory" (fun () -> St.extents t.table ~lo ~hi) in
+      Indexing.Answer.Direct
+        (Obs.Metrics.phase "payload" (fun () ->
+             St.Arena.union t.arena (List.map (St.Arena.read t.arena) es)))
 
-let point_query t c = Indexing.Stream_table.read_one t.table c
-let size_bits t = Indexing.Stream_table.size_bits t.table
-
-(* Batched execution (PR 5): one posting cache over the per-character
+(* Batched execution (PR 5): one slice cache over the per-character
    streams; a batch of overlapping ranges decodes each character's
    stream once.  Uncached sub-runs of each range are prefetched so the
    payload pass is sequential. *)
 let query_batch t ranges =
   let plan = Indexing.Batch.normalize ~sigma:t.sigma ranges in
+  St.Arena.clear t.arena;
   let cache =
     Indexing.Batch.Cache.create
-      ~decode:(fun c -> Indexing.Stream_table.read_one t.table c)
+      ~decode:(fun c -> St.Arena.read_stream t.arena t.table c)
       ()
   in
   let answer_one (lo, hi) =
-    let flush a b =
-      if a <= b then begin
-        let pos, len = Indexing.Stream_table.payload_span t.table ~lo:a ~hi:b in
-        Iosim.Device.prefetch (Indexing.Stream_table.device t.table) ~pos ~len
-      end
-    in
-    let start = ref (-1) in
-    for c = lo to hi do
-      if Indexing.Batch.Cache.mem cache c then begin
-        if !start >= 0 then flush !start (c - 1);
-        start := -1
-      end
-      else if !start < 0 then start := c
-    done;
-    if !start >= 0 then flush !start hi;
+    St.prefetch_uncached t.table ~cached:(Indexing.Batch.Cache.mem cache) ~lo ~hi;
     Indexing.Answer.Direct
-      (Cbitmap.Posting.union_many
-         (List.init (hi - lo + 1) (fun k ->
-              Indexing.Batch.Cache.get cache (lo + k))))
+      (St.Arena.union t.arena
+         (List.init (hi - lo + 1) (fun k -> Indexing.Batch.Cache.get cache (lo + k))))
   in
-  Indexing.Batch.fan_out plan
-    (Array.map answer_one plan.Indexing.Batch.uniq)
+  Indexing.Batch.fan_out plan (Array.map answer_one plan.Indexing.Batch.uniq)
 
-let instance ?code device ~sigma x =
-  let t = build ?code device ~sigma x in
+let instance_of t =
   {
-    Indexing.Instance.name = "bitmap-compressed";
-    device;
+    Indexing.Instance.name = t.name;
+    device = St.device t.table;
     n = t.n;
-    sigma;
-    size_bits = size_bits t;
+    sigma = t.sigma;
+    size_bits = St.size_bits t.table;
     query = (fun ~lo ~hi -> query t ~lo ~hi);
     batch = Some (query_batch t);
-    integrity = Some (Indexing.Stream_table.integrity t.table);
+    integrity = Some (St.integrity t.table);
   }
+
+let instance ?code device ~sigma x = instance_of (build ?code device ~sigma x)

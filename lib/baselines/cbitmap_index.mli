@@ -19,10 +19,14 @@ val query : t -> lo:int -> hi:int -> Indexing.Answer.t
     once per batch; uncached runs are prefetched. *)
 val query_batch : t -> (int * int) array -> Indexing.Answer.t array
 
-(** Read one character's bitmap (a point query). *)
-val point_query : t -> int -> Cbitmap.Posting.t
+(** [of_table ~name table ~n ~sigma]: the index over a table holding
+    one stream per character of a length-[n] string, in any payload
+    layout; [name] is its instance name.  {!Roaring_index} is this
+    over a [Hybrid] table. *)
+val of_table : name:string -> Indexing.Stream_table.t -> n:int -> sigma:int -> t
 
-val size_bits : t -> int
+val table : t -> Indexing.Stream_table.t
+val instance_of : t -> Indexing.Instance.t
 
 val instance :
   ?code:Cbitmap.Gap_codec.code ->

@@ -4,6 +4,7 @@ type t = {
   w : int;
   n : int;
   sigma : int;
+  arena : Indexing.Stream_table.Arena.t;
 }
 
 let build_with_widths ?code device ~sigma ~widths x =
@@ -24,7 +25,14 @@ let build_with_widths ?code device ~sigma ~widths x =
         end)
       widths
   in
-  { tables; widths; w = 0; n = Array.length x; sigma }
+  {
+    tables;
+    widths;
+    w = 0;
+    n = Array.length x;
+    sigma;
+    arena = Indexing.Stream_table.Arena.create ();
+  }
 
 let build ?code device ~sigma ~w x =
   if w < 2 then invalid_arg "Multires_index.build: w >= 2";
@@ -67,6 +75,7 @@ let cover t ~lo ~hi =
   go lo []
 
 let query_clamped t ~lo ~hi =
+  Indexing.Stream_table.Arena.clear t.arena;
   let pieces = cover t ~lo ~hi in
   let extents =
     Obs.Metrics.phase "directory" (fun () ->
@@ -75,7 +84,9 @@ let query_clamped t ~lo ~hi =
           pieces)
   in
   Indexing.Answer.Direct
-    (Obs.Metrics.phase "payload" (fun () -> Indexing.Stream_table.union extents))
+    (Obs.Metrics.phase "payload" (fun () ->
+         Indexing.Stream_table.Arena.union t.arena
+           (List.map (Indexing.Stream_table.Arena.read t.arena) extents)))
 
 let query t ~lo ~hi =
   match Indexing.Common.clamp_range ~sigma:t.sigma ~lo ~hi with

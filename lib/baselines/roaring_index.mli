@@ -11,25 +11,13 @@
     no single codec does.
 
     [chunk] defaults to the device block width, so a dense slice's
-    literal bitmap fills exactly one block.  Directory, framing,
-    integrity, prefetch and the batch cache are inherited from the
-    stream table unchanged. *)
+    literal bitmap fills exactly one block.  Queries, batches,
+    directory, framing, integrity and prefetch are {!Cbitmap_index}'s
+    over the hybrid table. *)
 
-type t
+type t = Cbitmap_index.t
 
 val build : ?chunk:int -> Iosim.Device.t -> sigma:int -> int array -> t
-
-val query : t -> lo:int -> hi:int -> Indexing.Answer.t
-
-(** Batched execution: each character's containers decode at most once
-    per batch ({!Indexing.Batch.Cache}); uncached runs are
-    prefetched. *)
-val query_batch : t -> (int * int) array -> Indexing.Answer.t array
-
-(** Read one character's position set (a point query). *)
-val point_query : t -> int -> Cbitmap.Posting.t
-
-val size_bits : t -> int
 
 (** Payload bits only (sum of container sizes, excluding directory and
     frame headers). *)

@@ -13,6 +13,7 @@ type t = {
   a_frame : Iosim.Frame.t;
   pos_bits : int;
   complement : bool;
+  arena : Indexing.Stream_table.Arena.t; (* each query's decoded extents *)
 }
 
 let a_magic = 0x5DA1
@@ -65,7 +66,7 @@ let build ?(complement = true) ?(schedule = `All) ?(payload = `Gap) device
   in
   let a_region = Iosim.Frame.payload a_frame in
   { device; n; sigma; sigma2; levels; a_region; a_frame; pos_bits;
-    complement }
+    complement; arena = Indexing.Stream_table.Arena.create () }
 
 let levels t = Array.length t.levels
 
@@ -95,63 +96,9 @@ let cover t ~lo ~hi =
   in
   go lo []
 
-(* Extents for one cover piece: either the node's own bitmap, or the
-   contiguous run of its descendants at the next materialized level
-   below (footnote 3). *)
-let piece_extents t (j, b) =
-  match t.levels.(j) with
-  | Some tab -> Indexing.Stream_table.extents tab ~lo:b ~hi:b
-  | None ->
-      let rec down m =
-        if m >= Array.length t.levels then
-          invalid_arg "Alphabet_tree: leaf level not materialized"
-        else
-          match t.levels.(m) with
-          | Some tab ->
-              let span = 1 lsl (m - j) in
-              Indexing.Stream_table.extents tab ~lo:(b * span)
-                ~hi:(((b + 1) * span) - 1)
-          | None -> down (m + 1)
-      in
-      down (j + 1)
-
-let query_range t ~lo ~hi =
-  if lo > hi then Cbitmap.Posting.empty
-  else begin
-    let pieces = cover t ~lo ~hi in
-    let extents =
-      Obs.Metrics.phase "directory" (fun () ->
-          List.concat_map (piece_extents t) pieces)
-    in
-    Indexing.Stream_table.union extents
-  end
-
-let query_checked t ~lo ~hi =
-  (* The A-array probe sizes the answer before touching any bitmap —
-     the rank part of the paper's rank/select phase. *)
-  let z =
-    Obs.Metrics.phase "rank_select" (fun () ->
-        read_a t (hi + 1) - read_a t lo)
-  in
-  if z = 0 then Indexing.Answer.Direct Cbitmap.Posting.empty
-  else if t.complement && 2 * z > t.n then begin
-    let left = query_range t ~lo:0 ~hi:(lo - 1) in
-    let right = query_range t ~lo:(hi + 1) ~hi:(t.sigma2 - 1) in
-    Indexing.Answer.Complement (Cbitmap.Posting.union left right)
-  end
-  else Indexing.Answer.Direct (query_range t ~lo ~hi)
-
-let query t ~lo ~hi =
-  match Indexing.Common.clamp_range ~sigma:t.sigma ~lo ~hi with
-  | None -> Indexing.Answer.Direct Cbitmap.Posting.empty
-  | Some (lo, hi) -> query_checked t ~lo ~hi
-
-(* ---- batched execution (PR 5): as [query_checked] per unique query,
-   with node bitmaps decoded at most once per batch.  Cover pieces
-   resolve to (level, stream range) exactly as [piece_extents] does;
-   each stream's posting is cached by (level, index). *)
-
-(* The materialized (level, lo..hi) run answering one cover piece. *)
+(* The materialized (level, lo..hi) run answering one cover piece:
+   either the node's own bitmap, or the contiguous run of its
+   descendants at the next materialized level below (footnote 3). *)
 let piece_run t (j, b) =
   match t.levels.(j) with
   | Some _ -> (j, b, b)
@@ -168,61 +115,79 @@ let piece_run t (j, b) =
       in
       down (j + 1)
 
-let batched_range t cache ~lo ~hi =
-  if lo > hi then Cbitmap.Posting.empty
+let table t m = Option.get t.levels.(m)
+
+(* The arena slices of [lo..hi]: every directory entry first, then
+   each extent. *)
+let range_slices t ~lo ~hi =
+  if lo > hi then []
   else begin
-    let runs = List.map (piece_run t) (cover t ~lo ~hi) in
-    let postings =
-      List.concat_map
-        (fun (m, first, last) ->
-          let tab = Option.get t.levels.(m) in
-          (* Readahead over the uncached sub-runs of the piece. *)
-          let flush lo hi =
-            if lo <= hi then begin
-              let pos, len = Indexing.Stream_table.payload_span tab ~lo ~hi in
-              Iosim.Device.prefetch t.device ~pos ~len
-            end
-          in
-          let start = ref (-1) in
-          for i = first to last do
-            if Indexing.Batch.Cache.mem cache (m, i) then begin
-              if !start >= 0 then flush !start (i - 1);
-              start := -1
-            end
-            else if !start < 0 then start := i
-          done;
-          if !start >= 0 then flush !start last;
-          List.init (last - first + 1) (fun k ->
-              Indexing.Batch.Cache.get cache (m, first + k)))
-        runs
+    let extents =
+      Obs.Metrics.phase "directory" (fun () ->
+          List.concat_map
+            (fun (m, first, last) ->
+              Indexing.Stream_table.extents (table t m) ~lo:first ~hi:last)
+            (List.map (piece_run t) (cover t ~lo ~hi)))
     in
-    Cbitmap.Posting.union_many postings
+    List.map (Indexing.Stream_table.Arena.read t.arena) extents
   end
 
-let batched_checked t cache ~lo ~hi =
+(* The A-array probe sizes the answer before touching any bitmap —
+   the rank part of the paper's rank/select phase.  [slices] reads the
+   arena slices of a character range; a complement is one union over
+   the slices left and right of the range. *)
+let answer t ~lo ~hi slices =
   let z =
     Obs.Metrics.phase "rank_select" (fun () ->
         read_a t (hi + 1) - read_a t lo)
   in
+  let union ranges =
+    Indexing.Stream_table.Arena.union t.arena
+      (List.concat_map (fun (lo, hi) -> slices ~lo ~hi) ranges)
+  in
   if z = 0 then Indexing.Answer.Direct Cbitmap.Posting.empty
-  else if t.complement && 2 * z > t.n then begin
-    let left = batched_range t cache ~lo:0 ~hi:(lo - 1) in
-    let right = batched_range t cache ~lo:(hi + 1) ~hi:(t.sigma2 - 1) in
-    Indexing.Answer.Complement (Cbitmap.Posting.union left right)
-  end
-  else Indexing.Answer.Direct (batched_range t cache ~lo ~hi)
+  else if t.complement && 2 * z > t.n then
+    Indexing.Answer.Complement (union [ (0, lo - 1); (hi + 1, t.sigma2 - 1) ])
+  else Indexing.Answer.Direct (union [ (lo, hi) ])
+
+let query_checked t ~lo ~hi =
+  Indexing.Stream_table.Arena.clear t.arena;
+  answer t ~lo ~hi (range_slices t)
+
+let query t ~lo ~hi =
+  match Indexing.Common.clamp_range ~sigma:t.sigma ~lo ~hi with
+  | None -> Indexing.Answer.Direct Cbitmap.Posting.empty
+  | Some (lo, hi) -> query_checked t ~lo ~hi
+
+(* ---- batched execution (PR 5): as [query_checked] per unique query,
+   with node bitmaps decoded at most once per batch: each stream's
+   arena slice is cached by (level, index), and the uncached sub-runs
+   of each piece are prefetched. *)
+
+let batched_slices t cache ~lo ~hi =
+  if lo > hi then []
+  else
+    List.concat_map
+      (fun (m, first, last) ->
+        Indexing.Stream_table.prefetch_uncached (table t m)
+          ~cached:(fun i -> Indexing.Batch.Cache.mem cache (m, i))
+          ~lo:first ~hi:last;
+        List.init (last - first + 1) (fun k ->
+            Indexing.Batch.Cache.get cache (m, first + k)))
+      (List.map (piece_run t) (cover t ~lo ~hi))
 
 let query_batch t ranges =
   let plan = Indexing.Batch.normalize ~sigma:t.sigma ranges in
+  Indexing.Stream_table.Arena.clear t.arena;
   let cache =
     Indexing.Batch.Cache.create
       ~decode:(fun (m, i) ->
-        Indexing.Stream_table.read_one (Option.get t.levels.(m)) i)
+        Indexing.Stream_table.Arena.read_stream t.arena (table t m) i)
       ()
   in
   Indexing.Batch.fan_out plan
     (Array.map
-       (fun (lo, hi) -> batched_checked t cache ~lo ~hi)
+       (fun (lo, hi) -> answer t ~lo ~hi (batched_slices t cache))
        plan.Indexing.Batch.uniq)
 
 let integrity t =

@@ -42,6 +42,7 @@ type t = {
   buffer_cap : int;
   mutable counts_frame : Iosim.Frame.t option;
   mutable meta_frame : Iosim.Frame.t option;
+  arena : Indexing.Stream_table.Arena.t; (* each query's decoded base extents *)
 }
 
 let count_bits = 32
@@ -186,6 +187,7 @@ let build ?(c = 8) ?(complement = true) ?(buffered = false)
       buffer_cap = cap;
       counts_frame = None;
       meta_frame = None;
+      arena = Indexing.Stream_table.Arena.create ();
     }
   in
   write_counts t;
@@ -361,10 +363,13 @@ let node_extent (st : storage) stream =
   Obs.Metrics.phase "directory" (fun () ->
       Indexing.Stream_table.extents st.table ~lo:stream ~hi:stream)
 
-(* Postings of one stored node: the base extent, then each chain
-   block, each decoded whole. *)
+(* Postings of one stored node: the base extent through the arena,
+   then each chain block, each decoded whole. *)
 let node_postings t (st : storage) stream base =
-  List.map Indexing.Stream_table.decode base
+  List.map
+    (fun e ->
+      Indexing.Stream_table.Arena.(union t.arena [ read t.arena e ]))
+    base
   @ List.rev_map
       (fun blk ->
         let d = Iosim.Device.decoder t.device ~pos:blk.cregion.Iosim.Device.off in
@@ -447,7 +452,9 @@ let query_checked t ~lo ~hi =
 let query t ~lo ~hi =
   match Indexing.Common.clamp_range ~sigma:t.sigma ~lo ~hi with
   | None -> Indexing.Answer.Direct Cbitmap.Posting.empty
-  | Some (lo, hi) -> query_checked t ~lo ~hi
+  | Some (lo, hi) ->
+      Indexing.Stream_table.Arena.clear t.arena;
+      query_checked t ~lo ~hi
 
 (* ---- batched execution (PR 5): [answer_range] per unique query,
    with each stored node's posting (base stream + chain blocks)
@@ -546,6 +553,7 @@ let batched_checked t cache ~lo ~hi =
 
 let query_batch t ranges =
   let plan = Indexing.Batch.normalize ~sigma:t.sigma ranges in
+  Indexing.Stream_table.Arena.clear t.arena;
   let cache = Indexing.Batch.Cache.create ~decode:(node_posting t) () in
   Indexing.Batch.fan_out plan
     (Array.map

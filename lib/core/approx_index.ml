@@ -11,7 +11,7 @@ type t = {
   hashed_levels : Indexing.Stream_table.t option array array;
   hashed_leaves : Indexing.Stream_table.t array; (* per j *)
   seen : Bitset.t; (* [probe] scratch: the hashed values read *)
-  mutable arena : int array; (* [probe] scratch: one decoded extent *)
+  arena : St.Arena.t; (* the hashed extents a query or probe decodes *)
 }
 
 type answer =
@@ -68,7 +68,7 @@ let build ?(seed = 0x5ec1d) ?c ?code ?payload device ~sigma x =
     hashed_levels;
     hashed_leaves;
     seen = Bitset.create ();
-    arena = [||];
+    arena = St.Arena.create ();
   }
 
 let k t = t.k
@@ -92,12 +92,12 @@ let level t ~epsilon ~z = choose_j t ~epsilon ~z
 
 (* What a query at [epsilon] reads: the A array; then, on the hashed
    path, the descent and every run's directory entries in one
-   "directory" span, each run with its level-[j] table.  Nothing is
-   decoded yet. *)
+   "directory" span, each run read from its level-[j] hashed table.
+   Nothing is decoded yet. *)
 type read =
   | Empty
   | Fallback  (* j > k: the exact query answers *)
-  | Runs of { j : int; z : int; runs : (St.t * St.extent list) list }
+  | Runs of { j : int; z : int; extents : St.extent list }
 
 let read_directory t ~epsilon ~lo ~hi =
   let s, e = Static_index.entry_bounds t.base ~lo ~hi in
@@ -106,58 +106,57 @@ let read_directory t ~epsilon ~lo ~hi =
   if z = 0 then Empty
   else if j > t.k then Fallback
   else
-    let runs =
+    let extents =
       Obs.Metrics.phase "directory" (fun () ->
-          List.map
+          List.concat_map
             (fun { Static_index.storage; first; last } ->
               let tab =
                 match storage with
                 | `Leaf -> t.hashed_leaves.(j - 1)
                 | `Level l -> Option.get t.hashed_levels.(l).(j - 1)
               in
-              (tab, St.extents tab ~lo:first ~hi:last))
+              St.extents tab ~lo:first ~hi:last)
             (Static_index.plan_charged t.base ~s ~e))
     in
-    Runs { j; z; runs }
+    Runs { j; z; extents }
+
+(* The hashed extents decoded into the arena, in order. *)
+let read_hashed t extents =
+  St.Arena.clear t.arena;
+  List.map (St.Arena.read t.arena) extents
 
 let query t ~epsilon ~lo ~hi =
   match read_directory t ~epsilon ~lo ~hi with
   | Empty -> Exact (Indexing.Answer.Direct Posting.empty)
   | Fallback -> Exact (Static_index.query t.base ~lo ~hi)
-  | Runs { j; z; runs } ->
-      let hashed = St.union (List.concat_map snd runs) in
+  | Runs { j; z; extents } ->
+      let hashed = St.Arena.union t.arena (read_hashed t extents) in
       Hashed { j; fam = t.fams.(j - 1); hashed; z }
 
-(* The same reads as [query], in the same order: each run's extents
-   decode through one reader into the arena, and every decoded hash
-   lands in [seen], cleared first so a probe that a fault cut short
-   leaves nothing behind.  A decoded value past the universe can only
-   come from damage and can match no candidate. *)
+(* The same reads as [query], in the same order: the extents decode
+   into the arena, and every decoded hash lands in [seen], cleared
+   first so a probe that a fault cut short leaves nothing behind.  A
+   decoded value past the universe can only come from damage and can
+   match no candidate. *)
 let probe t ~epsilon ~lo ~hi cand =
   match read_directory t ~epsilon ~lo ~hi with
   | Empty -> Posting.empty
   | Fallback ->
       let a = Static_index.query t.base ~lo ~hi in
       Posting.filter (Indexing.Answer.mem a) cand
-  | Runs { j; runs; _ } ->
+  | Runs { j; extents; _ } ->
       let fam = t.fams.(j - 1) in
       let universe = 1 lsl Split.out_bits fam in
       Bitset.clear t.seen ~n:universe;
+      let slices = read_hashed t extents in
+      let words = St.Arena.buffer t.arena in
       List.iter
-        (fun (tab, extents) ->
-          let r = St.reader tab in
-          List.iter
-            (fun (e : St.extent) ->
-              if Array.length t.arena < e.count then
-                t.arena <-
-                  Array.make (max e.count (2 * Array.length t.arena)) 0;
-              St.read_into r e t.arena ~at:0;
-              for i = 0 to e.count - 1 do
-                let v = Array.unsafe_get t.arena i in
-                if v < universe then Bitset.add t.seen v
-              done)
-            extents)
-        runs;
+        (fun (off, len) ->
+          for i = off to off + len - 1 do
+            let v = Array.unsafe_get words i in
+            if v < universe then Bitset.add t.seen v
+          done)
+        slices;
       Posting.filter (fun row -> Bitset.mem t.seen (Split.hash fam row)) cand
 
 let mem answer i =

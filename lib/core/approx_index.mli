@@ -59,12 +59,13 @@ val query : t -> epsilon:float -> lo:int -> hi:int -> answer
 (** [probe t ~epsilon ~lo ~hi cand] keeps the rows of [cand] that
     [mem (query t ~epsilon ~lo ~hi)] accepts, with the same reads in
     the same order: the A array, the descent and directory entries,
-    then each hashed extent decoded once, in order (one counted reader
-    per hashed table), so every {!Iosim.Stats} field equals [query]'s.
+    then each hashed extent decoded once, in order, into the index's
+    {!Indexing.Stream_table.Arena} as [query] decodes them, so every
+    {!Iosim.Stats} field equals [query]'s.
     The decoded hashes are tested against [cand]'s hashes and never
     merged into a posting.  The reads happen even when [cand] is
     empty.  Uses scratch kept in [t], cleared at the start of every
-    probe: not reentrant, one probe at a time per index. *)
+    probe: not reentrant, one query or probe at a time per index. *)
 val probe :
   t ->
   epsilon:float ->

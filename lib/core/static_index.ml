@@ -16,9 +16,7 @@ type t = {
   meta_slot : int array; (* node id -> absolute bit offset of its slot *)
   meta_total_bits : int;
   meta_frames : Iosim.Frame.t list;
-  mutable arena : int array; (* [query_batch]'s decoded extents *)
-  mutable fill : int; (* arena words in use by the current batch *)
-  scratch : Cbitmap.Posting.scratch; (* [query_batch]'s union bitmap *)
+  arena : Indexing.Stream_table.Arena.t; (* each query's decoded extents *)
 }
 
 let a_magic = 0x5DA2
@@ -164,9 +162,7 @@ let build ?(c = 8) ?(complement = true) ?(schedule = `Doubling)
     meta_slot;
     meta_total_bits;
     meta_frames;
-    arena = [||];
-    fill = 0;
-    scratch = Cbitmap.Posting.scratch ();
+    arena = Indexing.Stream_table.Arena.create ();
   }
 
 let tree t = t.tree
@@ -252,27 +248,35 @@ let plan_charged t ~s ~e =
     runs_of_needs needs
   end
 
-let table_of t = function
+let table t = function
   | `Leaf -> t.leaf_table
   | `Level l -> Option.get t.level_tables.(l)
 
 (* The descent and every run's directory entries are read in one
-   "directory" span before any payload; then each canonical-node
-   extent decodes whole and one [union_many] merges them. *)
-let query_entries t ~s ~e =
-  if s >= e then Cbitmap.Posting.empty
-  else begin
-    let extents =
-      Obs.Metrics.phase "directory" (fun () ->
-          List.concat_map
-            (fun { storage; first; last } ->
-              Indexing.Stream_table.extents (table_of t storage) ~lo:first
-                ~hi:last)
-            (plan_charged t ~s ~e))
-    in
-    Obs.Metrics.phase "payload" (fun () -> Indexing.Stream_table.union extents)
-  end
+   "directory" span before any payload. *)
+let entry_extents t ~s ~e =
+  Obs.Metrics.phase "directory" (fun () ->
+      List.concat_map
+        (fun { storage; first; last } ->
+          Indexing.Stream_table.extents (table t storage) ~lo:first ~hi:last)
+        (plan_charged t ~s ~e))
 
+let read_extents t es = List.map (Indexing.Stream_table.Arena.read t.arena) es
+
+(* The arena slices of entry range [s, e): the directory span, then
+   each canonical-node extent decoded whole in one "payload" span. *)
+let entry_slices t ~s ~e =
+  if s >= e then []
+  else
+    let es = entry_extents t ~s ~e in
+    Obs.Metrics.phase "payload" (fun () -> read_extents t es)
+
+let query_entries t ~s ~e =
+  Indexing.Stream_table.Arena.clear t.arena;
+  Indexing.Stream_table.Arena.union t.arena (entry_slices t ~s ~e)
+
+(* A complement is one union over the left and the right entries: the
+   two sets of positions are disjoint. *)
 let query_checked t ~lo ~hi =
   let s, e =
     Obs.Metrics.phase "rank_select" (fun () ->
@@ -280,13 +284,19 @@ let query_checked t ~lo ~hi =
   in
   let z = e - s in
   let n = t.tree.Wbb.n in
+  Indexing.Stream_table.Arena.clear t.arena;
   if z = 0 then Indexing.Answer.Direct Cbitmap.Posting.empty
   else if t.complement && 2 * z > n then begin
-    let left = query_entries t ~s:0 ~e:s in
-    let right = query_entries t ~s:e ~e:n in
-    Indexing.Answer.Complement (Cbitmap.Posting.union left right)
+    let left = entry_slices t ~s:0 ~e:s in
+    let right = entry_slices t ~s:e ~e:n in
+    Indexing.Answer.Complement
+      (Indexing.Stream_table.Arena.union t.arena (left @ right))
   end
-  else Indexing.Answer.Direct (query_entries t ~s ~e)
+  else
+    let es = entry_extents t ~s ~e in
+    Indexing.Answer.Direct
+      (Obs.Metrics.phase "payload" (fun () ->
+           Indexing.Stream_table.Arena.union t.arena (read_extents t es)))
 
 let query t ~lo ~hi =
   match Indexing.Common.clamp_range ~sigma:t.tree.Wbb.sigma ~lo ~hi with
@@ -298,54 +308,13 @@ let query t ~lo ~hi =
    Same plan as [query_checked] query by query — identical descent,
    identical complement decision, so answers match constructor for
    constructor — but every stored stream decodes at most once for the
-   whole batch: the per-(storage, stream) cache holds the slice of the
-   index's arena its positions were decoded into, and later queries
-   whose plans subscribe to the same stream reuse it.  Uncached runs
-   announce themselves to the device with [prefetch], so their payload
-   blocks arrive in one sequential pass.  Each answer is one
-   [union_slices] over the arena, written fresh, so the arena and the
-   union scratch are reused from batch to batch: a warm index
-   allocates little beyond its answers. *)
-
-(* Readahead for the cache misses of one run: each maximal uncached
-   subrange prefetches its payload span; cached streams in the middle
-   of a run split the span so no already-decoded extent is re-read. *)
-let prefetch_uncached t cache storage ~first ~last =
-  let tab = table_of t storage in
-  let flush lo hi =
-    if lo <= hi then begin
-      let pos, len = Indexing.Stream_table.payload_span tab ~lo ~hi in
-      Iosim.Device.prefetch t.device ~pos ~len
-    end
-  in
-  let start = ref (-1) in
-  for i = first to last do
-    if Indexing.Batch.Cache.mem cache (storage, i) then begin
-      if !start >= 0 then flush !start (i - 1);
-      start := -1
-    end
-    else if !start < 0 then start := i
-  done;
-  if !start >= 0 then flush !start last
-
-(* A cache miss: the directory entry, then the extent decoded into the
-   arena after the batch's earlier extents.  Growing copies the words
-   in use, so a slice stays valid as (offset, count). *)
-let decode_to_arena t storage i =
-  let e =
-    Obs.Metrics.phase "directory" (fun () ->
-        Indexing.Stream_table.extent (table_of t storage) i)
-  in
-  Obs.Metrics.phase "payload" (fun () ->
-      let at = t.fill and count = e.Indexing.Stream_table.count in
-      if count > Array.length t.arena - at then begin
-        let a = Array.make (max (at + count) (2 * Array.length t.arena)) 0 in
-        Array.blit t.arena 0 a 0 at;
-        t.arena <- a
-      end;
-      Indexing.Stream_table.decode_into e t.arena ~at;
-      t.fill <- at + count;
-      (at, count))
+   whole batch: the per-(storage, stream) cache holds the arena slice
+   its positions were decoded into, and later queries whose plans
+   subscribe to the same stream reuse it.  Uncached runs announce
+   themselves to the device with [prefetch], so their payload blocks
+   arrive in one sequential pass.  Each answer is one union over the
+   arena, written fresh, so the arena is reused from batch to batch:
+   a warm index allocates little beyond its answers. *)
 
 (* The arena slices of entry range [s, e), in plan order. *)
 let batched_slices t cache ~s ~e =
@@ -356,7 +325,9 @@ let batched_slices t cache ~s ~e =
     in
     List.concat_map
       (fun { storage; first; last } ->
-        prefetch_uncached t cache storage ~first ~last;
+        Indexing.Stream_table.prefetch_uncached (table t storage)
+          ~cached:(fun i -> Indexing.Batch.Cache.mem cache (storage, i))
+          ~lo:first ~hi:last;
         List.init (last - first + 1) (fun k ->
             Indexing.Batch.Cache.get cache (storage, first + k)))
       runs
@@ -366,11 +337,8 @@ let union_arena t slices =
   if slices = [] then Cbitmap.Posting.empty
   else
     Obs.Metrics.phase "payload" (fun () ->
-        Cbitmap.Posting.union_slices ~scratch:t.scratch
-          (List.map (fun (off, len) -> (t.arena, off, len)) slices))
+        Indexing.Stream_table.Arena.union t.arena slices)
 
-(* A complement is one union over the left and the right entries: the
-   two sets of positions are disjoint. *)
 let batched_checked t cache ~lo ~hi =
   let s, e =
     Obs.Metrics.phase "rank_select" (fun () ->
@@ -388,10 +356,11 @@ let batched_checked t cache ~lo ~hi =
 
 let query_batch t ranges =
   let plan = Indexing.Batch.normalize ~sigma:t.tree.Wbb.sigma ranges in
-  t.fill <- 0;
+  Indexing.Stream_table.Arena.clear t.arena;
   let cache =
     Indexing.Batch.Cache.create
-      ~decode:(fun (storage, i) -> decode_to_arena t storage i)
+      ~decode:(fun (storage, i) ->
+        Indexing.Stream_table.Arena.read_stream t.arena (table t storage) i)
       ()
   in
   Indexing.Batch.fan_out plan

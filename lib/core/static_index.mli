@@ -46,14 +46,15 @@ val query : t -> lo:int -> hi:int -> Indexing.Answer.t
     stored stream at most once for the whole batch and prefetches
     uncached payload runs.  What [Instance.batch] wires up.
 
-    The decoded streams go into an arena the index owns and reuses
-    from batch to batch (it keeps the size of the largest batch's
-    decoded streams), and each answer is one
-    {!Cbitmap.Posting.union_slices} over it with the index's scratch
-    words, so the answers own their storage and a warm index allocates
-    little beyond them.  The arena and scratch are confined to the
-    domain running the batch, as the device is: [query_batch] is not
-    reentrant, and two domains must not run it on one index at once. *)
+    The decoded streams go into the {!Indexing.Stream_table.Arena} the
+    index owns and reuses from query to query and batch to batch (it
+    keeps the size of the largest batch's decoded streams), and each
+    answer is one {!Indexing.Stream_table.Arena.union} over it, so the
+    answers own their storage and a warm index allocates little beyond
+    them.  [query] reads through the same arena.  The arena is
+    confined to the domain running the query, as the device is:
+    [query] and [query_batch] are not reentrant, and two domains must
+    not run them on one index at once. *)
 val query_batch : t -> (int * int) array -> Indexing.Answer.t array
 
 (** Answer for an entry range [\[s;e)] (entries are character
@@ -74,6 +75,9 @@ val materialized_levels : t -> int list
 type run = { storage : [ `Leaf | `Level of int ]; first : int; last : int }
 
 val plan : t -> s:int -> e:int -> run list
+
+(** The stream table a run's storage names (for white-box tests). *)
+val table : t -> [ `Leaf | `Level of int ] -> Indexing.Stream_table.t
 
 (** [entry_bounds t ~lo ~hi] reads the A array (counted I/O) and
     returns the entry range [(s, e)] of the character range. *)

@@ -37,7 +37,17 @@ val query_cold : t -> lo:int -> hi:int -> Answer.t * Iosim.Stats.t
     generic {!Batch.run} planner) answers every slot.  Answers are
     identical — constructor included — to running [query] per slot;
     the returned stats are the whole batch's, which is what the
-    amortization claims of PR 5 price. *)
+    amortization claims of PR 5 price.
+
+    A one-range batch is not charged exactly what {!query_cold}
+    charges for that range.  A structure that prefetches its uncached
+    runs ({!Stream_table.prefetch_uncached}) first reads each run's
+    payload span from the directory: the entry of its first stream and
+    of the stream after its last ({!Stream_table.payload_span}).  So
+    the batch reads [query_cold]'s bits plus those entries' bits.
+    [test_secidx_static.ml] pins this bit for bit on nine ranges of a
+    static index, where the extra bits are 54 to 424 a range and the
+    block I/Os are equal. *)
 val query_batch : t -> (int * int) array -> Answer.t array * Iosim.Stats.t
 
 (** Warm batch for the serving path (PR 6): same planning and answers

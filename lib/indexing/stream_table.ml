@@ -118,75 +118,78 @@ let extents t ~lo ~hi =
     invalid_arg "Stream_table.extents";
   List.init (hi - lo + 1) (fun k -> extent t (lo + k))
 
-(* One pass over the extent's codewords, in order.  Container payloads
-   are self-describing: the directory count is not needed to find the
-   end. *)
-let decode { table = t; pos; count } =
-  let d = Iosim.Device.decoder t.device ~pos in
-  match t.layout with
-  | Gap -> Cbitmap.Gap_codec.decode ~code:t.code d ~count
-  | Hybrid { universe; chunk } -> Cbitmap.Container.decode_chunked ~universe ~chunk d
+module Arena = struct
+  type t = {
+    mutable words : int array;
+    mutable fill : int; (* words in use by the slices read since [clear] *)
+    mutable decoder : (Iosim.Device.t * Bitio.Decoder.t) option;
+    scratch : Cbitmap.Posting.scratch;
+  }
 
-(* The same pass, into [out] from [at]: a gap extent decodes in place;
-   a container extent decodes whole and is copied. *)
-let decode_into { table = t; pos; count } out ~at =
-  if at < 0 || count > Array.length out - at then
-    invalid_arg "Stream_table.decode_into";
-  let d = Iosim.Device.decoder t.device ~pos in
-  match t.layout with
-  | Gap ->
-      Cbitmap.Gap_codec.decode_into ~code:t.code ~at d ~count out;
-      Cbitmap.Posting.check_slice out ~off:at ~len:count
-  | Hybrid { universe; chunk } ->
-      let p = Cbitmap.Container.decode_chunked ~universe ~chunk d in
-      if Cbitmap.Posting.cardinal p <> count then
-        Secidx_error.corrupt
-          "Stream_table: container extent holds %d positions, directory says %d"
-          (Cbitmap.Posting.cardinal p) count;
-      Cbitmap.Posting.iter
-        (let k = ref at in
-         fun v ->
-           Array.unsafe_set out !k v;
-           incr k)
-        p
+  let create () =
+    { words = [||]; fill = 0; decoder = None; scratch = Cbitmap.Posting.scratch () }
 
-let union extents = Cbitmap.Posting.union_many (List.map decode extents)
+  let clear a =
+    a.fill <- 0;
+    a.decoder <- None
 
-(* One counted decoder for a sequence of one table's extents, made at
-   the first extent.  Each read seeks it to the extent's start, which
-   empties its cache: every extent decodes from the state a fresh
-   decoder starts in, so the charges are [decode_into]'s to the touch,
-   whatever the code (a codeword's charge can depend on where the cache
-   window falls). *)
-type reader = { rtable : t; mutable dec : Bitio.Decoder.t option }
+  let buffer a = a.words
 
-let reader t = { rtable = t; dec = None }
+  (* [device]'s decoder at [pos] with an empty cache.  A seek leaves a
+     decoder in the state a fresh one starts in, so every extent is
+     charged as if it had its own decoder, whatever the code (a
+     codeword's charge can depend on where the cache window falls). *)
+  let decoder a device ~pos =
+    match a.decoder with
+    | Some (dev, d) when dev == device ->
+        Bitio.Decoder.seek d pos;
+        d
+    | _ ->
+        let d = Iosim.Device.decoder device ~pos in
+        a.decoder <- Some (device, d);
+        d
 
-let read_into r ({ table = t; pos; count } as e) out ~at =
-  if t != r.rtable then invalid_arg "Stream_table.read_into: foreign extent";
-  match t.layout with
-  | Hybrid _ -> decode_into e out ~at
-  | Gap ->
-      if at < 0 || count > Array.length out - at then
-        invalid_arg "Stream_table.read_into";
-      let d =
-        match r.dec with
-        | Some d ->
-            Bitio.Decoder.seek d pos;
-            d
-        | None ->
-            let d = Iosim.Device.decoder t.device ~pos in
-            r.dec <- Some d;
-            d
-      in
-      Cbitmap.Gap_codec.decode_into ~code:t.code ~at d ~count out;
-      Cbitmap.Posting.check_slice out ~off:at ~len:count
+  (* One pass over the extent's codewords, in order: a gap extent
+     decodes in place; a container extent decodes whole and is copied.
+     Container payloads are self-describing: the directory count is
+     not needed to find the end. *)
+  let read a ({ table = t; pos; count } : extent) =
+    let at = a.fill in
+    if count > Array.length a.words - at then begin
+      let w = Array.make (max (at + count) (2 * Array.length a.words)) 0 in
+      Array.blit a.words 0 w 0 at;
+      a.words <- w
+    end;
+    let d = decoder a t.device ~pos in
+    (match t.layout with
+    | Gap ->
+        Cbitmap.Gap_codec.decode_into ~code:t.code ~at d ~count a.words;
+        Cbitmap.Posting.check_slice a.words ~off:at ~len:count
+    | Hybrid { universe; chunk } ->
+        let p = Cbitmap.Container.decode_chunked ~universe ~chunk d in
+        if Cbitmap.Posting.cardinal p <> count then
+          Secidx_error.corrupt
+            "Stream_table: container extent holds %d positions, directory says %d"
+            (Cbitmap.Posting.cardinal p) count;
+        let k = ref at in
+        Cbitmap.Posting.iter
+          (fun v ->
+            Array.unsafe_set a.words !k v;
+            incr k)
+          p);
+    a.fill <- at + count;
+    (at, count)
 
-(* Phase spans: the directory entry is decoded first (the "directory"
-   phase), then the extent (the "payload" phase). *)
-let read_one t i =
-  let e = Obs.Metrics.phase "directory" (fun () -> extent t i) in
-  Obs.Metrics.phase "payload" (fun () -> decode e)
+  (* Phase spans: the directory entry is decoded first (the "directory"
+     phase), then the extent (the "payload" phase). *)
+  let read_stream a t i =
+    let e = Obs.Metrics.phase "directory" (fun () -> extent t i) in
+    Obs.Metrics.phase "payload" (fun () -> read a e)
+
+  let union a slices =
+    Cbitmap.Posting.union_slices ~scratch:a.scratch
+      (List.map (fun (off, len) -> (a.words, off, len)) slices)
+end
 
 (* Absolute payload bit range covered by streams [lo..hi] — what a
    batched reader hands to [Device.prefetch] before decoding a run.
@@ -202,11 +205,25 @@ let payload_span t ~lo ~hi =
   in
   (t.payload.Iosim.Device.off + off_lo, stop - off_lo)
 
-(* Every directory entry of the range is read before any payload, so
-   the directory blocks and the payload run each see one pass. *)
-let read_union t ~lo ~hi =
-  let es = Obs.Metrics.phase "directory" (fun () -> extents t ~lo ~hi) in
-  Obs.Metrics.phase "payload" (fun () -> union es)
+(* Readahead for one run: each maximal uncached subrange prefetches
+   its payload span; a cached stream in the middle splits the span, so
+   no decoded extent is re-read. *)
+let prefetch_uncached t ~cached ~lo ~hi =
+  let flush a b =
+    if a <= b then begin
+      let pos, len = payload_span t ~lo:a ~hi:b in
+      Iosim.Device.prefetch t.device ~pos ~len
+    end
+  in
+  let rec go start i =
+    if i > hi then flush start hi
+    else if cached i then begin
+      flush start (i - 1);
+      go (i + 1) (i + 1)
+    end
+    else go start (i + 1)
+  in
+  go lo lo
 
 let frames t = [ t.dir_frame; t.payload_frame ]
 let scrub t = List.length (Iosim.Frame.scrub (frames t))

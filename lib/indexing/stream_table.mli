@@ -41,21 +41,6 @@ val device : t -> Iosim.Device.t
     (counted I/O). *)
 val count : t -> int -> int
 
-(** Decode stream [i] (counted I/O: directory + stream bits). *)
-val read_one : t -> int -> Cbitmap.Posting.t
-
-(** Union of streams [lo..hi]: the directory entries for the range are
-    read in one sequential pass, then each stream's extent is decoded
-    whole, in order, and the decoded postings are unioned with
-    {!Cbitmap.Posting.union_many}. *)
-val read_union : t -> lo:int -> hi:int -> Cbitmap.Posting.t
-
-(** {2 Two-step reads}
-
-    A union across several tables or runs reads every directory entry
-    it needs first ({!extents}), then decodes the extents ({!union}),
-    as {!read_union} does for one run. *)
-
 (** One stream's payload as its directory entry locates it: the
     absolute bit position of its first codeword and its cardinality. *)
 type extent = private { table : t; pos : int; count : int }
@@ -68,44 +53,65 @@ val extent : t -> int -> extent
     reads; no phase span). *)
 val extents : t -> lo:int -> hi:int -> extent list
 
-(** Decode one extent in a single pass over its codewords: the gap
-    codec for [Gap], {!Cbitmap.Container.decode_chunked} for [Hybrid]
-    (counted payload reads; no phase span). *)
-val decode : extent -> Cbitmap.Posting.t
+(** {2 Reading extents}
 
-(** [decode_into e out ~at] writes [decode e]'s positions to
-    [out.(at .. at + e.count - 1)], with the same counted reads and
-    the check {!Cbitmap.Posting.adopt} makes: a [Gap] extent decodes
-    in place, a [Hybrid] one decodes whole and is copied.  Raises
-    [Invalid_argument] if the slice does not fit [out]. *)
-val decode_into : extent -> int array -> at:int -> unit
+    Every structure answers a query the same way: it reads the
+    directory entries it needs ({!extents}), decodes each extent into
+    an arena it owns ({!Arena.read}), and unions the decoded slices
+    ({!Arena.union}). *)
 
-(** [union es] = [Posting.union_many (List.map decode es)]. *)
-val union : extent list -> Cbitmap.Posting.t
+type table := t
 
-(** {2 Sequential reader}
+module Arena : sig
+  (** Reusable words holding decoded extents, plus one counted
+      {!Iosim.Device.decoder}, made at the first {!read} after a
+      {!clear} (and again when an extent lies on another device).
+      Charging contract: each {!read} repositions that decoder at the
+      extent's start with an empty cache, the state a fresh decoder
+      starts in, so it charges what a fresh decoder per extent
+      charges: the bits read, the blocks touched and their order, and
+      so every {!Iosim.Stats} field.  Like any device decoder, the
+      arena's is stale once the device is written
+      ([Secidx_error.Stale_decoder]) until the next {!clear}.  An
+      arena is confined to one domain, as the device is. *)
+  type t
 
-    A reader decodes a sequence of one table's extents through one
-    counted {!Iosim.Device.decoder}, made at the first extent, instead
-    of one decoder per extent.  Charging contract: each {!read_into}
-    repositions the decoder at the extent's start with an empty cache,
-    the state a fresh decoder starts in, so it consumes and charges
-    exactly what {!decode_into} of the same extent charges: the bits
-    read, the blocks touched and their order, and so every
-    {!Iosim.Stats} field, pool hits and seeks included, equal those of
-    one [decode_into] per extent in the same order.  A [Hybrid] table
-    reads each extent with [decode_into].  Like any device decoder, a
-    reader is stale once the device is written
-    ([Secidx_error.Stale_decoder]). *)
-type reader
+  val create : unit -> t
 
-val reader : t -> reader
+  (** Forget the decoded slices and the decoder: once per query or
+      batch, and after any write to a device the arena reads. *)
+  val clear : t -> unit
 
-(** [read_into r e out ~at] is [decode_into e out ~at] through [r]:
-    the same positions, counted reads and
-    {!Cbitmap.Posting.check_slice} check.  Raises [Invalid_argument]
-    if [e] belongs to another table or the slice does not fit [out]. *)
-val read_into : reader -> extent -> int array -> at:int -> unit
+  (** [read a e] decodes [e] after the slices already in [a] and
+      returns its slice [(off, len)] of {!buffer}, [len = e.count]:
+      the gap codec for [Gap], {!Cbitmap.Container.decode_chunked} for
+      [Hybrid] (counted payload reads; no phase span).  The positions
+      get the check {!Cbitmap.Posting.check_slice} makes; a [Hybrid]
+      extent holding other than [e.count] positions raises
+      [Secidx_error.Corrupt].  Growing the words copies the ones in
+      use, so earlier slices stay valid. *)
+  val read : t -> extent -> int * int
+
+  (** [read_stream a t i] reads stream [i] of [t] as a batch's cache
+      miss does: its directory entry in a ["directory"] phase span,
+      then {!read} of its extent in a ["payload"] span. *)
+  val read_stream : t -> table -> int -> int * int
+
+  (** The words the slices index into.  A {!read} may replace it. *)
+  val buffer : t -> int array
+
+  (** [union a slices] is {!Cbitmap.Posting.union_slices} over
+      [slices] of {!buffer}, with the arena's scratch words: a fresh
+      posting that shares nothing with the arena. *)
+  val union : t -> (int * int) list -> Cbitmap.Posting.t
+end
+
+(** [prefetch_uncached t ~cached ~lo ~hi] hands {!Iosim.Device.prefetch}
+    the payload span of each maximal run of streams in [lo..hi] that
+    [cached] rejects, in order, so a batch re-reads no stream it has
+    already decoded and reads the others in sequential passes.  Costs
+    two counted directory reads per run ({!payload_span}). *)
+val prefetch_uncached : t -> cached:(int -> bool) -> lo:int -> hi:int -> unit
 
 (** [(pos, len)]: the absolute payload bit range covered by streams
     [lo..hi], for handing to [Device.prefetch] ahead of a sequential

@@ -15,29 +15,32 @@ let build ?layout device ~sigma ~chars ~tombstones ~written =
   streams.(sigma + 1) <- written;
   { table = St.build ?layout device streams; sigma }
 
-let written t = St.read_one t.table (t.sigma + 1)
-let tombstones t = St.read_one t.table t.sigma
-let posting t ch = St.read_one t.table ch
+(* Stream [i] of [r] through [arena]: the directory entry, then the
+   payload, as a fresh posting. *)
+let read_stream arena r i =
+  St.Arena.union arena [ St.Arena.read_stream arena r.table i ]
 
-(* Stream [i] of [r] through its reader [rd], as [St.read_one] reads
-   it: the directory entry, then the payload, into a fresh posting. *)
-let read_stream r rd i ~n =
-  let e = Obs.Metrics.phase "directory" (fun () -> St.extent r.table i) in
-  Obs.Metrics.phase "payload" (fun () ->
-      let count = e.St.count in
-      let a = Array.make count 0 in
-      St.read_into rd e a ~at:0;
-      if count > 0 && a.(count - 1) >= n then
-        Secidx_error.corrupt "Run.merge: position %d past length %d"
-          a.(count - 1) n;
-      Posting.adopt a)
+let stream r i = read_stream (St.Arena.create ()) r i
+let written t = stream t (t.sigma + 1)
+let tombstones t = stream t t.sigma
+let posting t ch = stream t ch
+
+(* [read_stream], refusing a position at or past the string's length
+   [n], which only corruption can produce. *)
+let read_bounded arena r i ~n =
+  let p = read_stream arena r i in
+  let k = Posting.cardinal p in
+  if k > 0 && Posting.get p (k - 1) >= n then
+    Secidx_error.corrupt "Run.merge: position %d past length %d"
+      (Posting.get p (k - 1)) n;
+  p
 
 (* Newest-first shadowed union: a run's opinions survive the merge
    only at positions no newer run wrote, which the shadow bitmap holds.
-   Each run's streams are read in stream order through one reader.  The
-   surviving parts of one stream are disjoint; the merged written set
-   is the plain union, so the output shadows exactly what its inputs
-   shadowed. *)
+   Each run's streams are read in stream order through the merge's
+   arena, cleared per run.  The surviving parts of one stream are
+   disjoint; the merged written set is the plain union, so the output
+   shadows exactly what its inputs shadowed. *)
 let merge ?layout device ~n runs =
   match runs with
   | [] -> invalid_arg "Run.merge: empty"
@@ -48,18 +51,19 @@ let merge ?layout device ~n runs =
       let parts = Array.make (sigma + 2) [] in
       let shadow = Bitset.create () in
       Bitset.clear shadow ~n;
+      let arena = St.Arena.create () in
       List.iter
         (fun r ->
-          let rd = St.reader r.table in
+          St.Arena.clear arena;
           for i = 0 to sigma do
             let p =
               Posting.filter
                 (fun x -> not (Bitset.mem shadow x))
-                (read_stream r rd i ~n)
+                (read_bounded arena r i ~n)
             in
             parts.(i) <- p :: parts.(i)
           done;
-          let w = read_stream r rd (sigma + 1) ~n in
+          let w = read_bounded arena r (sigma + 1) ~n in
           Posting.iter (Bitset.add shadow) w;
           parts.(sigma + 1) <- w :: parts.(sigma + 1))
         runs;

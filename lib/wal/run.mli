@@ -39,7 +39,9 @@ val build :
     store's query reads its extents directly. *)
 val table : t -> Indexing.Stream_table.t
 
-(** The written set (stream [sigma + 1]); counted I/O. *)
+(** The written set (stream [sigma + 1]); counted I/O, its directory
+    entry and then its payload, through a fresh
+    {!Indexing.Stream_table.Arena}. *)
 val written : t -> Cbitmap.Posting.t
 
 (** Tombstones (stream [sigma]); counted I/O. *)
@@ -50,16 +52,16 @@ val posting : t -> int -> Cbitmap.Posting.t
 
 (** [merge ?layout device ~n runs] seals the newest-first [runs]
     into one run with identical query semantics: for every position
-    the newest opinion wins.  Each input run is read through one
-    {!Indexing.Stream_table.reader}, stream by stream as
-    {!Indexing.Stream_table.read_one} reads them: streams
-    [0 .. sigma-1], then the tombstones, then the written set, each
-    directory entry read right before its payload.  A stream's part
+    the newest opinion wins.  Each input run is read through the
+    merge's {!Indexing.Stream_table.Arena}, cleared per run, stream by
+    stream as {!written} reads one: streams [0 .. sigma-1], then the
+    tombstones, then the written set, each directory entry read right
+    before its payload.  A stream's part
     survives where a position bitmap of the newer runs' written sets
     is clear, and the disjoint parts are joined with
     {!Cbitmap.Posting.union_many}; the output is then built on
-    [device].  The bitmap and the decoded streams are the merge's own,
-    allocated per call.  [n] bounds every position (the string's
+    [device].  The bitmap, the arena and the decoded streams are the
+    merge's own, allocated per call.  [n] bounds every position (the string's
     length): a decoded position at or past it raises
     [Secidx_error.Corrupt].  Raises [Invalid_argument] on an empty list
     or mismatched alphabets. *)

@@ -44,7 +44,7 @@ type t = {
   mutable flushes : int;
   answer : Bitset.t;  (* [query] scratch: positions in the answer *)
   shadow : Bitset.t;  (* [query] scratch: positions a newer run wrote *)
-  mutable arena : int array;  (* [query] scratch: one run's decoded extents *)
+  arena : St.Arena.t;  (* [query] scratch: the runs' decoded extents *)
 }
 
 let layout_of ~payload ~n =
@@ -101,7 +101,7 @@ let create ?wal_device ?index_device config ~sigma ~data =
     flushes = 0;
     answer = Bitset.create ();
     shadow = Bitset.create ();
-    arena = [||];
+    arena = St.Arena.create ();
   }
 
 let config t = t.config
@@ -193,58 +193,58 @@ let update_batch t ops =
 
 let update t op = update_batch t [op]
 
-(* Decode [es], extents of one run, through its reader [rd] into the
-   arena from 0, in order; returns how many positions they hold.  A
+(* Decode extent [e] of a run into the arena; returns its slice.  A
    position past the string's length can only come from corruption. *)
-let decode_run t rd es =
-  let total = List.fold_left (fun acc (e : St.extent) -> acc + e.count) 0 es in
-  if total > Array.length t.arena then
-    t.arena <- Array.make (max total (2 * Array.length t.arena)) 0;
-  List.fold_left
-    (fun at (e : St.extent) ->
-      St.read_into rd e t.arena ~at;
-      let stop = at + e.count in
-      if e.count > 0 && t.arena.(stop - 1) >= t.n then
-        Secidx_error.corrupt "Wal.Store: run position %d past length %d"
-          t.arena.(stop - 1) t.n;
-      stop)
-    0 es
+let read_checked t e =
+  let ((off, len) as slice) = St.Arena.read t.arena e in
+  if len > 0 && (St.Arena.buffer t.arena).(off + len - 1) >= t.n then
+    Secidx_error.corrupt "Wal.Store: run position %d past length %d"
+      (St.Arena.buffer t.arena).(off + len - 1) t.n;
+  slice
 
 (* The run's matches for [lo..hi] that no newer run shadows join the
-   answer: every directory entry first, then every extent, as
-   [Stream_table.read_union] reads them. *)
-let add_visible t run rd ~lo ~hi =
-  let table = Run.table run in
-  let es = Obs.Metrics.phase "directory" (fun () -> St.extents table ~lo ~hi) in
+   answer: every directory entry first, then every extent. *)
+let add_visible t run ~lo ~hi =
+  let es =
+    Obs.Metrics.phase "directory" (fun () -> St.extents (Run.table run) ~lo ~hi)
+  in
   Obs.Metrics.phase "payload" (fun () ->
-      let k = decode_run t rd es in
-      for i = 0 to k - 1 do
-        let p = Array.unsafe_get t.arena i in
-        if not (Bitset.mem t.shadow p) then Bitset.add t.answer p
-      done)
+      let slices = List.map (read_checked t) es in
+      let words = St.Arena.buffer t.arena in
+      List.iter
+        (fun (off, len) ->
+          for i = off to off + len - 1 do
+            let p = Array.unsafe_get words i in
+            if not (Bitset.mem t.shadow p) then Bitset.add t.answer p
+          done)
+        slices)
 
 (* The run's written set joins the shadow, read as [Run.written] reads
    it. *)
-let add_shadow t run rd =
+let add_shadow t run =
   let e =
     Obs.Metrics.phase "directory" (fun () ->
         St.extent (Run.table run) (t.sigma + 1))
   in
   Obs.Metrics.phase "payload" (fun () ->
-      for i = 0 to decode_run t rd [ e ] - 1 do
-        Bitset.add t.shadow (Array.unsafe_get t.arena i)
+      let off, len = read_checked t e in
+      let words = St.Arena.buffer t.arena in
+      for i = off to off + len - 1 do
+        Bitset.add t.shadow (Array.unsafe_get words i)
       done)
 
-(* Newest-first shadowed union: delta, then runs, then base, each run
-   through one reader.  The bitmaps are zeroed first, so a query that a
-   read fault aborted leaves nothing behind.  The base never shadows
-   anything below it, so its (empty) written stream is never read. *)
+(* Newest-first shadowed union: delta, then runs, then base, all
+   through the store's arena.  The bitmaps are zeroed first, so a
+   query that a read fault aborted leaves nothing behind.  The base
+   never shadows anything below it, so its (empty) written stream is
+   never read. *)
 let query t ~lo ~hi =
   match Indexing.Common.clamp_range ~sigma:t.sigma ~lo ~hi with
   | None -> Indexing.Answer.Direct Posting.empty
   | Some (lo, hi) ->
       Bitset.clear t.answer ~n:t.n;
       Bitset.clear t.shadow ~n:t.n;
+      St.Arena.clear t.arena;
       Hashtbl.iter
         (fun pos entry ->
           Bitset.add t.shadow pos;
@@ -254,11 +254,10 @@ let query t ~lo ~hi =
         t.overlay;
       List.iter
         (fun run ->
-          let rd = St.reader (Run.table run) in
-          add_visible t run rd ~lo ~hi;
-          add_shadow t run rd)
+          add_visible t run ~lo ~hi;
+          add_shadow t run)
         (Levels.runs_newest_first t.levels);
-      add_visible t t.base (St.reader (Run.table t.base)) ~lo ~hi;
+      add_visible t t.base ~lo ~hi;
       Indexing.Answer.Direct (Bitset.to_posting t.answer)
 
 let char_at t pos =

@@ -88,8 +88,8 @@ val flush : t -> unit
 
     The store owns the query's scratch and reuses it from query to
     query: an answer and a shadow bitmap of one bit per position, and
-    an arena the runs' extents decode into (one
-    {!Indexing.Stream_table.reader} per run).  Both bitmaps are zeroed
+    an {!Indexing.Stream_table.Arena} the runs' extents decode into,
+    cleared once per query.  Both bitmaps are zeroed
     at the start of every query, so one that a read fault aborts leaves
     nothing behind.  The answer owns its storage.  [query] is not
     reentrant: two domains must not query one store at once. *)

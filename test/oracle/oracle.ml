@@ -422,7 +422,21 @@ module Stream_table = struct
     | Hybrid { universe; chunk } -> Container.stream_chunked ~universe ~chunk d
     | Gap -> Gap_codec.stream ~code d ~count:e.count
 
-  (* [St.read_union] as it was before whole-extent decode, for a table
+  (* One extent through a fresh arena, and so a fresh decoder: the
+     reference for an arena that reads many extents. *)
+  let decode e =
+    let a = St.Arena.create () in
+    St.Arena.union a [ St.Arena.read a e ]
+
+  (* Stream [i]: its directory entry, then its payload. *)
+  let read_one t i = decode (St.extent t i)
+
+  (* The union of streams [lo..hi]: every directory entry first, then
+     each extent decoded whole. *)
+  let read_union t ~lo ~hi =
+    Cbitmap.Posting.union_many (List.map decode (St.extents t ~lo ~hi))
+
+  (* [read_union] as it was before whole-extent decode, for a table
      built with [code] and [layout]: the same directory pass, then every
      extent pulled one element at a time through {!Merge}, interleaved
      across the range. *)
@@ -432,9 +446,9 @@ module Stream_table = struct
 
   (* Lay [postings] out as a [Gap] table on two fresh devices from
      [make_device], and decode every stream from a cold pool: on one
-     with [Stream_table.read_one], on the other with its per-bit twin —
-     the same counted directory read ([Stream_table.count] reads the
-     entry [read_one] reads), then the payload through {!Device.cursor}
+     with [read_one], on the other with its per-bit twin — the same
+     counted directory read ([Stream_table.count] reads the entry
+     [read_one] reads), then the payload through {!Device.cursor}
      and the seed codec.  The payload positions are looked up before
      the counters are reset.  Returns whether every answer agrees, and
      the word path's and the oracle's stats. *)
@@ -457,7 +471,7 @@ module Stream_table = struct
     let agree = ref true in
     Array.iteri
       (fun i pos ->
-        let w = Indexing.Stream_table.read_one tw i in
+        let w = read_one tw i in
         let count = Indexing.Stream_table.count tr i in
         let o = Gap_codec.decode_ref ~code (Device.cursor dr ~pos) ~count in
         if not (Cbitmap.Posting.equal w o) then agree := false)
@@ -610,7 +624,8 @@ module Wal_store = struct
         if t.delta_ops >= t.config.flush_threshold then flush t)
       ops
 
-  (* Delta, then runs, then base: each run's matches ([St.read_union])
+  (* Delta, then runs, then base: each run's matches
+     ([Stream_table.read_union])
      diffed against the union of the newer written sets. *)
   let query t ~lo ~hi =
     match Indexing.Common.clamp_range ~sigma:t.sigma ~lo ~hi with
@@ -630,11 +645,15 @@ module Wal_store = struct
           (fun run ->
             result :=
               Posting.union !result
-                (Posting.diff (St.read_union (Wal.Run.table run) ~lo ~hi) !shadow);
+                (Posting.diff
+                   (Stream_table.read_union (Wal.Run.table run) ~lo ~hi)
+                   !shadow);
             shadow := Posting.union !shadow (Wal.Run.written run))
           (runs_newest_first t);
         Posting.union !result
-          (Posting.diff (St.read_union (Wal.Run.table t.base) ~lo ~hi) !shadow)
+          (Posting.diff
+             (Stream_table.read_union (Wal.Run.table t.base) ~lo ~hi)
+             !shadow)
 end
 
 (* The planner's plan choice as it costed before each probed column's

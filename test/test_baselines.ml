@@ -191,12 +191,19 @@ let test_stream_table_roundtrip () =
   Alcotest.(check int) "length" 3 (Indexing.Stream_table.length tab);
   Alcotest.(check int) "count 0" 3 (Indexing.Stream_table.count tab 0);
   Alcotest.(check int) "count 1" 0 (Indexing.Stream_table.count tab 1);
+  let module A = Indexing.Stream_table.Arena in
+  let a = A.create () in
   Array.iteri
     (fun i p ->
-      Alcotest.(check bool) "read_one" true
-        (Cbitmap.Posting.equal p (Indexing.Stream_table.read_one tab i)))
+      A.clear a;
+      Alcotest.(check bool) "one stream" true
+        (Cbitmap.Posting.equal p (A.union a [ A.read_stream a tab i ])))
     postings;
-  let u = Indexing.Stream_table.read_union tab ~lo:0 ~hi:2 in
+  (* The slices of one arena stay valid as it grows. *)
+  A.clear a;
+  let u =
+    A.union a (List.map (A.read a) (Indexing.Stream_table.extents tab ~lo:0 ~hi:2))
+  in
   Alcotest.(check (list int)) "union" [ 0; 1; 2; 5; 9; 100 ]
     (Cbitmap.Posting.to_list u)
 

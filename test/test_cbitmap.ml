@@ -483,6 +483,26 @@ let prop_union_slices ~dense =
       (List.length lists < 2 || (total * 64 >= universe) = dense)
       && Cbitmap.Posting.equal got (posting (List.concat lists)))
 
+(* A [clear] for fewer positions zeroes only the words they need, so
+   the words past them may hold an earlier query's bits: [mem] and
+   [to_posting] must not read them, and [add] refuses them. *)
+let test_bitset_shrinking_clear () =
+  let module B = Cbitmap.Bitset in
+  let b = B.create () in
+  B.clear b ~n:4096;
+  B.add b 4000;
+  B.add b 3;
+  B.clear b ~n:64;
+  Alcotest.(check bool) "stale high position" false (B.mem b 4000);
+  Alcotest.(check bool) "cleared low position" false (B.mem b 3);
+  Alcotest.(check (list int)) "empty" [] (Cbitmap.Posting.to_list (B.to_posting b));
+  Alcotest.check_raises "add past the room" (Invalid_argument "Bitset.add")
+    (fun () -> B.add b 4000);
+  B.add b 63;
+  Alcotest.(check (list int)) "one" [ 63 ] (Cbitmap.Posting.to_list (B.to_posting b));
+  B.clear b ~n:4096;
+  Alcotest.(check bool) "regrown room is zeroed" false (B.mem b 4000)
+
 let suite =
   [
     Alcotest.test_case "of_list sorts and dedups" `Quick
@@ -526,4 +546,6 @@ let suite =
     qcheck prop_filter;
     qcheck (prop_union_slices ~dense:true);
     qcheck (prop_union_slices ~dense:false);
+    Alcotest.test_case "bitset: shrinking clear hides stale words" `Quick
+      test_bitset_shrinking_clear;
   ]

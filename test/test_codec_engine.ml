@@ -631,15 +631,22 @@ let fresh_table ~code ~layout ~pool postings =
   Iosim.Device.reset_stats dev;
   (t, dev)
 
-let prop_read_union_vs_merge =
+(* Streams [lo..hi] of [t] as a query reads them: every directory
+   entry, then each extent into one arena, then one union. *)
+let arena_union t ~lo ~hi =
+  let module A = Indexing.Stream_table.Arena in
+  let a = A.create () in
+  A.union a (List.map (A.read a) (Indexing.Stream_table.extents t ~lo ~hi))
+
+let prop_arena_union_vs_merge =
   QCheck.Test.make ~count:300 ~long_factor:10
-    ~name:"read_union = interleaved merge (answer, bits_read)"
+    ~name:"arena union = interleaved merge (answer, bits_read)"
     (QCheck.make ~print:print_union_case gen_union_case)
     (fun (layout, ps, lo, hi, pool) ->
       let _, code, layout = List.nth layouts layout in
       let tw, dw = fresh_table ~code ~layout ~pool ps
       and tm, dm = fresh_table ~code ~layout ~pool ps in
-      let whole = Indexing.Stream_table.read_union tw ~lo ~hi in
+      let whole = arena_union tw ~lo ~hi in
       let merged = Oracle.Stream_table.merge_union ~code ~layout tm ~lo ~hi in
       let bits d = (Iosim.Device.stats d).Iosim.Stats.bits_read in
       let expected =
@@ -649,14 +656,15 @@ let prop_read_union_vs_merge =
       && Cbitmap.Posting.equal whole expected
       && bits dw = bits dm)
 
-(* Whole-extent decode allocates the decoded extents and the union; the
+(* Arena decode allocates the arena's words and the union; the
    interleaved merge allocates an option, a heap tuple and a list cell
-   per element on top.  Each extent holds 200 positions, so its decoded
-   array is a minor allocation and counts in [minor_words]; both paths'
-   whole answers are too large for the minor heap and count in neither.
-   On OCaml 5 a domain's [minor_words] is an exact count, so the bound
-   cannot flake (its major-heap counters move with collection timing). *)
-let test_read_union_allocation () =
+   per element on top.  Each extent holds 200 positions and the arena
+   doubles as it grows, so all but its first few growths, like both
+   paths' whole answers, are too large for the minor heap and count in
+   neither path's [minor_words].  On OCaml 5 a domain's [minor_words]
+   is an exact count, so the bound cannot flake (its major-heap
+   counters move with collection timing). *)
+let test_arena_union_allocation () =
   let k = 32 and code = Cbitmap.Gap_codec.Gamma
   and layout = Indexing.Stream_table.Gap in
   let ps =
@@ -670,16 +678,14 @@ let test_read_union_allocation () =
     let r = f () in
     (Gc.minor_words () -. w0, r)
   in
-  let whole_words, whole =
-    words (fun () -> Indexing.Stream_table.read_union t ~lo:0 ~hi:(k - 1))
-  in
+  let whole_words, whole = words (fun () -> arena_union t ~lo:0 ~hi:(k - 1)) in
   let merge_words, merged =
     words (fun () ->
         Oracle.Stream_table.merge_union ~code ~layout t ~lo:0 ~hi:(k - 1))
   in
   Alcotest.(check bool) "same answer" true (Cbitmap.Posting.equal whole merged);
   if whole_words > merge_words /. 2. then
-    Alcotest.failf "read_union allocated %.0f minor words, merge %.0f"
+    Alcotest.failf "arena union allocated %.0f minor words, merge %.0f"
       whole_words merge_words
 
 (* [decode_into ~at] on a counted device decoder: the same positions
@@ -720,35 +726,34 @@ let prop_decode_into_at =
       && bits d1 = bits d2)
 
 
-(* --- sequential reader against per-extent decode_into --------------- *)
+(* --- one arena against a fresh arena per extent --------------------- *)
 
 (* The streams [idx] (increasing) of [ps], laid out twice on fresh cold
-   devices, read once through one reader and once with one
-   [decode_into] per extent.  With [interleave] each directory entry is
-   read right before its payload, as a merge reads; otherwise every
-   entry first, as a query reads.  Returns the two decodes and the two
-   devices' stats. *)
-let reader_twin ~code ~layout ~pool ~interleave ps idx =
+   devices, read once through one arena and once through a fresh arena
+   (so a fresh decoder) per extent.  With [interleave] each directory
+   entry is read right before its payload, as a merge reads; otherwise
+   every entry first, as a query reads.  Returns the two decodes and
+   the two devices' stats. *)
+let arena_twin ~code ~layout ~pool ~interleave ps idx =
   let module St = Indexing.Stream_table in
-  let read f =
+  let read arena_for =
     let t, dev = fresh_table ~code ~layout ~pool ps in
-    let total = List.fold_left (fun a i -> a + Cbitmap.Posting.cardinal (List.nth ps i)) 0 idx in
-    let out = Array.make total (-1) in
-    let decode = f t in
-    let go at e =
-      decode e out ~at;
-      at + e.St.count
+    let decode e =
+      let a = arena_for () in
+      Cbitmap.Posting.to_list (St.Arena.union a [ St.Arena.read a e ])
     in
-    (if interleave then
-       ignore (List.fold_left (fun at i -> go at (St.extent t i)) 0 idx)
-     else ignore (List.fold_left go 0 (List.map (St.extent t) idx)));
-    (out, Iosim.Stats.snapshot (Iosim.Device.stats dev))
+    let decoded =
+      if interleave then List.map (fun i -> decode (St.extent t i)) idx
+      else List.map decode (List.map (St.extent t) idx)
+    in
+    (decoded, Iosim.Stats.snapshot (Iosim.Device.stats dev))
   in
-  let a, sa = read (fun t -> St.read_into (St.reader t)) in
-  let b, sb = read (fun _ -> St.decode_into) in
+  let shared = St.Arena.create () in
+  let a, sa = read (fun () -> shared) in
+  let b, sb = read St.Arena.create in
   (a, sa, b, sb)
 
-let gen_reader_case =
+let gen_arena_case =
   let open QCheck.Gen in
   gen_union_case >>= fun (layout, ps, _, _, pool) ->
   list_repeat (List.length ps) bool >>= fun mask ->
@@ -756,33 +761,34 @@ let gen_reader_case =
   let idx = List.filteri (fun i _ -> List.nth mask i) (List.init (List.length ps) Fun.id) in
   return (layout, ps, idx, pool, interleave)
 
-let print_reader_case (layout, ps, idx, pool, interleave) =
+let print_arena_case (layout, ps, idx, pool, interleave) =
   Printf.sprintf "%s idx=[%s] interleave=%b"
     (print_union_case (layout, ps, 0, 0, pool))
     (String.concat ";" (List.map string_of_int idx))
     interleave
 
-let prop_reader_parity =
+let prop_arena_parity =
   QCheck.Test.make ~count:200 ~long_factor:5
-    ~name:"reader = decode_into per extent (positions, stats)"
-    (QCheck.make ~print:print_reader_case gen_reader_case)
+    ~name:"one arena = a fresh arena per extent (positions, stats)"
+    (QCheck.make ~print:print_arena_case gen_arena_case)
     (fun (layout, ps, idx, pool, interleave) ->
       let _, code, layout = List.nth layouts layout in
-      let a, sa, b, sb = reader_twin ~code ~layout ~pool ~interleave ps idx in
+      let a, sa, b, sb = arena_twin ~code ~layout ~pool ~interleave ps idx in
       a = b && Iosim.Stats.equal sa sb)
 
-(* The three shapes a reader meets, each against [decode_into]:
-   consecutive extents (no repositioning), every third stream of large
-   ones (the decoder seeks past two streams, and the device seeks), and
-   a [Hybrid] table (the per-extent fallback). *)
-let test_reader_cases () =
+(* The three shapes an arena meets, each against a fresh arena per
+   extent: consecutive extents (no repositioning), every third stream of
+   large ones (the decoder seeks past two streams, and the device
+   seeks), and a [Hybrid] table (containers decoded whole, then
+   copied). *)
+let test_arena_cases () =
   let ps =
     List.init 24 (fun s ->
         Cbitmap.Posting.of_list (List.init (50 + (40 * (s mod 5))) (fun i -> (i * 37) + s)))
   in
   let case name ~layout idx =
     let a, sa, b, sb =
-      reader_twin ~code:Cbitmap.Gap_codec.Gamma ~layout ~pool:4 ~interleave:false
+      arena_twin ~code:Cbitmap.Gap_codec.Gamma ~layout ~pool:4 ~interleave:false
         ps idx
     in
     Alcotest.(check bool) (name ^ ": positions") true (a = b);
@@ -830,11 +836,11 @@ let suite =
       test_block_runs_stale;
     Alcotest.test_case "block runs: zeroed extent, same counters" `Quick
       test_block_runs_zeroed;
-    qcheck prop_read_union_vs_merge;
-    Alcotest.test_case "read_union allocates at most half the merge" `Quick
-      test_read_union_allocation;
+    qcheck prop_arena_union_vs_merge;
+    Alcotest.test_case "arena union allocates at most half the merge" `Quick
+      test_arena_union_allocation;
     qcheck prop_decode_into_at;
-    qcheck prop_reader_parity;
-    Alcotest.test_case "reader: consecutive, skipped, hybrid extents" `Quick
-      test_reader_cases;
+    qcheck prop_arena_parity;
+    Alcotest.test_case "arena: consecutive, skipped, hybrid extents" `Quick
+      test_arena_cases;
   ]

@@ -691,8 +691,8 @@ let test_decoder_gamma_charges_like_cursor () =
     s1.Iosim.Stats.bits_read
 
 (* Theorem 2 payload parity: every extent of a gap-coded stream table
-   decodes to the same positions through [Stream_table.read_one] (the
-   word decoder) and through the per-bit oracle cursor on a twin
+   decodes to the same positions through [Oracle.Stream_table.read_one]
+   (the word decoder, through a fresh [Stream_table.Arena]) and through the per-bit oracle cursor on a twin
    device, for all four codes, and the two devices end with the same
    stats in every field ([pool_hits] aside: see
    [Oracle.Stream_table.stats_mismatches]).  Decode speed must not change
