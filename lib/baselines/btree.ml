@@ -177,17 +177,20 @@ let leaf_entries t ~block =
         ~pos:(base + (i * t.entry_bits))
         ~width:t.entry_bits)
 
-let query_clamped t ~lo ~hi =
+(* The one range evaluator, for [query] and [query_batch] alike: the
+   descent to the leaf that may hold the first matching key, then the
+   scan of the sorted leaf level, each leaf block's entries read by
+   [leaf]. *)
+let answer t ~lo ~hi leaf =
   if t.n = 0 then Indexing.Answer.Direct Cbitmap.Posting.empty
   else begin
     let lo_key = key_of t ~c:lo ~pos:0 in
     let hi_key = key_of t ~c:hi ~pos:((1 lsl t.pos_bits) - 1) in
-    (* Descend to the leaf that may contain the first matching key. *)
     let rec descend block level =
       if level = t.height then block
       else descend (descend_step t ~block lo_key) (level + 1)
     in
-    let leaf =
+    let first =
       Obs.Metrics.phase "directory" (fun () ->
           descend t.root_block 1)
     in
@@ -196,7 +199,7 @@ let query_clamped t ~lo ~hi =
     let acc = ref [] in
     let rec scan block =
       if block <= last_leaf then begin
-        let entries = leaf_entries t ~block in
+        let entries = leaf block in
         let past_end = ref false in
         Array.iter
           (fun key ->
@@ -206,52 +209,20 @@ let query_clamped t ~lo ~hi =
         if not !past_end then scan (block + 1)
       end
     in
-    Obs.Metrics.phase "payload" (fun () -> scan leaf);
+    Obs.Metrics.phase "payload" (fun () -> scan first);
     Indexing.Answer.Direct (Cbitmap.Posting.of_list !acc)
   end
 
 let query t ~lo ~hi =
   match Indexing.Common.clamp_range ~sigma:t.sigma ~lo ~hi with
   | None -> Indexing.Answer.Direct Cbitmap.Posting.empty
-  | Some (lo, hi) -> query_clamped t ~lo ~hi
+  | Some (lo, hi) -> answer t ~lo ~hi (fun block -> leaf_entries t ~block)
 
-(* ---- batched execution (PR 5): each unique query still pays its own
+(* Batched execution (PR 5): each unique query still pays its own
    directory descent (charged reads; upper levels become pool hits
    within a batch), but leaf blocks decode at most once per batch —
    with ascending unique ranges the shared scan over the sorted leaf
    level serves every overlapping query. *)
-let batched_clamped t cache ~lo ~hi =
-  if t.n = 0 then Indexing.Answer.Direct Cbitmap.Posting.empty
-  else begin
-    let lo_key = key_of t ~c:lo ~pos:0 in
-    let hi_key = key_of t ~c:hi ~pos:((1 lsl t.pos_bits) - 1) in
-    let rec descend block level =
-      if level = t.height then block
-      else descend (descend_step t ~block lo_key) (level + 1)
-    in
-    let leaf =
-      Obs.Metrics.phase "directory" (fun () ->
-          descend t.root_block 1)
-    in
-    let last_leaf = t.first_leaf_block + t.leaf_count - 1 in
-    let pos_mask = (1 lsl t.pos_bits) - 1 in
-    let acc = ref [] in
-    let rec scan block =
-      if block <= last_leaf then begin
-        let entries = Indexing.Batch.Cache.get cache block in
-        let past_end = ref false in
-        Array.iter
-          (fun key ->
-            if key > hi_key then past_end := true
-            else if key >= lo_key then acc := (key land pos_mask) :: !acc)
-          entries;
-        if not !past_end then scan (block + 1)
-      end
-    in
-    Obs.Metrics.phase "payload" (fun () -> scan leaf);
-    Indexing.Answer.Direct (Cbitmap.Posting.of_list !acc)
-  end
-
 let query_batch t ranges =
   let plan = Indexing.Batch.normalize ~sigma:t.sigma ranges in
   let cache =
@@ -261,7 +232,7 @@ let query_batch t ranges =
   in
   Indexing.Batch.fan_out plan
     (Array.map
-       (fun (lo, hi) -> batched_clamped t cache ~lo ~hi)
+       (fun (lo, hi) -> answer t ~lo ~hi (Indexing.Batch.Cache.get cache))
        plan.Indexing.Batch.uniq)
 
 let size_bits t = t.node_count * Iosim.Device.block_bits t.device

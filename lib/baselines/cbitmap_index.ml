@@ -12,17 +12,23 @@ let build ?code device ~sigma x =
 
 let table t = t.table
 
+(* The one range evaluator, for [query] and [query_batch] alike: one
+   union over the arena slices [slices] reads for the range. *)
+let answer t ~lo ~hi slices =
+  Indexing.Answer.Direct (St.Arena.union t.arena (slices ~lo ~hi))
+
 (* Every directory entry of the range is read before any payload, so
    the directory blocks and the payload run each see one pass. *)
+let read_slices t ~lo ~hi =
+  let es = Obs.Metrics.phase "directory" (fun () -> St.extents t.table ~lo ~hi) in
+  Obs.Metrics.phase "payload" (fun () -> List.map (St.Arena.read t.arena) es)
+
 let query t ~lo ~hi =
   match Indexing.Common.clamp_range ~sigma:t.sigma ~lo ~hi with
   | None -> Indexing.Answer.Direct Cbitmap.Posting.empty
   | Some (lo, hi) ->
       St.Arena.clear t.arena;
-      let es = Obs.Metrics.phase "directory" (fun () -> St.extents t.table ~lo ~hi) in
-      Indexing.Answer.Direct
-        (Obs.Metrics.phase "payload" (fun () ->
-             St.Arena.union t.arena (List.map (St.Arena.read t.arena) es)))
+      answer t ~lo ~hi (read_slices t)
 
 (* Batched execution (PR 5): one slice cache over the per-character
    streams; a batch of overlapping ranges decodes each character's
@@ -36,13 +42,14 @@ let query_batch t ranges =
       ~decode:(fun c -> St.Arena.read_stream t.arena t.table c)
       ()
   in
-  let answer_one (lo, hi) =
+  let cached_slices ~lo ~hi =
     St.prefetch_uncached t.table ~cached:(Indexing.Batch.Cache.mem cache) ~lo ~hi;
-    Indexing.Answer.Direct
-      (St.Arena.union t.arena
-         (List.init (hi - lo + 1) (fun k -> Indexing.Batch.Cache.get cache (lo + k))))
+    List.init (hi - lo + 1) (fun k -> Indexing.Batch.Cache.get cache (lo + k))
   in
-  Indexing.Batch.fan_out plan (Array.map answer_one plan.Indexing.Batch.uniq)
+  Indexing.Batch.fan_out plan
+    (Array.map
+       (fun (lo, hi) -> answer t ~lo ~hi cached_slices)
+       plan.Indexing.Batch.uniq)
 
 let instance_of t =
   {

@@ -150,21 +150,19 @@ let answer t ~lo ~hi slices =
     Indexing.Answer.Complement (union [ (0, lo - 1); (hi + 1, t.sigma2 - 1) ])
   else Indexing.Answer.Direct (union [ (lo, hi) ])
 
-let query_checked t ~lo ~hi =
-  Indexing.Stream_table.Arena.clear t.arena;
-  answer t ~lo ~hi (range_slices t)
-
 let query t ~lo ~hi =
   match Indexing.Common.clamp_range ~sigma:t.sigma ~lo ~hi with
   | None -> Indexing.Answer.Direct Cbitmap.Posting.empty
-  | Some (lo, hi) -> query_checked t ~lo ~hi
+  | Some (lo, hi) ->
+      Indexing.Stream_table.Arena.clear t.arena;
+      answer t ~lo ~hi (range_slices t)
 
-(* ---- batched execution (PR 5): as [query_checked] per unique query,
+(* ---- batched execution (PR 5): [answer] per unique query,
    with node bitmaps decoded at most once per batch: each stream's
    arena slice is cached by (level, index), and the uncached sub-runs
    of each piece are prefetched. *)
 
-let batched_slices t cache ~lo ~hi =
+let cached_slices t cache ~lo ~hi =
   if lo > hi then []
   else
     List.concat_map
@@ -187,7 +185,7 @@ let query_batch t ranges =
   in
   Indexing.Batch.fan_out plan
     (Array.map
-       (fun (lo, hi) -> answer t ~lo ~hi (batched_slices t cache))
+       (fun (lo, hi) -> answer t ~lo ~hi (cached_slices t cache))
        plan.Indexing.Batch.uniq)
 
 let integrity t =

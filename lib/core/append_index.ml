@@ -42,7 +42,7 @@ type t = {
   buffer_cap : int;
   mutable counts_frame : Iosim.Frame.t option;
   mutable meta_frame : Iosim.Frame.t option;
-  arena : Indexing.Stream_table.Arena.t; (* each query's decoded base extents *)
+  arena : Indexing.Stream_table.Arena.t; (* each query's decoded extents *)
 }
 
 let count_bits = 32
@@ -259,13 +259,12 @@ let bump_count t ch =
   | Some f -> Iosim.Frame.invalidate f
   | None -> ()
 
-let storage_of_node t (v : Wbb.node) =
-  if Wbb.is_leaf v then Some (t.leaves, v.Wbb.leaf_index)
-  else if v.Wbb.level < Array.length t.mat && t.mat.(v.Wbb.level) then
-    match t.levels.(v.Wbb.level) with
-    | Some st -> Some (st, v.Wbb.level_index)
-    | None -> None
-  else None
+let storage t tag = if tag = -1 then t.leaves else Option.get t.levels.(tag)
+
+let storage_of_node t v =
+  Option.map
+    (fun (tag, stream) -> (storage t tag, stream))
+    (Frozen.key ~levels:t.levels v)
 
 let apply_append t ch pos =
   let path = Frozen.route_path t.frozen (ch, pos) in
@@ -358,125 +357,38 @@ let read_count t ch =
     ~pos:(t.counts_region.Iosim.Device.off + (ch * count_bits))
     ~width:count_bits
 
-(* One stored node's base extent (a counted directory read). *)
-let node_extent (st : storage) stream =
-  Obs.Metrics.phase "directory" (fun () ->
-      Indexing.Stream_table.extents st.table ~lo:stream ~hi:stream)
+module Arena = Indexing.Stream_table.Arena
 
-(* Postings of one stored node: the base extent through the arena,
-   then each chain block, each decoded whole. *)
-let node_postings t (st : storage) stream base =
-  List.map
-    (fun e ->
-      Indexing.Stream_table.Arena.(union t.arena [ read t.arena e ]))
-    base
-  @ List.rev_map
+(* A stored node's arena slices: its chain blocks, newest first, then
+   its base extent [base]. *)
+let node_slices t (tag, stream) base =
+  let chain =
+    List.map
       (fun blk ->
-        let d = Iosim.Device.decoder t.device ~pos:blk.cregion.Iosim.Device.off in
-        Cbitmap.Gap_codec.decode ~code:t.code d ~count:blk.ccount)
-      st.chains.(stream).cblocks
+        Arena.read_gap t.arena t.device ~code:t.code
+          ~pos:blk.cregion.Iosim.Device.off ~count:blk.ccount)
+      (storage t tag).chains.(stream).cblocks
+  in
+  Arena.read t.arena base :: chain
 
-let node_union t st stream =
-  Cbitmap.Posting.union_many (node_postings t st stream (node_extent st stream))
+(* The slices of stored nodes as one query reads them: every node's
+   base directory entry first, then each node's payload. *)
+let read_nodes t keys =
+  let bases =
+    List.map
+      (fun (tag, stream) ->
+        Obs.Metrics.phase "directory" (fun () ->
+            Indexing.Stream_table.extent (storage t tag).table stream))
+      keys
+  in
+  Obs.Metrics.phase "payload" (fun () ->
+      List.concat (List.map2 (node_slices t) keys bases))
 
-let in_range t ~lo ~hi pos = t.x.(pos) >= lo && t.x.(pos) <= hi
-
-let answer_range t ~lo ~hi =
-  if lo > hi then Cbitmap.Posting.empty
-  else begin
-    let canon, partial, spine =
-      Frozen.decompose t.frozen ~klo:(lo, 0) ~khi:(hi + 1, 0)
-    in
-    Obs.Metrics.phase "directory" (fun () ->
-        List.iter (touch_meta t) spine;
-        List.iter (touch_meta t) canon);
-    let stored v =
-      Wbb.is_leaf v
-      || (v.Wbb.level < Array.length t.mat && t.mat.(v.Wbb.level))
-    in
-    let needs =
-      List.concat_map
-        (fun v -> Wbb.frontier (Frozen.tree t.frozen) v ~stored)
-        canon
-    in
-    let nodes =
-      List.filter_map
-        (fun v ->
-          Option.map
-            (fun (st, stream) -> (st, stream, node_extent st stream))
-            (storage_of_node t v))
-        needs
-    in
-    let main =
-      Obs.Metrics.phase "payload" (fun () ->
-          Cbitmap.Posting.union_many
-            (List.concat_map
-               (fun (st, stream, base) -> node_postings t st stream base)
-               nodes))
-    in
-    (* Boundary leaves: read and filter by the current character. *)
-    let filtered =
-      List.map
-        (fun v ->
-          match storage_of_node t v with
-          | Some (st, stream) ->
-              Cbitmap.Posting.filter (in_range t ~lo ~hi) (node_union t st stream)
-          | None -> Cbitmap.Posting.empty)
-        partial
-    in
-    let buffered_hits =
-      if t.buffered then
-        Cbitmap.Posting.of_list
-          (List.filter_map
-             (fun (ch, pos) -> if ch >= lo && ch <= hi then Some pos else None)
-             t.buffer)
-      else Cbitmap.Posting.empty
-    in
-    Cbitmap.Posting.union_many (main :: buffered_hits :: filtered)
-  end
-
-let query_checked t ~lo ~hi =
-  let z = ref 0 in
-  Obs.Metrics.phase "rank_select" (fun () ->
-      for ch = lo to hi do
-        z := !z + read_count t ch
-      done);
-  if !z = 0 && not t.buffered then Indexing.Answer.Direct Cbitmap.Posting.empty
-  else if t.complement && 2 * !z > t.n then
-    Indexing.Answer.Complement
-      (Cbitmap.Posting.union
-         (answer_range t ~lo:0 ~hi:(lo - 1))
-         (answer_range t ~lo:(hi + 1) ~hi:(t.sigma - 1)))
-  else Indexing.Answer.Direct (answer_range t ~lo ~hi)
-
-let query t ~lo ~hi =
-  match Indexing.Common.clamp_range ~sigma:t.sigma ~lo ~hi with
-  | None -> Indexing.Answer.Direct Cbitmap.Posting.empty
-  | Some (lo, hi) ->
-      Indexing.Stream_table.Arena.clear t.arena;
-      query_checked t ~lo ~hi
-
-(* ---- batched execution (PR 5): [answer_range] per unique query,
-   with each stored node's posting (base stream + chain blocks)
-   decoded at most once per batch.  Keys are (level, stream) with -1
-   for the leaf storage — stable across the batch since queries never
-   rebuild. *)
-
-let storage_key_of_node t (v : Wbb.node) =
-  if Wbb.is_leaf v then Some (-1, v.Wbb.leaf_index)
-  else if v.Wbb.level < Array.length t.mat && t.mat.(v.Wbb.level) then
-    match t.levels.(v.Wbb.level) with
-    | Some _ -> Some (v.Wbb.level, v.Wbb.level_index)
-    | None -> None
-  else None
-
-let storage_of_key t tag =
-  if tag = -1 then t.leaves else Option.get t.levels.(tag)
-
-(* Decode one node's full posting, prefetching its base payload span
-   and live chain blocks so the decode is a sequential pass. *)
-let node_posting t (tag, stream) =
-  let st = storage_of_key t tag in
+(* One node as a batch's cache miss reads it: its base payload span
+   and live chain blocks are prefetched first, so the read is one
+   sequential pass. *)
+let cached_node t ((tag, stream) as key) =
+  let st = storage t tag in
   let pos, len =
     Indexing.Stream_table.payload_span st.table ~lo:stream ~hi:stream
   in
@@ -486,78 +398,78 @@ let node_posting t (tag, stream) =
       Iosim.Device.prefetch t.device ~pos:blk.cregion.Iosim.Device.off
         ~len:blk.cregion.Iosim.Device.len)
     st.chains.(stream).cblocks;
-  node_union t st stream
+  read_nodes t [ key ]
 
-let batched_range t cache ~lo ~hi =
-  if lo > hi then Cbitmap.Posting.empty
+let in_range t ~lo ~hi pos = t.x.(pos) >= lo && t.x.(pos) <= hi
+
+(* The arena slices answering characters [lo..hi]: the descent's
+   metadata, the stored nodes' slices as [fetch] reads them, and each
+   boundary leaf's slices filtered by the current character. *)
+let range_slices t fetch ~lo ~hi =
+  if lo > hi then []
   else begin
-    let canon, partial, spine =
-      Frozen.decompose t.frozen ~klo:(lo, 0) ~khi:(hi + 1, 0)
+    let stored, boundary, visited =
+      Frozen.cover t.frozen ~mat:t.mat ~lo ~hi
     in
-    Obs.Metrics.phase "directory" (fun () ->
-        List.iter (touch_meta t) spine;
-        List.iter (touch_meta t) canon);
-    let stored v =
-      Wbb.is_leaf v
-      || (v.Wbb.level < Array.length t.mat && t.mat.(v.Wbb.level))
-    in
-    let needs =
-      List.concat_map
-        (fun v -> Wbb.frontier (Frozen.tree t.frozen) v ~stored)
-        canon
-    in
-    let main =
-      Obs.Metrics.phase "payload" (fun () ->
-          Cbitmap.Posting.union_many
-            (List.filter_map
-               (fun v ->
-                 Option.map
-                   (Indexing.Batch.Cache.get cache)
-                   (storage_key_of_node t v))
-               needs))
-    in
-    let filtered =
-      List.map
+    Obs.Metrics.phase "directory" (fun () -> List.iter (touch_meta t) visited);
+    let main = fetch (List.filter_map (Frozen.key ~levels:t.levels) stored) in
+    main
+    @ List.concat_map
         (fun v ->
-          match storage_key_of_node t v with
+          match Frozen.key ~levels:t.levels v with
           | Some key ->
-              Cbitmap.Posting.filter (in_range t ~lo ~hi)
-                (Indexing.Batch.Cache.get cache key)
-          | None -> Cbitmap.Posting.empty)
-        partial
-    in
-    let buffered_hits =
-      if t.buffered then
-        Cbitmap.Posting.of_list
-          (List.filter_map
-             (fun (ch, pos) -> if ch >= lo && ch <= hi then Some pos else None)
-             t.buffer)
-      else Cbitmap.Posting.empty
-    in
-    Cbitmap.Posting.union_many (main :: buffered_hits :: filtered)
+              List.map
+                (Arena.filter t.arena (in_range t ~lo ~hi))
+                (fetch [ key ])
+          | None -> [])
+        boundary
   end
 
-let batched_checked t cache ~lo ~hi =
+(* The one range evaluator, for [query] and [query_batch] alike: the
+   count probe, the complement rule, and one union over the arena
+   slices of the character ranges, plus the buffered appends that fall
+   in them.  A complement reads the characters right of the range
+   first, then those left of it. *)
+let answer t ~lo ~hi fetch =
   let z = ref 0 in
   Obs.Metrics.phase "rank_select" (fun () ->
       for ch = lo to hi do
         z := !z + read_count t ch
       done);
+  let union ranges =
+    let p =
+      Arena.union t.arena
+        (List.concat_map (fun (lo, hi) -> range_slices t fetch ~lo ~hi) ranges)
+    in
+    let hit (ch, _) = List.exists (fun (lo, hi) -> lo <= ch && ch <= hi) ranges in
+    match List.filter hit t.buffer with
+    | [] -> p
+    | hits -> Cbitmap.Posting.union p (Cbitmap.Posting.of_list (List.map snd hits))
+  in
   if !z = 0 && not t.buffered then Indexing.Answer.Direct Cbitmap.Posting.empty
   else if t.complement && 2 * !z > t.n then
-    Indexing.Answer.Complement
-      (Cbitmap.Posting.union
-         (batched_range t cache ~lo:0 ~hi:(lo - 1))
-         (batched_range t cache ~lo:(hi + 1) ~hi:(t.sigma - 1)))
-  else Indexing.Answer.Direct (batched_range t cache ~lo ~hi)
+    Indexing.Answer.Complement (union [ (hi + 1, t.sigma - 1); (0, lo - 1) ])
+  else Indexing.Answer.Direct (union [ (lo, hi) ])
 
+let query t ~lo ~hi =
+  match Indexing.Common.clamp_range ~sigma:t.sigma ~lo ~hi with
+  | None -> Indexing.Answer.Direct Cbitmap.Posting.empty
+  | Some (lo, hi) ->
+      Arena.clear t.arena;
+      answer t ~lo ~hi (read_nodes t)
+
+(* Batched execution (PR 5): [answer] per unique query, with each
+   stored node's slices (base stream and chain blocks) read at most
+   once per batch.  Keys are (level, stream) with -1 for the leaf
+   storage, stable across the batch since queries never rebuild. *)
 let query_batch t ranges =
   let plan = Indexing.Batch.normalize ~sigma:t.sigma ranges in
-  Indexing.Stream_table.Arena.clear t.arena;
-  let cache = Indexing.Batch.Cache.create ~decode:(node_posting t) () in
+  Arena.clear t.arena;
+  let cache = Indexing.Batch.Cache.create ~decode:(cached_node t) () in
   Indexing.Batch.fan_out plan
     (Array.map
-       (fun (lo, hi) -> batched_checked t cache ~lo ~hi)
+       (fun (lo, hi) ->
+         answer t ~lo ~hi (List.concat_map (Indexing.Batch.Cache.get cache)))
        plan.Indexing.Batch.uniq)
 
 (* Frames over the live chain blocks: blocks appended to since their

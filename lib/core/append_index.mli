@@ -45,9 +45,9 @@ val append : t -> int -> unit
 
 val query : t -> lo:int -> hi:int -> Indexing.Answer.t
 
-(** Batched execution (PR 5): same decomposition and complement
-    decisions as [query] per unique range; each stored node's posting
-    (base stream + chain blocks) decodes at most once per batch. *)
+(** Batched execution (PR 5): the range evaluator of [query] per
+    unique range, with each stored node's slices (base stream + chain
+    blocks) decoded at most once per batch. *)
 val query_batch : t -> (int * int) array -> Indexing.Answer.t array
 
 (** Number of global rebuilds performed so far. *)

@@ -109,20 +109,14 @@ let rebuild t =
   t.changes <- 0;
   t.rebuilds <- t.rebuilds + 1
 
-let storage_of_node t (v : Wbb.node) =
-  if Wbb.is_leaf v then Some (t.leaf_bb, v.Wbb.leaf_index)
-  else if v.Wbb.level < Array.length t.mat && t.mat.(v.Wbb.level) then
-    match t.level_bb.(v.Wbb.level) with
-    | Some bb -> Some (bb, v.Wbb.level_index)
-    | None -> None
-  else None
+let bb t tag = if tag = -1 then t.leaf_bb else Option.get t.level_bb.(tag)
 
 let apply_update t op ch pos =
   let path = Frozen.route_path t.frozen (ch, pos) in
   List.iter
     (fun v ->
-      match storage_of_node t v with
-      | Some (bb, stream) -> Buffered_bitmap.update bb op ~stream ~pos
+      match Frozen.key ~levels:t.level_bb v with
+      | Some (tag, stream) -> Buffered_bitmap.update (bb t tag) op ~stream ~pos
       | None -> ())
     path
 
@@ -173,155 +167,88 @@ let read_count t ch =
     ~pos:(t.counts_region.Iosim.Device.off + (ch * count_bits))
     ~width:count_bits
 
-let answer_range t ~lo ~hi =
-  if lo > hi then Cbitmap.Posting.empty
+(* Stored nodes as one query reads them: adjacent streams of one
+   storage coalesce into one range query, and the runs are read right
+   to left. *)
+let read_runs t keys =
+  let runs =
+    List.fold_left
+      (fun runs (tag, stream) ->
+        match runs with
+        | (tag', lo, hi) :: rest when tag' = tag && stream = hi + 1 ->
+            (tag, lo, stream) :: rest
+        | _ -> (tag, stream, stream) :: runs)
+      [] keys
+  in
+  List.rev_map
+    (fun (tag, lo, hi) -> Buffered_bitmap.range_query (bb t tag) ~lo ~hi)
+    runs
+
+(* The postings answering characters [lo..hi]: the stored nodes' as
+   [fetch] reads them, and each boundary leaf's filtered by the
+   current character. *)
+let range_postings t fetch ~lo ~hi =
+  if lo > hi then []
   else begin
-    let canon, partial, _spine =
-      Frozen.decompose t.frozen ~klo:(lo, 0) ~khi:(hi + 1, 0)
+    let stored, boundary, _visited =
+      Frozen.cover t.frozen ~mat:t.mat ~lo ~hi
     in
-    let stored v =
-      Wbb.is_leaf v
-      || (v.Wbb.level < Array.length t.mat && t.mat.(v.Wbb.level))
-    in
-    let needs =
-      List.concat_map
-        (fun v -> Wbb.frontier (Frozen.tree t.frozen) v ~stored)
-        canon
-    in
-    (* Coalesce adjacent streams per storage into range queries. *)
-    let parts = ref [] in
-    let flush_or_extend bb stream =
-      match !parts with
-      | (bb', lo', hi') :: rest when bb' == bb && stream = hi' + 1 ->
-          parts := (bb', lo', stream) :: rest
-      | _ -> parts := (bb, stream, stream) :: !parts
-    in
-    List.iter
-      (fun v ->
-        match storage_of_node t v with
-        | Some (bb, stream) -> flush_or_extend bb stream
-        | None -> ())
-      needs;
-    let main =
-      List.rev_map
-        (fun (bb, slo, shi) -> Buffered_bitmap.range_query bb ~lo:slo ~hi:shi)
-        !parts
-    in
-    (* Boundary leaves: read and filter by current character. *)
-    let filtered =
-      List.map
+    let main = fetch (List.filter_map (Frozen.key ~levels:t.level_bb) stored) in
+    main
+    @ List.filter_map
         (fun v ->
-          match storage_of_node t v with
-          | Some (bb, stream) ->
+          Option.map
+            (fun key ->
               Cbitmap.Posting.filter
                 (fun pos -> t.x.(pos) >= lo && t.x.(pos) <= hi)
-                (Buffered_bitmap.point_query bb stream)
-          | None -> Cbitmap.Posting.empty)
-        partial
-    in
-    Cbitmap.Posting.union_many (main @ filtered)
+                (Cbitmap.Posting.union_many (fetch [ key ])))
+            (Frozen.key ~levels:t.level_bb v))
+        boundary
   end
 
-let query_checked t ~lo ~hi =
+(* The one range evaluator, for [query] and [query_batch] alike: the
+   count probe, the complement rule, and one union over the character
+   ranges' postings.  The complement side must also cover the deletion
+   character so that deleted positions are excluded from the final
+   answer; it reads the characters right of the range first, then
+   those left of it. *)
+let answer t ~lo ~hi fetch =
   let z = ref 0 in
   Obs.Metrics.phase "rank_select" (fun () ->
       for ch = lo to hi do
         z := !z + read_count t ch
       done);
+  let union ranges =
+    Cbitmap.Posting.union_many
+      (List.concat_map (fun (lo, hi) -> range_postings t fetch ~lo ~hi) ranges)
+  in
   if !z = 0 then Indexing.Answer.Direct Cbitmap.Posting.empty
   else if t.complement && 2 * !z > t.n then
-    (* The complement side must also cover the deletion character so
-       that deleted positions are excluded from the final answer. *)
-    Indexing.Answer.Complement
-      (Cbitmap.Posting.union
-         (answer_range t ~lo:0 ~hi:(lo - 1))
-         (answer_range t ~lo:(hi + 1) ~hi:t.sigma))
-  else Indexing.Answer.Direct (answer_range t ~lo ~hi)
+    Indexing.Answer.Complement (union [ (hi + 1, t.sigma); (0, lo - 1) ])
+  else Indexing.Answer.Direct (union [ (lo, hi) ])
 
 let query t ~lo ~hi =
   match Indexing.Common.clamp_range ~sigma:t.sigma ~lo ~hi with
   | None -> Indexing.Answer.Direct Cbitmap.Posting.empty
-  | Some (lo, hi) -> query_checked t ~lo ~hi
+  | Some (lo, hi) -> answer t ~lo ~hi (read_runs t)
 
-(* ---- batched execution (PR 5): [answer_range] per unique query with
-   each stored node's posting read at most once per batch.  Updates
-   are per-stream ((stream, pos) keys in the buffered bitmaps), so the
+(* Batched execution (PR 5): [answer] per unique query with each
+   stored node's posting read at most once per batch.  Updates are
+   per-stream ((stream, pos) keys in the buffered bitmaps), so the
    union of per-stream point queries equals the coalesced range query
    the single-query path issues. *)
-
-let storage_key_of_node t (v : Wbb.node) =
-  if Wbb.is_leaf v then Some (-1, v.Wbb.leaf_index)
-  else if v.Wbb.level < Array.length t.mat && t.mat.(v.Wbb.level) then
-    match t.level_bb.(v.Wbb.level) with
-    | Some _ -> Some (v.Wbb.level, v.Wbb.level_index)
-    | None -> None
-  else None
-
-let bb_of_key t tag =
-  if tag = -1 then t.leaf_bb else Option.get t.level_bb.(tag)
-
-let batched_range t cache ~lo ~hi =
-  if lo > hi then Cbitmap.Posting.empty
-  else begin
-    let canon, partial, _spine =
-      Frozen.decompose t.frozen ~klo:(lo, 0) ~khi:(hi + 1, 0)
-    in
-    let stored v =
-      Wbb.is_leaf v
-      || (v.Wbb.level < Array.length t.mat && t.mat.(v.Wbb.level))
-    in
-    let needs =
-      List.concat_map
-        (fun v -> Wbb.frontier (Frozen.tree t.frozen) v ~stored)
-        canon
-    in
-    let main =
-      List.filter_map
-        (fun v ->
-          Option.map
-            (Indexing.Batch.Cache.get cache)
-            (storage_key_of_node t v))
-        needs
-    in
-    let filtered =
-      List.map
-        (fun v ->
-          match storage_key_of_node t v with
-          | Some key ->
-              Cbitmap.Posting.filter
-                (fun pos -> t.x.(pos) >= lo && t.x.(pos) <= hi)
-                (Indexing.Batch.Cache.get cache key)
-          | None -> Cbitmap.Posting.empty)
-        partial
-    in
-    Cbitmap.Posting.union_many (main @ filtered)
-  end
-
-let batched_checked t cache ~lo ~hi =
-  let z = ref 0 in
-  Obs.Metrics.phase "rank_select" (fun () ->
-      for ch = lo to hi do
-        z := !z + read_count t ch
-      done);
-  if !z = 0 then Indexing.Answer.Direct Cbitmap.Posting.empty
-  else if t.complement && 2 * !z > t.n then
-    Indexing.Answer.Complement
-      (Cbitmap.Posting.union
-         (batched_range t cache ~lo:0 ~hi:(lo - 1))
-         (batched_range t cache ~lo:(hi + 1) ~hi:t.sigma))
-  else Indexing.Answer.Direct (batched_range t cache ~lo ~hi)
-
 let query_batch t ranges =
   let plan = Indexing.Batch.normalize ~sigma:t.sigma ranges in
   let cache =
     Indexing.Batch.Cache.create
       ~decode:(fun (tag, stream) ->
-        Buffered_bitmap.point_query (bb_of_key t tag) stream)
+        Buffered_bitmap.point_query (bb t tag) stream)
       ()
   in
   Indexing.Batch.fan_out plan
     (Array.map
-       (fun (lo, hi) -> batched_checked t cache ~lo ~hi)
+       (fun (lo, hi) ->
+         answer t ~lo ~hi (List.map (Indexing.Batch.Cache.get cache)))
        plan.Indexing.Batch.uniq)
 
 let size_bits t =

@@ -35,9 +35,9 @@ val append : t -> int -> unit
 
 val query : t -> lo:int -> hi:int -> Indexing.Answer.t
 
-(** Batched execution (PR 5): same decomposition and complement
-    decisions as [query] per unique range; each stored node's posting
-    is read at most once per batch. *)
+(** Batched execution (PR 5): the range evaluator of [query] per
+    unique range, with each stored node's posting read at most once
+    per batch. *)
 val query_batch : t -> (int * int) array -> Indexing.Answer.t array
 
 val rebuilds : t -> int

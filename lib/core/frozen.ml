@@ -68,3 +68,18 @@ let decompose t ~klo ~khi =
   in
   go t.wtree.Wbb.root;
   (List.rev !canon, List.rev !partial, List.rev !spine)
+
+let cover t ~mat ~lo ~hi =
+  let canon, partial, spine = decompose t ~klo:(lo, 0) ~khi:(hi + 1, 0) in
+  let stored (v : Wbb.node) =
+    Wbb.is_leaf v || (v.Wbb.level < Array.length mat && mat.(v.Wbb.level))
+  in
+  ( List.concat_map (fun v -> Wbb.frontier t.wtree v ~stored) canon,
+    partial,
+    spine @ canon )
+
+let key ~levels (v : Wbb.node) =
+  if Wbb.is_leaf v then Some (-1, v.Wbb.leaf_index)
+  else if v.Wbb.level < Array.length levels && Option.is_some levels.(v.Wbb.level)
+  then Some (v.Wbb.level, v.Wbb.level_index)
+  else None

@@ -44,3 +44,22 @@ val route_path : t -> key -> Wbb.node list
     visited internal spine (for descent I/O accounting). *)
 val decompose :
   t -> klo:key -> khi:key -> Wbb.node list * Wbb.node list * Wbb.node list
+
+(** [cover t ~mat ~lo ~hi] reads the decomposition of characters
+    [lo..hi] for a query: the stored nodes answering it, left to right
+    (each canonical node's frontier of leaves and of the internal
+    levels [l] with [mat.(l)]); the partial leaves, to be read and
+    filtered; and the nodes a descent inspects (the spine, then the
+    canonical nodes). *)
+val cover :
+  t ->
+  mat:bool array ->
+  lo:int ->
+  hi:int ->
+  Wbb.node list * Wbb.node list * Wbb.node list
+
+(** The storage key of a node whose bitmap is stored: [(-1, leaf
+    index)] for a leaf, [(level, index within the level)] for an
+    internal node of a level [l] with [levels.(l)] present; [None]
+    for any other node. *)
+val key : levels:'a option array -> Wbb.node -> (int * int) option

@@ -252,108 +252,75 @@ let table t = function
   | `Leaf -> t.leaf_table
   | `Level l -> Option.get t.level_tables.(l)
 
-(* The descent and every run's directory entries are read in one
-   "directory" span before any payload. *)
-let entry_extents t ~s ~e =
-  Obs.Metrics.phase "directory" (fun () ->
-      List.concat_map
-        (fun { storage; first; last } ->
-          Indexing.Stream_table.extents (table t storage) ~lo:first ~hi:last)
-        (plan_charged t ~s ~e))
+(* The arena slices of entry range [s, e) as one query reads them:
+   the descent and every run's directory entries in one "directory"
+   span before any payload, then each extent in one "payload" span. *)
+let read_slices t ~s ~e =
+  let es =
+    Obs.Metrics.phase "directory" (fun () ->
+        List.concat_map
+          (fun { storage; first; last } ->
+            Indexing.Stream_table.extents (table t storage) ~lo:first ~hi:last)
+          (plan_charged t ~s ~e))
+  in
+  Obs.Metrics.phase "payload" (fun () ->
+      List.map (Indexing.Stream_table.Arena.read t.arena) es)
 
-let read_extents t es = List.map (Indexing.Stream_table.Arena.read t.arena) es
+(* The same slices as a batch reads them: each stored stream's slice
+   comes from the batch's cache, keyed by (storage, stream), and each
+   run's uncached streams are prefetched first, so their payload
+   blocks arrive in one sequential pass. *)
+let cached_slices t cache ~s ~e =
+  let runs = Obs.Metrics.phase "directory" (fun () -> plan_charged t ~s ~e) in
+  List.concat_map
+    (fun { storage; first; last } ->
+      Indexing.Stream_table.prefetch_uncached (table t storage)
+        ~cached:(fun i -> Indexing.Batch.Cache.mem cache (storage, i))
+        ~lo:first ~hi:last;
+      List.init (last - first + 1) (fun k ->
+          Indexing.Batch.Cache.get cache (storage, first + k)))
+    runs
 
-(* The arena slices of entry range [s, e): the directory span, then
-   each canonical-node extent decoded whole in one "payload" span. *)
-let entry_slices t ~s ~e =
-  if s >= e then []
-  else
-    let es = entry_extents t ~s ~e in
-    Obs.Metrics.phase "payload" (fun () -> read_extents t es)
-
-let query_entries t ~s ~e =
-  Indexing.Stream_table.Arena.clear t.arena;
-  Indexing.Stream_table.Arena.union t.arena (entry_slices t ~s ~e)
-
-(* A complement is one union over the left and the right entries: the
-   two sets of positions are disjoint. *)
-let query_checked t ~lo ~hi =
+(* The one range evaluator, for [query] and [query_batch] alike: the
+   A-array probe, the complement rule, and one union over the arena
+   slices [slices] reads for each entry range.  A complement is one
+   union over the left and the right entries: the two sets of
+   positions are disjoint.  [timed] runs the union: a batch times it
+   as payload work, while a query's reads already ran in payload
+   spans. *)
+let answer t ~lo ~hi ~timed slices =
   let s, e =
     Obs.Metrics.phase "rank_select" (fun () ->
         (read_a t lo, read_a t (hi + 1)))
   in
-  let z = e - s in
+  let union entry_ranges =
+    match
+      List.concat_map
+        (fun (s, e) -> if s >= e then [] else slices ~s ~e)
+        entry_ranges
+    with
+    | [] -> Cbitmap.Posting.empty
+    | l -> timed (fun () -> Indexing.Stream_table.Arena.union t.arena l)
+  in
   let n = t.tree.Wbb.n in
-  Indexing.Stream_table.Arena.clear t.arena;
-  if z = 0 then Indexing.Answer.Direct Cbitmap.Posting.empty
-  else if t.complement && 2 * z > n then begin
-    let left = entry_slices t ~s:0 ~e:s in
-    let right = entry_slices t ~s:e ~e:n in
-    Indexing.Answer.Complement
-      (Indexing.Stream_table.Arena.union t.arena (left @ right))
-  end
-  else
-    let es = entry_extents t ~s ~e in
-    Indexing.Answer.Direct
-      (Obs.Metrics.phase "payload" (fun () ->
-           Indexing.Stream_table.Arena.union t.arena (read_extents t es)))
+  if e = s then Indexing.Answer.Direct Cbitmap.Posting.empty
+  else if t.complement && 2 * (e - s) > n then
+    Indexing.Answer.Complement (union [ (0, s); (e, n) ])
+  else Indexing.Answer.Direct (union [ (s, e) ])
 
 let query t ~lo ~hi =
   match Indexing.Common.clamp_range ~sigma:t.tree.Wbb.sigma ~lo ~hi with
   | None -> Indexing.Answer.Direct Cbitmap.Posting.empty
-  | Some (lo, hi) -> query_checked t ~lo ~hi
+  | Some (lo, hi) ->
+      Indexing.Stream_table.Arena.clear t.arena;
+      answer t ~lo ~hi ~timed:(fun union -> union ()) (read_slices t)
 
-(* ---- batched execution (PR 5) ----
-
-   Same plan as [query_checked] query by query — identical descent,
-   identical complement decision, so answers match constructor for
-   constructor — but every stored stream decodes at most once for the
-   whole batch: the per-(storage, stream) cache holds the arena slice
-   its positions were decoded into, and later queries whose plans
-   subscribe to the same stream reuse it.  Uncached runs announce
-   themselves to the device with [prefetch], so their payload blocks
-   arrive in one sequential pass.  Each answer is one union over the
+(* Batched execution (PR 5): [answer] per unique query — identical
+   descent and complement decision, so answers match [query]
+   constructor for constructor — but every stored stream decodes at
+   most once for the whole batch.  Each answer is one union over the
    arena, written fresh, so the arena is reused from batch to batch:
    a warm index allocates little beyond its answers. *)
-
-(* The arena slices of entry range [s, e), in plan order. *)
-let batched_slices t cache ~s ~e =
-  if s >= e then []
-  else begin
-    let runs =
-      Obs.Metrics.phase "directory" (fun () -> plan_charged t ~s ~e)
-    in
-    List.concat_map
-      (fun { storage; first; last } ->
-        Indexing.Stream_table.prefetch_uncached (table t storage)
-          ~cached:(fun i -> Indexing.Batch.Cache.mem cache (storage, i))
-          ~lo:first ~hi:last;
-        List.init (last - first + 1) (fun k ->
-            Indexing.Batch.Cache.get cache (storage, first + k)))
-      runs
-  end
-
-let union_arena t slices =
-  if slices = [] then Cbitmap.Posting.empty
-  else
-    Obs.Metrics.phase "payload" (fun () ->
-        Indexing.Stream_table.Arena.union t.arena slices)
-
-let batched_checked t cache ~lo ~hi =
-  let s, e =
-    Obs.Metrics.phase "rank_select" (fun () ->
-        (read_a t lo, read_a t (hi + 1)))
-  in
-  let z = e - s in
-  let n = t.tree.Wbb.n in
-  if z = 0 then Indexing.Answer.Direct Cbitmap.Posting.empty
-  else if t.complement && 2 * z > n then begin
-    let left = batched_slices t cache ~s:0 ~e:s in
-    let right = batched_slices t cache ~s:e ~e:n in
-    Indexing.Answer.Complement (union_arena t (left @ right))
-  end
-  else Indexing.Answer.Direct (union_arena t (batched_slices t cache ~s ~e))
-
 let query_batch t ranges =
   let plan = Indexing.Batch.normalize ~sigma:t.tree.Wbb.sigma ranges in
   Indexing.Stream_table.Arena.clear t.arena;
@@ -365,7 +332,9 @@ let query_batch t ranges =
   in
   Indexing.Batch.fan_out plan
     (Array.map
-       (fun (lo, hi) -> batched_checked t cache ~lo ~hi)
+       (fun (lo, hi) ->
+         answer t ~lo ~hi ~timed:(Obs.Metrics.phase "payload")
+           (cached_slices t cache))
        plan.Indexing.Batch.uniq)
 
 let integrity t =

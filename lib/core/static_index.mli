@@ -41,8 +41,8 @@ val build :
 
 val query : t -> lo:int -> hi:int -> Indexing.Answer.t
 
-(** Batched execution (PR 5): answers [ranges] slot for slot with the
-    same plans and complement decisions as [query], but decodes each
+(** Batched execution (PR 5): answers [ranges] slot for slot through
+    the range evaluator [query] runs, but decodes each
     stored stream at most once for the whole batch and prefetches
     uncached payload runs.  What [Instance.batch] wires up.
 
@@ -56,11 +56,6 @@ val query : t -> lo:int -> hi:int -> Indexing.Answer.t
     [query] and [query_batch] are not reentrant, and two domains must
     not run them on one index at once. *)
 val query_batch : t -> (int * int) array -> Indexing.Answer.t array
-
-(** Answer for an entry range [\[s;e)] (entries are character
-    instances in (char, pos) order); [s] and [e] must be character
-    boundaries.  Exposed for the approximate index and for tests. *)
-val query_entries : t -> s:int -> e:int -> Cbitmap.Posting.t
 
 (** The underlying tree (for inspection and for the approximate
     index). *)

@@ -65,20 +65,6 @@ let fan_out plan uniq_answers =
       else uniq_answers.(c))
     plan.class_of
 
-(* Coverage of the batch as maximal merged intervals — what a planner
-   reports (and prefetches against): overlapping or adjacent unique
-   queries collapse into one interval. *)
-let merged_intervals plan =
-  let acc = ref [] in
-  Array.iter
-    (fun (lo, hi) ->
-      match !acc with
-      | (mlo, mhi) :: rest when lo <= mhi + 1 ->
-          acc := (mlo, max mhi hi) :: rest
-      | _ -> acc := (lo, hi) :: !acc)
-    plan.uniq;
-  List.rev !acc
-
 let run ~sigma ~exec ranges =
   let plan = normalize ~sigma ranges in
   let uniq_answers =
@@ -101,27 +87,20 @@ module Cache = struct
   type ('k, 'v) t = {
     table : ('k, 'v) Hashtbl.t;
     decode : 'k -> 'v;
-    mutable decodes : int;
-    mutable requests : int;
   }
 
-  let create ~decode () =
-    { table = Hashtbl.create 64; decode; decodes = 0; requests = 0 }
+  let create ~decode () = { table = Hashtbl.create 64; decode }
 
   let get t k =
-    t.requests <- t.requests + 1;
     Obs.Metrics.incr m_requests;
     match Hashtbl.find_opt t.table k with
     | Some v ->
         Obs.Metrics.incr m_hits;
         v
     | None ->
-        t.decodes <- t.decodes + 1;
         let v = t.decode k in
         Hashtbl.replace t.table k v;
         v
 
   let mem t k = Hashtbl.mem t.table k
-  let decodes t = t.decodes
-  let requests t = t.requests
 end

@@ -28,10 +28,6 @@ val normalize : sigma:int -> (int * int) array -> plan
     [uniq_answers] does not have one answer per [plan.uniq] entry. *)
 val fan_out : plan -> Answer.t array -> Answer.t array
 
-(** Maximal merged coverage intervals of [plan.uniq] (overlapping or
-    adjacent ranges collapse), in ascending order. *)
-val merged_intervals : plan -> (int * int) list
-
 (** [run ~sigma ~exec ranges]: normalize, execute each unique query
     once through [exec], fan out.  The generic batch engine for
     structures without a shared-decode plan — dedup plus a warm pool
@@ -55,10 +51,4 @@ module Cache : sig
   (** Is the key already decoded (no decode triggered)?  Prefetch
       planning skips cached extents through this. *)
   val mem : ('k, 'v) t -> 'k -> bool
-
-  (** Distinct keys decoded so far. *)
-  val decodes : ('k, 'v) t -> int
-
-  (** Total {!get} calls so far. *)
-  val requests : ('k, 'v) t -> int
 end

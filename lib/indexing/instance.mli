@@ -19,9 +19,14 @@ type t = {
   batch : ((int * int) array -> Answer.t array) option;
       (** Structure-specific batched execution: answers [ranges]
           slot-for-slot, decoding each touched extent once for the
-          whole batch (see {!Batch}).  Must agree exactly with [query]
-          run range by range.  [None] means {!query_batch} falls back
-          to the generic planner (dedup + shared pool). *)
+          whole batch (see {!Batch}).  Every structure with a hook
+          runs the same range evaluator as its [query], with a fetch
+          that reads each stored bitmap through {!Batch.Cache} and
+          prefetches uncached runs, so it agrees exactly with [query]
+          run range by range; the readahead's directory reads are the
+          one charge it adds (see {!query_batch}).  [None] means
+          {!query_batch} falls back to the generic planner (dedup +
+          shared pool). *)
   integrity : Integrity.t option;
       (** Detect-or-repair hooks over the structure's on-device
           extents; [None] means the instance has no integrity layer

@@ -149,24 +149,38 @@ module Arena = struct
         a.decoder <- Some (device, d);
         d
 
-  (* One pass over the extent's codewords, in order: a gap extent
-     decodes in place; a container extent decodes whole and is copied.
-     Container payloads are self-describing: the directory count is
-     not needed to find the end. *)
-  let read a ({ table = t; pos; count } : extent) =
+  (* The first free word, with room for [count] more after it.
+     Growing copies the words in use, so earlier slices stay valid. *)
+  let reserve a count =
     let at = a.fill in
     if count > Array.length a.words - at then begin
       let w = Array.make (max (at + count) (2 * Array.length a.words)) 0 in
       Array.blit a.words 0 w 0 at;
       a.words <- w
     end;
-    let d = decoder a t.device ~pos in
-    (match t.layout with
-    | Gap ->
-        Cbitmap.Gap_codec.decode_into ~code:t.code ~at d ~count a.words;
-        Cbitmap.Posting.check_slice a.words ~off:at ~len:count
+    at
+
+  let read_gap a device ~code ~pos ~count =
+    let at = reserve a count in
+    Cbitmap.Gap_codec.decode_into ~code ~at (decoder a device ~pos) ~count
+      a.words;
+    Cbitmap.Posting.check_slice a.words ~off:at ~len:count;
+    a.fill <- at + count;
+    (at, count)
+
+  (* One pass over the extent's codewords, in order: a gap extent
+     decodes in place; a container extent decodes whole and is copied.
+     Container payloads are self-describing: the directory count is
+     not needed to find the end. *)
+  let read a ({ table = t; pos; count } : extent) =
+    match t.layout with
+    | Gap -> read_gap a t.device ~code:t.code ~pos ~count
     | Hybrid { universe; chunk } ->
-        let p = Cbitmap.Container.decode_chunked ~universe ~chunk d in
+        let at = reserve a count in
+        let p =
+          Cbitmap.Container.decode_chunked ~universe ~chunk
+            (decoder a t.device ~pos)
+        in
         if Cbitmap.Posting.cardinal p <> count then
           Secidx_error.corrupt
             "Stream_table: container extent holds %d positions, directory says %d"
@@ -176,9 +190,24 @@ module Arena = struct
           (fun v ->
             Array.unsafe_set a.words !k v;
             incr k)
-          p);
-    a.fill <- at + count;
-    (at, count)
+          p;
+        a.fill <- at + count;
+        (at, count)
+
+  (* Kept positions are copied, not moved: a batch's cached slice is
+     read again by later queries. *)
+  let filter a keep (off, len) =
+    let at = reserve a len in
+    let k = ref at in
+    for i = off to off + len - 1 do
+      let v = Array.unsafe_get a.words i in
+      if keep v then begin
+        Array.unsafe_set a.words !k v;
+        incr k
+      end
+    done;
+    a.fill <- !k;
+    (at, !k - at)
 
   (* Phase spans: the directory entry is decoded first (the "directory"
      phase), then the extent (the "payload" phase). *)

@@ -92,6 +92,23 @@ module Arena : sig
       use, so earlier slices stay valid. *)
   val read : t -> extent -> int * int
 
+  (** [read_gap a device ~code ~pos ~count] is {!read} for a
+      gap-coded region that is not in a table: [count] positions
+      coded with [code] from bit [pos] of [device], charged as {!read}
+      charges an extent (what a fresh decoder at [pos] charges). *)
+  val read_gap :
+    t ->
+    Iosim.Device.t ->
+    code:Cbitmap.Gap_codec.code ->
+    pos:int ->
+    count:int ->
+    int * int
+
+  (** [filter a keep slice] copies the positions of [slice] that
+      [keep] accepts to a new slice after the others and returns it;
+      [slice] is left as it was.  No I/O. *)
+  val filter : t -> (int -> bool) -> int * int -> int * int
+
   (** [read_stream a t i] reads stream [i] of [t] as a batch's cache
       miss does: its directory entry in a ["directory"] phase span,
       then {!read} of its extent in a ["payload"] span. *)

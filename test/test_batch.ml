@@ -97,8 +97,181 @@ let test_one (name, build) () =
         [ 1; 7; 33 ])
     [ 0; 1; 2; 3 ]
 
-(* The planner itself: clamping, dedup order, slot mapping, interval
-   merging. *)
+(* Charges pinned for every builder: the sum of every [Iosim.Stats]
+   field over [edge_batch] run range by range through [query_cold],
+   and the stats of one [query_batch] over [random_batch ~seed:1].
+   The rows after the builders' are indexes whose stored bitmaps have
+   seen updates (append chains, the append buffer, buffered-bitmap
+   updates), so the charges of those read paths are pinned too.  A
+   change that moves any figure changes what a query costs. *)
+let churned name instance_of =
+  ( name,
+    fun dev ~sigma data ->
+      let state = ref 7 in
+      let next m =
+        state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+        !state mod m
+      in
+      instance_of dev ~sigma data next )
+
+let updated_builders =
+  let append_instance ~buffered dev ~sigma data next =
+    let t = Secidx.Append_index.build ~buffered dev ~sigma data in
+    for _ = 1 to 303 do
+      Secidx.Append_index.append t (next sigma)
+    done;
+    {
+      Indexing.Instance.name = "append-churned";
+      device = dev;
+      n = Secidx.Append_index.length t;
+      sigma;
+      size_bits = Secidx.Append_index.size_bits t;
+      query = (fun ~lo ~hi -> Secidx.Append_index.query t ~lo ~hi);
+      batch = Some (Secidx.Append_index.query_batch t);
+      integrity = None;
+    }
+  in
+  [
+    churned "append+appends" (append_instance ~buffered:false);
+    churned "append-buffered+appends" (append_instance ~buffered:true);
+    churned "dynamic+updates" (fun dev ~sigma data next ->
+        let t = Secidx.Dynamic_index.build dev ~sigma data in
+        for i = 1 to 60 do
+          let pos = next (Secidx.Dynamic_index.length t) in
+          match i mod 3 with
+          | 0 -> Secidx.Dynamic_index.delete t ~pos
+          | 1 -> Secidx.Dynamic_index.change t ~pos (next sigma)
+          | _ -> Secidx.Dynamic_index.append t (next sigma)
+        done;
+        {
+          Indexing.Instance.name = "dynamic-churned";
+          device = dev;
+          n = Secidx.Dynamic_index.length t;
+          sigma;
+          size_bits = Secidx.Dynamic_index.size_bits t;
+          query = (fun ~lo ~hi -> Secidx.Dynamic_index.query t ~lo ~hi);
+          batch = Some (Secidx.Dynamic_index.query_batch t);
+          integrity = None;
+        });
+  ]
+
+let stats_row s =
+  Array.of_list (List.map (fun (_, get, _) -> get s) Iosim.Stats.fields)
+
+let charges build =
+  let sigma = 16 in
+  let g = Workload.Gen.zipf ~seed:11 ~n:1024 ~sigma ~theta:1.0 () in
+  let inst = build (device ()) ~sigma g.Workload.Gen.data in
+  let cold =
+    Iosim.Stats.merge
+      (Array.to_list
+         (Array.map
+            (fun (lo, hi) -> snd (Indexing.Instance.query_cold inst ~lo ~hi))
+            (edge_batch sigma)))
+  in
+  let _, batch =
+    Indexing.Instance.query_batch inst (random_batch ~seed:1 ~sigma ~k:33)
+  in
+  (stats_row cold, stats_row batch)
+
+let golden_fields =
+  [ "block_reads"; "block_writes"; "pool_hits"; "seeks"; "prefetches";
+    "prefetch_hits"; "bits_read"; "bits_written"; "faults_injected";
+    "faults_detected"; "retries"; "backoff_ios" ]
+
+(* One row per builder: (name, cold loop, batch), columns as in
+   [golden_fields]. *)
+let golden =
+  [
+    ("btree",
+     [| 248; 0; 3866; 28; 0; 0; 58470; 0; 0; 0; 0; 0 |],
+     [| 60; 0; 926; 9; 0; 0; 14150; 0; 0; 0; 0; 0 |]);
+    ("btree-dynamic",
+     [| 637; 0; 5308; 617; 0; 0; 96900; 0; 0; 0; 0; 0 |],
+     [| 154; 0; 1483; 149; 0; 0; 27072; 0; 0; 0; 0; 0 |]);
+    ("bitmap",
+     [| 216; 0; 1512; 54; 0; 0; 55296; 0; 0; 0; 0; 0 |],
+     [| 48; 0; 400; 12; 0; 0; 14336; 0; 0; 0; 0; 0 |]);
+    ("bitmap-wah",
+     [| 223; 0; 1314; 19; 0; 0; 49184; 0; 0; 0; 0; 0 |],
+     [| 48; 0; 331; 5; 48; 48; 10592; 0; 0; 0; 0; 0 |]);
+    ("bitmap-roaring",
+     [| 113; 0; 2450; 11; 0; 0; 25852; 0; 0; 0; 0; 0 |],
+     [| 25; 0; 547; 5; 23; 23; 5806; 0; 0; 0; 0; 0 |]);
+    ("cbitmap",
+     [| 98; 0; 3852; 11; 0; 0; 22207; 0; 0; 0; 0; 0 |],
+     [| 24; 0; 906; 5; 22; 22; 5004; 0; 0; 0; 0; 0 |]);
+    ("binned",
+     [| 78; 0; 3786; 19; 0; 0; 15799; 0; 0; 0; 0; 0 |],
+     [| 28; 0; 946; 10; 0; 0; 4981; 0; 0; 0; 0; 0 |]);
+    ("multires",
+     [| 35; 0; 3758; 13; 0; 0; 6131; 0; 0; 0; 0; 0 |],
+     [| 17; 0; 942; 5; 0; 0; 3723; 0; 0; 0; 0; 0 |]);
+    ("range-encoded",
+     [| 40; 0; 280; 28; 0; 0; 10240; 0; 0; 0; 0; 0 |],
+     [| 24; 0; 200; 18; 0; 0; 7168; 0; 0; 0; 0; 0 |]);
+    ("wavelet",
+     [| 41; 0; 2496; 36; 0; 0; 2537; 0; 0; 0; 0; 0 |],
+     [| 11; 0; 2280; 9; 0; 0; 2291; 0; 0; 0; 0; 0 |]);
+    ("alphabet-tree",
+     [| 27; 0; 702; 17; 0; 0; 3147; 0; 0; 0; 0; 0 |],
+     [| 18; 0; 893; 6; 15; 15; 3439; 0; 0; 0; 0; 0 |]);
+    ("alphabet-doubling",
+     [| 27; 0; 706; 15; 0; 0; 3515; 0; 0; 0; 0; 0 |],
+     [| 21; 0; 899; 7; 18; 18; 3961; 0; 0; 0; 0; 0 |]);
+    ("static",
+     [| 50; 0; 822; 34; 0; 0; 5199; 0; 0; 0; 0; 0 |],
+     [| 54; 0; 1167; 34; 26; 26; 7619; 0; 0; 0; 0; 0 |]);
+    ("append",
+     [| 50; 0; 872; 30; 0; 0; 6871; 0; 0; 0; 0; 0 |],
+     [| 48; 0; 1409; 30; 26; 26; 10301; 0; 0; 0; 0; 0 |]);
+    ("dynamic",
+     [| 119; 0; 67; 67; 0; 0; 6804; 0; 0; 0; 0; 0 |],
+     [| 117; 0; 179; 53; 0; 0; 6128; 0; 0; 0; 0; 0 |]);
+    ("buffered-bitmap",
+     [| 242; 0; 0; 69; 0; 0; 22689; 0; 0; 0; 0; 0 |],
+     [| 54; 0; 11; 17; 0; 0; 5691; 0; 0; 0; 0; 0 |]);
+    ("wal",
+     [| 98; 0; 3852; 11; 0; 0; 22207; 0; 0; 0; 0; 0 |],
+     [| 24; 0; 961; 5; 0; 0; 5571; 0; 0; 0; 0; 0 |]);
+    ("binned-fallback",
+     [| 78; 0; 3786; 19; 0; 0; 15799; 0; 0; 0; 0; 0 |],
+     [| 28; 0; 946; 10; 0; 0; 4981; 0; 0; 0; 0; 0 |]);
+    ("append+appends",
+     [| 58; 0; 1035; 39; 0; 0; 8396; 0; 0; 0; 0; 0 |],
+     [| 61; 0; 1711; 43; 39; 39; 12545; 0; 0; 0; 0; 0 |]);
+    ("append-buffered+appends",
+     [| 58; 0; 1034; 39; 0; 0; 8389; 0; 0; 0; 0; 0 |],
+     [| 61; 0; 1707; 43; 39; 39; 12521; 0; 0; 0; 0; 0 |]);
+    ("dynamic+updates",
+     [| 119; 0; 67; 67; 0; 0; 7059; 0; 0; 0; 0; 0 |],
+     [| 117; 0; 179; 53; 0; 0; 6209; 0; 0; 0; 0; 0 |]);
+  ]
+
+let test_golden_charges () =
+  let fields = List.map (fun (f, _, _) -> f) Iosim.Stats.fields in
+  Alcotest.(check (list string)) "columns" golden_fields fields;
+  let names = List.map (fun (n, _, _) -> n) golden in
+  Alcotest.(check (list string))
+    "one row per builder"
+    (List.map fst (builders @ updated_builders))
+    names;
+  List.iter
+    (fun (name, build) ->
+      let cold, batch = charges build in
+      let _, cold', batch' = List.find (fun (n, _, _) -> n = name) golden in
+      List.iteri
+        (fun i f ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: cold %s" name f)
+            cold'.(i) cold.(i);
+          Alcotest.(check int)
+            (Printf.sprintf "%s: batch %s" name f)
+            batch'.(i) batch.(i))
+        fields)
+    (builders @ updated_builders)
+
+(* The planner itself: clamping, dedup order, slot mapping. *)
 let test_plan () =
   let plan =
     Indexing.Batch.normalize ~sigma:8
@@ -111,16 +284,7 @@ let test_plan () =
     (Array.to_list plan.Indexing.Batch.uniq);
   Alcotest.(check (list int))
     "slots" [ 2; -1; 0; 2; -1; 1 ]
-    (Array.to_list plan.Indexing.Batch.class_of);
-  Alcotest.(check (list (pair int int)))
-    "merged intervals"
-    [ (0, 7) ]
-    (Indexing.Batch.merged_intervals plan);
-  Alcotest.(check (list (pair int int)))
-    "disjoint intervals stay split"
-    [ (0, 2); (4, 5) ]
-    (Indexing.Batch.merged_intervals
-       (Indexing.Batch.normalize ~sigma:8 [| (0, 1); (1, 2); (4, 5) |]))
+    (Array.to_list plan.Indexing.Batch.class_of)
 
 (* The CI contract, stated explicitly: every builder in the shared
    table is differentially batch-tested above.  Trivially true while
@@ -139,6 +303,7 @@ let test_registry_covered () =
 let suite =
   Alcotest.test_case "batch planner" `Quick test_plan
   :: Alcotest.test_case "registry fully covered" `Quick test_registry_covered
+  :: Alcotest.test_case "charges pinned per builder" `Quick test_golden_charges
   :: List.map
        (fun b ->
          Alcotest.test_case
