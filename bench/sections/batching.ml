@@ -2,7 +2,7 @@
    shared builder table and every batch size k, the same k alphabet
    ranges are issued twice: as k independent cold queries (pool
    cleared and stats reset before each — the pre-batching situation)
-   and as one [Instance.query_batch] call (a single cold start for the
+   and as one cold [Instance.run] call (a single cold start for the
    whole batch: clamp/dedupe/merge planning, one decode per touched
    extent, scan-resistant pool, device readahead).  The gate: every
    batched answer is bit-identical — same constructor, same posting —
@@ -55,7 +55,8 @@ let batch_one ~sigma ~ks ~data inst =
       let ranges = batch_ranges ~seed:41 ~sigma ~k data in
       let cold =
         Array.map
-          (fun (lo, hi) -> Indexing.Instance.query_cold inst ~lo ~hi)
+          (fun (lo, hi) ->
+            Indexing.Instance.run inst ~pool:`Cold [| (lo, hi) |])
           ranges
       in
       let cold_ios =
@@ -64,11 +65,11 @@ let batch_one ~sigma ~ks ~data inst =
       let cold_seeks =
         Array.fold_left (fun acc (_, s) -> acc + s.Iosim.Stats.seeks) 0 cold
       in
-      let answers, bs = Indexing.Instance.query_batch inst ranges in
+      let answers, bs = Indexing.Instance.run inst ~pool:`Cold ranges in
       let equal = ref (Array.length answers = Array.length ranges) in
       Array.iteri
         (fun i (a, _) ->
-          if not (answers_identical a answers.(i)) then equal := false)
+          if not (answers_identical a.(0) answers.(i)) then equal := false)
         cold;
       {
         br_k = k;
@@ -123,7 +124,7 @@ let run ~smoke =
         let dev = device ~pool_policy:policy () in
         let inst = Secidx.Static_index.instance dev ~sigma data in
         let _, s =
-          Indexing.Instance.query_batch inst
+          Indexing.Instance.run inst ~pool:`Cold
             (batch_ranges ~seed:41 ~sigma ~k:64 data)
         in
         (pname, Iosim.Stats.ios s, Iosim.Stats.pool_hit_rate s))

@@ -87,14 +87,14 @@ let run ~smoke =
       (fun (lo, hi) ->
         let got =
           Indexing.Answer.to_posting ~n
-            (fst (Indexing.Instance.query_cold roaring ~lo ~hi))
+            (fst (Indexing.Instance.run roaring ~pool:`Cold [| (lo, hi) |])).(0)
         in
         let naive =
           Workload.Queries.naive_answer g { Workload.Queries.lo; hi }
         in
         if not (Cbitmap.Posting.equal got naive) then incr mismatches)
       queries;
-    let batch_answers, _ = Indexing.Instance.query_batch roaring queries in
+    let batch_answers, _ = Indexing.Instance.run roaring ~pool:`Cold queries in
     Array.iteri
       (fun i a ->
         let lo, hi = queries.(i) in
@@ -109,7 +109,7 @@ let run ~smoke =
     let io_of inst =
       Array.fold_left
         (fun acc (lo, hi) ->
-          let _, s = Indexing.Instance.query_cold inst ~lo ~hi in
+          let _, s = Indexing.Instance.run inst ~pool:`Cold [| (lo, hi) |] in
           acc + s.Iosim.Stats.bits_read)
         0 queries
     in

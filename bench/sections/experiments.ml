@@ -29,9 +29,10 @@ let e1 () =
             let samples =
               List.map
                 (fun { Workload.Queries.lo; hi } ->
-                  let answer, stats =
-                    Indexing.Instance.query_cold inst ~lo ~hi
+                  let answers, stats =
+                    Indexing.Instance.run inst ~pool:`Cold [| (lo, hi) |]
                   in
+                  let answer = answers.(0) in
                   let t_bits = Indexing.Answer.compressed_bits answer in
                   let opt = float_of_int t_bits /. 1024.0 in
                   (float_of_int (Iosim.Stats.ios stats), opt))
@@ -92,7 +93,10 @@ let e2 () =
         let data =
           List.map
             (fun ({ Workload.Queries.lo; hi }, z) ->
-              let answer, stats = Indexing.Instance.query_cold inst ~lo ~hi in
+              let answers, stats =
+                Indexing.Instance.run inst ~pool:`Cold [| (lo, hi) |]
+              in
+              let answer = answers.(0) in
               let t_bits = Indexing.Answer.compressed_bits answer in
               ( float_of_int z,
                 float_of_int t_bits /. 1024.0,
@@ -151,9 +155,10 @@ let e3 () =
               let ratios =
                 List.map
                   (fun { Workload.Queries.lo; hi } ->
-                    let answer, stats =
-                      Indexing.Instance.query_cold inst ~lo ~hi
+                    let answers, stats =
+                      Indexing.Instance.run inst ~pool:`Cold [| (lo, hi) |]
                     in
+                    let answer = answers.(0) in
                     let t_bits =
                       max 1 (Indexing.Answer.compressed_bits answer)
                     in
@@ -187,7 +192,7 @@ let e4 () =
     let dev = device () in
     let inst : Indexing.Instance.t = build dev in
     let lo, hi = wide in
-    let _, stats = Indexing.Instance.query_cold inst ~lo ~hi in
+    let _, stats = Indexing.Instance.run inst ~pool:`Cold [| (lo, hi) |] in
     [
       name;
       Printf.sprintf "%.0f"
@@ -563,7 +568,7 @@ let e13 () =
       (fun (name, code) ->
         let dev = device () in
         let inst = Secidx.Static_index.instance ~code dev ~sigma data in
-        let _, stats = Indexing.Instance.query_cold inst ~lo:16 ~hi:207 in
+        let _, stats = Indexing.Instance.run inst ~pool:`Cold [| (16, 207) |] in
         [
           name;
           Printf.sprintf "%.0f"
@@ -584,8 +589,12 @@ let e13 () =
       (fun c ->
         let dev = device () in
         let inst = Secidx.Static_index.instance ~c dev ~sigma data in
-        let _, s_narrow = Indexing.Instance.query_cold inst ~lo:40 ~hi:41 in
-        let _, s_wide = Indexing.Instance.query_cold inst ~lo:16 ~hi:207 in
+        let _, s_narrow =
+          Indexing.Instance.run inst ~pool:`Cold [| (40, 41) |]
+        in
+        let _, s_wide =
+          Indexing.Instance.run inst ~pool:`Cold [| (16, 207) |]
+        in
         [
           string_of_int c;
           Printf.sprintf "%.0f"
@@ -604,7 +613,7 @@ let e13 () =
       (fun complement ->
         let dev = device () in
         let inst = Secidx.Static_index.instance ~complement dev ~sigma data in
-        let _, stats = Indexing.Instance.query_cold inst ~lo:1 ~hi:254 in
+        let _, stats = Indexing.Instance.run inst ~pool:`Cold [| (1, 254) |] in
         [
           (if complement then "on" else "off");
           string_of_int (Iosim.Stats.ios stats);
@@ -619,7 +628,7 @@ let e13 () =
       (fun block_bits ->
         let dev = device ~block_bits ~mem_blocks:(1024 * 1024 / block_bits) () in
         let inst = Secidx.Static_index.instance dev ~sigma data in
-        let _, stats = Indexing.Instance.query_cold inst ~lo:16 ~hi:79 in
+        let _, stats = Indexing.Instance.run inst ~pool:`Cold [| (16, 79) |] in
         [
           string_of_int block_bits;
           string_of_int (Iosim.Stats.ios stats);

@@ -64,7 +64,10 @@ let trace_one ~block_bits ~n ~sigma ~queries data (name, builder) =
   let untraced =
     List.map
       (fun { Workload.Queries.lo; hi } ->
-        let answer, stats = Indexing.Instance.query_cold inst ~lo ~hi in
+        let answers, stats =
+          Indexing.Instance.run inst ~pool:`Cold [| (lo, hi) |]
+        in
+        let answer = answers.(0) in
         (lo, hi, answer, stats))
       queries
   in
@@ -84,7 +87,10 @@ let trace_one ~block_bits ~n ~sigma ~queries data (name, builder) =
   List.iter
     (fun (lo, hi, ref_answer, ref_stats) ->
       Obs.Trace.clear ();
-      let answer, stats = Indexing.Instance.query_cold inst ~lo ~hi in
+      let answers, stats =
+        Indexing.Instance.run inst ~pool:`Cold [| (lo, hi) |]
+      in
+      let answer = answers.(0) in
       (* Differential: tracing must not change the answer or any
          counter (seeks included). *)
       let same_answer =

@@ -163,7 +163,10 @@ let bit_engine ~smoke =
   let inst = Secidx.Static_index.instance (device ()) ~sigma g.Workload.Gen.data in
   ignore
     (record "e2_static_query_cold" ~items:1 (fun () ->
-         let answer, _ = Indexing.Instance.query_cold inst ~lo:16 ~hi:47 in
+         let answers, _ =
+           Indexing.Instance.run inst ~pool:`Cold [| (16, 47) |]
+         in
+         let answer = answers.(0) in
          sink := !sink lxor Indexing.Answer.compressed_bits answer));
   (* Speedups the acceptance gate cares about. *)
   let speedups =
@@ -268,7 +271,10 @@ let codec_engine ~smoke =
   let inst = Secidx.Static_index.instance (device ()) ~sigma g.Workload.Gen.data in
   ignore
     (record "e2_cold_query_engine" ~items:1 (fun () ->
-         let answer, _ = Indexing.Instance.query_cold inst ~lo:16 ~hi:47 in
+         let answers, _ =
+           Indexing.Instance.run inst ~pool:`Cold [| (16, 47) |]
+         in
+         let answer = answers.(0) in
          sink := !sink lxor Indexing.Answer.compressed_bits answer));
   let speedups =
     [

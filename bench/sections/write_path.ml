@@ -51,7 +51,7 @@ let wal_frontier ~smoke =
     List.map
       (fun (lo, hi) ->
         Indexing.Answer.to_posting ~n:rebuilt.Indexing.Instance.n
-          (fst (Indexing.Instance.query_cold rebuilt ~lo ~hi)))
+          (fst (Indexing.Instance.run rebuilt ~pool:`Cold [| (lo, hi) |])).(0))
       queries
   in
   let thresholds = if smoke then [ 16; 64 ] else [ 16; 64; 256 ] in
@@ -108,9 +108,10 @@ let wal_frontier ~smoke =
                 let q_ios =
                   List.map2
                     (fun (lo, hi) reference ->
-                      let answer, stats =
-                        Indexing.Instance.query_cold inst ~lo ~hi
+                      let answers, stats =
+                        Indexing.Instance.run inst ~pool:`Cold [| (lo, hi) |]
                       in
+                      let answer = answers.(0) in
                       let got =
                         Indexing.Answer.to_posting ~n:inst.Indexing.Instance.n
                           answer

@@ -131,7 +131,10 @@ let query_cmd =
       inst.Indexing.Instance.name (Workload.Gen.length g) g.Workload.Gen.sigma
       (Workload.Gen.h0 g) inst.Indexing.Instance.size_bits
       (float_of_int inst.Indexing.Instance.size_bits /. 8192.0);
-    let answer, stats = Indexing.Instance.query_cold inst ~lo ~hi in
+    let answers, stats =
+      Indexing.Instance.run inst ~pool:`Cold [| (lo, hi) |]
+    in
+    let answer = answers.(0) in
     let posting = Indexing.Answer.to_posting ~n:(Workload.Gen.length g) answer in
     Printf.printf "query [%d..%d]: z=%d%s\n" lo hi
       (Cbitmap.Posting.cardinal posting)
@@ -169,9 +172,13 @@ let compare_cmd =
         let device = make_device block_bits mem_kib in
         let inst = build device ~sigma data in
         let narrow_hi = min (sigma - 1) 1 in
-        let _, s1 = Indexing.Instance.query_cold inst ~lo:0 ~hi:narrow_hi in
+        let _, s1 =
+          Indexing.Instance.run inst ~pool:`Cold [| (0, narrow_hi) |]
+        in
         let wide_lo = sigma / 8 and wide_hi = sigma - 1 - (sigma / 8) in
-        let _, s2 = Indexing.Instance.query_cold inst ~lo:wide_lo ~hi:wide_hi in
+        let _, s2 =
+          Indexing.Instance.run inst ~pool:`Cold [| (wide_lo, wide_hi) |]
+        in
         Printf.printf "%-20s %12.1f %12d %12d\n%!"
           inst.Indexing.Instance.name
           (float_of_int inst.Indexing.Instance.size_bits /. 8192.0)

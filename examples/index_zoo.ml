@@ -42,7 +42,9 @@ let () =
       let ios =
         List.map
           (fun (lo, hi) ->
-            let _, stats = Indexing.Instance.query_cold inst ~lo ~hi in
+            let _, stats =
+              Indexing.Instance.run inst ~pool:`Cold [| (lo, hi) |]
+            in
             Iosim.Stats.ios stats)
           ranges
       in

@@ -530,17 +530,19 @@ let size_bits t =
   levels + storage_bits t.leaves + t.counts_region.Iosim.Device.len
   + t.meta_region.Iosim.Device.len
 
-let instance ?c ?complement ?buffered ?payload device ~sigma x =
-  let t = build ?c ?complement ?buffered ?payload device ~sigma x in
+let instance_of t =
   let base = if t.buffered then "secidx-append-buffered" else "secidx-append" in
   {
     Indexing.Instance.name =
-      (match payload with Some `Hybrid -> base ^ "-hybrid" | _ -> base);
-    device;
+      (match t.payload with `Hybrid -> base ^ "-hybrid" | `Gap -> base);
+    device = t.device;
     n = t.n;
-    sigma;
+    sigma = t.sigma;
     size_bits = size_bits t;
     query = (fun ~lo ~hi -> query t ~lo ~hi);
     batch = Some (query_batch t);
     integrity = Some (integrity t);
   }
+
+let instance ?c ?complement ?buffered ?payload device ~sigma x =
+  instance_of (build ?c ?complement ?buffered ?payload device ~sigma x)

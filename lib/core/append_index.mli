@@ -56,6 +56,11 @@ val rebuilds : t -> int
 (** Space used, in bits (base layout + chains + directory). *)
 val size_bits : t -> int
 
+(** The index as it stands, as an {!Indexing.Instance.t} ([n] and
+    [size_bits] are read now: package again after appends). *)
+val instance_of : t -> Indexing.Instance.t
+
+(** [build], then {!instance_of}. *)
 val instance :
   ?c:int ->
   ?complement:bool ->

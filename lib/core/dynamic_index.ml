@@ -279,15 +279,17 @@ let integrity t =
     repair = (fun () -> (current ()).Indexing.Integrity.repair ());
   }
 
-let instance ?c ?complement device ~sigma x =
-  let t = build ?c ?complement device ~sigma x in
+let instance_of t =
   {
     Indexing.Instance.name = "secidx-dynamic";
-    device;
+    device = t.device;
     n = t.n;
-    sigma;
+    sigma = t.sigma;
     size_bits = size_bits t;
     query = (fun ~lo ~hi -> query t ~lo ~hi);
     batch = Some (query_batch t);
     integrity = Some (integrity t);
   }
+
+let instance ?c ?complement device ~sigma x =
+  instance_of (build ?c ?complement device ~sigma x)

@@ -43,6 +43,11 @@ val query_batch : t -> (int * int) array -> Indexing.Answer.t array
 val rebuilds : t -> int
 val size_bits : t -> int
 
+(** The index as it stands, as an {!Indexing.Instance.t} ([n] and
+    [size_bits] are read now: package again after updates). *)
+val instance_of : t -> Indexing.Instance.t
+
+(** [build], then {!instance_of}. *)
 val instance :
   ?c:int -> ?complement:bool -> Iosim.Device.t -> sigma:int -> int array ->
   Indexing.Instance.t

@@ -5,6 +5,7 @@ type t = {
   tree : Wbb.t;
   complement : bool;
   code : Cbitmap.Gap_codec.code;
+  payload : [ `Gap | `Hybrid ];
   mat : bool array; (* mat.(l) = internal level l+1 materialized *)
   level_tables : Indexing.Stream_table.t option array; (* per level, internal *)
   leaf_table : Indexing.Stream_table.t;
@@ -151,6 +152,7 @@ let build ?(c = 8) ?(complement = true) ?(schedule = `Doubling)
     tree;
     complement;
     code;
+    payload;
     mat;
     level_tables;
     leaf_table;
@@ -359,18 +361,20 @@ let size_bits t =
 
 let height t = t.tree.Wbb.height
 
-let instance ?c ?complement ?schedule ?code ?payload device ~sigma x =
-  let t = build ?c ?complement ?schedule ?code ?payload device ~sigma x in
+let instance_of t =
   {
     Indexing.Instance.name =
-      (match payload with
-      | Some `Hybrid -> "secidx-static-hybrid"
-      | _ -> "secidx-static");
-    device;
+      (match t.payload with
+      | `Hybrid -> "secidx-static-hybrid"
+      | `Gap -> "secidx-static");
+    device = t.device;
     n = t.tree.Wbb.n;
-    sigma;
+    sigma = t.tree.Wbb.sigma;
     size_bits = size_bits t;
     query = (fun ~lo ~hi -> query t ~lo ~hi);
     batch = Some (query_batch t);
     integrity = Some (integrity t);
   }
+
+let instance ?c ?complement ?schedule ?code ?payload device ~sigma x =
+  instance_of (build ?c ?complement ?schedule ?code ?payload device ~sigma x)

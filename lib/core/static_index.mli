@@ -94,6 +94,10 @@ val metadata_bits : t -> int
     [lg_b n] term); measured, not estimated. *)
 val height : t -> int
 
+(** Package a built index as an {!Indexing.Instance.t}. *)
+val instance_of : t -> Indexing.Instance.t
+
+(** [build], then {!instance_of}. *)
 val instance :
   ?c:int ->
   ?complement:bool ->

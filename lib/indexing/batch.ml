@@ -65,13 +65,6 @@ let fan_out plan uniq_answers =
       else uniq_answers.(c))
     plan.class_of
 
-let run ~sigma ~exec ranges =
-  let plan = normalize ~sigma ranges in
-  let uniq_answers =
-    Array.map (fun (lo, hi) -> exec ~lo ~hi) plan.uniq
-  in
-  fan_out plan uniq_answers
-
 (* Memoized decode: each structure keys it by whatever identifies one
    of its extents (stream index, block id, ...); within one batch each
    key decodes at most once, every later subscriber reads the cached

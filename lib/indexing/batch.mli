@@ -28,16 +28,6 @@ val normalize : sigma:int -> (int * int) array -> plan
     [uniq_answers] does not have one answer per [plan.uniq] entry. *)
 val fan_out : plan -> Answer.t array -> Answer.t array
 
-(** [run ~sigma ~exec ranges]: normalize, execute each unique query
-    once through [exec], fan out.  The generic batch engine for
-    structures without a shared-decode plan — dedup plus a warm pool
-    is still a real saving. *)
-val run :
-  sigma:int ->
-  exec:(lo:int -> hi:int -> Answer.t) ->
-  (int * int) array ->
-  Answer.t array
-
 (** Per-batch memoized decode, keyed by whatever identifies one extent
     of the structure (stream index, block id, ...). *)
 module Cache : sig

@@ -18,65 +18,54 @@ type t = {
   integrity : Integrity.t option;
 }
 
+let span t name attrs f =
+  Obs.Trace.with_span ~cat:"query"
+    ~attrs:(("index", Obs.Trace.Str t.name) :: attrs)
+    name f
+
 let traced_query t ~lo ~hi =
   Obs.Metrics.incr m_queries;
   Obs.Metrics.time m_query_seconds (fun () ->
       if not !Obs.Trace.on then t.query ~lo ~hi
       else
-        Obs.Trace.with_span ~cat:"query"
-          ~attrs:
-            [
-              ("index", Obs.Trace.Str t.name);
-              ("lo", Obs.Trace.Int lo);
-              ("hi", Obs.Trace.Int hi);
-            ]
-          "query"
+        span t "query"
+          [ ("lo", Obs.Trace.Int lo); ("hi", Obs.Trace.Int hi) ]
           (fun () -> t.query ~lo ~hi))
 
-let query_cold t ~lo ~hi =
-  Iosim.Device.clear_pool t.device;
-  Iosim.Device.reset_stats t.device;
-  let answer = traced_query t ~lo ~hi in
-  (answer, Iosim.Stats.snapshot (Iosim.Device.stats t.device))
-
-let run_batch t ranges =
+let traced_batch t ranges run =
   Obs.Metrics.incr m_batches;
   Obs.Metrics.incr ~by:(Array.length ranges) m_batch_queries;
-  let run () =
-    match t.batch with
-    | Some f -> f ranges
-    | None ->
-        Batch.run ~sigma:t.sigma
-          ~exec:(fun ~lo ~hi -> t.query ~lo ~hi)
-          ranges
-  in
   if not !Obs.Trace.on then run ()
   else
-    Obs.Trace.with_span ~cat:"query"
-      ~attrs:
-        [
-          ("index", Obs.Trace.Str t.name);
-          ("batch", Obs.Trace.Int (Array.length ranges));
-        ]
-      "query_batch" run
+    span t "query_batch" [ ("batch", Obs.Trace.Int (Array.length ranges)) ] run
 
-(* One cold batch: pool cleared and counters reset once for the whole
-   batch — the amortization across the batch's queries (shared decode,
-   warm pool, readahead) is exactly what the returned stats price.
-   Structures without a batch hook still gain dedup + pool sharing
-   through the generic planner. *)
-let query_batch t ranges =
-  Iosim.Device.clear_pool t.device;
-  Iosim.Device.reset_stats t.device;
-  let answers = run_batch t ranges in
-  (answers, Iosim.Stats.snapshot (Iosim.Device.stats t.device))
-
-(* Warm batch for the serving path (PR 6): no pool clear, no stats
-   reset.  A shard worker answers batch after batch against the same
-   device; its pool stays warm across batches (that is the serving
-   reality being priced) and its counters accumulate for the whole
-   run, which is what the router's per-shard balance report reads. *)
-let query_batch_warm t ranges = run_batch t ranges
+(* The one query call.  A cold call prices the request alone; a warm
+   one keeps the pool and lets a shard's counters accumulate for the
+   router's per-shard report.  A request whose ranges clamp to at most
+   one distinct range runs the direct evaluator [query], so it is
+   charged exactly what that range costs alone: readahead only pays
+   when a second range can read what it fetched. *)
+let run t ~pool ranges =
+  let dev = t.device in
+  (match pool with
+  | `Cold ->
+      Iosim.Device.clear_pool dev;
+      Iosim.Device.reset_stats dev
+  | `Warm -> ());
+  let before = Iosim.Stats.snapshot (Iosim.Device.stats dev) in
+  let plan = Batch.normalize ~sigma:t.sigma ranges in
+  let each exec =
+    Batch.fan_out plan
+      (Array.map (fun (lo, hi) -> exec ~lo ~hi) plan.Batch.uniq)
+  in
+  let answers =
+    if Array.length plan.Batch.uniq <= 1 then each (traced_query t)
+    else
+      traced_batch t ranges (fun () ->
+          match t.batch with Some f -> f ranges | None -> each t.query)
+  in
+  let after = Iosim.Stats.snapshot (Iosim.Device.stats dev) in
+  (answers, Iosim.Stats.diff ~before ~after)
 
 type outcome =
   | Ok of Answer.t

@@ -3,11 +3,10 @@
     and all baselines) through one interface and read I/O costs off
     the shared device counters.
 
-    Four entry points: {!query_cold} (one range from a cold pool, with
-    its stats), {!query_batch} (a cold batch), {!query_batch_warm}
-    (the serving path) and {!verified_query} (detect-or-repair).  For
-    materialized positions apply [Answer.to_posting ~n] to
-    {!query_cold}'s answer. *)
+    Two entry points: {!run} (a request of ranges from a cold or warm
+    pool, with what it charged) and {!verified_query}
+    (detect-or-repair).  For materialized positions apply
+    [Answer.to_posting ~n] to an answer. *)
 
 type t = {
   name : string;
@@ -23,44 +22,32 @@ type t = {
           runs the same range evaluator as its [query], with a fetch
           that reads each stored bitmap through {!Batch.Cache} and
           prefetches uncached runs, so it agrees exactly with [query]
-          run range by range; the readahead's directory reads are the
-          one charge it adds (see {!query_batch}).  [None] means
-          {!query_batch} falls back to the generic planner (dedup +
-          shared pool). *)
+          run range by range.  {!run} calls it only for requests of
+          two or more distinct ranges; [None] means {!run} uses the
+          generic planner (dedup + shared pool) over [query]. *)
   integrity : Integrity.t option;
       (** Detect-or-repair hooks over the structure's on-device
           extents; [None] means the instance has no integrity layer
           and {!verified_query} degrades to a plain query. *)
 }
 
-(** Run a query cold (pool cleared, counters reset) and return the
-    answer together with the I/O statistics of just that query. *)
-val query_cold : t -> lo:int -> hi:int -> Answer.t * Iosim.Stats.t
+(** [run t ~pool ranges] answers slot [i] with [ranges.(i)] and
+    returns what this call charged.  [`Cold] clears the pool and
+    resets the counters first; [`Warm] does neither, so a shard
+    worker's pool stays warm and its device counters accumulate.
 
-(** Answer a batch of ranges in one pass: the pool is cleared and the
-    counters reset once, then the structure's [batch] hook (or the
-    generic {!Batch.run} planner) answers every slot.  Answers are
-    identical — constructor included — to running [query] per slot;
-    the returned stats are the whole batch's, which is what the
-    amortization claims of PR 5 price.
-
-    A one-range batch is not charged exactly what {!query_cold}
-    charges for that range.  A structure that prefetches its uncached
-    runs ({!Stream_table.prefetch_uncached}) first reads each run's
-    payload span from the directory: the entry of its first stream and
-    of the stream after its last ({!Stream_table.payload_span}).  So
-    the batch reads [query_cold]'s bits plus those entries' bits.
-    [test_secidx_static.ml] pins this bit for bit on nine ranges of a
-    static index, where the extra bits are 54 to 424 a range and the
-    block I/Os are equal. *)
-val query_batch : t -> (int * int) array -> Answer.t array * Iosim.Stats.t
-
-(** Warm batch for the serving path (PR 6): same planning and answers
-    as {!query_batch}, but the pool is not cleared and the counters
-    are not reset — a shard worker serves batch after batch with a
-    warm pool, and its device counters accumulate over the whole run
-    (read them via [Iosim.Device.stats] at quiescence). *)
-val query_batch_warm : t -> (int * int) array -> Answer.t array
+    Ranges clamp by {!Common.clamp_range}; a slot that clamps to
+    nothing answers the empty [Direct].  If the ranges clamp to at
+    most one distinct range, [query] runs on it, so a one-range
+    request is charged exactly what that range costs alone.
+    Otherwise the [batch] hook (or the generic planner over [query])
+    decodes each touched extent once for the whole request.  Answers
+    are identical, constructor included, to [query] per slot. *)
+val run :
+  t ->
+  pool:[ `Cold | `Warm ] ->
+  (int * int) array ->
+  Answer.t array * Iosim.Stats.t
 
 (** Outcome of a {!verified_query}: the answer over verified extents;
     the answer after a successful counted repair (with the repair cost

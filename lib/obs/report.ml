@@ -22,7 +22,8 @@
      must satisfy [value >= min / slack]; the serve gate's
      [speedup_measured]/[speedup_min] pair is checked the same way,
      but only when its own [speedup_enforced] flag is true (single-
-     core hosts legitimately fail it).
+     core hosts legitimately fail it); a pair recorded as not
+     enforced is listed as such, never read as a pass.
 
    [slack] (default 1.0) loosens only the measured-vs-min checks:
    thresholds inside the files were already enforced by the bench that
@@ -37,6 +38,7 @@ type file_report = {
   smoke : bool;
   metrics : (string * float) list;  (** headline trajectory numbers *)
   failures : string list;  (** violated invariants, empty = clean *)
+  not_enforced : string list;  (** gates the bench recorded as skipped *)
 }
 
 type t = { files : file_report list; failures : string list }
@@ -89,7 +91,7 @@ let elt_label i v =
   | _ -> string_of_int i
 
 let walk ~slack root =
-  let metrics = ref [] and failures = ref [] in
+  let metrics = ref [] and failures = ref [] and not_enforced = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let rec go path v =
     let sub k = if path = "" then k else path ^ "." ^ k in
@@ -119,6 +121,10 @@ let walk ~slack root =
                 if value < (min_ /. slack) -. 1e-9 then
                   fail "%s: speedup %g below min %g (slack %g)" path value min_
                     slack
+            | Some value, Some min_ ->
+                not_enforced :=
+                  Printf.sprintf "%s: speedup %g vs min %g" path value min_
+                  :: !not_enforced
             | _ -> ())
         | _ -> ());
         List.iter
@@ -139,7 +145,7 @@ let walk ~slack root =
     | _ -> ()
   in
   go "" root;
-  (List.rev !metrics, List.rev !failures)
+  (List.rev !metrics, List.rev !failures, List.rev !not_enforced)
 
 let scan ?(slack = 1.0) path =
   match Json.of_file path with
@@ -151,9 +157,10 @@ let scan ?(slack = 1.0) path =
         smoke = false;
         metrics = [];
         failures = [ Printf.sprintf "%s: unreadable (%s)" path msg ];
+        not_enforced = [];
       }
   | Ok root ->
-      let metrics, failures = walk ~slack root in
+      let metrics, failures, not_enforced = walk ~slack root in
       let pr =
         match Json.member "pr" root with Some (Json.Int i) -> i | _ -> -1
       in
@@ -165,8 +172,9 @@ let scan ?(slack = 1.0) path =
       let smoke =
         match Json.member "smoke" root with Some (Json.Bool b) -> b | _ -> false
       in
-      let failures = List.map (fun f -> path ^ ": " ^ f) failures in
-      { path; pr; label; smoke; metrics; failures }
+      let prefix = List.map (fun f -> path ^ ": " ^ f) in
+      let failures = prefix failures and not_enforced = prefix not_enforced in
+      { path; pr; label; smoke; metrics; failures; not_enforced }
 
 let run ?slack paths =
   let files =
@@ -176,6 +184,11 @@ let run ?slack paths =
   { files; failures = List.concat_map (fun (f : file_report) -> f.failures) files }
 
 let pass t = t.failures = []
+
+let not_enforced t =
+  List.concat_map (fun (f : file_report) -> f.not_enforced) t.files
+
+let strings l = Json.List (List.map (fun s -> Json.String s) l)
 
 let to_json t =
   Json.Obj
@@ -194,12 +207,12 @@ let to_json t =
                      Json.Obj
                        (List.map (fun (k, v) -> (k, Json.Float v)) f.metrics)
                    );
-                   ( "failures",
-                     Json.List
-                       (List.map (fun s -> Json.String s) f.failures) );
+                   ("failures", strings f.failures);
+                   ("not_enforced", strings f.not_enforced);
                  ])
              t.files) );
       ("failures", Json.Int (List.length t.failures));
+      ("not_enforced", Json.Int (List.length (not_enforced t)));
       ("pass", Json.Bool (pass t));
     ]
 
@@ -220,6 +233,10 @@ let render_table t =
                (if f.smoke then " [smoke]" else "")))
         f.metrics)
     t.files;
+  (* A skipped gate is neither a pass nor a regression: say so. *)
+  List.iter
+    (fun s -> Buffer.add_string b ("not enforced: " ^ s ^ "\n"))
+    (not_enforced t);
   (match t.failures with
   | [] -> Buffer.add_string b "regressions: none\n"
   | fs ->

@@ -17,6 +17,9 @@ type file_report = {
   smoke : bool;
   metrics : (string * float) list;  (** headline numbers, path-keyed *)
   failures : string list;  (** violated invariants; empty = clean *)
+  not_enforced : string list;
+      (** gates recorded with [speedup_enforced: false]: listed,
+          neither passed nor failed *)
 }
 
 type t = { files : file_report list; failures : string list }
@@ -32,10 +35,14 @@ val run : ?slack:float -> string list -> t
 
 val pass : t -> bool
 
+(** Every file's {!file_report.not_enforced} gates, in file order. *)
+val not_enforced : t -> string list
+
 val to_json : t -> Json.t
 val render_table : t -> string
-(** Fixed-width trajectory table (one row per headline metric) plus
-    the failure list — what the CI log shows. *)
+(** Fixed-width trajectory table (one row per headline metric), one
+    "not enforced" line per skipped gate, then the failure list — what
+    the CI log shows. *)
 
 (** {1 Trace lint}
 

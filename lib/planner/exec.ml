@@ -25,19 +25,17 @@ type outcome = {
   stats : Iosim.Stats.t;
 }
 
-(* Exact decode of one column's disjoint ranges: the single-range case
-   is a plain query; several ranges go through the PR 5 batch door so
-   shared streams decode once and payload runs prefetch. *)
+(* Exact decode of one column's disjoint ranges: one warm request on
+   the column's instance (the query is already cold), which runs a
+   single range directly and several as one batch. *)
 let exact_posting table n (info : Plan.col_info) =
-  let idx = Table.col_index table info.column in
-  match info.ranges with
-  | [ (lo, hi) ] ->
-      Indexing.Answer.to_posting ~n (Secidx.Static_index.query idx ~lo ~hi)
-  | ranges ->
-      Secidx.Static_index.query_batch idx (Array.of_list ranges)
-      |> Array.to_list
-      |> List.map (Indexing.Answer.to_posting ~n)
-      |> Posting.union_many
+  fst
+    (Indexing.Instance.run
+       (Table.col_instance table info.column)
+       ~pool:`Warm (Array.of_list info.ranges))
+  |> Array.to_list
+  |> List.map (Indexing.Answer.to_posting ~n)
+  |> Posting.union_many
 
 let approx_index table (info : Plan.col_info) =
   match Table.col_approx table info.column with

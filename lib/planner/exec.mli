@@ -1,7 +1,8 @@
 (** Plan execution — the one executor for conjunctive queries.  Runs a
     cost-based {!Plan.choose} plan or a {!Plan.fixed} one through the
-    same body: lowers the driver and steps onto the batched range
-    queries and the §3 approximate indexes, verifies prefilter /
+    same body: lowers the driver and steps onto warm
+    [Indexing.Instance.run] requests on each column's instance and the
+    §3 approximate indexes, verifies prefilter /
     residual / approximate-driver survivors against the stored rows,
     and reports per-query device counters.
 

@@ -92,18 +92,7 @@ let updatable =
               | Wal.Op.Set { pos; ch } -> Secidx.Dynamic_index.change t ~pos ch
               | Wal.Op.Append { ch } -> Secidx.Dynamic_index.append t ch
               | Wal.Op.Delete { pos } -> Secidx.Dynamic_index.delete t ~pos);
-            u_instance =
-              (fun () ->
-                {
-                  Indexing.Instance.name = "dynamic";
-                  device = dev;
-                  n = Secidx.Dynamic_index.length t;
-                  sigma;
-                  size_bits = Secidx.Dynamic_index.size_bits t;
-                  query = (fun ~lo ~hi -> Secidx.Dynamic_index.query t ~lo ~hi);
-                  batch = Some (Secidx.Dynamic_index.query_batch t);
-                  integrity = None;
-                });
+            u_instance = (fun () -> Secidx.Dynamic_index.instance_of t);
           }) };
     { u_name = "append";
       u_kinds = [ `Append ];
@@ -116,18 +105,7 @@ let updatable =
               | Wal.Op.Append { ch } -> Secidx.Append_index.append t ch
               | op ->
                   Format.kasprintf invalid_arg "append index: %a" Wal.Op.pp op);
-            u_instance =
-              (fun () ->
-                {
-                  Indexing.Instance.name = "append";
-                  device = dev;
-                  n = Secidx.Append_index.length t;
-                  sigma;
-                  size_bits = Secidx.Append_index.size_bits t;
-                  query = (fun ~lo ~hi -> Secidx.Append_index.query t ~lo ~hi);
-                  batch = Some (Secidx.Append_index.query_batch t);
-                  integrity = None;
-                });
+            u_instance = (fun () -> Secidx.Append_index.instance_of t);
           }) };
     { u_name = "wal";
       u_kinds = [ `Set; `Append; `Delete ];

@@ -3,6 +3,7 @@ type column = { name : string; sigma : int; values : int array }
 type indexed_column = {
   col : column;
   index : Secidx.Static_index.t;
+  instance : Indexing.Instance.t;  (** [index], packaged for [Instance.run] *)
   approx : Secidx.Approx_index.t option;
   field_off : int;  (** bit offset of this column's field within a packed row *)
   field_width : int;
@@ -62,7 +63,8 @@ let build_cols ?seed ?c ?payload ~approx device cols =
          let field_width = Indexing.Common.bits_for (max 2 col.sigma) in
          let field_off = !off in
          off := field_off + field_width;
-         { col; index; approx; field_off; field_width })
+         let instance = Secidx.Static_index.instance_of index in
+         { col; index; instance; approx; field_off; field_width })
        cols)
 
 (* Pack the rows on the device, row-major: row [r]'s field for column
@@ -104,6 +106,7 @@ let find_col t name =
   | None -> invalid_arg ("Table: unknown column " ^ name)
 
 let col_index t name = (find_col t name).index
+let col_instance t name = (find_col t name).instance
 let col_approx t name = (find_col t name).approx
 let col_sigma t name = (find_col t name).col.sigma
 

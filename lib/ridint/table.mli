@@ -74,6 +74,11 @@ val device : t -> Iosim.Device.t
     unknown column name, like every by-name lookup here. *)
 val col_index : t -> string -> Secidx.Static_index.t
 
+(** The column's exact index packaged as an instance, built once with
+    the table: the one door through which [Planner.Exec] decodes a
+    column's ranges ([Indexing.Instance.run]). *)
+val col_instance : t -> string -> Indexing.Instance.t
+
 (** The column's approximate index ([None] unless built with
     {!create_approx}). *)
 val col_approx : t -> string -> Secidx.Approx_index.t option

@@ -1,8 +1,8 @@
 (** Scatter/gather router over position shards (PR 6).
 
     A range query scatters to every shard, executes through the
-    shard's warm batched path, and the router writes the shards' local
-    answers — concatenated in shard order, each shifted by its shard's
+    shard's warm [Indexing.Instance.run], and the router writes the
+    shards' local answers — concatenated in shard order, each shifted by its shard's
     base, complements expanded as they are written — once into a
     posting bit-identical to the unsharded instance's answer.  A batch
     is normalized before it scatters, so each distinct range is
@@ -38,8 +38,9 @@ val query : t -> lo:int -> hi:int -> Cbitmap.Posting.t
     with the shards' alphabet): each distinct clamped range is executed
     once, and slots that clamp to nothing answer {!Cbitmap.Posting.empty}
     without reaching a shard (if every shard is empty, every answer is
-    empty).  Each shard runs the distinct ranges through its warm
-    [Indexing.Batch] path and returns local compressed answers
+    empty).  Each shard runs the distinct ranges through one warm
+    [Indexing.Instance.run] (a lone range takes the direct [query],
+    several the batch path) and returns local compressed answers
     ({!Shard.run_batch}); the router sizes each distinct answer from
     their cardinalities, allocates it once and writes every part into
     it with {!Cbitmap.Posting.Writer} (seams checked), on the calling

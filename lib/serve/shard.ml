@@ -62,8 +62,8 @@ let stats t =
   | None -> Iosim.Stats.create ()
   | Some d -> Iosim.Stats.snapshot (Iosim.Device.stats d)
 
-(* Answer a batch on this shard: the local warm batch's answers as
-   they are, complements unmaterialized and positions local — the
+(* Answer a batch on this shard: the local warm [Instance.run]'s
+   answers as they are, complements unmaterialized and positions local — the
    router writes each into the global answer once, shifted by [base].
    Answers are immutable, so rows may share storage with the
    instance's and are safe to publish across domains once a
@@ -77,7 +77,7 @@ let run_batch t ranges =
       let work () =
         Obs.Metrics.incr m_batches;
         Obs.Metrics.time m_service_seconds (fun () ->
-            Indexing.Instance.query_batch_warm inst ranges)
+            fst (Indexing.Instance.run inst ~pool:`Warm ranges))
       in
       (* The span is emitted from the calling domain — a router worker
          in [Domains] mode — so shard batches land on their own tid

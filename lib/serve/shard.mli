@@ -44,7 +44,8 @@ val build :
   int array ->
   t array
 
-(** Warm local batch: row [i] answers [ranges.(i)] within this
+(** Warm local batch through [Indexing.Instance.run ~pool:`Warm]:
+    row [i] answers [ranges.(i)] within this
     shard's slice, in local positions [\[0, len)] and in the compressed
     form the index produced ([Complement] rows stay complements).  The
     caller shifts by {!base} and materializes ({!Router.query_batch}

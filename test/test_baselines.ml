@@ -30,7 +30,7 @@ let against_naive name builder =
       let inst : Indexing.Instance.t = builder dev ~sigma data in
       let answer =
         Indexing.Answer.to_posting ~n:inst.Indexing.Instance.n
-          (fst (Indexing.Instance.query_cold inst ~lo ~hi))
+          (fst (Indexing.Instance.run inst ~pool:`Cold [| (lo, hi) |])).(0)
       in
       let naive =
         Workload.Queries.naive_answer (gen_of_array ~sigma data)
@@ -111,8 +111,8 @@ let test_btree_io_grows_with_z () =
   let dev = device ~block_bits:512 ~mem_blocks:16 () in
   let g = Workload.Gen.uniform ~seed:3 ~n:20_000 ~sigma:128 in
   let inst = Baselines.Btree.instance dev ~sigma:128 g.Workload.Gen.data in
-  let _, s1 = Indexing.Instance.query_cold inst ~lo:0 ~hi:7 in
-  let _, s2 = Indexing.Instance.query_cold inst ~lo:0 ~hi:63 in
+  let _, s1 = Indexing.Instance.run inst ~pool:`Cold [| (0, 7) |] in
+  let _, s2 = Indexing.Instance.run inst ~pool:`Cold [| (0, 63) |] in
   let r1 = s1.Iosim.Stats.block_reads and r2 = s2.Iosim.Stats.block_reads in
   if not (r2 > 4 * r1) then
     Alcotest.failf "btree I/O did not scale with z: %d vs %d" r1 r2
@@ -123,8 +123,8 @@ let test_bitmap_io_independent_of_z () =
   let g = Workload.Gen.zipf ~seed:4 ~n:8192 ~sigma:64 ~theta:1.2 () in
   let dev = device ~block_bits:512 ~mem_blocks:8 () in
   let inst = Baselines.Bitmap_index.instance dev ~sigma:64 g.Workload.Gen.data in
-  let _, s1 = Indexing.Instance.query_cold inst ~lo:0 ~hi:7 in
-  let _, s2 = Indexing.Instance.query_cold inst ~lo:56 ~hi:63 in
+  let _, s1 = Indexing.Instance.run inst ~pool:`Cold [| (0, 7) |] in
+  let _, s2 = Indexing.Instance.run inst ~pool:`Cold [| (56, 63) |] in
   Alcotest.(check int) "same width, same reads" s1.Iosim.Stats.block_reads
     s2.Iosim.Stats.block_reads
 
@@ -134,8 +134,8 @@ let test_range_encoded_io_constant () =
   let g = Workload.Gen.uniform ~seed:5 ~n:8192 ~sigma:64 in
   let dev = device ~block_bits:512 ~mem_blocks:8 () in
   let inst = Baselines.Range_encoded.instance dev ~sigma:64 g.Workload.Gen.data in
-  let _, s_narrow = Indexing.Instance.query_cold inst ~lo:3 ~hi:4 in
-  let _, s_wide = Indexing.Instance.query_cold inst ~lo:1 ~hi:62 in
+  let _, s_narrow = Indexing.Instance.run inst ~pool:`Cold [| (3, 4) |] in
+  let _, s_wide = Indexing.Instance.run inst ~pool:`Cold [| (1, 62) |] in
   Alcotest.(check int) "wide = narrow" s_narrow.Iosim.Stats.block_reads
     s_wide.Iosim.Stats.block_reads;
   (* And the space is the sigma*n extreme. *)
@@ -158,8 +158,8 @@ let test_binned_reads_fewer_bitmaps_for_wide_ranges () =
   let inst_b =
     Baselines.Binned_index.instance dev_b ~sigma:256 ~w:16 g.Workload.Gen.data
   in
-  let _, s_c = Indexing.Instance.query_cold inst_c ~lo:0 ~hi:191 in
-  let _, s_b = Indexing.Instance.query_cold inst_b ~lo:0 ~hi:191 in
+  let _, s_c = Indexing.Instance.run inst_c ~pool:`Cold [| (0, 191) |] in
+  let _, s_b = Indexing.Instance.run inst_b ~pool:`Cold [| (0, 191) |] in
   if not (s_b.Iosim.Stats.bits_read < s_c.Iosim.Stats.bits_read) then
     Alcotest.failf "binned (%d bits) not below per-char (%d bits)"
       s_b.Iosim.Stats.bits_read s_c.Iosim.Stats.bits_read
@@ -263,7 +263,8 @@ let test_wavelet_space_compact () =
      element once in compressed form. *)
   let dev_w = device ~block_bits:1024 ~mem_blocks:32 () in
   let wt2 = Baselines.Wavelet.instance dev_w ~sigma g.Workload.Gen.data in
-  let answer, sw = Indexing.Instance.query_cold wt2 ~lo:32 ~hi:63 in
+  let answers, sw = Indexing.Instance.run wt2 ~pool:`Cold [| (32, 63) |] in
+  let answer = answers.(0) in
   let z = Indexing.Answer.cardinal ~n answer in
   let touches = sw.Iosim.Stats.bits_read in
   (* The cover piece for [32..63] sits 3 levels below the root, so

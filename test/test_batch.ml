@@ -1,7 +1,7 @@
 (* Differential tests for batched query execution (PR 5, registry-
    driven since PR 7): for EVERY builder in the shared table
    ({!Registry.all}) plus one forced generic-fallback index,
-   [Instance.query_batch] over randomized batches — overlapping,
+   a cold [Instance.run] over randomized batches — overlapping,
    duplicate, empty, inverted, out-of-range and full-range intervals —
    must return answers bit-identical (same constructor, same posting)
    to looping the index's own [query].  Because the suite is generated
@@ -33,7 +33,7 @@ let check_batch name inst ranges =
   let expect =
     Array.map (fun (lo, hi) -> inst.Indexing.Instance.query ~lo ~hi) ranges
   in
-  let got, _stats = Indexing.Instance.query_batch inst ranges in
+  let got, _stats = Indexing.Instance.run inst ~pool:`Cold ranges in
   Alcotest.(check int)
     (Printf.sprintf "%s: answer count" name)
     (Array.length expect) (Array.length got);
@@ -98,8 +98,9 @@ let test_one (name, build) () =
     [ 0; 1; 2; 3 ]
 
 (* Charges pinned for every builder: the sum of every [Iosim.Stats]
-   field over [edge_batch] run range by range through [query_cold],
-   and the stats of one [query_batch] over [random_batch ~seed:1].
+   field over [edge_batch] run range by range through a cold one-range
+   [Instance.run], and the stats of one cold [Instance.run] over
+   [random_batch ~seed:1].
    The rows after the builders' are indexes whose stored bitmaps have
    seen updates (append chains, the append buffer, buffered-bitmap
    updates), so the charges of those read paths are pinned too.  A
@@ -120,16 +121,7 @@ let updated_builders =
     for _ = 1 to 303 do
       Secidx.Append_index.append t (next sigma)
     done;
-    {
-      Indexing.Instance.name = "append-churned";
-      device = dev;
-      n = Secidx.Append_index.length t;
-      sigma;
-      size_bits = Secidx.Append_index.size_bits t;
-      query = (fun ~lo ~hi -> Secidx.Append_index.query t ~lo ~hi);
-      batch = Some (Secidx.Append_index.query_batch t);
-      integrity = None;
-    }
+    Secidx.Append_index.instance_of t
   in
   [
     churned "append+appends" (append_instance ~buffered:false);
@@ -143,16 +135,7 @@ let updated_builders =
           | 1 -> Secidx.Dynamic_index.change t ~pos (next sigma)
           | _ -> Secidx.Dynamic_index.append t (next sigma)
         done;
-        {
-          Indexing.Instance.name = "dynamic-churned";
-          device = dev;
-          n = Secidx.Dynamic_index.length t;
-          sigma;
-          size_bits = Secidx.Dynamic_index.size_bits t;
-          query = (fun ~lo ~hi -> Secidx.Dynamic_index.query t ~lo ~hi);
-          batch = Some (Secidx.Dynamic_index.query_batch t);
-          integrity = None;
-        });
+        Secidx.Dynamic_index.instance_of t);
   ]
 
 let stats_row s =
@@ -166,11 +149,11 @@ let charges build =
     Iosim.Stats.merge
       (Array.to_list
          (Array.map
-            (fun (lo, hi) -> snd (Indexing.Instance.query_cold inst ~lo ~hi))
+            (fun r -> snd (Indexing.Instance.run inst ~pool:`Cold [| r |]))
             (edge_batch sigma)))
   in
   let _, batch =
-    Indexing.Instance.query_batch inst (random_batch ~seed:1 ~sigma ~k:33)
+    Indexing.Instance.run inst ~pool:`Cold (random_batch ~seed:1 ~sigma ~k:33)
   in
   (stats_row cold, stats_row batch)
 
@@ -271,6 +254,47 @@ let test_golden_charges () =
         fields)
     (builders @ updated_builders)
 
+(* A request that clamps to one distinct range runs the direct
+   evaluator: for every builder, [[|r|]], [[|r; r|]] and [[|r; r'|]]
+   with [r'] clamping to [r] answer and charge, field for field,
+   exactly what [query] alone does from a cold pool. *)
+let test_one_range_is_direct () =
+  let sigma = 16 in
+  let g = Workload.Gen.zipf ~seed:11 ~n:1024 ~sigma ~theta:1.0 () in
+  List.iter
+    (fun (name, build) ->
+      let inst = build (device ()) ~sigma g.Workload.Gen.data in
+      let dev = inst.Indexing.Instance.device in
+      List.iter
+        (fun ((lo, hi), r') ->
+          Iosim.Device.clear_pool dev;
+          Iosim.Device.reset_stats dev;
+          let direct = inst.Indexing.Instance.query ~lo ~hi in
+          let direct_stats = Iosim.Stats.snapshot (Iosim.Device.stats dev) in
+          List.iter
+            (fun ranges ->
+              let what =
+                Printf.sprintf "%s: %d slots of [%d,%d]" name
+                  (Array.length ranges) lo hi
+              in
+              let answers, stats =
+                Indexing.Instance.run inst ~pool:`Cold ranges
+              in
+              Array.iter
+                (fun a ->
+                  Alcotest.(check bool) (what ^ ": answer") true
+                    (answers_identical direct a))
+                answers;
+              List.iter
+                (fun (f, get, _) ->
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s: %s" what f)
+                    (get direct_stats) (get stats))
+                Iosim.Stats.fields)
+            [ [| (lo, hi) |]; [| (lo, hi); (lo, hi) |]; [| (lo, hi); r' |] ])
+        [ ((0, 6), (-3, 6)); ((5, 15), (5, sigma + 4)); ((0, 15), (-1, 99)) ])
+    (builders @ updated_builders)
+
 (* The planner itself: clamping, dedup order, slot mapping. *)
 let test_plan () =
   let plan =
@@ -304,6 +328,8 @@ let suite =
   Alcotest.test_case "batch planner" `Quick test_plan
   :: Alcotest.test_case "registry fully covered" `Quick test_registry_covered
   :: Alcotest.test_case "charges pinned per builder" `Quick test_golden_charges
+  :: Alcotest.test_case "one range runs the direct evaluator" `Quick
+       test_one_range_is_direct
   :: List.map
        (fun b ->
          Alcotest.test_case

@@ -119,6 +119,11 @@ let test_chrome_export_shape () =
 
 (* ---- shared JSON writer ---- *)
 
+let contains needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let test_json_writer () =
   let doc =
     Obs.Json.Obj
@@ -132,11 +137,6 @@ let test_json_writer () =
       ]
   in
   let pretty = Obs.Json.to_string doc in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "escaped quote" true (contains {|"a\"b\n\\c"|} pretty);
   Alcotest.(check bool) "grep-able key" true (contains {|  "i": -3|} pretty);
   Alcotest.(check bool) "float" true (contains {|"f": 2.5|} pretty);
@@ -318,7 +318,8 @@ let test_tracing_differential () =
     (fun (inst : Indexing.Instance.t) ->
       let reference =
         List.map
-          (fun (lo, hi) -> Indexing.Instance.query_cold inst ~lo ~hi)
+          (fun (lo, hi) ->
+            Indexing.Instance.run inst ~pool:`Cold [| (lo, hi) |])
           ranges
       in
       with_tracing ~capacity:(1 lsl 16) (fun () ->
@@ -327,14 +328,17 @@ let test_tracing_differential () =
           List.iter2
             (fun (lo, hi) (ref_answer, ref_stats) ->
               Obs.Trace.clear ();
-              let answer, stats = Indexing.Instance.query_cold inst ~lo ~hi in
+              let answers, stats =
+                Indexing.Instance.run inst ~pool:`Cold [| (lo, hi) |]
+              in
+              let answer = answers.(0) in
               Alcotest.(check bool)
                 (Printf.sprintf "%s [%d..%d] answer unchanged"
                    inst.Indexing.Instance.name lo hi)
                 true
                 (Cbitmap.Posting.equal
                    (Indexing.Answer.to_posting ~n answer)
-                   (Indexing.Answer.to_posting ~n ref_answer));
+                   (Indexing.Answer.to_posting ~n ref_answer.(0)));
               Alcotest.(check bool)
                 (Printf.sprintf "%s [%d..%d] counters unchanged"
                    inst.Indexing.Instance.name lo hi)
@@ -352,7 +356,7 @@ let test_traced_query_has_phases () =
   match differential_instances () with
   | static :: _ ->
       with_tracing ~capacity:(1 lsl 16) (fun () ->
-          ignore (Indexing.Instance.query_cold static ~lo:2 ~hi:9);
+          ignore (Indexing.Instance.run static ~pool:`Cold [| (2, 9) |]);
           let spans = Obs.Trace.spans () in
           let has name =
             List.exists
@@ -640,6 +644,44 @@ let test_report_scan () =
   Sys.remove good;
   Sys.remove bad
 
+(* A gate recorded as not enforced (a single-core host's skipped
+   domain-speedup gate) is neither a pass nor a failure: the report
+   lists it, in the table and in the JSON. *)
+let test_report_not_enforced () =
+  let open Obs.Json in
+  let gate ~enforced =
+    Obj
+      [
+        ( "gate",
+          Obj
+            [
+              ("speedup_min", Float 2.0);
+              ("speedup_measured", Float 0.5);
+              ("speedup_enforced", Bool enforced);
+              ("pass", Bool true);
+            ] );
+      ]
+  in
+  let skipped = Filename.temp_file "bench_skipped" ".json" in
+  to_file skipped (gate ~enforced:false);
+  let r = Obs.Report.run [ skipped ] in
+  Alcotest.(check bool) "not a failure" true (Obs.Report.pass r);
+  Alcotest.(check (list string)) "listed"
+    [ skipped ^ ": gate: speedup 0.5 vs min 2" ]
+    (Obs.Report.not_enforced r);
+  Alcotest.(check bool) "rendered" true
+    (contains "not enforced: " (Obs.Report.render_table r));
+  Alcotest.(check bool) "in the json" true
+    (Obs.Json.member "not_enforced" (Obs.Report.to_json r) = Some (Int 1));
+  let enforced = Filename.temp_file "bench_enforced" ".json" in
+  to_file enforced (gate ~enforced:true);
+  let r = Obs.Report.run [ enforced ] in
+  Alcotest.(check bool) "enforced gate fails" false (Obs.Report.pass r);
+  Alcotest.(check (list string))
+    "nothing skipped" [] (Obs.Report.not_enforced r);
+  Sys.remove skipped;
+  Sys.remove enforced
+
 let test_trace_lint () =
   (* a real multi-domain export lints clean *)
   let path = Filename.temp_file "trace_ok" ".json" in
@@ -735,6 +777,8 @@ let suite =
     Alcotest.test_case "multi-domain trace" `Quick test_multidomain_trace;
     Alcotest.test_case "json parser" `Quick test_json_parser;
     Alcotest.test_case "report scan" `Quick test_report_scan;
+    Alcotest.test_case "report lists gates not enforced" `Quick
+      test_report_not_enforced;
     Alcotest.test_case "trace lint" `Quick test_trace_lint;
     qcheck qcheck_span_balance;
     qcheck qcheck_percentile_clamped;

@@ -218,6 +218,30 @@ let test_count_zero_payload () =
     "only directory-probe reads" true
     (out.stats.Iosim.Stats.bits_read < 512)
 
+(* Exact decodes go through [Indexing.Instance.run]: a one-range
+   column is one instance query, a multi-range column one batch, and
+   both show in the [indexing_*] counters. *)
+let test_exec_counts_instance_queries () =
+  let t = mk_table ~variant:`Exact ~seed:5 ~rows:2000 in
+  let queries = Obs.Metrics.counter "indexing_queries_total" in
+  let batches = Obs.Metrics.counter "indexing_batches_total" in
+  let run q =
+    let q0 = Obs.Metrics.counter_value queries in
+    let b0 = Obs.Metrics.counter_value batches in
+    let out = Planner.Exec.run t q in
+    Alcotest.(check bool) "rows = naive" true
+      (Cbitmap.Posting.equal (Option.get out.rows) (naive_rows t q));
+    ( Obs.Metrics.counter_value queries - q0,
+      Obs.Metrics.counter_value batches - b0 )
+  in
+  Alcotest.(check (pair int int))
+    "one range: one instance query" (1, 0)
+    (run (Planner.Ast.conj [ Planner.Ast.range "age" ~lo:5 ~hi:40 ]));
+  Alcotest.(check (pair int int))
+    "three ranges: one instance batch" (0, 1)
+    (run
+       (Planner.Ast.conj [ Planner.Ast.member "age" [ 7; 8; 9; 30; 31; 50 ] ]))
+
 (* --- ε sweep: a calibrated planner stays exact at every ε the grid
    can pick, on the approx+stored table where prefilters are live --- *)
 
@@ -530,6 +554,8 @@ let suite =
     Alcotest.test_case "count fast path decodes zero payload" `Quick
       test_count_zero_payload;
     Alcotest.test_case "epsilon sweep stays exact" `Quick test_epsilon_sweep;
+    Alcotest.test_case "exact decodes run through Instance.run" `Quick
+      test_exec_counts_instance_queries;
     Alcotest.test_case "planner not worse than baseline" `Quick
       test_planner_not_worse_than_baseline;
     qcheck (prop_planner_matches_naive `Exact "planner = naive (exact table)");

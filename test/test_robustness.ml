@@ -61,7 +61,7 @@ let prop_all_indexes_agree =
           let inst : Indexing.Instance.t = build (device ()) ~sigma data in
           Cbitmap.Posting.equal
             (Indexing.Answer.to_posting ~n:(Array.length data)
-               (fst (Indexing.Instance.query_cold inst ~lo ~hi)))
+               (inst.Indexing.Instance.query ~lo ~hi))
             reference)
         all_builders)
 
@@ -87,7 +87,7 @@ let test_query_bounds_clamped () =
           let got =
             try
               Indexing.Answer.to_posting ~n:(Array.length data)
-                (fst (Indexing.Instance.query_cold inst ~lo ~hi))
+                (inst.Indexing.Instance.query ~lo ~hi)
             with Invalid_argument m ->
               Alcotest.failf "%s: query (%d,%d) raised %s" name lo hi m
           in

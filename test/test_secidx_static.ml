@@ -28,7 +28,7 @@ let against_naive name builder =
       let inst : Indexing.Instance.t = builder dev ~sigma data in
       let answer =
         Indexing.Answer.to_posting ~n:inst.Indexing.Instance.n
-          (fst (Indexing.Instance.query_cold inst ~lo ~hi))
+          (fst (Indexing.Instance.run inst ~pool:`Cold [| (lo, hi) |])).(0)
       in
       let naive =
         Workload.Queries.naive_answer (gen_of_array ~sigma data)
@@ -250,8 +250,8 @@ let test_static_io_scales_with_output () =
   let inst = Secidx.Static_index.instance dev ~sigma g.Workload.Gen.data in
   (* Doubling the range should roughly double the I/O for small
      ranges, not explode. *)
-  let _, s8 = Indexing.Instance.query_cold inst ~lo:32 ~hi:39 in
-  let _, s64 = Indexing.Instance.query_cold inst ~lo:32 ~hi:95 in
+  let _, s8 = Indexing.Instance.run inst ~pool:`Cold [| (32, 39) |] in
+  let _, s64 = Indexing.Instance.run inst ~pool:`Cold [| (32, 95) |] in
   let r8 = Iosim.Stats.ios s8 and r64 = Iosim.Stats.ios s64 in
   if not (r64 < 20 * r8) then
     Alcotest.failf "I/O out of shape: 8 chars=%d, 64 chars=%d" r8 r64
@@ -325,7 +325,7 @@ let test_singleton_alphabet () =
   let inst = Secidx.Static_index.instance dev ~sigma:1 data in
   let p =
     Indexing.Answer.to_posting ~n:50
-      (fst (Indexing.Instance.query_cold inst ~lo:0 ~hi:0))
+      (fst (Indexing.Instance.run inst ~pool:`Cold [| (0, 0) |])).(0)
   in
   Alcotest.(check int) "all positions" 50 (Cbitmap.Posting.cardinal p)
 
@@ -336,7 +336,7 @@ let test_missing_char () =
   let inst = Secidx.Static_index.instance dev ~sigma:8 data in
   let p =
     Indexing.Answer.to_posting ~n:20
-      (fst (Indexing.Instance.query_cold inst ~lo:5 ~hi:7))
+      (fst (Indexing.Instance.run inst ~pool:`Cold [| (5, 7) |])).(0)
   in
   Alcotest.(check int) "empty" 0 (Cbitmap.Posting.cardinal p)
 
@@ -482,7 +482,9 @@ let test_batch_arena_reuse () =
    is one uncached span, whose [Stream_table.payload_span] reads the
    entry of its first stream and of the stream after its last.  The
    test charges those calls alone on a twin device and pins the
-   difference, bit for bit, with equal block I/Os. *)
+   difference, bit for bit, with equal block I/Os.  [Instance.run]
+   sends a lone range to [query], so this is the readahead's price
+   inside a batch, not what a one-range request pays. *)
 let test_one_range_batch_gap () =
   let sigma = 256 and n = 1 lsl 14 in
   let data =

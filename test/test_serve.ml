@@ -208,6 +208,34 @@ let test_query_batch_matches_per_query () =
         (Cbitmap.Posting.equal batched.(i) (Serve.Router.query router ~lo ~hi)))
     queries
 
+(* A one-range request is charged what the direct evaluator charges:
+   a one-shard [Sequential] router's [query] moves its shard device's
+   bits and block reads exactly as a warm one-range [Instance.run] on
+   a twin device does, and as the index's own [query] on a third,
+   query after query with the pools kept warm. *)
+let test_router_one_range_is_direct () =
+  let data = mkdata ~seed:33 400 in
+  let build = List.assoc "static" all_builders in
+  let router = Serve.Router.create (shards_for build 1 data) in
+  let run_twin = build (device ()) ~sigma data in
+  let query_twin = build (device ()) ~sigma data in
+  let charged (inst : Indexing.Instance.t) =
+    let s = Iosim.Device.stats inst.device in
+    (s.Iosim.Stats.bits_read, s.Iosim.Stats.block_reads)
+  in
+  Array.iter
+    (fun (lo, hi) ->
+      ignore (Serve.Router.query router ~lo ~hi);
+      ignore (Indexing.Instance.run run_twin ~pool:`Warm [| (lo, hi) |]);
+      ignore (query_twin.Indexing.Instance.query ~lo ~hi);
+      let shard = List.hd (Serve.Router.shard_stats router) in
+      let what = Printf.sprintf "[%d,%d] bits read, block reads" lo hi in
+      Alcotest.(check (pair int int)) (what ^ ": run") (charged run_twin)
+        (shard.Iosim.Stats.bits_read, shard.Iosim.Stats.block_reads);
+      Alcotest.(check (pair int int)) (what ^ ": query") (charged query_twin)
+        (shard.Iosim.Stats.bits_read, shard.Iosim.Stats.block_reads))
+    (query_mix ~seed:27)
+
 (* Router stats at quiescence: the merged view equals the field-wise
    sum over shards, and queries did move blocks on >1 shard. *)
 let test_router_shard_stats () =
@@ -560,6 +588,8 @@ let suite =
       test_shard_failure_same_in_both_modes;
     Alcotest.test_case "router batch = per-query" `Quick
       test_query_batch_matches_per_query;
+    Alcotest.test_case "router one-range query = direct run" `Quick
+      test_router_one_range_is_direct;
     Alcotest.test_case "router shard stats merge" `Quick
       test_router_shard_stats;
     Alcotest.test_case "stats merge = sum" `Quick test_stats_merge_unit;

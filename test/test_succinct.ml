@@ -253,7 +253,7 @@ let prop_static_fibonacci =
       in
       let got =
         Indexing.Answer.to_posting ~n:(Array.length data)
-          (fst (Indexing.Instance.query_cold inst ~lo:0 ~hi:(sigma - 1)))
+          (inst.Indexing.Instance.query ~lo:0 ~hi:(sigma - 1))
       in
       Cbitmap.Posting.cardinal got = Array.length data)
 
