@@ -145,7 +145,7 @@ let run ~smoke =
   let traffic =
     Workload.Traffic.make ~seed:17 ~sigma ~count ~rate:(2.0 *. probe) ()
   in
-  let r = Serve.Sim.run ~tail_quantile:0.99 router traffic in
+  let r = Serve.Sim.run router traffic in
   let a = r.Serve.Sim.attribution in
   let comp_sum =
     List.fold_left (fun acc (_, v) -> acc +. v) 0.0 a.Serve.Sim.components

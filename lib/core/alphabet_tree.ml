@@ -25,8 +25,7 @@ let materialized_depths schedule nlevels =
       let rec go d acc = if d >= nlevels - 1 then acc else go (2 * d) (d :: acc) in
       List.sort_uniq compare ((nlevels - 1) :: 0 :: go 1 [])
 
-let build ?(complement = true) ?(schedule = `All) ?(payload = `Gap) device
-    ~sigma x =
+let build ?(complement = true) ?(schedule = `All) device ~sigma x =
   let n = Array.length x in
   let rec pow2 v = if v >= sigma then v else pow2 (2 * v) in
   let sigma2 = pow2 1 in
@@ -34,19 +33,12 @@ let build ?(complement = true) ?(schedule = `All) ?(payload = `Gap) device
   let postings = Indexing.Common.positions_by_char ~sigma x in
   let posting_of_char c = if c < sigma then postings.(c) else Cbitmap.Posting.empty in
   let mat = materialized_depths schedule nlevels in
-  let layout =
-    match payload with
-    | `Gap -> Indexing.Stream_table.Gap
-    | `Hybrid ->
-        let u = max 1 n in
-        Indexing.Stream_table.Hybrid { universe = u; chunk = u }
-  in
   (* Build levels bottom-up: level (nlevels-1) = single characters. *)
   let tables = Array.make nlevels None in
   let current = ref (Array.init sigma2 posting_of_char) in
   for j = nlevels - 1 downto 0 do
     if List.mem j mat then
-      tables.(j) <- Some (Indexing.Stream_table.build ~layout device !current);
+      tables.(j) <- Some (Indexing.Stream_table.build device !current);
     if j > 0 then
       current :=
         Array.init (1 lsl (j - 1)) (fun b ->
@@ -202,16 +194,13 @@ let size_bits t =
       | Some tab -> acc + Indexing.Stream_table.size_bits tab)
     t.a_region.Iosim.Device.len t.levels
 
-let instance ?complement ?schedule ?payload device ~sigma x =
-  let t = build ?complement ?schedule ?payload device ~sigma x in
-  let base =
-    match schedule with
-    | Some `Doubling -> "secidx-complete-tree-fn3"
-    | _ -> "secidx-complete-tree"
-  in
+let instance ?complement ?schedule device ~sigma x =
+  let t = build ?complement ?schedule device ~sigma x in
   {
     Indexing.Instance.name =
-      (match payload with Some `Hybrid -> base ^ "-hybrid" | _ -> base);
+      (match schedule with
+      | Some `Doubling -> "secidx-complete-tree-fn3"
+      | _ -> "secidx-complete-tree");
     device;
     n = t.n;
     sigma;

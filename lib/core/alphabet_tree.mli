@@ -14,13 +14,10 @@ type t
     [schedule] selects which depths keep explicit bitmaps: [`All]
     (default, Theorem 1) or [`Doubling] (footnote 3: depths 1,2,4,…
     plus leaves — space drops to [O(n·lg σ + σ·lg²n)] with a slightly
-    larger merge fan-in).  [payload] selects the stream-table payload
-    layout: [`Gap] (default) gap-coded, [`Hybrid] one adaptive
-    container per extent ({!Cbitmap.Container}). *)
+    larger merge fan-in).  Every extent is gap-coded. *)
 val build :
   ?complement:bool ->
   ?schedule:[ `All | `Doubling ] ->
-  ?payload:[ `Gap | `Hybrid ] ->
   Iosim.Device.t ->
   sigma:int ->
   int array ->
@@ -41,7 +38,6 @@ val size_bits : t -> int
 val instance :
   ?complement:bool ->
   ?schedule:[ `All | `Doubling ] ->
-  ?payload:[ `Gap | `Hybrid ] ->
   Iosim.Device.t ->
   sigma:int ->
   int array ->

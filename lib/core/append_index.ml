@@ -24,7 +24,6 @@ type t = {
   complement : bool;
   buffered : bool;
   code : Cbitmap.Gap_codec.code;
-  payload : [ `Gap | `Hybrid ];
   sigma : int;
   mutable x : int array;
   mutable n : int;
@@ -33,34 +32,28 @@ type t = {
   mutable mat : bool array;
   mutable levels : storage option array;
   mutable leaves : storage;
-  mutable counts_region : Iosim.Device.region;
+  mutable counts : Char_counts.t;
   mutable meta_region : Iosim.Device.region;
   mutable meta_bits : int;
   mutable rebuilds : int;
   mutable buffer : (int * int) list; (* buffered appends, oldest first *)
   mutable buffer_len : int;
   buffer_cap : int;
-  mutable counts_frame : Iosim.Frame.t option;
   mutable meta_frame : Iosim.Frame.t option;
   arena : Indexing.Stream_table.Arena.t; (* each query's decoded extents *)
 }
 
-let count_bits = 32
 let counts_magic = 0x5DC1
 let meta_magic = 0x5DC2
 let chain_magic = 0x5DC3
-
-let doubling_levels height =
-  let rec go l acc = if l > height then acc else go (2 * l) (l :: acc) in
-  List.rev (go 1 [])
 
 let last_of_posting p =
   let k = Cbitmap.Posting.cardinal p in
   if k = 0 then -1 else Cbitmap.Posting.get p (k - 1)
 
-let make_storage ~code ~layout device postings =
+let make_storage ~code device postings =
   {
-    table = Indexing.Stream_table.build ~code ~layout device postings;
+    table = Indexing.Stream_table.build ~code device postings;
     chains =
       Array.map
         (fun p ->
@@ -69,23 +62,12 @@ let make_storage ~code ~layout device postings =
         postings;
   }
 
-let counts_buf t =
+(* The counts of the live string.  The device copy lags the
+   in-memory string by the buffered batch. *)
+let live_counts t =
   let counts = Cbitmap.Entropy.counts ~sigma:t.sigma (Array.sub t.x 0 t.n) in
-  (* The device copy lags the in-memory string by the buffered batch. *)
   List.iter (fun (ch, _) -> counts.(ch) <- counts.(ch) - 1) t.buffer;
-  let buf = Bitio.Bitbuf.create () in
-  Array.iter (fun v -> Bitio.Bitbuf.write_bits buf ~width:count_bits v) counts;
-  buf
-
-let write_counts t =
-  let f =
-    Iosim.Device.with_component t.device "directory" (fun () ->
-        Iosim.Frame.store t.device ~magic:counts_magic ~align_block:true
-          ~rebuild:(fun () -> counts_buf t)
-          (counts_buf t))
-  in
-  t.counts_frame <- Some f;
-  t.counts_region <- Iosim.Frame.payload f
+  counts
 
 let write_meta t =
   (* Node weights, packed linearly by id; visited during descent for
@@ -106,61 +88,38 @@ let write_meta t =
   t.meta_frame <- Some f;
   t.meta_region <- Iosim.Frame.payload f
 
-(* Construct the frozen view and per-level storages for [data].  The
-   hybrid payload applies to the frozen tables only: chain blocks stay
-   gap-coded, since appends extend them codeword by codeword and a
-   container cannot be extended in place. *)
-let build_parts ~c ~code ~payload ~sigma device data =
+(* Construct the frozen view and per-level storages for [data]. *)
+let build_parts ~c ~code ~sigma device data =
   let tree = Wbb.build ~c ~sigma data in
-  let frozen = Frozen.make tree ~sigma_total:sigma in
-  let height = tree.Wbb.height in
-  let mat = Array.make (height + 1) false in
-  List.iter (fun l -> mat.(l) <- true) (doubling_levels height);
-  let layout =
-    match payload with
-    | `Gap -> Indexing.Stream_table.Gap
-    | `Hybrid ->
-        let u = max 1 (Array.length data) in
-        Indexing.Stream_table.Hybrid { universe = u; chunk = u }
+  let mat, levels, leaves =
+    Wbb.store_levels tree
+      ~levels:(Wbb.doubling_levels tree.Wbb.height)
+      (make_storage ~code device)
   in
-  let levels =
-    Array.init (height + 1) (fun l ->
-        if
-          l >= 1 && mat.(l)
-          && Array.length tree.Wbb.internal_by_level.(l - 1) > 0
-        then
-          Some
-            (make_storage ~code ~layout device
-               (Array.map (Wbb.positions tree) tree.Wbb.internal_by_level.(l - 1)))
-        else None)
-  in
-  let leaves =
-    make_storage ~code ~layout device
-      (Array.map (Wbb.positions tree) tree.Wbb.leaves)
-  in
-  (frozen, mat, levels, leaves)
+  (Frozen.make tree ~sigma_total:sigma, mat, levels, leaves)
 
 let rebuild t =
   let data = Array.sub t.x 0 t.n in
   let frozen, mat, levels, leaves =
-    build_parts ~c:t.c ~code:t.code ~payload:t.payload
-      ~sigma:t.sigma t.device data
+    build_parts ~c:t.c ~code:t.code ~sigma:t.sigma t.device data
   in
   t.frozen <- frozen;
   t.mat <- mat;
   t.levels <- levels;
   t.leaves <- leaves;
-  write_counts t;
+  t.counts <- Char_counts.store t.device ~magic:counts_magic (live_counts t);
   write_meta t;
   t.n0 <- max 1 t.n
 
 let build ?(c = 8) ?(complement = true) ?(buffered = false)
-    ?(code = Cbitmap.Gap_codec.Gamma) ?(payload = `Gap) device ~sigma x =
+    ?(code = Cbitmap.Gap_codec.Gamma) device ~sigma x =
   if Array.length x = 0 then invalid_arg "Append_index.build: empty string";
   let n = Array.length x in
   let cap = max 1 (Iosim.Device.block_bits device / (Indexing.Common.bits_for (max 2 sigma) + 40)) in
-  let frozen, mat, levels, leaves =
-    build_parts ~c ~code ~payload ~sigma device x
+  let frozen, mat, levels, leaves = build_parts ~c ~code ~sigma device x in
+  let counts =
+    Char_counts.store device ~magic:counts_magic
+      (Cbitmap.Entropy.counts ~sigma x)
   in
   let t =
     {
@@ -169,7 +128,6 @@ let build ?(c = 8) ?(complement = true) ?(buffered = false)
       complement;
       buffered;
       code;
-      payload;
       sigma;
       x = Array.copy x;
       n;
@@ -178,19 +136,17 @@ let build ?(c = 8) ?(complement = true) ?(buffered = false)
       mat;
       levels;
       leaves;
-      counts_region = { Iosim.Device.off = 0; len = 0 };
+      counts;
       meta_region = { Iosim.Device.off = 0; len = 0 };
       meta_bits = 0;
       rebuilds = 0;
       buffer = [];
       buffer_len = 0;
       buffer_cap = cap;
-      counts_frame = None;
       meta_frame = None;
       arena = Indexing.Stream_table.Arena.create ();
     }
   in
-  write_counts t;
   write_meta t;
   t
 
@@ -251,14 +207,6 @@ let chain_append t (st : storage) stream pos =
   ch.clast <- pos;
   ch.ctotal <- ch.ctotal + 1
 
-let bump_count t ch =
-  let pos = t.counts_region.Iosim.Device.off + (ch * count_bits) in
-  let v = Iosim.Device.read_bits t.device ~pos ~width:count_bits in
-  Iosim.Device.write_bits t.device ~pos ~width:count_bits (v + 1);
-  match t.counts_frame with
-  | Some f -> Iosim.Frame.invalidate f
-  | None -> ()
-
 let storage t tag = if tag = -1 then t.leaves else Option.get t.levels.(tag)
 
 let storage_of_node t v =
@@ -274,7 +222,7 @@ let apply_append t ch pos =
       | Some (st, stream) -> chain_append t st stream pos
       | None -> ())
     path;
-  bump_count t ch
+  Char_counts.add t.counts ch 1
 
 let ensure_capacity t =
   if t.n >= Array.length t.x then begin
@@ -311,15 +259,7 @@ let flush_buffer t =
     (fun _ (st, stream, ps) ->
       List.iter (fun pos -> chain_append t st stream pos) (List.rev !ps))
     by_tile;
-  Hashtbl.iter
-    (fun ch delta ->
-      let pos = t.counts_region.Iosim.Device.off + (ch * count_bits) in
-      let v = Iosim.Device.read_bits t.device ~pos ~width:count_bits in
-      Iosim.Device.write_bits t.device ~pos ~width:count_bits (v + !delta))
-    by_char;
-  (match t.counts_frame with
-  | Some f -> Iosim.Frame.invalidate f
-  | None -> ());
+  Hashtbl.iter (fun ch delta -> Char_counts.add t.counts ch !delta) by_char;
   t.buffer <- [];
   t.buffer_len <- 0
 
@@ -351,11 +291,6 @@ let touch_meta t (v : Wbb.node) =
     (Iosim.Device.read_bits t.device
        ~pos:(t.meta_region.Iosim.Device.off + (v.Wbb.id * t.meta_bits))
        ~width:t.meta_bits)
-
-let read_count t ch =
-  Iosim.Device.read_bits t.device
-    ~pos:(t.counts_region.Iosim.Device.off + (ch * count_bits))
-    ~width:count_bits
 
 module Arena = Indexing.Stream_table.Arena
 
@@ -434,7 +369,7 @@ let answer t ~lo ~hi fetch =
   let z = ref 0 in
   Obs.Metrics.phase "rank_select" (fun () ->
       for ch = lo to hi do
-        z := !z + read_count t ch
+        z := !z + Char_counts.get t.counts ch
       done);
   let union ranges =
     let p =
@@ -500,8 +435,8 @@ let integrity t =
     let sts = t.leaves :: List.filter_map Fun.id (Array.to_list t.levels) in
     Indexing.Integrity.combine
       (Indexing.Integrity.of_frames (fun () ->
-           (match t.counts_frame with Some f -> [ f ] | None -> [])
-           @ (match t.meta_frame with Some f -> [ f ] | None -> [])
+           Char_counts.frame t.counts ~live:(fun () -> live_counts t)
+           :: (match t.meta_frame with Some f -> [ f ] | None -> [])
            @ List.concat_map (fun st -> chain_frames t st) sts)
       :: List.map
            (fun (st : storage) -> Indexing.Stream_table.integrity st.table)
@@ -513,6 +448,7 @@ let integrity t =
   }
 
 let rebuilds t = t.rebuilds
+let counts t = t.counts
 
 let size_bits t =
   let bb = Iosim.Device.block_bits t.device in
@@ -527,14 +463,14 @@ let size_bits t =
       (fun acc -> function None -> acc | Some st -> acc + storage_bits st)
       0 t.levels
   in
-  levels + storage_bits t.leaves + t.counts_region.Iosim.Device.len
+  levels + storage_bits t.leaves
+  + (Char_counts.region t.counts).Iosim.Device.len
   + t.meta_region.Iosim.Device.len
 
 let instance_of t =
   let base = if t.buffered then "secidx-append-buffered" else "secidx-append" in
   {
-    Indexing.Instance.name =
-      (match t.payload with `Hybrid -> base ^ "-hybrid" | `Gap -> base);
+    Indexing.Instance.name = base;
     device = t.device;
     n = t.n;
     sigma = t.sigma;
@@ -544,5 +480,5 @@ let instance_of t =
     integrity = Some (integrity t);
   }
 
-let instance ?c ?complement ?buffered ?payload device ~sigma x =
-  instance_of (build ?c ?complement ?buffered ?payload device ~sigma x)
+let instance ?c ?complement ?buffered device ~sigma x =
+  instance_of (build ?c ?complement ?buffered device ~sigma x)

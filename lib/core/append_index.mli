@@ -21,17 +21,17 @@
 
 type t
 
-(** [payload] selects the frozen tables' payload layout: [`Gap]
-    (default) gap-coded, [`Hybrid] one adaptive container per extent
-    ({!Cbitmap.Container}).  Chain blocks stay gap-coded either way —
-    appends extend them codeword by codeword, and a container cannot
-    be extended in place. *)
+(** [build device ~sigma x]: the Theorem 2 layout over [x] (branching
+    [c], default 8; levels from {!Wbb.store_levels}, extents and chain
+    blocks gap-coded with [code], default gamma) and the
+    per-character count array ({!Char_counts}).  [buffered] (default
+    [false]) selects Theorem 5's root buffer; [complement] (default
+    [true]) the complement rule. *)
 val build :
   ?c:int ->
   ?complement:bool ->
   ?buffered:bool ->
   ?code:Cbitmap.Gap_codec.code ->
-  ?payload:[ `Gap | `Hybrid ] ->
   Iosim.Device.t ->
   sigma:int ->
   int array ->
@@ -53,6 +53,11 @@ val query_batch : t -> (int * int) array -> Indexing.Answer.t array
 (** Number of global rebuilds performed so far. *)
 val rebuilds : t -> int
 
+(** The per-character count array (for white-box tests).  With
+    [buffered], it lags the string by the appends still in the root
+    buffer. *)
+val counts : t -> Char_counts.t
+
 (** Space used, in bits (base layout + chains + directory). *)
 val size_bits : t -> int
 
@@ -65,7 +70,6 @@ val instance :
   ?c:int ->
   ?complement:bool ->
   ?buffered:bool ->
-  ?payload:[ `Gap | `Hybrid ] ->
   Iosim.Device.t ->
   sigma:int ->
   int array ->

@@ -7,8 +7,9 @@ type t = {
   base : Static_index.t;
   k : int;
   fams : Split.t array; (* fams.(j-1) = h_j *)
-  (* hashed_levels.(l).(j-1): hashed bitmaps of internal level l *)
-  hashed_levels : Indexing.Stream_table.t option array array;
+  (* hashed_levels.(l), when internal level l is stored: its hashed
+     bitmaps under h_j at index j-1 *)
+  hashed_levels : Indexing.Stream_table.t array option array;
   hashed_leaves : Indexing.Stream_table.t array; (* per j *)
   seen : Bitset.t; (* [probe] scratch: the hashed values read *)
   arena : St.Arena.t; (* the hashed extents a query or probe decodes *)
@@ -27,39 +28,23 @@ let hash_posting fam p =
   Cbitmap.Posting.of_list
     (Cbitmap.Posting.fold (fun acc v -> Split.hash fam v :: acc) [] p)
 
-let build ?(seed = 0x5ec1d) ?c ?code ?payload device ~sigma x =
-  let base = Static_index.build ?c ?code ?payload device ~sigma x in
+let build ?(seed = 0x5ec1d) ?c ?code device ~sigma x =
+  let base = Static_index.build ?c ?code device ~sigma x in
   let tree = Static_index.tree base in
   let n = tree.Wbb.n in
   let k = max 1 (Bitio.Codes.floor_log2 (max 2 (Bitio.Codes.floor_log2 (max 2 n)))) in
   let rng = Hashing.Universal.Rng.create ~seed in
   let fams = Array.init k (fun i -> Split.create rng ~j:(i + 1)) in
-  let mat = Static_index.materialized_levels base in
-  let height = tree.Wbb.height in
-  let hashed_levels =
-    Array.init (height + 1) (fun l ->
-        if
-          l >= 1 && List.mem l mat
-          && Array.length tree.Wbb.internal_by_level.(l - 1) > 0
-        then
-          Array.map
-            (fun fam ->
-              Some
-                (Indexing.Stream_table.build ?code device
-                   (Array.map
-                      (fun v -> hash_posting fam (Wbb.positions tree v))
-                      tree.Wbb.internal_by_level.(l - 1))))
-            fams
-        else Array.map (fun _ -> None) fams)
-  in
-  let hashed_leaves =
-    Array.map
-      (fun fam ->
-        Indexing.Stream_table.build ?code device
-          (Array.map
-             (fun v -> hash_posting fam (Wbb.positions tree v))
-             tree.Wbb.leaves))
-      fams
+  (* The base index's stored nodes, once per hash level. *)
+  let _, hashed_levels, hashed_leaves =
+    Wbb.store_levels tree
+      ~levels:(Static_index.materialized_levels base)
+      (fun postings ->
+        Array.map
+          (fun fam ->
+            Indexing.Stream_table.build ?code device
+              (Array.map (hash_posting fam) postings))
+          fams)
   in
   {
     base;
@@ -113,7 +98,7 @@ let read_directory t ~epsilon ~lo ~hi =
               let tab =
                 match storage with
                 | `Leaf -> t.hashed_leaves.(j - 1)
-                | `Level l -> Option.get t.hashed_levels.(l).(j - 1)
+                | `Level l -> (Option.get t.hashed_levels.(l)).(j - 1)
               in
               St.extents tab ~lo:first ~hi:last)
             (Static_index.plan_charged t.base ~s ~e))
@@ -175,18 +160,13 @@ let candidates answer ~n =
       Cbitmap.Posting.of_list !acc
 
 let hashed_bits t =
-  let levels =
+  let tables acc =
     Array.fold_left
-      (fun acc per_j ->
-        Array.fold_left
-          (fun acc -> function
-            | None -> acc
-            | Some tab -> acc + Indexing.Stream_table.size_bits tab)
-          acc per_j)
-      0 t.hashed_levels
+      (fun acc tab -> acc + Indexing.Stream_table.size_bits tab)
+      acc
   in
   Array.fold_left
-    (fun acc tab -> acc + Indexing.Stream_table.size_bits tab)
-    levels t.hashed_leaves
+    (fun acc -> function None -> acc | Some per_j -> tables acc per_j)
+    (tables 0 t.hashed_leaves) t.hashed_levels
 
 let size_bits t = Static_index.size_bits t.base + hashed_bits t

@@ -29,14 +29,13 @@ type answer =
       z : int;  (** exact answer cardinality, known from A *)
     }
 
-(** [payload] selects the base index's stream-table payload layout
-    (see {!Static_index.build}); the hashed sets always use the gap
-    layout, whose universe is the hash range rather than [n]. *)
+(** [build device ~sigma x]: the exact base index
+    ({!Static_index.build} with [c] and [code]) and, per hash level,
+    the hashed sets of its stored nodes, drawn from [seed]. *)
 val build :
   ?seed:int ->
   ?c:int ->
   ?code:Cbitmap.Gap_codec.code ->
-  ?payload:[ `Gap | `Hybrid ] ->
   Iosim.Device.t ->
   sigma:int ->
   int array ->

@@ -40,7 +40,6 @@ type t = {
 
 let key = function Leaf l -> (l.lstream, l.low) | Node n -> n.nkey
 
-let stream_count t = t.streams
 let leaf_count t = t.nleaves
 
 let height t =

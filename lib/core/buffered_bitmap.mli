@@ -33,8 +33,6 @@ val build :
   Cbitmap.Posting.t array ->
   t
 
-val stream_count : t -> int
-
 (** Apply (buffer) one update.  [Add] of a present position and
     [Remove] of an absent one are no-ops when they reach the leaf. *)
 val update : t -> op -> stream:int -> pos:int -> unit

@@ -10,91 +10,57 @@ type t = {
   mutable mat : bool array;
   mutable level_bb : Buffered_bitmap.t option array;
   mutable leaf_bb : Buffered_bitmap.t;
-  mutable counts_region : Iosim.Device.region;
-  mutable counts_frame : Iosim.Frame.t option;
+  mutable counts : Char_counts.t;
   mutable changes : int;
   mutable rebuilds : int;
 }
 
-let count_bits = 32
 let counts_magic = 0x5DD1
 let infinity_char t = t.sigma
 
-let doubling_levels height =
-  let rec go l acc = if l > height then acc else go (2 * l) (l :: acc) in
-  List.rev (go 1 [])
-
 let build_parts ~c ~sigma_total device data =
   let tree = Wbb.build ~c ~sigma:sigma_total data in
-  let frozen = Frozen.make tree ~sigma_total in
-  let height = tree.Wbb.height in
-  let mat = Array.make (height + 1) false in
-  List.iter (fun l -> mat.(l) <- true) (doubling_levels height);
-  let level_bb =
-    Array.init (height + 1) (fun l ->
-        if
-          l >= 1 && mat.(l)
-          && Array.length tree.Wbb.internal_by_level.(l - 1) > 0
-        then
-          Some
-            (Buffered_bitmap.build ~c device
-               (Array.map (Wbb.positions tree) tree.Wbb.internal_by_level.(l - 1)))
-        else None)
+  let mat, level_bb, leaf_bb =
+    Wbb.store_levels tree
+      ~levels:(Wbb.doubling_levels tree.Wbb.height)
+      (Buffered_bitmap.build ~c device)
   in
-  let leaf_bb =
-    Buffered_bitmap.build ~c device
-      (Array.map (Wbb.positions tree) tree.Wbb.leaves)
-  in
-  (frozen, mat, level_bb, leaf_bb)
+  (Frozen.make tree ~sigma_total, mat, level_bb, leaf_bb)
 
-let counts_buf t =
-  let buf = Bitio.Bitbuf.create () in
-  let counts =
-    Cbitmap.Entropy.counts ~sigma:(t.sigma + 1) (Array.sub t.x 0 t.n)
-  in
-  Array.iter (fun v -> Bitio.Bitbuf.write_bits buf ~width:count_bits v) counts;
-  buf
-
-let write_counts t =
-  let f =
-    Iosim.Device.with_component t.device "directory" (fun () ->
-        Iosim.Frame.store t.device ~magic:counts_magic ~align_block:true
-          ~rebuild:(fun () -> counts_buf t)
-          (counts_buf t))
-  in
-  t.counts_frame <- Some f;
-  t.counts_region <- Iosim.Frame.payload f
+(* Counts of the live string, the deletion character included. *)
+let live_counts t =
+  Cbitmap.Entropy.counts ~sigma:(t.sigma + 1) (Array.sub t.x 0 t.n)
 
 let build ?(c = 8) ?(complement = true) device ~sigma x =
   if Array.length x = 0 then invalid_arg "Dynamic_index.build: empty string";
   let frozen, mat, level_bb, leaf_bb =
     build_parts ~c ~sigma_total:(sigma + 1) device x
   in
-  let t =
-    {
-      device;
-      c;
-      complement;
-      sigma;
-      x = Array.copy x;
-      n = Array.length x;
-      n0 = Array.length x;
-      frozen;
-      mat;
-      level_bb;
-      leaf_bb;
-      counts_region = { Iosim.Device.off = 0; len = 0 };
-      counts_frame = None;
-      changes = 0;
-      rebuilds = 0;
-    }
+  let counts =
+    Char_counts.store device ~magic:counts_magic
+      (Cbitmap.Entropy.counts ~sigma:(sigma + 1) x)
   in
-  write_counts t;
-  t
+  {
+    device;
+    c;
+    complement;
+    sigma;
+    x = Array.copy x;
+    n = Array.length x;
+    n0 = Array.length x;
+    frozen;
+    mat;
+    level_bb;
+    leaf_bb;
+    counts;
+    changes = 0;
+    rebuilds = 0;
+  }
 
 let length t = t.n
 let char_at t i = t.x.(i)
 let rebuilds t = t.rebuilds
+let counts t = t.counts
 
 let rebuild t =
   let frozen, mat, level_bb, leaf_bb =
@@ -104,7 +70,7 @@ let rebuild t =
   t.mat <- mat;
   t.level_bb <- level_bb;
   t.leaf_bb <- leaf_bb;
-  write_counts t;
+  t.counts <- Char_counts.store t.device ~magic:counts_magic (live_counts t);
   t.n0 <- max 1 t.n;
   t.changes <- 0;
   t.rebuilds <- t.rebuilds + 1
@@ -120,14 +86,6 @@ let apply_update t op ch pos =
       | None -> ())
     path
 
-let adjust_count t ch delta =
-  let pos = t.counts_region.Iosim.Device.off + (ch * count_bits) in
-  let v = Iosim.Device.read_bits t.device ~pos ~width:count_bits in
-  Iosim.Device.write_bits t.device ~pos ~width:count_bits (v + delta);
-  match t.counts_frame with
-  | Some f -> Iosim.Frame.invalidate f
-  | None -> ()
-
 let maybe_rebuild t =
   if t.changes >= max 64 (t.n0 / 2) || t.n >= 2 * t.n0 then rebuild t
 
@@ -139,8 +97,8 @@ let change t ~pos ch =
     apply_update t Buffered_bitmap.Remove old pos;
     apply_update t Buffered_bitmap.Add ch pos;
     t.x.(pos) <- ch;
-    adjust_count t old (-1);
-    adjust_count t ch 1;
+    Char_counts.add t.counts old (-1);
+    Char_counts.add t.counts ch 1;
     t.changes <- t.changes + 1;
     maybe_rebuild t
   end
@@ -158,14 +116,9 @@ let append t ch =
   t.x.(pos) <- ch;
   t.n <- t.n + 1;
   apply_update t Buffered_bitmap.Add ch pos;
-  adjust_count t ch 1;
+  Char_counts.add t.counts ch 1;
   t.changes <- t.changes + 1;
   maybe_rebuild t
-
-let read_count t ch =
-  Iosim.Device.read_bits t.device
-    ~pos:(t.counts_region.Iosim.Device.off + (ch * count_bits))
-    ~width:count_bits
 
 (* Stored nodes as one query reads them: adjacent streams of one
    storage coalesce into one range query, and the runs are read right
@@ -216,7 +169,7 @@ let answer t ~lo ~hi fetch =
   let z = ref 0 in
   Obs.Metrics.phase "rank_select" (fun () ->
       for ch = lo to hi do
-        z := !z + read_count t ch
+        z := !z + Char_counts.get t.counts ch
       done);
   let union ranges =
     Cbitmap.Posting.union_many
@@ -259,7 +212,8 @@ let size_bits t =
         | Some bb -> acc + Buffered_bitmap.size_bits bb)
       0 t.level_bb
   in
-  levels + Buffered_bitmap.size_bits t.leaf_bb + t.counts_region.Iosim.Device.len
+  levels + Buffered_bitmap.size_bits t.leaf_bb
+  + (Char_counts.region t.counts).Iosim.Device.len
 
 (* The hooks re-resolve the substructures on every call: a rebuild
    swaps every buffered bitmap out, abandoning the old extents. *)
@@ -267,7 +221,7 @@ let integrity t =
   let current () =
     Indexing.Integrity.combine
       (Indexing.Integrity.of_frames (fun () ->
-           match t.counts_frame with Some f -> [ f ] | None -> [])
+           [ Char_counts.frame t.counts ~live:(fun () -> live_counts t) ])
       :: Buffered_bitmap.integrity t.leaf_bb
       :: List.filter_map
            (Option.map Buffered_bitmap.integrity)

@@ -12,7 +12,11 @@
     [∞] that no range query matches, and [delete] rewrites the
     position to [∞].  Global rebuilds (every [n/2] updates, and
     whenever the string doubles by appends) play the role of the
-    paper's amortized subtree rebuilding. *)
+    paper's amortized subtree rebuilding.
+
+    The levels are stored through {!Wbb.store_levels}, the
+    per-character count array (deletion character included) through
+    {!Char_counts}. *)
 
 type t
 
@@ -41,6 +45,11 @@ val query : t -> lo:int -> hi:int -> Indexing.Answer.t
 val query_batch : t -> (int * int) array -> Indexing.Answer.t array
 
 val rebuilds : t -> int
+
+(** The per-character count array, the deletion character [sigma]
+    included (for white-box tests). *)
+val counts : t -> Char_counts.t
+
 val size_bits : t -> int
 
 (** The index as it stands, as an {!Indexing.Instance.t} ([n] and

@@ -4,8 +4,6 @@ type t = {
   device : Iosim.Device.t;
   tree : Wbb.t;
   complement : bool;
-  code : Cbitmap.Gap_codec.code;
-  payload : [ `Gap | `Hybrid ];
   mat : bool array; (* mat.(l) = internal level l+1 materialized *)
   level_tables : Indexing.Stream_table.t option array; (* per level, internal *)
   leaf_table : Indexing.Stream_table.t;
@@ -25,13 +23,9 @@ let meta_magic = 0x5DA3
 
 type run = { storage : [ `Leaf | `Level of int ]; first : int; last : int }
 
-let doubling_levels height =
-  let rec go l acc = if l > height then acc else go (2 * l) (l :: acc) in
-  List.rev (go 1 [])
-
 let schedule_levels schedule height =
   match schedule with
-  | `Doubling -> doubling_levels height
+  | `Doubling -> Wbb.doubling_levels height
   | `All -> List.init height (fun i -> i + 1)
   | `Leaves_only -> []
 
@@ -101,33 +95,12 @@ let pack_metadata device (tree : Wbb.t) ~meta_bits ~pos_bits ~char_bits =
   (meta_block, meta_slot, !total, frames)
 
 let build ?(c = 8) ?(complement = true) ?(schedule = `Doubling)
-    ?(code = Cbitmap.Gap_codec.Gamma) ?(payload = `Gap) device ~sigma x =
+    ?(code = Cbitmap.Gap_codec.Gamma) device ~sigma x =
   let tree = Wbb.build ~c ~sigma x in
-  let height = tree.Wbb.height in
-  let mat = Array.make (height + 1) false in
-  List.iter (fun l -> mat.(l) <- true) (schedule_levels schedule height);
-  (* Position sets live over [0 .. n-1]; the hybrid payload stores one
-     adaptive container per extent (see Cbitmap.Container). *)
-  let layout =
-    match payload with
-    | `Gap -> Indexing.Stream_table.Gap
-    | `Hybrid ->
-        let u = max 1 tree.Wbb.n in
-        Indexing.Stream_table.Hybrid { universe = u; chunk = u }
-  in
-  let level_tables =
-    Array.init (height + 1) (fun l ->
-        if l >= 1 && mat.(l) && Array.length tree.Wbb.internal_by_level.(l - 1) > 0
-        then
-          Some
-            (Indexing.Stream_table.build ~code ~layout device
-               (Array.map (Wbb.positions tree)
-                  tree.Wbb.internal_by_level.(l - 1)))
-        else None)
-  in
-  let leaf_table =
-    Indexing.Stream_table.build ~code ~layout device
-      (Array.map (Wbb.positions tree) tree.Wbb.leaves)
+  let mat, level_tables, leaf_table =
+    Wbb.store_levels tree
+      ~levels:(schedule_levels schedule tree.Wbb.height)
+      (Indexing.Stream_table.build ~code device)
   in
   let n = tree.Wbb.n in
   let pos_bits = Indexing.Common.bits_for (max 2 (n + 1)) in
@@ -151,8 +124,6 @@ let build ?(c = 8) ?(complement = true) ?(schedule = `Doubling)
     device;
     tree;
     complement;
-    code;
-    payload;
     mat;
     level_tables;
     leaf_table;
@@ -359,14 +330,9 @@ let size_bits t =
   in
   tables + Indexing.Stream_table.size_bits t.leaf_table + metadata_bits t
 
-let height t = t.tree.Wbb.height
-
 let instance_of t =
   {
-    Indexing.Instance.name =
-      (match t.payload with
-      | `Hybrid -> "secidx-static-hybrid"
-      | `Gap -> "secidx-static");
+    Indexing.Instance.name = "secidx-static";
     device = t.device;
     n = t.tree.Wbb.n;
     sigma = t.tree.Wbb.sigma;
@@ -376,5 +342,5 @@ let instance_of t =
     integrity = Some (integrity t);
   }
 
-let instance ?c ?complement ?schedule ?code ?payload device ~sigma x =
-  instance_of (build ?c ?complement ?schedule ?code ?payload device ~sigma x)
+let instance ?c ?complement ?schedule ?code device ~sigma x =
+  instance_of (build ?c ?complement ?schedule ?code device ~sigma x)

@@ -24,16 +24,16 @@ type schedule = [ `Doubling | `All | `Leaves_only ]
 
 type t
 
-(** [payload] selects the stream-table payload layout: [`Gap] (default)
-    is the gap-coded seed layout; [`Hybrid] stores each extent as one
-    adaptive array/bitmap/run container ({!Cbitmap.Container}), framed
-    and ledger-charged identically. *)
+(** [build device ~sigma x]: the tree of branching [c] (default 8)
+    over [x], storing the [schedule]'s levels (default [`Doubling])
+    and the leaves through {!Wbb.store_levels}, each extent gap-coded
+    with [code] (default gamma).  [complement] (default [true])
+    enables the complement rule. *)
 val build :
   ?c:int ->
   ?complement:bool ->
   ?schedule:schedule ->
   ?code:Cbitmap.Gap_codec.code ->
-  ?payload:[ `Gap | `Hybrid ] ->
   Iosim.Device.t ->
   sigma:int ->
   int array ->
@@ -90,10 +90,6 @@ val size_bits : t -> int
 (** Size of the A array + node metadata blocks (the [σ·lg²n] term). *)
 val metadata_bits : t -> int
 
-(** Number of blocks a descent to entry [s] touches (for the
-    [lg_b n] term); measured, not estimated. *)
-val height : t -> int
-
 (** Package a built index as an {!Indexing.Instance.t}. *)
 val instance_of : t -> Indexing.Instance.t
 
@@ -103,7 +99,6 @@ val instance :
   ?complement:bool ->
   ?schedule:schedule ->
   ?code:Cbitmap.Gap_codec.code ->
-  ?payload:[ `Gap | `Hybrid ] ->
   Iosim.Device.t ->
   sigma:int ->
   int array ->

@@ -140,3 +140,19 @@ let frontier _t v ~stored =
   List.rev !acc
 
 let node_count t = Array.length t.nodes
+
+let doubling_levels height =
+  let rec go l acc = if l > height then acc else go (2 * l) (l :: acc) in
+  List.rev (go 1 [])
+
+let store_levels t ~levels store =
+  let mat = Array.make (t.height + 1) false in
+  List.iter (fun l -> mat.(l) <- true) levels;
+  let level_store =
+    Array.init (t.height + 1) (fun l ->
+        if l >= 1 && mat.(l) && Array.length t.internal_by_level.(l - 1) > 0
+        then Some (store (Array.map (positions t) t.internal_by_level.(l - 1)))
+        else None)
+  in
+  let leaf_store = store (Array.map (positions t) t.leaves) in
+  (mat, level_store, leaf_store)

@@ -10,8 +10,11 @@
     alphabet range query covers a disjoint union of whole subtrees —
     the canonical decomposition computed by {!decompose}.
 
-    This module is the in-memory combinatorial structure; device
-    layout and bitmap storage live in {!Secidx.Static_index}. *)
+    This module is the in-memory combinatorial structure, plus the
+    one decision of which node bitmaps a tree index stores
+    ({!doubling_levels}, {!store_levels}): {!Static_index} (and
+    {!Approx_index}'s hashed copies of its nodes), {!Append_index}
+    and {!Dynamic_index} all store their levels through it. *)
 
 type node = {
   mutable id : int;  (** breadth-first identifier *)
@@ -71,3 +74,21 @@ val frontier : t -> node -> stored:(node -> bool) -> node list
 (** Total number of nodes; the paper bounds it by [O(σ·lg n)] for the
     pruned tree. *)
 val node_count : t -> int
+
+(** The levels [1, 2, 4, 8, ...] up to [height]: the internal levels
+    whose bitmaps §2.2 stores. *)
+val doubling_levels : int -> int list
+
+(** [store_levels t ~levels store] stores the bitmaps of the internal
+    nodes of each level in [levels] and of every pruned leaf: one
+    [store] call per level that has internal nodes (its nodes'
+    positions, left to right), levels ascending, then one for the
+    leaves — the order that fixes every stored extent's device
+    offset.  Returns [mat] ([mat.(l)] iff [l] is in [levels], for
+    [l] in [0 .. height]), the per-level storages (indexed by level,
+    [None] where nothing is stored) and the leaf storage. *)
+val store_levels :
+  t ->
+  levels:int list ->
+  (Cbitmap.Posting.t array -> 'a) ->
+  bool array * 'a option array * 'a

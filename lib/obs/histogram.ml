@@ -138,7 +138,7 @@ let iter_buckets t f =
       f ~le ~count:c)
     t.buckets
 
-let to_json ?(percentiles = [ 0.50; 0.90; 0.95; 0.99 ]) t =
+let to_json t =
   Json.Obj
     ([
        ("count", Json.Int t.n);
@@ -150,4 +150,4 @@ let to_json ?(percentiles = [ 0.50; 0.90; 0.95; 0.99 ]) t =
         (fun q ->
           ( Printf.sprintf "p%g" (q *. 100.0),
             Json.Float (percentile t q) ))
-        percentiles)
+        [ 0.50; 0.90; 0.95; 0.99 ])

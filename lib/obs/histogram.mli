@@ -45,9 +45,9 @@ val merge : t list -> t
     needs. *)
 val iter_buckets : t -> (le:float -> count:int -> unit) -> unit
 
-(** Count, mean, exact min/max and the requested percentiles (default
-    p50/p90/p95/p99) as a JSON object. *)
-val to_json : ?percentiles:float list -> t -> Json.t
+(** Count, mean, exact min/max and p50/p90/p95/p99 as a JSON
+    object. *)
+val to_json : t -> Json.t
 
 (**/**)
 

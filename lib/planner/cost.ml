@@ -77,12 +77,15 @@ let cold_run device f =
   let r = f () in
   (r, Iosim.Stats.ios (Iosim.Device.stats device))
 
+let sample_ranges = 4
+let sample_epsilon = 0.1
+
 (* A few geometrically-widening ranges per column, each run cold:
    measured I/Os against the constant-free bound, constants fitted as
    the smallest covering factor (Envelope.fit).  Approximate samples
    use the level the planner would price, so c_approx absorbs the
    chunk-entry and framing overheads the bound shape elides. *)
-let calibrate ?(samples = 4) ?(epsilon = 0.1) table =
+let calibrate table =
   let t0 = of_table table in
   let device = Ridint.Table.device table in
   let n = Ridint.Table.rows table in
@@ -90,7 +93,7 @@ let calibrate ?(samples = 4) ?(epsilon = 0.1) table =
   Array.iter
     (fun (col : Ridint.Table.column) ->
       let sigma = col.sigma in
-      for i = 0 to samples - 1 do
+      for i = 0 to sample_ranges - 1 do
         (* widths sigma/2^(i+1), floored at one character *)
         let width = max 1 (sigma lsr (i + 1)) in
         let lo = (i * 31) mod max 1 (sigma - width) in
@@ -105,11 +108,14 @@ let calibrate ?(samples = 4) ?(epsilon = 0.1) table =
         match Ridint.Table.col_approx table col.name with
         | None -> ()
         | Some ap ->
-            let level = Secidx.Approx_index.level ap ~epsilon ~z in
+            let level =
+              Secidx.Approx_index.level ap ~epsilon:sample_epsilon ~z
+            in
             if level <= Secidx.Approx_index.k ap then
               let _, ios =
                 cold_run device (fun () ->
-                    Secidx.Approx_index.query ap ~epsilon ~lo ~hi)
+                    Secidx.Approx_index.query ap ~epsilon:sample_epsilon ~lo
+                      ~hi)
               in
               approx_sample :=
                 (ios, prefilter_bound ~block_bits:t0.block_bits ~n ~z ~level)

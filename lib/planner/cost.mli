@@ -41,13 +41,12 @@ type t = {
 val of_table : Ridint.Table.t -> t
 
 (** Fit the constants from a few cold queries per column against the
-    table's own indexes ([samples] ranges per column, default 4;
-    [epsilon] for the approximate samples, default 0.1), and — when the
-    table stores rows — [c_verify] from cold cell reads over real
-    single-character answer sets.  Issues counted I/Os and clears the
-    buffer pool — calibrate once before measuring, not between timed
-    queries. *)
-val calibrate : ?samples:int -> ?epsilon:float -> Ridint.Table.t -> t
+    table's own indexes (four ranges per column; the approximate
+    samples at ε = 0.1), and — when the table stores rows —
+    [c_verify] from cold cell reads over real single-character answer
+    sets.  Issues counted I/Os and clears the buffer pool — calibrate
+    once before measuring, not between timed queries. *)
+val calibrate : Ridint.Table.t -> t
 
 (** Raw bound shapes (constant-free), exposed for tests. *)
 val exact_bound : block_bits:int -> n:int -> z:int -> float

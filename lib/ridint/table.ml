@@ -41,7 +41,7 @@ let validate cols =
         rest;
       n
 
-let build_cols ?seed ?c ?payload ~approx device cols =
+let build_cols ?seed ?c ~approx device cols =
   let off = ref 0 in
   Array.of_list
     (List.map
@@ -49,14 +49,14 @@ let build_cols ?seed ?c ?payload ~approx device cols =
          let index, approx =
            if approx then
              let a =
-               Secidx.Approx_index.build ?seed ?c ?payload device
+               Secidx.Approx_index.build ?seed ?c device
                  ~sigma:col.sigma col.values
              in
              (* The approximate index embeds its own exact base index;
                 reuse it instead of building a second copy. *)
              (Secidx.Approx_index.base a, Some a)
            else
-             ( Secidx.Static_index.build ?c ?payload device ~sigma:col.sigma
+             ( Secidx.Static_index.build ?c device ~sigma:col.sigma
                  col.values,
                None )
          in
@@ -81,9 +81,9 @@ let store_rows_region device cols nrows row_bits =
   Iosim.Device.with_component device "rows" (fun () ->
       Iosim.Device.store ~align_block:true device buf)
 
-let create_gen ?seed ?c ?payload ?(store_rows = false) ~approx device cols =
+let create_gen ?seed ?c ?(store_rows = false) ~approx device cols =
   let nrows = validate cols in
-  let cols = build_cols ?seed ?c ?payload ~approx device cols in
+  let cols = build_cols ?seed ?c ~approx device cols in
   let row_bits =
     Array.fold_left (fun acc ic -> acc + ic.field_width) 0 cols
   in
@@ -94,11 +94,11 @@ let create_gen ?seed ?c ?payload ?(store_rows = false) ~approx device cols =
   in
   { device; nrows; cols; row_bits; rows_region }
 
-let create ?c ?payload ?store_rows device cols =
-  create_gen ?c ?payload ?store_rows ~approx:false device cols
+let create ?c ?store_rows device cols =
+  create_gen ?c ?store_rows ~approx:false device cols
 
-let create_approx ?seed ?c ?payload ?store_rows device cols =
-  create_gen ?seed ?c ?payload ?store_rows ~approx:true device cols
+let create_approx ?seed ?c ?store_rows device cols =
+  create_gen ?seed ?c ?store_rows ~approx:true device cols
 
 let find_col t name =
   match Array.find_opt (fun ic -> ic.col.name = name) t.cols with

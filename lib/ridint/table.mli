@@ -21,17 +21,14 @@ val rows : t -> int
 val columns : t -> column array
 
 (** Build one static secondary index (Theorem 2) per column, all on
-    the given device.  [payload] selects each index's stream-table
-    payload layout (see {!Secidx.Static_index.build}).  [store_rows]
-    (default [false]) also packs the rows themselves on the device —
-    the "associated data" of §3 — so candidate verification is a
-    counted device read instead of a free in-memory lookup; the
-    cost-based planner (PR 10) prices its prefilter decisions against
-    those reads, and every verification (the planner's and
-    {!query_at_least_approx}'s) pays them. *)
+    the given device.  [store_rows] (default [false]) also packs the
+    rows themselves on the device — the "associated data" of §3 — so
+    candidate verification is a counted device read instead of a free
+    in-memory lookup; the cost-based planner (PR 10) prices its
+    prefilter decisions against those reads, and every verification
+    (the planner's and {!query_at_least_approx}'s) pays them. *)
 val create :
   ?c:int ->
-  ?payload:[ `Gap | `Hybrid ] ->
   ?store_rows:bool ->
   Iosim.Device.t ->
   column list ->
@@ -41,7 +38,6 @@ val create :
 val create_approx :
   ?seed:int ->
   ?c:int ->
-  ?payload:[ `Gap | `Hybrid ] ->
   ?store_rows:bool ->
   Iosim.Device.t ->
   column list ->

@@ -177,11 +177,12 @@ let attribute ~quantile ~arrivals logs =
     components;
   }
 
-let run ?(batch_window = 128) ?(tail_quantile = 0.99) router traffic =
+let batch_window = 128
+let tail_quantile = 0.99
+
+let run router traffic =
   let n = Workload.Traffic.length traffic in
   if n = 0 then invalid_arg "Sim.run: empty schedule";
-  if not (tail_quantile >= 0.0 && tail_quantile <= 1.0) then
-    invalid_arg "Sim.run: tail_quantile";
   let arrivals = traffic.Workload.Traffic.arrivals in
   let queries = traffic.Workload.Traffic.queries in
   let latency = Obs.Histogram.create () in

@@ -40,7 +40,6 @@ type result = {
   attribution : attribution;
 }
 
-(** [batch_window] defaults to 128, [tail_quantile] to 0.99.  Raises
-    on an empty schedule or a quantile outside [0;1]. *)
-val run :
-  ?batch_window:int -> ?tail_quantile:float -> Router.t -> Workload.Traffic.t -> result
+(** Batches hold at most 128 queries; the attributed tail is the
+    0.99 quantile and above.  Raises on an empty schedule. *)
+val run : Router.t -> Workload.Traffic.t -> result

@@ -12,11 +12,10 @@
    OFF state).  ON and OFF sojourns are exponential with means
    [mean_on] and [mean_off]; within ON, arrivals are Poisson with a
    rate inflated by (mean_on + mean_off) / mean_on so the long-run
-   offered rate equals [rate].  [mean_off = 0] degenerates to plain
-   Poisson.
+   offered rate equals [rate].
 
-   Query mix: [templates] distinct range queries, drawn per arrival
-   from a Zipf(θ) popularity distribution over templates via the
+   Query mix: 64 distinct range queries, drawn per arrival from a
+   Zipf(1) popularity distribution over templates via the
    alias table — the hot-query skew a shared-decode batch exploits.
    Template ranges mix point, narrow and wide spans over [0..σ-1]. *)
 
@@ -54,17 +53,17 @@ let make_templates ?(burst = Gen.Uniform_burst) rng ~sigma ~templates =
       in
       (lo, min (sigma - 1) (lo + width - 1)))
 
-let make ?burst ?(templates = 64) ?(theta = 1.0) ?(mean_on = 0.050)
-    ?(mean_off = 0.010) ~seed ~sigma ~count ~rate () =
+let mean_on = 0.050
+let mean_off = 0.010
+
+let make ?burst ~seed ~sigma ~count ~rate () =
   if count < 1 then invalid_arg "Traffic.make: count";
   if not (rate > 0.0) then invalid_arg "Traffic.make: rate";
-  if not (mean_on > 0.0 && mean_off >= 0.0) then
-    invalid_arg "Traffic.make: sojourn means";
-  let templates = max 1 (min templates (max 1 sigma)) in
+  let templates = min 64 (max 1 sigma) in
   let rng = Rng.create ~seed in
   let ranges = make_templates ?burst rng ~sigma ~templates in
   let popularity =
-    Gen.Alias.create (Gen.zipf_weights ~sigma:templates ~theta)
+    Gen.Alias.create (Gen.zipf_weights ~sigma:templates ~theta:1.0)
   in
   let burst_rate = rate *. ((mean_on +. mean_off) /. mean_on) in
   let arrivals = Array.make count 0.0 in
@@ -80,7 +79,7 @@ let make ?burst ?(templates = 64) ?(theta = 1.0) ?(mean_on = 0.050)
          so dropping the consumed part keeps the ON-rate exact. *)
       gap := !gap -. !on_left;
       now := !now +. !on_left;
-      if mean_off > 0.0 then now := !now +. exponential rng mean_off;
+      now := !now +. exponential rng mean_off;
       on_left := exponential rng mean_on
     done;
     on_left := !on_left -. !gap;

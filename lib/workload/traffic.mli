@@ -18,20 +18,15 @@ type t = {
 val length : t -> int
 
 (** [make ~seed ~sigma ~count ~rate ()] schedules [count] queries over
-    alphabet [0..sigma-1] at long-run [rate] queries/second.
-    [templates] (default 64) distinct ranges, Zipf([theta], default 1)
-    popularity; ON/OFF sojourn means [mean_on]/[mean_off] (seconds,
-    defaults 50ms/10ms; [mean_off = 0] gives plain Poisson).
-    Template widths are drawn from the shared burst-length sampler
-    ({!Gen.burst_length}); [burst] (default [Gen.Uniform_burst])
-    selects the width law, so e.g. [Gen.Fixed_burst] gives a query mix
-    of exactly four span sizes. *)
+    alphabet [0..sigma-1] at long-run [rate] queries/second: 64
+    distinct ranges (at most [sigma]) of Zipf(1) popularity, and
+    ON/OFF sojourns of mean 50 ms / 10 ms.  Template widths are drawn
+    from the shared burst-length sampler ({!Gen.burst_length});
+    [burst] (default [Gen.Uniform_burst]) selects the width law, so
+    e.g. [Gen.Fixed_burst] gives a query mix of exactly four span
+    sizes. *)
 val make :
   ?burst:Gen.burst ->
-  ?templates:int ->
-  ?theta:float ->
-  ?mean_on:float ->
-  ?mean_off:float ->
   seed:int ->
   sigma:int ->
   count:int ->

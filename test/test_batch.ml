@@ -254,6 +254,70 @@ let test_golden_charges () =
         fields)
     (builders @ updated_builders)
 
+(* Build and update charges pinned for every registry builder and the
+   churned indexes: the device's allocated bits and the instance's
+   [size_bits] after the build (after the appends or updates for the
+   churned rows), and the device's [block_reads], [block_writes] and
+   [bits_written] at that point, before any query.  A moved extent, a
+   changed layout or a changed count update moves a figure here. *)
+let build_row build =
+  let sigma = 16 in
+  let g = Workload.Gen.zipf ~seed:11 ~n:1024 ~sigma ~theta:1.0 () in
+  let inst = build (device ()) ~sigma g.Workload.Gen.data in
+  let dev = inst.Indexing.Instance.device in
+  let s = Iosim.Device.stats dev in
+  [| Iosim.Device.used_bits dev; inst.Indexing.Instance.size_bits;
+     s.Iosim.Stats.block_reads; s.Iosim.Stats.block_writes;
+     s.Iosim.Stats.bits_written |]
+
+let build_builders =
+  List.map (fun b -> (b.Registry.b_name, b.Registry.b_build)) Registry.all
+  @ updated_builders
+
+(* One row per builder: (name, [| used_bits; size_bits; block_reads;
+   block_writes; bits_written |]). *)
+let build_golden =
+  [
+    ("btree", [| 26208; 19968; 103; 103; 25366 |]);
+    ("btree-dynamic", [| 94080; 71680; 397; 368; 963884 |]);
+    ("bitmap", [| 20304; 16384; 80; 80; 17664 |]);
+    ("bitmap-wah", [| 17552; 14400; 69; 69; 15680 |]);
+    ("bitmap-roaring", [| 7512; 7272; 30; 30; 7432 |]);
+    ("cbitmap", [| 6522; 6282; 26; 26; 6442 |]);
+    ("binned", [| 11386; 10692; 45; 45; 11012 |]);
+    ("multires", [| 19792; 18118; 78; 78; 18918 |]);
+    ("range-encoded", [| 20304; 16384; 80; 80; 17664 |]);
+    ("wavelet", [| 4096; 4096; 16; 16; 4096 |]);
+    ("alphabet-tree", [| 20235; 18305; 80; 80; 19185 |]);
+    ("alphabet-doubling", [| 15115; 13393; 60; 60; 14113 |]);
+    ("static", [| 24464; 20652; 96; 96; 22725 |]);
+    ("append", [| 19801; 17658; 78; 78; 18458 |]);
+    ("dynamic", [| 86640; 67872; 301; 301; 30846 |]);
+    ("buffered-bitmap", [| 21792; 17152; 77; 77; 11020 |]);
+    ("wal", [| 6522; 6326; 26; 26; 6486 |]);
+    ("append+appends", [| 28928; 26618; 113; 113; 34404 |]);
+    ("append-buffered+appends", [| 28928; 26618; 113; 113; 34238 |]);
+    ("dynamic+updates", [| 86640; 67872; 359; 329; 77323 |])
+  ]
+
+let test_build_charges () =
+  Alcotest.(check (list string))
+    "one row per builder"
+    (List.map fst build_builders)
+    (List.map fst build_golden);
+  List.iter
+    (fun (name, build) ->
+      let got = build_row build in
+      let want = List.assoc name build_golden in
+      List.iteri
+        (fun i f ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s" name f)
+            want.(i) got.(i))
+        [ "used_bits"; "size_bits"; "block_reads"; "block_writes";
+          "bits_written" ])
+    build_builders
+
 (* A request that clamps to one distinct range runs the direct
    evaluator: for every builder, [[|r|]], [[|r; r|]] and [[|r; r'|]]
    with [r'] clamping to [r] answer and charge, field for field,
@@ -328,6 +392,8 @@ let suite =
   Alcotest.test_case "batch planner" `Quick test_plan
   :: Alcotest.test_case "registry fully covered" `Quick test_registry_covered
   :: Alcotest.test_case "charges pinned per builder" `Quick test_golden_charges
+  :: Alcotest.test_case "build and update charges pinned per builder" `Quick
+       test_build_charges
   :: Alcotest.test_case "one range runs the direct evaluator" `Quick
        test_one_range_is_direct
   :: List.map

@@ -111,8 +111,8 @@ let mk_table ~variant ~seed ~rows =
   let cols = mk_columns ~seed ~rows in
   match variant with
   | `Exact -> Ridint.Table.create (device ()) cols
-  | `Exact_stored_hybrid ->
-      Ridint.Table.create ~payload:`Hybrid ~store_rows:true (device ()) cols
+  | `Exact_stored ->
+      Ridint.Table.create ~store_rows:true (device ()) cols
   | `Approx ->
       Ridint.Table.create_approx ~seed:(seed + 7) (device ()) cols
   | `Approx_stored ->
@@ -138,7 +138,7 @@ let prop_planner_matches_naive variant name =
       let approx =
         match variant with
         | `Approx | `Approx_stored -> true
-        | `Exact | `Exact_stored_hybrid -> false
+        | `Exact | `Exact_stored -> false
       in
       agrees (Planner.Exec.run t q)
       && List.for_all
@@ -386,7 +386,7 @@ let parity_conds (_, _, lo, hi, v, (s_lo, s_hi), rot) =
   List.filteri (fun i _ -> i >= rot) conds
   @ List.filteri (fun i _ -> i < rot) conds
 
-(* Exact parity on an exact, a stored hybrid and an approximate
+(* Exact parity on an exact, an exact stored-rows and an approximate
    table; approximate parity on the approximate one, whose
    verification reads the in-memory columns like the reference. *)
 let prop_fixed_counter_parity =
@@ -418,7 +418,7 @@ let prop_fixed_counter_parity =
               && approx.checked = ref_checked
               && same_stats approx.stats ref_stats
           | _ -> true)
-        [ `Exact; `Exact_stored_hybrid; `Approx ])
+        [ `Exact; `Exact_stored; `Approx ])
 
 (* --- plan identity: each column costed once per query --- *)
 
@@ -560,8 +560,8 @@ let suite =
       test_planner_not_worse_than_baseline;
     qcheck (prop_planner_matches_naive `Exact "planner = naive (exact table)");
     qcheck
-      (prop_planner_matches_naive `Exact_stored_hybrid
-         "planner = naive (hybrid payload, stored rows)");
+      (prop_planner_matches_naive `Exact_stored
+         "planner = naive (stored rows)");
     qcheck (prop_planner_matches_naive `Approx "planner = naive (approx table)");
     qcheck
       (prop_planner_matches_naive `Approx_stored

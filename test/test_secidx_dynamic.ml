@@ -87,11 +87,10 @@ let prop_frozen_decompose_covers =
 
 (* --- Append index --- *)
 
-let append_scenario ?payload ~buffered (sigma, initial, appends, lo, hi) =
+let append_scenario ~buffered (sigma, initial, appends, lo, hi) =
   let dev = device () in
   let t =
-    Secidx.Append_index.build ~c:4 ~buffered ?payload dev ~sigma
-      (Array.of_list initial)
+    Secidx.Append_index.build ~c:4 ~buffered dev ~sigma (Array.of_list initial)
   in
   List.iter (fun ch -> Secidx.Append_index.append t ch) appends;
   let data = Array.of_list (initial @ appends) in
@@ -124,13 +123,6 @@ let prop_append_buffered_matches_naive =
   QCheck.Test.make ~count:100 ~name:"buffered append index matches naive"
     append_gen
     (append_scenario ~buffered:true)
-
-(* Hybrid container payloads (PR 7) on the frozen tables; chains stay
-   gap-coded, answers must stay identical across rebuilds. *)
-let prop_append_hybrid_matches_naive =
-  QCheck.Test.make ~count:100 ~name:"append index (hybrid payload) matches naive"
-    append_gen
-    (append_scenario ~payload:`Hybrid ~buffered:false)
 
 let test_append_triggers_rebuild () =
   let dev = device () in
@@ -333,13 +325,98 @@ let test_delete_map_idempotent () =
   Secidx.Delete_map.delete dm 3;
   Alcotest.(check int) "deleted once" 1 (Secidx.Delete_map.deleted_count dm)
 
+(* --- Count-array repair after updates --- *)
+
+(* One bit of an updated index's per-character count array is flipped
+   by a raw device write: the scrub must find it, the repair must
+   restore [expect] (the counts of the live string the device copy
+   holds), and [verified_query] must answer [lo..hi] naively over
+   [live] (deleted positions hold [sigma], which no query matches). *)
+let check_count_repair what inst counts ~expect ~live ~sigma ~lo ~hi =
+  let dev = inst.Indexing.Instance.device in
+  let integrity = Option.get inst.Indexing.Instance.integrity in
+  (* The first scrub reseals the frames the updates invalidated. *)
+  Alcotest.(check int) (what ^ ": clean after updates") 0
+    (integrity.Indexing.Integrity.scrub ());
+  let region = Secidx.Char_counts.region counts in
+  let width = region.Iosim.Device.len / Array.length expect in
+  let pos = region.Iosim.Device.off + ((hi + 1) * width) - 1 in
+  Iosim.Device.write_bits dev ~pos ~width:1
+    (1 - Iosim.Device.read_bits dev ~pos ~width:1);
+  Alcotest.(check int) (what ^ ": scrub finds the flip") 1
+    (integrity.Indexing.Integrity.scrub ());
+  (match Indexing.Instance.verified_query inst ~lo ~hi with
+  | Indexing.Instance.Repaired (a, _) ->
+      Alcotest.(check bool) (what ^ ": repaired answer is naive") true
+        (Cbitmap.Posting.equal
+           (Indexing.Answer.to_posting ~n:(Array.length live) a)
+           (naive_answer ~sigma live lo hi))
+  | Indexing.Instance.Ok _ -> Alcotest.failf "%s: flip not repaired" what
+  | Indexing.Instance.Corrupt msg -> Alcotest.failf "%s: %s" what msg);
+  Alcotest.(check (array int)) (what ^ ": counts restored") expect
+    (Array.init (Array.length expect) (Secidx.Char_counts.get counts))
+
+let test_count_repair () =
+  let sigma = 8 in
+  let state = ref 5 in
+  let next m =
+    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+    !state mod m
+  in
+  let data = Array.init 300 (fun _ -> next sigma) in
+  let counts_of ~sigma x = Cbitmap.Entropy.counts ~sigma x in
+  List.iter
+    (fun buffered ->
+      let what = if buffered then "buffered append" else "append" in
+      let t = Secidx.Append_index.build ~buffered (device ()) ~sigma data in
+      let appended = Array.init 53 (fun _ -> next sigma) in
+      Array.iter (Secidx.Append_index.append t) appended;
+      let live = Array.append data appended in
+      let counts = Secidx.Append_index.counts t in
+      (* The device copy lags the string by the appends still in the
+         root buffer: the last [pending] positions. *)
+      let stored =
+        Array.fold_left ( + ) 0
+          (Array.init sigma (Secidx.Char_counts.get counts))
+      in
+      let pending = Array.length live - stored in
+      Alcotest.(check bool) (what ^ ": appends pending") buffered (pending > 0);
+      check_count_repair what
+        (Secidx.Append_index.instance_of t)
+        counts
+        ~expect:(counts_of ~sigma (Array.sub live 0 stored))
+        ~live ~sigma ~lo:1 ~hi:3)
+    [ false; true ];
+  let t = Secidx.Dynamic_index.build (device ()) ~sigma data in
+  let live = ref (Array.copy data) in
+  for i = 1 to 30 do
+    let pos = next (Secidx.Dynamic_index.length t) in
+    match i mod 3 with
+    | 0 ->
+        Secidx.Dynamic_index.delete t ~pos;
+        !live.(pos) <- sigma
+    | 1 ->
+        let ch = next sigma in
+        Secidx.Dynamic_index.change t ~pos ch;
+        !live.(pos) <- ch
+    | _ ->
+        let ch = next sigma in
+        Secidx.Dynamic_index.append t ch;
+        live := Array.append !live [| ch |]
+  done;
+  Alcotest.(check int) "dynamic: no rebuild" 0 (Secidx.Dynamic_index.rebuilds t);
+  check_count_repair "dynamic"
+    (Secidx.Dynamic_index.instance_of t)
+    (Secidx.Dynamic_index.counts t)
+    ~expect:(counts_of ~sigma:(sigma + 1) !live)
+    ~live:!live ~sigma ~lo:2 ~hi:5
+
 let suite =
   [
     qcheck prop_frozen_route_consistent;
     qcheck prop_frozen_decompose_covers;
     qcheck prop_append_matches_naive;
     qcheck prop_append_buffered_matches_naive;
-    qcheck prop_append_hybrid_matches_naive;
     Alcotest.test_case "append triggers rebuild" `Quick
       test_append_triggers_rebuild;
     Alcotest.test_case "append amortized I/O" `Quick test_append_amortized_io;
@@ -351,6 +428,8 @@ let suite =
       test_dynamic_rebuild_trigger;
     Alcotest.test_case "dynamic update I/O buffered" `Quick
       test_dynamic_update_io_buffered;
+    Alcotest.test_case "count array repaired after updates" `Quick
+      test_count_repair;
     qcheck prop_delete_map_translation;
     Alcotest.test_case "delete map rebuild flag" `Quick
       test_delete_map_rebuild_flag;

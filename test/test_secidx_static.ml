@@ -38,8 +38,7 @@ let against_naive name builder =
 
 let prop_alphabet_tree =
   against_naive "complete tree matches naive"
-    (Secidx.Alphabet_tree.instance ?complement:None ?schedule:None
-       ?payload:None)
+    (Secidx.Alphabet_tree.instance ?complement:None ?schedule:None)
 
 let prop_alphabet_tree_nocomp =
   against_naive "complete tree (no complement) matches naive"
@@ -54,7 +53,7 @@ let prop_alphabet_tree_fn3 =
 let prop_static =
   against_naive "static index matches naive"
     (Secidx.Static_index.instance ?c:None ?complement:None ?schedule:None
-       ?code:None ?payload:None)
+       ?code:None)
 
 let prop_static_c4 =
   against_naive "static index c=4 matches naive" (fun dev ~sigma data ->
@@ -78,19 +77,6 @@ let prop_static_no_complement =
   against_naive "static index (no complement) matches naive"
     (fun dev ~sigma data ->
       Secidx.Static_index.instance ~complement:false dev ~sigma data)
-
-(* Hybrid container payloads (PR 7): same structures, alternative
-   stream-table layout; answers must stay bit-identical. *)
-
-let prop_static_hybrid =
-  against_naive "static index (hybrid payload) matches naive"
-    (fun dev ~sigma data ->
-      Secidx.Static_index.instance ~payload:`Hybrid dev ~sigma data)
-
-let prop_alphabet_tree_hybrid =
-  against_naive "complete tree (hybrid payload) matches naive"
-    (fun dev ~sigma data ->
-      Secidx.Alphabet_tree.instance ~payload:`Hybrid dev ~sigma data)
 
 (* --- white-box properties of the weight-balanced pruned tree --- *)
 
@@ -351,8 +337,6 @@ let suite =
     qcheck prop_static_all_levels;
     qcheck prop_static_leaves_only;
     qcheck prop_static_no_complement;
-    qcheck prop_static_hybrid;
-    qcheck prop_alphabet_tree_hybrid;
     qcheck prop_wbb_structure;
     qcheck prop_wbb_node_count;
     qcheck prop_wbb_decompose_exact;
