@@ -34,7 +34,7 @@ let query_clamped t ~lo ~hi =
   let last_full = ((hi + 1) / w) - 1 in
   let run tab ~lo ~hi = Indexing.Stream_table.extents tab ~lo ~hi in
   let extents =
-    Obs.Metrics.phase "directory" (fun () ->
+    Obs.Metrics.(in_phase directory) (fun () ->
         if first_full > last_full then
           (* No full bin: the whole range comes from per-char bitmaps. *)
           run t.chars ~lo ~hi
@@ -54,7 +54,7 @@ let query_clamped t ~lo ~hi =
         end)
   in
   Indexing.Answer.Direct
-    (Obs.Metrics.phase "payload" (fun () ->
+    (Obs.Metrics.(in_phase payload) (fun () ->
          Indexing.Stream_table.Arena.union t.arena
            (List.map (Indexing.Stream_table.Arena.read t.arena) extents)))
 

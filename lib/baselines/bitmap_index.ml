@@ -61,7 +61,7 @@ let query t ~lo ~hi =
   | None -> Indexing.Answer.Direct Cbitmap.Posting.empty
   | Some (lo, hi) ->
       let acc = Array.make t.n false in
-      Obs.Metrics.phase "payload" (fun () ->
+      Obs.Metrics.(in_phase payload) (fun () ->
           for c = lo to hi do
             scan_row t t.rows.(c) acc
           done);

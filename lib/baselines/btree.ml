@@ -191,7 +191,7 @@ let answer t ~lo ~hi leaf =
       else descend (descend_step t ~block lo_key) (level + 1)
     in
     let first =
-      Obs.Metrics.phase "directory" (fun () ->
+      Obs.Metrics.(in_phase directory) (fun () ->
           descend t.root_block 1)
     in
     let last_leaf = t.first_leaf_block + t.leaf_count - 1 in
@@ -209,7 +209,7 @@ let answer t ~lo ~hi leaf =
         if not !past_end then scan (block + 1)
       end
     in
-    Obs.Metrics.phase "payload" (fun () -> scan first);
+    Obs.Metrics.(in_phase payload) (fun () -> scan first);
     Indexing.Answer.Direct (Cbitmap.Posting.of_list !acc)
   end
 

@@ -294,9 +294,9 @@ let query_clamped t ~lo ~hi =
           if not !past then scan next
   in
   let leaf =
-    Obs.Metrics.phase "directory" (fun () -> descend t.root)
+    Obs.Metrics.(in_phase directory) (fun () -> descend t.root)
   in
-  Obs.Metrics.phase "payload" (fun () -> scan leaf);
+  Obs.Metrics.(in_phase payload) (fun () -> scan leaf);
   Indexing.Answer.Direct (Cbitmap.Posting.of_list !acc)
 
 let query t ~lo ~hi =

@@ -20,8 +20,8 @@ let answer t ~lo ~hi slices =
 (* Every directory entry of the range is read before any payload, so
    the directory blocks and the payload run each see one pass. *)
 let read_slices t ~lo ~hi =
-  let es = Obs.Metrics.phase "directory" (fun () -> St.extents t.table ~lo ~hi) in
-  Obs.Metrics.phase "payload" (fun () -> List.map (St.Arena.read t.arena) es)
+  let es = Obs.Metrics.(in_phase directory) (fun () -> St.extents t.table ~lo ~hi) in
+  Obs.Metrics.(in_phase payload) (fun () -> List.map (St.Arena.read t.arena) es)
 
 let query t ~lo ~hi =
   match Indexing.Common.clamp_range ~sigma:t.sigma ~lo ~hi with

@@ -78,13 +78,13 @@ let query_clamped t ~lo ~hi =
   Indexing.Stream_table.Arena.clear t.arena;
   let pieces = cover t ~lo ~hi in
   let extents =
-    Obs.Metrics.phase "directory" (fun () ->
+    Obs.Metrics.(in_phase directory) (fun () ->
         List.concat_map
           (fun (k, b) -> Indexing.Stream_table.extents t.tables.(k) ~lo:b ~hi:b)
           pieces)
   in
   Indexing.Answer.Direct
-    (Obs.Metrics.phase "payload" (fun () ->
+    (Obs.Metrics.(in_phase payload) (fun () ->
          Indexing.Stream_table.Arena.union t.arena
            (List.map (Indexing.Stream_table.Arena.read t.arena) extents)))
 

@@ -43,7 +43,7 @@ let query t ~lo ~hi =
                ~pos:t.rows.(lo - 1).Iosim.Device.off)
       in
       let out = ref [] in
-      Obs.Metrics.phase "payload" (fun () ->
+      Obs.Metrics.(in_phase payload) (fun () ->
           let i = ref 0 in
           while !i < t.n do
             let w = min 32 (t.n - !i) in

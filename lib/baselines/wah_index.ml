@@ -45,7 +45,7 @@ let read_row t c =
     (Cbitmap.Wah.of_decoder d ~words:t.words.(c) ~bit_length:t.n)
 
 let union_rows ~lo ~hi read =
-  Obs.Metrics.phase "payload" (fun () ->
+  Obs.Metrics.(in_phase payload) (fun () ->
       Cbitmap.Posting.union_many (List.init (hi - lo + 1) (fun k -> read (lo + k))))
 
 let query t ~lo ~hi =

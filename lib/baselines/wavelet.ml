@@ -182,7 +182,7 @@ let node_segment t k p =
 let query_clamped t ~lo ~hi =
   let pieces = cover t ~lo ~hi in
   let acc = ref [] in
-  Obs.Metrics.phase "rank_select" (fun () ->
+  Obs.Metrics.(in_phase rank_select) (fun () ->
   List.iter
     (fun (k, p) ->
       if k < t.nlevels then begin

@@ -115,7 +115,7 @@ let range_slices t ~lo ~hi =
   if lo > hi then []
   else begin
     let extents =
-      Obs.Metrics.phase "directory" (fun () ->
+      Obs.Metrics.(in_phase directory) (fun () ->
           List.concat_map
             (fun (m, first, last) ->
               Indexing.Stream_table.extents (table t m) ~lo:first ~hi:last)
@@ -130,7 +130,7 @@ let range_slices t ~lo ~hi =
    the slices left and right of the range. *)
 let answer t ~lo ~hi slices =
   let z =
-    Obs.Metrics.phase "rank_select" (fun () ->
+    Obs.Metrics.(in_phase rank_select) (fun () ->
         read_a t (hi + 1) - read_a t lo)
   in
   let union ranges =

@@ -92,7 +92,7 @@ let write_meta t =
 let build_parts ~c ~code ~sigma device data =
   let tree = Wbb.build ~c ~sigma data in
   let mat, levels, leaves =
-    Wbb.store_levels tree
+    Wbb.store_levels tree data
       ~levels:(Wbb.doubling_levels tree.Wbb.height)
       (make_storage ~code device)
   in
@@ -312,11 +312,11 @@ let read_nodes t keys =
   let bases =
     List.map
       (fun (tag, stream) ->
-        Obs.Metrics.phase "directory" (fun () ->
+        Obs.Metrics.(in_phase directory) (fun () ->
             Indexing.Stream_table.extent (storage t tag).table stream))
       keys
   in
-  Obs.Metrics.phase "payload" (fun () ->
+  Obs.Metrics.(in_phase payload) (fun () ->
       List.concat (List.map2 (node_slices t) keys bases))
 
 (* One node as a batch's cache miss reads it: its base payload span
@@ -346,7 +346,7 @@ let range_slices t fetch ~lo ~hi =
     let stored, boundary, visited =
       Frozen.cover t.frozen ~mat:t.mat ~lo ~hi
     in
-    Obs.Metrics.phase "directory" (fun () -> List.iter (touch_meta t) visited);
+    Obs.Metrics.(in_phase directory) (fun () -> List.iter (touch_meta t) visited);
     let main = fetch (List.filter_map (Frozen.key ~levels:t.levels) stored) in
     main
     @ List.concat_map
@@ -367,7 +367,7 @@ let range_slices t fetch ~lo ~hi =
    first, then those left of it. *)
 let answer t ~lo ~hi fetch =
   let z = ref 0 in
-  Obs.Metrics.phase "rank_select" (fun () ->
+  Obs.Metrics.(in_phase rank_select) (fun () ->
       for ch = lo to hi do
         z := !z + Char_counts.get t.counts ch
       done);

@@ -24,9 +24,55 @@ type answer =
       z : int;
     }
 
-let hash_posting fam p =
-  Cbitmap.Posting.of_list
-    (Cbitmap.Posting.fold (fun acc v -> Split.hash fam v :: acc) [] p)
+(* A stored posting's image under a hash function, sorted and
+   deduplicated with no comparison sort.  The values lie in
+   [\[0, 2^(2^j))] (at most 2^16 of them below n = 2^32) and most stored
+   nodes hold a few positions, so each value is set in a two-level
+   bitmap — [words], 32 values a word, and [summary], one bit per word
+   of [words] — where collisions collapse; the image is read back by
+   scanning [summary] and clearing every word it leads to, which leaves
+   both levels zero for the next posting.  A posting of [m] positions
+   costs O(m + 2^(2^j) / 1024). *)
+type image = { mutable words : int array; mutable summary : int array }
+
+let hash_image img fam p =
+  let nw = ((1 lsl Split.out_bits fam) + 31) lsr 5 in
+  let ns = (nw + 31) lsr 5 in
+  if Array.length img.words < nw then img.words <- Array.make nw 0;
+  if Array.length img.summary < ns then img.summary <- Array.make ns 0;
+  let words = img.words and summary = img.summary in
+  let count = ref 0 in
+  Posting.iter
+    (fun v ->
+      let h = Split.hash fam v in
+      let w = h lsr 5 in
+      let old = words.(w) in
+      let now = old lor (1 lsl (h land 31)) in
+      if now <> old then begin
+        if old = 0 then
+          summary.(w lsr 5) <- summary.(w lsr 5) lor (1 lsl (w land 31));
+        words.(w) <- now;
+        incr count
+      end)
+    p;
+  let out = Array.make !count 0 in
+  let k = ref 0 in
+  for s = 0 to ns - 1 do
+    let sw = ref summary.(s) in
+    summary.(s) <- 0;
+    while !sw <> 0 do
+      let w = (s lsl 5) + Bitio.Bitops.ctz !sw in
+      let b = ref words.(w) in
+      words.(w) <- 0;
+      while !b <> 0 do
+        out.(!k) <- (w lsl 5) + Bitio.Bitops.ctz !b;
+        incr k;
+        b := !b land (!b - 1)
+      done;
+      sw := !sw land (!sw - 1)
+    done
+  done;
+  Posting.adopt out
 
 let build ?(seed = 0x5ec1d) ?c ?code device ~sigma x =
   let base = Static_index.build ?c ?code device ~sigma x in
@@ -35,15 +81,17 @@ let build ?(seed = 0x5ec1d) ?c ?code device ~sigma x =
   let k = max 1 (Bitio.Codes.floor_log2 (max 2 (Bitio.Codes.floor_log2 (max 2 n)))) in
   let rng = Hashing.Universal.Rng.create ~seed in
   let fams = Array.init k (fun i -> Split.create rng ~j:(i + 1)) in
-  (* The base index's stored nodes, once per hash level. *)
+  (* The base index's stored nodes, derived once and hashed under
+     every [h_j]: one table per hash level. *)
+  let img = { words = [||]; summary = [||] } in
   let _, hashed_levels, hashed_leaves =
-    Wbb.store_levels tree
+    Wbb.store_levels tree x
       ~levels:(Static_index.materialized_levels base)
       (fun postings ->
         Array.map
           (fun fam ->
             Indexing.Stream_table.build ?code device
-              (Array.map (hash_posting fam) postings))
+              (Array.map (hash_image img fam) postings))
           fams)
   in
   {
@@ -92,7 +140,7 @@ let read_directory t ~epsilon ~lo ~hi =
   else if j > t.k then Fallback
   else
     let extents =
-      Obs.Metrics.phase "directory" (fun () ->
+      Obs.Metrics.(in_phase directory) (fun () ->
           List.concat_map
             (fun { Static_index.storage; first; last } ->
               let tab =
@@ -153,11 +201,10 @@ let candidates answer ~n =
   match answer with
   | Exact a -> Indexing.Answer.to_posting ~n a
   | Hashed { fam; hashed; _ } ->
-      let acc = ref [] in
-      Cbitmap.Posting.iter
-        (fun s -> Split.iter_preimage fam ~n s (fun i -> acc := i :: !acc))
-        hashed;
-      Cbitmap.Posting.of_list !acc
+      let set = Bitset.create () in
+      Bitset.clear set ~n;
+      Posting.iter (fun s -> Split.iter_preimage fam ~n s (Bitset.add set)) hashed;
+      Bitset.to_posting set
 
 let hashed_bits t =
   let tables acc =

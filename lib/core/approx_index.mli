@@ -31,7 +31,10 @@ type answer =
 
 (** [build device ~sigma x]: the exact base index
     ({!Static_index.build} with [c] and [code]) and, per hash level,
-    the hashed sets of its stored nodes, drawn from [seed]. *)
+    the hashed sets of its stored nodes, drawn from [seed].  The
+    stored nodes' postings come once from {!Wbb.store_levels}; each
+    hashed set is sorted and deduplicated through a bitmap over the
+    hash range, with no comparison sort. *)
 val build :
   ?seed:int ->
   ?c:int ->

@@ -520,7 +520,7 @@ let range_query t ~lo ~hi =
             if upper_ok && lower_ok then go ch (depth + 1))
           n.children
   in
-  Obs.Metrics.phase "payload" (fun () -> go (Node t.root) 0);
+  Obs.Metrics.(in_phase payload) (fun () -> go (Node t.root) 0);
   (* Updates are per-stream: a Remove on stream B must not cancel the
      same position held by stream A, so keep (stream, pos) keys until
      the final union. *)

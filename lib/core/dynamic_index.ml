@@ -21,7 +21,7 @@ let infinity_char t = t.sigma
 let build_parts ~c ~sigma_total device data =
   let tree = Wbb.build ~c ~sigma:sigma_total data in
   let mat, level_bb, leaf_bb =
-    Wbb.store_levels tree
+    Wbb.store_levels tree data
       ~levels:(Wbb.doubling_levels tree.Wbb.height)
       (Buffered_bitmap.build ~c device)
   in
@@ -167,7 +167,7 @@ let range_postings t fetch ~lo ~hi =
    those left of it. *)
 let answer t ~lo ~hi fetch =
   let z = ref 0 in
-  Obs.Metrics.phase "rank_select" (fun () ->
+  Obs.Metrics.(in_phase rank_select) (fun () ->
       for ch = lo to hi do
         z := !z + Char_counts.get t.counts ch
       done);

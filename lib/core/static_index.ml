@@ -98,7 +98,7 @@ let build ?(c = 8) ?(complement = true) ?(schedule = `Doubling)
     ?(code = Cbitmap.Gap_codec.Gamma) device ~sigma x =
   let tree = Wbb.build ~c ~sigma x in
   let mat, level_tables, leaf_table =
-    Wbb.store_levels tree
+    Wbb.store_levels tree x
       ~levels:(schedule_levels schedule tree.Wbb.height)
       (Indexing.Stream_table.build ~code device)
   in
@@ -230,13 +230,13 @@ let table t = function
    span before any payload, then each extent in one "payload" span. *)
 let read_slices t ~s ~e =
   let es =
-    Obs.Metrics.phase "directory" (fun () ->
+    Obs.Metrics.(in_phase directory) (fun () ->
         List.concat_map
           (fun { storage; first; last } ->
             Indexing.Stream_table.extents (table t storage) ~lo:first ~hi:last)
           (plan_charged t ~s ~e))
   in
-  Obs.Metrics.phase "payload" (fun () ->
+  Obs.Metrics.(in_phase payload) (fun () ->
       List.map (Indexing.Stream_table.Arena.read t.arena) es)
 
 (* The same slices as a batch reads them: each stored stream's slice
@@ -244,7 +244,7 @@ let read_slices t ~s ~e =
    run's uncached streams are prefetched first, so their payload
    blocks arrive in one sequential pass. *)
 let cached_slices t cache ~s ~e =
-  let runs = Obs.Metrics.phase "directory" (fun () -> plan_charged t ~s ~e) in
+  let runs = Obs.Metrics.(in_phase directory) (fun () -> plan_charged t ~s ~e) in
   List.concat_map
     (fun { storage; first; last } ->
       Indexing.Stream_table.prefetch_uncached (table t storage)
@@ -263,7 +263,7 @@ let cached_slices t cache ~s ~e =
    spans. *)
 let answer t ~lo ~hi ~timed slices =
   let s, e =
-    Obs.Metrics.phase "rank_select" (fun () ->
+    Obs.Metrics.(in_phase rank_select) (fun () ->
         (read_a t lo, read_a t (hi + 1)))
   in
   let union entry_ranges =
@@ -306,7 +306,7 @@ let query_batch t ranges =
   Indexing.Batch.fan_out plan
     (Array.map
        (fun (lo, hi) ->
-         answer t ~lo ~hi ~timed:(Obs.Metrics.phase "payload")
+         answer t ~lo ~hi ~timed:Obs.Metrics.(in_phase payload)
            (cached_slices t cache))
        plan.Indexing.Batch.uniq)
 

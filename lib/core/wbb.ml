@@ -107,11 +107,6 @@ let build ~c ~sigma x =
     char_start;
   }
 
-let positions t v =
-  let arr = Array.sub t.entry_pos v.s (weight v) in
-  Array.sort compare arr;
-  Cbitmap.Posting.of_sorted_array arr
-
 let decompose t ~s ~e =
   let canon = ref [] and spine = ref [] in
   let rec go v =
@@ -145,14 +140,59 @@ let doubling_levels height =
   let rec go l acc = if l > height then acc else go (2 * l) (l :: acc) in
   List.rev (go 1 [])
 
-let store_levels t ~levels store =
+(* The positions of [nodes] (one level's nodes, left to right, so
+   their entry ranges are disjoint and increasing) in one pass over [x]
+   in position order.  A position's entry is its character's cursor:
+   [char_start.(ch)] plus the occurrences of [ch] seen so far.  Each
+   character keeps a pointer into [nodes], started by binary search at
+   the first node ending past [char_start.(ch)] and advanced while the
+   node ends at or before the entry; a node that covers the entry gets
+   the position appended, so every array fills in increasing order.
+   O(n + σ·lg k) time for [k] nodes and O(σ + k) words of state. *)
+let level_positions t x nodes =
+  let k = Array.length nodes in
+  let starts = Array.map (fun v -> v.s) nodes
+  and ends = Array.map (fun v -> v.e) nodes in
+  let out = Array.map (fun v -> Array.make (weight v) 0) nodes in
+  let fill = Array.make k 0 in
+  let cursor = Array.sub t.char_start 0 t.sigma in
+  let ptr =
+    Array.map
+      (fun first ->
+        let lo = ref 0 and hi = ref k in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if ends.(mid) <= first then lo := mid + 1 else hi := mid
+        done;
+        !lo)
+      cursor
+  in
+  Array.iteri
+    (fun pos ch ->
+      let entry = cursor.(ch) in
+      Array.unsafe_set cursor ch (entry + 1);
+      let p = ref (Array.unsafe_get ptr ch) in
+      while !p < k && Array.unsafe_get ends !p <= entry do
+        incr p
+      done;
+      Array.unsafe_set ptr ch !p;
+      if !p < k && Array.unsafe_get starts !p <= entry then begin
+        let f = Array.unsafe_get fill !p in
+        (Array.unsafe_get out !p).(f) <- pos;
+        Array.unsafe_set fill !p (f + 1)
+      end)
+    x;
+  Array.map Cbitmap.Posting.adopt out
+
+let store_levels t x ~levels store =
+  if Array.length x <> t.n then invalid_arg "Wbb.store_levels: string length";
   let mat = Array.make (t.height + 1) false in
   List.iter (fun l -> mat.(l) <- true) levels;
   let level_store =
     Array.init (t.height + 1) (fun l ->
         if l >= 1 && mat.(l) && Array.length t.internal_by_level.(l - 1) > 0
-        then Some (store (Array.map (positions t) t.internal_by_level.(l - 1)))
+        then Some (store (level_positions t x t.internal_by_level.(l - 1)))
         else None)
   in
-  let leaf_store = store (Array.map (positions t) t.leaves) in
+  let leaf_store = store (level_positions t x t.leaves) in
   (mat, level_store, leaf_store)

@@ -54,9 +54,6 @@ val build : c:int -> sigma:int -> int array -> t
 val weight : node -> int
 val is_leaf : node -> bool
 
-(** String positions of the entries below [v], sorted increasingly. *)
-val positions : t -> node -> Cbitmap.Posting.t
-
 (** Canonical decomposition: maximal nodes whose entry range is fully
     inside [\[s;e)], in left-to-right order.  Requires [s] and [e] to
     be character boundaries (values of [char_start]) — guaranteed for
@@ -79,16 +76,27 @@ val node_count : t -> int
     whose bitmaps §2.2 stores. *)
 val doubling_levels : int -> int list
 
-(** [store_levels t ~levels store] stores the bitmaps of the internal
+(** [store_levels t x ~levels store] stores the bitmaps of the internal
     nodes of each level in [levels] and of every pruned leaf: one
     [store] call per level that has internal nodes (its nodes'
     positions, left to right), levels ascending, then one for the
     leaves — the order that fixes every stored extent's device
-    offset.  Returns [mat] ([mat.(l)] iff [l] is in [levels], for
-    [l] in [0 .. height]), the per-level storages (indexed by level,
-    [None] where nothing is stored) and the leaf storage. *)
+    offset.  [x] must be the string [t] was built from (callers hold
+    it; raises [Invalid_argument] if its length is not [n]).  Each
+    stored level's postings, and the leaves', come from one pass over
+    [x] in position order, with no sort: a position's entry is its
+    character's running cursor from [char_start], each character keeps
+    a pointer into the level's nodes (started by binary search), and
+    the node that covers the entry gets the position appended, so
+    every posting fills in increasing order.  A level costs
+    [O(n + σ·lg k)] time for its [k] nodes and [O(σ + k)] words beside
+    the postings it returns.  Returns [mat] ([mat.(l)] iff [l] is in
+    [levels], for [l] in [0 .. height]), the per-level storages
+    (indexed by level, [None] where nothing is stored) and the leaf
+    storage. *)
 val store_levels :
   t ->
+  int array ->
   levels:int list ->
   (Cbitmap.Posting.t array -> 'a) ->
   bool array * 'a option array * 'a

@@ -83,7 +83,7 @@ type outcome =
    answer. *)
 let verified_query ?(attempts = 3) t ~lo ~hi =
   let dev = t.device in
-  let scrub g = Obs.Metrics.phase "verify" (fun () -> g.Integrity.scrub ()) in
+  let scrub g = Obs.Metrics.(in_phase verify) (fun () -> g.Integrity.scrub ()) in
   let run () =
     match t.integrity with
     | None -> Ok (traced_query t ~lo ~hi)
@@ -92,7 +92,7 @@ let verified_query ?(attempts = 3) t ~lo ~hi =
         if corrupt = 0 then Ok (traced_query t ~lo ~hi)
         else begin
           let before = Iosim.Stats.ios (Iosim.Device.stats dev) in
-          Obs.Metrics.phase "repair" (fun () -> g.Integrity.repair ());
+          Obs.Metrics.(in_phase repair) (fun () -> g.Integrity.repair ());
           if scrub g <> 0 then Corrupt "repair did not converge"
           else begin
             let cost = Iosim.Stats.ios (Iosim.Device.stats dev) - before in

@@ -212,8 +212,8 @@ module Arena = struct
   (* Phase spans: the directory entry is decoded first (the "directory"
      phase), then the extent (the "payload" phase). *)
   let read_stream a t i =
-    let e = Obs.Metrics.phase "directory" (fun () -> extent t i) in
-    Obs.Metrics.phase "payload" (fun () -> read a e)
+    let e = Obs.Metrics.(in_phase directory) (fun () -> extent t i) in
+    Obs.Metrics.(in_phase payload) (fun () -> read a e)
 
   let union a slices =
     Cbitmap.Posting.union_slices ~scratch:a.scratch

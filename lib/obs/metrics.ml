@@ -120,7 +120,7 @@ let histogram ?(lo = 1e-7) ?(hi = 100.0) ?(per_decade = 25) name =
       (h, H h))
     (function H h -> Some h | _ -> None)
 
-(* [observe], [time] and the untraced [phase] sit on per-query paths,
+(* [observe], [time] and the untraced [in_phase] sit on per-query paths,
    so they lock, unlock and re-raise by hand instead of allocating a
    [Mutex.protect]/[Fun.protect] closure per call. *)
 let observe h v =
@@ -179,42 +179,34 @@ let time h f =
 
 (* --- phase spans --- *)
 
-(* [phase] replaces the PR 4 [Trace.with_span ~cat:"phase"] call sites
-   across the index structures: it always counts and times the phase
-   in the registry, and still emits the trace span when tracing is on,
-   so the PR 4 per-phase I/O attribution keeps working unchanged.
+(* A phase counts and times its calls in the registry, and still
+   emits the trace span when tracing is on, so per-phase I/O
+   attribution from span probe deltas keeps working.  Its counter and
+   histogram are resolved once, when the handle is made: the index
+   phases below are made at module initialisation, so a per-query
+   call touches no name lookup and no registry mutex. *)
+type phase = { p_name : string; p_count : counter; p_seconds : histogram }
 
-   Phase names arrive as strings on a per-query path, so the lookup
-   must not take the registry mutex: an immutable assoc list is
-   published through an [Atomic] and searched lock-free; a miss
-   registers the counter/histogram pair (idempotent) and CAS-publishes
-   the extended list.  The set of phase names is tiny and static
-   (directory / rank_select / payload / verify / repair / wal
-   phases), so the list scan is a handful of pointer compares. *)
-type phase_cell = { p_count : counter; p_seconds : histogram }
+let make_phase name =
+  {
+    p_name = name;
+    p_count = counter (Printf.sprintf "phase_%s_total" name);
+    p_seconds = histogram (Printf.sprintf "phase_%s_seconds" name);
+  }
 
-let phases = Atomic.make ([] : (string * phase_cell) list)
+let directory = make_phase "directory"
+let rank_select = make_phase "rank_select"
+let payload = make_phase "payload"
+let verify = make_phase "verify"
+let repair = make_phase "repair"
 
-let rec phase_cell name =
-  let l = Atomic.get phases in
-  match List.assoc_opt name l with
-  | Some p -> p
-  | None ->
-      let p =
-        {
-          p_count = counter (Printf.sprintf "phase_%s_total" name);
-          p_seconds = histogram (Printf.sprintf "phase_%s_seconds" name);
-        }
-      in
-      if Atomic.compare_and_set phases l ((name, p) :: l) then p
-      else phase_cell name
-
-let phase name f =
-  let p = phase_cell name in
+let in_phase p f =
   incr p.p_count;
   if !Trace.on then
-    Trace.with_span ~cat:"phase" name (fun () -> time p.p_seconds f)
+    Trace.with_span ~cat:"phase" p.p_name (fun () -> time p.p_seconds f)
   else time p.p_seconds f
+
+let phase name f = in_phase (make_phase name) f
 
 (* --- scrape --- *)
 

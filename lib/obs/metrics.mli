@@ -63,13 +63,31 @@ val time : histogram -> (unit -> 'a) -> 'a
 (** [time h f] runs [f] and records its duration (clock delta) into
     [h], even if [f] raises. *)
 
+type phase
+(** A phase of an index query: a [phase_<name>_total] counter, a
+    [phase_<name>_seconds] histogram and the trace span (category
+    ["phase"]) that per-phase I/O attribution reads from span probe
+    deltas.  The handle holds its counter and histogram, so running a
+    phase looks nothing up. *)
+
+val directory : phase
+val rank_select : phase
+val payload : phase
+val verify : phase
+val repair : phase
+(** The index phases, made at module initialisation, so every call
+    site shares one resolved handle per name. *)
+
+val in_phase : phase -> (unit -> 'a) -> 'a
+(** [in_phase p f] bumps [p]'s counter, times [f] into its histogram
+    (even if [f] raises) and, when tracing is on, wraps [f] in its
+    trace span. *)
+
 val phase : string -> (unit -> 'a) -> 'a
-(** [phase name f] — the PR 9 replacement for the PR 4
-    [Trace.with_span ~cat:"phase" name] idiom at every index phase
-    site: always bumps [phase_<name>_total] and times [f] into
-    [phase_<name>_seconds], and still emits the trace span (category
-    ["phase"]) when tracing is on, so per-phase I/O attribution from
-    span probe deltas keeps working unchanged. *)
+(** [phase name f] is {!in_phase} on the phase [name], registered (or
+    found, registration being idempotent) under the registry mutex on
+    every call — for a one-off phase; per-query sites use the handles
+    above. *)
 
 val names : unit -> string list
 (** Registered metric names, sorted. *)

@@ -206,9 +206,9 @@ let read_checked t e =
    answer: every directory entry first, then every extent. *)
 let add_visible t run ~lo ~hi =
   let es =
-    Obs.Metrics.phase "directory" (fun () -> St.extents (Run.table run) ~lo ~hi)
+    Obs.Metrics.(in_phase directory) (fun () -> St.extents (Run.table run) ~lo ~hi)
   in
-  Obs.Metrics.phase "payload" (fun () ->
+  Obs.Metrics.(in_phase payload) (fun () ->
       let slices = List.map (read_checked t) es in
       let words = St.Arena.buffer t.arena in
       List.iter
@@ -223,10 +223,10 @@ let add_visible t run ~lo ~hi =
    it. *)
 let add_shadow t run =
   let e =
-    Obs.Metrics.phase "directory" (fun () ->
+    Obs.Metrics.(in_phase directory) (fun () ->
         St.extent (Run.table run) (t.sigma + 1))
   in
-  Obs.Metrics.phase "payload" (fun () ->
+  Obs.Metrics.(in_phase payload) (fun () ->
       let off, len = read_checked t e in
       let words = St.Arena.buffer t.arena in
       for i = off to off + len - 1 do

@@ -867,3 +867,38 @@ module Plan = struct
           }
       | probed, _ -> enumerate cost table probed kind
 end
+
+(* The weight-balanced tree's stored postings as they were derived
+   before [Secidx.Wbb.store_levels] built each level in one
+   position-order pass: every stored node's entry range copied out of
+   [entry_pos] and sorted, and [Secidx.Approx_index]'s hashed copies as
+   a list of hash values sorted and deduplicated by [Posting.of_list].
+   [Secidx.Wbb.store_levels] must hand [store] the same postings, and a
+   build through them must leave the same device bits. *)
+module Wbb = struct
+  module W = Secidx.Wbb
+
+  let positions (t : W.t) (v : W.node) =
+    let arr = Array.sub t.W.entry_pos v.W.s (W.weight v) in
+    Array.sort compare arr;
+    Cbitmap.Posting.of_sorted_array arr
+
+  let store_levels (t : W.t) ~levels store =
+    let mat = Array.make (t.W.height + 1) false in
+    List.iter (fun l -> mat.(l) <- true) levels;
+    let level_store =
+      Array.init (t.W.height + 1) (fun l ->
+          if
+            l >= 1 && mat.(l) && Array.length t.W.internal_by_level.(l - 1) > 0
+          then Some (store (Array.map (positions t) t.W.internal_by_level.(l - 1)))
+          else None)
+    in
+    let leaf_store = store (Array.map (positions t) t.W.leaves) in
+    (mat, level_store, leaf_store)
+
+  let hash_posting fam p =
+    Cbitmap.Posting.of_list
+      (Cbitmap.Posting.fold
+         (fun acc v -> Hashing.Universal.Split.hash fam v :: acc)
+         [] p)
+end

@@ -104,28 +104,38 @@ let test_one (name, build) () =
    The rows after the builders' are indexes whose stored bitmaps have
    seen updates (append chains, the append buffer, buffered-bitmap
    updates), so the charges of those read paths are pinned too.  A
-   change that moves any figure changes what a query costs. *)
-let churned name instance_of =
+   change that moves any figure changes what a query costs.
+   [next m] reduces the LCG state shifted right by [shift] modulo [m]:
+   the state's low bits cycle with period 16, so with [shift = 0] any
+   16 consecutive draws below 16 are distinct. *)
+let churned ?(shift = 0) name instance_of =
   ( name,
     fun dev ~sigma data ->
       let state = ref 7 in
       let next m =
         state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-        !state mod m
+        (!state lsr shift) mod m
       in
       instance_of dev ~sigma data next )
 
 let updated_builders =
-  let append_instance ~buffered dev ~sigma data next =
+  let append_instance ~appends ~buffered dev ~sigma data next =
     let t = Secidx.Append_index.build ~buffered dev ~sigma data in
-    for _ = 1 to 303 do
+    for _ = 1 to appends do
       Secidx.Append_index.append t (next sigma)
     done;
     Secidx.Append_index.instance_of t
   in
   [
-    churned "append+appends" (append_instance ~buffered:false);
-    churned "append-buffered+appends" (append_instance ~buffered:true);
+    churned "append+appends" (append_instance ~appends:303 ~buffered:false);
+    churned "append-buffered+appends"
+      (append_instance ~appends:303 ~buffered:true);
+    (* Characters from the state's high bits, so a buffered flush holds
+       repeated characters and adds each one's count once; 1500 appends
+       to 1024 positions also rebuild the index once and flush after
+       the rebuild. *)
+    churned ~shift:16 "append-buffered+repeats"
+      (append_instance ~appends:1500 ~buffered:true);
     churned "dynamic+updates" (fun dev ~sigma data next ->
         let t = Secidx.Dynamic_index.build dev ~sigma data in
         for i = 1 to 60 do
@@ -226,6 +236,9 @@ let golden =
     ("append-buffered+appends",
      [| 58; 0; 1034; 39; 0; 0; 8389; 0; 0; 0; 0; 0 |],
      [| 61; 0; 1707; 43; 39; 39; 12521; 0; 0; 0; 0; 0 |]);
+    ("append-buffered+repeats",
+     [| 75; 0; 1515; 43; 0; 0; 11916; 0; 0; 0; 0; 0 |],
+     [| 92; 0; 2707; 54; 64; 64; 19618; 0; 0; 0; 0; 0 |]);
     ("dynamic+updates",
      [| 119; 0; 67; 67; 0; 0; 7059; 0; 0; 0; 0; 0 |],
      [| 117; 0; 179; 53; 0; 0; 6209; 0; 0; 0; 0; 0 |]);
@@ -297,6 +310,7 @@ let build_golden =
     ("wal", [| 6522; 6326; 26; 26; 6486 |]);
     ("append+appends", [| 28928; 26618; 113; 113; 34404 |]);
     ("append-buffered+appends", [| 28928; 26618; 113; 113; 34238 |]);
+    ("append-buffered+repeats", [| 88576; 46909; 346; 346; 122409 |]);
     ("dynamic+updates", [| 86640; 67872; 359; 329; 77323 |])
   ]
 

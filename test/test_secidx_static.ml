@@ -151,13 +151,187 @@ let prop_wbb_positions =
       let canon, _ = Secidx.Wbb.decompose t ~s ~e in
       let all =
         Cbitmap.Posting.union_many
-          (List.map (Secidx.Wbb.positions t) canon)
+          (List.map (Oracle.Wbb.positions t) canon)
       in
       let naive =
         Workload.Queries.naive_answer (gen_of_array ~sigma data)
           { Workload.Queries.lo; hi }
       in
       Cbitmap.Posting.equal all naive)
+
+(* --- stored levels against the sort-based reference --- *)
+
+let schedule_levels schedule height =
+  match schedule with
+  | `Doubling -> Secidx.Wbb.doubling_levels height
+  | `All -> List.init height (fun i -> i + 1)
+  | `Leaves_only -> []
+
+let schedule_name = function
+  | `Doubling -> "doubling"
+  | `All -> "all"
+  | `Leaves_only -> "leaves-only"
+
+let dist_name = function
+  | `Uniform -> "uniform"
+  | `Zipf -> "zipf"
+  | `Single -> "single"
+
+let source_name = function
+  | `Built -> "built"
+  | `Appended -> "appended"
+  | `Updated -> "updated"
+
+(* The string a tree is built over, and its alphabet: a uniform, Zipf
+   or one-character string as an index is built from ([`Built]), with
+   as many appends again ([`Appended]: what an [Append_index] rebuilds
+   from once its string has doubled), or as a [Dynamic_index] holds it
+   after changes, deletions and appends that rebuild it ([`Updated],
+   over [sigma + 1] characters: a deleted position holds [sigma]). *)
+let levels_string (dist, sigma, n, _, _, source, seed) =
+  let rng = Hashing.Universal.Rng.create ~seed in
+  let x =
+    match dist with
+    | `Uniform -> (Workload.Gen.uniform ~seed ~n ~sigma).Workload.Gen.data
+    | `Zipf -> (Workload.Gen.zipf ~seed ~n ~sigma ~theta:1.2 ()).Workload.Gen.data
+    | `Single -> Array.make n (seed mod sigma)
+  in
+  let draw () = Hashing.Universal.Rng.below rng sigma in
+  match source with
+  | `Built -> (sigma, x)
+  | `Appended -> (sigma, Array.append x (Array.init n (fun _ -> draw ())))
+  | `Updated ->
+      let module D = Secidx.Dynamic_index in
+      let t = D.build (device ()) ~sigma x in
+      for i = 1 to n + 64 do
+        let pos = Hashing.Universal.Rng.below rng (D.length t) in
+        match i mod 3 with
+        | 0 -> D.delete t ~pos
+        | 1 -> D.change t ~pos (draw ())
+        | _ -> D.append t (draw ())
+      done;
+      assert (D.rebuilds t > 0);
+      (sigma + 1, Array.init (D.length t) (D.char_at t))
+
+let levels_gen =
+  QCheck.make
+    ~print:(fun (dist, sigma, n, c, schedule, source, seed) ->
+      Printf.sprintf "%s sigma=%d n=%d c=%d %s %s seed=%d" (dist_name dist)
+        sigma n c (schedule_name schedule) (source_name source) seed)
+    QCheck.Gen.(
+      oneofl [ `Uniform; `Zipf; `Single ] >>= fun dist ->
+      int_range 1 300 >>= fun sigma ->
+      int_range 1 1000 >>= fun n ->
+      oneofl [ 2; 4; 8; 16 ] >>= fun c ->
+      oneofl [ `Doubling; `All; `Leaves_only ] >>= fun schedule ->
+      oneofl [ `Built; `Appended; `Updated ] >>= fun source ->
+      int_bound 1_000_000 >>= fun seed ->
+      return (dist, sigma, n, c, schedule, source, seed))
+
+let prop_store_levels_reference =
+  QCheck.Test.make ~count:150 ~long_factor:5
+    ~name:"store_levels = sort-based reference" levels_gen
+    (fun ((_, _, _, c, schedule, _, _) as input) ->
+      let sigma, x = levels_string input in
+      let t = Secidx.Wbb.build ~c ~sigma x in
+      let levels = schedule_levels schedule t.Secidx.Wbb.height in
+      let mat, stored, leaves = Secidx.Wbb.store_levels t x ~levels Fun.id in
+      let mat', stored', leaves' = Oracle.Wbb.store_levels t ~levels Fun.id in
+      let same a b =
+        Array.length a = Array.length b
+        && Array.for_all2 Cbitmap.Posting.equal a b
+      in
+      mat = mat'
+      && Array.for_all2
+           (fun a b ->
+             match (a, b) with
+             | Some a, Some b -> same a b
+             | None, None -> true
+             | _ -> false)
+           stored stored'
+      && same leaves leaves')
+
+(* Device images of builds through [Wbb.store_levels] against builds
+   through the sort-based reference.  [static_images] holds
+   [(used_bits, crc32 of bits [0, used_bits))] of [Static_index.build
+   ~c:4] for each input and schedule, as the sort-based derivation
+   built them. *)
+let image_inputs =
+  [
+    ("uniform", 64, (Workload.Gen.uniform ~seed:3 ~n:3000 ~sigma:64).Workload.Gen.data);
+    ( "zipf",
+      300,
+      (Workload.Gen.zipf ~seed:4 ~n:4000 ~sigma:300 ~theta:1.0 ()).Workload.Gen.data );
+    ("single", 1, Array.make 500 0);
+  ]
+
+let static_images =
+  [
+    (("uniform", `Doubling), (120224, 663996239));
+    (("uniform", `All), (152992, 666581281));
+    (("uniform", `Leaves_only), (74912, 801471623));
+    (("zipf", `Doubling), (216992, 2965725407));
+    (("zipf", `All), (287392, 1084783440));
+    (("zipf", `Leaves_only), (168864, 1191383064));
+    (("single", `Doubling), (1616, 1692471650));
+    (("single", `All), (1616, 1692471650));
+    (("single", `Leaves_only), (1616, 1692471650));
+  ]
+
+let image dev =
+  let used = Iosim.Device.used_bits dev in
+  (used, Iosim.Device.raw_crc32 dev ~pos:0 ~len:used)
+
+let test_store_levels_images () =
+  let check_image what want got =
+    Alcotest.(check (pair int int)) (what ^ ": used_bits, crc32") want got
+  in
+  List.iter
+    (fun (name, sigma, x) ->
+      List.iter
+        (fun schedule ->
+          let what = Printf.sprintf "static %s %s" name (schedule_name schedule) in
+          let dev = device () in
+          let t = Secidx.Static_index.build ~c:4 ~schedule dev ~sigma x in
+          check_image what (List.assoc (name, schedule) static_images) (image dev);
+          (* The stored levels are the first extents a build writes, so
+             the reference's, stored alone, are a prefix of its bits. *)
+          let tree = Secidx.Static_index.tree t in
+          let ref_dev = device () in
+          ignore
+            (Oracle.Wbb.store_levels tree
+               ~levels:(schedule_levels schedule tree.Secidx.Wbb.height)
+               (Indexing.Stream_table.build ~code:Cbitmap.Gap_codec.Gamma ref_dev));
+          let used, crc = image ref_dev in
+          Alcotest.(check int)
+            (what ^ ": stored levels prefix")
+            crc
+            (Iosim.Device.raw_crc32 dev ~pos:0 ~len:used))
+        [ `Doubling; `All; `Leaves_only ];
+      (* An approximate index's hashed copies come after its base
+         index, so a base build followed by the reference's hashed
+         tables must leave the same device. *)
+      let seed = 0x5ec1d in
+      let dev = device () in
+      let a = Secidx.Approx_index.build ~seed ~c:4 dev ~sigma x in
+      let ref_dev = device () in
+      let base = Secidx.Static_index.build ~c:4 ref_dev ~sigma x in
+      let rng = Hashing.Universal.Rng.create ~seed in
+      let fams =
+        Array.init (Secidx.Approx_index.k a) (fun i ->
+            Hashing.Universal.Split.create rng ~j:(i + 1))
+      in
+      ignore
+        (Oracle.Wbb.store_levels (Secidx.Static_index.tree base)
+           ~levels:(Secidx.Static_index.materialized_levels base)
+           (fun postings ->
+             Array.map
+               (fun fam ->
+                 Indexing.Stream_table.build ref_dev
+                   (Array.map (Oracle.Wbb.hash_posting fam) postings))
+               fams));
+      check_image ("approx " ^ name) (image ref_dev) (image dev))
+    image_inputs
 
 (* --- I/O and space shape --- *)
 
@@ -341,6 +515,9 @@ let suite =
     qcheck prop_wbb_node_count;
     qcheck prop_wbb_decompose_exact;
     qcheck prop_wbb_positions;
+    qcheck prop_store_levels_reference;
+    Alcotest.test_case "store_levels device images = reference" `Quick
+      test_store_levels_images;
     Alcotest.test_case "space tracks entropy" `Quick
       test_static_space_entropy_bound;
     Alcotest.test_case "materialized levels doubling" `Quick
