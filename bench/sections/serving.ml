@@ -10,7 +10,9 @@
    queueing, not unbounded backlog).  All runs at one domain count
    share schedules with every other, so the answer digests must agree
    across domain counts — the at-scale bit-identity check on top of
-   the exact per-query comparison against the unsharded instance.
+   the exact per-query comparison against the unsharded instance.  The
+   schedules are drawn at a fixed nominal rate and time-scaled to the
+   probe, so the digests are also the same from run to run.
 
    Gates: zero answer mismatches and digest agreement always; the
    parallel speedup (smoke: 2 domains > 1.0x; full: 4 domains >= 2.0x)
@@ -124,13 +126,24 @@ let run ~smoke =
     r.Serve.Sim.throughput
   in
   fmt "1-domain capacity probe: %.0f q/s\n" probe;
-  let overload_traffic =
-    Workload.Traffic.make ~seed:12 ~sigma ~count ~rate:(10.0 *. probe) ()
+  (* Both schedules are drawn at one fixed nominal rate and only their
+     clocks are scaled to the probe: how many RNG draws fall between
+     two arrivals depends on the rate, so a schedule drawn at the
+     measured rate would give a query sequence, and answer digests,
+     that move with wall-clock.  Drawn this way they are functions of
+     the seed. *)
+  let nominal_rate = 1e4 in
+  let at_rate ~seed ~count rate =
+    let t = Workload.Traffic.make ~seed ~sigma ~count ~rate:nominal_rate () in
+    let scale = nominal_rate /. rate in
+    { t with
+      Workload.Traffic.arrivals =
+        Array.map (fun a -> a *. scale) t.Workload.Traffic.arrivals;
+      rate;
+      duration = t.Workload.Traffic.duration *. scale }
   in
-  let steady_traffic =
-    Workload.Traffic.make ~seed:13 ~sigma ~count:(count / 4)
-      ~rate:(0.4 *. probe) ()
-  in
+  let overload_traffic = at_rate ~seed:12 ~count (10.0 *. probe) in
+  let steady_traffic = at_rate ~seed:13 ~count:(count / 4) (0.4 *. probe) in
   let domain_counts = if smoke then [ 1; 2 ] else [ 1; 2; 4 ] in
   let runs =
     List.map

@@ -4,9 +4,10 @@
       (flush threshold, fanout, commit group) configs; each row
       reports amortized update I/O, updates absorbed per write I/O,
       and average cold query I/O — the (update, query) tradeoff the
-      logarithmic method trades along.  Every config's answers are
-      checked bit-for-bit against a static index rebuilt from scratch
-      over the mutated string.
+      logarithmic method trades along — plus the wall-clock ns per
+      update of the same replay (reported, not gated).  Every
+      config's answers are checked bit-for-bit against a static index
+      rebuilt from scratch over the mutated string.
    2. Yi envelope: the frontier points are checked from *below*
       against the dynamic-indexability tradeoff shape
       lg B / lg(updates-per-I/O) — a constant is fitted on the
@@ -85,6 +86,7 @@ let wal_frontier ~smoke =
                   (s.Iosim.Stats.block_reads, s.Iosim.Stats.block_writes)
                 in
                 let r0w, w0w = snap wal_device and r0i, w0i = snap index_device in
+                let t0 = Unix.gettimeofday () in
                 let rec chunks = function
                   | [] -> ()
                   | ops ->
@@ -97,6 +99,9 @@ let wal_frontier ~smoke =
                       chunks rest
                 in
                 chunks ops;
+                let update_ns =
+                  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n_ops
+                in
                 let r1w, w1w = snap wal_device and r1i, w1i = snap index_device in
                 let update_ios = r1w - r0w + (w1w - w0w) + (r1i - r0i) + (w1i - w0i) in
                 let write_ios = w1w - w0w + (w1i - w0i) in
@@ -124,7 +129,7 @@ let wal_frontier ~smoke =
                 let avg_query = avg q_ios in
                 ( flush_threshold, fanout, group,
                   float_of_int update_ios /. float_of_int n_ops,
-                  updates_per_io, avg_query, !mismatches,
+                  update_ns, updates_per_io, avg_query, !mismatches,
                   Wal.Store.size_bits store, Wal.Store.wal_bits store,
                   Wal.Store.flushes store, Wal.Store.compactions store,
                   Wal.Store.level_counts store ))
@@ -309,24 +314,26 @@ let wal_crash_campaign ~smoke =
 let run ~smoke =
   let rows, block_bits = wal_frontier ~smoke in
   table
-    [ "thr"; "fanout"; "group"; "upd-IO/op"; "upd/wIO"; "query-IO"; "miss";
-      "size-bits"; "wal-bits"; "flush"; "compact"; "levels" ]
+    [ "thr"; "fanout"; "group"; "upd-IO/op"; "upd-ns/op"; "upd/wIO";
+      "query-IO"; "miss"; "size-bits"; "wal-bits"; "flush"; "compact";
+      "levels" ]
     (List.map
-       (fun (thr, f, grp, upd, upio, q, miss, size, walb, fl, co, lc) ->
+       (fun (thr, f, grp, upd, upd_ns, upio, q, miss, size, walb, fl, co, lc) ->
          [ string_of_int thr; string_of_int f; string_of_int grp;
-           Printf.sprintf "%.3f" upd; Printf.sprintf "%.1f" upio;
+           Printf.sprintf "%.3f" upd; Printf.sprintf "%.0f" upd_ns;
+           Printf.sprintf "%.1f" upio;
            Printf.sprintf "%.1f" q; string_of_int miss; string_of_int size;
            string_of_int walb; string_of_int fl; string_of_int co;
            String.concat "/" (List.map string_of_int lc) ])
        rows);
   let mismatches =
-    List.fold_left (fun acc (_, _, _, _, _, _, m, _, _, _, _, _) -> acc + m) 0
-      rows
+    List.fold_left (fun acc (_, _, _, _, _, _, _, m, _, _, _, _, _) -> acc + m)
+      0 rows
   in
   (* Yi tradeoff, fitted from below on the calibration half *)
   let samples =
     List.map
-      (fun (_, _, _, _, upio, q, _, _, _, _, _, _) ->
+      (fun (_, _, _, _, _, upio, q, _, _, _, _, _, _) ->
         (q, Obs.Envelope.yi_query_ios ~block_bits ~updates_per_io:upio))
       rows
   in
@@ -367,13 +374,14 @@ let run ~smoke =
       ( "frontier",
         J.List
           (List.map
-             (fun (thr, f, grp, upd, upio, q, miss, size, walb, fl, co, lc) ->
+             (fun (thr, f, grp, upd, upd_ns, upio, q, miss, size, walb, fl, co, lc) ->
                J.Obj
                  [
                    ("flush_threshold", J.Int thr);
                    ("fanout", J.Int f);
                    ("group", J.Int grp);
                    ("update_ios_per_op", J.Float upd);
+                   ("update_ns_per_op", J.Float upd_ns);
                    ("updates_per_write_io", J.Float upio);
                    ("avg_query_ios", J.Float q);
                    ("mismatches", J.Int miss);

@@ -1,23 +1,33 @@
 type t = { mutable data : Bytes.t; mutable len : int }
 
+(* Invariants:
+   - zero tail: every bit of [t.data] at position >= [t.len] is zero
+     ([create]/[ensure]/[reset] zero-fill, and all writers mask);
+   - slack: [t.data] holds at least [slack] bytes starting at the
+     byte that bit [t.len] lies in, so a 64-bit store at that byte
+     stays in bounds.
+   Together they let [write_bits] append with one unaligned 64-bit
+   store: the store rewrites the partial byte at [t.len] merged with
+   the new bits, and fills the rest of its eight bytes with zeros
+   that were zeros already. *)
+let slack = 8
+
 let create ?(capacity = 256) () =
-  let bytes = max 8 ((capacity + 7) / 8) in
-  { data = Bytes.make bytes '\000'; len = 0 }
+  { data = Bytes.make (((capacity + 7) / 8) + slack) '\000'; len = 0 }
 
 let length t = t.len
 let backing t = t.data
 
-let ensure t extra_bits =
-  let need = (t.len + extra_bits + 7) / 8 in
-  if need > Bytes.length t.data then begin
-    let cap = max need (2 * Bytes.length t.data) in
-    let data = Bytes.make cap '\000' in
-    Bytes.blit t.data 0 data 0 (Bytes.length t.data);
-    t.data <- data
-  end
+let grow t need =
+  let cap = max need (2 * Bytes.length t.data) in
+  let data = Bytes.make cap '\000' in
+  Bytes.blit t.data 0 data 0 (Bytes.length t.data);
+  t.data <- data
 
-(* Invariant: every bit of [t.data] at position >= [t.len] is zero
-   ([create]/[ensure]/[reset] zero-fill, and all writers mask). *)
+(* Small enough to inline: the common case is one compare. *)
+let ensure t extra_bits =
+  let need = ((t.len + extra_bits + 7) lsr 3) + slack in
+  if need > Bytes.length t.data then grow t need
 
 let write_bit t b =
   ensure t 1;
@@ -34,8 +44,21 @@ let write_bits t ~width v =
   if width < 62 && (v < 0 || v lsr width <> 0) then
     invalid_arg "Bitbuf.write_bits: value out of range";
   ensure t width;
-  Bitops.set_bits t.data ~pos:t.len ~width v;
-  t.len <- t.len + width
+  let len = t.len in
+  if width <= 56 then begin
+    (* The partial byte at [len] keeps its [off] written bits in the
+       top byte of the word; [v] follows them, and zeros fill the rest.
+       [off + width <= 63], so the shift is 1..64; it is 64 only when
+       [width = 0] (then [v = 0]), and [land 63] keeps it defined. *)
+    let byte = len lsr 3 and off = len land 7 in
+    let head = Char.code (Bytes.unsafe_get t.data byte) in
+    Bytes.set_int64_be t.data byte
+      (Int64.logor
+         (Int64.shift_left (Int64.of_int head) 56)
+         (Int64.shift_left (Int64.of_int v) ((64 - off - width) land 63)))
+  end
+  else Bitops.set_bits t.data ~pos:len ~width v;
+  t.len <- len + width
 
 let get_bit t i =
   if i < 0 || i >= t.len then invalid_arg "Bitbuf.get_bit";

@@ -3,7 +3,19 @@
     Bits are addressed from 0; within a byte the most significant bit
     comes first, so bit [i] of the stream lives in byte [i / 8] under
     mask [0x80 lsr (i mod 8)].  All variable-length codes in
-    {!Bitio.Codes} write through this interface. *)
+    {!Bitio.Codes} write through this interface.
+
+    Two invariants hold after every operation, and {!backing} exposes
+    both:
+    - {b zero tail}: every bit of the backing store at or past
+      [length t] is zero;
+    - {b slack}: the backing store holds at least 8 bytes starting at
+      the byte that bit [length t] lies in.
+
+    {!write_bits} relies on them to append up to 56 bits with one
+    unaligned 64-bit big-endian store: the store rewrites the partial
+    last byte merged with the new bits and fills the rest of its eight
+    bytes with the zeros already there. *)
 
 type t
 
@@ -15,7 +27,8 @@ val create : ?capacity:int -> unit -> t
 val length : t -> int
 
 (** The live backing byte store (no copy).  Only the first [length t]
-    bits are meaningful; bits past the end are zero.  The reference is
+    bits are meaningful; bits past the end are zero, and the store is
+    at least 8 bytes longer than [length t] needs.  The reference is
     invalidated by any subsequent write that grows the buffer (the
     store is reallocated), so snapshot consumers such as
     {!Decoder.of_bitbuf} must finish before further writes. *)
@@ -26,7 +39,8 @@ val write_bit : t -> bool -> unit
 
 (** [write_bits t ~width v] appends the [width] low bits of [v],
     most-significant first.  Requires [0 <= width <= 62] and
-    [0 <= v < 2^width]. *)
+    [0 <= v < 2^width].  Widths up to 56 cost one 64-bit store; 57–62
+    go byte by byte. *)
 val write_bits : t -> width:int -> int -> unit
 
 (** Random read of an already-written bit.  Raises [Invalid_argument]

@@ -26,13 +26,39 @@ let decode_unary d = Decoder.one_run d
 let unary_size v = v + 1
 
 (* Gamma: floor(lg v) zero-bits, then v in binary (whose leading bit is
-   a one and acts as the terminator of the zero run).  Two [write_bits]
-   calls instead of a per-bit loop: k <= 61 zeros fit one chunk. *)
+   a one and acts as the terminator of the zero run).  Those k zeros
+   are just the leading zeros of v in a field of 2k+1 bits, so a
+   codeword of at most 62 bits (v < 2^31) is one [write_bits] of v
+   itself, which [Bitbuf] lands with one 64-bit store when it is at
+   most 56 bits wide (v < 2^28).  Longer codewords take the zeros and
+   v as two writes (k <= 61 zeros fit one).
+
+   [log2_small v] is floor(lg v) read off the exponent of [v]'s float
+   image, exact for 1 <= v < 2^53: a conversion and a shift, where
+   [Bitops.msb]'s smear-and-popcount costs about three times as much
+   per codeword. *)
+let log2_small v =
+  (Int64.to_int (Int64.bits_of_float (Float.of_int v)) lsr 52) - 1023
+
 let encode_gamma buf v =
   if v < 1 then invalid_arg "Codes.encode_gamma";
-  let k = Bitops.msb v in
-  if k > 0 then Bitbuf.write_bits buf ~width:k 0;
-  Bitbuf.write_bits buf ~width:(k + 1) v
+  if v < 1 lsl 31 then
+    Bitbuf.write_bits buf ~width:((log2_small v lsl 1) + 1) v
+  else begin
+    let k = Bitops.msb v in
+    Bitbuf.write_bits buf ~width:k 0;
+    Bitbuf.write_bits buf ~width:(k + 1) v
+  end
+
+(* The gap loop stays inside this module, so each codeword costs one
+   direct [encode_gamma] call; see [Gap_codec.encode]. *)
+let encode_gamma_gaps buf ~prev a =
+  let last = ref prev in
+  for i = 0 to Array.length a - 1 do
+    let p = Array.unsafe_get a i in
+    encode_gamma buf (p - !last);
+    last := p
+  done
 
 (* The fused fast path lives on the decoder itself (cache state in
    registers); see [Decoder.gamma]. *)

@@ -8,11 +8,12 @@
     [decode (encode v) = v] and [x_size v = ] number of bits written
     by [encode_x].
 
-    Since PR 2 the decoders run on the buffered {!Decoder} (zero/one
-    runs resolved by a CLZ scan of the cached word, mantissas by one
-    shift) and the encoders emit runs with [write_bits] chunks instead
-    of per-bit loops.  The seed per-bit implementations are the test
-    suite's oracle; they are not part of this library. *)
+    The decoders run on the buffered {!Decoder} (zero/one runs
+    resolved by a CLZ scan of the cached word, mantissas by one shift)
+    and the encoders emit runs with [write_bits] chunks instead of
+    per-bit loops; a gamma codeword is one chunk.  The per-bit
+    implementations are the test suite's oracle ([test/oracle]); they
+    are not part of this library. *)
 
 (** {1 Unary} — [v >= 0] encoded as [v] one-bits then a zero. *)
 
@@ -20,11 +21,25 @@ val encode_unary : Bitbuf.t -> int -> unit
 val decode_unary : Decoder.t -> int
 val unary_size : int -> int
 
-(** {1 Elias gamma} — [v >= 1]; [2*floor(lg v) + 1] bits. *)
+(** {1 Elias gamma} — [v >= 1]; [2*floor(lg v) + 1] bits.
+
+    A codeword is [v] itself written in a field of [2*floor(lg v) + 1]
+    bits (its leading zeros are the unary length prefix), so
+    [encode_gamma] makes one {!Bitbuf.write_bits} call for
+    [v < 2^31] (codewords of at most 62 bits) and two above. *)
 
 val encode_gamma : Bitbuf.t -> int -> unit
 val decode_gamma : Decoder.t -> int
 val gamma_size : int -> int
+
+(** [encode_gamma_gaps buf ~prev a] gamma-codes the gaps of the
+    strictly increasing [a], the first taken from [prev] ([-1] for no
+    predecessor): [encode_gamma buf (a.(i) - a.(i-1))] in turn, with
+    [a.(-1) = prev].  The bulk encode loop behind [Gap_codec.encode],
+    and the writer-side mirror of {!Decoder.gamma_prefix_into}.
+    Raises [Invalid_argument] at the first gap below 1, after writing
+    the codewords before it. *)
+val encode_gamma_gaps : Bitbuf.t -> prev:int -> int array -> unit
 
 (** {1 Elias delta} — [v >= 1]; asymptotically
     [lg v + 2 lg lg v + O(1)] bits. *)

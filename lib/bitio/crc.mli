@@ -4,7 +4,13 @@
     The bit-addressed variants hash the stream in 8-bit chunks with
     the final partial chunk left-aligned and zero-padded, so the same
     bit string hashes identically from a {!Bitbuf} and from an
-    unaligned device extent. *)
+    unaligned device extent.
+
+    Whole bytes are folded eight at a time (slicing-by-8 tables).  A
+    bit range whose [pos] is byte-aligned — {!of_bitbuf}, every frame
+    seal and every block-aligned extent — is its whole bytes through
+    that loop plus one partial tail chunk; an unaligned range builds
+    each chunk from the two bytes it straddles. *)
 
 (** Initial accumulator value (all ones, per the reflected CRC-32). *)
 val init : int

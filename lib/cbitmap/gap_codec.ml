@@ -21,15 +21,24 @@ let value_size code v =
   | Rice k -> Bitio.Codes.rice_size ~k v
   | Fibonacci -> Bitio.Codes.fibonacci_size v
 
+(* Gamma (the paper's canonical code) gets one monomorphic loop over
+   the posting's array, mirroring [decode_into].  A shift moves no gap
+   but the first, [p_0 + shift + 1], which is the first gap from a
+   predecessor at [-1 - shift]. *)
 let encode_shifted ?(code = Gamma) ~shift buf posting =
-  let last = ref (-1) in
-  Posting.iter
-    (fun p ->
-      let p = p + shift in
-      let gap = if !last < 0 then p + 1 else p - !last in
-      encode_value code buf gap;
-      last := p)
-    posting
+  match code with
+  | Gamma ->
+      Bitio.Codes.encode_gamma_gaps buf ~prev:(-1 - shift)
+        (Posting.unsafe_to_array posting)
+  | _ ->
+      let last = ref (-1) in
+      Posting.iter
+        (fun p ->
+          let p = p + shift in
+          let gap = if !last < 0 then p + 1 else p - !last in
+          encode_value code buf gap;
+          last := p)
+        posting
 
 let encode ?code buf posting = encode_shifted ?code ~shift:0 buf posting
 

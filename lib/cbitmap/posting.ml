@@ -51,6 +51,7 @@ let of_bitstring s =
 
 let to_list = Array.to_list
 let to_array = Array.copy
+let unsafe_to_array t = t
 let cardinal = Array.length
 let is_empty t = Array.length t = 0
 let get t i = t.(i)

@@ -27,6 +27,12 @@ val of_bitstring : string -> t
 
 val to_list : t -> int list
 val to_array : t -> int array
+
+(** [unsafe_to_array t] is [t]'s own sorted array, not a copy: the
+    inverse of {!adopt}, for bulk encoders that read a posting in one
+    pass.  The caller must not mutate it. *)
+val unsafe_to_array : t -> int array
+
 val cardinal : t -> int
 val is_empty : t -> bool
 

@@ -4,11 +4,14 @@
     ({!Bitio.Decoder}, {!Iosim.Device.decoder}).  The seed's per-bit
     readers live here, built only on public calls, so tests and the
     benchmark can check the word path against them: same values, same
-    bits charged, same blocks read.  The interleaved pull-stream merge
-    that range unions used before whole-extent decode lives here too
-    ({!Merge}, {!Stream_table.merge_union}), and so do the WAL store's
-    query and merge by posting set algebra ({!Wal_store}) and the
-    planner's per-driver plan costing ({!Plan}).  Nothing in [lib]
+    bits charged, same blocks read.  The writer side has its
+    references too: a per-bit bit writer ({!Bitbuf}), the seed gamma
+    encoder ({!Codes.encode_gamma}: zeros bit by bit, then v) and the
+    chunk-at-a-time CRC-32 ({!Crc}).  The interleaved pull-stream
+    merge that range unions used before whole-extent decode lives here
+    too ({!Merge}, {!Stream_table.merge_union}), and so do the WAL
+    store's query and merge by posting set algebra ({!Wal_store}) and
+    the planner's per-driver plan costing ({!Plan}).  Nothing in [lib]
     links this library. *)
 
 (** Abstract sequential bit reader: one closure call per read. *)
@@ -91,6 +94,74 @@ module Bitops = struct
   let msb x =
     let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + 1) in
     go x (-1)
+end
+
+(** A per-bit bit writer: one char per bit, grown one bit at a time.
+    The reference for {!Bitio.Bitbuf}'s word-at-a-time writers. *)
+module Bitbuf = struct
+  type t = Buffer.t
+
+  let create () = Buffer.create 64
+  let length = Buffer.length
+  let write_bit t b = Buffer.add_char t (if b then '1' else '0')
+
+  let write_bits t ~width v =
+    for j = width - 1 downto 0 do
+      write_bit t ((v lsr j) land 1 = 1)
+    done
+
+  (* [append t t] doubles: the source is read in full first. *)
+  let append dst src = Buffer.add_string dst (Buffer.contents src)
+
+  let append_bytes t src ~src_bit ~len =
+    for i = 0 to len - 1 do
+      write_bit t (Bitops.get_bit src (src_bit + i))
+    done
+
+  (* Bits of [dst] outside [dst_bit, dst_bit + len) are kept; the
+     buffer grows when the copy runs past its end. *)
+  let blit src ~src_bit dst ~dst_bit ~len =
+    let s = Buffer.contents src and d = Buffer.contents dst in
+    let n = max (String.length d) (dst_bit + len) in
+    let out =
+      String.init n (fun i ->
+          if i >= dst_bit && i < dst_bit + len then s.[src_bit + i - dst_bit]
+          else d.[i])
+    in
+    Buffer.clear dst;
+    Buffer.add_string dst out
+
+  let reset = Buffer.clear
+
+  (** ['0'/'1'] string of the contents. *)
+  let to_string = Buffer.contents
+end
+
+(** CRC-32 one 8-bit chunk at a time, each chunk read bit by bit: the
+    reference for {!Bitio.Crc.of_bits}'s whole-byte loops.  The last
+    partial chunk is left-aligned and zero-padded. *)
+module Crc = struct
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+
+  let update_byte crc b =
+    (table.((crc lxor b) land 0xFF) lxor (crc lsr 8)) land 0xFFFFFFFF
+
+  let of_bits ?(crc = Bitio.Crc.init) data ~pos ~len =
+    let c = ref crc and p = ref pos and rem = ref len in
+    while !rem > 0 do
+      let w = min 8 !rem in
+      let b = Bitops.get_bits data ~pos:!p ~width:w in
+      c := update_byte !c (b lsl (8 - w));
+      p := !p + w;
+      rem := !rem - w
+    done;
+    !c
 end
 
 (** The seed codecs: decoders pull one bit per closure call through

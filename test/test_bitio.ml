@@ -400,6 +400,183 @@ let prop_equal_matches_bitwise =
       in
       Bitio.Bitbuf.equal a b = bitwise)
 
+(* --- the writer against the per-bit writer (Oracle.Bitbuf) --- *)
+
+(* One writer step; positions that depend on the buffer's current
+   length are drawn as raw ints and reduced when the step runs. *)
+type write_op =
+  | Bits of int * int  (** width, value (masked to the width) *)
+  | Bit of bool
+  | Append of (int * int) list  (** a fresh source, as [Bits] steps *)
+  | Append_self
+  | Append_bytes of bytes * int * int  (** source, start bit, length *)
+  | Blit of (int * int) list * int * int * int
+      (** source as [Bits] steps, start bit, length, destination bit *)
+  | Reset
+
+let width_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, int_range 0 62); (2, oneofl [ 0; 1; 7; 8; 55; 56; 57; 58; 61; 62 ]) ])
+
+let bits_step_gen =
+  QCheck.Gen.(
+    pair width_gen (int_range 0 max_int) >|= fun (w, v) ->
+    (w, if w = 0 then 0 else v land ((1 lsl w) - 1)))
+
+let write_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, bits_step_gen >|= fun (w, v) -> Bits (w, v));
+        (2, bool >|= fun b -> Bit b);
+        (1, list_size (int_range 0 4) bits_step_gen >|= fun l -> Append l);
+        (1, return Append_self);
+        ( 1,
+          random_bytes_gen 24 >>= fun src ->
+          int_range 0 160 >>= fun len ->
+          int_range 0 ((8 * 24) - len) >|= fun src_bit ->
+          Append_bytes (src, src_bit, len) );
+        ( 1,
+          list_size (int_range 1 4) bits_step_gen >>= fun l ->
+          triple nat nat nat >|= fun (a, b, c) -> Blit (l, a, b, c) );
+        (1, return Reset);
+      ])
+
+let print_op = function
+  | Bits (w, v) -> Printf.sprintf "bits %d %x" w v
+  | Bit b -> Printf.sprintf "bit %b" b
+  | Append l -> Printf.sprintf "append %d chunks" (List.length l)
+  | Append_self -> "append self"
+  | Append_bytes (_, b, l) -> Printf.sprintf "append_bytes %d %d" b l
+  | Blit (l, a, b, c) ->
+      Printf.sprintf "blit %d chunks %d %d %d" (List.length l) a b c
+  | Reset -> "reset"
+
+let both_from steps =
+  let a = Bitio.Bitbuf.create ~capacity:1 () and r = Oracle.Bitbuf.create () in
+  List.iter
+    (fun (w, v) ->
+      Bitio.Bitbuf.write_bits a ~width:w v;
+      Oracle.Bitbuf.write_bits r ~width:w v)
+    steps;
+  (a, r)
+
+let apply_op a r = function
+  | Bits (w, v) ->
+      Bitio.Bitbuf.write_bits a ~width:w v;
+      Oracle.Bitbuf.write_bits r ~width:w v
+  | Bit b ->
+      Bitio.Bitbuf.write_bit a b;
+      Oracle.Bitbuf.write_bit r b
+  | Append steps ->
+      let sa, sr = both_from steps in
+      Bitio.Bitbuf.append a sa;
+      Oracle.Bitbuf.append r sr
+  | Append_self ->
+      (* Skipped on long buffers, so repeated doubling stays small. *)
+      if Bitio.Bitbuf.length a <= 4096 then begin
+        Bitio.Bitbuf.append a a;
+        Oracle.Bitbuf.append r r
+      end
+  | Append_bytes (src, src_bit, len) ->
+      Bitio.Bitbuf.append_bytes a src ~src_bit ~len;
+      Oracle.Bitbuf.append_bytes r src ~src_bit ~len
+  | Blit (steps, x, y, z) ->
+      let sa, sr = both_from steps in
+      let sn = Bitio.Bitbuf.length sa in
+      let len = x mod (sn + 1) in
+      let src_bit = y mod (sn - len + 1) in
+      let dst_bit = z mod (Bitio.Bitbuf.length a + 1) in
+      Bitio.Bitbuf.blit sa ~src_bit a ~dst_bit ~len;
+      Oracle.Bitbuf.blit sr ~src_bit r ~dst_bit ~len
+  | Reset ->
+      Bitio.Bitbuf.reset a;
+      Oracle.Bitbuf.reset r
+
+(* Same bits as the reference, every backing bit past [length] zero,
+   and at least 8 backing bytes from the byte holding bit [length]. *)
+let writer_agrees a r =
+  let n = Bitio.Bitbuf.length a in
+  let data = Bitio.Bitbuf.backing a in
+  n = Oracle.Bitbuf.length r
+  && Format.asprintf "%a" Bitio.Bitbuf.pp a = Oracle.Bitbuf.to_string r
+  && Bytes.length data >= (n lsr 3) + 8
+  &&
+  let tail_zero = ref true in
+  for i = n to (8 * Bytes.length data) - 1 do
+    if Oracle.Bitops.get_bit data i then tail_zero := false
+  done;
+  !tail_zero
+
+let prop_writer_matches_perbit =
+  QCheck.Test.make ~count:300 ~long_factor:10
+    ~name:"Bitbuf writers = per-bit writer, zero tail after every step"
+    QCheck.(
+      make
+        ~print:(fun (cap, ops) ->
+          Printf.sprintf "capacity=%d [%s]" cap
+            (String.concat "; " (List.map print_op ops)))
+        Gen.(pair (int_range 1 16) (list_size (int_range 1 40) write_op_gen)))
+    (fun (capacity, ops) ->
+      let a = Bitio.Bitbuf.create ~capacity () in
+      let r = Oracle.Bitbuf.create () in
+      writer_agrees a r
+      && List.for_all
+           (fun op ->
+             apply_op a r op;
+             writer_agrees a r)
+           ops)
+
+(* Every codeword length from 1 to 123 bits: v = 2^k + m for k in
+   0..61, with m at the bottom, the middle and the top of the octave
+   and two seeded draws, written after 0..7 bits so every alignment is
+   covered (2k+1 crosses the 56-bit store at k = 28 and the 62-bit
+   write at k = 31). *)
+let test_gamma_matches_oracle () =
+  let rng = Hashing.Universal.Rng.create ~seed:26 in
+  for k = 0 to 61 do
+    let base = 1 lsl k in
+    let top = base + (base - 1) in
+    let draw () = base + Hashing.Universal.Rng.below rng base in
+    List.iter
+      (fun v ->
+        for prefix = 0 to 7 do
+          let a = Bitio.Bitbuf.create ~capacity:1 () in
+          let b = Bitio.Bitbuf.create ~capacity:1 () in
+          Bitio.Bitbuf.write_bits a ~width:prefix ((1 lsl prefix) - 1);
+          Bitio.Bitbuf.write_bits b ~width:prefix ((1 lsl prefix) - 1);
+          Bitio.Codes.encode_gamma a v;
+          Oracle.Codes.encode_gamma b v;
+          if not (Bitio.Bitbuf.equal a b) then
+            Alcotest.failf "gamma %d (k=%d) after %d bits" v k prefix;
+          let rest = 8 * Bytes.length (Bitio.Bitbuf.backing a) in
+          for i = Bitio.Bitbuf.length a to rest - 1 do
+            if Oracle.Bitops.get_bit (Bitio.Bitbuf.backing a) i then
+              Alcotest.failf "gamma %d: bit %d past the end is set" v i
+          done
+        done)
+      [ base; base + (base / 2); top; draw (); draw () ]
+  done
+
+(* The bulk loop behind Gap_codec.encode writes what encode_gamma
+   writes gap by gap. *)
+let prop_gamma_gaps =
+  QCheck.Test.make ~count:300 ~name:"encode_gamma_gaps = encode_gamma per gap"
+    QCheck.(
+      pair (int_range (-1) 1000)
+        (list (oneof [ int_range 1 100; int_range 1 (1 lsl 40) ])))
+    (fun (prev, gaps) ->
+      let a = Array.of_list gaps in
+      for i = 0 to Array.length a - 1 do
+        a.(i) <- (if i = 0 then prev else a.(i - 1)) + a.(i)
+      done;
+      let x = Bitio.Bitbuf.create ~capacity:1 () in
+      let y = Bitio.Bitbuf.create ~capacity:1 () in
+      Bitio.Codes.encode_gamma_gaps x ~prev a;
+      List.iter (Oracle.Codes.encode_gamma y) gaps;
+      Bitio.Bitbuf.equal x y)
+
 let test_width_61_62_crossing () =
   (* Reads of width 61/62 that start mid-byte necessarily span 9 bytes
      (2+ 64-bit words); check them against per-bit assembly. *)
@@ -455,6 +632,10 @@ let suite =
     qcheck prop_blit_to_bytes_matches_naive;
     qcheck prop_append_bytes;
     qcheck prop_equal_matches_bitwise;
+    qcheck prop_writer_matches_perbit;
+    Alcotest.test_case "gamma = oracle, every codeword length" `Quick
+      test_gamma_matches_oracle;
+    qcheck prop_gamma_gaps;
     Alcotest.test_case "bit order msb-first" `Quick test_write_bit_order;
     Alcotest.test_case "append aligned" `Quick test_append_aligned;
     Alcotest.test_case "append unaligned" `Quick test_append_unaligned;

@@ -27,6 +27,38 @@ let test_crc_vector () =
     "123456789";
   Alcotest.(check int) "bitbuf agrees" 0xCBF43926 (Bitio.Crc.of_bitbuf buf)
 
+(* The whole-byte loops against the chunk-at-a-time reference: every
+   start bit in two bytes (both byte alignments of the 8-byte slicing
+   step are covered by the byte start) and every length up to 300,
+   fresh and chained from a running CRC. *)
+let prop_crc_matches_reference =
+  QCheck.Test.make ~count:12 ~name:"Crc.of_bits = chunk reference, every pos mod 8, len 0-300"
+    QCheck.(
+      make
+        ~print:(fun (d, crc) ->
+          Printf.sprintf "crc=%x data=%s" crc
+            (String.concat ""
+               (List.map
+                  (fun c -> Printf.sprintf "%02x" (Char.code c))
+                  (List.of_seq (Bytes.to_seq d)))))
+        Gen.(
+          pair
+            (string_size ~gen:char (return 60) >|= Bytes.of_string)
+            (int_range 0 0xFFFFFFFF)))
+    (fun (data, crc) ->
+      let ok = ref true in
+      for pos = 0 to 15 do
+        for len = 0 to 300 do
+          if
+            Bitio.Crc.of_bits data ~pos ~len
+            <> Oracle.Crc.of_bits data ~pos ~len
+            || Bitio.Crc.of_bits ~crc data ~pos ~len
+               <> Oracle.Crc.of_bits ~crc data ~pos ~len
+          then ok := false
+        done
+      done;
+      !ok)
+
 (* --- frame seal / verify / repair --- *)
 
 let test_frame_verify_repair () =
@@ -267,6 +299,7 @@ let prop_flips_never_silently_wrong =
 let suite =
   [
     Alcotest.test_case "crc32 vectors" `Quick test_crc_vector;
+    qcheck prop_crc_matches_reference;
     Alcotest.test_case "frame verify and repair" `Quick
       test_frame_verify_repair;
     Alcotest.test_case "frame sealed from image" `Quick
