@@ -1,6 +1,8 @@
 type t = {
   chars : Indexing.Stream_table.t;
   bins : Indexing.Stream_table.t;
+  char_postings : Cbitmap.Posting.t array; (* kept: [chars]' repair source *)
+  bin_postings : Cbitmap.Posting.t array; (* kept: [bins]' repair source *)
   w : int;
   n : int;
   sigma : int;
@@ -20,6 +22,8 @@ let build ?code device ~sigma ~w x =
   {
     chars = Indexing.Stream_table.build ?code device postings;
     bins = Indexing.Stream_table.build ?code device bins;
+    char_postings = postings;
+    bin_postings = bins;
     w;
     n = Array.length x;
     sigma;
@@ -79,7 +83,9 @@ let instance ?code device ~sigma ~w x =
       Some
         (Indexing.Integrity.combine
            [
-             Indexing.Stream_table.integrity t.chars;
-             Indexing.Stream_table.integrity t.bins;
+             Indexing.Stream_table.integrity t.chars ~source:(fun () ->
+                 t.char_postings);
+             Indexing.Stream_table.integrity t.bins ~source:(fun () ->
+                 t.bin_postings);
            ]);
   }

@@ -1,14 +1,21 @@
 module St = Indexing.Stream_table
 
-type t = { name : string; table : St.t; arena : St.Arena.t; n : int; sigma : int }
+type t = {
+  name : string;
+  table : St.t;
+  postings : Cbitmap.Posting.t array; (* kept: the table's repair source *)
+  arena : St.Arena.t;
+  n : int;
+  sigma : int;
+}
 
-let of_table ~name table ~n ~sigma =
-  { name; table; arena = St.Arena.create (); n; sigma }
+let of_table ~name table ~postings ~n ~sigma =
+  { name; table; postings; arena = St.Arena.create (); n; sigma }
 
 let build ?code device ~sigma x =
   let postings = Indexing.Common.positions_by_char ~sigma x in
   of_table ~name:"bitmap-compressed" (St.build ?code device postings)
-    ~n:(Array.length x) ~sigma
+    ~postings ~n:(Array.length x) ~sigma
 
 let table t = t.table
 
@@ -60,7 +67,7 @@ let instance_of t =
     size_bits = St.size_bits t.table;
     query = (fun ~lo ~hi -> query t ~lo ~hi);
     batch = Some (query_batch t);
-    integrity = Some (St.integrity t.table);
+    integrity = Some (St.integrity t.table ~source:(fun () -> t.postings));
   }
 
 let instance ?code device ~sigma x = instance_of (build ?code device ~sigma x)

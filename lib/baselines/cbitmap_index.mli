@@ -19,11 +19,18 @@ val query : t -> lo:int -> hi:int -> Indexing.Answer.t
     once per batch; uncached runs are prefetched. *)
 val query_batch : t -> (int * int) array -> Indexing.Answer.t array
 
-(** [of_table ~name table ~n ~sigma]: the index over a table holding
-    one stream per character of a length-[n] string, in any payload
-    layout; [name] is its instance name.  {!Roaring_index} is this
-    over a [Hybrid] table. *)
-val of_table : name:string -> Indexing.Stream_table.t -> n:int -> sigma:int -> t
+(** [of_table ~name table ~postings ~n ~sigma]: the index over a table
+    holding one stream per character of a length-[n] string, in any
+    payload layout; [postings] are those streams, kept in memory as
+    the table's repair source; [name] is its instance name.
+    {!Roaring_index} is this over a [Hybrid] table. *)
+val of_table :
+  name:string ->
+  Indexing.Stream_table.t ->
+  postings:Cbitmap.Posting.t array ->
+  n:int ->
+  sigma:int ->
+  t
 
 val table : t -> Indexing.Stream_table.t
 val instance_of : t -> Indexing.Instance.t

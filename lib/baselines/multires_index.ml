@@ -1,5 +1,6 @@
 type t = {
   tables : Indexing.Stream_table.t array; (* tables.(k): bins of width w^k *)
+  streams : Cbitmap.Posting.t array array; (* kept: [tables]' repair sources *)
   widths : int array; (* widths.(k) = w^k *)
   w : int;
   n : int;
@@ -9,24 +10,20 @@ type t = {
 
 let build_with_widths ?code device ~sigma ~widths x =
   let postings = Indexing.Common.positions_by_char ~sigma x in
-  let tables =
+  let streams =
     Array.map
       (fun width ->
-        if width = 1 then Indexing.Stream_table.build ?code device postings
-        else begin
-          let nbins = (sigma + width - 1) / width in
-          let bins =
-            Array.init nbins (fun b ->
-                let lo = b * width and hi = min sigma ((b + 1) * width) - 1 in
-                Cbitmap.Posting.union_many
-                  (List.init (hi - lo + 1) (fun k -> postings.(lo + k))))
-          in
-          Indexing.Stream_table.build ?code device bins
-        end)
+        if width = 1 then postings
+        else
+          Array.init ((sigma + width - 1) / width) (fun b ->
+              let lo = b * width and hi = min sigma ((b + 1) * width) - 1 in
+              Cbitmap.Posting.union_many
+                (List.init (hi - lo + 1) (fun k -> postings.(lo + k)))))
       widths
   in
   {
-    tables;
+    tables = Array.map (Indexing.Stream_table.build ?code device) streams;
+    streams;
     widths;
     w = 0;
     n = Array.length x;
@@ -110,5 +107,9 @@ let instance ?code device ~sigma ~w x =
       Some
         (Indexing.Integrity.combine
            (Array.to_list
-              (Array.map Indexing.Stream_table.integrity t.tables)));
+              (Array.map2
+                 (fun tab streams ->
+                   Indexing.Stream_table.integrity tab ~source:(fun () ->
+                       streams))
+                 t.tables t.streams)));
   }

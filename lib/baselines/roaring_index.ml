@@ -13,7 +13,7 @@ let build ?chunk device ~sigma x =
   let layout = Indexing.Stream_table.Hybrid { universe; chunk } in
   Cbitmap_index.of_table ~name:"bitmap-roaring"
     (Indexing.Stream_table.build ~layout device postings)
-    ~n:(Array.length x) ~sigma
+    ~postings ~n:(Array.length x) ~sigma
 
 let payload_bits t = Indexing.Stream_table.payload_bits (Cbitmap_index.table t)
 

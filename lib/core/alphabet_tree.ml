@@ -1,17 +1,17 @@
 type t = {
   device : Iosim.Device.t;
+  x : int array; (* the string: the levels' repair source *)
   n : int;
   sigma : int;
   sigma2 : int; (* alphabet size rounded up to a power of two *)
+  schedule : [ `All | `Doubling ];
   levels : Indexing.Stream_table.t option array;
   (* levels.(j), when materialized, holds the 2^j bitmaps of the nodes
      at depth j.  The `All schedule (Theorem 1) materializes every
      level; `Doubling implements footnote 3: depths 1, 2, 4, 8, ...
      plus the leaves, reducing space to O(n lg sigma + sigma lg^2 n)
      at the price of merging runs of descendants for skipped levels. *)
-  a_region : Iosim.Device.region;
-  a_frame : Iosim.Frame.t;
-  pos_bits : int;
+  a : Char_counts.t; (* the prefix counts A *)
   complement : bool;
   arena : Indexing.Stream_table.Arena.t; (* each query's decoded extents *)
 }
@@ -25,47 +25,40 @@ let materialized_depths schedule nlevels =
       let rec go d acc = if d >= nlevels - 1 then acc else go (2 * d) (d :: acc) in
       List.sort_uniq compare ((nlevels - 1) :: 0 :: go 1 [])
 
+(* The postings of the [2^j] nodes at depth [j] of a tree of
+   [nlevels] levels, bucketed from [x]: node [b] holds the positions
+   whose character lies in [b·w .. (b+1)·w - 1], [w = 2^(nlevels-1-j)].
+   The build stores each level from it, and a repair re-derives one. *)
+let depth_postings ~nlevels x j =
+  let shift = nlevels - 1 - j in
+  Indexing.Common.positions_by_char ~sigma:(1 lsl j)
+    (Array.map (fun c -> c lsr shift) x)
+
 let build ?(complement = true) ?(schedule = `All) device ~sigma x =
   let n = Array.length x in
   let rec pow2 v = if v >= sigma then v else pow2 (2 * v) in
   let sigma2 = pow2 1 in
   let nlevels = Bitio.Codes.floor_log2 sigma2 + 1 in
-  let postings = Indexing.Common.positions_by_char ~sigma x in
-  let posting_of_char c = if c < sigma then postings.(c) else Cbitmap.Posting.empty in
   let mat = materialized_depths schedule nlevels in
-  (* Build levels bottom-up: level (nlevels-1) = single characters. *)
-  let tables = Array.make nlevels None in
-  let current = ref (Array.init sigma2 posting_of_char) in
+  (* Store levels bottom-up: level (nlevels-1) = single characters. *)
+  let levels = Array.make nlevels None in
   for j = nlevels - 1 downto 0 do
     if List.mem j mat then
-      tables.(j) <- Some (Indexing.Stream_table.build device !current);
-    if j > 0 then
-      current :=
-        Array.init (1 lsl (j - 1)) (fun b ->
-            Cbitmap.Posting.union (!current).(2 * b) (!current).((2 * b) + 1))
+      levels.(j) <-
+        Some (Indexing.Stream_table.build device (depth_postings ~nlevels x j))
   done;
-  let levels = tables in
   (* Prefix cardinalities A.(i) = #{positions with character < i}. *)
-  let a = Indexing.Common.prefix_counts ~sigma x in
-  let pos_bits = Indexing.Common.bits_for (max 2 (n + 1)) in
-  let a_buf = Bitio.Bitbuf.create () in
-  Array.iter (fun v -> Bitio.Bitbuf.write_bits a_buf ~width:pos_bits v) a;
-  let a_frame =
-    Iosim.Device.with_component device "directory" (fun () ->
-        Iosim.Frame.store device ~magic:a_magic ~align_block:true
-          ~rebuild:(fun () -> a_buf)
-          a_buf)
+  let a =
+    Char_counts.store device ~magic:a_magic
+      ~width:(Indexing.Common.bits_for (max 2 (n + 1)))
+      (Indexing.Common.prefix_counts ~sigma x)
   in
-  let a_region = Iosim.Frame.payload a_frame in
-  { device; n; sigma; sigma2; levels; a_region; a_frame; pos_bits;
-    complement; arena = Indexing.Stream_table.Arena.create () }
+  { device; x; n; sigma; sigma2; schedule; levels; a; complement;
+    arena = Indexing.Stream_table.Arena.create () }
 
 let levels t = Array.length t.levels
 
-let read_a t i =
-  Iosim.Device.read_bits t.device
-    ~pos:(t.a_region.Iosim.Device.off + (i * t.pos_bits))
-    ~width:t.pos_bits
+let read_a t i = Char_counts.get t.a i
 
 (* Dyadic canonical cover of [lo..hi] (inclusive) over sigma2 leaves:
    (level j, node index) pairs, coarse pieces first possible. *)
@@ -180,32 +173,42 @@ let query_batch t ranges =
        (fun (lo, hi) -> answer t ~lo ~hi (cached_slices t cache))
        plan.Indexing.Batch.uniq)
 
+let tables t = List.filter_map Fun.id (Array.to_list t.levels)
+
 let integrity t =
+  let nlevels = Array.length t.levels in
+  let level j tab =
+    Indexing.Stream_table.integrity tab ~source:(fun () ->
+        depth_postings ~nlevels t.x j)
+  in
   Indexing.Integrity.combine
-    (Indexing.Integrity.of_frames (fun () -> [ t.a_frame ])
-    :: List.filter_map
-         (Option.map Indexing.Stream_table.integrity)
-         (Array.to_list t.levels))
+    (Indexing.Integrity.of_frames (fun () ->
+         [ Char_counts.frame t.a ~live:(fun () ->
+               Indexing.Common.prefix_counts ~sigma:t.sigma t.x) ])
+    :: List.filter_map Fun.id
+         (Array.to_list (Array.mapi (fun j -> Option.map (level j)) t.levels)))
 
 let size_bits t =
   Array.fold_left
     (fun acc -> function
       | None -> acc
       | Some tab -> acc + Indexing.Stream_table.size_bits tab)
-    t.a_region.Iosim.Device.len t.levels
+    (Char_counts.region t.a).Iosim.Device.len t.levels
 
-let instance ?complement ?schedule device ~sigma x =
-  let t = build ?complement ?schedule device ~sigma x in
+let instance_of t =
   {
     Indexing.Instance.name =
-      (match schedule with
-      | Some `Doubling -> "secidx-complete-tree-fn3"
-      | _ -> "secidx-complete-tree");
-    device;
+      (match t.schedule with
+      | `Doubling -> "secidx-complete-tree-fn3"
+      | `All -> "secidx-complete-tree");
+    device = t.device;
     n = t.n;
-    sigma;
+    sigma = t.sigma;
     size_bits = size_bits t;
     query = (fun ~lo ~hi -> query t ~lo ~hi);
     batch = Some (query_batch t);
     integrity = Some (integrity t);
   }
+
+let instance ?complement ?schedule device ~sigma x =
+  instance_of (build ?complement ?schedule device ~sigma x)

@@ -14,7 +14,9 @@ type t
     [schedule] selects which depths keep explicit bitmaps: [`All]
     (default, Theorem 1) or [`Doubling] (footnote 3: depths 1,2,4,…
     plus leaves — space drops to [O(n·lg σ + σ·lg²n)] with a slightly
-    larger merge fan-in).  Every extent is gap-coded. *)
+    larger merge fan-in).  Every extent is gap-coded.  The index keeps
+    [x] itself (which must not change afterwards) and no posting: a
+    damaged level is re-derived from [x] by the pass that built it. *)
 val build :
   ?complement:bool ->
   ?schedule:[ `All | `Doubling ] ->
@@ -33,7 +35,11 @@ val query_batch : t -> (int * int) array -> Indexing.Answer.t array
 (** Number of tree levels ([lg σ + 1] for σ a power of two). *)
 val levels : t -> int
 
+(** The stored levels' tables, deepest first. *)
+val tables : t -> Indexing.Stream_table.t list
+
 val size_bits : t -> int
+val instance_of : t -> Indexing.Instance.t
 
 val instance :
   ?complement:bool ->

@@ -96,7 +96,7 @@ let build_parts ~c ~code ~sigma device data =
       ~levels:(Wbb.doubling_levels tree.Wbb.height)
       (make_storage ~code device)
   in
-  (Frozen.make tree ~sigma_total:sigma, mat, levels, leaves)
+  (Frozen.make tree data ~sigma_total:sigma, mat, levels, leaves)
 
 let rebuild t =
   let data = Array.sub t.x 0 t.n in
@@ -107,7 +107,8 @@ let rebuild t =
   t.mat <- mat;
   t.levels <- levels;
   t.leaves <- leaves;
-  t.counts <- Char_counts.store t.device ~magic:counts_magic (live_counts t);
+  t.counts <-
+    Char_counts.store t.device ~magic:counts_magic ~width:32 (live_counts t);
   write_meta t;
   t.n0 <- max 1 t.n
 
@@ -118,7 +119,7 @@ let build ?(c = 8) ?(complement = true) ?(buffered = false)
   let cap = max 1 (Iosim.Device.block_bits device / (Indexing.Common.bits_for (max 2 sigma) + 40)) in
   let frozen, mat, levels, leaves = build_parts ~c ~code ~sigma device x in
   let counts =
-    Char_counts.store device ~magic:counts_magic
+    Char_counts.store device ~magic:counts_magic ~width:32
       (Cbitmap.Entropy.counts ~sigma x)
   in
   let t =
@@ -428,24 +429,26 @@ let chain_frames t (st : storage) =
         acc ch.cblocks)
     [] st.chains
 
+let storages t = Wbb.storages (Frozen.tree t.frozen) t.levels t.leaves
+let tables t = List.map (fun ((st : storage), _) -> st.table) (storages t)
+
 (* The hooks re-resolve the storages on every call: a rebuild swaps
-   every substructure out, and the old extents are abandoned. *)
+   every substructure out, and the old extents are abandoned.  A base
+   table repairs from the string's first [n] characters, the ones its
+   tree was built over; appends since live in the chains. *)
 let integrity t =
-  let current () =
-    let sts = t.leaves :: List.filter_map Fun.id (Array.to_list t.levels) in
-    Indexing.Integrity.combine
-      (Indexing.Integrity.of_frames (fun () ->
-           Char_counts.frame t.counts ~live:(fun () -> live_counts t)
-           :: (match t.meta_frame with Some f -> [ f ] | None -> [])
-           @ List.concat_map (fun st -> chain_frames t st) sts)
-      :: List.map
-           (fun (st : storage) -> Indexing.Stream_table.integrity st.table)
-           sts)
-  in
-  {
-    Indexing.Integrity.scrub = (fun () -> (current ()).Indexing.Integrity.scrub ());
-    repair = (fun () -> (current ()).Indexing.Integrity.repair ());
-  }
+  Indexing.Integrity.current (fun () ->
+      let tree = Frozen.tree t.frozen and sts = storages t in
+      Indexing.Integrity.combine
+        (Indexing.Integrity.of_frames (fun () ->
+             Char_counts.frame t.counts ~live:(fun () -> live_counts t)
+             :: (match t.meta_frame with Some f -> [ f ] | None -> [])
+             @ List.concat_map (fun (st, _) -> chain_frames t st) sts)
+        :: List.map
+             (fun ((st : storage), nodes) ->
+               Indexing.Stream_table.integrity st.table ~source:(fun () ->
+                   Wbb.level_positions tree t.x nodes))
+             sts))
 
 let rebuilds t = t.rebuilds
 let counts t = t.counts

@@ -53,6 +53,9 @@ val query_batch : t -> (int * int) array -> Indexing.Answer.t array
 (** Number of global rebuilds performed so far. *)
 val rebuilds : t -> int
 
+(** The current stored levels' base tables, leaves first. *)
+val tables : t -> Indexing.Stream_table.t list
+
 (** The per-character count array (for white-box tests).  With
     [buffered], it lags the string by the appends still in the root
     buffer. *)

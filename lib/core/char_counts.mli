@@ -1,16 +1,18 @@
-(** The per-character count array of the dynamic indexes (§4.1,
-    DESIGN §3b.5): how many positions of the string hold each
-    character, read by a query to decide the complement rule.
+(** A per-character integer array of the tree indexes, read by a
+    query to decide the complement rule: the count array of the
+    dynamic indexes (§4.1, DESIGN §3b.5; how many positions of the
+    string hold each character, 32-bit fields) and the prefix-count
+    array [A] of {!Static_index} and {!Alphabet_tree} (§2.1).
 
-    One 32-bit field per character, in one framed ({!Iosim.Frame}),
+    One fixed-width field per entry, in one framed ({!Iosim.Frame}),
     block-aligned extent charged to the ["directory"] ledger
-    component.  {!Append_index} and {!Dynamic_index} each keep one,
-    under their own frame magic. *)
+    component, under its owner's frame magic. *)
 
 type t
 
-(** [store device ~magic counts] writes [counts] as a new extent. *)
-val store : Iosim.Device.t -> magic:int -> int array -> t
+(** [store device ~magic ~width counts] writes [counts] as a new
+    extent of [width]-bit fields. *)
+val store : Iosim.Device.t -> magic:int -> width:int -> int array -> t
 
 (** Counted read of one character's count. *)
 val get : t -> int -> int
@@ -25,6 +27,6 @@ val add : t -> int -> int -> unit
 val region : t -> Iosim.Device.region
 
 (** [frame t ~live] is the extent's frame, for the index's scrub and
-    repair; its repair rewrites the counts [live ()] recomputes from
-    the live string. *)
+    repair; its repair rewrites the array [live ()] recomputes from
+    the index's string or tree. *)
 val frame : t -> live:(unit -> int array) -> Iosim.Frame.t

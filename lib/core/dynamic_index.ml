@@ -25,7 +25,7 @@ let build_parts ~c ~sigma_total device data =
       ~levels:(Wbb.doubling_levels tree.Wbb.height)
       (Buffered_bitmap.build ~c device)
   in
-  (Frozen.make tree ~sigma_total, mat, level_bb, leaf_bb)
+  (Frozen.make tree data ~sigma_total, mat, level_bb, leaf_bb)
 
 (* Counts of the live string, the deletion character included. *)
 let live_counts t =
@@ -37,7 +37,7 @@ let build ?(c = 8) ?(complement = true) device ~sigma x =
     build_parts ~c ~sigma_total:(sigma + 1) device x
   in
   let counts =
-    Char_counts.store device ~magic:counts_magic
+    Char_counts.store device ~magic:counts_magic ~width:32
       (Cbitmap.Entropy.counts ~sigma:(sigma + 1) x)
   in
   {
@@ -70,7 +70,8 @@ let rebuild t =
   t.mat <- mat;
   t.level_bb <- level_bb;
   t.leaf_bb <- leaf_bb;
-  t.counts <- Char_counts.store t.device ~magic:counts_magic (live_counts t);
+  t.counts <-
+    Char_counts.store t.device ~magic:counts_magic ~width:32 (live_counts t);
   t.n0 <- max 1 t.n;
   t.changes <- 0;
   t.rebuilds <- t.rebuilds + 1
@@ -218,20 +219,14 @@ let size_bits t =
 (* The hooks re-resolve the substructures on every call: a rebuild
    swaps every buffered bitmap out, abandoning the old extents. *)
 let integrity t =
-  let current () =
-    Indexing.Integrity.combine
-      (Indexing.Integrity.of_frames (fun () ->
-           [ Char_counts.frame t.counts ~live:(fun () -> live_counts t) ])
-      :: Buffered_bitmap.integrity t.leaf_bb
-      :: List.filter_map
-           (Option.map Buffered_bitmap.integrity)
-           (Array.to_list t.level_bb))
-  in
-  {
-    Indexing.Integrity.scrub =
-      (fun () -> (current ()).Indexing.Integrity.scrub ());
-    repair = (fun () -> (current ()).Indexing.Integrity.repair ());
-  }
+  Indexing.Integrity.current (fun () ->
+      Indexing.Integrity.combine
+        (Indexing.Integrity.of_frames (fun () ->
+             [ Char_counts.frame t.counts ~live:(fun () -> live_counts t) ])
+        :: Buffered_bitmap.integrity t.leaf_bb
+        :: List.filter_map
+             (Option.map Buffered_bitmap.integrity)
+             (Array.to_list t.level_bb)))
 
 let instance_of t =
   {

@@ -2,33 +2,34 @@ type key = int * int
 
 type t = {
   wtree : Wbb.t;
-  lo_keys : key array; (* by node id *)
+  lo_keys : key array; (* by node id, as [wtree.nodes] *)
   hi_keys : key array;
 }
 
 let tree t = t.wtree
 
-let make (wtree : Wbb.t) ~sigma_total =
-  let n = wtree.Wbb.n in
-  let key_of_entry i =
-    if i >= n then (sigma_total, 0)
-    else (wtree.Wbb.entry_char.(i), wtree.Wbb.entry_pos.(i))
-  in
-  let nnodes = Array.length wtree.Wbb.nodes in
-  let lo_keys = Array.make nnodes (0, 0) in
-  let hi_keys = Array.make nnodes (0, 0) in
-  Array.iter
-    (fun (v : Wbb.node) ->
-      lo_keys.(v.Wbb.id) <- key_of_entry v.Wbb.s;
-      hi_keys.(v.Wbb.id) <- key_of_entry v.Wbb.e)
-    wtree.Wbb.nodes;
+(* Every node starts at a leaf start, so a node boundary's key is a
+   leaf's first (character, position) entry — its character [clo], its
+   first position from the leaves' pass over [x] — or
+   [(sigma_total, 0)] past the last leaf. *)
+let make (wtree : Wbb.t) x ~sigma_total =
+  let leaves = wtree.Wbb.leaves in
+  let leaf_key = Array.make (Array.length leaves + 1) (sigma_total, 0) in
+  Array.iteri
+    (fun l p -> leaf_key.(l) <- (leaves.(l).Wbb.clo, Cbitmap.Posting.get p 0))
+    (Wbb.level_positions wtree x leaves);
   (* The leftmost path must own keys below the first entry. *)
-  let rec extend_left (v : Wbb.node) =
-    lo_keys.(v.Wbb.id) <- (0, 0);
-    if not (Wbb.is_leaf v) then extend_left v.Wbb.children.(0)
+  leaf_key.(0) <- (0, 0);
+  let rec edge pick (v : Wbb.node) =
+    if Wbb.is_leaf v then v.Wbb.leaf_index else edge pick (pick v.Wbb.children)
   in
-  extend_left wtree.Wbb.root;
-  { wtree; lo_keys; hi_keys }
+  let first = edge (fun ch -> ch.(0))
+  and last = edge (fun ch -> ch.(Array.length ch - 1)) in
+  {
+    wtree;
+    lo_keys = Array.map (fun v -> leaf_key.(first v)) wtree.Wbb.nodes;
+    hi_keys = Array.map (fun v -> leaf_key.(last v + 1)) wtree.Wbb.nodes;
+  }
 
 let lo_key t (v : Wbb.node) = t.lo_keys.(v.Wbb.id)
 let hi_key t (v : Wbb.node) = t.hi_keys.(v.Wbb.id)

@@ -20,10 +20,13 @@ type key = int * int (* (character, position), lexicographic *)
 
 type t
 
-(** [make tree ~sigma_total] computes frozen boundaries.
-    [sigma_total] is the exclusive upper bound on characters (include
-    the deletion character [∞] here). *)
-val make : Wbb.t -> sigma_total:int -> t
+(** [make tree x ~sigma_total] computes frozen boundaries from [x],
+    the string [tree] was built from (its first [n] characters): every
+    node starts at a leaf start, and the leaves' pass
+    ({!Wbb.level_positions}) gives each leaf's first (character,
+    position) entry.  [sigma_total] is the exclusive upper bound on
+    characters (include the deletion character [∞] here). *)
+val make : Wbb.t -> int array -> sigma_total:int -> t
 
 val tree : t -> Wbb.t
 

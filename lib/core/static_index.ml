@@ -2,16 +2,15 @@ type schedule = [ `Doubling | `All | `Leaves_only ]
 
 type t = {
   device : Iosim.Device.t;
+  x : int array; (* the string: the stored levels' repair source *)
   tree : Wbb.t;
   complement : bool;
   mat : bool array; (* mat.(l) = internal level l+1 materialized *)
   level_tables : Indexing.Stream_table.t option array; (* per level, internal *)
   leaf_table : Indexing.Stream_table.t;
-  a_region : Iosim.Device.region;
-  a_frame : Iosim.Frame.t;
+  a : Char_counts.t; (* the prefix counts A *)
   pos_bits : int;
   meta_bits : int;
-  meta_block : int array; (* node id -> block id holding its metadata *)
   meta_slot : int array; (* node id -> absolute bit offset of its slot *)
   meta_total_bits : int;
   meta_frames : Iosim.Frame.t list;
@@ -37,7 +36,6 @@ let pack_metadata device (tree : Wbb.t) ~meta_bits ~pos_bits ~char_bits =
   let bb = Iosim.Device.block_bits device in
   let cap = max 1 (bb / meta_bits) in
   let nnodes = Array.length tree.Wbb.nodes in
-  let meta_block = Array.make nnodes 0 in
   let meta_slot = Array.make nnodes 0 in
   let total = ref 0 in
   let written = ref [] in
@@ -53,7 +51,6 @@ let pack_metadata device (tree : Wbb.t) ~meta_bits ~pos_bits ~char_bits =
           Iosim.Device.alloc ~align_block:true device bb)
     in
     total := !total + bb;
-    let block = region.Iosim.Device.off / bb in
     let filled = ref 0 in
     let buf = Bitio.Bitbuf.create ~capacity:bb () in
     while !filled < cap && not (Queue.is_empty roots) do
@@ -63,7 +60,6 @@ let pack_metadata device (tree : Wbb.t) ~meta_bits ~pos_bits ~char_bits =
         let v = Queue.pop members in
         if !filled >= cap then Queue.add v roots
         else begin
-          meta_block.(v.Wbb.id) <- block;
           meta_slot.(v.Wbb.id) <-
             region.Iosim.Device.off + (!filled * meta_bits);
           incr filled;
@@ -92,7 +88,7 @@ let pack_metadata device (tree : Wbb.t) ~meta_bits ~pos_bits ~char_bits =
           region)
       !written
   in
-  (meta_block, meta_slot, !total, frames)
+  (meta_slot, !total, frames)
 
 let build ?(c = 8) ?(complement = true) ?(schedule = `Doubling)
     ?(code = Cbitmap.Gap_codec.Gamma) device ~sigma x =
@@ -105,33 +101,24 @@ let build ?(c = 8) ?(complement = true) ?(schedule = `Doubling)
   let n = tree.Wbb.n in
   let pos_bits = Indexing.Common.bits_for (max 2 (n + 1)) in
   let char_bits = Indexing.Common.bits_for (max 2 sigma) in
-  let a_buf = Bitio.Bitbuf.create () in
-  Array.iter
-    (fun v -> Bitio.Bitbuf.write_bits a_buf ~width:pos_bits v)
-    tree.Wbb.char_start;
-  let a_frame =
-    Iosim.Device.with_component device "directory" (fun () ->
-        Iosim.Frame.store device ~magic:a_magic ~align_block:true
-          ~rebuild:(fun () -> a_buf)
-          a_buf)
+  let a =
+    Char_counts.store device ~magic:a_magic ~width:pos_bits tree.Wbb.char_start
   in
-  let a_region = Iosim.Frame.payload a_frame in
   let meta_bits = pos_bits + (2 * char_bits) + 8 in
-  let meta_block, meta_slot, meta_total_bits, meta_frames =
+  let meta_slot, meta_total_bits, meta_frames =
     pack_metadata device tree ~meta_bits ~pos_bits ~char_bits
   in
   {
     device;
+    x;
     tree;
     complement;
     mat;
     level_tables;
     leaf_table;
-    a_region;
-    a_frame;
+    a;
     pos_bits;
     meta_bits;
-    meta_block;
     meta_slot;
     meta_total_bits;
     meta_frames;
@@ -154,10 +141,7 @@ let touch_node t (v : Wbb.node) =
   in
   assert (w = Wbb.weight v)
 
-let read_a t i =
-  Iosim.Device.read_bits t.device
-    ~pos:(t.a_region.Iosim.Device.off + (i * t.pos_bits))
-    ~width:t.pos_bits
+let read_a t i = Char_counts.get t.a i
 
 (* The storage runs a query for entry range [s,e) reads: canonical
    decomposition, frontier expansion to stored nodes, then coalescing
@@ -310,15 +294,21 @@ let query_batch t ranges =
            (cached_slices t cache))
        plan.Indexing.Batch.uniq)
 
+(* Each stored level repairs from the string, through the pass that
+   built it. *)
 let integrity t =
   Indexing.Integrity.combine
-    (Indexing.Integrity.of_frames (fun () -> t.a_frame :: t.meta_frames)
-    :: Indexing.Stream_table.integrity t.leaf_table
-    :: List.filter_map
-         (Option.map Indexing.Stream_table.integrity)
-         (Array.to_list t.level_tables))
+    (Indexing.Integrity.of_frames (fun () ->
+         Char_counts.frame t.a ~live:(fun () -> t.tree.Wbb.char_start)
+         :: t.meta_frames)
+    :: List.map
+         (fun (tab, nodes) ->
+           Indexing.Stream_table.integrity tab ~source:(fun () ->
+               Wbb.level_positions t.tree t.x nodes))
+         (Wbb.storages t.tree t.level_tables t.leaf_table))
 
-let metadata_bits t = t.a_region.Iosim.Device.len + t.meta_total_bits
+let metadata_bits t =
+  (Char_counts.region t.a).Iosim.Device.len + t.meta_total_bits
 
 let size_bits t =
   let tables =

@@ -28,7 +28,9 @@ type t
     over [x], storing the [schedule]'s levels (default [`Doubling])
     and the leaves through {!Wbb.store_levels}, each extent gap-coded
     with [code] (default gamma).  [complement] (default [true])
-    enables the complement rule. *)
+    enables the complement rule.  The index keeps [x] itself, not a
+    copy, and no posting: a damaged stored level is re-derived from
+    [x] by {!Wbb.level_positions}, so [x] must not change afterwards. *)
 val build :
   ?c:int ->
   ?complement:bool ->

@@ -19,8 +19,6 @@ type t = {
   nodes : node array;
   leaves : node array;
   internal_by_level : node array array;
-  entry_char : int array;
-  entry_pos : int array;
   char_start : int array;
 }
 
@@ -31,21 +29,23 @@ let build ~c ~sigma x =
   if c < 2 then invalid_arg "Wbb.build: c >= 2";
   let n = Array.length x in
   if n = 0 then invalid_arg "Wbb.build: empty string";
-  (* Entries: (char asc, position asc). *)
+  (* Entries: (char asc, position asc); entry [i] holds the last
+     character [a] with [char_start.(a) <= i]. *)
   let char_start = Indexing.Common.prefix_counts ~sigma x in
-  let entry_char = Array.make n 0 and entry_pos = Array.make n 0 in
-  let cursor = Array.copy char_start in
-  Array.iteri
-    (fun pos ch ->
-      let slot = cursor.(ch) in
-      entry_char.(slot) <- ch;
-      entry_pos.(slot) <- pos;
-      cursor.(ch) <- slot + 1)
-    x;
+  let char_of_entry i =
+    let lo = ref 0 and hi = ref (sigma - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if char_start.(mid) <= i then lo := mid else hi := mid - 1
+    done;
+    !lo
+  in
   (* Recursive balanced c-ary split, pruned at single-character
-     nodes. *)
+     nodes; [all] collects them in post-order, so its leaves run right
+     to left. *)
+  let all = ref [] in
   let rec make level s e =
-    let clo = entry_char.(s) and chi = entry_char.(e - 1) in
+    let clo = char_of_entry s and chi = char_of_entry (e - 1) in
     let children =
       if clo = chi then [||]
       else begin
@@ -57,15 +57,14 @@ let build ~c ~sigma x =
             make (level + 1) cs ce)
       end
     in
-    { id = -1; level; s; e; clo; chi; children; leaf_index = -1; level_index = -1 }
+    let v =
+      { id = -1; level; s; e; clo; chi; children; leaf_index = -1;
+        level_index = -1 }
+    in
+    all := v :: !all;
+    v
   in
   let root = make 1 0 n in
-  let all = ref [] in
-  let rec collect v =
-    all := v :: !all;
-    Array.iter collect v.children
-  in
-  collect root;
   let nodes = Array.of_list !all in
   (* Breadth-first order: (level, entry range). *)
   Array.sort
@@ -74,22 +73,17 @@ let build ~c ~sigma x =
     nodes;
   Array.iteri (fun i v -> v.id <- i) nodes;
   let height = Array.fold_left (fun acc v -> max acc v.level) 1 nodes in
-  let leaves =
-    let l = Array.to_list nodes in
-    Array.of_list (List.filter is_leaf l)
-  in
-  Array.sort (fun a b -> compare a.s b.s) leaves;
+  let leaves = Array.of_list (List.rev (List.filter is_leaf !all)) in
   Array.iteri (fun i v -> v.leaf_index <- i) leaves;
+  (* [nodes] is sorted by entry range within a level. *)
   let internal_by_level =
     Array.init height (fun l ->
-        let lv = l + 1 in
-        let sel =
-          List.filter
-            (fun v -> v.level = lv && not (is_leaf v))
-            (Array.to_list nodes)
+        let arr =
+          Array.of_list
+            (List.filter
+               (fun v -> v.level = l + 1 && not (is_leaf v))
+               (Array.to_list nodes))
         in
-        let arr = Array.of_list sel in
-        Array.sort (fun a b -> compare a.s b.s) arr;
         Array.iteri (fun i v -> v.level_index <- i) arr;
         arr)
   in
@@ -102,8 +96,6 @@ let build ~c ~sigma x =
     nodes;
     leaves;
     internal_by_level;
-    entry_char;
-    entry_pos;
     char_start;
   }
 
@@ -141,15 +133,17 @@ let doubling_levels height =
   List.rev (go 1 [])
 
 (* The positions of [nodes] (one level's nodes, left to right, so
-   their entry ranges are disjoint and increasing) in one pass over [x]
-   in position order.  A position's entry is its character's cursor:
-   [char_start.(ch)] plus the occurrences of [ch] seen so far.  Each
-   character keeps a pointer into [nodes], started by binary search at
-   the first node ending past [char_start.(ch)] and advanced while the
-   node ends at or before the entry; a node that covers the entry gets
-   the position appended, so every array fills in increasing order.
-   O(n + σ·lg k) time for [k] nodes and O(σ + k) words of state. *)
+   their entry ranges are disjoint and increasing) in one pass over the
+   first [n] characters of [x], in position order.  A position's entry
+   is its character's cursor: [char_start.(ch)] plus the occurrences
+   of [ch] seen so far.  Each character keeps a pointer into [nodes],
+   started by binary search at the first node ending past
+   [char_start.(ch)] and advanced while the node ends at or before the
+   entry; a node that covers the entry gets the position appended, so
+   every array fills in increasing order.  O(n + σ·lg k) time for [k]
+   nodes and O(σ + k) words of state. *)
 let level_positions t x nodes =
+  if Array.length x < t.n then invalid_arg "Wbb.level_positions: string length";
   let k = Array.length nodes in
   let starts = Array.map (fun v -> v.s) nodes
   and ends = Array.map (fun v -> v.e) nodes in
@@ -167,21 +161,21 @@ let level_positions t x nodes =
         !lo)
       cursor
   in
-  Array.iteri
-    (fun pos ch ->
-      let entry = cursor.(ch) in
-      Array.unsafe_set cursor ch (entry + 1);
-      let p = ref (Array.unsafe_get ptr ch) in
-      while !p < k && Array.unsafe_get ends !p <= entry do
-        incr p
-      done;
-      Array.unsafe_set ptr ch !p;
-      if !p < k && Array.unsafe_get starts !p <= entry then begin
-        let f = Array.unsafe_get fill !p in
-        (Array.unsafe_get out !p).(f) <- pos;
-        Array.unsafe_set fill !p (f + 1)
-      end)
-    x;
+  for pos = 0 to t.n - 1 do
+    let ch = Array.unsafe_get x pos in
+    let entry = cursor.(ch) in
+    Array.unsafe_set cursor ch (entry + 1);
+    let p = ref (Array.unsafe_get ptr ch) in
+    while !p < k && Array.unsafe_get ends !p <= entry do
+      incr p
+    done;
+    Array.unsafe_set ptr ch !p;
+    if !p < k && Array.unsafe_get starts !p <= entry then begin
+      let f = Array.unsafe_get fill !p in
+      (Array.unsafe_get out !p).(f) <- pos;
+      Array.unsafe_set fill !p (f + 1)
+    end
+  done;
   Array.map Cbitmap.Posting.adopt out
 
 let store_levels t x ~levels store =
@@ -196,3 +190,12 @@ let store_levels t x ~levels store =
   in
   let leaf_store = store (level_positions t x t.leaves) in
   (mat, level_store, leaf_store)
+
+let storages t level_store leaf_store =
+  (leaf_store, t.leaves)
+  :: List.filter_map
+       (fun l ->
+         Option.map
+           (fun st -> (st, t.internal_by_level.(l - 1)))
+           level_store.(l))
+       (List.init t.height (fun l -> l + 1))

@@ -14,7 +14,8 @@
     one decision of which node bitmaps a tree index stores
     ({!doubling_levels}, {!store_levels}): {!Static_index} (and
     {!Approx_index}'s hashed copies of its nodes), {!Append_index}
-    and {!Dynamic_index} all store their levels through it. *)
+    and {!Dynamic_index} all store their levels through it.  The tree
+    keeps no entry arrays: {!level_positions} reads the string. *)
 
 type node = {
   mutable id : int;  (** breadth-first identifier *)
@@ -41,8 +42,6 @@ type t = {
   internal_by_level : node array array;
       (** [internal_by_level.(l)] = internal nodes at level [l+1],
           left-to-right *)
-  entry_char : int array;  (** character of each entry *)
-  entry_pos : int array;  (** string position of each entry *)
   char_start : int array;
       (** [char_start.(a)] = first entry of character [a]; length
           [sigma + 1] (the prefix-count array [A] of §2.1) *)
@@ -76,22 +75,21 @@ val node_count : t -> int
     whose bitmaps §2.2 stores. *)
 val doubling_levels : int -> int list
 
+(** [level_positions t x nodes]: the positions of [nodes] (one level's
+    nodes left to right: an [internal_by_level] row or [leaves]) from
+    one position-order pass, with no sort, over the first [n]
+    characters of [x], the string [t] was built from.  The pass
+    {!store_levels} runs per level, and a stored level's repair. *)
+val level_positions : t -> int array -> node array -> Cbitmap.Posting.t array
+
 (** [store_levels t x ~levels store] stores the bitmaps of the internal
     nodes of each level in [levels] and of every pruned leaf: one
     [store] call per level that has internal nodes (its nodes'
-    positions, left to right), levels ascending, then one for the
-    leaves — the order that fixes every stored extent's device
-    offset.  [x] must be the string [t] was built from (callers hold
-    it; raises [Invalid_argument] if its length is not [n]).  Each
-    stored level's postings, and the leaves', come from one pass over
-    [x] in position order, with no sort: a position's entry is its
-    character's running cursor from [char_start], each character keeps
-    a pointer into the level's nodes (started by binary search), and
-    the node that covers the entry gets the position appended, so
-    every posting fills in increasing order.  A level costs
-    [O(n + σ·lg k)] time for its [k] nodes and [O(σ + k)] words beside
-    the postings it returns.  Returns [mat] ([mat.(l)] iff [l] is in
-    [levels], for [l] in [0 .. height]), the per-level storages
+    {!level_positions}), levels ascending, then one for the leaves —
+    the order that fixes every stored extent's device offset.  [x]
+    must be the string [t] was built from (raises [Invalid_argument]
+    if its length is not [n]).  Returns [mat] ([mat.(l)] iff [l] is
+    in [levels], for [l] in [0 .. height]), the per-level storages
     (indexed by level, [None] where nothing is stored) and the leaf
     storage. *)
 val store_levels :
@@ -100,3 +98,8 @@ val store_levels :
   levels:int list ->
   (Cbitmap.Posting.t array -> 'a) ->
   bool array * 'a option array * 'a
+
+(** [storages t level_store leaf_store] pairs each storage
+    {!store_levels} returned with the nodes whose postings it holds,
+    for {!level_positions}: the leaves first, then levels ascending. *)
+val storages : t -> 'a option array -> 'a -> ('a * node array) list

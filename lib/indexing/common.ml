@@ -1,13 +1,19 @@
+(* A counting sort: one pass counts, one places each position. *)
 let positions_by_char ~sigma x =
-  let buckets = Array.make sigma [] in
-  for i = Array.length x - 1 downto 0 do
-    let c = x.(i) in
-    if c < 0 || c >= sigma then invalid_arg "Common.positions_by_char";
-    buckets.(c) <- i :: buckets.(c)
-  done;
-  Array.map
-    (fun l -> Cbitmap.Posting.of_sorted_array (Array.of_list l))
-    buckets
+  let counts = Array.make sigma 0 in
+  Array.iter
+    (fun c ->
+      if c < 0 || c >= sigma then invalid_arg "Common.positions_by_char";
+      counts.(c) <- counts.(c) + 1)
+    x;
+  let out = Array.map (fun k -> Array.make k 0) counts in
+  Array.fill counts 0 sigma 0;
+  Array.iteri
+    (fun i c ->
+      out.(c).(counts.(c)) <- i;
+      counts.(c) <- counts.(c) + 1)
+    x;
+  Array.map Cbitmap.Posting.adopt out
 
 let bits_for v = max 1 (Bitio.Codes.ceil_log2 (max 2 v))
 

@@ -2,8 +2,8 @@
 
    [scrub] is a counted verification pass over every protected extent,
    returning how many are corrupt; [repair] restores all of them from
-   primary data (rebuild closures or a whole-structure rebuild) or
-   raises [Secidx_error.Corrupt] when that is impossible.  Both are
+   their frames' rebuild closures or raises [Secidx_error.Corrupt]
+   when that is impossible.  Both are
    closures so a structure that relocates its extents on rebuild stays
    covered — the hooks always see the current layout. *)
 
@@ -15,10 +15,14 @@ let of_frames frames =
     repair = (fun () -> Iosim.Frame.repair_all (Iosim.Frame.scrub (frames ())));
   }
 
+let current hooks =
+  {
+    scrub = (fun () -> (hooks ()).scrub ());
+    repair = (fun () -> (hooks ()).repair ());
+  }
+
 let combine parts =
   {
     scrub = (fun () -> List.fold_left (fun acc p -> acc + p.scrub ()) 0 parts);
     repair = (fun () -> List.iter (fun p -> p.repair ()) parts);
   }
-
-let rebuild_all ~scrub ~rebuild = { scrub; repair = rebuild }

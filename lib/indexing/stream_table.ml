@@ -17,60 +17,54 @@ type t = {
 let dir_magic = 0x5D01
 let payload_magic = 0x5D02
 
+(* The table's two extents as [postings] lay them out, with the
+   directory's field widths: the payload, recording each stream's
+   offset, then a directory of just-wide-enough (offset, count)
+   fields.  Deterministic, so a repair that re-encodes the same
+   postings writes the same bits. *)
+let encode ~code ~layout postings =
+  let payload_buf = Bitio.Bitbuf.create () in
+  let offs = Array.make (Array.length postings) 0 in
+  Array.iteri
+    (fun i p ->
+      offs.(i) <- Bitio.Bitbuf.length payload_buf;
+      match layout with
+      | Gap -> Cbitmap.Gap_codec.encode ~code payload_buf p
+      | Hybrid { universe; chunk } ->
+          Cbitmap.Container.encode_chunked ~universe ~chunk payload_buf p)
+    postings;
+  let off_bits = Common.bits_for (Bitio.Bitbuf.length payload_buf + 1) in
+  let max_count =
+    Array.fold_left (fun m p -> max m (Cbitmap.Posting.cardinal p)) 0 postings
+  in
+  let count_bits = Common.bits_for (max_count + 1) in
+  let dir_buf = Bitio.Bitbuf.create () in
+  Array.iteri
+    (fun i p ->
+      Bitio.Bitbuf.write_bits dir_buf ~width:off_bits offs.(i);
+      Bitio.Bitbuf.write_bits dir_buf ~width:count_bits
+        (Cbitmap.Posting.cardinal p))
+    postings;
+  (dir_buf, payload_buf, off_bits, count_bits)
+
+(* Both extents are framed (magic + length + CRC-32); the table keeps
+   no postings.  Repair takes them from the source the owner names
+   ({!frames}). *)
 let build ?(code = Cbitmap.Gap_codec.Gamma) ?(layout = Gap) device postings =
   (match layout with
   | Gap -> ()
   | Hybrid { universe; chunk } ->
       if universe < 1 || chunk < 1 then
         invalid_arg "Stream_table.build: hybrid layout widths");
-  let encode_one buf p =
-    match layout with
-    | Gap -> Cbitmap.Gap_codec.encode ~code buf p
-    | Hybrid { universe; chunk } ->
-        Cbitmap.Container.encode_chunked ~universe ~chunk buf p
+  let dir_buf, payload_buf, off_bits, count_bits =
+    encode ~code ~layout postings
   in
-  (* First pass: payload, recording offsets and counts. *)
-  let encode_payload () =
-    let payload_buf = Bitio.Bitbuf.create () in
-    Array.iter (fun p -> encode_one payload_buf p) postings;
-    payload_buf
+  let store component magic buf =
+    Iosim.Device.with_component device component (fun () ->
+        Iosim.Frame.store ~magic ~align_block:true device buf)
   in
-  let payload_buf = Bitio.Bitbuf.create () in
-  let offs = Array.make (Array.length postings) 0 in
-  let counts = Array.make (Array.length postings) 0 in
-  Array.iteri
-    (fun i p ->
-      offs.(i) <- Bitio.Bitbuf.length payload_buf;
-      counts.(i) <- Cbitmap.Posting.cardinal p;
-      encode_one payload_buf p)
-    postings;
-  (* Second pass: a directory with just-wide-enough fields. *)
-  let off_bits = Common.bits_for (Bitio.Bitbuf.length payload_buf + 1) in
-  let max_count = Array.fold_left max 0 counts in
-  let count_bits = Common.bits_for (max_count + 1) in
-  let encode_dir () =
-    let dir_buf = Bitio.Bitbuf.create () in
-    Array.iteri
-      (fun i _ ->
-        Bitio.Bitbuf.write_bits dir_buf ~width:off_bits offs.(i);
-        Bitio.Bitbuf.write_bits dir_buf ~width:count_bits counts.(i))
-      postings;
-    dir_buf
-  in
-  (* Both extents are framed (magic + length + CRC-32) and carry
-     rebuild closures: postings are derivable state, so a damaged
-     extent is re-encoded from the retained primary sets and rewritten
-     in place (the re-encode is deterministic, hence bit-identical). *)
-  let dir_frame =
-    Iosim.Device.with_component device "directory" (fun () ->
-        Iosim.Frame.store ~magic:dir_magic ~align_block:true
-          ~rebuild:encode_dir device (encode_dir ()))
-  in
-  let payload_frame =
-    Iosim.Device.with_component device "payload" (fun () ->
-        Iosim.Frame.store ~magic:payload_magic ~align_block:true
-          ~rebuild:encode_payload device payload_buf)
-  in
+  let dir_frame = store "directory" dir_magic dir_buf in
+  let payload_frame = store "payload" payload_magic payload_buf in
   {
     device;
     code;
@@ -254,10 +248,18 @@ let prefetch_uncached t ~cached ~lo ~hi =
   in
   go lo lo
 
-let frames t = [ t.dir_frame; t.payload_frame ]
-let scrub t = List.length (Iosim.Frame.scrub (frames t))
-let repair t = Iosim.Frame.repair_all (Iosim.Frame.scrub (frames t))
-let integrity t = Integrity.of_frames (fun () -> frames t)
+(* Each frame's repair re-encodes the postings [source] derives. *)
+let frames t ~source =
+  let rebuild extent () =
+    extent (encode ~code:t.code ~layout:t.layout (source ()))
+  in
+  Iosim.Frame.set_rebuild t.dir_frame (rebuild (fun (dir, _, _, _) -> dir));
+  Iosim.Frame.set_rebuild t.payload_frame (rebuild (fun (_, p, _, _) -> p));
+  [ t.dir_frame; t.payload_frame ]
+
+let regions t = [ t.dir; t.payload ]
+
+let integrity t ~source = Integrity.of_frames (fun () -> frames t ~source)
 
 (* Structure sizes exclude the two 80-bit frame headers: the headers
    are integrity overhead, constant per extent, and the experiments

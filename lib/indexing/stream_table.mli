@@ -135,21 +135,20 @@ val prefetch_uncached : t -> cached:(int -> bool) -> lo:int -> hi:int -> unit
     decode of the run.  Costs two counted directory reads. *)
 val payload_span : t -> lo:int -> hi:int -> int * int
 
-(** The table's two framed extents (directory, payload) — both carry
-    CRC-32 headers and rebuild closures (re-encode from the retained
-    postings, bit-identical). *)
-val frames : t -> Iosim.Frame.t list
+(** The table's two framed extents (directory, payload), each carrying
+    a CRC-32 header.  The table keeps no postings: [source] is the
+    repair source its owner names, and repairing either extent
+    re-encodes the postings [source ()] returns.  They must be the
+    postings the table was built from, so the rewrite is bit-identical
+    (the tree indexes re-derive them from the string; baselines and
+    WAL runs keep theirs, in a field of their own). *)
+val frames : t -> source:(unit -> Cbitmap.Posting.t array) -> Iosim.Frame.t list
 
-(** Counted verification of both extents; returns how many are
-    corrupt (0, 1 or 2). *)
-val scrub : t -> int
+(** Scrub and repair hooks over {!frames}, for instance wiring. *)
+val integrity : t -> source:(unit -> Cbitmap.Posting.t array) -> Integrity.t
 
-(** Rewrite every corrupt extent from its rebuild closure (counted
-    writes), leaving the table verifiable again. *)
-val repair : t -> unit
-
-(** Packaged scrub/repair hooks for instance wiring. *)
-val integrity : t -> Integrity.t
+(** The directory and payload extents, in that order. *)
+val regions : t -> Iosim.Device.region list
 
 (** Directory plus payload size, in bits. *)
 val size_bits : t -> int

@@ -7,7 +7,10 @@
     {!verify} is counted — one header read plus a sequential payload
     pass — and is the scrub cost the experiments report.  {!repair}
     rewrites the payload from the frame's [rebuild] closure (the index
-    is derivable state) and reseals. *)
+    is derivable state) and reseals.  A closure re-derives the bits
+    from primary data (a tree index's levels from its string) or
+    returns an image its owner keeps ({!seal}'s [image] for extents
+    mutated in place); [Indexing.Integrity] lists which is which. *)
 
 type t
 

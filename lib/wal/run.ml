@@ -2,7 +2,11 @@ module St = Indexing.Stream_table
 module Posting = Cbitmap.Posting
 module Bitset = Cbitmap.Bitset
 
-type t = { table : St.t; sigma : int }
+type t = {
+  table : St.t;
+  streams : Posting.t array; (* kept: the table's repair source *)
+  sigma : int;
+}
 
 let sigma t = t.sigma
 let table t = t.table
@@ -13,7 +17,7 @@ let build ?layout device ~sigma ~chars ~tombstones ~written =
   Array.blit chars 0 streams 0 sigma;
   streams.(sigma) <- tombstones;
   streams.(sigma + 1) <- written;
-  { table = St.build ?layout device streams; sigma }
+  { table = St.build ?layout device streams; streams; sigma }
 
 (* Stream [i] of [r] through [arena]: the directory entry, then the
    payload, as a fresh posting. *)
@@ -67,8 +71,9 @@ let merge ?layout device ~n runs =
           Posting.iter (Bitset.add shadow) w;
           parts.(sigma + 1) <- w :: parts.(sigma + 1))
         runs;
-      { table = St.build ?layout device (Array.map Posting.union_many parts); sigma }
+      let streams = Array.map Posting.union_many parts in
+      { table = St.build ?layout device streams; streams; sigma }
 
-let frames t = St.frames t.table
+let frames t = St.frames t.table ~source:(fun () -> t.streams)
 let size_bits t = St.size_bits t.table
 let payload_bits t = St.payload_bits t.table

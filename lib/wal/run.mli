@@ -73,7 +73,8 @@ val merge :
   t
 
 (** The run's framed extents (directory + payload), for integrity
-    wiring. *)
+    wiring.  A run keeps its streams in memory as their repair
+    source. *)
 val frames : t -> Iosim.Frame.t list
 
 val size_bits : t -> int

@@ -941,30 +941,40 @@ end
 
 (* The weight-balanced tree's stored postings as they were derived
    before [Secidx.Wbb.store_levels] built each level in one
-   position-order pass: every stored node's entry range copied out of
-   [entry_pos] and sorted, and [Secidx.Approx_index]'s hashed copies as
-   a list of hash values sorted and deduplicated by [Posting.of_list].
-   [Secidx.Wbb.store_levels] must hand [store] the same postings, and a
-   build through them must leave the same device bits. *)
+   position-order pass: the entries computed from the string by a
+   stable sort of its positions by character, every stored node's entry
+   range copied out of them and sorted, and [Secidx.Approx_index]'s
+   hashed copies as a list of hash values sorted and deduplicated by
+   [Posting.of_list].  [Secidx.Wbb.store_levels] must hand [store] the
+   same postings, and a build through them must leave the same device
+   bits. *)
 module Wbb = struct
   module W = Secidx.Wbb
 
-  let positions (t : W.t) (v : W.node) =
-    let arr = Array.sub t.W.entry_pos v.W.s (W.weight v) in
+  (* Entry [i]'s position: the string's positions ordered by
+     (character, position). *)
+  let entries x =
+    let e = Array.init (Array.length x) Fun.id in
+    Array.stable_sort (fun a b -> compare x.(a) x.(b)) e;
+    e
+
+  let positions entries (v : W.node) =
+    let arr = Array.sub entries v.W.s (W.weight v) in
     Array.sort compare arr;
     Cbitmap.Posting.of_sorted_array arr
 
-  let store_levels (t : W.t) ~levels store =
+  let store_levels (t : W.t) x ~levels store =
+    let positions = positions (entries x) in
     let mat = Array.make (t.W.height + 1) false in
     List.iter (fun l -> mat.(l) <- true) levels;
     let level_store =
       Array.init (t.W.height + 1) (fun l ->
           if
             l >= 1 && mat.(l) && Array.length t.W.internal_by_level.(l - 1) > 0
-          then Some (store (Array.map (positions t) t.W.internal_by_level.(l - 1)))
+          then Some (store (Array.map positions t.W.internal_by_level.(l - 1)))
           else None)
     in
-    let leaf_store = store (Array.map (positions t) t.W.leaves) in
+    let leaf_store = store (Array.map positions t.W.leaves) in
     (mat, level_store, leaf_store)
 
   let hash_posting fam p =

@@ -21,7 +21,7 @@ let prop_frozen_route_consistent =
     (fun (sigma, data_l) ->
       let data = Array.of_list (List.map (fun v -> v mod sigma) data_l) in
       let tree = Secidx.Wbb.build ~c:3 ~sigma data in
-      let frozen = Secidx.Frozen.make tree ~sigma_total:sigma in
+      let frozen = Secidx.Frozen.make tree data ~sigma_total:sigma in
       (* Every (char, pos) key routes through a root-to-leaf path whose
          intervals nest. *)
       let ok = ref true in
@@ -55,19 +55,18 @@ let prop_frozen_decompose_covers =
     (fun (sigma, data_l) ->
       let data = Array.of_list (List.map (fun v -> v mod sigma) data_l) in
       let tree = Secidx.Wbb.build ~c:3 ~sigma data in
-      let frozen = Secidx.Frozen.make tree ~sigma_total:sigma in
+      let frozen = Secidx.Frozen.make tree data ~sigma_total:sigma in
       let lo = 1 and hi = sigma - 1 in
       let canon, partial, _ =
         Secidx.Frozen.decompose frozen ~klo:(lo, 0) ~khi:(hi + 1, 0)
       in
       (* Every build entry with char in [lo,hi] is inside exactly one
-         returned node (canonical or partial). *)
+         returned node (canonical or partial).  The entries are the
+         positions stably sorted by character. *)
       let nodes = canon @ partial in
+      let entries = Oracle.Wbb.entries data in
       let count_for entry_idx =
-        let key =
-          (tree.Secidx.Wbb.entry_char.(entry_idx),
-           tree.Secidx.Wbb.entry_pos.(entry_idx))
-        in
+        let key = (data.(entries.(entry_idx)), entries.(entry_idx)) in
         List.length
           (List.filter
              (fun v ->
@@ -77,13 +76,37 @@ let prop_frozen_decompose_covers =
       in
       let ok = ref true in
       for e = 0 to tree.Secidx.Wbb.n - 1 do
-        let c = tree.Secidx.Wbb.entry_char.(e) in
+        let c = data.(entries.(e)) in
         let inside = c >= lo && c <= hi in
         let cnt = count_for e in
         if inside && cnt <> 1 then ok := false;
         if (not inside) && cnt > 1 then ok := false
       done;
       !ok)
+
+(* Each node's frozen boundaries are the keys of the entries at its
+   ends, taken from the sorted entries: the leftmost path starts at
+   (0, 0), and an end past the last entry is (sigma_total, 0). *)
+let prop_frozen_keys_are_entry_keys =
+  QCheck.Test.make ~count:150 ~name:"frozen boundaries = sorted-entry keys"
+    QCheck.(
+      triple (int_range 1 12) (oneofl [ 2; 3; 8 ])
+        (list_of_size (Gen.int_range 1 300) (int_range 0 11)))
+    (fun (sigma, c, data_l) ->
+      let data = Array.of_list (List.map (fun v -> v mod sigma) data_l) in
+      let tree = Secidx.Wbb.build ~c ~sigma data in
+      let frozen = Secidx.Frozen.make tree data ~sigma_total:(sigma + 1) in
+      let entries = Oracle.Wbb.entries data in
+      let key i =
+        if i = Array.length data then (sigma + 1, 0)
+        else (data.(entries.(i)), entries.(i))
+      in
+      Array.for_all
+        (fun (v : Secidx.Wbb.node) ->
+          Secidx.Frozen.lo_key frozen v
+          = (if v.Secidx.Wbb.s = 0 then (0, 0) else key v.Secidx.Wbb.s)
+          && Secidx.Frozen.hi_key frozen v = key v.Secidx.Wbb.e)
+        tree.Secidx.Wbb.nodes)
 
 (* --- Append index --- *)
 
@@ -415,6 +438,7 @@ let suite =
   [
     qcheck prop_frozen_route_consistent;
     qcheck prop_frozen_decompose_covers;
+    qcheck prop_frozen_keys_are_entry_keys;
     qcheck prop_append_matches_naive;
     qcheck prop_append_buffered_matches_naive;
     Alcotest.test_case "append triggers rebuild" `Quick

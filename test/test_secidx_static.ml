@@ -151,7 +151,7 @@ let prop_wbb_positions =
       let canon, _ = Secidx.Wbb.decompose t ~s ~e in
       let all =
         Cbitmap.Posting.union_many
-          (List.map (Oracle.Wbb.positions t) canon)
+          (List.map (Oracle.Wbb.positions (Oracle.Wbb.entries data)) canon)
       in
       let naive =
         Workload.Queries.naive_answer (gen_of_array ~sigma data)
@@ -236,7 +236,7 @@ let prop_store_levels_reference =
       let t = Secidx.Wbb.build ~c ~sigma x in
       let levels = schedule_levels schedule t.Secidx.Wbb.height in
       let mat, stored, leaves = Secidx.Wbb.store_levels t x ~levels Fun.id in
-      let mat', stored', leaves' = Oracle.Wbb.store_levels t ~levels Fun.id in
+      let mat', stored', leaves' = Oracle.Wbb.store_levels t x ~levels Fun.id in
       let same a b =
         Array.length a = Array.length b
         && Array.for_all2 Cbitmap.Posting.equal a b
@@ -299,7 +299,7 @@ let test_store_levels_images () =
           let tree = Secidx.Static_index.tree t in
           let ref_dev = device () in
           ignore
-            (Oracle.Wbb.store_levels tree
+            (Oracle.Wbb.store_levels tree x
                ~levels:(schedule_levels schedule tree.Secidx.Wbb.height)
                (Indexing.Stream_table.build ~code:Cbitmap.Gap_codec.Gamma ref_dev));
           let used, crc = image ref_dev in
@@ -322,7 +322,7 @@ let test_store_levels_images () =
             Hashing.Universal.Split.create rng ~j:(i + 1))
       in
       ignore
-        (Oracle.Wbb.store_levels (Secidx.Static_index.tree base)
+        (Oracle.Wbb.store_levels (Secidx.Static_index.tree base) x
            ~levels:(Secidx.Static_index.materialized_levels base)
            (fun postings ->
              Array.map
